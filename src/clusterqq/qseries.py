@@ -8,6 +8,12 @@ terms whose weight height is strictly above ``cutoff2`` (doubled height)
 are present with exact integer coefficients, and everything at or below
 the cutoff has been discarded.
 
+Heights are compared as integers.  With d = det C, d times the doubled
+height of any weight is an integer linear form in its doubled fundamental
+coordinates (``RootSystem.height_functional``); a series stores its
+cutoff in that scale, and converts back to doubled heights only where it
+reports them.
+
 Q-variables are evaluated by a bootstrap: for an ascent ``w s_i > w`` the
 two-term linear relation of the QQ-system is solved for the new variable
 as an explicit descending sum over spectral shifts.  Every solved value is
@@ -17,8 +23,9 @@ value is always a machine-checked one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
+from operator import mul
 
 from .rootsys import (
     RootSystem,
@@ -31,10 +38,6 @@ from .rootsys import (
 Lam2 = tuple[int, ...]
 Psi = tuple[tuple[tuple[int, int], int], ...]  # ((i, r), exponent), sorted
 Key = tuple[Lam2, Psi]
-
-
-def psi_one() -> Psi:
-    return ()
 
 
 def psi_var(i: int, r: int, e: int = 1) -> Psi:
@@ -115,15 +118,36 @@ class TruncationError(ValueError):
     """An operation needed terms beyond the guaranteed truncation."""
 
 
-@dataclass
 class KSeries:
-    rs: RootSystem
-    terms: dict
-    cutoff2: Fraction
+    """A truncated series: exact ``terms`` above a cutoff height.
+
+    Heights are integers in one scale: with ``(den, w) =
+    rs.height_functional``, a term whose bracket has ``coords2`` λ sits at
+    the integer height Σ w_j·λ_j, which is den times its doubled height.
+    The cutoff is stored in that scale as ``cut``, so pruning, products
+    and comparisons use plain integers.  The public units stay doubled
+    heights as ``Fraction``: the constructor's ``cutoff2``, the
+    ``cutoff2`` attribute, :meth:`max_ht` and :meth:`_ht`.  A cutoff that
+    is not a multiple of 1/den raises ``ValueError``.
+    """
+
+    __slots__ = ("rs", "terms", "cut", "_hf")
+
+    def __init__(self, rs: RootSystem, terms: dict, cutoff2) -> None:
+        self.rs = rs
+        self.terms = terms
+        self._hf = rs.height_functional
+        self.cut = _scaled(self._hf[0], cutoff2)
+
+    def _new(self, terms: dict, cut: int) -> "KSeries":
+        """A series over the same root system, cutoff given in the scale."""
+        s = KSeries.__new__(KSeries)
+        s.rs, s.terms, s.cut, s._hf = self.rs, terms, cut, self._hf
+        return s
 
     @staticmethod
     def monomial(rs: RootSystem, key: Key, cutoff2, coeff: int = 1) -> "KSeries":
-        s = KSeries(rs, {key: coeff}, Fraction(cutoff2))
+        s = KSeries(rs, {key: coeff}, cutoff2)
         s._prune()
         return s
 
@@ -133,27 +157,43 @@ class KSeries:
 
     @staticmethod
     def zero(rs: RootSystem, cutoff2) -> "KSeries":
-        return KSeries(rs, {}, Fraction(cutoff2))
+        return KSeries(rs, {}, cutoff2)
+
+    def _one(self, cut: int) -> "KSeries":
+        return self._new({key_one(self.rs.n): 1} if cut < 0 else {}, cut)
+
+    @property
+    def cutoff2(self) -> Fraction:
+        return Fraction(self.cut, self._hf[0])
+
+    def _h(self, key: Key) -> int:
+        """Height of a term in the integer scale."""
+        return sum(map(mul, self._hf[1], key[0]))
 
     def _ht(self, key: Key) -> Fraction:
-        return sum(self.rs.root_coords2(key[0]), Fraction(0))
+        return Fraction(self._h(key), self._hf[0])
 
     def _prune(self) -> None:
+        w, cut = self._hf[1], self.cut
         self.terms = {
-            k: c for k, c in self.terms.items() if c and self._ht(k) > self.cutoff2
+            k: c for k, c in self.terms.items()
+            if c and sum(map(mul, w, k[0])) > cut
         }
 
-    def max_ht(self) -> Fraction:
+    def _max_h(self) -> int:
         if not self.terms:
-            return self.cutoff2
-        return max(self._ht(k) for k in self.terms)
+            return self.cut
+        return max(map(self._h, self.terms))
+
+    def max_ht(self) -> Fraction:
+        return Fraction(self._max_h(), self._hf[0])
 
     def top(self) -> tuple[Key, int]:
         """The unique term of maximal height, as (key, coefficient)."""
         if not self.terms:
             raise TruncationError("series has no terms above its cutoff")
-        h = self.max_ht()
-        tops = [k for k in self.terms if self._ht(k) == h]
+        h = self._max_h()
+        tops = [k for k in self.terms if self._h(k) == h]
         if len(tops) != 1:
             raise TruncationError(f"leading term is not unique: {tops}")
         return tops[0], self.terms[tops[0]]
@@ -162,38 +202,38 @@ class KSeries:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        s = KSeries(self.rs, out, max(self.cutoff2, other.cutoff2))
+        s = self._new(out, max(self.cut, other.cut))
         s._prune()
         return s
 
     def __neg__(self) -> "KSeries":
-        return KSeries(self.rs, {k: -c for k, c in self.terms.items()}, self.cutoff2)
+        return self._new({k: -c for k, c in self.terms.items()}, self.cut)
 
     def __sub__(self, other: "KSeries") -> "KSeries":
         return self + (-other)
 
     def __mul__(self, other: "KSeries") -> "KSeries":
-        cutoff = max(
-            self.cutoff2 + other.max_ht(), other.cutoff2 + self.max_ht()
-        )
+        cut = max(self.cut + other._max_h(), other.cut + self._max_h())
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = key_mul(k1, k2)
                 out[k] = out.get(k, 0) + c1 * c2
-        s = KSeries(self.rs, out, cutoff)
+        s = self._new(out, cut)
         s._prune()
         return s
 
     def mul_monomial(self, key: Key, coeff: int = 1) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
-        shift = self._ht(key)
         out = {key_mul(k, key): c * coeff for k, c in self.terms.items()}
-        return KSeries(self.rs, out, self.cutoff2 + shift)
+        return self._new(out, self.cut + self._h(key))
 
     def clamped(self, cutoff2) -> "KSeries":
         """Copy truncated at a coarser (higher) cutoff."""
-        s = KSeries(self.rs, dict(self.terms), max(self.cutoff2, Fraction(cutoff2)))
+        return self._clamp(_scaled(self._hf[0], cutoff2))
+
+    def _clamp(self, cut: int) -> "KSeries":
+        s = self._new(dict(self.terms), max(self.cut, cut))
         s._prune()
         return s
 
@@ -201,25 +241,39 @@ class KSeries:
         t, c0 = self.top()
         if c0 not in (1, -1):
             raise TruncationError(f"cannot invert leading coefficient {c0}")
-        th = self._ht(t)
-        cutoff = self.cutoff2 - th
-        eps = self.mul_monomial(key_inv(t), c0) - KSeries.one(self.rs, cutoff)
-        acc = KSeries.one(self.rs, cutoff)
+        cut = self.cut - self._h(t)
+        eps = self.mul_monomial(key_inv(t), c0) - self._one(cut)
+        acc = self._one(cut)
         power = acc
         while power.terms:
-            power = (-(power * eps)).clamped(cutoff)
+            power = (-(power * eps))._clamp(cut)
             acc = acc + power
         return acc.mul_monomial(key_inv(t), c0)
 
     def matches(self, other: "KSeries") -> bool:
         """Equality of all terms above the common guaranteed cutoff."""
-        cutoff = max(self.cutoff2, other.cutoff2)
-        a = {k: c for k, c in self.terms.items() if self._ht(k) > cutoff}
-        b = {k: c for k, c in other.terms.items() if other._ht(k) > cutoff}
+        cut = max(self.cut, other.cut)
+        a = {k: c for k, c in self.terms.items() if self._h(k) > cut}
+        b = {k: c for k, c in other.terms.items() if other._h(k) > cut}
         return a == b
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __repr__(self) -> str:
+        return (
+            f"KSeries({self.rs.dynkin_type}, {self.terms!r}, "
+            f"cutoff2={self.cutoff2})"
+        )
+
+
+def _scaled(den: int, cutoff2) -> int:
+    """A doubled height as an integer in the scale of ``den``."""
+    if not isinstance(cutoff2, Rational):
+        cutoff2 = Fraction(cutoff2)
+    if den % cutoff2.denominator:
+        raise ValueError(f"cutoff {cutoff2} is not a multiple of 1/{den}")
+    return cutoff2.numerator * (den // cutoff2.denominator)
 
 
 def product(factors) -> KSeries:
@@ -245,7 +299,7 @@ def chi_factor(rs: RootSystem, word, i: int, depth: int = 6) -> KSeries:
     word = tuple(word)
     while word and word[-1] != i:
         word = word[:-1]
-    cutoff = Fraction(-2 * depth)
+    cutoff = -2 * depth
     if not word:
         return KSeries.one(rs, cutoff)
     w_prime = word[:-1]
@@ -307,12 +361,12 @@ class QEvaluator:
         memo_key = (self.weight_of(word, i), r)
         if memo_key not in self._memo:
             value = self._solve(word, i, r)
-            self._memo[memo_key] = value
             self._certify(word, i, r, value)
+            self._memo[memo_key] = value
         return self._memo[memo_key]
 
     def _solve(self, word, i: int, r: int) -> KSeries:
-        cutoff = Fraction(-2 * self.depth)
+        cutoff = -2 * self.depth
         if not word:
             return KSeries.monomial(
                 self.rs, ((0,) * self.rs.n, psi_var(i, r)), cutoff
@@ -321,9 +375,11 @@ class QEvaluator:
         alpha2 = weyl_from_word(self.rs, w_prime).apply(
             simple_root(self.rs, i)
         ).coords2
-        ht2 = sum(self.rs.root_coords2(alpha2), Fraction(0))
-        if ht2 <= 0:
+        # an ascent iff w'(α_i) is a positive root
+        if any(c < 0 for c in self.rs.root_coords2(alpha2)):
             raise ValueError(f"{word} is not an ascent at {i}")
+        den, w = self.rs.height_functional
+        h = sum(map(mul, w, alpha2))
         br = bracket(self.rs, tuple(-a for a in alpha2))
 
         def qp(j, b):
@@ -335,7 +391,7 @@ class QEvaluator:
                 out = (out * qp(j, b)).clamped(cutoff)
             return out
 
-        levels = int(Fraction(2 * self.depth) / ht2) + 1
+        levels = (2 * self.depth * den) // h + 1
         series = KSeries.one(self.rs, cutoff)
         for k in range(levels - 1, 0, -1):
             b = r - 2 * k
@@ -357,7 +413,6 @@ class QEvaluator:
         memo_key = (self.weight_of(word, i), r)
         if memo_key in self._certified:
             return
-        self._certified.add(memo_key)
         w_prime = word[:-1]
         alpha2 = weyl_from_word(self.rs, w_prime).apply(
             simple_root(self.rs, i)
@@ -367,13 +422,14 @@ class QEvaluator:
         lhs = value * self.q_raw(w_prime, i, r - 2) - (
             lower * self.q_raw(w_prime, i, r)
         ).mul_monomial(br)
-        rhs = KSeries.one(self.rs, Fraction(-2 * self.depth))
+        rhs = KSeries.one(self.rs, -2 * self.depth)
         for j in self.rs.neighbors(i):
             rhs = rhs * self.q_raw(w_prime, j, r - 1)
         if not lhs.matches(rhs):
             raise CertificationError(
                 f"QQ relation failed for word={word}, i={i}, r={r}"
             )
+        self._certified.add(memo_key)
 
     # -- renormalized Q-variables -----------------------------------------
 
@@ -394,7 +450,7 @@ def qq_check(ev: QEvaluator, word, i: int, r: int) -> bool:
     lhs = ev.q_bar(ext, i, r) * ev.q_bar(word, i, r - 2) - ev.q_bar(
         ext, i, r - 2
     ) * ev.q_bar(word, i, r)
-    rhs = KSeries.one(ev.rs, Fraction(-2 * ev.depth))
+    rhs = KSeries.one(ev.rs, -2 * ev.depth)
     for j in ev.rs.neighbors(i):
         rhs = rhs * ev.q_bar(word, j, r - 1)
     return lhs.matches(rhs)

@@ -77,9 +77,6 @@ class WindowedQuiver:
         i, r = v
         return 1 <= i <= self.rs.n and (r - self.parity[i - 1]) % 2 == 0
 
-    def in_window(self, v: Vertex) -> bool:
-        return self.in_component(v) and self.rmin <= v[1] <= self.rmax
-
     def relabeled(self, mapping: Mapping[Vertex, Vertex]) -> "WindowedQuiver":
         """Apply a vertex relabeling (identity outside the mapping)."""
 

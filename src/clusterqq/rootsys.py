@@ -146,7 +146,17 @@ class RootSystem:
 
     @property
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _cartan_inverse(self)
+        return _gauss_jordan(self)[0]
+
+    @property
+    def height_functional(self) -> tuple[int, tuple[int, ...]]:
+        """``(den, w)`` with den = det C and w_j = den·(column sum j of C⁻¹).
+
+        Both are integers, and the doubled height of the weight with
+        ``coords2`` λ (twice its simple-root coordinate sum) is
+        Σ_j w_j·λ_j / den.
+        """
+        return _height_functional(self)
 
     def root_coords2(self, coords2: Sequence[int]) -> tuple[Fraction, ...]:
         """Coordinates of the (doubled) weight in the simple-root basis."""
@@ -204,23 +214,36 @@ def _positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+def _gauss_jordan(rs: RootSystem) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+    """C⁻¹ and det C, by exact Gauss–Jordan elimination."""
     n = rs.n
     aug = [
         [Fraction(rs.cartan[i][j]) for j in range(n)]
         + [Fraction(1 if j == i else 0) for j in range(n)]
         for i in range(n)
     ]
+    det = Fraction(1)
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv_piv = 1 / aug[col][col]
         aug[col] = [x * inv_piv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), det
+
+
+@lru_cache(maxsize=None)
+def _height_functional(rs: RootSystem) -> tuple[int, tuple[int, ...]]:
+    inv, det = _gauss_jordan(rs)
+    # det·C⁻¹ is the adjugate of C, an integer matrix
+    w = (det * sum(inv[i][j] for i in range(rs.n)) for j in range(rs.n))
+    return int(det), tuple(int(x) for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +282,6 @@ class Weight:
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords2)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(a % 2 == 0 for a in self.coords2)
-
-    def root_height2(self) -> Fraction:
-        """Twice the root-basis coordinate sum (the height of λ, doubled)."""
-        return sum(self.rs.root_coords2(self.coords2), Fraction(0))
 
 
 def zero_weight(rs: RootSystem) -> Weight:
@@ -388,7 +403,13 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    word = tuple(word)
+    return _weyl_from_tuple(rs, tuple(word))
+
+
+# bounded, since callers may pass arbitrarily many distinct words; the
+# elements are frozen, so every caller can share one
+@lru_cache(maxsize=1 << 14)
+def _weyl_from_tuple(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
     mat_t, mat_root = _identity(rs.n), _identity(rs.n)
     for i in word:
         rs._check_index(i)

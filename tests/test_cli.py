@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON certificates, determinism."""
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -226,6 +227,34 @@ class TestDeterminism:
         b = runner.invoke(main, args)
         assert a.exit_code == b.exit_code == 0
         assert a.stdout == b.stdout
+
+
+class TestGoldenSeries:
+    """Whole ``qvar eval`` outputs, serialized cutoff included, pinned by
+    their sha256."""
+
+    @pytest.mark.parametrize(
+        "args, cutoff2, sha256",
+        [
+            (
+                ["--word", "", "--i", "1", "--r", "-1"],
+                [-9, 2],
+                "b2befbc3127e16da7c94fbcef8bf749d745afea26641d6d8726b842d1496da99",
+            ),
+            (
+                ["--word", "2,1,3,2", "--i", "2", "--r", "-4"],
+                [-22, 1],
+                "863290d930608c8722aab48dc7ccae8572bbb9b849b7022eb2231886355e272d",
+            ),
+        ],
+    )
+    def test_qvar_eval_a3_stdout(self, runner, args, cutoff2, sha256):
+        result = runner.invoke(
+            main, ["qvar", "eval", "--type", "A3", *args, "--depth", "3"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["series"]["cutoff2"] == cutoff2
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
 
 # The directory the suite imported ``clusterqq`` from (``src`` in a checkout).

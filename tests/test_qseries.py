@@ -36,6 +36,11 @@ def rs(name):
 
 
 A1, A2, A3 = rs("A1"), rs("A2"), rs("A3")
+ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
+    "E6",
+    "E7",
+    "E8",
+]
 
 
 def mono(r, key, depth=6, coeff=1):
@@ -111,6 +116,31 @@ class TestSeries:
         y = one(A2, depth=6)
         # the product forgets nothing above the coarser cutoff
         assert (x * y).cutoff2 == Fraction(-4)
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_cutoff_off_the_height_lattice_is_rejected(self, name):
+        # heights lie in (1/det C)·Z, and den + 1 never divides den
+        r = rs(name)
+        den = r.height_functional[0]
+        on, off = Fraction(-7, den), Fraction(-1, den + 1)
+        assert KSeries.zero(r, on).cutoff2 == on
+        assert one(r).clamped(on).cutoff2 == on
+        with pytest.raises(ValueError):
+            KSeries(r, {}, off)
+        with pytest.raises(ValueError):
+            KSeries.one(r, off)
+        with pytest.raises(ValueError):
+            one(r).clamped(off)
+
+    def test_heights_keep_doubled_units(self):
+        x = one(A2, depth=2) + mono(A2, a_inv(A2, 1, 0), depth=2)
+        assert x.cutoff2 == Fraction(-4) and x.max_ht() == 0
+        assert x._ht(a_inv(A2, 1, 0)) == -2
+        shifted = x.mul_monomial(y_monomial(A2, 1, 0))
+        # ϖ_1 = (2α_1 + α_2)/3 in A2: doubled height 2
+        assert shifted.max_ht() == 2 and shifted.cutoff2 == Fraction(-2)
+        half = bracket(A2, (1, 0))
+        assert x.mul_monomial(half).cutoff2 == Fraction(-4) + 1
 
     def test_geometric_normalization_factor(self):
         # the factor attached to s_1(ϖ_1) is the geometric series in [-α_1]
@@ -346,3 +376,17 @@ class TestEmbedding:
         wrong = KSeries.one(A2, Fraction(-8))
         with pytest.raises(CertificationError):
             ev._certify((1,), 1, 0, wrong)
+        assert (ev.weight_of((1,), 1), 0) not in ev._certified
+
+    def test_failed_certification_is_not_memoized(self, monkeypatch):
+        ev = QEvaluator(A2, depth=4)
+        key = (ev.weight_of((1,), 1), 0)
+        with monkeypatch.context() as m:
+            m.setattr(KSeries, "matches", lambda self, other: False)
+            for _ in range(2):  # a retry checks again
+                with pytest.raises(CertificationError):
+                    ev.q_raw((1,), 1, 0)
+            assert key not in ev._memo and key not in ev._certified
+        value = ev.q_raw((1,), 1, 0)
+        assert key in ev._memo and key in ev._certified
+        assert value.matches(QEvaluator(A2, depth=4).q_raw((1,), 1, 0))

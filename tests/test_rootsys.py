@@ -1,6 +1,7 @@
 """Root-system and Weyl-group arithmetic."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,3 +268,61 @@ class TestProperties:
         r, word = data
         w = weyl_from_word(r, word)
         assert (w * w.inverse()).is_identity
+
+
+# det C in each family: A_n has n + 1, D_n has 4, E_n has 9 - n
+DET_C = {f"A{n}": n + 1 for n in range(1, 9)} | {
+    f"D{n}": 4 for n in range(4, 9)
+} | {f"E{n}": 9 - n for n in (6, 7, 8)}
+
+
+@st.composite
+def any_type_and_words(draw):
+    r = RootSystem.from_name(draw(st.sampled_from(ALL_TYPES)))
+    word = draw(st.lists(st.integers(1, r.n), min_size=0, max_size=10))
+    return r, word
+
+
+class TestHeightFunctional:
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_scale_is_det_and_weights_are_integers(self, name):
+        r = rs(name)
+        den, w = r.height_functional
+        assert den == DET_C[name]
+        assert len(w) == r.n and all(type(x) is int for x in w)
+        # each simple root has doubled height 2: C·w = den·(1, ..., 1)
+        assert all(
+            sum(r.cartan[i][j] * w[j] for j in range(r.n)) == den
+            for i in range(r.n)
+        )
+
+    @given(st.sampled_from(ALL_TYPES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_root_coordinates(self, name, data):
+        r = rs(name)
+        lam = data.draw(st.lists(st.integers(-30, 30), min_size=r.n, max_size=r.n))
+        den, w = r.height_functional
+        assert Fraction(sum(a * b for a, b in zip(w, lam)), den) == sum(
+            r.root_coords2(lam)
+        )
+
+    @given(any_type_and_words())
+    @settings(max_examples=150, deadline=None)
+    def test_weyl_from_word_is_the_product_of_reflections(self, data):
+        r, word = data
+        expected = identity_element(r)
+        for i in word:
+            expected = expected * simple_reflection(r, i)
+        for given_word in (list(word), tuple(word), (i for i in word)):
+            w = weyl_from_word(r, given_word)
+            assert w == expected
+            assert w.mat_root == expected.mat_root
+            assert w.length == expected.length == len(w.word)
+            assert weyl_from_word(r, w.word) == w
+
+    def test_bad_letter_still_raises_after_good_words(self):
+        r = rs("A2")
+        weyl_from_word(r, (1, 2))
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                weyl_from_word(r, (1, 3))
