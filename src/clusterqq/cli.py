@@ -19,6 +19,7 @@ import click
 from . import gvector, sl2, wronskian
 from .qseries import KSeries, QEvaluator, qq_check, qqstar_check, f_label
 from .quiver import (
+    MarginError,
     build_coxeter_quiver,
     mutate_quiver,
     quiver_to_json,
@@ -29,7 +30,7 @@ from .rootsys import (
     is_reduced,
     longest_element,
 )
-from .seed import green_sweep, initial_seed, mutate_seed, cvector_sign
+from .seed import SignError, cvector_sign, green_sweep, initial_seed, mutate_seed
 
 EXIT_FAIL = 1
 EXIT_BUDGET = 3
@@ -90,7 +91,12 @@ def _parse_end(tok: str) -> float:
 
 def _window(rs: RootSystem, word, depth_below: int = 8, margin: int = 2):
     datum = coxeter_data_from_word(rs, word)
-    return build_coxeter_quiver(rs, datum, depth_below=depth_below, margin=margin)
+    try:
+        return build_coxeter_quiver(
+            rs, datum, depth_below=depth_below, margin=margin
+        )
+    except ValueError as exc:  # MarginError, or an empty window
+        raise click.UsageError(f"bad window: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,7 @@ def seed_group() -> None:
 @seed_group.command("sweep")
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
-@click.option("--sweeps", type=int, default=4)
+@click.option("--sweeps", type=click.IntRange(min=1), default=4)
 @click.option("--depth-below", type=int, default=10)
 @_common
 def seed_sweep(type_, coxeter, sweeps, depth_below, as_json, budget):
@@ -253,8 +259,11 @@ def seed_mutate(type_, coxeter, vertices, as_json, budget):
     seed = initial_seed(cw)
     for spec in vertices:
         v = _parse_vertex(spec)
-        sign = cvector_sign(seed, v)
-        seed = mutate_seed(seed, v)
+        try:
+            sign = cvector_sign(seed, v)
+            seed = mutate_seed(seed, v)
+        except (SignError, MarginError) as exc:
+            raise click.UsageError(f"cannot mutate at {v}: {exc}")
         rep.emit(
             {
                 "relation": "seed-mutation",

@@ -15,12 +15,20 @@ quiver are provided:
 
 All three must agree; they are exposed separately so they can certify one
 another.
+
+Every slice, block and limit matrix is a range product ``T_top ⋯ T_bottom``
+of slice matrices.  ``T_j`` is the identity outside the green band
+``lowest_green_slice(datum) ≤ j ≤ -1``, so a range is first clamped to the
+band; the clamped products are memoized per ``(datum, top, bottom)`` in a
+bounded LRU cache, each entry built from the one a slice shorter by a
+single matrix product.  Repeated green sweeps and limit blocks then share
+their prefixes instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 from .quiver import CoxeterWindow, Vertex, WindowedQuiver
 from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity, _mat_mul
@@ -94,25 +102,40 @@ def lowest_green_slice(datum: CoxeterDatum) -> int:
 
 def slice_matrix(datum: CoxeterDatum, m: int) -> Matrix:
     """T_m: product of the reflection generators of the slice-m greens."""
-    mats = [datum.rs.reflection_matrix_t(i) for i in green_slice_nodes(datum, m)]
-    return reduce(_mat_mul, mats, _identity(datum.rs.n))
+    return _band_product(datum, m, m)
 
 
 def block_matrix(datum: CoxeterDatum, k: int, m: int) -> Matrix:
     """Slice-m block after k green sweeps: T_{m+k-1} ... T_m."""
     if k < 0:
         raise ValueError("sweep count must be nonnegative")
-    mats = [slice_matrix(datum, j) for j in range(m + k - 1, m - 1, -1)]
-    return reduce(_mat_mul, mats, _identity(datum.rs.n))
+    return _band_product(datum, m + k - 1, m)
 
 
 def stable_block(datum: CoxeterDatum, m: int) -> Matrix:
     """Limit slice-m block: Id for m >= 0, else T_{-1} ... T_m."""
-    if m >= 0:
+    return _band_product(datum, -1, m)
+
+
+def _band_product(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
+    """T_top ... T_bottom, the identity for an empty range."""
+    top, bottom = min(top, -1), max(bottom, lowest_green_slice(datum))
+    if top < bottom:
         return _identity(datum.rs.n)
-    m = max(m, lowest_green_slice(datum))
-    mats = [slice_matrix(datum, j) for j in range(-1, m - 1, -1)]
-    return reduce(_mat_mul, mats, _identity(datum.rs.n))
+    return _band_memo(datum, top, bottom)
+
+
+# bounded, since every Coxeter datum adds its own entries; the band is at
+# most about h slices deep, so one datum needs a few hundred at most
+@lru_cache(maxsize=1 << 12)
+def _band_memo(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
+    if top > bottom:
+        shorter = _band_memo(datum, top, bottom + 1)
+        return _mat_mul(shorter, _band_memo(datum, bottom, bottom))
+    out = _identity(datum.rs.n)
+    for i in green_slice_nodes(datum, bottom):
+        out = _mat_mul(out, datum.rs.reflection_matrix_t(i))
+    return out
 
 
 def _block_to_gvecs(
@@ -146,7 +169,7 @@ def sweep_gvectors(cw: CoxeterWindow, k: int) -> dict[Vertex, GVec]:
     """g-vectors of every window vertex after k green sweeps."""
     out: dict[Vertex, GVec] = {}
     for m in cw.slice_range():
-        block = block_matrix(cw.datum, k, m) if m < 0 else _identity(cw.datum.rs.n)
+        block = block_matrix(cw.datum, k, m)
         for v, g in _block_to_gvecs(cw.datum, m, block).items():
             if v in cw.quiver.vertices:
                 out[v] = g

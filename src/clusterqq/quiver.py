@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .rootsys import CoxeterDatum, RootSystem, coxeter_data, parse_orientation
@@ -49,6 +50,17 @@ class WindowedQuiver:
 
     # -- convenience accessors --------------------------------------------
 
+    # Lookup dicts built once per instance.  They live in the instance
+    # __dict__, outside the fields, so == and hash ignore them; replace()
+    # and _make() build new instances, so they are never stale.
+    @cached_property
+    def _arrow_map(self) -> dict[Arrow, int]:
+        return dict(self.arrows)
+
+    @cached_property
+    def _color_map(self) -> dict[Vertex, str]:
+        return dict(self.colors)
+
     def arrow_dict(self) -> dict[Arrow, int]:
         return dict(self.arrows)
 
@@ -56,11 +68,13 @@ class WindowedQuiver:
         return dict(self.colors)
 
     def color(self, v: Vertex) -> str:
-        return self.color_dict().get(v, BLACK)
+        return self._color_map.get(v, BLACK)
 
     def mult(self, src: Vertex, dst: Vertex) -> int:
-        return self.arrow_dict().get((src, dst), 0)
+        return self._arrow_map.get((src, dst), 0)
 
+    # plain scans: a per-quiver adjacency index costs more to build than
+    # it saves, since most quivers are asked only a few times
     def arrows_out(self, v: Vertex) -> list[tuple[Vertex, int]]:
         return [(b, m) for (a, b), m in self.arrows if a == v]
 

@@ -146,7 +146,7 @@ class RootSystem:
 
     @property
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _gauss_jordan(self)[0]
+        return _gauss_jordan(self.cartan)[0]
 
     @property
     def height_functional(self) -> tuple[int, tuple[int, ...]]:
@@ -213,12 +213,14 @@ def _positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(pos)
 
 
-@lru_cache(maxsize=None)
-def _gauss_jordan(rs: RootSystem) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-    """C⁻¹ and det C, by exact Gauss–Jordan elimination."""
-    n = rs.n
+# bounded, since callers may invert arbitrarily many distinct matrices
+@lru_cache(maxsize=1 << 10)
+def _gauss_jordan(mat: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+    """A⁻¹ and det A of an invertible integer matrix, by exact Gauss–Jordan
+    elimination."""
+    n = len(mat)
     aug = [
-        [Fraction(rs.cartan[i][j]) for j in range(n)]
+        [Fraction(mat[i][j]) for j in range(n)]
         + [Fraction(1 if j == i else 0) for j in range(n)]
         for i in range(n)
     ]
@@ -240,7 +242,7 @@ def _gauss_jordan(rs: RootSystem) -> tuple[tuple[tuple[Fraction, ...], ...], Fra
 
 @lru_cache(maxsize=None)
 def _height_functional(rs: RootSystem) -> tuple[int, tuple[int, ...]]:
-    inv, det = _gauss_jordan(rs)
+    inv, det = _gauss_jordan(rs.cartan)
     # det·C⁻¹ is the adjugate of C, an integer matrix
     w = (det * sum(inv[i][j] for i in range(rs.n)) for j in range(rs.n))
     return int(det), tuple(int(x) for x in w)
@@ -425,16 +427,26 @@ def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w_0 with a reduced word built greedily (append any i with w(α_i) > 0)."""
-    w = identity_element(rs)
-    total = rs.num_positive_roots
-    while w.length < total:
-        for i in range(1, rs.n + 1):
-            unit = tuple(1 if j == i - 1 else 0 for j in range(rs.n))
-            if w.root_sign(unit) > 0:
-                w = w * simple_reflection(rs, i)
-                break
-    return w
+    """w_0 with a reduced word built greedily (append the least i with
+    w(α_i) > 0).
+
+    Each letter lengthens the word by one, so after N = #positive roots
+    letters the element is w_0; its length is counted once, at the end.
+    """
+    mat_t = mat_root = _identity(rs.n)
+    word: list[int] = []
+    for _ in range(rs.num_positive_roots):
+        # w(α_i) is column i of the root matrix
+        i = next(
+            i for i in range(1, rs.n + 1)
+            if all(row[i - 1] >= 0 for row in mat_root)
+        )
+        mat_t = _mat_mul(mat_t, rs.reflection_matrix_t(i))
+        mat_root = _mat_mul(mat_root, rs.reflection_matrix_root(i))
+        word.append(i)
+    w0 = _finalize(rs, mat_t, mat_root, tuple(word))
+    assert w0.length == rs.num_positive_roots
+    return w0
 
 
 @lru_cache(maxsize=None)

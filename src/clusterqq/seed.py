@@ -19,7 +19,6 @@ that reference.  Two mutation operations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Any, Mapping
 
 from .gvector import GVec, knit_gvectors, stable_block
@@ -33,6 +32,7 @@ from .quiver import (
     mutate_quiver,
     recolor_from_arrows,
 )
+from .rootsys import _gauss_jordan
 
 
 class SignError(ValueError):
@@ -166,41 +166,19 @@ def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     out: dict[Vertex, GVec] = {}
     n = cw.datum.rs.n
     for m in cw.slice_range():
-        block = stable_block(cw.datum, m)
-        inv_t = _integer_inverse_transpose(block)
+        inv, _ = _gauss_jordan(stable_block(cw.datum, m))
+        assert all(x.denominator == 1 for row in inv for x in row)
         for i in range(1, n + 1):
             v = (i, cw.datum.l_of(i) + 2 * m)
             if v in cw.quiver.vertices:
+                # column i of the inverse transpose is row i of the inverse
                 out[v] = GVec.from_dict(
                     {
-                        (j, cw.datum.l_of(j) + 2 * m): inv_t[j - 1][i - 1]
+                        (j, cw.datum.l_of(j) + 2 * m): int(inv[i - 1][j - 1])
                         for j in range(1, n + 1)
                     }
                 )
     return out
-
-
-def _integer_inverse_transpose(mat) -> tuple[tuple[int, ...], ...]:
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        assert all(x.denominator == 1 for x in row)
-    # transpose while converting to int
-    return tuple(tuple(int(inv[j][i]) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

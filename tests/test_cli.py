@@ -53,6 +53,26 @@ class TestUsage:
         result = runner.invoke(main, ["sl2", "ptolemy", "3", "1", "1", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # too shallow a window: MarginError while building it
+            ["gvec", "compare", "--type", "E6", "--depth-below", "0"],
+            ["gvec", "knit", "--type", "D4", "--depth-below", "-3"],
+            # no such vertex: SignError, a zero c-vector
+            ["seed", "mutate", "--type", "E6", "--vertex", "1,-40"],
+            ["seed", "mutate", "--type", "E6", "--vertex", "9,0"],
+            # an empty run would certify nothing
+            ["seed", "sweep", "--type", "D4", "--sweeps", "0"],
+            ["seed", "sweep", "--type", "D4", "--sweeps", "-1"],
+        ],
+    )
+    def test_window_precondition_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "certificates passed" not in result.output
+
 
 class TestBudget:
     def test_exceeded_budget_exits_three(self, runner):
@@ -254,6 +274,33 @@ class TestGoldenSeries:
         )
         assert result.exit_code == 0
         assert json.loads(result.stdout)["series"]["cutoff2"] == cutoff2
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
+
+class TestGoldenCombinatorics:
+    """Whole ``--json`` outputs of the g-vector and sweep commands, pinned
+    by their sha256."""
+
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                ["seed", "sweep", "--type", "E6", "--sweeps", "3"],
+                "836190fc4e01de3a1908757e706ca5c92877d093b4a5b68e0fb7759c9941e9a0",
+            ),
+            (
+                ["gvec", "compare", "--type", "E8"],
+                "b67c76c523a798fb2db6271dd0dda6974df9485a2c8d98dbd1743b33697929a2",
+            ),
+            (
+                ["gvec", "blocks", "--type", "D4"],
+                "2ed7fb06ce2a5dcf0014d96ef4590ebd563122171b64f1f0e258dcdeb611f276",
+            ),
+        ],
+    )
+    def test_stdout(self, runner, args, sha256):
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
 

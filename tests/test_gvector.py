@@ -1,7 +1,13 @@
 """Stabilized g-vectors: block limits, knitting, braid action."""
 
+from functools import reduce
+from itertools import accumulate
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+
+from clusterqq.cli import main
 
 from clusterqq.gvector import (
     GVec,
@@ -10,6 +16,7 @@ from clusterqq.gvector import (
     braid_gvectors,
     green_slice_nodes,
     knit_gvectors,
+    lowest_green_slice,
     mesh_check,
     mesh_pairs,
     slice_matrix,
@@ -18,8 +25,15 @@ from clusterqq.gvector import (
     theta,
     theta_word,
 )
+from clusterqq.gvector import _band_memo
 from clusterqq.quiver import build_coxeter_quiver
-from clusterqq.rootsys import RootSystem, coxeter_data
+from clusterqq.rootsys import (
+    RootSystem,
+    _identity,
+    _mat_mul,
+    coxeter_data,
+    coxeter_data_from_word,
+)
 
 
 def rs(name):
@@ -331,3 +345,86 @@ class TestTheta:
         i = data.draw(st.integers(1, 3))
         s = data.draw(st.integers(-2, 2))
         assert theta(r, i, g.shift(s)) == theta(r, i, g).shift(s)
+
+
+# ---------------------------------------------------------------------------
+# the band-product memo against the plain products
+# ---------------------------------------------------------------------------
+
+
+def oracle_slice(d, m):
+    mats = [d.rs.reflection_matrix_t(i) for i in green_slice_nodes(d, m)]
+    return reduce(_mat_mul, mats, _identity(d.rs.n))
+
+
+def oracle_stable(d, m, T):
+    """T_{-1} ... T_m, clamped to the band, from the slices T[j]."""
+    if m >= 0:
+        return _identity(d.rs.n)
+    m = max(m, lowest_green_slice(d))
+    mats = [T[j] for j in range(-1, m - 1, -1)]
+    return reduce(_mat_mul, mats, _identity(d.rs.n))
+
+
+def oracle_blocks(d, m, K, T):
+    """[T_{m+k-1} ... T_m for k = 0..K], each grown at the top."""
+    slices = [T[j] for j in range(m, m + K)]
+    grow = lambda acc, t: _mat_mul(t, acc)  # noqa: E731
+    return list(accumulate(slices, grow, initial=_identity(d.rs.n)))
+
+
+MEMO_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+
+
+def coxeter_windows(name):
+    """The Coxeter windows of the words 1..n and n..1."""
+    r = rs(name)
+    words = {tuple(range(1, r.n + 1)), tuple(range(r.n, 0, -1))}
+    return [
+        build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=4)
+        for w in sorted(words)
+    ]
+
+
+class TestBandMemo:
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_products_equal_the_plain_products(self, name, order):
+        for cw in coxeter_windows(name):
+            d = cw.datum
+            ms = sorted(cw.slice_range(), reverse=order == "descending")
+            K = -lowest_green_slice(d) + 1
+            T = {j: oracle_slice(d, j) for j in range(min(ms) - 1, max(ms) + K)}
+            _band_memo.cache_clear()
+            for m in ms:
+                assert slice_matrix(d, m) == T[m], m
+                assert stable_block(d, m) == oracle_stable(d, m, T), m
+                for k, block in enumerate(oracle_blocks(d, m, K, T)):
+                    assert block_matrix(d, k, m) == block, (k, m)
+
+    def test_negative_sweep_count_rejected(self):
+        with pytest.raises(ValueError):
+            block_matrix(A2, -1, -1)
+
+    def test_sweeps_reuse_products(self, monkeypatch):
+        # each sweep count k adds at most one product per band slice, so
+        # K sweeps compute at most depth·K distinct products, each with
+        # one matrix product; rebuilding every block per sweep would be
+        # quadratic in K
+        r = rs("D4")
+        d = coxeter_data_from_word(r, (1, 2, 3, 4))
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return _mat_mul(a, b)
+
+        monkeypatch.setattr("clusterqq.gvector._mat_mul", counted)
+        _band_memo.cache_clear()
+        result = CliRunner().invoke(
+            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
+        )
+        assert result.exit_code == 0
+        bound = -lowest_green_slice(d) * 20
+        assert 0 < _band_memo.cache_info().misses <= bound
+        assert len(calls) <= bound

@@ -343,6 +343,70 @@ class TestCoxeterWindow:
 
 
 # ---------------------------------------------------------------------------
+# cached lookups
+# ---------------------------------------------------------------------------
+
+
+def answers_from_own_arrows(q, probe):
+    """mult and color of q agree with its arrows and colors on probe."""
+    arrows, colors = dict(q.arrows), dict(q.colors)
+    for a, b in probe:
+        assert q.mult(a, b) == arrows.get((a, b), 0)
+        assert q.color(a) == colors.get(a, "black")
+    return True
+
+
+def fill_cache(q):
+    for (a, b), _ in q.arrows:
+        q.mult(a, b)
+        q.color(a)
+
+
+class TestLookupCache:
+    @pytest.fixture()
+    def q(self):
+        return build_coxeter_quiver(rs("A3"), ["2->1", "3->2"]).quiver
+
+    def test_returned_dicts_are_copies(self, q):
+        (a, b), m = q.arrows[0]
+        green = q.greens()[0]
+        fill_cache(q)
+        arrows, colors = q.arrow_dict(), q.color_dict()
+        arrows[(a, b)] = m + 5
+        arrows[(b, a)] = 7
+        colors[green] = RED
+        assert q.mult(a, b) == m and q.mult(b, a) == dict(q.arrows).get((b, a), 0)
+        assert q.color(green) == GREEN
+        assert q.arrow_dict() == dict(q.arrows)
+        assert q.color_dict() == dict(q.colors)
+
+    def test_derived_quivers_use_their_own_arrows(self, q):
+        fill_cache(q)
+        v = q.greens()[0]
+        mutated = mutate_quiver(q, v)
+        recolored = recolor_from_arrows(mutated)
+        moved = q.relabeled({u: (u[0], u[1] - 2) for u in q.vertices})
+        probe = {k for k, _ in q.arrows} | {(b, a) for (a, b), _ in q.arrows}
+        for child in (mutated, recolored, moved):
+            probe |= {k for k, _ in child.arrows}
+        for child in (mutated, recolored, moved):
+            assert answers_from_own_arrows(child, probe)
+        # the parent is unchanged by its children
+        assert answers_from_own_arrows(q, probe)
+        assert mutated.mult(*next(k for k, _ in q.arrows if k[0] == v)) == 0
+
+    def test_equality_and_hash_ignore_the_cache(self, q):
+        twin = quiver_from_json(quiver_to_json(q))
+        assert "_arrow_map" not in vars(twin)
+        fill_cache(q)
+        assert "_arrow_map" in vars(q) and "_color_map" in vars(q)
+        assert q == twin and hash(q) == hash(twin)
+        assert {q, twin} == {twin}
+        fill_cache(twin)
+        assert q == twin and hash(q) == hash(twin)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

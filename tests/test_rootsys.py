@@ -1,5 +1,6 @@
 """Root-system and Weyl-group arithmetic."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
     zero_weight,
 )
+from clusterqq.rootsys import _gauss_jordan
 
 ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
     "E6",
@@ -171,6 +173,24 @@ class TestWords:
             assert w0.apply(fundamental_weight(r, i)) == -fundamental_weight(
                 r, nu[i - 1]
             )
+
+
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            ("A3", "709e0cf435434ae8ab92415bc733e54055144ca4f88181f6b8455806481a0bc3"),
+            ("D4", "bfacadf16c3619ffdb359df5f89f7529a64ddd4bf33160427374e8020f7094de"),
+            ("E6", "650ffbc78d6018063c244841b8f5ac2b0f7c442c3d03ec49e822b5e3645214af"),
+            ("E7", "76bccdf637fb41042b32d040c905e7f2d81a70de36175b75cac05c8f2ba1b67a"),
+            ("E8", "fe3fd021142a35dfdaf1e40146ef2246f2c9856d3ffd90cf982dfd4f7ee99b5f"),
+        ],
+    )
+    def test_w0_greedy_word_pinned(self, name, sha256):
+        # the word feeds `qq verify` and the QQ batteries, so it must not
+        # drift: the greedy word appends the least i with w(α_i) > 0
+        word = longest_element(rs(name)).word
+        assert len(word) == rs(name).num_positive_roots
+        assert hashlib.sha256(repr(word).encode()).hexdigest() == sha256
 
 
 class TestNakayama:
@@ -326,3 +346,29 @@ class TestHeightFunctional:
         for _ in range(2):
             with pytest.raises(IndexError):
                 weyl_from_word(r, (1, 3))
+
+
+class TestGaussJordan:
+    """The one exact elimination, on Cartan matrices and on Weyl matrices."""
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_cartan_inverse_and_det(self, name):
+        r = rs(name)
+        inv, det = _gauss_jordan(r.cartan)
+        assert det == DET_C[name]
+        assert inv == r.cartan_inverse
+        assert all(
+            sum(r.cartan[i][k] * inv[k][j] for k in range(r.n)) == (i == j)
+            for i in range(r.n)
+            for j in range(r.n)
+        )
+
+    @pytest.mark.parametrize("name", ["A3", "D5", "E6"])
+    def test_weyl_matrix_has_integer_inverse(self, name):
+        r = rs(name)
+        w0 = longest_element(r)
+        inv, det = _gauss_jordan(w0.mat_t)
+        assert det in (1, -1)
+        assert all(x.denominator == 1 for row in inv for x in row)
+        # w0 is an involution
+        assert inv == w0.mat_t
