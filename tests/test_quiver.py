@@ -347,13 +347,12 @@ class TestCoxeterWindow:
 # ---------------------------------------------------------------------------
 
 
-def answers_from_own_arrows(q, probe):
+def assert_answers_from_own_arrows(q, probe):
     """mult and color of q agree with its arrows and colors on probe."""
     arrows, colors = dict(q.arrows), dict(q.colors)
     for a, b in probe:
         assert q.mult(a, b) == arrows.get((a, b), 0)
         assert q.color(a) == colors.get(a, "black")
-    return True
 
 
 def fill_cache(q):
@@ -390,9 +389,9 @@ class TestLookupCache:
         for child in (mutated, recolored, moved):
             probe |= {k for k, _ in child.arrows}
         for child in (mutated, recolored, moved):
-            assert answers_from_own_arrows(child, probe)
+            assert_answers_from_own_arrows(child, probe)
         # the parent is unchanged by its children
-        assert answers_from_own_arrows(q, probe)
+        assert_answers_from_own_arrows(q, probe)
         assert mutated.mult(*next(k for k, _ in q.arrows if k[0] == v)) == 0
 
     def test_equality_and_hash_ignore_the_cache(self, q):
