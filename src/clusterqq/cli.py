@@ -538,17 +538,24 @@ def wronskian_group() -> None:
 @wronskian_group.command("check")
 @click.option("--type", "type_", required=True)
 @click.option("--r", "r_", default="-4..4")
-@click.option("--depth", type=int, default=4)
+@click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--system-word", default=None)
 @_common
 def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
     """Certify the minor shift system and det = 1 over a base range."""
     rep = Reporter(as_json, budget)
     rs = _root_system(type_)
-    word = (
-        tuple(int(t) for t in system_word.split(",")) if system_word else None
-    )
-    cert = wronskian.check_wronskian(rs, list(_parse_range(r_)), depth, word)
+    r_values = list(_parse_range(r_))
+    try:
+        word = tuple(map(int, system_word.split(","))) if system_word else None
+    except ValueError:
+        raise click.UsageError(
+            f"bad --system-word {system_word!r}: expected i,j,k,..."
+        )
+    try:  # non-type-A, an empty --r, a bad --system-word
+        cert = wronskian.check_wronskian(rs, r_values, depth, word)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     rep.emit(cert)
     rep.finish()
 
@@ -560,7 +567,7 @@ def bruhat_group() -> None:
 
 @bruhat_group.command("verify")
 @click.option("--n", "n_", type=int, required=True)
-@click.option("--trials", type=int, default=20)
+@click.option("--trials", type=click.IntRange(min=1), default=20)
 @click.option("--seed", type=int, default=0)
 @_common
 def bruhat_verify(n_, trials, seed, as_json, budget):

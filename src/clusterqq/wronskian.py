@@ -18,16 +18,28 @@ The second half of the module works over exact rationals: random
 ``SL(n+1)`` points of the open double Bruhat cell, the corner exchange
 identity (a Desnanot-Jacobi / Lewis Carroll instance), and the
 reconstruction of a 3x3 matrix from its eight initial cluster minors.
+It computes in integers: a point is an integer matrix ``M`` over one
+positive denominator ``D``, so an ``i x i`` minor of the point is that
+of ``M`` over ``D**i``.  With N, S, W and E the four ``n x n`` minors of
+``M`` that drop one outer row and one outer column (north: the last row
+and column; west: the first row and last column), ``inner`` its central
+minor and ``det`` its determinant, the two identities are the integer
+equations ``N·S - W·E == inner·D**(n+1)`` (the exchange identity, which
+uses det = 1) and ``N·S - W·E == det·inner`` (Desnanot-Jacobi).  Both
+halves take their determinants from one Leibniz routine, ``_leibniz``,
+which works over any commutative ring.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qseries import KSeries, QEvaluator, product
+from .qseries import KSeries, QEvaluator
 from .rootsys import (
     RootSystem,
     WeylElement,
@@ -103,17 +115,7 @@ class SeriesMatrix:
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise ValueError("minor needs equally many rows and columns")
-        terms = []
-        for perm in itertools.permutations(range(len(cols))):
-            sign = _perm_sign(perm)
-            factors = [
-                self.entries[rk][cols[perm[t]]] for t, rk in enumerate(rows)
-            ]
-            terms.append((sign, product(factors)))
-        acc = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
-        for sign, s in terms[1:]:
-            acc = acc + s if sign > 0 else acc - s
-        return acc
+        return _leibniz([[self.entries[rk][c] for c in cols] for rk in rows])
 
     def block_minor(self, i: int, k: int, l: int) -> KSeries:
         """The i x i minor on row block k.., column block l.. ."""
@@ -129,6 +131,34 @@ def _perm_sign(perm) -> int:
         if perm[a] > perm[b]:
             sign = -sign
     return sign
+
+
+@functools.lru_cache(maxsize=16)
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple(
+        (perm, _perm_sign(perm)) for perm in itertools.permutations(range(k))
+    )
+
+
+def _leibniz(rows):
+    """Leibniz determinant of a square matrix over any commutative ring.
+
+    Each term multiplies its factors left to right; the first term enters
+    with its sign and every later one is added or subtracted, so a
+    truncated-series determinant always runs the same operations.  The
+    empty matrix has determinant 1.
+    """
+    acc = None
+    for perm, sign in _signed_permutations(len(rows)):
+        factors = (row[p] for row, p in zip(rows, perm))
+        term = next(factors, 1)
+        for f in factors:
+            term = term * f
+        if acc is None:
+            acc = term if sign > 0 else -term
+        else:
+            acc = acc + term if sign > 0 else acc - term
+    return acc
 
 
 def _require_type_a(rs: RootSystem) -> None:
@@ -197,9 +227,22 @@ def check_wronskian(
     (default: the standard one, for which it must hold), together with
     det = 1 and the identification of every block minor with its
     independently computed q-variable.
+
+    Raises ``ValueError``, before any series work, for a type other than
+    A, an empty ``r_values``, a letter of ``system_word`` outside 1..n, or
+    a word whose orbits never reach the lowest weights.
     """
     _require_type_a(rs)
+    r_values = list(r_values)
+    if not r_values:
+        raise ValueError("need at least one base r")
     word = tuple(system_word) if system_word else standard_coxeter_word(rs)
+    if not all(1 <= j <= rs.n for j in word):
+        raise ValueError(f"system word {word} has a letter outside 1..{rs.n}")
+    orbits = [
+        coxeter_orbit_weights(rs, word, i, orbit_exponent(rs, word, i))
+        for i in range(1, rs.n + 1)
+    ]
     standard = word == standard_coxeter_word(rs)
     ev = QEvaluator(rs, depth=depth)
     equations = []
@@ -208,9 +251,8 @@ def check_wronskian(
     for r in r_values:
         m0 = build_wronskian(rs, r, depth, ev)
         m2 = build_wronskian(rs, r + 2, depth, ev)
-        for i in range(1, rs.n + 1):
-            m_i = orbit_exponent(rs, word, i)
-            orbit = coxeter_orbit_weights(rs, word, i, m_i)
+        for i, orbit in enumerate(orbits, 1):
+            m_i = len(orbit) - 1
             for k in range(1, m_i + 1):
                 for l in range(m_i + 1):
                     try:
@@ -255,56 +297,100 @@ def check_wronskian(
 # ---------------------------------------------------------------------------
 
 
+def _clear_denominators(mat) -> tuple[list[list[int]], int]:
+    """``(M, D)`` with integer ``M``, ``D > 0`` and ``mat == M / D``."""
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in mat], d
+
+
+def _int_minor(m, rows, cols) -> int:
+    return _leibniz([[m[r][c] for c in cols] for r in rows])
+
+
 def rational_minor(mat, rows, cols) -> Fraction:
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    acc = Fraction(0)
-    for perm in itertools.permutations(range(len(cols))):
-        term = Fraction(_perm_sign(perm))
-        for t, rk in enumerate(rows):
-            term *= mat[rk][cols[perm[t]]]
-        acc += term
-    return acc
+    m, d = _clear_denominators([[mat[r][c] for c in cols] for r in rows])
+    return Fraction(_leibniz(m), d ** len(rows))
 
 
-def random_sl_matrix(size: int, rng: random.Random):
-    """A random SL(size) matrix: product of elementary transvections."""
-    mat = [
-        [Fraction(1 if a == b else 0) for b in range(size)]
-        for a in range(size)
-    ]
+def _random_scaled_sl(size: int, rng: random.Random):
+    """A product of elementary transvections as ``(M, D)``: the matrix M / D.
+
+    The step ``row_a += (p/q)·row_b`` becomes ``row_a ← q·row_a + p·row_b``
+    with every other row and ``D`` multiplied by ``q``; at the end ``M``
+    and ``D`` are divided by their common gcd.
+    """
+    m = [[int(a == b) for b in range(size)] for a in range(size)]
+    d = 1
     for _ in range(3 * size * size):
         a = rng.randrange(size)
         b = rng.randrange(size)
         if a == b:
             continue
-        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        for col in range(size):
-            mat[a][col] += t * mat[b][col]
-    return tuple(tuple(row) for row in mat)
+        p = rng.randint(-3, 3)
+        q = rng.randint(1, 3)
+        row_a = [q * x + p * y for x, y in zip(m[a], m[b])]
+        if q != 1:
+            m = [[q * x for x in row] for row in m]
+            d *= q
+        m[a] = row_a
+    g = math.gcd(d, *(x for row in m for x in row))
+    return [[x // g for x in row] for row in m], d // g
+
+
+def _to_fractions(m, d: int):
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
+def random_sl_matrix(size: int, rng: random.Random):
+    """A random SL(size) matrix: product of elementary transvections."""
+    return _to_fractions(*_random_scaled_sl(size, rng))
+
+
+def _corner_minors(m):
+    """The pairs (lower, upper) of i x i corner minors, i = 1..size-1.
+
+    ``None`` at the first pair with a zero: the point is outside the open
+    cell.  Scaling ``m`` by a positive constant changes no zero.
+    """
+    size = len(m)
+    pairs = []
+    for i in range(1, size):
+        lower = _int_minor(m, range(size - i, size), range(i))
+        upper = _int_minor(m, range(i), range(size - i, size))
+        if lower == 0 or upper == 0:
+            return None
+        pairs.append((lower, upper))
+    return pairs
+
+
+def _carroll_minors(m) -> tuple[int, int, int, int]:
+    """North, south, inner and det: the minors of the Desnanot-Jacobi
+    identity besides west and east, which are the last corner pair."""
+    size = len(m)
+    return (
+        _int_minor(m, range(size - 1), range(size - 1)),
+        _int_minor(m, range(1, size), range(1, size)),
+        _int_minor(m, range(1, size - 1), range(1, size - 1)),
+        _int_minor(m, range(size), range(size)),
+    )
 
 
 def in_open_cell(mat) -> bool:
     """Both families of corner minors are nonzero."""
-    size = len(mat)
-    for i in range(1, size):
-        lower = rational_minor(mat, range(size - i, size), range(i))
-        upper = rational_minor(mat, range(i), range(size - i, size))
-        if lower == 0 or upper == 0:
-            return False
-    return True
+    return _corner_minors(_clear_denominators(mat)[0]) is not None
 
 
 def desnanot_jacobi_check(mat) -> bool:
     """det·(central minor) = product difference of the four corner minors."""
-    size = len(mat)
-    north = rational_minor(mat, range(size - 1), range(size - 1))
-    south = rational_minor(mat, range(1, size), range(1, size))
-    west = rational_minor(mat, range(1, size), range(size - 1))
-    east = rational_minor(mat, range(size - 1), range(1, size))
-    inner = rational_minor(mat, range(1, size - 1), range(1, size - 1))
-    det = rational_minor(mat, range(size), range(size))
+    m, _ = _clear_denominators(mat)
+    size = len(m)
+    north, south, inner, det = _carroll_minors(m)
+    west = _int_minor(m, range(1, size), range(size - 1))
+    east = _int_minor(m, range(size - 1), range(1, size))
+    # both sides carry D**(2·size - 2), so the scaled equation is the same
     return north * south - west * east == det * inner
 
 
@@ -347,35 +433,48 @@ def sl3_reconstruct(vals: dict[str, Fraction]):
 def bruhat_check(n: int, trials: int = 20, seed: int = 0) -> dict:
     """Sample SL(n+1) points of the open cell and certify minor identities.
 
-    Always checks the corner exchange identity (Desnanot-Jacobi with
-    det = 1); for n = 2 additionally reconstructs each sample from its
-    eight initial cluster minors.
+    Each sample is drawn as ``(M, D)``, the integer matrix ``M`` over one
+    positive denominator ``D``, and every minor is taken of ``M``: an
+    ``i x i`` minor of the point is the one of ``M`` over ``D**i``.  The
+    corner minors of the open-cell test are computed once, and its
+    ``i = n`` pair is west and east.  Two identities are checked as
+    integer equations, with N, S, W, E, inner and det the minors of ``M``:
+
+    * the corner exchange identity (Desnanot-Jacobi with det = 1),
+      ``N·S - W·E == inner·D**(n+1)``;
+    * Desnanot-Jacobi itself, ``N·S - W·E == det·inner``.
+
+    For n = 2 each sample is additionally rebuilt from its eight initial
+    cluster minors.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = random.Random(seed)
     size = n + 1
     results = []
     rejected = 0
     for t in range(trials):
         while True:
-            mat = random_sl_matrix(size, rng)
-            if not in_open_cell(mat):
+            m, d = _random_scaled_sl(size, rng)
+            corners = _corner_minors(m)
+            if corners is None:
                 rejected += 1
                 continue
-            if n == 2 and any(v == 0 for v in sl3_cluster_values(mat).values()):
-                rejected += 1
-                continue
+            if n == 2:
+                mat = _to_fractions(m, d)
+                cluster = sl3_cluster_values(mat)
+                if any(v == 0 for v in cluster.values()):
+                    rejected += 1
+                    continue
             break
-        north = rational_minor(mat, range(size - 1), range(size - 1))
-        south = rational_minor(mat, range(1, size), range(1, size))
-        west = rational_minor(mat, range(1, size), range(size - 1))
-        east = rational_minor(mat, range(size - 1), range(1, size))
-        inner = rational_minor(mat, range(1, size - 1), range(1, size - 1))
-        ok = north * south - west * east == inner
-        ok = ok and desnanot_jacobi_check(mat)
+        west, east = corners[-1]
+        north, south, inner, det = _carroll_minors(m)
+        lhs = north * south - west * east
+        ok = lhs == inner * d**size and lhs == det * inner
         if n == 2:
-            ok = ok and sl3_reconstruct(sl3_cluster_values(mat)) == mat
+            ok = ok and sl3_reconstruct(cluster) == mat
         results.append({"trial": t, "ok": ok})
     return {
         "relation": "bruhat",

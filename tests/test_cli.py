@@ -73,6 +73,26 @@ class TestUsage:
         assert "Traceback" not in result.output
         assert "certificates passed" not in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wronskian", "check", "--type", "D4"],
+            ["wronskian", "check", "--type", "A2", "--system-word", "5"],
+            ["wronskian", "check", "--type", "A2", "--system-word", "x"],
+            ["wronskian", "check", "--type", "A2", "--depth", "0"],
+            # empty runs would certify nothing
+            ["wronskian", "check", "--type", "A2", "--r", "3..1"],
+            ["bruhat", "verify", "--n", "3", "--trials", "0"],
+            ["bruhat", "verify", "--n", "3", "--trials", "-2"],
+        ],
+    )
+    def test_minor_precondition_is_usage_error(self, runner, args):
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "certificates passed" not in result.output
+        assert '"relation"' not in result.output
+
 
 class TestBudget:
     def test_exceeded_budget_exits_three(self, runner):
@@ -278,8 +298,8 @@ class TestGoldenSeries:
 
 
 class TestGoldenCombinatorics:
-    """Whole ``--json`` outputs of the g-vector and sweep commands, pinned
-    by their sha256."""
+    """Whole ``--json`` outputs of the g-vector, sweep and Bruhat commands,
+    pinned by their sha256."""
 
     @pytest.mark.parametrize(
         "args, sha256",
@@ -295,6 +315,10 @@ class TestGoldenCombinatorics:
             (
                 ["gvec", "blocks", "--type", "D4"],
                 "2ed7fb06ce2a5dcf0014d96ef4590ebd563122171b64f1f0e258dcdeb611f276",
+            ),
+            (
+                ["bruhat", "verify", "--n", "3", "--trials", "4", "--seed", "11"],
+                "c74b33d4ea60d07859f7df4ae4a8131a697e8d366593f4aec0fc91cc926f6901",
             ),
         ],
     )

@@ -1,11 +1,16 @@
 """Quantum Wronskian matrices and exact rational minor identities."""
 
+import hashlib
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterqq.qseries import QEvaluator
+from clusterqq import wronskian
+from clusterqq.qseries import QEvaluator, product
 from clusterqq.rootsys import (
     RootSystem,
     fundamental_weight,
@@ -26,6 +31,58 @@ from clusterqq.wronskian import (
     sl3_reconstruct,
     weight_word,
 )
+
+# Oracles: the Fraction arithmetic that the integer-scaled routines
+# replaced, kept as the reference they must agree with exactly.
+
+
+def _oracle_sign(perm) -> int:
+    sign = 1
+    for a, b in itertools.combinations(range(len(perm)), 2):
+        if perm[a] > perm[b]:
+            sign = -sign
+    return sign
+
+
+def oracle_minor(mat, rows, cols) -> Fraction:
+    rows, cols = tuple(rows), tuple(cols)
+    acc = Fraction(0)
+    for perm in itertools.permutations(range(len(cols))):
+        term = Fraction(_oracle_sign(perm))
+        for t, rk in enumerate(rows):
+            term *= mat[rk][cols[perm[t]]]
+        acc += term
+    return acc
+
+
+def oracle_random_sl_matrix(size, rng):
+    mat = [
+        [Fraction(1 if a == b else 0) for b in range(size)]
+        for a in range(size)
+    ]
+    for _ in range(3 * size * size):
+        a = rng.randrange(size)
+        b = rng.randrange(size)
+        if a == b:
+            continue
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for col in range(size):
+            mat[a][col] += t * mat[b][col]
+    return tuple(tuple(row) for row in mat)
+
+
+def oracle_series_minor(m, rows, cols):
+    """Every product first, then the signed sum: the reference order of
+    series operations for ``SeriesMatrix.minor``."""
+    terms = []
+    for perm in itertools.permutations(range(len(cols))):
+        factors = [m.entries[rk][cols[perm[t]]] for t, rk in enumerate(rows)]
+        terms.append((_oracle_sign(perm), product(factors)))
+    acc = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
+    for sign, s in terms[1:]:
+        acc = acc + s if sign > 0 else acc - s
+    return acc
+
 
 A1 = RootSystem.from_name("A1")
 A2 = RootSystem.from_name("A2")
@@ -118,6 +175,16 @@ class TestSeriesMatrix:
         with pytest.raises(ValueError):
             build_wronskian(RootSystem.from_name("D4"), 0, 3)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((0,), (2,)), ((0, 1), (1, 2)), ((1, 2), (0, 2)), ((0, 1, 2),) * 2],
+    )
+    def test_minor_runs_the_same_operations(self, m_a2, rows, cols):
+        got = m_a2.minor(rows, cols)
+        want = oracle_series_minor(m_a2, rows, cols)
+        assert got.terms == want.terms
+        assert got.cut == want.cut
+
 
 class TestWronskianProperty:
     def test_rank_one(self):
@@ -134,6 +201,20 @@ class TestWronskianProperty:
     def test_rank_three(self):
         cert = check_wronskian(A3, [0], depth=3)
         assert cert["ok"]
+
+    @pytest.mark.parametrize(
+        "rs, r_values, word",
+        [
+            (RootSystem.from_name("D4"), [0], None),
+            (A2, [], None),
+            (A2, [0], (5,)),
+            (A2, [0], (0, 1)),
+            (A2, [0], (1,)),  # its orbits never reach the lowest weights
+        ],
+    )
+    def test_preconditions_raise_before_series_work(self, rs, r_values, word):
+        with pytest.raises(ValueError):
+            check_wronskian(rs, r_values, depth=2, system_word=word)
 
     def test_reversed_coxeter_is_not_a_wronskian(self):
         cert = check_wronskian(A2, [0], depth=4, system_word=(2, 1))
@@ -214,3 +295,96 @@ class TestRationalMinors:
         a = bruhat_check(2, trials=5, seed=9)
         b = bruhat_check(2, trials=5, seed=9)
         assert a == b
+
+    def test_bruhat_rejects_empty_runs(self):
+        for trials in (0, -2):
+            with pytest.raises(ValueError):
+                bruhat_check(3, trials=trials)
+
+
+class TestIntegerScale:
+    """The integer-scaled routines against the Fraction oracles."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_random_sl_matrix_matches_oracle(self, size):
+        for seed in range(60):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_sl_matrix(size, rng) == oracle_random_sl_matrix(
+                    size, ref
+                )
+            # same draws in the same order: rejection counts stay put
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("entries", ["int", "fraction", "mixed"])
+    def test_rational_minor_matches_oracle_on_every_subset(self, entries):
+        rng = random.Random(f"minors:{entries}")
+
+        def entry():
+            num = rng.randint(-9, 9)
+            if entries == "int" or (entries == "mixed" and rng.random() < 0.5):
+                return num
+            return Fraction(num, rng.randint(1, 12))
+
+        for _ in range(8):
+            mat = [[entry() for _ in range(4)] for _ in range(4)]
+            for k in range(5):
+                for rows in itertools.combinations(range(4), k):
+                    for cols in itertools.combinations(range(4), k):
+                        got = rational_minor(mat, rows, cols)
+                        assert type(got) is Fraction
+                        assert got == oracle_minor(mat, rows, cols)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_full_minors_of_random_points(self, size):
+        rng = random.Random(size)
+        for _ in range(10):
+            mat = random_sl_matrix(size, rng)
+            for rows in itertools.combinations(range(size), size - 1):
+                for cols in itertools.combinations(range(size), size - 1):
+                    assert rational_minor(mat, rows, cols) == oracle_minor(
+                        mat, rows, cols
+                    )
+
+    def test_rejects_ragged_minor(self):
+        with pytest.raises(ValueError):
+            rational_minor([[1, 2], [3, 4]], (0, 1), (0,))
+
+
+class TestBruhatCertificates:
+    # sha256 of json.dumps(bruhat_check(n, trials, seed), sort_keys=True),
+    # recorded from the Fraction implementation
+    @pytest.mark.parametrize(
+        "n, trials, seed, sha256",
+        [
+            (2, 100, 101,
+             "459f85a161338530f97b18c9d801edaecec5207fead40fabf31b56f5e02c7958"),
+            (3, 300, 11,
+             "e0dccec29d7abe8eadd791a49cbc4e181fbb81192539379ea99c7641348b51e2"),
+            (4, 30, 5,
+             "3938b165016d1f6ee0d3d54be34772223c4a3ee812e54d9b7c40acf3052509d0"),
+        ],
+    )
+    def test_pinned(self, n, trials, seed, sha256):
+        cert = bruhat_check(n, trials, seed)
+        assert cert["ok"]
+        digest = hashlib.sha256(json.dumps(cert, sort_keys=True).encode())
+        assert digest.hexdigest() == sha256
+
+    @pytest.mark.parametrize("seed", [0, 4, 11])
+    def test_each_minor_once(self, monkeypatch, seed):
+        """Per sample: the 2n corner minors, then north, south, inner and
+        det; a rejected draw stops within its 2n corner minors."""
+        calls = []
+        leibniz = wronskian._leibniz
+
+        def counting(rows):
+            calls.append(len(rows))
+            return leibniz(rows)
+
+        monkeypatch.setattr(wronskian, "_leibniz", counting)
+        n, trials = 3, 50
+        cert = bruhat_check(n, trials, seed)
+        assert cert["ok"]
+        assert calls
+        assert len(calls) <= (2 * n + 4) * trials + 2 * n * cert["rejected"]
