@@ -30,7 +30,7 @@ from .rootsys import (
     is_reduced,
     longest_element,
 )
-from .seed import SignError, cvector_sign, green_sweep, initial_seed, mutate_seed
+from .seed import SignError, _mutate_seed, green_sweep, initial_seed
 
 EXIT_FAIL = 1
 EXIT_BUDGET = 3
@@ -48,16 +48,26 @@ def _root_system(name: str) -> RootSystem:
         raise click.UsageError(f"unknown type {name!r}: {exc}")
 
 
-def _coxeter_word(rs: RootSystem, spec: str | None) -> tuple[int, ...]:
+def _parse_word(rs: RootSystem, spec: str, option: str) -> tuple[int, ...]:
+    """A comma-separated word whose letters are nodes 1..n ("" is empty)."""
+    try:
+        word = tuple(int(t) for t in spec.split(",")) if spec else ()
+    except ValueError:
+        raise click.UsageError(f"bad {option} {spec!r}: expected i,j,k,...")
+    if any(not 1 <= i <= rs.n for i in word):
+        raise click.UsageError(f"{option} letters must be nodes 1..{rs.n}")
+    return word
+
+
+def _coxeter_word(
+    rs: RootSystem, spec: str | None, option: str = "--coxeter"
+) -> tuple[int, ...]:
     if spec is None:
         return tuple(range(1, rs.n + 1))
-    try:
-        word = tuple(int(t) for t in spec.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad --coxeter {spec!r}: expected i,j,k,...")
+    word = _parse_word(rs, spec, option)
     if sorted(word) != list(range(1, rs.n + 1)):
         raise click.UsageError(
-            f"--coxeter must list each node 1..{rs.n} exactly once"
+            f"{option} must list each node 1..{rs.n} exactly once"
         )
     return word
 
@@ -65,9 +75,12 @@ def _coxeter_word(rs: RootSystem, spec: str | None) -> tuple[int, ...]:
 def _parse_range(spec: str) -> range:
     try:
         lo, hi = spec.split("..")
-        return range(int(lo), int(hi) + 1)
+        out = range(int(lo), int(hi) + 1)
     except ValueError:
         raise click.UsageError(f"bad range {spec!r}: expected a..b")
+    if not out:  # a run over it would certify nothing
+        raise click.UsageError(f"empty range {spec!r}: need a <= b")
+    return out
 
 
 def _parse_vertex(spec: str) -> tuple[int, int]:
@@ -260,8 +273,7 @@ def seed_mutate(type_, coxeter, vertices, as_json, budget):
     for spec in vertices:
         v = _parse_vertex(spec)
         try:
-            sign = cvector_sign(seed, v)
-            seed = mutate_seed(seed, v)
+            seed, sign = _mutate_seed(seed, v)
         except (SignError, MarginError) as exc:
             raise click.UsageError(f"cannot mutate at {v}: {exc}")
         rep.emit(
@@ -348,18 +360,19 @@ def qq_group() -> None:
 
 @qq_group.command("verify")
 @click.option("--type", "type_", required=True)
-@click.option("--depth", type=int, default=4)
+@click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--window", "window_", default="-4..2")
 @_common
 def qq_verify(type_, depth, window_, as_json, budget):
     """Certify the relation for every prefix of the longest word."""
     rep = Reporter(as_json, budget)
     rs = _root_system(type_)
+    window = _parse_range(window_)
     ev = QEvaluator(rs, depth=depth)
     word = longest_element(rs).word
     for t in range(len(word)):
         prefix, i = word[:t], word[t]
-        for r in _parse_range(window_):
+        for r in window:
             rep.emit(
                 {
                     "relation": "qq",
@@ -380,7 +393,7 @@ def qqstar_group() -> None:
 
 @qqstar_group.command("verify")
 @click.option("--type", "type_", required=True)
-@click.option("--depth", type=int, default=4)
+@click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--r", "r_", type=int, default=-2)
 @_common
 def qqstar_verify(type_, depth, r_, as_json, budget):
@@ -415,12 +428,14 @@ def qvar_group() -> None:
 @click.option("--word", default="")
 @click.option("--i", "i_", type=int, required=True)
 @click.option("--r", "r_", type=int, required=True)
-@click.option("--depth", type=int, default=4)
+@click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--raw", is_flag=True, help="skip the renormalization")
 def qvar_eval(type_, word, i_, r_, depth, raw):
     """Print one series as JSON."""
     rs = _root_system(type_)
-    w = tuple(int(t) for t in word.split(",")) if word else ()
+    w = _parse_word(rs, word, "--word")
+    if not 1 <= i_ <= rs.n:
+        raise click.UsageError(f"--i must be a node 1..{rs.n}")
     if not is_reduced(rs, w):
         raise click.UsageError(f"word {w} is not reduced")
     ev = QEvaluator(rs, depth=depth)
@@ -546,13 +561,9 @@ def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
     rep = Reporter(as_json, budget)
     rs = _root_system(type_)
     r_values = list(_parse_range(r_))
-    try:
-        word = tuple(map(int, system_word.split(","))) if system_word else None
-    except ValueError:
-        raise click.UsageError(
-            f"bad --system-word {system_word!r}: expected i,j,k,..."
-        )
-    try:  # non-type-A, an empty --r, a bad --system-word
+    # the shift system is defined for a Coxeter element only
+    word = _coxeter_word(rs, system_word, "--system-word") if system_word else None
+    try:  # a non-A type, or another precondition of the system
         cert = wronskian.check_wronskian(rs, r_values, depth, word)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -13,6 +13,19 @@ the column downward by 2 so vertex ids stay in the fixed parity component.
 Iterating it along a reduced word builds the initial-seed quivers; doing it
 at every vertex of the finite starting pattern of a Coxeter element builds
 the Coxeter quiver, normalized so its highest red vertex has height 0.
+
+A :class:`WindowedQuiver` is frozen: sorted arrow and color tuples, hashable
+and comparable.  Every surgery (insertion, mutation, recoloring) runs in
+place on one private working form, :class:`_WorkingQuiver`, which keeps the
+arrows as adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the
+vertex set and the colors.  A run of surgeries thaws a quiver once,
+edits the maps and freezes once at the end, instead of re-sorting the whole
+quiver after every step.
+
+No frozen quiver has a loop or a 2-cycle: :func:`_make`, which every frozen
+quiver goes through, raises :class:`ValueError` on one.  Mutation at v can
+then only create 2-cycles between the pairs a -> v -> b it composes, so it
+cancels exactly those.
 """
 
 from __future__ import annotations
@@ -87,10 +100,6 @@ class WindowedQuiver:
     def greens(self) -> list[Vertex]:
         return sorted(v for v, c in self.colors if c == GREEN)
 
-    def in_component(self, v: Vertex) -> bool:
-        i, r = v
-        return 1 <= i <= self.rs.n and (r - self.parity[i - 1]) % 2 == 0
-
     def relabeled(self, mapping: Mapping[Vertex, Vertex]) -> "WindowedQuiver":
         """Apply a vertex relabeling (identity outside the mapping)."""
 
@@ -122,6 +131,11 @@ def _make(
     col = dict(base.colors) if colors is None else dict(colors)
     frz = frozenset(frozen) if frozen is not None else base.frozen
     arr = {k: m for k, m in arr.items() if m > 0 and k[0] in verts and k[1] in verts}
+    for a, b in arr:
+        if a == b:
+            raise ValueError(f"loop at {a}")
+        if (b, a) in arr:
+            raise ValueError(f"2-cycle between {a} and {b}")
     col = {v: c for v, c in col.items() if v in verts and c != BLACK}
     return replace(
         base,
@@ -130,6 +144,162 @@ def _make(
         colors=tuple(sorted(col.items())),
         frozen=frz & verts,
     )
+
+
+class _WorkingQuiver:
+    """The mutable form of a quiver that every surgery edits in place.
+
+    ``out[a][b]`` and ``inn[b][a]`` both hold the multiplicity of the arrow
+    a -> b, and every vertex has an entry, possibly empty, in both maps.
+    ``colors`` holds the non-black colors.  The root system, window,
+    parity, margin and frozen set come from ``base`` and no surgery
+    changes them.  :meth:`freeze` builds the frozen quiver through
+    :func:`_make`, which sorts, drops what left the window and checks the
+    no-2-cycle invariant.
+    """
+
+    def __init__(self, q: WindowedQuiver):
+        self.base = q
+        self.vertices = set(q.vertices)
+        self.out: dict[Vertex, dict[Vertex, int]] = {v: {} for v in q.vertices}
+        self.inn: dict[Vertex, dict[Vertex, int]] = {v: {} for v in q.vertices}
+        for (a, b), m in q.arrows:
+            self.out[a][b] = m
+            self.inn[b][a] = m
+        self.colors = dict(q.colors)
+
+    def freeze(self) -> WindowedQuiver:
+        arrows = {(a, b): m for a, outs in self.out.items() for b, m in outs.items()}
+        return _make(
+            self.base, vertices=self.vertices, arrows=arrows, colors=self.colors
+        )
+
+    # -- elementary edits ---------------------------------------------------
+
+    def _set(self, a: Vertex, b: Vertex, m: int) -> None:
+        """Make a -> b have multiplicity m, removing it at 0."""
+        if m:
+            self.out[a][b] = m
+            self.inn[b][a] = m
+        else:
+            self.out[a].pop(b, None)
+            self.inn[b].pop(a, None)
+
+    def _add(self, a: Vertex, b: Vertex, m: int) -> None:
+        self._set(a, b, self.out[a].get(b, 0) + m)
+
+    def _add_vertex(self, v: Vertex) -> None:
+        self.vertices.add(v)
+        self.out.setdefault(v, {})
+        self.inn.setdefault(v, {})
+
+    def _drop_vertex(self, v: Vertex) -> None:
+        for b in self.out.pop(v):
+            del self.inn[b][v]
+        for a in self.inn.pop(v):
+            del self.out[a][v]
+        self.vertices.discard(v)
+        self.colors.pop(v, None)
+
+    # -- surgeries ----------------------------------------------------------
+
+    def insert_reflection(self, v: Vertex) -> None:
+        """Create a red/green pair at ``v`` by the four-step vertical surgery."""
+        q = self.base
+        i, r = v
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not in window")
+        color = self.colors.get(v, BLACK)
+        if color != BLACK:
+            raise ValueError(f"vertex {v} already colored {color}")
+        if r - q.rmin <= q.margin:
+            raise MarginError(f"insertion at {v} too close to window bottom")
+
+        below = (i, r - 2)
+        # (iv) relabel the column below v down by 2 (dropping out-of-window
+        # ids): lift the column out with its arrows and colors, put it back
+        moved = {
+            u: (i, u[1] - 2) for u in self.vertices if u[0] == i and u[1] <= r - 2
+        }
+        arrows = {}
+        for u in moved:
+            arrows.update(((u, b), m) for b, m in self.out[u].items())
+            arrows.update(((a, u), m) for a, m in self.inn[u].items())
+        colors = {moved[u]: self.colors[u] for u in moved if u in self.colors}
+        for u in moved:
+            self._drop_vertex(u)
+        for u in moved.values():
+            if u[1] >= q.rmin:
+                self._add_vertex(u)
+        for (a, b), m in arrows.items():
+            a, b = moved.get(a, a), moved.get(b, b)
+            if a in self.vertices and b in self.vertices:
+                self._set(a, b, m)
+        self.colors.update((u, c) for u, c in colors.items() if u in self.vertices)
+
+        # (i)+(ii) split the vertical arrow into red -> green <- lower column
+        old_below = (i, r - 4)  # relabeled id of the former (i, r-2)
+        self._add_vertex(below)
+        if old_below in self.vertices:
+            self._set(old_below, v, 0)
+            self._set(old_below, below, 1)
+        self._set(v, below, 1)
+
+        # (iii) reroute oblique arrows leaving v so they leave the new vertex
+        for b, m in list(self.out[v].items()):
+            if b[0] != i:
+                self._set(v, b, 0)
+                self._add(below, b, m)
+
+        self.colors[v] = RED
+        self.colors[below] = GREEN
+
+    def mutate(self, v: Vertex) -> None:
+        """Standard quiver mutation at a non-frozen vertex inside the margin."""
+        q = self.base
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not in window")
+        if v in q.frozen:
+            raise ValueError(f"vertex {v} is frozen")
+        if not (q.rmin + q.margin < v[1] < q.rmax - q.margin):
+            raise MarginError(f"mutation at {v} violates the window margin")
+
+        ins = list(self.inn[v].items())
+        outs = list(self.out[v].items())
+        # compose paths through v
+        for a, ma in ins:
+            for b, mb in outs:
+                self._add(a, b, ma * mb)
+        # reverse arrows at v
+        for a, m in ins:
+            self._set(a, v, 0)
+            self._add(v, a, m)
+        for b, m in outs:
+            self._set(v, b, 0)
+            self._add(b, v, m)
+        # cancel 2-cycles: the input had none, so only a composed pair
+        # a -> b can now face an arrow b -> a
+        for a, _ in ins:
+            for b, _ in outs:
+                k = min(self.out[a].get(b, 0), self.out[b].get(a, 0))
+                if k:
+                    self._add(a, b, -k)
+                    self._add(b, a, -k)
+
+    def recolor(self) -> None:
+        """Recompute red/green from vertical down-arrows (i,r) -> (i,r-2).
+
+        A vertex with a down-arrow both in and out ends green, as when the
+        arrows are read in sorted order.
+        """
+        reds, greens = [], []
+        for a, outs in self.out.items():
+            for b in outs:
+                if a[0] == b[0] and a[1] == b[1] + 2:
+                    reds.append(a)
+                    greens.append(b)
+        self.colors = dict.fromkeys(reds, RED)
+        self.colors.update(dict.fromkeys(greens, GREEN))
 
 
 # ---------------------------------------------------------------------------
@@ -171,46 +341,9 @@ def basic_quiver(
 
 def insert_reflection(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
     """Create a red/green pair at ``v`` by the four-step vertical surgery."""
-    i, r = v
-    if v not in q.vertices:
-        raise ValueError(f"vertex {v} not in window")
-    if q.color(v) != BLACK:
-        raise ValueError(f"vertex {v} already colored {q.color(v)}")
-    if r - q.rmin <= q.margin:
-        raise MarginError(f"insertion at {v} too close to window bottom")
-
-    below = (i, r - 2)
-    # (iv) relabel the column below v down by 2 (dropping out-of-window ids)
-    mapping = {
-        (i, s): (i, s - 2) for (ii, s) in q.vertices if ii == i and s <= r - 2
-    }
-    vertices = {mapping.get(u, u) for u in q.vertices}
-    vertices = {u for u in vertices if u[1] >= q.rmin}
-    arrows = {
-        (mapping.get(a, a), mapping.get(b, b)): m for (a, b), m in q.arrows
-    }
-    arrows = {
-        (a, b): m for (a, b), m in arrows.items() if a in vertices and b in vertices
-    }
-    colors = {mapping.get(u, u): c for u, c in q.colors}
-
-    # (i)+(ii) split the vertical arrow into red -> green <- lower column
-    old_below = (i, r - 4)  # relabeled id of the former (i, r-2)
-    arrows.pop((old_below, v), None)
-    if old_below in vertices:
-        arrows[(old_below, below)] = 1
-    arrows[(v, below)] = 1
-    vertices.add(below)
-
-    # (iii) reroute oblique arrows leaving v so they leave the new vertex
-    for (a, b), m in list(arrows.items()):
-        if a == v and b[0] != i:
-            del arrows[(a, b)]
-            arrows[(below, b)] = arrows.get((below, b), 0) + m
-
-    colors[v] = RED
-    colors[below] = GREEN
-    return _make(q, vertices=vertices, arrows=arrows, colors=colors)
+    work = _WorkingQuiver(q)
+    work.insert_reflection(v)
+    return work.freeze()
 
 
 def build_seed_quiver(
@@ -242,53 +375,24 @@ def build_seed_quiver(
         rmax = (max(heights) if heights else 0) + 4
     if rmin is None:
         rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
-    q = basic_quiver(rs, rmin, rmax, parity=parity, margin=margin)
+    work = _WorkingQuiver(basic_quiver(rs, rmin, rmax, parity=parity, margin=margin))
     for i, r in zip(word, heights):
-        q = insert_reflection(q, (i, r))
-    return q
+        work.insert_reflection((i, r))
+    return work.freeze()
 
 
 def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
     """Standard quiver mutation at a non-frozen vertex inside the margin."""
-    if v not in q.vertices:
-        raise ValueError(f"vertex {v} not in window")
-    if v in q.frozen:
-        raise ValueError(f"vertex {v} is frozen")
-    r = v[1]
-    if not (q.rmin + q.margin < r < q.rmax - q.margin):
-        raise MarginError(f"mutation at {v} violates the window margin")
-
-    arrows = dict(q.arrows)
-    ins = [(a, m) for (a, b), m in arrows.items() if b == v]
-    outs = [(b, m) for (a, b), m in arrows.items() if a == v]
-    # compose paths through v
-    for a, ma in ins:
-        for b, mb in outs:
-            arrows[(a, b)] = arrows.get((a, b), 0) + ma * mb
-    # reverse arrows at v
-    for a, m in ins:
-        del arrows[(a, v)]
-        arrows[(v, a)] = arrows.get((v, a), 0) + m
-    for b, m in outs:
-        del arrows[(v, b)]
-        arrows[(b, v)] = arrows.get((b, v), 0) + m
-    # cancel 2-cycles
-    for (a, b) in list(arrows):
-        if (b, a) in arrows and (a, b) in arrows and a < b:
-            k = min(arrows[(a, b)], arrows[(b, a)])
-            arrows[(a, b)] -= k
-            arrows[(b, a)] -= k
-    return _make(q, arrows=arrows)
+    work = _WorkingQuiver(q)
+    work.mutate(v)
+    return work.freeze()
 
 
 def recolor_from_arrows(q: WindowedQuiver) -> WindowedQuiver:
     """Recompute red/green from vertical down-arrows (i,r) -> (i,r-2)."""
-    colors: dict[Vertex, str] = {}
-    for (a, b), m in q.arrows:
-        if a[0] == b[0] and a[1] == b[1] + 2:
-            colors[a] = RED
-            colors[b] = GREEN
-    return _make(q, colors=colors)
+    work = _WorkingQuiver(q)
+    work.recolor()
+    return work.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +502,9 @@ def build_coxeter_quiver(
     rmin = band_bottom - depth_below
     if rmax < 2:
         raise ValueError("window too small to contain the band: need rmax >= 2")
-    q = basic_quiver(rs, rmin, rmax, parity=datum.parity(), margin=margin)
+    work = _WorkingQuiver(
+        basic_quiver(rs, rmin, rmax, parity=datum.parity(), margin=margin)
+    )
     points = [
         (i, -datum.l_of(i) - 2 * k)
         for i in range(1, rs.n + 1)
@@ -407,8 +513,9 @@ def build_coxeter_quiver(
     points.sort(key=lambda v: (-v[1], v[0]))
     count = {i: 0 for i in range(1, rs.n + 1)}
     for i, r0 in points:
-        q = insert_reflection(q, (i, r0 - 2 * count[i]))
+        work.insert_reflection((i, r0 - 2 * count[i]))
         count[i] += 1
+    q = work.freeze()
 
     # finite core: band plus the vertex immediately above each highest red;
     # frozen boundary = that top rim and the lowest green in each column.

@@ -14,6 +14,11 @@ that reference.  Two mutation operations are provided:
 * :func:`mutate_reference` — mutate the reference seed at a vertex and
   transport every stored g-vector accordingly; :func:`green_sweep` does
   this at every green vertex, translating the reference one step down.
+
+Both run one private transport step on the working form of the reference
+quiver (see :mod:`clusterqq.quiver`).  It moves only the stored g-vectors
+whose coordinate at the mutated vertex is non-zero, found through an index
+from each basis vertex to the stored vertices whose g-vector involves it.
 """
 
 from __future__ import annotations
@@ -23,14 +28,13 @@ from typing import Any, Mapping
 
 from .gvector import GVec, knit_gvectors, stable_block
 from .quiver import (
-    GREEN,
     CoxeterWindow,
     MarginError,
     Vertex,
     WindowedQuiver,
+    _WorkingQuiver,
     basic_quiver,
     mutate_quiver,
-    recolor_from_arrows,
 )
 from .rootsys import _gauss_jordan
 
@@ -195,6 +199,15 @@ def _divide(num, den):
 
 def mutate_seed(seed: Seed, k: Vertex) -> Seed:
     """Mutate the seed at k, updating quiver, g-vector and optional value."""
+    return _mutate_seed(seed, k)[0]
+
+
+def _mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
+    """:func:`mutate_seed`, also returning the c-vector sign at k.
+
+    The sign picks the branch of the exchange recursion, so a caller that
+    reports it needs no second c-vector computation.
+    """
     sign = cvector_sign(seed, k)
     g = seed.gmap()
     acc = -g[k]
@@ -217,34 +230,60 @@ def mutate_seed(seed: Seed, k: Vertex) -> Seed:
             raise ValueError(f"vertex {k} must have both in- and out-arrows")
         vals[k] = _divide(num_in + num_out, vals[k])
         values = tuple(sorted(vals.items()))
-    return replace(
+    mutated = replace(
         seed, quiver=mutate_quiver(seed.quiver, k), g=_pack(g), values=values
     )
+    return mutated, sign
+
+
+def _holders(g: Mapping[Vertex, GVec]) -> dict[Vertex, set[Vertex]]:
+    """Basis vertex v -> the stored vertices whose g-vector has v in it."""
+    out: dict[Vertex, set[Vertex]] = {}
+    for x, gvec in g.items():
+        for v, _ in gvec.coeffs:
+            out.setdefault(v, set()).add(x)
+    return out
+
+
+def _transport(
+    ref: _WorkingQuiver,
+    g: dict[Vertex, GVec],
+    holders: dict[Vertex, set[Vertex]],
+    l: Vertex,
+) -> None:
+    """Mutate the working reference at l and transport g, both in place.
+
+    Only the holders of l move; ``holders`` is kept up to date.  Every
+    check runs before anything changes.
+    """
+    if l not in ref.vertices:
+        raise ValueError(f"vertex {l} not in reference window")
+    out_arrows = dict(ref.out[l])
+    in_arrows = dict(ref.inn[l])
+    ref.mutate(l)
+    for x in list(holders.get(l, ())):
+        old = g[x]
+        comp = old.as_dict()
+        gl = comp[l]
+        comp[l] = -gl
+        for v, m in (out_arrows if gl >= 0 else in_arrows).items():
+            comp[v] = comp.get(v, 0) + m * gl
+        g[x] = GVec.from_dict(comp)
+        for v, _ in old.coeffs:
+            holders[v].discard(x)
+        for v, _ in g[x].coeffs:
+            holders.setdefault(v, set()).add(x)
 
 
 def mutate_reference(seed: Seed, l: Vertex) -> Seed:
     """Mutate the reference at l and transport all stored g-vectors."""
-    ref = seed.ref_quiver
-    if l not in ref.vertices:
-        raise ValueError(f"vertex {l} not in reference window")
-    out_arrows = ref.arrows_out(l)
-    in_arrows = ref.arrows_in(l)
-    new_g: dict[Vertex, GVec] = {}
-    for x, gvec in seed.g:
-        comp = dict(gvec.coeffs)
-        gl = comp.get(l, 0)
-        if gl == 0:
-            new_g[x] = gvec
-            continue
-        arrows = out_arrows if gl >= 0 else in_arrows
-        comp[l] = -gl
-        for v, m in arrows:
-            comp[v] = comp.get(v, 0) + m * gl
-        new_g[x] = GVec.from_dict(comp)
+    ref = _WorkingQuiver(seed.ref_quiver)
+    g = seed.gmap()
+    _transport(ref, g, _holders(g), l)
     return replace(
         seed,
-        ref_quiver=mutate_quiver(ref, l),
-        g=_pack(new_g),
+        ref_quiver=ref.freeze(),
+        g=_pack(g),
         ref_tag=seed.ref_tag + f"*mu{l}",
     )
 
@@ -254,16 +293,24 @@ def green_sweep(seed: Seed) -> Seed:
 
     The reference quiver comes back as its own one-step downward
     translation; the mutations pairwise commute so the order is free.
+    The sweep thaws the reference once, mutates it in place at every
+    green and freezes it once, recolored from its vertical down-arrows.
     """
     tag = seed.ref_tag
     greens = seed.ref_quiver.greens()
     if not greens:
         raise ValueError("reference quiver has no green vertices")
+    ref = _WorkingQuiver(seed.ref_quiver)
+    g = seed.gmap()
+    holders = _holders(g)
     for l in greens:
-        seed = mutate_reference(seed, l)
-    ref = recolor_from_arrows(seed.ref_quiver)
+        _transport(ref, g, holders, l)
+    ref.recolor()
     base_tag = tag.split("*")[0]
     old_sweeps = tag.count("+sweep")
     return replace(
-        seed, ref_quiver=ref, ref_tag=base_tag + "+sweep" * (old_sweeps + 1)
+        seed,
+        ref_quiver=ref.freeze(),
+        g=_pack(g),
+        ref_tag=base_tag + "+sweep" * (old_sweeps + 1),
     )

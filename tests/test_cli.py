@@ -93,6 +93,30 @@ class TestUsage:
         assert "certificates passed" not in result.output
         assert '"relation"' not in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # an empty window would certify nothing
+            ["qq", "verify", "--type", "A1", "--window", "3..1"],
+            # depth 0 leaves no term above the cutoff
+            ["qq", "verify", "--type", "A1", "--depth", "0"],
+            ["qqstar", "verify", "--type", "A3", "--depth", "0"],
+            ["qvar", "eval", "--type", "A2", "--i", "1", "--r", "0", "--depth", "0"],
+            # letters and nodes outside 1..n, a word that is not a word
+            ["qvar", "eval", "--type", "A2", "--word", "9", "--i", "1", "--r", "0"],
+            ["qvar", "eval", "--type", "A2", "--word", "x", "--i", "1", "--r", "0"],
+            ["qvar", "eval", "--type", "A2", "--i", "3", "--r", "0"],
+            # the shift system needs a Coxeter word: each node once
+            ["wronskian", "check", "--type", "A2", "--system-word", "1,2,1"],
+        ],
+    )
+    def test_series_precondition_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "certificates passed" not in result.output
+        assert '"relation"' not in result.output
+
 
 class TestBudget:
     def test_exceeded_budget_exits_three(self, runner):
@@ -298,8 +322,8 @@ class TestGoldenSeries:
 
 
 class TestGoldenCombinatorics:
-    """Whole ``--json`` outputs of the g-vector, sweep and Bruhat commands,
-    pinned by their sha256."""
+    """Whole ``--json`` outputs of the g-vector, sweep, seed-mutation and
+    Bruhat commands, and whole quiver JSON, pinned by their sha256."""
 
     @pytest.mark.parametrize(
         "args, sha256",
@@ -324,6 +348,40 @@ class TestGoldenCombinatorics:
     )
     def test_stdout(self, runner, args, sha256):
         result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
+    def test_seed_mutate_at_every_e6_green(self, runner):
+        # the 36 greens of the E6 window, row by row down the band
+        columns = ((1, -2, 8), (2, -3, 6), (3, -3, 7), (4, -4, 6), (5, -5, 5),
+                   (6, -6, 4))
+        args = ["seed", "mutate", "--type", "E6", "--json"]
+        for k in range(8):
+            for i, top, count in columns:
+                if k < count:
+                    args += ["--vertex", f"{i},{top - 4 * k}"]
+        assert len(args) == 5 + 2 * 36
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "7f74266fa61db1d5524888df8510e2951cc9c955fa3d0b6679e30db606110516"
+        )
+
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                ["quiver", "build", "--type", "E7"],
+                "44a2fb7fda521e816d6cb4fb31a98edd293dc0435e56ab8e6572391b1e9e62ad",
+            ),
+            (
+                ["quiver", "mutate", "--type", "D4", "--vertex", "1,-6"],
+                "1bc19d78a46f8222b9ee8225f53e2b814984abfb555dc835cc33b66aac0d5255",
+            ),
+        ],
+    )
+    def test_quiver_stdout(self, runner, args, sha256):
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 

@@ -1,5 +1,7 @@
 """Windowed quivers: construction, insertion surgery, mutation, slices."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -422,6 +424,15 @@ class TestJson:
     def test_roundtrip_seed_quiver(self):
         q = build_seed_quiver(rs("A2"), (1, 2), (0, -3))
         assert quiver_from_json(quiver_to_json(q)) == q
+
+    def test_two_cycle_and_loop_rejected(self):
+        q = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"]).quiver
+        payload = json.loads(quiver_to_json(q))
+        a0, a1, b0, b1, _ = payload["arrows"][0]
+        for extra in ([b0, b1, a0, a1, 1], [a0, a1, a0, a1, 1]):
+            bad = dict(payload, arrows=payload["arrows"] + [extra])
+            with pytest.raises(ValueError, match="2-cycle|loop"):
+                quiver_from_json(json.dumps(bad))
 
 
 # ---------------------------------------------------------------------------

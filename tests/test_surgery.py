@@ -1,0 +1,424 @@
+"""In-place quiver surgery against the rebuild-every-step implementations.
+
+The oracles below are the ``_make``-based surgeries that re-filter and
+re-sort the whole quiver after every step.  The working-form surgeries of
+``clusterqq.quiver`` and ``clusterqq.seed`` must give equal quivers,
+g-vectors and tags, and the same exceptions, on every input here.  The
+last class checks that a run of surgeries freezes once and that
+``seed mutate`` computes each c-vector once.
+"""
+
+import itertools
+import random
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from clusterqq import quiver as quiver_mod
+from clusterqq import seed as seed_mod
+from clusterqq.cli import main
+from clusterqq.gvector import GVec
+from clusterqq.quiver import (
+    BLACK,
+    GREEN,
+    RED,
+    MarginError,
+    _make,
+    basic_quiver,
+    build_coxeter_quiver,
+    build_seed_quiver,
+    insert_reflection,
+    mutate_quiver,
+    recolor_from_arrows,
+)
+from clusterqq.rootsys import RootSystem, coxeter_data_from_word
+from clusterqq.seed import green_sweep, initial_seed, mutate_reference
+
+
+def rs(name):
+    return RootSystem.from_name(name)
+
+
+# ---------------------------------------------------------------------------
+# oracles: one whole-quiver rebuild per surgery
+# ---------------------------------------------------------------------------
+
+
+def oracle_insert_reflection(q, v):
+    i, r = v
+    if v not in q.vertices:
+        raise ValueError(f"vertex {v} not in window")
+    if q.color(v) != BLACK:
+        raise ValueError(f"vertex {v} already colored {q.color(v)}")
+    if r - q.rmin <= q.margin:
+        raise MarginError(f"insertion at {v} too close to window bottom")
+
+    below = (i, r - 2)
+    mapping = {
+        (i, s): (i, s - 2) for (ii, s) in q.vertices if ii == i and s <= r - 2
+    }
+    vertices = {mapping.get(u, u) for u in q.vertices}
+    vertices = {u for u in vertices if u[1] >= q.rmin}
+    arrows = {
+        (mapping.get(a, a), mapping.get(b, b)): m for (a, b), m in q.arrows
+    }
+    arrows = {
+        (a, b): m for (a, b), m in arrows.items() if a in vertices and b in vertices
+    }
+    colors = {mapping.get(u, u): c for u, c in q.colors}
+
+    old_below = (i, r - 4)
+    arrows.pop((old_below, v), None)
+    if old_below in vertices:
+        arrows[(old_below, below)] = 1
+    arrows[(v, below)] = 1
+    vertices.add(below)
+
+    for (a, b), m in list(arrows.items()):
+        if a == v and b[0] != i:
+            del arrows[(a, b)]
+            arrows[(below, b)] = arrows.get((below, b), 0) + m
+
+    colors[v] = RED
+    colors[below] = GREEN
+    return _make(q, vertices=vertices, arrows=arrows, colors=colors)
+
+
+def oracle_mutate_quiver(q, v):
+    if v not in q.vertices:
+        raise ValueError(f"vertex {v} not in window")
+    if v in q.frozen:
+        raise ValueError(f"vertex {v} is frozen")
+    r = v[1]
+    if not (q.rmin + q.margin < r < q.rmax - q.margin):
+        raise MarginError(f"mutation at {v} violates the window margin")
+
+    arrows = dict(q.arrows)
+    ins = [(a, m) for (a, b), m in arrows.items() if b == v]
+    outs = [(b, m) for (a, b), m in arrows.items() if a == v]
+    for a, ma in ins:
+        for b, mb in outs:
+            arrows[(a, b)] = arrows.get((a, b), 0) + ma * mb
+    for a, m in ins:
+        del arrows[(a, v)]
+        arrows[(v, a)] = arrows.get((v, a), 0) + m
+    for b, m in outs:
+        del arrows[(v, b)]
+        arrows[(b, v)] = arrows.get((b, v), 0) + m
+    # cancellation over the whole quiver
+    for (a, b) in list(arrows):
+        if (b, a) in arrows and (a, b) in arrows and a < b:
+            k = min(arrows[(a, b)], arrows[(b, a)])
+            arrows[(a, b)] -= k
+            arrows[(b, a)] -= k
+    return _make(q, arrows=arrows)
+
+
+def oracle_recolor(q):
+    colors = {}
+    for (a, b), m in q.arrows:
+        if a[0] == b[0] and a[1] == b[1] + 2:
+            colors[a] = RED
+            colors[b] = GREEN
+    return _make(q, colors=colors)
+
+
+def oracle_mutate_reference(seed, l):
+    ref = seed.ref_quiver
+    if l not in ref.vertices:
+        raise ValueError(f"vertex {l} not in reference window")
+    out_arrows = ref.arrows_out(l)
+    in_arrows = ref.arrows_in(l)
+    new_g = {}
+    for x, gvec in seed.g:
+        comp = dict(gvec.coeffs)
+        gl = comp.get(l, 0)
+        if gl == 0:
+            new_g[x] = gvec
+            continue
+        arrows = out_arrows if gl >= 0 else in_arrows
+        comp[l] = -gl
+        for v, m in arrows:
+            comp[v] = comp.get(v, 0) + m * gl
+        new_g[x] = GVec.from_dict(comp)
+    return replace(
+        seed,
+        ref_quiver=oracle_mutate_quiver(ref, l),
+        g=tuple(sorted(new_g.items())),
+        ref_tag=seed.ref_tag + f"*mu{l}",
+    )
+
+
+def oracle_green_sweep(seed):
+    tag = seed.ref_tag
+    greens = seed.ref_quiver.greens()
+    if not greens:
+        raise ValueError("reference quiver has no green vertices")
+    for l in greens:
+        seed = oracle_mutate_reference(seed, l)
+    ref = oracle_recolor(seed.ref_quiver)
+    base_tag = tag.split("*")[0]
+    old_sweeps = tag.count("+sweep")
+    return replace(
+        seed, ref_quiver=ref, ref_tag=base_tag + "+sweep" * (old_sweeps + 1)
+    )
+
+
+def oracle_coxeter_quiver(root_system, datum, depth_below=8, rmax=2, margin=2):
+    """The Coxeter quiver (without its core), one rebuild per insertion."""
+    n = root_system.n
+    band_bottom = min(
+        -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, n + 1)
+    )
+    q = basic_quiver(
+        root_system, band_bottom - depth_below, rmax,
+        parity=datum.parity(), margin=margin,
+    )
+    points = sorted(
+        ((i, -datum.l_of(i) - 2 * k) for i in range(1, n + 1)
+         for k in range(datum.m_of(i))),
+        key=lambda v: (-v[1], v[0]),
+    )
+    count = dict.fromkeys(range(1, n + 1), 0)
+    for i, r0 in points:
+        q = oracle_insert_reflection(q, (i, r0 - 2 * count[i]))
+        count[i] += 1
+    return q
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or its exception's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+# ---------------------------------------------------------------------------
+# building
+# ---------------------------------------------------------------------------
+
+
+def coxeter_words():
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4"):
+        n = rs(name).n
+        for word in itertools.permutations(range(1, n + 1)):
+            yield name, word
+    for name in ("E6", "E7", "E8"):
+        rng = random.Random(name)
+        for _ in range(2):
+            word = list(range(1, rs(name).n + 1))
+            rng.shuffle(word)
+            yield name, tuple(word)
+
+
+class TestBuildAgainstOracle:
+    def test_every_coxeter_word(self):
+        words = list(coxeter_words())
+        assert len(words) == 1 + 2 + 6 + 24 + 120 + 24 + 6
+        for name, word in words:
+            datum = coxeter_data_from_word(rs(name), word)
+            cw = build_coxeter_quiver(rs(name), datum)
+            assert cw.quiver == oracle_coxeter_quiver(rs(name), datum), (name, word)
+
+    @pytest.mark.parametrize(
+        "name, word, heights",
+        [
+            ("A2", (1, 2), (0, -3)),
+            ("A2", (1, 2, 1), (0, -1, -4)),
+            ("A3", (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8)),
+            ("A3", (2, 1, 3, 2, 1, 3), (-1, -2, -2, -5, -6, -6)),
+        ],
+    )
+    def test_seed_quivers(self, name, word, heights):
+        q = build_seed_quiver(rs(name), word, heights)
+        oracle = basic_quiver(rs(name), q.rmin, q.rmax)
+        for v in zip(word, heights):
+            oracle = oracle_insert_reflection(oracle, v)
+        assert q == oracle
+
+    def test_insertion_errors(self):
+        cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
+        q = cw.quiver
+        red, green = q.reds()[0], q.greens()[0]
+        bottom = min(q.vertices, key=lambda v: v[1])
+        for v in (red, green, bottom, (1, 1), (9, 0)):
+            expected = outcome(oracle_insert_reflection, q, v)
+            assert isinstance(expected, tuple), v
+            assert outcome(insert_reflection, q, v) == expected
+
+    @pytest.mark.parametrize("name", ["A3", "D4"])
+    def test_insertion_at_every_black_vertex(self, name):
+        # above the band the relabeled column carries reds and greens along
+        q = build_coxeter_quiver(rs(name), ORIENTATIONS[name]).quiver
+        for v in sorted(q.vertices):
+            if q.color(v) == BLACK and v[1] - q.rmin > q.margin:
+                assert insert_reflection(q, v) == oracle_insert_reflection(q, v), v
+
+
+# ---------------------------------------------------------------------------
+# mutation sequences
+# ---------------------------------------------------------------------------
+
+ORIENTATIONS = {
+    "A3": ["2->1", "3->2"],
+    "D4": ["2->1", "2->3", "2->4"],
+    "E6": ["1->3", "3->4", "2->4", "4->5", "5->6"],
+}
+
+
+@lru_cache(maxsize=None)
+def window(name):
+    return build_coxeter_quiver(rs(name), ORIENTATIONS[name])
+
+
+class TestMutationAgainstOracle:
+    @given(st.sampled_from(sorted(ORIENTATIONS)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_quiver_sequences(self, name, data):
+        q = oracle = window(name).quiver
+        interior = sorted(
+            v for v in q.vertices if q.rmin + q.margin < v[1] < q.rmax - q.margin
+        )
+        for v in data.draw(st.lists(st.sampled_from(interior), min_size=1, max_size=8)):
+            q, oracle = mutate_quiver(q, v), oracle_mutate_quiver(oracle, v)
+            assert q == oracle
+
+    @given(st.sampled_from(sorted(ORIENTATIONS)), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reference_sequences(self, name, stabilized, data):
+        """Any vertex, margin violations included: equal seeds or equal errors."""
+        seed = initial_seed(window(name), stabilized=stabilized)
+        everything = sorted(seed.ref_quiver.vertices)
+        steps = st.lists(st.sampled_from(everything), min_size=1, max_size=6)
+        for l in data.draw(steps):
+            got = outcome(mutate_reference, seed, l)
+            expected = outcome(oracle_mutate_reference, seed, l)
+            if isinstance(expected, tuple):
+                assert got == expected
+                break
+            assert got == expected
+            seed = got
+
+    def test_error_paths(self):
+        cw = window("A3")
+        q = cw.quiver
+        frozen = sorted(cw.gamma.frozen)
+        top = max(q.vertices, key=lambda v: v[1])
+        cases = [(cw.gamma, v) for v in frozen] + [(q, top), (q, (1, 1)), (q, (9, 0))]
+        for quiver, v in cases:
+            expected = outcome(oracle_mutate_quiver, quiver, v)
+            assert isinstance(expected, tuple), v
+            assert outcome(mutate_quiver, quiver, v) == expected
+        # on the reference: a frozen l, a margin violation, a missing l
+        seed = replace(initial_seed(cw, stabilized=False), ref_quiver=cw.gamma)
+        for l in (frozen[0], top, (9, 0)):
+            expected = outcome(oracle_mutate_reference, seed, l)
+            assert isinstance(expected, tuple), l
+            assert outcome(mutate_reference, seed, l) == expected
+
+
+# ---------------------------------------------------------------------------
+# green sweeps
+# ---------------------------------------------------------------------------
+
+
+def sweep_seeds(name, sweeps, stabilized):
+    cw = build_coxeter_quiver(
+        rs(name), ORIENTATIONS.get(name, ["2->1"]), depth_below=10 + 2 * sweeps
+    )
+    seed = initial_seed(cw, stabilized=stabilized)
+    if stabilized:
+        # the stabilized reference has no greens; carry the stabilized
+        # g-vectors over the Coxeter reference, so long vectors move
+        seed = replace(seed, ref_quiver=cw.quiver)
+    return seed
+
+
+class TestSweepAgainstOracle:
+    @pytest.mark.parametrize("stabilized", [False, True])
+    @pytest.mark.parametrize(
+        "name, sweeps", [("A2", 6), ("A3", 6), ("D4", 6), ("E6", 3)]
+    )
+    def test_sweeps(self, name, sweeps, stabilized):
+        seed = oracle = sweep_seeds(name, sweeps, stabilized)
+        for m in range(1, sweeps + 1):
+            seed, oracle = green_sweep(seed), oracle_green_sweep(oracle)
+            assert seed == oracle, m
+
+    def test_stabilized_reference_has_no_greens(self):
+        seed = initial_seed(window("A3"))
+        expected = outcome(oracle_green_sweep, seed)
+        assert expected == (ValueError, "reference quiver has no green vertices")
+        assert outcome(green_sweep, seed) == expected
+
+    def test_sweep_errors(self):
+        # a frozen green in the core, and a green on the window margin
+        cw = window("A3")
+        frozen_ref = replace(initial_seed(cw, stabilized=False), ref_quiver=cw.gamma)
+        shallow = initial_seed(
+            build_coxeter_quiver(rs("A3"), ORIENTATIONS["A3"], depth_below=2),
+            stabilized=False,
+        )
+        for seed, kind in ((frozen_ref, ValueError), (shallow, MarginError)):
+            expected = outcome(oracle_green_sweep, seed)
+            assert isinstance(expected, tuple) and expected[0] is kind
+            assert outcome(green_sweep, seed) == expected
+
+    def test_recolor(self):
+        q = mutate_quiver(window("D4").quiver, window("D4").quiver.greens()[0])
+        assert recolor_from_arrows(q) == oracle_recolor(q)
+
+
+# ---------------------------------------------------------------------------
+# compute once
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def freezes(monkeypatch):
+    """Counts the frozen quivers built (every one goes through _make)."""
+    calls = []
+    real = quiver_mod._make
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quiver_mod, "_make", counting)
+    return calls
+
+
+class TestComputeOnce:
+    def test_build_freezes_once_after_the_basic_quiver(self, freezes):
+        cw = build_coxeter_quiver(rs("D4"), ORIENTATIONS["D4"])
+        assert len(cw.quiver.reds()) == 12
+        # the basic quiver, the inserted quiver, and its core
+        assert len(freezes) == 3
+
+    def test_green_sweep_freezes_once(self, freezes):
+        seed = initial_seed(window("E6"), stabilized=False)
+        assert len(seed.ref_quiver.greens()) == 36
+        del freezes[:]
+        green_sweep(seed)
+        assert len(freezes) == 1
+
+    def test_seed_mutate_computes_each_cvector_once(self, monkeypatch):
+        calls = []
+        real = seed_mod.cvector
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(seed_mod, "cvector", counting)
+        vertices = ["1,-2", "2,-3", "1,-4", "3,-4"]
+        args = ["seed", "mutate", "--type", "A3", "--json"]
+        for v in vertices:
+            args += ["--vertex", v]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert calls == [tuple(map(int, v.split(","))) for v in vertices]
