@@ -233,7 +233,7 @@ def seed_group() -> None:
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
 @click.option("--sweeps", type=click.IntRange(min=1), default=4)
-@click.option("--depth-below", type=int, default=10)
+@click.option("--depth-below", type=click.IntRange(min=1), default=10)
 @_common
 def seed_sweep(type_, coxeter, sweeps, depth_below, as_json, budget):
     """Run green sweeps and certify them against the block matrices."""
@@ -530,7 +530,7 @@ def sl2_factor(monomial, as_json, budget):
 @click.argument("s")
 @click.argument("rp")
 @click.argument("sp")
-@click.option("--depth", type=int, default=6)
+@click.option("--depth", type=click.IntRange(min=1), default=6)
 @_common
 def sl2_ptolemy(r, s, rp, sp, depth, as_json, budget):
     """Certify one quadrilateral exchange relation."""

@@ -9,13 +9,16 @@ fundamental-weight basis.  Conventions:
   integers.  A weight lies in the ordinary weight lattice iff all entries
   are even; the simple root α_i has ``coords2`` equal to twice column i
   of C.
-* A Weyl element is canonically its integer matrix acting on
+* A Weyl element is canonically its one integer matrix acting on
   fundamental-weight coordinates; one reduced word is cached for operator
   chains but plays no role in equality.
 * The generator matrix ``t_i`` (column k is the unit vector for k ≠ i,
   column i has entry δ_ji − c_ji in row j) *is* the matrix of the simple
-  reflection s_i on fundamental-weight coordinates; its transpose is the
-  action on root coordinates.
+  reflection s_i on fundamental-weight coordinates: s_i negates
+  coordinate i and adds its old value to each neighbouring coordinate.
+* Lengths, reduced words, w_0 and Coxeter exponents need no roots.  With
+  u = w⁻¹(ρ), ρ = (1, ..., 1), one has w(α_i) > 0 iff u_i > 0, so
+  ℓ(w s_i) = ℓ(w) ± 1 by the sign of u_i, and w s_i has u = s_i(u).
 """
 
 from __future__ import annotations
@@ -133,12 +136,8 @@ class RootSystem:
     # -- roots -------------------------------------------------------------
 
     @property
-    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        return _positive_roots(self)
-
-    @property
     def num_positive_roots(self) -> int:
-        return len(self.positive_roots)
+        return longest_element(self).length
 
     @property
     def coxeter_number(self) -> int:
@@ -171,46 +170,11 @@ class RootSystem:
     def reflection_matrix_t(self, i: int) -> Matrix:
         """Generator matrix t_i (simple reflection on fw coordinates)."""
         self._check_index(i)
-        n = self.n
-        cols = []
-        for k in range(n):
-            if k != i - 1:
-                cols.append(tuple(1 if j == k else 0 for j in range(n)))
-            else:
-                cols.append(
-                    tuple(
-                        (1 if j == i - 1 else 0) - self.cartan[j][i - 1]
-                        for j in range(n)
-                    )
-                )
-        # cols[k] is column k; transpose into row-major form
-        return tuple(tuple(cols[j][i_] for j in range(n)) for i_ in range(n))
-
-    def reflection_matrix_root(self, i: int) -> Matrix:
-        """Simple reflection on simple-root coordinates (transpose of t_i)."""
-        t = self.reflection_matrix_t(i)
-        n = self.n
-        return tuple(tuple(t[j][i_] for j in range(n)) for i_ in range(n))
-
-
-@lru_cache(maxsize=None)
-def _positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in simple-root coordinates, via reflection closure."""
-    simple = [tuple(1 if j == i else 0 for j in range(rs.n)) for i in range(rs.n)]
-    refl = [rs.reflection_matrix_root(i) for i in range(1, rs.n + 1)]
-    roots = set(simple)
-    frontier = set(simple)
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for m in refl:
-                img = _mat_vec(m, beta)
-                if img not in roots:
-                    new.add(img)
-        roots |= new
-        frontier = new
-    pos = sorted(r for r in roots if all(x >= 0 for x in r))
-    return tuple(pos)
+        # entry (j, k) is δ_jk, less c_jk in column k = i - 1
+        return tuple(
+            tuple(int(j == k) - (k == i - 1) * self.cartan[j][k] for k in range(self.n))
+            for j in range(self.n)
+        )
 
 
 # bounded, since callers may invert arbitrarily many distinct matrices
@@ -311,7 +275,6 @@ class WeylElement:
 
     rs: RootSystem
     mat_t: Matrix
-    mat_root: Matrix = field(compare=False)
     word: tuple[int, ...] = field(compare=False)
     length: int = field(compare=False)
 
@@ -323,24 +286,11 @@ class WeylElement:
     def apply(self, lam: Weight) -> Weight:
         return Weight(self.rs, _mat_vec(self.mat_t, lam.coords2))
 
-    def apply_root(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return _mat_vec(self.mat_root, coords)
-
-    def root_sign(self, coords: Sequence[int]) -> int:
-        """+1 if w(β) is positive, −1 if negative (β a root)."""
-        img = self.apply_root(coords)
-        if all(x >= 0 for x in img):
-            return 1
-        if all(x <= 0 for x in img):
-            return -1
-        raise ValueError("input is not a root")
-
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        mat_t = _mat_mul(self.mat_t, other.mat_t)
-        mat_root = _mat_mul(self.mat_root, other.mat_root)
-        return _finalize(self.rs, mat_t, mat_root, self.word + other.word)
+        length, word = _length_and_word(self.rs, self.word + other.word)
+        return WeylElement(self.rs, _mat_mul(self.mat_t, other.mat_t), word, length)
 
     @property
     def is_identity(self) -> bool:
@@ -349,59 +299,51 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         return weyl_from_word(self.rs, tuple(reversed(self.word)))
 
-    def descent(self) -> int | None:
-        """Some i with w(α_i) < 0, or None for the identity."""
-        for i in range(1, self.rs.n + 1):
-            unit = tuple(1 if j == i - 1 else 0 for j in range(self.rs.n))
-            if self.root_sign(unit) < 0:
-                return i
-        return None
+
+def _reflect(rs: RootSystem, u: list[int], i: int) -> None:
+    """u ← s_i(u) in place, on fundamental-weight coordinates."""
+    ui = u[i - 1]
+    u[i - 1] = -ui
+    for j in rs.neighbors(i):
+        u[j - 1] += ui
 
 
-def _inversion_count(rs: RootSystem, mat_root: Matrix) -> int:
-    count = 0
-    for beta in rs.positive_roots:
-        img = _mat_vec(mat_root, beta)
-        if all(x <= 0 for x in img):
-            count += 1
-    return count
-
-
-def _canonical_word(rs: RootSystem, mat_t: Matrix, mat_root: Matrix) -> tuple[int, ...]:
-    """A reduced word for the element, by repeatedly stripping a descent."""
-    letters: list[int] = []
-    cur_t, cur_root = mat_t, mat_root
-    ident = _identity(rs.n)
-    while cur_t != ident:
-        for i in range(1, rs.n + 1):
-            unit = tuple(1 if j == i - 1 else 0 for j in range(rs.n))
-            if all(x <= 0 for x in _mat_vec(cur_root, unit)):
-                break
-        else:  # pragma: no cover - impossible for a genuine Weyl matrix
-            raise ValueError("matrix is not a Weyl-group element")
+def _greedy(rs: RootSystem, u: list[int], sign: int) -> list[int]:
+    """Reflect u at the least i with sign·u_i > 0 until none is left; the
+    letters used, in order."""
+    letters = []
+    while i := next((i for i, x in enumerate(u, 1) if sign * x > 0), 0):
         letters.append(i)
-        cur_t = _mat_mul(cur_t, rs.reflection_matrix_t(i))
-        cur_root = _mat_mul(cur_root, rs.reflection_matrix_root(i))
-    return tuple(reversed(letters))
+        _reflect(rs, u, i)
+    return letters
 
 
-def _finalize(rs: RootSystem, mat_t: Matrix, mat_root: Matrix,
-              word: tuple[int, ...]) -> WeylElement:
-    length = _inversion_count(rs, mat_root)
-    if len(word) != length:
-        word = _canonical_word(rs, mat_t, mat_root)
-    return WeylElement(rs, mat_t, mat_root, word, length)
+def _length_and_word(
+    rs: RootSystem, word: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """ℓ(w) and a reduced word for w = s_{word[0]} ⋯ s_{word[-1]}.
+
+    Walks u = w⁻¹(ρ) along the word: a letter i lengthens the prefix iff
+    u_i > 0.  A non-reduced word is replaced by stripping, from the right,
+    the least i with w(α_i) < 0, i.e. u_i < 0, until u = ρ.
+    """
+    u = [1] * rs.n
+    length = 0
+    for i in word:
+        rs._check_index(i)
+        length += 1 if u[i - 1] > 0 else -1
+        _reflect(rs, u, i)
+    if length == len(word):
+        return length, word
+    return length, tuple(reversed(_greedy(rs, u, -1)))
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    ident = _identity(rs.n)
-    return WeylElement(rs, ident, ident, (), 0)
+    return WeylElement(rs, _identity(rs.n), (), 0)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return WeylElement(
-        rs, rs.reflection_matrix_t(i), rs.reflection_matrix_root(i), (i,), 1
-    )
+    return WeylElement(rs, rs.reflection_matrix_t(i), (i,), 1)
 
 
 def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -412,12 +354,14 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 # elements are frozen, so every caller can share one
 @lru_cache(maxsize=1 << 14)
 def _weyl_from_tuple(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
-    mat_t, mat_root = _identity(rs.n), _identity(rs.n)
+    length, reduced = _length_and_word(rs, word)
+    rows = [list(row) for row in _identity(rs.n)]
     for i in word:
-        rs._check_index(i)
-        mat_t = _mat_mul(mat_t, rs.reflection_matrix_t(i))
-        mat_root = _mat_mul(mat_root, rs.reflection_matrix_root(i))
-    return _finalize(rs, mat_t, mat_root, word)
+        # right multiplication by t_i rewrites column i only
+        nbrs = rs.neighbors(i)
+        for row in rows:
+            row[i - 1] = sum(row[j - 1] for j in nbrs) - row[i - 1]
+    return WeylElement(rs, tuple(tuple(row) for row in rows), reduced, length)
 
 
 def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:
@@ -427,42 +371,26 @@ def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w_0 with a reduced word built greedily (append the least i with
-    w(α_i) > 0).
-
-    Each letter lengthens the word by one, so after N = #positive roots
-    letters the element is w_0; its length is counted once, at the end.
+    """w_0 with a reduced word built greedily: append the least i with
+    w(α_i) > 0, i.e. u_i > 0, until none is left and u = w_0(ρ) = −ρ.
     """
-    mat_t = mat_root = _identity(rs.n)
-    word: list[int] = []
-    for _ in range(rs.num_positive_roots):
-        # w(α_i) is column i of the root matrix
-        i = next(
-            i for i in range(1, rs.n + 1)
-            if all(row[i - 1] >= 0 for row in mat_root)
-        )
-        mat_t = _mat_mul(mat_t, rs.reflection_matrix_t(i))
-        mat_root = _mat_mul(mat_root, rs.reflection_matrix_root(i))
-        word.append(i)
-    w0 = _finalize(rs, mat_t, mat_root, tuple(word))
-    assert w0.length == rs.num_positive_roots
-    return w0
+    return weyl_from_word(rs, _greedy(rs, [1] * rs.n, 1))
 
 
-@lru_cache(maxsize=None)
-def nakayama(rs: RootSystem) -> tuple[int, ...]:
-    """The involution ν with w_0(α_i) = −α_{ν(i)} (1-based tuple)."""
-    w0 = longest_element(rs)
-    nu = []
-    for i in range(1, rs.n + 1):
-        unit = tuple(1 if j == i - 1 else 0 for j in range(rs.n))
-        img = w0.apply_root(unit)
-        neg = tuple(-x for x in img)
-        simple = [tuple(1 if k == j else 0 for k in range(rs.n)) for j in range(rs.n)]
-        nu.append(simple.index(neg) + 1)
-    out = tuple(nu)
-    assert all(out[out[i - 1] - 1] == i for i in range(1, rs.n + 1))
-    return out
+def coxeter_exponent(c: WeylElement, i: int) -> int:
+    """The least k with c^k(ϖ_i) = w_0(ϖ_i).
+
+    w_0(ϖ_i) = −ϖ_ν(i) is the one antidominant weight in the orbit of ϖ_i,
+    so k is the first step at which no coordinate is positive.  Raises
+    ``ValueError`` if no such k comes within 2h steps, as happens for
+    words that are not Coxeter elements.
+    """
+    lam = fundamental_weight(c.rs, i)
+    for k in range(2 * c.rs.coxeter_number + 1):
+        if all(x <= 0 for x in lam.coords2):
+            return k
+        lam = c.apply(lam)
+    raise ValueError(f"weight orbit of ϖ_{i} does not reach its lowest weight")
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +495,7 @@ def coxeter_data(rs: RootSystem, orientation: Sequence) -> CoxeterDatum:
     low = min(l)
     l = tuple(x - low for x in l)
 
-    nu = nakayama(rs)
-    m = []
-    for i in range(1, rs.n + 1):
-        target = tuple(-x for x in fundamental_weight(rs, nu[i - 1]).coords2)
-        lam = fundamental_weight(rs, i)
-        k = 0
-        while lam.coords2 != target:
-            lam = c.apply(lam)
-            k += 1
-            if k > 2 * rs.coxeter_number:
-                raise AssertionError("exponent iteration did not terminate")
-        m.append(k)
-    m = tuple(m)
+    m = tuple(coxeter_exponent(c, i) for i in range(1, rs.n + 1))
     assert sum(m) == rs.num_positive_roots
 
     h_c = -max(l[i - 1] + 2 * m[i - 1] - 1 for i in range(1, rs.n + 1))

@@ -196,8 +196,11 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
 
     Preconditions: r < r', s < s', r' ≤ s+1, with r' and s finite (r may
     be -∞ and s' may be +∞).  Both sides are expanded to depth ``d`` and
-    compared exactly above the common cutoff.
+    compared exactly above the common cutoff; at d < 1 both sides are
+    empty, so a depth below 1 raises ``ValueError``.
     """
+    if d < 1:
+        raise ValueError(f"depth must be at least 1, got {d}")
     if not (r < rp and s < sp and rp <= s + 1):
         raise ValueError(f"need r<r', s<s', r'<=s+1; got {(r, s, rp, sp)}")
     if rp in (INF, -INF) or s in (INF, -INF):

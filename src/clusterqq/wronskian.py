@@ -43,8 +43,8 @@ from .qseries import KSeries, QEvaluator
 from .rootsys import (
     RootSystem,
     WeylElement,
+    coxeter_exponent,
     fundamental_weight,
-    longest_element,
     weyl_from_word,
 )
 
@@ -86,14 +86,7 @@ def coxeter_orbit_weights(rs: RootSystem, word, i: int, count: int):
 
 def orbit_exponent(rs: RootSystem, word, i: int) -> int:
     """Smallest m with c^m(ϖ_i) equal to the lowest weight of the orbit."""
-    c = weyl_from_word(rs, word)
-    lowest = longest_element(rs).apply(fundamental_weight(rs, i))
-    cur = fundamental_weight(rs, i)
-    for m in range(4 * rs.n + 2):
-        if cur.coords2 == lowest.coords2:
-            return m
-        cur = c.apply(cur)
-    raise ValueError(f"weight orbit of ϖ_{i} does not reach its lowest weight")
+    return coxeter_exponent(weyl_from_word(rs, word), i)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,14 @@ class TestUsage:
         result = runner.invoke(main, ["sl2", "ptolemy", "3", "1", "1", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_ptolemy_depth_below_one_is_usage_error(self, runner, depth):
+        # at depth <= 0 both sides keep no terms: a vacuous pass
+        args = ["sl2", "ptolemy", "-inf", "0", "1", "+inf", "--depth", depth]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 2
+        assert '"ok"' not in result.output
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -65,6 +73,9 @@ class TestUsage:
             # an empty run would certify nothing
             ["seed", "sweep", "--type", "D4", "--sweeps", "0"],
             ["seed", "sweep", "--type", "D4", "--sweeps", "-1"],
+            # no room below the green band: MarginError on the last sweep
+            ["seed", "sweep", "--type", "A2", "--depth-below", "0", "--sweeps", "4"],
+            ["seed", "sweep", "--type", "E6", "--depth-below", "-2"],
         ],
     )
     def test_window_precondition_is_usage_error(self, runner, args):

@@ -168,6 +168,12 @@ class TestPtolemy:
         with pytest.raises(ValueError):
             ptolemy_check(-INF, 0, INF, INF, 4)
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_depth_below_one_raises(self, d):
+        # both sides would keep no terms, so nothing would be compared
+        with pytest.raises(ValueError):
+            ptolemy_check(-INF, 0, 1, INF, d)
+
 
 class TestExchangeRelations:
     @pytest.mark.parametrize("r", [0, 2, -1])
