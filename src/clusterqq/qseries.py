@@ -14,6 +14,24 @@ coordinates (``RootSystem.height_functional``); a series stores its
 cutoff in that scale, and converts back to doubled heights only where it
 reports them.
 
+Inside a series each term's key is one int.  A :class:`KeyCodec`, one
+per root system (:func:`key_codec`), packs a key (λ, Ψ) into signed
+``FIELD_BITS``-bit fields with no bias: field 0 holds the integer height
+Σ w_j·λ_j, fields 1..n hold λ, and each Ψ vertex (i, r) has a field of
+its own, given when the codec first meets the vertex.  The vertex index
+only grows, and an absent field is 0, so keys packed earlier stay valid.
+Reading the fields as balanced digits makes the encoding canonical, so
+two keys are equal iff their ints are, the key of a product is the sum
+of the keys, and a term's height is its lowest field.  Every field of a
+key stays below 2^(FIELD_BITS-2) in absolute value: packing rejects a
+larger one, and every key that a product or a monomial shift creates is
+checked with one add and one mask, so an overflow raises
+``OverflowError`` and never wraps into a neighbouring field.  Keys are
+decoded back to (λ, Ψ) tuples only at the edges: the constructor,
+:meth:`KSeries.monomial`, :meth:`KSeries.mul_monomial`,
+:meth:`KSeries.top` and the ``terms`` mapping.  The tuple functions
+``key_mul``, ``psi_mul`` and the like stay the public key API.
+
 Q-variables are evaluated by a bootstrap: for an ascent ``w s_i > w`` the
 two-term linear relation of the QQ-system is solved for the new variable
 as an explicit descending sum over spectral shifts.  Every solved value is
@@ -23,9 +41,11 @@ value is always a machine-checked one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
-from operator import mul
+from operator import lshift, mul
 
 from .rootsys import (
     RootSystem,
@@ -110,6 +130,123 @@ def psi_tilde(rs: RootSystem, i: int, r: int) -> Key:
 
 
 # ---------------------------------------------------------------------------
+# packed keys
+# ---------------------------------------------------------------------------
+
+
+FIELD_BITS = 32
+_MASK = (1 << FIELD_BITS) - 1
+_HALF = 1 << (FIELD_BITS - 1)
+# every field of a stored key lies in [-_LIMIT, _LIMIT)
+_LIMIT = 1 << (FIELD_BITS - 2)
+
+
+def _height(k: int) -> int:
+    """Field 0 of a packed key: the term's height in the integer scale."""
+    return ((k + _HALF) & _MASK) - _HALF
+
+
+class KeyCodec:
+    """Packs the keys (λ, Ψ) of one root system into ints.
+
+    Field 0 is the height Σ w_j·λ_j, fields 1..n are λ, and the field at
+    bit ``shift[(i, r)]`` is the exponent of Ψ_{i,q^r}.  ``off`` holds
+    2^(FIELD_BITS-2) and ``guard`` the top bit in every field so far: a
+    key whose fields all lie in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2))
+    has ``(k + off) & guard == 0``, and a sum of two such keys that left
+    the range in some field sets that field's guard bit.
+    """
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.n = rs.n
+        self.den, self.w = rs.height_functional
+        self.lam_shifts = tuple(FIELD_BITS * j for j in range(1, 1 + self.n))
+        self.shift: dict[tuple[int, int], int] = {}
+        self.vertices: list[tuple[int, int]] = []
+        self.off = self.guard = 0
+        for f in range(1 + self.n):
+            self._open(f)
+
+    def _open(self, f: int) -> int:
+        """Open field f; its bit offset."""
+        self.off |= _LIMIT << (FIELD_BITS * f)
+        self.guard |= _HALF << (FIELD_BITS * f)
+        return FIELD_BITS * f
+
+    def _new_vertex(self, v: tuple[int, int]) -> int:
+        self.vertices.append(v)
+        self.shift[v] = self._open(self.n + len(self.vertices))
+        return self.shift[v]
+
+    def pack(self, key: Key) -> int:
+        lam, psi = key
+        if len(lam) != self.n:
+            raise ValueError(f"weight {lam} does not have {self.n} coordinates")
+        h = sum(map(mul, self.w, lam))
+        k = h + sum(map(lshift, lam, self.lam_shifts))
+        widest = abs(h)
+        for x in lam:
+            if abs(x) > widest:
+                widest = abs(x)
+        shift = self.shift
+        for v, e in psi:
+            if abs(e) > widest:
+                widest = abs(e)
+            k += e << (shift.get(v) or self._new_vertex(v))
+        if widest >= _LIMIT:
+            raise OverflowError(f"a field of key {key} does not fit {FIELD_BITS} bits")
+        return k
+
+    def unpack(self, k: int) -> Key:
+        fields = []
+        while k:
+            f = ((k + _HALF) & _MASK) - _HALF
+            fields.append(f)
+            k = (k - f) >> FIELD_BITS
+        fields += [0] * (1 + self.n - len(fields))
+        psi = sorted(
+            (self.vertices[j], e) for j, e in enumerate(fields[1 + self.n:]) if e
+        )
+        return tuple(fields[1:1 + self.n]), tuple(psi)
+
+    def check(self, keys) -> None:
+        """Raise ``OverflowError`` if a created key left the field range."""
+        off, guard = self.off, self.guard
+        if any((k + off) & guard for k in keys):
+            raise OverflowError(f"a key field overflowed {FIELD_BITS - 2} bits")
+
+
+@lru_cache(maxsize=None)
+def key_codec(rs: RootSystem) -> KeyCodec:
+    """The one codec of a root system, shared by all its series."""
+    return KeyCodec(rs)
+
+
+class _Terms(Mapping):
+    """A series' terms keyed by (λ, Ψ) tuples, decoded on access."""
+
+    __slots__ = ("_t", "_cx")
+
+    def __init__(self, t: dict, cx: KeyCodec) -> None:
+        self._t, self._cx = t, cx
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self):
+        return map(self._cx.unpack, self._t)
+
+    def __getitem__(self, key: Key) -> int:
+        return self._t[self._cx.pack(key)]
+
+    def items(self):
+        return {self._cx.unpack(k): c for k, c in self._t.items()}.items()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+# ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
 
@@ -129,21 +266,32 @@ class KSeries:
     heights as ``Fraction``: the constructor's ``cutoff2``, the
     ``cutoff2`` attribute, :meth:`max_ht` and :meth:`_ht`.  A cutoff that
     is not a multiple of 1/den raises ``ValueError``.
+
+    The terms are held as ``_t``, a dict from packed keys (see
+    :class:`KeyCodec`) to coefficients; ``terms`` is a read-only mapping
+    over it keyed by (λ, Ψ) tuples.
     """
 
-    __slots__ = ("rs", "terms", "cut", "_hf")
+    __slots__ = ("rs", "_t", "cut", "_cx")
 
     def __init__(self, rs: RootSystem, terms: dict, cutoff2) -> None:
         self.rs = rs
-        self.terms = terms
-        self._hf = rs.height_functional
-        self.cut = _scaled(self._hf[0], cutoff2)
+        self._cx = key_codec(rs)
+        self._t: dict = {}
+        for k, c in terms.items():
+            k = self._cx.pack(k)
+            self._t[k] = self._t.get(k, 0) + c
+        self.cut = _scaled(self._cx.den, cutoff2)
 
-    def _new(self, terms: dict, cut: int) -> "KSeries":
+    def _new(self, t: dict, cut: int) -> "KSeries":
         """A series over the same root system, cutoff given in the scale."""
         s = KSeries.__new__(KSeries)
-        s.rs, s.terms, s.cut, s._hf = self.rs, terms, cut, self._hf
+        s.rs, s._t, s.cut, s._cx = self.rs, t, cut, self._cx
         return s
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self._t, self._cx)
 
     @staticmethod
     def monomial(rs: RootSystem, key: Key, cutoff2, coeff: int = 1) -> "KSeries":
@@ -160,54 +308,54 @@ class KSeries:
         return KSeries(rs, {}, cutoff2)
 
     def _one(self, cut: int) -> "KSeries":
-        return self._new({key_one(self.rs.n): 1} if cut < 0 else {}, cut)
+        return self._new({0: 1} if cut < 0 else {}, cut)
 
     @property
     def cutoff2(self) -> Fraction:
-        return Fraction(self.cut, self._hf[0])
-
-    def _h(self, key: Key) -> int:
-        """Height of a term in the integer scale."""
-        return sum(map(mul, self._hf[1], key[0]))
+        return Fraction(self.cut, self._cx.den)
 
     def _ht(self, key: Key) -> Fraction:
-        return Fraction(self._h(key), self._hf[0])
+        return Fraction(sum(map(mul, self._cx.w, key[0])), self._cx.den)
 
     def _prune(self) -> None:
-        w, cut = self._hf[1], self.cut
-        self.terms = {
-            k: c for k, c in self.terms.items()
-            if c and sum(map(mul, w, k[0])) > cut
+        lo = self.cut + _HALF
+        self._t = {
+            k: c for k, c in self._t.items() if c and (k + _HALF) & _MASK > lo
         }
 
     def _max_h(self) -> int:
-        if not self.terms:
+        if not self._t:
             return self.cut
-        return max(map(self._h, self.terms))
+        return max((k + _HALF) & _MASK for k in self._t) - _HALF
 
     def max_ht(self) -> Fraction:
-        return Fraction(self._max_h(), self._hf[0])
+        return Fraction(self._max_h(), self._cx.den)
+
+    def _top(self) -> tuple[int, int]:
+        if not self._t:
+            raise TruncationError("series has no terms above its cutoff")
+        h = self._max_h()
+        tops = [k for k in self._t if _height(k) == h]
+        if len(tops) != 1:
+            keys = [self._cx.unpack(k) for k in tops]
+            raise TruncationError(f"leading term is not unique: {keys}")
+        return tops[0], self._t[tops[0]]
 
     def top(self) -> tuple[Key, int]:
         """The unique term of maximal height, as (key, coefficient)."""
-        if not self.terms:
-            raise TruncationError("series has no terms above its cutoff")
-        h = self._max_h()
-        tops = [k for k in self.terms if self._h(k) == h]
-        if len(tops) != 1:
-            raise TruncationError(f"leading term is not unique: {tops}")
-        return tops[0], self.terms[tops[0]]
+        k, c = self._top()
+        return self._cx.unpack(k), c
 
     def __add__(self, other: "KSeries") -> "KSeries":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._t)
+        for k, c in other._t.items():
             out[k] = out.get(k, 0) + c
         s = self._new(out, max(self.cut, other.cut))
         s._prune()
         return s
 
     def __neg__(self) -> "KSeries":
-        return self._new({k: -c for k, c in self.terms.items()}, self.cut)
+        return self._new({k: -c for k, c in self._t.items()}, self.cut)
 
     def __sub__(self, other: "KSeries") -> "KSeries":
         return self + (-other)
@@ -215,50 +363,61 @@ class KSeries:
     def __mul__(self, other: "KSeries") -> "KSeries":
         cut = max(self.cut + other._max_h(), other.cut + self._max_h())
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = key_mul(k1, k2)
-                out[k] = out.get(k, 0) + c1 * c2
+        get = out.get
+        right = other._t.items()
+        for k1, c1 in self._t.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        self._cx.check(out)
         s = self._new(out, cut)
         s._prune()
         return s
 
     def mul_monomial(self, key: Key, coeff: int = 1) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
-        out = {key_mul(k, key): c * coeff for k, c in self.terms.items()}
-        return self._new(out, self.cut + self._h(key))
+        return self._shift(self._cx.pack(key), coeff)
+
+    def _shift(self, k: int, coeff: int) -> "KSeries":
+        out = {k1 + k: c * coeff for k1, c in self._t.items()}
+        self._cx.check(out)
+        return self._new(out, self.cut + _height(k))
 
     def clamped(self, cutoff2) -> "KSeries":
         """Copy truncated at a coarser (higher) cutoff."""
-        return self._clamp(_scaled(self._hf[0], cutoff2))
+        return self._clamp(_scaled(self._cx.den, cutoff2))
 
     def _clamp(self, cut: int) -> "KSeries":
-        s = self._new(dict(self.terms), max(self.cut, cut))
+        s = self._new(self._t, max(self.cut, cut))
         s._prune()
         return s
 
     def inverse(self) -> "KSeries":
-        t, c0 = self.top()
+        t, c0 = self._top()
         if c0 not in (1, -1):
             raise TruncationError(f"cannot invert leading coefficient {c0}")
-        cut = self.cut - self._h(t)
-        eps = self.mul_monomial(key_inv(t), c0) - self._one(cut)
+        cut = self.cut - _height(t)
+        eps = self._shift(-t, c0) - self._one(cut)
         acc = self._one(cut)
         power = acc
-        while power.terms:
+        while power._t:
             power = (-(power * eps))._clamp(cut)
             acc = acc + power
-        return acc.mul_monomial(key_inv(t), c0)
+        return acc._shift(-t, c0)
 
     def matches(self, other: "KSeries") -> bool:
-        """Equality of all terms above the common guaranteed cutoff."""
-        cut = max(self.cut, other.cut)
-        a = {k: c for k, c in self.terms.items() if self._h(k) > cut}
-        b = {k: c for k, c in other.terms.items() if other._h(k) > cut}
-        return a == b
+        """Equality of all terms above the common guaranteed cutoff.
+
+        False when neither side has a term there: such a comparison
+        compared nothing.
+        """
+        lo = max(self.cut, other.cut) + _HALF
+        a = {k: c for k, c in self._t.items() if (k + _HALF) & _MASK > lo}
+        b = {k: c for k, c in other._t.items() if (k + _HALF) & _MASK > lo}
+        return bool(a) and a == b
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __repr__(self) -> str:
         return (

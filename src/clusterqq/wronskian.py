@@ -42,7 +42,7 @@ from fractions import Fraction
 from .qseries import KSeries, QEvaluator
 from .rootsys import (
     RootSystem,
-    WeylElement,
+    _greedy,
     coxeter_exponent,
     fundamental_weight,
     weyl_from_word,
@@ -56,19 +56,7 @@ def weight_word(rs: RootSystem, lam2) -> tuple[tuple[int, ...], int]:
     fundamental-weight basis is negative, reflect it away.
     """
     cur = list(lam2)
-    word: list[int] = []
-    for _ in range(4 * rs.n * rs.n + 4):
-        negatives = [j for j in range(1, rs.n + 1) if cur[j - 1] < 0]
-        if not negatives:
-            break
-        j = negatives[0]
-        coeff = cur[j - 1]
-        cur[j - 1] = -coeff
-        for m in rs.neighbors(j):
-            cur[m - 1] += coeff
-        word.append(j)
-    else:
-        raise ValueError(f"{lam2} is not in a fundamental-weight orbit")
+    word = _greedy(rs, cur, -1)
     units = [j for j in range(1, rs.n + 1) if cur[j - 1]]
     if len(units) != 1 or cur[units[0] - 1] != 2:
         raise ValueError(f"{lam2} is not in a fundamental-weight orbit")

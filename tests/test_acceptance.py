@@ -43,7 +43,14 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 from clusterqq.seed import green_sweep, initial_seed, mutate_seed
-from clusterqq.sl2 import Segment, compatible, factorize, ptolemy_check
+from clusterqq import sl2
+from clusterqq.sl2 import (
+    Segment,
+    compatible,
+    exchange_relations_at,
+    factorize,
+    ptolemy_check,
+)
 from clusterqq.wronskian import bruhat_check, check_wronskian
 
 from test_gvector import A3_STABILIZED, a2_expected
@@ -274,6 +281,19 @@ class TestTwoTermBattery:
     def test_worked_deep_instance(self):
         ev = QEvaluator(rs("A3"), depth=4)
         assert qq_check(ev, (1, 2, 3, 1), 2, -1)
+
+    def test_d4_longest_word_prefixes(self):
+        budget = Budget(20.0)
+        r = rs("D4")
+        ev = QEvaluator(r, depth=3)
+        word = longest_element(r).word
+        count = 0
+        for t in range(len(word)):
+            for rr in range(-2, 1):
+                assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
+                count += 1
+        assert count == 36
+        budget.check()
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +557,60 @@ class TestQuiverLaws:
             cases += 1
 
         assert cases == 1000
+
+
+# ---------------------------------------------------------------------------
+# 13. failing twins: each series certificate run on one perturbed input
+# ---------------------------------------------------------------------------
+
+
+class ShiftedEvaluator(QEvaluator):
+    """An evaluator whose renormalized variable at one (word, i) is
+    replaced by its q²-shift."""
+
+    def __init__(self, rs, depth, word, i):
+        super().__init__(rs, depth)
+        self.shifted = (tuple(word), i)
+
+    def q_bar(self, word, i, r):
+        if (tuple(word), i) == self.shifted:
+            r += 2
+        return super().q_bar(word, i, r)
+
+
+def swap_segment(monkeypatch, old, new):
+    """Make sl2 use the class of ``new`` wherever it asks for ``old``."""
+    real = sl2.segment_qchar
+    monkeypatch.setattr(
+        sl2, "segment_qchar",
+        lambda seg, d=6: real(new if seg == old else seg, d),
+    )
+
+
+class TestFailingTwins:
+    @pytest.mark.parametrize("shifted", [((1, 2, 3), 3), ((1, 2), 3), ((1, 2), 2)])
+    def test_qq_with_a_shifted_variable(self, shifted):
+        A3 = rs("A3")
+        assert qq_check(QEvaluator(A3, depth=3), (1, 2), 3, 0)
+        assert not qq_check(ShiftedEvaluator(A3, 3, *shifted), (1, 2), 3, 0)
+
+    @pytest.mark.parametrize("shifted", [((1,), 1), ((2, 1), 1), ((), 2)])
+    def test_qqstar_with_a_shifted_variable(self, shifted):
+        A3 = rs("A3")
+        assert qqstar_check(QEvaluator(A3, depth=3), (), 1, 2, -2)
+        assert not qqstar_check(ShiftedEvaluator(A3, 3, *shifted), (), 1, 2, -2)
+
+    def test_ptolemy_with_a_neighbouring_segment(self, monkeypatch):
+        assert ptolemy_check(0, 2, 1, 4, 6)["ok"]
+        swap_segment(monkeypatch, Segment(1, 4), Segment(1, 5))
+        assert not ptolemy_check(0, 2, 1, 4, 6)["ok"]
+
+    def test_exchange_with_a_neighbouring_segment(self, monkeypatch):
+        assert all(c["ok"] for c in exchange_relations_at(0, 6, 3))
+        swap_segment(monkeypatch, Segment(-3, -3), Segment(-3, -2))
+        failed = [
+            (c["relation"], c["at"])
+            for c in exchange_relations_at(0, 6, 3)
+            if not c["ok"]
+        ]
+        assert failed == [("flip-lower", -3)]

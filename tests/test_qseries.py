@@ -117,6 +117,14 @@ class TestSeries:
         # the product forgets nothing above the coarser cutoff
         assert (x * y).cutoff2 == Fraction(-4)
 
+    def test_matches_needs_a_term_above_the_cutoff(self):
+        low = mono(A2, a_inv(A2, 1, 0), depth=3)  # height -2, cutoff -6
+        empty = KSeries.zero(A2, Fraction(-2))
+        assert not empty.matches(KSeries.zero(A2, Fraction(-2)))
+        # common cutoff -2: neither side has a term above it
+        assert not low.matches(empty) and not empty.matches(low)
+        assert low.matches(low.clamped(Fraction(-4)))
+
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_cutoff_off_the_height_lattice_is_rejected(self, name):
         # heights lie in (1/det C)·Z, and den + 1 never divides den
