@@ -501,6 +501,8 @@ def sl2_factor(monomial, as_json, budget):
         segments, _ = sl2.factorize(key)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if not key[1]:  # the unit has no segments: nothing would be compared
+        raise click.UsageError(f"monomial {monomial!r} is the unit")
     from .qseries import key_mul, key_one
 
     rebuilt = key_one(1)

@@ -32,11 +32,11 @@ decoded back to (λ, Ψ) tuples only at the edges: the constructor,
 :meth:`KSeries.top` and the ``terms`` mapping.  The tuple functions
 ``key_mul``, ``psi_mul`` and the like stay the public key API.
 
-Q-variables are evaluated by a bootstrap: for an ascent ``w s_i > w`` the
-two-term linear relation of the QQ-system is solved for the new variable
-as an explicit descending sum over spectral shifts.  Every solved value is
-certified against the QQ relation itself before it is cached, so a cached
-value is always a machine-checked one.
+Q-variables are evaluated by a bootstrap: for an ascent ``w′ s_i > w′``
+the two-term QQ relation is solved for the variable at w′s_i upward in
+the spectral parameter, one q²-step at a time, from those at w′.  Every
+solved value is certified against the QQ relation itself before it is
+cached, so a cached value is always a machine-checked one.
 """
 
 from __future__ import annotations
@@ -496,6 +496,7 @@ class QEvaluator:
         self.depth = depth
         self._memo: dict = {}
         self._certified: set = set()
+        self._ascents: dict = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -512,6 +513,28 @@ class QEvaluator:
             fundamental_weight(self.rs, i)
         ).coords2
 
+    def _ascent(self, word, i: int) -> tuple:
+        """(w′, integer height of w′(α_i), [−w′(α_i)]) for word = w′s_i."""
+        if (word, i) not in self._ascents:
+            w_prime = word[:-1]
+            alpha2 = weyl_from_word(self.rs, w_prime).apply(
+                simple_root(self.rs, i)
+            ).coords2
+            # an ascent iff w'(α_i) is a positive root
+            if any(c < 0 for c in self.rs.root_coords2(alpha2)):
+                raise ValueError(f"{word} is not an ascent at {i}")
+            h = sum(map(mul, self.rs.height_functional[1], alpha2))
+            br = bracket(self.rs, tuple(-a for a in alpha2))
+            self._ascents[word, i] = (w_prime, h, br)
+        return self._ascents[word, i]
+
+    def _neighbors(self, w_prime, i: int, b: int) -> KSeries:
+        """∏_{j~i} Q′_j(b), with Q′ the Q-variables at w′."""
+        out = KSeries.one(self.rs, -2 * self.depth)
+        for j in self.rs.neighbors(i):
+            out = (out * self.q_raw(w_prime, j, b)).clamped(-2 * self.depth)
+        return out
+
     # -- raw Q-variables --------------------------------------------------
 
     def q_raw(self, word, i: int, r: int) -> KSeries:
@@ -525,66 +548,39 @@ class QEvaluator:
         return self._memo[memo_key]
 
     def _solve(self, word, i: int, r: int) -> KSeries:
+        """Q(b) = (∏_{j~i} Q′_j(b−1) + Q′_i(b)·[−w′(α_i)]·Q(b−2)) / Q′_i(b−2)
+        for b = r − 2(levels − 1), …, r from Q = 0: each level sits the
+        height of w′(α_i) lower, so the bottom one is below the cutoff."""
         cutoff = -2 * self.depth
         if not word:
             return KSeries.monomial(
                 self.rs, ((0,) * self.rs.n, psi_var(i, r)), cutoff
             )
-        w_prime = word[:-1]
-        alpha2 = weyl_from_word(self.rs, w_prime).apply(
-            simple_root(self.rs, i)
-        ).coords2
-        # an ascent iff w'(α_i) is a positive root
-        if any(c < 0 for c in self.rs.root_coords2(alpha2)):
-            raise ValueError(f"{word} is not an ascent at {i}")
-        den, w = self.rs.height_functional
-        h = sum(map(mul, w, alpha2))
-        br = bracket(self.rs, tuple(-a for a in alpha2))
-
-        def qp(j, b):
-            return self.q_raw(w_prime, j, b)
-
-        def neighbor_product(b):
-            out = KSeries.one(self.rs, cutoff)
-            for j in self.rs.neighbors(i):
-                out = (out * qp(j, b)).clamped(cutoff)
-            return out
-
-        levels = (2 * self.depth * den) // h + 1
-        series = KSeries.one(self.rs, cutoff)
-        for k in range(levels - 1, 0, -1):
-            b = r - 2 * k
-            ratio = (
-                qp(i, b - 2).inverse()
-                * qp(i, b + 2)
-                * neighbor_product(b - 1)
-                * neighbor_product(b + 1).inverse()
-            ).mul_monomial(br).clamped(cutoff)
-            series = KSeries.one(self.rs, cutoff) + (ratio * series).clamped(cutoff)
-        return (
-            qp(i, r - 2).inverse() * neighbor_product(r - 1) * series
-        ).clamped(cutoff)
+        w_prime, h, br = self._ascent(word, i)
+        levels = (2 * self.depth * self.rs.height_functional[0]) // h + 1
+        value = KSeries.zero(self.rs, cutoff)
+        for b in range(r - 2 * (levels - 1), r + 1, 2):
+            # clamp before the product, so terms below the cutoff go first
+            prev = value.mul_monomial(br).clamped(cutoff)
+            num = self._neighbors(w_prime, i, b - 1)
+            num = num + self.q_raw(w_prime, i, b) * prev
+            value = (num * self.q_raw(w_prime, i, b - 2).inverse()).clamped(cutoff)
+        return value
 
     def _certify(self, word, i: int, r: int, value: KSeries) -> None:
-        """Check the defining two-term relation before trusting a value."""
+        """Check the defining two-term relation before trusting a value;
+        the lower value is solved afresh, so the check is no tautology."""
         if not word:
             return
         memo_key = (self.weight_of(word, i), r)
         if memo_key in self._certified:
             return
-        w_prime = word[:-1]
-        alpha2 = weyl_from_word(self.rs, w_prime).apply(
-            simple_root(self.rs, i)
-        ).coords2
-        br = bracket(self.rs, tuple(-a for a in alpha2))
+        w_prime, _, br = self._ascent(word, i)
         lower = self._solve(word, i, r - 2)
         lhs = value * self.q_raw(w_prime, i, r - 2) - (
             lower * self.q_raw(w_prime, i, r)
         ).mul_monomial(br)
-        rhs = KSeries.one(self.rs, -2 * self.depth)
-        for j in self.rs.neighbors(i):
-            rhs = rhs * self.q_raw(w_prime, j, r - 1)
-        if not lhs.matches(rhs):
+        if not lhs.matches(self._neighbors(w_prime, i, r - 1)):
             raise CertificationError(
                 f"QQ relation failed for word={word}, i={i}, r={r}"
             )

@@ -6,12 +6,16 @@ independent cross-checks.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from clusterqq import gvector, wronskian
+from clusterqq.cli import main
 from clusterqq.gvector import (
     GVec,
     blocks_gvectors,
@@ -39,6 +43,7 @@ from clusterqq.rootsys import (
     RootSystem,
     coxeter_data,
     fundamental_weight,
+    is_reduced,
     longest_element,
     weyl_from_word,
 )
@@ -51,7 +56,13 @@ from clusterqq.sl2 import (
     factorize,
     ptolemy_check,
 )
-from clusterqq.wronskian import bruhat_check, check_wronskian
+from clusterqq.wronskian import (
+    _carroll_minors,
+    bruhat_check,
+    check_wronskian,
+    desnanot_jacobi_check,
+    _to_fractions,
+)
 
 from test_gvector import A3_STABILIZED, a2_expected
 from test_qseries import A3_SEED_LABELS
@@ -284,16 +295,43 @@ class TestTwoTermBattery:
 
     def test_d4_longest_word_prefixes(self):
         budget = Budget(20.0)
-        r = rs("D4")
-        ev = QEvaluator(r, depth=3)
-        word = longest_element(r).word
-        count = 0
-        for t in range(len(word)):
-            for rr in range(-2, 1):
-                assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
-                count += 1
-        assert count == 36
+        assert qq_battery(QEvaluator(rs("D4"), depth=3), range(-2, 1)) == 36
         budget.check()
+
+    def test_a4_longest_word_prefixes(self):
+        budget = Budget(6.0)
+        assert qq_battery(QEvaluator(rs("A4"), depth=3), range(-2, 1)) == 30
+        budget.check()
+
+    def test_e6_smoke(self):
+        budget = Budget(25.0)
+        assert qq_battery(QEvaluator(rs("E6"), depth=2), [0]) == 36
+        budget.check()
+
+
+def qq_battery(ev, r_values):
+    """qq_check over every prefix of w_0 on the evaluator; the count."""
+    word = longest_element(ev.rs).word
+    count = 0
+    for t in range(len(word)):
+        for rr in r_values:
+            assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
+            count += 1
+    return count
+
+
+def qqstar_battery(r, depth, words, r_values):
+    """qqstar_check at every triple ascent of the words; the count."""
+    ev = QEvaluator(r, depth=depth)
+    count = 0
+    for word in words:
+        for i, j in r.edges():
+            for a, b in ((i, j), (j, i)):
+                if is_reduced(r, word + (a, b, a)):
+                    for rr in r_values:
+                        assert qqstar_check(ev, word, a, b, rr), (word, a, b, rr)
+                        count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +376,19 @@ class TestThreeTermInstances:
         ) + ev.q_bar((), 1, 2) * ev.q_bar((), 2, -1) * ev.q_bar((), 3, 2)
         assert lhs.matches(rhs)
         assert len(x.terms) == 2  # matched term-for-term: top and one step
+
+    def test_a4_empty_word(self):
+        budget = Budget(3.0)
+        assert qqstar_battery(rs("A4"), 3, [()], range(-2, 1)) == 18
+        budget.check()
+
+    def test_d4_longest_word_prefixes(self):
+        budget = Budget(2.0)
+        r = rs("D4")
+        word = longest_element(r).word
+        prefixes = [word[:t] for t in range(len(word) + 1)]
+        assert qqstar_battery(r, 3, prefixes, [0]) == 12
+        budget.check()
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +534,13 @@ class TestMinorSystems:
         assert (1, 1, 0) in failed
         budget.check()
 
+    def test_a4_system(self):
+        budget = Budget(8.0)
+        cert = check_wronskian(rs("A4"), [0], depth=4)
+        assert cert["ok"] and cert["type"] == "A4"
+        assert len(cert["equations"]) == 40
+        budget.check()
+
 
 # ---------------------------------------------------------------------------
 # 11. exact rational cell points
@@ -614,3 +672,58 @@ class TestFailingTwins:
             if not c["ok"]
         ]
         assert failed == [("flip-lower", -3)]
+
+    def test_gvec_compare_with_one_block_coordinate_changed(self, monkeypatch):
+        args = ["gvec", "compare", "--type", "A3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        real = gvector.blocks_gvectors
+        v = (2, -3)
+
+        def blocks(cw):
+            out = real(cw)
+            out[v] = out[v] + GVec.unit((1, 0))
+            return out
+
+        monkeypatch.setattr(gvector, "blocks_gvectors", blocks)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert not cert["ok"] and cert["mismatches"] == [list(v)]
+
+    def test_seed_sweep_with_one_sweep_coordinate_changed(self, monkeypatch):
+        args = ["seed", "sweep", "--type", "A3", "--sweeps", "3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        real = gvector.sweep_gvectors
+        v = (1, -4)
+
+        def sweep(cw, k):
+            out = real(cw, k)
+            if k == 2:
+                out[v] = out[v] + GVec.unit((3, -2))
+            return out
+
+        monkeypatch.setattr(gvector, "sweep_gvectors", sweep)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
+
+    def test_bruhat_with_one_entry_of_m_changed(self, monkeypatch):
+        assert bruhat_check(3, trials=10, seed=5)["ok"]
+        real = wronskian._random_scaled_sl
+        points = []
+
+        def sample(size, rng):
+            m, d = real(size, rng)
+            m[-1][0] += 1  # det moves by the east corner minor, never 0
+            points.append((m, d))
+            return m, d
+
+        monkeypatch.setattr(wronskian, "_random_scaled_sl", sample)
+        cert = bruhat_check(3, trials=10, seed=5)
+        assert not any(x["ok"] for x in cert["results"])
+        # the point left SL(4) while Desnanot-Jacobi still holds: it is
+        # the det = 1 half of the certificate that fails
+        for m, d in points:
+            assert desnanot_jacobi_check(_to_fractions(m, d))
+            assert _carroll_minors(m)[3] != d**4

@@ -61,6 +61,14 @@ class TestUsage:
         assert result.exit_code == 2
         assert '"ok"' not in result.output
 
+    @pytest.mark.parametrize("monomial", ["", "   ", "2:0", "1:1 1:-1"])
+    def test_unit_monomial_is_usage_error(self, runner, monomial):
+        # the unit factors into no segments: a vacuous pass
+        result = runner.invoke(main, ["sl2", "factor", monomial, "--json"])
+        assert result.exit_code == 2
+        assert "certificates passed" not in result.output
+        assert '"relation"' not in result.output
+
     @pytest.mark.parametrize(
         "args",
         [

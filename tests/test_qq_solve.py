@@ -1,0 +1,201 @@
+"""The upward QQ solve against the descending ratio-series solve.
+
+The oracle below is the earlier form of ``QEvaluator._solve``: it builds
+a Q-variable as a nested sum of ratio series, descending over spectral
+shifts, with two inverses per level, one of them of a neighbour product.
+``clusterqq.qseries`` solves the QQ relation upward, one level per step,
+from the same certified lower values; both must give the same terms and
+the same cutoff on every input here.  The last class checks that a solve
+inverts one memoized value per level and that each evaluator derives an
+ascent once.
+"""
+
+import hashlib
+import random
+from functools import lru_cache
+from operator import mul
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clusterqq.qseries import KSeries, QEvaluator, bracket, psi_var
+from clusterqq.rootsys import (
+    RootSystem,
+    longest_element,
+    simple_root,
+    weyl_from_word,
+)
+
+from test_acceptance import qq_battery
+
+
+def rs(name):
+    return RootSystem.from_name(name)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the descending ratio-series solve
+# ---------------------------------------------------------------------------
+
+
+def oracle_solve(ev, word, i, r):
+    cutoff = -2 * ev.depth
+    if not word:
+        return KSeries.monomial(ev.rs, ((0,) * ev.rs.n, psi_var(i, r)), cutoff)
+    w_prime = word[:-1]
+    alpha2 = weyl_from_word(ev.rs, w_prime).apply(simple_root(ev.rs, i)).coords2
+    assert all(c >= 0 for c in ev.rs.root_coords2(alpha2))
+    den, w = ev.rs.height_functional
+    h = sum(map(mul, w, alpha2))
+    br = bracket(ev.rs, tuple(-a for a in alpha2))
+
+    def qp(j, b):
+        return ev.q_raw(w_prime, j, b)
+
+    def neighbor_product(b):
+        out = KSeries.one(ev.rs, cutoff)
+        for j in ev.rs.neighbors(i):
+            out = (out * qp(j, b)).clamped(cutoff)
+        return out
+
+    levels = (2 * ev.depth * den) // h + 1
+    series = KSeries.one(ev.rs, cutoff)
+    for k in range(levels - 1, 0, -1):
+        b = r - 2 * k
+        ratio = (
+            qp(i, b - 2).inverse()
+            * qp(i, b + 2)
+            * neighbor_product(b - 1)
+            * neighbor_product(b + 1).inverse()
+        ).mul_monomial(br).clamped(cutoff)
+        series = KSeries.one(ev.rs, cutoff) + (ratio * series).clamped(cutoff)
+    return (
+        qp(i, r - 2).inverse() * neighbor_product(r - 1) * series
+    ).clamped(cutoff)
+
+
+def decoded(s):
+    """Terms and cutoff, free of the codec's call-order field layout."""
+    return sorted(s.terms.items()), s.cutoff2
+
+
+def memo_digest(ev):
+    """sha256 of every memoized raw value, decoded and sorted by key."""
+    rows = sorted((key, decoded(value)) for key, value in ev._memo.items())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def evaluator(name, depth):
+    """One evaluator per type and depth, so examples share its memo."""
+    return QEvaluator(rs(name), depth=depth)
+
+
+# ---------------------------------------------------------------------------
+# one solve at a time, on shared certified lower values
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ascents(draw):
+    name = draw(st.sampled_from(["A1", "A2", "A3", "A4", "D4"]))
+    depth = draw(st.integers(2, 4))
+    w0 = longest_element(rs(name)).word
+    t = draw(st.integers(0, len(w0) - 1))
+    return name, depth, w0[: t + 1], w0[t], draw(st.integers(-4, 2))
+
+
+class TestSolveAgainstRatioForm:
+    @given(ascents())
+    @settings(max_examples=60, deadline=None)
+    def test_terms_and_cutoff_agree(self, data):
+        name, depth, word, i, r = data
+        ev = evaluator(name, depth)
+        assert decoded(ev._solve(word, i, r)) == decoded(
+            oracle_solve(ev, word, i, r)
+        ), data
+
+    def test_d4_depth_four_sample(self):
+        ev = evaluator("D4", 4)
+        w0 = longest_element(ev.rs).word
+        for t in (0, 3, 5):
+            word = w0[: t + 1]
+            assert decoded(ev._solve(word, w0[t], 0)) == decoded(
+                oracle_solve(ev, word, w0[t], 0)
+            ), t
+
+    def test_seeded_e6_sample(self):
+        ev = QEvaluator(rs("E6"), depth=2)
+        w0 = longest_element(ev.rs).word
+        rng = random.Random(20261018)
+        for _ in range(6):
+            t = rng.randrange(len(w0))
+            r = rng.randint(-2, 0)
+            word = w0[: t + 1]
+            assert decoded(ev._solve(word, w0[t], r)) == decoded(
+                oracle_solve(ev, word, w0[t], r)
+            ), (t, r)
+
+    def test_d4_battery_memo_digest(self):
+        # every memoized value after the D4 depth-3 battery, recorded
+        # with the ratio-series solve
+        ev = QEvaluator(rs("D4"), depth=3)
+        qq_battery(ev, range(-2, 1))
+        assert len(ev._memo) == D4_BATTERY_MEMO_SIZE
+        assert memo_digest(ev) == D4_BATTERY_MEMO_SHA256
+
+
+D4_BATTERY_MEMO_SIZE = 597
+D4_BATTERY_MEMO_SHA256 = (
+    "150cbf95c78eecd467cb2f0790a59a6c7801b4b76ed83d39492a68840f156a66"
+)
+
+
+# ---------------------------------------------------------------------------
+# compute once
+# ---------------------------------------------------------------------------
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("name,t", [("A3", 3), ("A3", 5), ("D4", 4), ("D4", 11)])
+    def test_one_inverse_of_a_memoized_value_per_level(self, monkeypatch, name, t):
+        ev = QEvaluator(rs(name), depth=3)
+        w0 = longest_element(ev.rs).word
+        word, i = w0[: t + 1], w0[t]
+        ev.q_raw(word, i, 0)  # certifies every lower value the solve reads
+        alpha2 = weyl_from_word(ev.rs, word[:-1]).apply(simple_root(ev.rs, i)).coords2
+        den, w = ev.rs.height_functional
+        levels = (2 * ev.depth * den) // sum(map(mul, w, alpha2)) + 1
+        assert levels > 1
+        inverted = []
+        real = KSeries.inverse
+        monkeypatch.setattr(
+            KSeries, "inverse", lambda s: inverted.append(s) or real(s)
+        )
+        ev._solve(word, i, 0)
+        assert len(inverted) == levels
+        memo = {id(v) for v in ev._memo.values()}
+        assert all(id(s) in memo for s in inverted)  # never a product
+
+    @pytest.mark.parametrize("name", ["A3", "D4"])
+    def test_ascent_check_once_per_word_and_node(self, monkeypatch, name):
+        checked = []
+        solved = set()
+        real_coords, real_solve = RootSystem.root_coords2, QEvaluator._solve
+
+        def root_coords2(self, coords2):
+            checked.append(coords2)
+            return real_coords(self, coords2)
+
+        def solve(self, word, i, r):
+            if word:
+                solved.add((word, i))
+            return real_solve(self, word, i, r)
+
+        monkeypatch.setattr(RootSystem, "root_coords2", root_coords2)
+        monkeypatch.setattr(QEvaluator, "_solve", solve)
+        qq_battery(QEvaluator(rs(name), depth=3), range(-2, 1))
+        assert solved and len(checked) == len(solved)
+        # a second evaluator derives its ascents again
+        qq_battery(QEvaluator(rs(name), depth=3), range(-2, 1))
+        assert len(checked) == 2 * len(solved)
