@@ -15,7 +15,7 @@ Subsystems:
 * :mod:`clusterqq.sl2` — the rank-1 model: segments, ∞-gon diagonals,
   Ptolemy exchange, and unique factorization.
 * :mod:`clusterqq.wronskian` — type-A quantum Wronskians over truncated
-  series and exact-rational double-Bruhat minor identities.
+  series and double-Bruhat minor identities in exact integer arithmetic.
 * :mod:`clusterqq.cli` — batch front-end emitting machine-readable
   certificates.
 """

@@ -575,19 +575,19 @@ def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
 
 @main.group("bruhat")
 def bruhat_group() -> None:
-    """Exact rational minor identities."""
+    """Integer minor identities on random SL(n+1) points."""
 
 
 @bruhat_group.command("verify")
-@click.option("--n", "n_", type=int, required=True)
+@click.option(
+    "--n", "n_", type=click.IntRange(2, wronskian.MAX_RANK), required=True
+)
 @click.option("--trials", type=click.IntRange(min=1), default=20)
 @click.option("--seed", type=int, default=0)
 @_common
 def bruhat_verify(n_, trials, seed, as_json, budget):
     """Sample cell points and certify the exchange and reconstruction laws."""
     rep = Reporter(as_json, budget)
-    if n_ < 2:
-        raise click.UsageError("need --n >= 2")
     rep.emit(wronskian.bruhat_check(n_, trials, seed))
     rep.finish()
 

@@ -374,9 +374,9 @@ class KSeries:
         s._prune()
         return s
 
-    def mul_monomial(self, key: Key, coeff: int = 1) -> "KSeries":
+    def mul_monomial(self, key: Key) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
-        return self._shift(self._cx.pack(key), coeff)
+        return self._shift(self._cx.pack(key), 1)
 
     def _shift(self, k: int, coeff: int) -> "KSeries":
         out = {k1 + k: c * coeff for k1, c in self._t.items()}
@@ -495,38 +495,45 @@ class QEvaluator:
         self.rs = rs
         self.depth = depth
         self._memo: dict = {}
-        self._certified: set = set()
-        self._ascents: dict = {}
+        self._labels: dict = {}
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _strip(self, word, i: int):
+    def _label(self, word, i: int) -> tuple:
+        """(w, w(ϖ_i), ascent) for a reduced word stripped to w, its last
+        letter i; ascent is (w′, integer height of w′(α_i), [−w′(α_i)])
+        for w = w′s_i, or None for w = 1.  Each record is derived once per
+        evaluator and shared by a word and its stripped form."""
         word = tuple(word)
-        if not is_reduced(self.rs, word):
+        if (word, i) in self._labels:
+            return self._labels[word, i]
+        element = weyl_from_word(self.rs, word)
+        if element.length != len(word):
             raise ValueError(f"word {word} is not reduced")
-        while word and word[-1] != i:
-            word = word[:-1]
-        return word
+        w = word
+        while w and w[-1] != i:
+            w = w[:-1]
+        if (w, i) not in self._labels:
+            ascent = None
+            if w:
+                alpha2 = weyl_from_word(self.rs, w[:-1]).apply(
+                    simple_root(self.rs, i)
+                ).coords2
+                # an ascent iff w'(α_i) is a positive root
+                if any(c < 0 for c in self.rs.root_coords2(alpha2)):
+                    raise ValueError(f"{w} is not an ascent at {i}")
+                h = sum(map(mul, self.rs.height_functional[1], alpha2))
+                br = bracket(self.rs, tuple(-a for a in alpha2))
+                ascent = (w[:-1], h, br)
+            # the letters after the last i fix ϖ_i
+            lam2 = element.apply(fundamental_weight(self.rs, i)).coords2
+            self._labels[w, i] = (w, lam2, ascent)
+        self._labels[word, i] = self._labels[w, i]
+        return self._labels[word, i]
 
     def weight_of(self, word, i: int) -> Lam2:
-        return weyl_from_word(self.rs, word).apply(
-            fundamental_weight(self.rs, i)
-        ).coords2
-
-    def _ascent(self, word, i: int) -> tuple:
-        """(w′, integer height of w′(α_i), [−w′(α_i)]) for word = w′s_i."""
-        if (word, i) not in self._ascents:
-            w_prime = word[:-1]
-            alpha2 = weyl_from_word(self.rs, w_prime).apply(
-                simple_root(self.rs, i)
-            ).coords2
-            # an ascent iff w'(α_i) is a positive root
-            if any(c < 0 for c in self.rs.root_coords2(alpha2)):
-                raise ValueError(f"{word} is not an ascent at {i}")
-            h = sum(map(mul, self.rs.height_functional[1], alpha2))
-            br = bracket(self.rs, tuple(-a for a in alpha2))
-            self._ascents[word, i] = (w_prime, h, br)
-        return self._ascents[word, i]
+        """w(ϖ_i) for a reduced word of w."""
+        return self._label(word, i)[1]
 
     def _neighbors(self, w_prime, i: int, b: int) -> KSeries:
         """∏_{j~i} Q′_j(b), with Q′ the Q-variables at w′."""
@@ -539,11 +546,11 @@ class QEvaluator:
 
     def q_raw(self, word, i: int, r: int) -> KSeries:
         """Projection of the Q-variable of weight w(ϖ_i) at parameter q^r."""
-        word = self._strip(word, i)
-        memo_key = (self.weight_of(word, i), r)
+        w, lam2, _ = self._label(word, i)
+        memo_key = (lam2, r)
         if memo_key not in self._memo:
-            value = self._solve(word, i, r)
-            self._certify(word, i, r, value)
+            value = self._solve(w, i, r)
+            self._certify(w, i, r, value)
             self._memo[memo_key] = value
         return self._memo[memo_key]
 
@@ -552,11 +559,12 @@ class QEvaluator:
         for b = r − 2(levels − 1), …, r from Q = 0: each level sits the
         height of w′(α_i) lower, so the bottom one is below the cutoff."""
         cutoff = -2 * self.depth
-        if not word:
+        ascent = self._label(word, i)[2]
+        if ascent is None:
             return KSeries.monomial(
                 self.rs, ((0,) * self.rs.n, psi_var(i, r)), cutoff
             )
-        w_prime, h, br = self._ascent(word, i)
+        w_prime, h, br = ascent
         levels = (2 * self.depth * self.rs.height_functional[0]) // h + 1
         value = KSeries.zero(self.rs, cutoff)
         for b in range(r - 2 * (levels - 1), r + 1, 2):
@@ -570,12 +578,10 @@ class QEvaluator:
     def _certify(self, word, i: int, r: int, value: KSeries) -> None:
         """Check the defining two-term relation before trusting a value;
         the lower value is solved afresh, so the check is no tautology."""
-        if not word:
+        ascent = self._label(word, i)[2]
+        if ascent is None:
             return
-        memo_key = (self.weight_of(word, i), r)
-        if memo_key in self._certified:
-            return
-        w_prime, _, br = self._ascent(word, i)
+        w_prime, _, br = ascent
         lower = self._solve(word, i, r - 2)
         lhs = value * self.q_raw(w_prime, i, r - 2) - (
             lower * self.q_raw(w_prime, i, r)
@@ -584,7 +590,6 @@ class QEvaluator:
             raise CertificationError(
                 f"QQ relation failed for word={word}, i={i}, r={r}"
             )
-        self._certified.add(memo_key)
 
     # -- renormalized Q-variables -----------------------------------------
 

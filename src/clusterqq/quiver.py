@@ -481,7 +481,6 @@ class CoxeterWindow:
 def build_coxeter_quiver(
     rs: RootSystem,
     orientation: Sequence | CoxeterDatum,
-    rmax: int = 2,
     depth_below: int = 8,
     margin: int = 2,
 ) -> CoxeterWindow:
@@ -490,7 +489,8 @@ def build_coxeter_quiver(
     The reflection pattern is inserted at the vertices ``(i, -l(i) - 2k)``
     for ``k < m_i``, processed top-down; cumulative same-column relabeling
     places the k-th red of column i at height ``-l(i) - 4k``.
-    ``depth_below`` is how far the window extends below the band.
+    ``depth_below`` is how far the window extends below the band; its top
+    is at height 2.
     """
     if isinstance(orientation, CoxeterDatum):
         datum = orientation
@@ -500,10 +500,8 @@ def build_coxeter_quiver(
         -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, rs.n + 1)
     )
     rmin = band_bottom - depth_below
-    if rmax < 2:
-        raise ValueError("window too small to contain the band: need rmax >= 2")
     work = _WorkingQuiver(
-        basic_quiver(rs, rmin, rmax, parity=datum.parity(), margin=margin)
+        basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin)
     )
     points = [
         (i, -datum.l_of(i) - 2 * k)

@@ -5,9 +5,13 @@ a *segment* ``[r, s]`` with ``r ∈ ℤ∪{-∞}``, ``s ∈ ℤ∪{+∞}``:
 
 * ``[r, +∞]`` — the monomial class ``Ψ_{q^{2r}}``;
 * ``[-∞, s]`` — the negative-prefundamental class with top
-  ``Ψ_{q^{2(s+1)}}^{-1}`` (an infinite nested series, truncated);
+  ``Ψ_{q^{2(s+1)}}^{-1}`` (an infinite sum, kept above the cutoff);
 * ``[r, s]`` finite — the finite-dimensional class with top
-  ``Ψ_{q^{2r}}Ψ_{q^{2(s+1)}}^{-1}`` (an exact finite sum).
+  ``Ψ_{q^{2r}}Ψ_{q^{2(s+1)}}^{-1}`` (an exact sum of s - r + 2 terms).
+
+Both sums are one sum: the top monomial times the partial products of
+the chain 1 + A^{-1}(1 + A^{-1}(...)), whose k-th term lies k simple
+roots below the top (:func:`segment_qchar`).
 
 Segments correspond to diagonals ``(r, s+2)`` of an ∞-gon with vertex set
 ``ℤ∪{±∞}``; two classes are compatible (their product is again such a
@@ -23,24 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .qseries import (
-    KSeries,
-    Key,
-    a_monomial,
-    bracket,
-    key_inv,
-    key_mul,
-    key_one,
-    psi_mul,
-    psi_var,
-)
+from .qseries import KSeries, Key, bracket, key_one, psi_mul, psi_var
 from .rootsys import RootSystem, fundamental_weight, simple_root
 
 INF = math.inf
 
 _A1 = RootSystem.from_name("A1")
+# the one doubled coordinate of α and of ϖ
+(_ALPHA2,) = simple_root(_A1, 1).coords2
+(_VARPI2,) = fundamental_weight(_A1, 1).coords2
 
 
 @dataclass(frozen=True, order=True)
@@ -138,52 +134,48 @@ def compatible(s1: Segment, s2: Segment) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_depth(d: int) -> None:
+    # below depth 1 the unit keeps no term, so nothing could be compared
+    if d < 1:
+        raise ValueError(f"depth must be at least 1, got {d}")
+
+
 def _one(d: int) -> KSeries:
-    return KSeries.one(_A1, Fraction(-2 * d))
-
-
-def _monomial(key: Key, d: int) -> KSeries:
-    return _one(d).mul_monomial(key)
-
-
-def _neg_half_series(s: int, d: int) -> KSeries:
-    """Class of [-∞, s]: Ψ_{q^{2(s+1)}}^{-1}(1 + A^{-1}(1 + ...)), depth d."""
-    top = 2 * (s + 1)
-    cutoff = Fraction(-2 * d)
-    ser = KSeries.one(_A1, cutoff)
-    for k in reversed(range(d)):
-        inner = ser.mul_monomial(key_inv(a_monomial(_A1, 1, top - 2 * k)))
-        ser = KSeries.one(_A1, cutoff) + inner.clamped(cutoff)
-    return ser.mul_monomial(((0,), psi_var(1, top, -1)))
-
-
-def _finite_series(r: int, s: int, d: int) -> KSeries:
-    """Class of finite [r, s] as the exact closed sum over weight levels."""
-    alpha2 = simple_root(_A1, 1).coords2
-    top = s + 1
-    terms: dict[Key, int] = {}
-    for t in range(r, top + 1):
-        psi = psi_mul(
-            psi_mul(psi_var(1, 2 * (top + 1)), psi_var(1, 2 * (t + 1), -1)),
-            psi_mul(psi_var(1, 2 * t, -1), psi_var(1, 2 * r)),
-        )
-        key = key_mul(
-            bracket(_A1, tuple((t - top) * c for c in alpha2)), ((0,), psi)
-        )
-        terms[key] = terms.get(key, 0) + 1
-    cutoff = Fraction(-2 * max(d, top - r + 1))
-    return KSeries(_A1, terms, cutoff)
+    _check_depth(d)
+    return KSeries.one(_A1, -2 * d)
 
 
 def segment_qchar(seg: Segment, d: int = 6) -> KSeries:
-    """Truncated series of the class labelled by ``seg`` (depth ``d``)."""
-    if seg.is_unit or (seg.r, seg.s) == (-INF, INF):
-        return _one(d)
-    if seg.s == INF:
-        return _monomial(seg.ell_weight(), d)
-    if seg.r == -INF:
-        return _neg_half_series(int(seg.s), d)
-    return _finite_series(int(seg.r), int(seg.s), d)
+    """Truncated series of the class labelled by ``seg`` (depth ``d``).
+
+    With M the top monomial ``seg.ell_weight()``, the class is the sum of
+    its first L terms, the k-th being (t = s + 1 - k)
+
+        M·[-kα]·Ψ_{q^{2(s+2)}}Ψ_{q^{2(s+1)}}Ψ_{q^{2(t+1)}}^{-1}Ψ_{q^{2t}}^{-1},
+
+    the k-th partial product of the chain 1 + A^{-1}(1 + A^{-1}(...)).
+    L is s - r + 2 for finite [r, s], where the chain stops; d for
+    [-∞, s], whose remaining terms lie at or below the cutoff; and 1 for
+    the unit and for [r, +∞].  The cutoff is -2·max(d, L).  A depth below
+    1 raises ``ValueError``.
+    """
+    _check_depth(d)
+    (lam,), psi = seg.ell_weight()
+    if seg.is_unit or seg.s == INF:
+        length = 1
+    elif seg.r == -INF:
+        length = d
+    else:
+        length = int(seg.s - seg.r) + 2
+    terms = {((lam,), psi): 1}
+    if length > 1:
+        s = int(seg.s)
+        head = psi_mul(psi, psi_var(1, 2 * (s + 2)) + psi_var(1, 2 * (s + 1)))
+        for k in range(1, length):
+            t = s + 1 - k
+            down = psi_var(1, 2 * t, -1) + psi_var(1, 2 * (t + 1), -1)
+            terms[(lam - k * _ALPHA2,), psi_mul(head, down)] = 1
+    return KSeries(_A1, terms, -2 * max(d, length))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +191,18 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
     compared exactly above the common cutoff; at d < 1 both sides are
     empty, so a depth below 1 raises ``ValueError``.
     """
-    if d < 1:
-        raise ValueError(f"depth must be at least 1, got {d}")
+    _check_depth(d)
     if not (r < rp and s < sp and rp <= s + 1):
         raise ValueError(f"need r<r', s<s', r'<=s+1; got {(r, s, rp, sp)}")
     if rp in (INF, -INF) or s in (INF, -INF):
         raise ValueError("r' and s must be finite")
     lhs = segment_qchar(Segment(r, s), d) * segment_qchar(Segment(rp, sp), d)
     rhs = segment_qchar(Segment(r, sp), d) * segment_qchar(Segment(rp, s), d)
-    varpi2 = fundamental_weight(_A1, 1).coords2
     m = int(rp - s - 2)
     corr = segment_qchar(Segment(r, rp - 2), d) * segment_qchar(
         Segment(s + 2, sp), d
     )
-    rhs = rhs + corr.mul_monomial(bracket(_A1, tuple(2 * m * c for c in varpi2)))
+    rhs = rhs + corr.mul_monomial(bracket(_A1, (2 * m * _VARPI2,)))
     ok = lhs.matches(rhs)
     return {
         "relation": "ptolemy",
@@ -227,42 +217,37 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def diagonal_variable(diag: Diagonal, d: int = 6) -> KSeries:
+    """Series of the cluster variable attached to a diagonal (edges → 1).
+
+    The diagonal (a, b) carries [kϖ]·(class of [a, b-2]) with
+    k = (b - 1) - a, where an infinite end counts as 0.  A depth below 1
+    raises ``ValueError``.
+    """
+    if diag.is_edge:
+        return _one(d)
+    hi = 0 if diag.b == INF else int(diag.b) - 1
+    lo = 0 if diag.a == -INF else int(diag.a)
+    return segment_qchar(diag.segment(), d).mul_monomial(
+        bracket(_A1, ((hi - lo) * _VARPI2,))
+    )
+
+
 def x_plus(v: int, d: int = 6) -> KSeries:
     """Variable of the diagonal (v, +∞): [-vϖ]·Ψ_{q^{2v}}."""
-    varpi2 = fundamental_weight(_A1, 1).coords2
-    key = key_mul(
-        bracket(_A1, tuple(-v * c for c in varpi2)), ((0,), psi_var(1, 2 * v))
-    )
-    return _monomial(key, d)
+    return diagonal_variable(Diagonal(v, INF), d)
 
 
 def x_minus(v: int, d: int = 6) -> KSeries:
     """Variable of the diagonal (-∞, v+1): [vϖ]·(class of [-∞, v-1])."""
-    varpi2 = fundamental_weight(_A1, 1).coords2
-    return segment_qchar(Segment(-INF, v - 1), d).mul_monomial(
-        bracket(_A1, tuple(v * c for c in varpi2))
-    )
+    return diagonal_variable(Diagonal(-INF, v + 1), d)
 
 
 def x_finite(r: int, s: int, d: int = 6) -> KSeries:
     """Variable of the diagonal (r, s+1), r < s: [(s-r)ϖ]·[r, s-1]."""
     if not r < s:
         raise ValueError(f"need r < s, got ({r}, {s})")
-    varpi2 = fundamental_weight(_A1, 1).coords2
-    return segment_qchar(Segment(r, s - 1), d).mul_monomial(
-        bracket(_A1, tuple((s - r) * c for c in varpi2))
-    )
-
-
-def diagonal_variable(diag: Diagonal, d: int = 6) -> KSeries:
-    """Series of the cluster variable attached to a diagonal (edges → 1)."""
-    if diag.is_edge:
-        return _one(d)
-    if diag.b == INF:
-        return x_plus(int(diag.a), d)
-    if diag.a == -INF:
-        return x_minus(int(diag.b) - 1, d)
-    return x_finite(int(diag.a), int(diag.b) - 1, d)
+    return diagonal_variable(Diagonal(r, s + 1), d)
 
 
 def exchange_relations_at(r: int, d: int = 6, span: int = 3) -> list[dict]:
@@ -280,7 +265,7 @@ def exchange_relations_at(r: int, d: int = 6, span: int = 3) -> list[dict]:
         x⁺_r·x⁻_r     = x⁺_{r+1}·x⁻_{r-1} + 1,
         x⁻_{r-1}·x⁺_{r-1} = x⁺_r·x⁻_{r-2} + 1.
 
-    Each is verified in KSeries at depth d; ``span`` controls how many
+    Each is verified in KSeries at depth d ≥ 1; ``span`` controls how many
     instances of the two translation-invariant families are checked.
     """
     certs = []

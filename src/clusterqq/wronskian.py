@@ -114,6 +114,12 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+# The Leibniz routine holds all k! signed permutations of a k x k matrix:
+# about 61 MiB at k = 9 and ten times that at k = 10.  So the rank n of
+# the (n+1) x (n+1) matrices here is at most MAX_RANK.
+MAX_RANK = 8
+
+
 @functools.lru_cache(maxsize=16)
 def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(
@@ -210,10 +216,13 @@ def check_wronskian(
     independently computed q-variable.
 
     Raises ``ValueError``, before any series work, for a type other than
-    A, an empty ``r_values``, a letter of ``system_word`` outside 1..n, or
-    a word whose orbits never reach the lowest weights.
+    A, a rank above ``MAX_RANK``, an empty ``r_values``, a letter of
+    ``system_word`` outside 1..n, or a word whose orbits never reach the
+    lowest weights.
     """
     _require_type_a(rs)
+    if rs.n > MAX_RANK:
+        raise ValueError(f"need rank at most {MAX_RANK}, got {rs.n}")
     r_values = list(r_values)
     if not r_values:
         raise ValueError("need at least one base r")
@@ -426,10 +435,10 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0) -> dict:
     * Desnanot-Jacobi itself, ``N·S - W·E == det·inner``.
 
     For n = 2 each sample is additionally rebuilt from its eight initial
-    cluster minors.
+    cluster minors.  Raises ``ValueError`` for n outside 2..``MAX_RANK``.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= MAX_RANK:
+        raise ValueError(f"need 2 <= n <= {MAX_RANK}, got {n}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = random.Random(seed)

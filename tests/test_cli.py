@@ -103,6 +103,13 @@ class TestUsage:
             ["wronskian", "check", "--type", "A2", "--r", "3..1"],
             ["bruhat", "verify", "--n", "3", "--trials", "0"],
             ["bruhat", "verify", "--n", "3", "--trials", "-2"],
+            ["bruhat", "verify", "--n", "1"],
+            # the (n+1)! Leibniz terms would not fit in memory: refused
+            # before any series or permutation work
+            ["bruhat", "verify", "--n", "9"],
+            ["bruhat", "verify", "--n", "10"],
+            ["wronskian", "check", "--type", "A9"],
+            ["wronskian", "check", "--type", "A10", "--r", "0..0"],
         ],
     )
     def test_minor_precondition_is_usage_error(self, runner, args):

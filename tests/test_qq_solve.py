@@ -5,9 +5,10 @@ a Q-variable as a nested sum of ratio series, descending over spectral
 shifts, with two inverses per level, one of them of a neighbour product.
 ``clusterqq.qseries`` solves the QQ relation upward, one level per step,
 from the same certified lower values; both must give the same terms and
-the same cutoff on every input here.  The last class checks that a solve
-inverts one memoized value per level and that each evaluator derives an
-ascent once.
+the same cutoff on every input here.  The label records are checked
+against the per-call derivation they replaced.  The last class checks
+that a solve inverts one memoized value per level and that each
+evaluator derives a label once.
 """
 
 import hashlib
@@ -18,9 +19,12 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterqq import qseries
 from clusterqq.qseries import KSeries, QEvaluator, bracket, psi_var
 from clusterqq.rootsys import (
     RootSystem,
+    fundamental_weight,
+    is_reduced,
     longest_element,
     simple_root,
     weyl_from_word,
@@ -152,6 +156,70 @@ D4_BATTERY_MEMO_SHA256 = (
 
 
 # ---------------------------------------------------------------------------
+# label records against the per-call derivation
+# ---------------------------------------------------------------------------
+
+
+def oracle_strip(rs, word, i):
+    word = tuple(word)
+    if not is_reduced(rs, word):
+        raise ValueError(f"word {word} is not reduced")
+    while word and word[-1] != i:
+        word = word[:-1]
+    return word
+
+
+def oracle_weight(rs, word, i):
+    return weyl_from_word(rs, word).apply(fundamental_weight(rs, i)).coords2
+
+
+def oracle_ascent(rs, word, i):
+    w_prime = word[:-1]
+    alpha2 = weyl_from_word(rs, w_prime).apply(simple_root(rs, i)).coords2
+    if any(c < 0 for c in rs.root_coords2(alpha2)):
+        raise ValueError(f"{word} is not an ascent at {i}")
+    h = sum(map(mul, rs.height_functional[1], alpha2))
+    return w_prime, h, bracket(rs, tuple(-a for a in alpha2))
+
+
+@st.composite
+def labels(draw):
+    name = draw(st.sampled_from(["A1", "A2", "A3", "A4", "D4"]))
+    n = rs(name).n
+    word = tuple(draw(st.lists(st.integers(1, n), max_size=8)))
+    return name, word, draw(st.integers(1, n))
+
+
+class TestLabelRecords:
+    @given(labels())
+    @settings(max_examples=200, deadline=None)
+    def test_record_matches_the_per_call_derivation(self, data):
+        name, word, i = data
+        ev = QEvaluator(rs(name), depth=2)
+        try:
+            w = oracle_strip(ev.rs, word, i)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ev._label(word, i)
+            assert not ev._labels
+            return
+        ascent = oracle_ascent(ev.rs, w, i) if w else None
+        expected = (w, oracle_weight(ev.rs, word, i), ascent)
+        assert ev._label(word, i) == expected
+        assert ev.weight_of(word, i) == oracle_weight(ev.rs, w, i)
+        # one record, shared by the word and its stripped form
+        assert ev._labels[word, i] is ev._labels[w, i]
+        assert set(ev._labels) == {(word, i), (w, i)}
+
+    def test_non_reduced_word_is_refused(self):
+        ev = QEvaluator(rs("A2"), depth=2)
+        with pytest.raises(ValueError):
+            ev.q_raw((1, 1), 1, 0)
+        with pytest.raises(ValueError):
+            ev.weight_of((1, 2, 2), 1)
+
+
+# ---------------------------------------------------------------------------
 # compute once
 # ---------------------------------------------------------------------------
 
@@ -199,3 +267,22 @@ class TestComputeOnce:
         # a second evaluator derives its ascents again
         qq_battery(QEvaluator(rs(name), depth=3), range(-2, 1))
         assert len(checked) == 2 * len(solved)
+
+    @pytest.mark.parametrize("name", ["A3", "D4"])
+    def test_weyl_elements_once_per_label(self, monkeypatch, name):
+        # a label's weight and ascent come from at most two Weyl elements;
+        # every later call, memo hits included, reads the record
+        calls = []
+        real = qseries.weyl_from_word
+
+        def weyl(rs_, word):
+            calls.append(word)
+            return real(rs_, word)
+
+        monkeypatch.setattr(qseries, "weyl_from_word", weyl)
+        ev = QEvaluator(rs(name), depth=3)
+        qq_battery(ev, range(-2, 1))
+        assert ev._labels and len(calls) <= 2 * len(ev._labels)
+        before = len(calls)
+        qq_battery(ev, range(-2, 1))
+        assert len(calls) == before

@@ -1,5 +1,6 @@
 """Rank-one segments, Ptolemy exchange, and unique compatible factorization."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from clusterqq.qseries import (
     psi_mul,
     psi_var,
 )
-from clusterqq.rootsys import RootSystem
+from clusterqq.rootsys import RootSystem, fundamental_weight
 from clusterqq.sl2 import (
     INF,
     Diagonal,
@@ -54,6 +55,71 @@ def nested_finite_oracle(r, s, d):
     return ser.mul_monomial(
         ((0,), psi_mul(psi_var(1, 2 * r), psi_var(1, 2 * s + 2, -1)))
     )
+
+
+def nested_neg_half_oracle(s, d):
+    """Ψ_{2(s+1)}^{-1}(1+A⁻¹_{2(s+1)}(1+A⁻¹_{2s}(...))), d levels deep."""
+    top = 2 * (s + 1)
+    cutoff = Fraction(-2 * d)
+    ser = KSeries.one(A1, cutoff)
+    for k in reversed(range(d)):
+        inner = ser.mul_monomial(key_inv(a_monomial(A1, 1, top - 2 * k)))
+        ser = KSeries.one(A1, cutoff) + inner.clamped(cutoff)
+    return ser.mul_monomial(((0,), psi_var(1, top, -1)))
+
+
+def decoded(ser):
+    return sorted(ser.terms.items()), ser.cutoff2
+
+
+GRID_ENDS = range(-7, 8)
+
+
+def class_grid_sha256():
+    """sha256 over every class [r, s], r ∈ {-∞, -7..7}, s ∈ {-7..7, +∞},
+    at depths 1..9: its label, depth, decoded terms and cutoff."""
+    h = hashlib.sha256()
+    for d in range(1, 10):
+        for r in (-INF, *GRID_ENDS):
+            for s in (*GRID_ENDS, INF):
+                seg = Segment(r, s)
+                ser = segment_qchar(seg, d)
+                h.update(repr((str(seg), d, *decoded(ser))).encode())
+    return h.hexdigest()
+
+
+# recorded with the nested-series constructors the one sum replaced
+CLASS_GRID_SHA256 = (
+    "a6c41df3188f5ebf6ed5fec59c07a0bd6522bbd20ebecfa9ce0d02db664d167d"
+)
+
+
+class TestOneSum:
+    def test_class_grid_digest(self):
+        assert class_grid_sha256() == CLASS_GRID_SHA256
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_finite_classes_equal_the_nested_chain(self, d):
+        for r, s in itertools.combinations_with_replacement(range(-4, 5), 2):
+            assert decoded(segment_qchar(Segment(r, s), d)) == decoded(
+                nested_finite_oracle(r, s, d)
+            ), (r, s)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_negative_half_classes_equal_the_nested_chain(self, d):
+        for s in range(-4, 5):
+            assert decoded(segment_qchar(Segment(-INF, s), d)) == decoded(
+                nested_neg_half_oracle(s, d)
+            ), s
+
+    @pytest.mark.parametrize(
+        "seg", [Segment(0, 3), Segment(-INF, 2), Segment(1, INF), Segment(2, 1)]
+    )
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_depth_below_one_raises(self, seg, d):
+        # the unit kept no term there, while a finite class kept them all
+        with pytest.raises(ValueError):
+            segment_qchar(seg, d)
 
 
 class TestSegmentSeries:
@@ -208,6 +274,85 @@ class TestExchangeRelations:
     def test_edge_diagonals_are_unit(self):
         assert diagonal_variable(Diagonal(-INF, INF), 4).terms == {key_one(1): 1}
         assert diagonal_variable(Diagonal(3, 4), 4).terms == {key_one(1): 1}
+
+
+VARPI2 = fundamental_weight(A1, 1).coords2
+
+
+def oracle_x_plus(v, d):
+    key = key_mul(
+        bracket(A1, tuple(-v * c for c in VARPI2)), ((0,), psi_var(1, 2 * v))
+    )
+    return KSeries.one(A1, Fraction(-2 * d)).mul_monomial(key)
+
+
+def oracle_x_minus(v, d):
+    return nested_neg_half_oracle(v - 1, d).mul_monomial(
+        bracket(A1, tuple(v * c for c in VARPI2))
+    )
+
+
+def oracle_x_finite(r, s, d):
+    return nested_finite_oracle(r, s - 1, d).mul_monomial(
+        bracket(A1, tuple((s - r) * c for c in VARPI2))
+    )
+
+
+def oracle_variable(diag, d):
+    if diag.is_edge:
+        return KSeries.one(A1, Fraction(-2 * d))
+    if diag.b == INF:
+        return oracle_x_plus(int(diag.a), d)
+    if diag.a == -INF:
+        return oracle_x_minus(int(diag.b) - 1, d)
+    return oracle_x_finite(int(diag.a), int(diag.b) - 1, d)
+
+
+class TestOneVariableFormula:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_diagonal_matches_its_oracle(self, d):
+        ends = range(-5, 6)
+        count = 0
+        for a in (-INF, *ends):
+            for b in (*ends, INF):
+                if a < b:
+                    diag = Diagonal(a, b)
+                    assert decoded(diagonal_variable(diag, d)) == decoded(
+                        oracle_variable(diag, d)
+                    ), diag
+                    count += 1
+        assert count == 78
+
+    @pytest.mark.parametrize("v", [-3, 0, 2])
+    def test_named_variables(self, v):
+        assert decoded(x_plus(v, 5)) == decoded(oracle_x_plus(v, 5))
+        assert decoded(x_minus(v, 5)) == decoded(oracle_x_minus(v, 5))
+        assert decoded(x_finite(v, v + 3, 5)) == decoded(
+            oracle_x_finite(v, v + 3, 5)
+        )
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_depth_below_one_raises(self, d):
+        for diag in (Diagonal(0, INF), Diagonal(-INF, 2), Diagonal(0, 3),
+                     Diagonal(0, 1), Diagonal(-INF, INF)):
+            with pytest.raises(ValueError):
+                diagonal_variable(diag, d)
+        with pytest.raises(ValueError):
+            x_plus(0, d)
+        with pytest.raises(ValueError):
+            x_minus(0, d)
+        with pytest.raises(ValueError):
+            x_finite(0, 2, d)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_relations_refuse_depth_below_one(self, d):
+        # at depth 0 these read "ok": False for true identities, or passed
+        # on some quadrilaterals only
+        with pytest.raises(ValueError):
+            exchange_relations_at(0, d=d)
+        for quad in [(-INF, 0, 1, INF), (-2, 0, 3, 7)]:
+            with pytest.raises(ValueError):
+                quadrilateral_check(*quad, d=d)
 
 
 def brute_force_factorizations(pos, neg):

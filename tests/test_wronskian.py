@@ -302,6 +302,42 @@ class TestRationalMinors:
                 bruhat_check(3, trials=trials)
 
 
+class TestSizeBound:
+    """An (n+1) x (n+1) Leibniz table holds (n+1)! terms, so ranks above
+    MAX_RANK are refused before any series or permutation work."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_leibniz(self, monkeypatch):
+        def refuse(*args):
+            raise self.Reached
+
+        for name in ("_signed_permutations", "build_wronskian", "_random_scaled_sl"):
+            monkeypatch.setattr(wronskian, name, refuse)
+
+    def test_bound(self):
+        assert wronskian.MAX_RANK == 8
+
+    @pytest.mark.parametrize("n", [9, 10, 40])
+    def test_bruhat_refuses_large_rank(self, no_leibniz, n):
+        with pytest.raises(ValueError):
+            bruhat_check(n, trials=1)
+
+    @pytest.mark.parametrize("n", [9, 10, 40])
+    def test_wronskian_refuses_large_rank(self, no_leibniz, n):
+        with pytest.raises(ValueError):
+            check_wronskian(RootSystem.from_name(f"A{n}"), [0], depth=2)
+
+    def test_largest_rank_passes_the_guard(self, no_leibniz):
+        n = wronskian.MAX_RANK
+        with pytest.raises(self.Reached):
+            bruhat_check(n, trials=1)
+        with pytest.raises(self.Reached):
+            check_wronskian(RootSystem.from_name(f"A{n}"), [0], depth=2)
+
+
 class TestIntegerScale:
     """The integer-scaled routines against the Fraction oracles."""
 
