@@ -30,7 +30,7 @@ from .rootsys import (
     is_reduced,
     longest_element,
 )
-from .seed import SignError, _mutate_seed, green_sweep, initial_seed
+from .seed import SignError, green_sweep, initial_seed, mutate_seed
 
 EXIT_FAIL = 1
 EXIT_BUDGET = 3
@@ -187,7 +187,20 @@ def _common(fn):
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _Main(click.Group):
+    """The command tree.  A number too large for the packed keys of the
+    series ring raises ``OverflowError`` in whichever command meets it;
+    that is a usage error, reported here once for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OverflowError as exc:
+            click.echo(f"Error: out of range: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact certification toolkit for windowed cluster structures."""
 
@@ -201,7 +214,7 @@ def quiver_group() -> None:
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
 @click.option("--depth-below", type=int, default=8)
-@click.option("--margin", type=int, default=2)
+@click.option("--margin", type=click.IntRange(min=0), default=2)
 def quiver_build(type_, coxeter, depth_below, margin):
     """Print the Coxeter window quiver as JSON."""
     rs = _root_system(type_)
@@ -273,7 +286,7 @@ def seed_mutate(type_, coxeter, vertices, as_json, budget):
     for spec in vertices:
         v = _parse_vertex(spec)
         try:
-            seed, sign = _mutate_seed(seed, v)
+            seed, sign = mutate_seed(seed, v)
         except (SignError, MarginError) as exc:
             raise click.UsageError(f"cannot mutate at {v}: {exc}")
         rep.emit(

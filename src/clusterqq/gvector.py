@@ -18,11 +18,12 @@ another.
 
 Every slice, block and limit matrix is a range product ``T_top ⋯ T_bottom``
 of slice matrices.  ``T_j`` is the identity outside the green band
-``lowest_green_slice(datum) ≤ j ≤ -1``, so a range is first clamped to the
-band; the clamped products are memoized per ``(datum, top, bottom)`` in a
-bounded LRU cache, each entry built from the one a slice shorter by a
-single matrix product.  Repeated green sweeps and limit blocks then share
-their prefixes instead of rebuilding them.
+``h_c ≤ j ≤ -1`` (``CoxeterDatum.h_c`` is the lowest slice with a green
+vertex), so a range is first clamped to the band; the clamped products
+are memoized per ``(datum, top, bottom)`` in a bounded LRU cache, each
+entry built from the one a slice shorter by a single matrix product.
+Repeated green sweeps and limit blocks then share their prefixes instead
+of rebuilding them.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class GVec:
         """Degree shift [s]: moves each basis vertex (i,r) to (i, r+2s)."""
         return GVec(tuple(((i, r + 2 * s), c) for (i, r), c in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 # ---------------------------------------------------------------------------
 # slice matrices and block products
@@ -91,13 +89,6 @@ def green_slice_nodes(datum: CoxeterDatum, m: int) -> list[int]:
             if m == -datum.l_of(i) - 1 - 2 * k:
                 out.append(i)
     return out
-
-
-def lowest_green_slice(datum: CoxeterDatum) -> int:
-    return min(
-        -datum.l_of(i) - 1 - 2 * (datum.m_of(i) - 1)
-        for i in range(1, datum.rs.n + 1)
-    )
 
 
 def slice_matrix(datum: CoxeterDatum, m: int) -> Matrix:
@@ -119,7 +110,7 @@ def stable_block(datum: CoxeterDatum, m: int) -> Matrix:
 
 def _band_product(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
     """T_top ... T_bottom, the identity for an empty range."""
-    top, bottom = min(top, -1), max(bottom, lowest_green_slice(datum))
+    top, bottom = min(top, -1), max(bottom, datum.h_c)
     if top < bottom:
         return _identity(datum.rs.n)
     return _band_memo(datum, top, bottom)

@@ -121,14 +121,6 @@ def a_monomial(rs: RootSystem, i: int, r: int) -> Key:
     return k
 
 
-def psi_tilde(rs: RootSystem, i: int, r: int) -> Key:
-    """Ψ_{i,q^r}^{-1}·∏_{j~i} Ψ_{j,q^{r+1}}."""
-    p = psi_var(i, r, -1)
-    for j in rs.neighbors(i):
-        p = psi_mul(p, psi_var(j, r + 1))
-    return ((0,) * rs.n, p)
-
-
 # ---------------------------------------------------------------------------
 # packed keys
 # ---------------------------------------------------------------------------
@@ -444,37 +436,6 @@ def product(factors) -> KSeries:
 
 
 # ---------------------------------------------------------------------------
-# normalization factors
-# ---------------------------------------------------------------------------
-
-
-def chi_factor(rs: RootSystem, word, i: int, depth: int = 6) -> KSeries:
-    """Bracket-only normalization factor attached to the weight w(ϖ_i).
-
-    Defined inductively: trivial for the fundamental weights, and for an
-    ascent w s_i > w the product of the factors at w(ϖ_i) and ws_i(ϖ_i)
-    equals ∏_{j~i} (factor at w(ϖ_j)) divided by 1 - [-w(α_i)].
-    """
-    word = tuple(word)
-    while word and word[-1] != i:
-        word = word[:-1]
-    cutoff = -2 * depth
-    if not word:
-        return KSeries.one(rs, cutoff)
-    w_prime = word[:-1]
-    num = KSeries.one(rs, cutoff)
-    for j in rs.neighbors(i):
-        num = (num * chi_factor(rs, w_prime, j, depth)).clamped(cutoff)
-    alpha2 = weyl_from_word(rs, w_prime).apply(simple_root(rs, i)).coords2
-    denom = KSeries.one(rs, cutoff) - KSeries.monomial(
-        rs, bracket(rs, tuple(-a for a in alpha2)), cutoff
-    )
-    return (
-        num * denom.inverse() * chi_factor(rs, w_prime, i, depth).inverse()
-    ).clamped(cutoff)
-
-
-# ---------------------------------------------------------------------------
 # Q-variable evaluation
 # ---------------------------------------------------------------------------
 
@@ -655,10 +616,3 @@ def f_label(cw, v, gvectors=None):
         raise ValueError(f"braid expression does not match g-vector at {v}")
     return word, i, cw.red_top(i) + 2 * s
 
-
-def f_image(cw, v, ev: QEvaluator, gvectors=None) -> KSeries:
-    """Image of the initial cluster variable at v: a renormalized
-    Q-variable whose leading Ψ-monomial exponents are the coordinates of
-    the stabilized g-vector of v."""
-    word, i, r = f_label(cw, v, gvectors)
-    return ev.q_bar(word, i, r)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rootsys import CoxeterDatum, RootSystem, coxeter_data, parse_orientation
+from .rootsys import CoxeterDatum, RootSystem, coxeter_data
 
 Vertex = tuple[int, int]
 Arrow = tuple[Vertex, Vertex]
@@ -72,12 +72,6 @@ class WindowedQuiver:
 
     @cached_property
     def _color_map(self) -> dict[Vertex, str]:
-        return dict(self.colors)
-
-    def arrow_dict(self) -> dict[Arrow, int]:
-        return dict(self.arrows)
-
-    def color_dict(self) -> dict[Vertex, str]:
         return dict(self.colors)
 
     def color(self, v: Vertex) -> str:
@@ -413,28 +407,11 @@ class CoxeterWindow:
     def red_top(self, i: int) -> int:
         return -self.datum.l_of(i)
 
-    def red_heights(self, i: int) -> list[int]:
-        return [-self.datum.l_of(i) - 4 * k for k in range(self.datum.m_of(i))]
-
-    def green_heights(self, i: int) -> list[int]:
-        return [-self.datum.l_of(i) - 4 * k - 2 for k in range(self.datum.m_of(i))]
-
-    def band_bottom(self) -> int:
-        return min(h for i in range(1, self.datum.rs.n + 1) for h in self.green_heights(i))
-
     # -- slices -----------------------------------------------------------
 
     def slice_index(self, v: Vertex) -> int:
         i, r = v
         return (r - self.datum.l_of(i)) // 2
-
-    def slice_vertices(self, m: int) -> list[Vertex]:
-        out = []
-        for i in range(1, self.datum.rs.n + 1):
-            v = (i, self.datum.l_of(i) + 2 * m)
-            if v in self.quiver.vertices:
-                out.append(v)
-        return out
 
     def slice_range(self) -> range:
         rs = self.datum.rs
@@ -447,35 +424,12 @@ class CoxeterWindow:
         )
         return range(lo, hi + 1)
 
-    def I_red(self, m: int) -> list[int]:
-        return [i for (i, r) in self.slice_vertices(m) if self.quiver.color((i, r)) == RED]
-
-    def I_grn(self, m: int) -> list[int]:
-        return [
-            i for (i, r) in self.slice_vertices(m) if self.quiver.color((i, r)) == GREEN
-        ]
-
-    def slice_quiver(self, m: int) -> list[tuple[int, int]]:
-        """Orientation of the Dynkin graph induced on slice m."""
-        verts = {v[0]: v for v in self.slice_vertices(m)}
-        out = []
-        for i, j in self.datum.rs.edges():
-            if i in verts and j in verts:
-                if self.quiver.mult(verts[i], verts[j]):
-                    out.append((i, j))
-                elif self.quiver.mult(verts[j], verts[i]):
-                    out.append((j, i))
-        return out
-
     # -- green enumeration -------------------------------------------------
 
     def green_sequence(self) -> list[Vertex]:
         """All green vertices, slice-descending (then node-ascending)."""
         greens = self.quiver.greens()
         return sorted(greens, key=lambda v: (-self.slice_index(v), v[0]))
-
-    def green_word(self) -> tuple[int, ...]:
-        return tuple(v[0] for v in self.green_sequence())
 
 
 def build_coxeter_quiver(

@@ -240,19 +240,6 @@ class Weight:
     def scale(self, k: int) -> "Weight":
         return Weight(self.rs, tuple(k * a for a in self.coords2))
 
-    def pairing2(self, i: int) -> int:
-        """2·λ(h_i)."""
-        self.rs._check_index(i)
-        return self.coords2[i - 1]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords2)
-
-
-def zero_weight(rs: RootSystem) -> Weight:
-    return Weight(rs, (0,) * rs.n)
-
 
 def fundamental_weight(rs: RootSystem, i: int) -> Weight:
     rs._check_index(i)
@@ -291,10 +278,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         length, word = _length_and_word(self.rs, self.word + other.word)
         return WeylElement(self.rs, _mat_mul(self.mat_t, other.mat_t), word, length)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mat_t == _identity(self.rs.n)
 
     def inverse(self) -> "WeylElement":
         return weyl_from_word(self.rs, tuple(reversed(self.word)))
@@ -407,7 +390,6 @@ class CoxeterDatum:
     c: WeylElement
     word: tuple[int, ...]  # adapted reduced word for c
     l: tuple[int, ...]  # height function, min value 0
-    h: int  # Coxeter number
     m: tuple[int, ...]  # per-node exponents m_i
     h_c: int
 
@@ -499,7 +481,7 @@ def coxeter_data(rs: RootSystem, orientation: Sequence) -> CoxeterDatum:
     assert sum(m) == rs.num_positive_roots
 
     h_c = -max(l[i - 1] + 2 * m[i - 1] - 1 for i in range(1, rs.n + 1))
-    return CoxeterDatum(rs, orientation, c, word, l, rs.coxeter_number, m, h_c)
+    return CoxeterDatum(rs, orientation, c, word, l, m, h_c)
 
 
 def coxeter_data_from_word(rs: RootSystem, word: Sequence[int]) -> CoxeterDatum:

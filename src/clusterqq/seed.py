@@ -4,13 +4,14 @@ A :class:`Seed` stores its own quiver, the quiver of the reference seed,
 and for every vertex the g-vector of its cluster variable with respect to
 that reference.  Two mutation operations are provided:
 
-* :func:`mutate_seed` — mutate the seed itself at a vertex.  The new
-  g-vector follows the standard exchange recursion, whose two branches are
-  selected by the sign of the c-vector of the mutated variable.  With a
-  stabilized reference (the plain translation-invariant quiver) that
-  c-vector is computed exactly by a top-down substitution: the defining
-  linear relation expresses, column by column, each coefficient two steps
-  below a vertex in terms of already-known coefficients above it.
+* :func:`mutate_seed` — mutate the seed itself at a vertex; it returns
+  the new seed and the sign of the c-vector of the mutated variable.  The
+  new g-vector follows the standard exchange recursion, whose two branches
+  are selected by that sign.  With a stabilized reference (the plain
+  translation-invariant quiver) that c-vector is computed exactly by a
+  top-down substitution: the defining linear relation expresses, column
+  by column, each coefficient two steps below a vertex in terms of
+  already-known coefficients above it.
 * :func:`mutate_reference` — mutate the reference seed at a vertex and
   transport every stored g-vector accordingly; :func:`green_sweep` does
   this at every green vertex, translating the reference one step down.
@@ -197,16 +198,11 @@ def _divide(num, den):
         return num * den.inverse()
 
 
-def mutate_seed(seed: Seed, k: Vertex) -> Seed:
-    """Mutate the seed at k, updating quiver, g-vector and optional value."""
-    return _mutate_seed(seed, k)[0]
+def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
+    """Mutate the seed at k, updating quiver, g-vector and optional value.
 
-
-def _mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
-    """:func:`mutate_seed`, also returning the c-vector sign at k.
-
-    The sign picks the branch of the exchange recursion, so a caller that
-    reports it needs no second c-vector computation.
+    Returns the mutated seed and the sign of the c-vector at k, which
+    picked the branch of the exchange recursion.
     """
     sign = cvector_sign(seed, k)
     g = seed.gmap()

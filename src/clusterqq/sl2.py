@@ -58,10 +58,6 @@ class Segment:
     def is_unit(self) -> bool:
         return self.r > self.s
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.is_unit and self.r != -INF and self.s != INF
-
     def ell_weight(self) -> Key:
         """Top monomial of the class (the unit key for [-∞,+∞] or r>s)."""
         p = ()

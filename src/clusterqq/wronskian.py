@@ -334,11 +334,6 @@ def _to_fractions(m, d: int):
     return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
-def random_sl_matrix(size: int, rng: random.Random):
-    """A random SL(size) matrix: product of elementary transvections."""
-    return _to_fractions(*_random_scaled_sl(size, rng))
-
-
 def _corner_minors(m):
     """The pairs (lower, upper) of i x i corner minors, i = 1..size-1.
 
@@ -366,22 +361,6 @@ def _carroll_minors(m) -> tuple[int, int, int, int]:
         _int_minor(m, range(1, size - 1), range(1, size - 1)),
         _int_minor(m, range(size), range(size)),
     )
-
-
-def in_open_cell(mat) -> bool:
-    """Both families of corner minors are nonzero."""
-    return _corner_minors(_clear_denominators(mat)[0]) is not None
-
-
-def desnanot_jacobi_check(mat) -> bool:
-    """det·(central minor) = product difference of the four corner minors."""
-    m, _ = _clear_denominators(mat)
-    size = len(m)
-    north, south, inner, det = _carroll_minors(m)
-    west = _int_minor(m, range(1, size), range(size - 1))
-    east = _int_minor(m, range(size - 1), range(1, size))
-    # both sides carry D**(2·size - 2), so the scaled equation is the same
-    return north * south - west * east == det * inner
 
 
 _SL3_CLUSTER = {

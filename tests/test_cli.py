@@ -84,6 +84,7 @@ class TestUsage:
             # no room below the green band: MarginError on the last sweep
             ["seed", "sweep", "--type", "A2", "--depth-below", "0", "--sweeps", "4"],
             ["seed", "sweep", "--type", "E6", "--depth-below", "-2"],
+            ["quiver", "build", "--type", "A2", "--margin", "-3"],
         ],
     )
     def test_window_precondition_is_usage_error(self, runner, args):
@@ -134,6 +135,11 @@ class TestUsage:
             ["qvar", "eval", "--type", "A2", "--i", "3", "--r", "0"],
             # the shift system needs a Coxeter word: each node once
             ["wronskian", "check", "--type", "A2", "--system-word", "1,2,1"],
+            # a spectral exponent too large for a packed key field
+            ["qvar", "eval", "--type", "A2", "--word", "1", "--i", "1",
+             "--r", "2000000000"],
+            ["qqstar", "verify", "--type", "A2", "--depth", "1",
+             "--r", "1000000000"],
         ],
     )
     def test_series_precondition_is_usage_error(self, runner, args):

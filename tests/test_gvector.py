@@ -1,5 +1,7 @@
 """Stabilized g-vectors: block limits, knitting, braid action."""
 
+import math
+import random
 from functools import reduce
 from itertools import accumulate
 
@@ -16,7 +18,6 @@ from clusterqq.gvector import (
     braid_gvectors,
     green_slice_nodes,
     knit_gvectors,
-    lowest_green_slice,
     mesh_check,
     mesh_pairs,
     slice_matrix,
@@ -218,7 +219,7 @@ class TestRankThree:
     def test_green_word_is_reduced_longest(self, cw):
         from clusterqq.rootsys import longest_element, weyl_from_word
 
-        word = cw.green_word()
+        word = tuple(v[0] for v in cw.green_sequence())
         w = weyl_from_word(rs("A3"), word)
         assert w == longest_element(rs("A3"))
         assert w.length == len(word)
@@ -262,7 +263,7 @@ class TestAgreement:
 
         for key in sorted(ORIENTATIONS):
             cw = window(key)
-            word = cw.green_word()
+            word = tuple(v[0] for v in cw.green_sequence())
             w = weyl_from_word(cw.datum.rs, word)
             assert w == longest_element(cw.datum.rs)
             assert w.length == len(word)
@@ -361,7 +362,7 @@ def oracle_stable(d, m, T):
     """T_{-1} ... T_m, clamped to the band, from the slices T[j]."""
     if m >= 0:
         return _identity(d.rs.n)
-    m = max(m, lowest_green_slice(d))
+    m = max(m, d.h_c)
     mats = [T[j] for j in range(-1, m - 1, -1)]
     return reduce(_mat_mul, mats, _identity(d.rs.n))
 
@@ -387,13 +388,27 @@ def coxeter_windows(name):
 
 
 class TestBandMemo:
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_h_c_is_the_lowest_green_slice(self, name):
+        # the band products clamp at h_c: it must be the lowest slice of
+        # a green vertex in the built window, for every Coxeter word
+        r = rs(name)
+        rng = random.Random(name)
+        words = {tuple(range(1, r.n + 1)), tuple(range(r.n, 0, -1))}
+        while len(words) < min(6, math.factorial(r.n)):
+            words.add(tuple(rng.sample(range(1, r.n + 1), r.n)))
+        for w in sorted(words):
+            cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
+            lowest = min(cw.slice_index(v) for v in cw.quiver.greens())
+            assert cw.datum.h_c == lowest, w
+
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     @pytest.mark.parametrize("name", MEMO_TYPES)
     def test_products_equal_the_plain_products(self, name, order):
         for cw in coxeter_windows(name):
             d = cw.datum
             ms = sorted(cw.slice_range(), reverse=order == "descending")
-            K = -lowest_green_slice(d) + 1
+            K = -d.h_c + 1
             T = {j: oracle_slice(d, j) for j in range(min(ms) - 1, max(ms) + K)}
             _band_memo.cache_clear()
             for m in ms:
@@ -425,6 +440,6 @@ class TestBandMemo:
             main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
         )
         assert result.exit_code == 0
-        bound = -lowest_green_slice(d) * 20
+        bound = -d.h_c * 20
         assert 0 < _band_memo.cache_info().misses <= bound
         assert len(calls) <= bound

@@ -10,14 +10,13 @@ from clusterqq.qseries import (
     QEvaluator,
     a_monomial,
     bracket,
-    chi_factor,
     f_label,
     key_inv,
     key_mul,
     key_one,
     omega_lam2,
     product,
-    psi_tilde,
+    psi_mul,
     psi_var,
     qq_check,
     qqstar_check,
@@ -76,7 +75,14 @@ class TestMonomials:
 
     def test_highest_weight_ratio_identity(self):
         # Y_{i,q^r}·A_{i,q^{r-1}}^{-1} equals
-        # [ϖ_i-α_i]·Ψ̃_{i,q^{r-3}}/Ψ̃_{i,q^{r-1}}
+        # [ϖ_i-α_i]·Ψ̃_{i,q^{r-3}}/Ψ̃_{i,q^{r-1}},
+        # with Ψ̃_{i,q^s} = Ψ_{i,q^s}^{-1}·∏_{j~i} Ψ_{j,q^{s+1}}
+        def psi_tilde(r, i, s):
+            p = psi_var(i, s, -1)
+            for j in r.neighbors(i):
+                p = psi_mul(p, psi_var(j, s + 1))
+            return ((0,) * r.n, p)
+
         for r, i in [(A2, 1), (A2, 2), (A3, 2)]:
             lam2 = tuple(
                 a - b
@@ -149,32 +155,6 @@ class TestSeries:
         assert shifted.max_ht() == 2 and shifted.cutoff2 == Fraction(-2)
         half = bracket(A2, (1, 0))
         assert x.mul_monomial(half).cutoff2 == Fraction(-4) + 1
-
-    def test_geometric_normalization_factor(self):
-        # the factor attached to s_1(ϖ_1) is the geometric series in [-α_1]
-        chi = chi_factor(A2, (1,), 1, depth=6)
-        a1 = simple_root(A2, 1).coords2
-        expected = one(A2)
-        for k in range(1, 7):
-            expected = expected + mono(
-                A2, bracket(A2, tuple(-k * c for c in a1))
-            )
-        assert chi.matches(expected)
-
-    def test_double_reflection_normalization_factor(self):
-        # the factor at s_2s_1(ϖ_1) is 1/((1-[-α_1-α_2])(1-[-α_2]))
-        chi = chi_factor(A2, (2, 1), 1, depth=5)
-        a1 = simple_root(A2, 1).coords2
-        a2 = simple_root(A2, 2).coords2
-        a12 = tuple(x + y for x, y in zip(a1, a2))
-        d = Fraction(-10)
-        f1 = KSeries.one(A2, d) - KSeries.monomial(
-            A2, bracket(A2, tuple(-c for c in a12)), d
-        )
-        f2 = KSeries.one(A2, d) - KSeries.monomial(
-            A2, bracket(A2, tuple(-c for c in a2)), d
-        )
-        assert chi.matches((f1 * f2).inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.quiver import (
-    GREEN,
-    RED,
     MarginError,
     WindowedQuiver,
     basic_quiver,
@@ -45,7 +43,7 @@ class TestBasicQuiver:
     def test_a1_all_vertical(self):
         q = basic_quiver(rs("A1"), -6, 6)
         assert q.vertices == {(1, r) for r in range(-6, 7, 2)}
-        assert set(q.arrow_dict()) == {
+        assert set(dict(q.arrows)) == {
             ((1, r), (1, r + 2)) for r in range(-6, 6, 2)
         }
 
@@ -307,13 +305,14 @@ class TestCoxeterWindow:
     def test_a2_slice_data(self):
         cw = build_coxeter_quiver(rs("A2"), ["2->1"])
         assert cw.datum.word == (1, 2)
-        assert cw.red_heights(1) == [0, -4] and cw.red_heights(2) == [-1]
-        assert cw.green_heights(1) == [-2, -6] and cw.green_heights(2) == [-3]
-        assert cw.I_grn(-1) == [1]
-        assert cw.I_grn(-2) == [2]
-        assert cw.I_grn(-3) == [1]
-        assert cw.I_red(0) == [1, 2] or cw.I_red(0) == [1]
-        assert cw.green_word() == (1, 2, 1)
+        q = cw.quiver
+        assert q.reds() == [(1, -4), (1, 0), (2, -1)]
+        assert q.greens() == [(1, -6), (1, -2), (2, -3)]
+        assert [cw.slice_index(v) for v in q.reds()] == [-2, 0, -1]
+        # one green in each of the slices -1, -2, -3, read top-down
+        greens = cw.green_sequence()
+        assert greens == [(1, -2), (2, -3), (1, -6)]
+        assert [cw.slice_index(v) for v in greens] == [-1, -2, -3]
 
     def test_a2_core(self):
         cw = build_coxeter_quiver(rs("A2"), ["2->1"])
@@ -327,14 +326,23 @@ class TestCoxeterWindow:
     def test_a3_green_word(self):
         cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
         # greens sit in slices -1:{1}, -2:{2}, -3:{1,3}, -4:{2}, -5:{1}
-        word = cw.green_word()
+        word = tuple(v[0] for v in cw.green_sequence())
         assert word == (1, 2, 1, 3, 2, 1)
 
     def test_slice_orientation_flips(self):
         cw = build_coxeter_quiver(rs("A2"), ["2->1"], depth_below=10)
-        assert cw.slice_quiver(0) == [(2, 1)]
+        q = cw.quiver
+
+        def slice_edge(m):
+            """The arrow between the two vertices of slice m, as nodes."""
+            one, two = (1, 2 * m), (2, 1 + 2 * m)  # l = (0, 1)
+            assert (q.mult(one, two) > 0) != (q.mult(two, one) > 0)
+            return (1, 2) if q.mult(one, two) else (2, 1)
+
+        assert cw.datum.l == (0, 1)
+        assert slice_edge(0) == (2, 1)
         # far below the band the slice orientation is the opposite one
-        assert cw.slice_quiver(-6) == [(1, 2)]
+        assert slice_edge(-6) == (1, 2)
 
     def test_d4_exponent_bookkeeping(self):
         cw = build_coxeter_quiver(
@@ -367,19 +375,6 @@ class TestLookupCache:
     @pytest.fixture()
     def q(self):
         return build_coxeter_quiver(rs("A3"), ["2->1", "3->2"]).quiver
-
-    def test_returned_dicts_are_copies(self, q):
-        (a, b), m = q.arrows[0]
-        green = q.greens()[0]
-        fill_cache(q)
-        arrows, colors = q.arrow_dict(), q.color_dict()
-        arrows[(a, b)] = m + 5
-        arrows[(b, a)] = 7
-        colors[green] = RED
-        assert q.mult(a, b) == m and q.mult(b, a) == dict(q.arrows).get((b, a), 0)
-        assert q.color(green) == GREEN
-        assert q.arrow_dict() == dict(q.arrows)
-        assert q.color_dict() == dict(q.colors)
 
     def test_derived_quivers_use_their_own_arrows(self, q):
         fill_cache(q)

@@ -217,16 +217,16 @@ class TestSeedMutation:
     def test_three_step_example(self):
         cw = window("A2")
         seed = initial_seed(cw)
-        assert cvector_sign(seed, (1, -2)) == -1
-        seed = mutate_seed(seed, (1, -2))
+        seed, sign = mutate_seed(seed, (1, -2))
+        assert sign == -1
         assert seed.g_of((1, -2)) == e((1, (1, -2)))
 
-        assert cvector_sign(seed, (1, -4)) == 1
-        seed = mutate_seed(seed, (1, -4))
+        seed, sign = mutate_seed(seed, (1, -4))
+        assert sign == 1
         assert seed.g_of((1, -4)) == e((-1, (2, -3)), (1, (1, -2)))
 
-        assert cvector_sign(seed, (2, -3)) == -1
-        seed = mutate_seed(seed, (2, -3))
+        seed, sign = mutate_seed(seed, (2, -3))
+        assert sign == -1
         assert seed.g_of((2, -3)) == e((-1, (2, -5)), (1, (1, -4)))
 
         # unmutated variables keep their stabilized g-vectors
@@ -239,7 +239,7 @@ class TestSeedMutation:
         cw = window("A3")
         seed = initial_seed(cw)
         for v in [(1, -2), (2, -3), (1, -4), (3, -4)]:
-            back = mutate_seed(mutate_seed(seed, v), v)
+            back, _ = mutate_seed(mutate_seed(seed, v)[0], v)
             assert back.g == seed.g
             assert back.quiver.same_arrows(seed.quiver)
 
@@ -252,8 +252,9 @@ class TestSeedMutation:
         pool = [v for v in safe_vertices(cw) if -8 <= v[1] <= -2]
         for _ in range(data.draw(st.integers(1, 5))):
             v = data.draw(st.sampled_from(pool))
-            assert cvector_sign(seed, v) in (-1, 1)
-            seed = mutate_seed(seed, v)
+            sign = cvector_sign(seed, v)
+            seed, mutated_sign = mutate_seed(seed, v)
+            assert sign in (-1, 1) and mutated_sign == sign
         # g-vectors of distinct variables remain distinct
         gs = [g for _, g in seed.g]
         assert len(set(gs)) == len(gs)
@@ -274,7 +275,7 @@ class TestValues:
             for v in [(i, r)]
         }
         seed = seed.with_values(vals)
-        once = mutate_seed(seed, (1, -2))
+        once, _ = mutate_seed(seed, (1, -2))
         assert once.value_map()[(1, -2)] != vals[(1, -2)]
-        back = mutate_seed(once, (1, -2))
+        back, _ = mutate_seed(once, (1, -2))
         assert back.value_map() == vals

@@ -458,7 +458,7 @@ class TestFactorize:
                 if series._ht(k) == top_ht - 2
             ]
             assert len(level1) <= 1
-            if seg.r == -INF or seg.is_finite:
+            if seg.s != INF:  # every segment here but [2, +∞]
                 assert len(level1) == 1
 
     def test_incompatible_product_is_not_a_single_class(self):

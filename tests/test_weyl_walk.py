@@ -222,7 +222,7 @@ class TestCoxeterData:
             c = oracle_from_word(r, d.word)
             m = oracle_exponents(r, c[0])
             assert element_fields(d.c) == oracle_fields(c), (name, word)
-            assert d.h == 2 * len(positive_roots(r)) // r.n
+            assert r.coxeter_number == 2 * len(positive_roots(r)) // r.n
             assert d.m == m, (name, word)
             assert d.h_c == -max(d.l[i] + 2 * m[i] - 1 for i in range(r.n))
 

@@ -23,9 +23,6 @@ from clusterqq.wronskian import (
     bruhat_check,
     build_wronskian,
     check_wronskian,
-    desnanot_jacobi_check,
-    in_open_cell,
-    random_sl_matrix,
     rational_minor,
     sl3_cluster_values,
     sl3_reconstruct,
@@ -83,6 +80,31 @@ def oracle_series_minor(m, rows, cols):
         acc = acc + s if sign > 0 else acc - s
     return acc
 
+
+
+# Rational-point helpers of the tests, over the module's integer routines.
+
+
+def random_sl_matrix(size, rng):
+    """A random SL(size) matrix: product of elementary transvections."""
+    return wronskian._to_fractions(*wronskian._random_scaled_sl(size, rng))
+
+
+def in_open_cell(mat) -> bool:
+    """Both families of corner minors are nonzero."""
+    m, _ = wronskian._clear_denominators(mat)
+    return wronskian._corner_minors(m) is not None
+
+
+def desnanot_jacobi_check(mat) -> bool:
+    """det·(central minor) = product difference of the four corner minors."""
+    m, _ = wronskian._clear_denominators(mat)
+    size = len(m)
+    north, south, inner, det = wronskian._carroll_minors(m)
+    west = wronskian._int_minor(m, range(1, size), range(size - 1))
+    east = wronskian._int_minor(m, range(size - 1), range(1, size))
+    # both sides carry D**(2·size - 2), so the scaled equation is the same
+    return north * south - west * east == det * inner
 
 A1 = RootSystem.from_name("A1")
 A2 = RootSystem.from_name("A2")
