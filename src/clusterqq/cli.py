@@ -157,6 +157,10 @@ class Reporter:
             rest = {k: v for k, v in cert.items() if k not in ("ok", "relation")}
             detail = " ".join(f"{k}={_short(v)}" for k, v in rest.items())
             click.echo(f"{status:4}  {cert.get('relation', '-'):<14} {detail}")
+        self.check_budget()
+
+    def check_budget(self) -> None:
+        """Exit 3 once the budget is spent; long checks call it while they run."""
         if self.budget is not None and time.monotonic() - self.t0 > self.budget:
             click.echo("time budget exceeded", err=True)
             sys.exit(EXIT_BUDGET)
@@ -579,7 +583,9 @@ def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
     # the shift system is defined for a Coxeter element only
     word = _coxeter_word(rs, system_word, "--system-word") if system_word else None
     try:  # a non-A type, or another precondition of the system
-        cert = wronskian.check_wronskian(rs, r_values, depth, word)
+        cert = wronskian.check_wronskian(
+            rs, r_values, depth, word, deadline=rep.check_budget
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rep.emit(cert)
@@ -601,7 +607,7 @@ def bruhat_group() -> None:
 def bruhat_verify(n_, trials, seed, as_json, budget):
     """Sample cell points and certify the exchange and reconstruction laws."""
     rep = Reporter(as_json, budget)
-    rep.emit(wronskian.bruhat_check(n_, trials, seed))
+    rep.emit(wronskian.bruhat_check(n_, trials, seed, deadline=rep.check_budget))
     rep.finish()
 
 

@@ -6,7 +6,12 @@ coordinates) and Ψ are the formal series variables indexed by quiver
 vertices.  A :class:`KSeries` is a finite, exactly-truncated element: all
 terms whose weight height is strictly above ``cutoff2`` (doubled height)
 are present with exact integer coefficients, and everything at or below
-the cutoff has been discarded.
+the cutoff has been discarded.  Every series holds exactly that: only
+nonzero terms strictly above its cutoff.  The constructor prunes, and
+every operation keeps the invariant, so truncating at a cutoff that is
+not above a series' own returns the series itself.  No series is
+changed in place; every operation returns a new one, so a series may be
+shared (``sl2.segment_qchar`` memoizes its classes).
 
 Heights are compared as integers.  With d = det C, d times the doubled
 height of any weight is an integer linear form in its doubled fundamental
@@ -26,7 +31,10 @@ of the keys, and a term's height is its lowest field.  Every field of a
 key stays below 2^(FIELD_BITS-2) in absolute value: packing rejects a
 larger one, and every key that a product or a monomial shift creates is
 checked with one add and one mask, so an overflow raises
-``OverflowError`` and never wraps into a neighbouring field.  Keys are
+``OverflowError`` and never wraps into a neighbouring field.  A product
+forms only the term pairs whose heights sum to above its cutoff: the
+right factor is sorted by height once, and each left term's inner loop
+stops at the first pair at or below the cutoff.  Keys are
 decoded back to (λ, Ψ) tuples only at the edges: the constructor,
 :meth:`KSeries.monomial`, :meth:`KSeries.mul_monomial`,
 :meth:`KSeries.top` and the ``terms`` mapping.  The tuple functions
@@ -261,7 +269,11 @@ class KSeries:
 
     The terms are held as ``_t``, a dict from packed keys (see
     :class:`KeyCodec`) to coefficients; ``terms`` is a read-only mapping
-    over it keyed by (λ, Ψ) tuples.
+    over it keyed by (λ, Ψ) tuples.  ``_t`` holds only nonzero terms
+    strictly above ``cut``: the constructor drops the rest, and no method
+    changes a series in place.  A product takes its cutoff from its
+    factors' top heights and forms only the pairs above it, highest
+    right term first.
     """
 
     __slots__ = ("rs", "_t", "cut", "_cx")
@@ -274,6 +286,7 @@ class KSeries:
             k = self._cx.pack(k)
             self._t[k] = self._t.get(k, 0) + c
         self.cut = _scaled(self._cx.den, cutoff2)
+        self._prune()
 
     def _new(self, t: dict, cut: int) -> "KSeries":
         """A series over the same root system, cutoff given in the scale."""
@@ -287,9 +300,7 @@ class KSeries:
 
     @staticmethod
     def monomial(rs: RootSystem, key: Key, cutoff2, coeff: int = 1) -> "KSeries":
-        s = KSeries(rs, {key: coeff}, cutoff2)
-        s._prune()
-        return s
+        return KSeries(rs, {key: coeff}, cutoff2)
 
     @staticmethod
     def one(rs: RootSystem, cutoff2) -> "KSeries":
@@ -354,17 +365,24 @@ class KSeries:
 
     def __mul__(self, other: "KSeries") -> "KSeries":
         cut = max(self.cut + other._max_h(), other.cut + self._max_h())
+        # the right factor highest first: for each left term the pairs
+        # above the cutoff are a prefix, and the first one at or below
+        # it ends the inner loop
+        right = sorted(
+            [(((k + _HALF) & _MASK) - _HALF, k, c) for k, c in other._t.items()],
+            reverse=True,
+        )
         out: dict = {}
         get = out.get
-        right = other._t.items()
         for k1, c1 in self._t.items():
-            for k2, c2 in right:
+            floor = cut - (((k1 + _HALF) & _MASK) - _HALF)
+            for h2, k2, c2 in right:
+                if h2 <= floor:
+                    break
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         self._cx.check(out)
-        s = self._new(out, cut)
-        s._prune()
-        return s
+        return self._new({k: c for k, c in out.items() if c}, cut)
 
     def mul_monomial(self, key: Key) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
@@ -380,7 +398,9 @@ class KSeries:
         return self._clamp(_scaled(self._cx.den, cutoff2))
 
     def _clamp(self, cut: int) -> "KSeries":
-        s = self._new(self._t, max(self.cut, cut))
+        if cut <= self.cut:
+            return self
+        s = self._new(self._t, cut)
         s._prune()
         return s
 

@@ -11,7 +11,9 @@ a *segment* ``[r, s]`` with ``r ∈ ℤ∪{-∞}``, ``s ∈ ℤ∪{+∞}``:
 
 Both sums are one sum: the top monomial times the partial products of
 the chain 1 + A^{-1}(1 + A^{-1}(...)), whose k-th term lies k simple
-roots below the top (:func:`segment_qchar`).
+roots below the top (:func:`segment_qchar`).  A Ptolemy grid asks for
+the same few classes many times, so each (segment, depth) class is
+built once and memoized.
 
 Segments correspond to diagonals ``(r, s+2)`` of an ∞-gon with vertex set
 ``ℤ∪{±∞}``; two classes are compatible (their product is again such a
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qseries import KSeries, Key, bracket, key_one, psi_mul, psi_var
 from .rootsys import RootSystem, fundamental_weight, simple_root
@@ -141,6 +144,7 @@ def _one(d: int) -> KSeries:
     return KSeries.one(_A1, -2 * d)
 
 
+@lru_cache(maxsize=1 << 12)
 def segment_qchar(seg: Segment, d: int = 6) -> KSeries:
     """Truncated series of the class labelled by ``seg`` (depth ``d``).
 
@@ -154,6 +158,12 @@ def segment_qchar(seg: Segment, d: int = 6) -> KSeries:
     [-∞, s], whose remaining terms lie at or below the cutoff; and 1 for
     the unit and for [r, +∞].  The cutoff is -2·max(d, L).  A depth below
     1 raises ``ValueError``.
+
+    Classes are memoized (a bounded ``lru_cache``), so every call with
+    the same (segment, depth) returns the same object.  Sharing it is
+    safe because no :class:`KSeries` is changed in place: every series
+    operation builds a new series.  Callers go through the module
+    attribute, so a replaced ``segment_qchar`` is seen everywhere.
     """
     _check_depth(d)
     (lam,), psi = seg.ell_weight()

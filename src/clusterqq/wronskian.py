@@ -203,6 +203,8 @@ def check_wronskian(
     r_values,
     depth: int = 4,
     system_word=None,
+    *,
+    deadline=None,
 ) -> dict:
     """Certify the quantum-Wronskian property of the standard matrices.
 
@@ -218,7 +220,8 @@ def check_wronskian(
     Raises ``ValueError``, before any series work, for a type other than
     A, a rank above ``MAX_RANK``, an empty ``r_values``, a letter of
     ``system_word`` outside 1..n, or a word whose orbits never reach the
-    lowest weights.
+    lowest weights.  ``deadline``, if given, is called with no arguments
+    before each minor comparison; it may raise to abandon the run.
     """
     _require_type_a(rs)
     if rs.n > MAX_RANK:
@@ -234,6 +237,7 @@ def check_wronskian(
         for i in range(1, rs.n + 1)
     ]
     standard = word == standard_coxeter_word(rs)
+    tick = deadline or (lambda: None)
     ev = QEvaluator(rs, depth=depth)
     equations = []
     dets = []
@@ -245,6 +249,7 @@ def check_wronskian(
             m_i = len(orbit) - 1
             for k in range(1, m_i + 1):
                 for l in range(m_i + 1):
+                    tick()
                     try:
                         lhs = generalized_minor(m0, i, orbit[k], orbit[l])
                         rhs = generalized_minor(m2, i, orbit[k - 1], orbit[l])
@@ -255,12 +260,14 @@ def check_wronskian(
                     equations.append(
                         {"r": r, "i": i, "k": k, "l": l, "ok": ok, "note": note}
                     )
+        tick()
         det = m0.det()
         dets.append({"r": r, "ok": det.matches(KSeries.one(rs, det.cutoff2))})
         if standard:
             for i in range(1, rs.n + 1):
                 for k in range(rs.n + 2 - i):
                     for l in range(rs.n + 2 - i):
+                        tick()
                         ok = m0.block_minor(i, k, l).matches(
                             block_qvariable(m0, i, k, l)
                         )
@@ -399,7 +406,7 @@ def sl3_reconstruct(vals: dict[str, Fraction]):
     return ((a, b, c), (d, e, f), (h, i, j))
 
 
-def bruhat_check(n: int, trials: int = 20, seed: int = 0) -> dict:
+def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> dict:
     """Sample SL(n+1) points of the open cell and certify minor identities.
 
     Each sample is drawn as ``(M, D)``, the integer matrix ``M`` over one
@@ -415,17 +422,21 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0) -> dict:
 
     For n = 2 each sample is additionally rebuilt from its eight initial
     cluster minors.  Raises ``ValueError`` for n outside 2..``MAX_RANK``.
+    ``deadline``, if given, is called with no arguments before each draw;
+    it may raise to abandon the run.
     """
     if not 2 <= n <= MAX_RANK:
         raise ValueError(f"need 2 <= n <= {MAX_RANK}, got {n}")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    tick = deadline or (lambda: None)
     rng = random.Random(seed)
     size = n + 1
     results = []
     rejected = 0
     for t in range(trials):
         while True:
+            tick()
             m, d = _random_scaled_sl(size, rng)
             corners = _corner_minors(m)
             if corners is None:

@@ -158,6 +158,21 @@ class TestBudget:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wronskian", "check", "--type", "A3", "--r", "0..2"],
+            ["bruhat", "verify", "--n", "4", "--trials", "2000"],
+        ],
+    )
+    def test_single_certificate_command_stops_inside_its_run(self, runner, args):
+        # each emits one certificate at the very end; the budget is checked
+        # inside the run, so nothing partial reaches stdout
+        result = runner.invoke(main, args + ["--json", "--budget", "0"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "time budget exceeded" in result.stderr
+
 
 class TestQuiverCommands:
     def test_build_roundtrips_through_json(self, runner):

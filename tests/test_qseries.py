@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterqq.qseries import (
+    FIELD_BITS,
     CertificationError,
     KSeries,
     QEvaluator,
+    TruncationError,
     a_monomial,
     bracket,
     f_label,
@@ -15,7 +18,6 @@ from clusterqq.qseries import (
     key_mul,
     key_one,
     omega_lam2,
-    product,
     psi_mul,
     psi_var,
     qq_check,
@@ -155,6 +157,128 @@ class TestSeries:
         assert shifted.max_ht() == 2 and shifted.cutoff2 == Fraction(-2)
         half = bracket(A2, (1, 0))
         assert x.mul_monomial(half).cutoff2 == Fraction(-4) + 1
+
+
+def oracle_mul(a, b):
+    """The all-pairs product, pruned afterwards: the reference for
+    ``KSeries.__mul__``, which forms only the pairs above the cutoff."""
+    cut = max(a.cut + b._max_h(), b.cut + a._max_h())
+    out = {}
+    get = out.get
+    for k1, c1 in a._t.items():
+        for k2, c2 in b._t.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    a._cx.check(out)
+    s = a._new(out, cut)
+    s._prune()
+    return s
+
+
+def decoded(ser):
+    return dict(ser.terms.items()), ser.cutoff2
+
+
+@st.composite
+def small_series(draw, r):
+    """A series of few terms with colliding keys, so that coefficients
+    cancel; zero coefficients and terms below the cutoff included."""
+    vertex = st.tuples(st.integers(1, r.n), st.sampled_from([-2, 0, 2]))
+    psi = st.dictionaries(vertex, st.sampled_from([-2, -1, 1, 2]), max_size=2)
+    key = st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * r.n),
+        psi.map(lambda d: tuple(sorted(d.items()))),
+    )
+    terms = draw(st.dictionaries(key, st.integers(-2, 2), max_size=6))
+    den = r.height_functional[0]
+    return KSeries(r, terms, Fraction(draw(st.integers(-12 * den, den)), den))
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_all_pairs_product(self, name, data):
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        assert decoded(a * b) == decoded(oracle_mul(a, b))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # (1 + x)(1 - x): the cross terms cancel
+            (one(A1) + mono(A1, a_inv(A1, 1, 0)),
+             one(A1) - mono(A1, a_inv(A1, 1, 0))),
+            # unequal cutoffs, each side setting the product's
+            (one(A3, depth=2) + mono(A3, a_inv(A3, 2, 0), depth=2),
+             one(A3, depth=5) + mono(A3, a_inv(A3, 1, 1), depth=5, coeff=-3)),
+            # a factor with no terms
+            (KSeries.zero(A3, Fraction(-4)), one(A3) + mono(A3, a_inv(A3, 3, 2))),
+            (one(A1) + mono(A1, a_inv(A1, 1, 0)), KSeries.zero(A1, Fraction(-6))),
+        ],
+    )
+    def test_named_cases(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            assert decoded(x * y) == decoded(oracle_mul(x, y))
+
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_overflowing_kept_keys_raise(self, name, data):
+        # both factors carry Ψ_{1,q^0}^E with 2E - 4 >= 2^(FIELD_BITS-2), so
+        # every pair overflows, the top pair among them, which is kept
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        assume(not a.is_zero() and not b.is_zero())
+        big = (1 << (FIELD_BITS - 3)) + 3 + data.draw(st.integers(0, 5))
+        lift = ((0,) * r.n, psi_var(1, 0, big))
+        a, b = a.mul_monomial(lift), b.mul_monomial(lift)
+        with pytest.raises(OverflowError):
+            oracle_mul(a, b)
+        with pytest.raises(OverflowError):
+            a * b
+
+
+class TestPrunedInvariant:
+    def test_constructor_drops_zero_and_low_terms(self):
+        # heights 0, -2, -4 and -6 (doubled) against a cutoff of -4
+        top, zero = key_one(2), a_inv(A2, 1, 0)
+        at_cut = key_mul(a_inv(A2, 1, 0), a_inv(A2, 2, 1))
+        below = key_mul(at_cut, a_inv(A2, 1, 2))
+        s = KSeries(A2, {top: 1, zero: 0, at_cut: 5, below: -1}, Fraction(-4))
+        assert dict(s.terms.items()) == {top: 1}
+        assert KSeries(A2, {top: 0}, Fraction(-4)).is_zero()
+        # so is a monomial with coefficient 0
+        assert KSeries.monomial(A2, top, Fraction(-4), coeff=0).is_zero()
+
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_clamp_at_or_below_the_own_cutoff_is_the_series(self, name, data):
+        r = rs(name)
+        s = data.draw(small_series(r))
+        den = r.height_functional[0]
+        lower = s.cutoff2 - Fraction(data.draw(st.integers(0, 9)), den)
+        assert s.clamped(lower) is s
+        assert decoded(s.clamped(lower)) == decoded(s)
+
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_every_operation_keeps_the_invariant(self, name, data):
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        cut = Fraction(data.draw(st.integers(-12, 2)), r.height_functional[0])
+        results = [a, a * b, a + b, a - b, -a, a.clamped(cut)]
+        results.append(a.mul_monomial(a_inv(r, 1, 0)))
+        try:  # a unique leading term with coefficient ±1
+            results.append(a.inverse())
+        except TruncationError:
+            pass
+        for s in results:
+            assert all(
+                c and s._ht(k) > s.cutoff2 for k, c in s.terms.items()
+            ), s
 
 
 # ---------------------------------------------------------------------------

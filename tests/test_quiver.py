@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from clusterqq.quiver import (
     MarginError,
-    WindowedQuiver,
     basic_quiver,
     build_coxeter_quiver,
     build_seed_quiver,
@@ -17,7 +16,7 @@ from clusterqq.quiver import (
     quiver_to_json,
     recolor_from_arrows,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data_from_word
+from clusterqq.rootsys import RootSystem
 
 
 def rs(name):

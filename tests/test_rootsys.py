@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.rootsys import (
-    CoxeterDatum,
     RootSystem,
     Weight,
     coxeter_data,
@@ -17,7 +16,6 @@ from clusterqq.rootsys import (
     identity_element,
     is_reduced,
     longest_element,
-    orientation_from_word,
     simple_reflection,
     simple_root,
     weyl_from_word,

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterqq.gvector import GVec, blocks_gvectors, knit_gvectors, sweep_gvectors
+from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
 from clusterqq.quiver import build_coxeter_quiver
 from clusterqq.rootsys import RootSystem
 from clusterqq.seed import (
-    SignError,
     cvector,
     cvector_sign,
     dual_cvectors,

@@ -122,6 +122,55 @@ class TestOneSum:
             segment_qchar(seg, d)
 
 
+def ptolemy_grid(lo, hi):
+    """The quadruples (r, s, r', s') of a Ptolemy grid over lo..hi."""
+    return [
+        (r, s, rp, sp)
+        for r in range(lo, hi + 1)
+        for rp in range(r + 1, hi + 1)
+        for s in range(rp - 1, hi + 1)
+        for sp in range(s + 1, hi + 1)
+    ]
+
+
+class TestClassMemo:
+    def test_a_class_is_built_once(self):
+        seg = Segment(-2, 3)
+        assert segment_qchar(seg, 5) is segment_qchar(seg, 5)
+        assert segment_qchar(Segment(-INF, 1), 4) is segment_qchar(
+            Segment(-INF, 1), 4
+        )
+
+    def test_a_shared_class_is_never_changed(self):
+        c = segment_qchar(Segment(0, 3), 6)
+        other = segment_qchar(Segment(-INF, 1), 6)
+        before = decoded(c)
+        for _ in (
+            c * other, other * c, c * c, c + other, c - other, other - c,
+            c.mul_monomial(bracket(A1, (-4,))), c.clamped(Fraction(-4)),
+            c.clamped(Fraction(-20)), c.inverse(), c.inverse() * c,
+        ):
+            assert decoded(c) == before
+        assert segment_qchar(Segment(0, 3), 6) is c
+
+    def test_ptolemy_grid_builds_each_class_once(self):
+        # the 715-quadruple grid of the rank_one benchmark workload, d = 6
+        grid = ptolemy_grid(-5, 5)
+        assert len(grid) == 715
+        asked = set()
+        for r, s, rp, sp in grid:
+            asked.update(
+                Segment(*ends)
+                for ends in ((r, s), (rp, sp), (r, sp), (rp, s),
+                             (r, rp - 2), (s + 2, sp))
+            )
+        segment_qchar.cache_clear()
+        assert all(ptolemy_check(*q, 6)["ok"] for q in grid)
+        info = segment_qchar.cache_info()
+        assert info.misses == len(asked) == info.currsize
+        assert info.hits == 6 * len(grid) - len(asked)
+
+
 class TestSegmentSeries:
     def test_positive_half_is_monomial(self):
         s = segment_qchar(Segment(3, INF), 4)

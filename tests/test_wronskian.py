@@ -18,7 +18,6 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 from clusterqq.wronskian import (
-    SeriesMatrix,
     block_qvariable,
     bruhat_check,
     build_wronskian,
@@ -446,3 +445,51 @@ class TestBruhatCertificates:
         assert cert["ok"]
         assert calls
         assert len(calls) <= (2 * n + 4) * trials + 2 * n * cert["rejected"]
+
+
+class TestDeadline:
+    """The optional deadline check runs inside the long loops and changes
+    nothing about the certificate."""
+
+    class Stop(Exception):
+        pass
+
+    def counter(self, stop_at=None):
+        calls = []
+
+        def deadline():
+            calls.append(1)
+            if len(calls) == stop_at:
+                raise self.Stop
+
+        return calls, deadline
+
+    def test_wronskian_checks_before_every_comparison(self):
+        calls, deadline = self.counter()
+        cert = check_wronskian(A2, [-2, 0], depth=4, deadline=deadline)
+        assert cert == check_wronskian(A2, [-2, 0], depth=4)
+        compared = (
+            len(cert["equations"])
+            + len(cert["determinants"])
+            + len(cert["minor_identifications"])
+        )
+        assert len(calls) == compared
+
+    def test_bruhat_checks_before_every_draw(self):
+        calls, deadline = self.counter()
+        cert = bruhat_check(3, 50, 4, deadline=deadline)
+        assert cert == bruhat_check(3, 50, 4)
+        assert len(calls) == cert["trials"] + cert["rejected"]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda d: check_wronskian(A2, [-2, 0], depth=4, deadline=d),
+            lambda d: bruhat_check(3, 50, 4, deadline=d),
+        ],
+    )
+    def test_a_raising_deadline_abandons_the_run(self, run):
+        calls, deadline = self.counter(stop_at=3)
+        with pytest.raises(self.Stop):
+            run(deadline)
+        assert len(calls) == 3
