@@ -11,7 +11,11 @@ quiver are provided:
   vectors on top slices, then a degree shift along vertical up-arrows and
   an alternating sum along the red-over-green down-arrows.
 * :func:`braid_gvectors` — the braid-group action ``θ_i`` on the free
-  module over vertices, evaluated along the green word.
+  module over vertices, evaluated along the green word.  The composite
+  ``Θ_t = θ_{w_0} ∘ ⋯ ∘ θ_{w_t}`` of a prefix commutes with degree shift,
+  so it is held as one column per node, the image of that node's unit
+  vector at its red top; letter ``w_t = i`` replaces column ``i`` by
+  ``θ_i``'s formula read through ``Θ_{t-1}``.
 
 All three must agree; they are exposed separately so they can certify one
 another.
@@ -20,8 +24,10 @@ Every slice, block and limit matrix is a range product ``T_top ⋯ T_bottom``
 of slice matrices.  ``T_j`` is the identity outside the green band
 ``h_c ≤ j ≤ -1`` (``CoxeterDatum.h_c`` is the lowest slice with a green
 vertex), so a range is first clamped to the band; the clamped products
-are memoized per ``(datum, top, bottom)`` in a bounded LRU cache, each
-entry built from the one a slice shorter by a single matrix product.
+are memoized per ``(datum, top, bottom)`` in a bounded LRU cache.  Each
+entry is built from the one a slice shorter by column operations: the
+generator ``t_i`` differs from the identity only in column ``i``, so
+``M·t_i`` replaces column ``i`` of ``M`` by ``-M[:,i] + Σ_{k~i} M[:,k]``.
 Repeated green sweeps and limit blocks then share their prefixes instead
 of rebuilding them.
 """
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quiver import CoxeterWindow, Vertex, WindowedQuiver
-from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity, _mat_mul
+from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity
 
 
 @dataclass(frozen=True)
@@ -120,13 +126,15 @@ def _band_product(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
 # most about h slices deep, so one datum needs a few hundred at most
 @lru_cache(maxsize=1 << 12)
 def _band_memo(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
-    if top > bottom:
-        shorter = _band_memo(datum, top, bottom + 1)
-        return _mat_mul(shorter, _band_memo(datum, bottom, bottom))
-    out = _identity(datum.rs.n)
+    rs = datum.rs
+    shorter = _band_memo(datum, top, bottom + 1) if top > bottom else _identity(rs.n)
+    rows = [list(row) for row in shorter]
+    # right-multiply by the slice's t_i in order, one column operation each
     for i in green_slice_nodes(datum, bottom):
-        out = _mat_mul(out, datum.rs.reflection_matrix_t(i))
-    return out
+        nbrs = [k - 1 for k in rs.neighbors(i)]
+        for row in rows:
+            row[i - 1] = sum(row[k] for k in nbrs) - row[i - 1]
+    return tuple(tuple(row) for row in rows)
 
 
 def _block_to_gvecs(
@@ -262,13 +270,20 @@ def theta_word(rs: RootSystem, word, g: GVec) -> GVec:
 def braid_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     """Stabilized g-vectors of the green vertices via the braid action."""
     rs = cw.datum.rs
-    greens = cw.green_sequence()
-    word = [v[0] for v in greens]
+    # col[j] = Θ_t(e_(j, red_top(j))); by shift equivariance it fixes Θ_t
+    col = {j: GVec.unit((j, cw.red_top(j))) for j in range(1, rs.n + 1)}
     out: dict[Vertex, GVec] = {}
     seen: dict[int, int] = {}
-    for t, (i, a) in enumerate(greens):
+    for i, a in cw.green_sequence():
+        # Θ_t(e_(i,b)) = Θ_{t-1}(θ_i e_(i,b)) = -Θ_{t-1}(e_(i,b-2))
+        # + Σ_{k~i} Θ_{t-1}(e_(k,b-1)), at b = red_top(i)
+        b = cw.red_top(i)
+        acc = (-col[i].shift(-1)).as_dict()
+        for k in rs.neighbors(i):
+            for v, c in col[k].shift((b - 1 - cw.red_top(k)) // 2).coeffs:
+                acc[v] = acc.get(v, 0) + c
+        col[i] = GVec.from_dict(acc)
         s_t = seen.get(i, 0)
-        start = GVec.unit((i, cw.red_top(i)))
-        out[(i, a)] = theta_word(rs, word[: t + 1], start).shift(-s_t)
+        out[(i, a)] = col[i].shift(-s_t)
         seen[i] = s_t + 1
     return out

@@ -228,18 +228,6 @@ class Weight:
         if len(self.coords2) != self.rs.n:
             raise ValueError("coordinate length does not match rank")
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.rs, tuple(a + b for a, b in zip(self.coords2, other.coords2)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self.rs, tuple(a - b for a, b in zip(self.coords2, other.coords2)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(self.rs, tuple(-a for a in self.coords2))
-
-    def scale(self, k: int) -> "Weight":
-        return Weight(self.rs, tuple(k * a for a in self.coords2))
-
 
 def fundamental_weight(rs: RootSystem, i: int) -> Weight:
     rs._check_index(i)

@@ -92,12 +92,18 @@ def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
 
 def _exchange_lhs(seed: Seed, k: Vertex) -> dict[Vertex, int]:
     """Net in-degree combination of g-vectors at k in the seed quiver."""
-    acc = GVec.zero()
-    for v, m in seed.quiver.arrows_in(k):
-        acc = acc + seed.g_of(v).scale(m)
-    for v, m in seed.quiver.arrows_out(k):
-        acc = acc - seed.g_of(v).scale(m)
-    return acc.as_dict()
+    g = seed.gmap()
+    acc: dict[Vertex, int] = {}
+    for (a, b), m in seed.quiver.arrows:
+        if b == k:
+            v = a
+        elif a == k:
+            v, m = b, -m
+        else:
+            continue
+        for u, x in g[v].coeffs:
+            acc[u] = acc.get(u, 0) + m * x
+    return acc
 
 
 def cvector(seed: Seed, k: Vertex) -> GVec:
@@ -118,34 +124,36 @@ def cvector(seed: Seed, k: Vertex) -> GVec:
         raise ValueError("c-vectors are computed against the stabilized reference")
     ref = seed.ref_quiver
     lhs = _exchange_lhs(seed, k)
-    cols: dict[int, list[int]] = {}
+    heights: dict[int, list[int]] = {}
     for (i, r) in ref.vertices:
-        cols.setdefault(i, []).append(r)
-    top = max(max(h) for h in cols.values())
-    bot = min(min(h) for h in cols.values())
+        heights.setdefault(i, []).append(r)
+    # per column, in node order: its top, its bottom and its neighbours
+    cols = {
+        i: (max(h), min(h), ref.rs.neighbors(i)) for i, h in sorted(heights.items())
+    }
+    top = max(hi for hi, _, _ in cols.values())
+    bot = min(lo for _, lo, _ in cols.values())
     c: dict[Vertex, int] = {}
+    above: Vertex | None = None  # first nonzero coefficient above its column
     for r in range(top + 5, bot - 1, -1):
-        for i in sorted(cols):
-            if (r - max(cols[i])) % 2:
+        for i, (hi, lo, nbrs) in cols.items():
+            if (r - hi) % 2:
                 continue
             val = c.get((i, r + 2), 0)
-            for j in ref.rs.neighbors(i):
+            for j in nbrs:
                 val += c.get((j, r - 1), 0) - c.get((j, r + 1), 0)
             val -= lhs.get((i, r), 0)
-            if r - 2 >= min(cols[i]):
+            if r - 2 >= lo:
                 c[(i, r - 2)] = val
+                if val and above is None and r - 2 > hi:
+                    above = (i, r - 2)
             elif val:
                 raise MarginError(
                     f"c-vector support reaches the window bottom in column {i}"
                 )
-    for (i, r), x in list(c.items()):
-        if r > max(cols[i]):
-            if x:
-                raise MarginError(
-                    f"c-vector support reaches the window top at {(i, r)}"
-                )
-            del c[(i, r)]
-    return GVec.from_dict(c)
+    if above is not None:
+        raise MarginError(f"c-vector support reaches the window top at {above}")
+    return GVec.from_dict({v: x for v, x in c.items() if v[1] <= cols[v[0]][0]})
 
 
 def cvector_sign(seed: Seed, k: Vertex) -> int:
@@ -302,11 +310,10 @@ def green_sweep(seed: Seed) -> Seed:
     for l in greens:
         _transport(ref, g, holders, l)
     ref.recolor()
-    base_tag = tag.split("*")[0]
-    old_sweeps = tag.count("+sweep")
+    # the part before the first '*' already carries the earlier sweeps
     return replace(
         seed,
         ref_quiver=ref.freeze(),
         g=_pack(g),
-        ref_tag=base_tag + "+sweep" * (old_sweeps + 1),
+        ref_tag=tag.split("*")[0] + "+sweep",
     )

@@ -230,6 +230,15 @@ class TestSweepConvergence:
                 assert g == limit[v], v
         budget.check()
 
+    def test_forty_rank_one_sweeps_from_the_cli(self):
+        # the reference tag names each sweep once, so it grows linearly
+        budget = Budget(2.0)
+        args = ["seed", "sweep", "--type", "A1", "--sweeps", "40", "--json"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 40
+        budget.check()
+
 
 # ---------------------------------------------------------------------------
 # 4. braid relations of the reflection operators
@@ -685,6 +694,23 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "blocks_gvectors", blocks)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert not cert["ok"] and cert["mismatches"] == [list(v)]
+
+    def test_gvec_compare_with_one_braid_coordinate_changed(self, monkeypatch):
+        args = ["gvec", "compare", "--type", "A3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        real = gvector.braid_gvectors
+        v = (1, -6)
+
+        def braid(cw):
+            out = real(cw)
+            out[v] = out[v] + GVec.unit((3, -4))
+            return out
+
+        monkeypatch.setattr(gvector, "braid_gvectors", braid)
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1
         (cert,) = [json.loads(line) for line in result.stdout.splitlines()]

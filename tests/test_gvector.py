@@ -377,13 +377,21 @@ def oracle_blocks(d, m, K, T):
 MEMO_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
 
 
-def coxeter_windows(name):
-    """The Coxeter windows of the words 1..n and n..1."""
-    r = rs(name)
+def coxeter_words(r, count=4):
+    """1..n, n..1 and seeded shuffles: up to ``count`` distinct words."""
+    rng = random.Random(r.dynkin_type)
     words = {tuple(range(1, r.n + 1)), tuple(range(r.n, 0, -1))}
+    while len(words) < min(count, math.factorial(r.n)):
+        words.add(tuple(rng.sample(range(1, r.n + 1), r.n)))
+    return sorted(words)
+
+
+def coxeter_windows(name):
+    """The Coxeter windows of the words of :func:`coxeter_words`."""
+    r = rs(name)
     return [
         build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=4)
-        for w in sorted(words)
+        for w in coxeter_words(r)
     ]
 
 
@@ -393,11 +401,7 @@ class TestBandMemo:
         # the band products clamp at h_c: it must be the lowest slice of
         # a green vertex in the built window, for every Coxeter word
         r = rs(name)
-        rng = random.Random(name)
-        words = {tuple(range(1, r.n + 1)), tuple(range(r.n, 0, -1))}
-        while len(words) < min(6, math.factorial(r.n)):
-            words.add(tuple(rng.sample(range(1, r.n + 1), r.n)))
-        for w in sorted(words):
+        for w in coxeter_words(r, 6):
             cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
             lowest = min(cw.slice_index(v) for v in cw.quiver.greens())
             assert cw.datum.h_c == lowest, w
@@ -423,18 +427,18 @@ class TestBandMemo:
 
     def test_sweeps_reuse_products(self, monkeypatch):
         # each sweep count k adds at most one product per band slice, so
-        # K sweeps compute at most depth·K distinct products, each with
-        # one matrix product; rebuilding every block per sweep would be
-        # quadratic in K
+        # K sweeps compute at most depth·K distinct products, each applying
+        # one slice's column operations; rebuilding every block per sweep
+        # would be quadratic in K
         r = rs("D4")
         d = coxeter_data_from_word(r, (1, 2, 3, 4))
         calls = []
 
-        def counted(a, b):
+        def counted(datum, m):
             calls.append(1)
-            return _mat_mul(a, b)
+            return green_slice_nodes(datum, m)
 
-        monkeypatch.setattr("clusterqq.gvector._mat_mul", counted)
+        monkeypatch.setattr("clusterqq.gvector.green_slice_nodes", counted)
         _band_memo.cache_clear()
         result = CliRunner().invoke(
             main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
@@ -443,3 +447,33 @@ class TestBandMemo:
         bound = -d.h_c * 20
         assert 0 < _band_memo.cache_info().misses <= bound
         assert len(calls) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the braid columns against the whole prefix words
+# ---------------------------------------------------------------------------
+
+
+def oracle_braid(cw):
+    """Green t gets the whole prefix word applied to its red-top unit."""
+    r = cw.datum.rs
+    greens = cw.green_sequence()
+    word = [v[0] for v in greens]
+    out, seen = {}, {}
+    for t, (i, a) in enumerate(greens):
+        s_t = seen.get(i, 0)
+        start = GVec.unit((i, cw.red_top(i)))
+        out[(i, a)] = theta_word(r, word[: t + 1], start).shift(-s_t)
+        seen[i] = s_t + 1
+    return out
+
+
+class TestBraidColumns:
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_braid_equals_the_prefix_words(self, name):
+        r = rs(name)
+        words = coxeter_words(r)
+        assert len(words) >= min(3, math.factorial(r.n))
+        for w in words:
+            cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
+            assert braid_gvectors(cw) == oracle_braid(cw), w

@@ -1,14 +1,16 @@
 """Seed mutation, reference mutation, green sweeps, c-vector signs."""
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
-from clusterqq.quiver import build_coxeter_quiver
-from clusterqq.rootsys import RootSystem
+from clusterqq.quiver import MarginError, basic_quiver, build_coxeter_quiver
+from clusterqq.rootsys import RootSystem, coxeter_data_from_word
 from clusterqq.seed import (
     cvector,
     cvector_sign,
@@ -59,6 +61,12 @@ class TestRankOneSweeps:
                     -GVec.unit(v) if -2 * m <= v[1] <= -2 else GVec.unit(v)
                 )
                 assert g == expect, (m, v)
+
+    def test_each_sweep_adds_one_tag(self):
+        seed = initial_seed(window("A1", depth=14), stabilized=False)
+        for k in range(1, 7):
+            seed = green_sweep(seed)
+            assert seed.ref_tag.count("+sweep") == k
 
     def test_sweep_recolors_one_step_down(self):
         cw = window("A1", depth=14)
@@ -205,6 +213,101 @@ class TestCVectors:
         assert cvector(seed, (2, -3)) == e((-1, (1, -4)), (-1, (2, -3)))
         assert cvector(seed, (1, -6)) == e((-1, (2, -5)))
         assert cvector(seed, (2, -5)) == e((-1, (1, -6)))
+
+
+def oracle_exchange_lhs(seed, k):
+    """The exchange combination at k, one g-vector lookup per arrow."""
+    acc = GVec.zero()
+    for v, m in seed.quiver.arrows_in(k):
+        acc = acc + seed.g_of(v).scale(m)
+    for v, m in seed.quiver.arrows_out(k):
+        acc = acc - seed.g_of(v).scale(m)
+    return acc.as_dict()
+
+
+def oracle_cvector(seed, k):
+    """The top-down substitution, re-reading each column's span per row."""
+    ref = seed.ref_quiver
+    lhs = oracle_exchange_lhs(seed, k)
+    cols = {}
+    for (i, r) in ref.vertices:
+        cols.setdefault(i, []).append(r)
+    top = max(max(h) for h in cols.values())
+    bot = min(min(h) for h in cols.values())
+    c = {}
+    for r in range(top + 5, bot - 1, -1):
+        for i in sorted(cols):
+            if (r - max(cols[i])) % 2:
+                continue
+            val = c.get((i, r + 2), 0)
+            for j in ref.rs.neighbors(i):
+                val += c.get((j, r - 1), 0) - c.get((j, r + 1), 0)
+            val -= lhs.get((i, r), 0)
+            if r - 2 >= min(cols[i]):
+                c[(i, r - 2)] = val
+            elif val:
+                raise MarginError(
+                    f"c-vector support reaches the window bottom in column {i}"
+                )
+    for (i, r), x in list(c.items()):
+        if r > max(cols[i]):
+            if x:
+                raise MarginError(
+                    f"c-vector support reaches the window top at {(i, r)}"
+                )
+            del c[(i, r)]
+    return GVec.from_dict(c)
+
+
+def cvector_outcome(fn, seed, k):
+    try:
+        return fn(seed, k)
+    except MarginError as exc:
+        return (type(exc), str(exc))
+
+
+# Green vertices of the E6 window for the Coxeter word 1..6, as (column,
+# top height, count), heights stepping down by 4
+E6_GREENS = ((1, -2, 8), (2, -3, 6), (3, -3, 7), (4, -4, 6), (5, -5, 5), (6, -6, 4))
+
+
+class TestCVectorOracle:
+    def test_e6_green_walk(self):
+        r = rs("E6")
+        cw = build_coxeter_quiver(r, coxeter_data_from_word(r, tuple(range(1, 7))))
+        greens = [(i, top - 4 * k) for i, top, n in E6_GREENS for k in range(n)]
+        random.Random(6).shuffle(greens)
+        seed = initial_seed(cw)
+        for v in greens:
+            assert cvector(seed, v) == oracle_cvector(seed, v), v
+            seed, _ = mutate_seed(seed, v)
+        assert len(greens) == 36
+
+    @pytest.mark.parametrize("drop", [4, 8])
+    @pytest.mark.parametrize("name", ["A2", "A3"])
+    def test_margin_errors_on_a_reference_cut_below_the_top(self, name, drop):
+        # a reference whose top is `drop` below the seed's: the g-vectors
+        # reach above the reference top, so both margin branches fire at
+        # some vertices, and at drop 8 several coefficients lie above
+        # the top at once, so the message must name the first
+        q = window(name, depth=4).quiver
+        seed = initial_seed(window(name, depth=4))
+        cut = replace(
+            seed,
+            ref_quiver=basic_quiver(
+                q.rs, q.rmin, q.rmax - drop, parity=q.parity, margin=q.margin
+            ),
+        )
+        kinds = set()
+        for v in sorted(q.vertices):
+            expected = cvector_outcome(oracle_cvector, cut, v)
+            assert cvector_outcome(cvector, cut, v) == expected, v
+            if isinstance(expected, tuple):
+                kinds.add(expected[1].split(" at ")[0].split(" in ")[0])
+        assert kinds == {
+            "c-vector support reaches the window top",
+            "c-vector support reaches the window bottom",
+        }
 
 
 # ---------------------------------------------------------------------------

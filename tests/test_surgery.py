@@ -160,11 +160,7 @@ def oracle_green_sweep(seed):
     for l in greens:
         seed = oracle_mutate_reference(seed, l)
     ref = oracle_recolor(seed.ref_quiver)
-    base_tag = tag.split("*")[0]
-    old_sweeps = tag.count("+sweep")
-    return replace(
-        seed, ref_quiver=ref, ref_tag=base_tag + "+sweep" * (old_sweeps + 1)
-    )
+    return replace(seed, ref_quiver=ref, ref_tag=tag.split("*")[0] + "+sweep")
 
 
 def oracle_coxeter_quiver(root_system, datum, depth_below=8, rmax=2, margin=2):
