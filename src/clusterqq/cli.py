@@ -19,7 +19,6 @@ import click
 from . import gvector, sl2, wronskian
 from .qseries import KSeries, QEvaluator, qq_check, qqstar_check, f_label
 from .quiver import (
-    MarginError,
     build_coxeter_quiver,
     mutate_quiver,
     quiver_to_json,
@@ -30,7 +29,7 @@ from .rootsys import (
     is_reduced,
     longest_element,
 )
-from .seed import SignError, green_sweep, initial_seed, mutate_seed
+from .seed import green_sweep, initial_seed, mutate_seed
 
 EXIT_FAIL = 1
 EXIT_BUDGET = 3
@@ -291,7 +290,7 @@ def seed_mutate(type_, coxeter, vertices, as_json, budget):
         v = _parse_vertex(spec)
         try:
             seed, sign = mutate_seed(seed, v)
-        except (SignError, MarginError) as exc:
+        except ValueError as exc:
             raise click.UsageError(f"cannot mutate at {v}: {exc}")
         rep.emit(
             {

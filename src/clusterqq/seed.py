@@ -210,8 +210,11 @@ def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
     """Mutate the seed at k, updating quiver, g-vector and optional value.
 
     Returns the mutated seed and the sign of the c-vector at k, which
-    picked the branch of the exchange recursion.
+    picked the branch of the exchange recursion.  Raises ``ValueError``
+    for a vertex outside the window.
     """
+    if k not in seed.quiver.vertices:
+        raise ValueError(f"vertex {k} not in window")
     sign = cvector_sign(seed, k)
     g = seed.gmap()
     acc = -g[k]

@@ -26,17 +26,15 @@ and column; west: the first row and last column), ``inner`` its central
 minor and ``det`` its determinant, the two identities are the integer
 equations ``N·S - W·E == inner·D**(n+1)`` (the exchange identity, which
 uses det = 1) and ``N·S - W·E == det·inner`` (Desnanot-Jacobi).  Both
-halves take their determinants from one Leibniz routine, ``_leibniz``,
+halves take their determinants from one Laplace routine, ``_minor``,
 which works over any commutative ring.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qseries import KSeries, QEvaluator
@@ -86,17 +84,23 @@ class SeriesMatrix:
     depth: int
     entries: tuple[tuple[KSeries, ...], ...]
     ev: QEvaluator
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def minor(self, rows, cols) -> KSeries:
-        """Exact truncated determinant of the (rows x cols) submatrix."""
+        """Exact truncated determinant of the (rows x cols) submatrix.
+
+        Every minor and sub-minor is computed once per matrix: the shift
+        equations, the determinant and the Q-variable identifications
+        share one memo.
+        """
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise ValueError("minor needs equally many rows and columns")
-        return _leibniz([[self.entries[rk][c] for c in cols] for rk in rows])
+        return _minor(self.entries, rows, cols, self._memo)
 
     def block_minor(self, i: int, k: int, l: int) -> KSeries:
         """The i x i minor on row block k.., column block l.. ."""
@@ -106,45 +110,32 @@ class SeriesMatrix:
         return self.minor(range(self.size), range(self.size))
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(perm)), 2):
-        if perm[a] > perm[b]:
-            sign = -sign
-    return sign
-
-
-# The Leibniz routine holds all k! signed permutations of a k x k matrix:
-# about 61 MiB at k = 9 and ten times that at k = 10.  So the rank n of
-# the (n+1) x (n+1) matrices here is at most MAX_RANK.
+# No determinant table bounds the rank any more: a k x k minor has at
+# most 2**k memoized sub-minors.  MAX_RANK stays the documented input
+# range of `wronskian check` and `bruhat verify` (exit 2 above it); no
+# run above rank 8 has been measured or given a budget.
 MAX_RANK = 8
 
 
-@functools.lru_cache(maxsize=16)
-def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(
-        (perm, _perm_sign(perm)) for perm in itertools.permutations(range(k))
-    )
+def _minor(entries, rows, cols, memo):
+    """Laplace determinant of the rows x cols submatrix of ``entries``,
+    over any commutative ring, expanded along the first row.
 
-
-def _leibniz(rows):
-    """Leibniz determinant of a square matrix over any commutative ring.
-
-    Each term multiplies its factors left to right; the first term enters
-    with its sign and every later one is added or subtracted, so a
-    truncated-series determinant always runs the same operations.  The
-    empty matrix has determinant 1.
+    Each sub-minor is kept in ``memo`` under ``(rows, cols)``.  The first
+    term enters with its sign and every later one is added or subtracted,
+    so a truncated-series minor always runs the same operations.  No rows
+    give 1 and one row gives the entry.
     """
-    acc = None
-    for perm, sign in _signed_permutations(len(rows)):
-        factors = (row[p] for row, p in zip(rows, perm))
-        term = next(factors, 1)
-        for f in factors:
-            term = term * f
-        if acc is None:
-            acc = term if sign > 0 else -term
-        else:
-            acc = acc + term if sign > 0 else acc - term
+    if len(rows) < 2:
+        return entries[rows[0]][cols[0]] if rows else 1
+    if (rows, cols) in memo:
+        return memo[rows, cols]
+    head, rest = entries[rows[0]], rows[1:]
+    acc = head[cols[0]] * _minor(entries, rest, cols[1:], memo)
+    for j in range(1, len(cols)):
+        term = head[cols[j]] * _minor(entries, rest, cols[:j] + cols[j + 1 :], memo)
+        acc = acc - term if j % 2 else acc + term
+    memo[rows, cols] = acc
     return acc
 
 
@@ -301,7 +292,7 @@ def _clear_denominators(mat) -> tuple[list[list[int]], int]:
 
 
 def _int_minor(m, rows, cols) -> int:
-    return _leibniz([[m[r][c] for c in cols] for r in rows])
+    return _minor(m, tuple(rows), tuple(cols), {})
 
 
 def rational_minor(mat, rows, cols) -> Fraction:
@@ -309,7 +300,8 @@ def rational_minor(mat, rows, cols) -> Fraction:
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
     m, d = _clear_denominators([[mat[r][c] for c in cols] for r in rows])
-    return Fraction(_leibniz(m), d ** len(rows))
+    k = tuple(range(len(rows)))
+    return Fraction(_minor(m, k, k, {}), d ** len(rows))
 
 
 def _random_scaled_sl(size: int, rng: random.Random):

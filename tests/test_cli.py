@@ -75,7 +75,7 @@ class TestUsage:
             # too shallow a window: MarginError while building it
             ["gvec", "compare", "--type", "E6", "--depth-below", "0"],
             ["gvec", "knit", "--type", "D4", "--depth-below", "-3"],
-            # no such vertex: SignError, a zero c-vector
+            # no such vertex: ValueError, not in the window
             ["seed", "mutate", "--type", "E6", "--vertex", "1,-40"],
             ["seed", "mutate", "--type", "E6", "--vertex", "9,0"],
             # an empty run would certify nothing

@@ -12,6 +12,7 @@ from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
 from clusterqq.quiver import MarginError, basic_quiver, build_coxeter_quiver
 from clusterqq.rootsys import RootSystem, coxeter_data_from_word
 from clusterqq.seed import (
+    SignError,
     cvector,
     cvector_sign,
     dual_cvectors,
@@ -344,6 +345,15 @@ class TestSeedMutation:
             back, _ = mutate_seed(mutate_seed(seed, v)[0], v)
             assert back.g == seed.g
             assert back.quiver.same_arrows(seed.quiver)
+
+    @pytest.mark.parametrize("v", [(9, 9), (1, 1), (1, -400)])
+    def test_vertex_outside_window_is_not_a_sign_failure(self, v):
+        # no such node, the wrong parity, far below the window
+        seed = initial_seed(window("A3"))
+        assert v not in seed.quiver.vertices
+        with pytest.raises(ValueError, match="not in window") as exc:
+            mutate_seed(seed, v)
+        assert not isinstance(exc.value, SignError)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

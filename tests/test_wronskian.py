@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq import wronskian
-from clusterqq.qseries import QEvaluator, product
+from clusterqq.qseries import QEvaluator
 from clusterqq.rootsys import (
     RootSystem,
     fundamental_weight,
@@ -28,8 +29,9 @@ from clusterqq.wronskian import (
     weight_word,
 )
 
-# Oracles: the Fraction arithmetic that the integer-scaled routines
-# replaced, kept as the reference they must agree with exactly.
+# Oracles: the Leibniz determinant and the Fraction arithmetic that the
+# Laplace and integer-scaled routines replaced, kept as the reference
+# they must agree with exactly.
 
 
 def _oracle_sign(perm) -> int:
@@ -40,15 +42,27 @@ def _oracle_sign(perm) -> int:
     return sign
 
 
-def oracle_minor(mat, rows, cols) -> Fraction:
-    rows, cols = tuple(rows), tuple(cols)
-    acc = Fraction(0)
-    for perm in itertools.permutations(range(len(cols))):
-        term = Fraction(_oracle_sign(perm))
-        for t, rk in enumerate(rows):
-            term *= mat[rk][cols[perm[t]]]
-        acc += term
+def leibniz(rows):
+    """Leibniz determinant over any commutative ring: the module's routine
+    before the Laplace one.  Each term multiplies its factors left to
+    right; the first term enters with its sign and every later one is
+    added or subtracted.  The empty matrix has determinant 1."""
+    acc = None
+    for perm in itertools.permutations(range(len(rows))):
+        sign = _oracle_sign(perm)
+        factors = (row[p] for row, p in zip(rows, perm))
+        term = next(factors, 1)
+        for f in factors:
+            term = term * f
+        if acc is None:
+            acc = term if sign > 0 else -term
+        else:
+            acc = acc + term if sign > 0 else acc - term
     return acc
+
+
+def oracle_minor(mat, rows, cols) -> Fraction:
+    return leibniz([[Fraction(mat[rk][c]) for c in cols] for rk in rows])
 
 
 def oracle_random_sl_matrix(size, rng):
@@ -65,20 +79,6 @@ def oracle_random_sl_matrix(size, rng):
         for col in range(size):
             mat[a][col] += t * mat[b][col]
     return tuple(tuple(row) for row in mat)
-
-
-def oracle_series_minor(m, rows, cols):
-    """Every product first, then the signed sum: the reference order of
-    series operations for ``SeriesMatrix.minor``."""
-    terms = []
-    for perm in itertools.permutations(range(len(cols))):
-        factors = [m.entries[rk][cols[perm[t]]] for t, rk in enumerate(rows)]
-        terms.append((_oracle_sign(perm), product(factors)))
-    acc = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
-    for sign, s in terms[1:]:
-        acc = acc + s if sign > 0 else acc - s
-    return acc
-
 
 
 # Rational-point helpers of the tests, over the module's integer routines.
@@ -202,7 +202,7 @@ class TestSeriesMatrix:
     )
     def test_minor_runs_the_same_operations(self, m_a2, rows, cols):
         got = m_a2.minor(rows, cols)
-        want = oracle_series_minor(m_a2, rows, cols)
+        want = leibniz([[m_a2.entries[rk][c] for c in cols] for rk in rows])
         assert got.terms == want.terms
         assert got.cut == want.cut
 
@@ -324,34 +324,34 @@ class TestRationalMinors:
 
 
 class TestSizeBound:
-    """An (n+1) x (n+1) Leibniz table holds (n+1)! terms, so ranks above
-    MAX_RANK are refused before any series or permutation work."""
+    """Ranks above MAX_RANK, the documented input range of both minor
+    checks, are refused before any series, sampling or minor work."""
 
     class Reached(Exception):
         pass
 
     @pytest.fixture
-    def no_leibniz(self, monkeypatch):
+    def no_minors(self, monkeypatch):
         def refuse(*args):
             raise self.Reached
 
-        for name in ("_signed_permutations", "build_wronskian", "_random_scaled_sl"):
+        for name in ("_minor", "build_wronskian", "_random_scaled_sl"):
             monkeypatch.setattr(wronskian, name, refuse)
 
     def test_bound(self):
         assert wronskian.MAX_RANK == 8
 
     @pytest.mark.parametrize("n", [9, 10, 40])
-    def test_bruhat_refuses_large_rank(self, no_leibniz, n):
+    def test_bruhat_refuses_large_rank(self, no_minors, n):
         with pytest.raises(ValueError):
             bruhat_check(n, trials=1)
 
     @pytest.mark.parametrize("n", [9, 10, 40])
-    def test_wronskian_refuses_large_rank(self, no_leibniz, n):
+    def test_wronskian_refuses_large_rank(self, no_minors, n):
         with pytest.raises(ValueError):
             check_wronskian(RootSystem.from_name(f"A{n}"), [0], depth=2)
 
-    def test_largest_rank_passes_the_guard(self, no_leibniz):
+    def test_largest_rank_passes_the_guard(self, no_minors):
         n = wronskian.MAX_RANK
         with pytest.raises(self.Reached):
             bruhat_check(n, trials=1)
@@ -408,6 +408,119 @@ class TestIntegerScale:
             rational_minor([[1, 2], [3, 4]], (0, 1), (0,))
 
 
+def subsets(size):
+    """Every nonempty square (rows, cols) pair of a size x size matrix."""
+    for k in range(1, size + 1):
+        for rows in itertools.combinations(range(size), k):
+            for cols in itertools.combinations(range(size), k):
+                yield rows, cols
+
+
+def series_mismatches(m) -> tuple[int, list]:
+    """The number of nonempty minors of ``m`` compared with the Leibniz
+    oracle, and those whose cut or terms differ from it."""
+    compared, bad = 0, []
+    for rows, cols in subsets(m.size):
+        got = m.minor(rows, cols)
+        want = leibniz([[m.entries[rk][c] for c in cols] for rk in rows])
+        compared += 1
+        if (got.cut, got._t) != (want.cut, want._t):
+            bad.append((rows, cols))
+    return compared, bad
+
+
+def sign_flipped(real):
+    """``wronskian._minor`` with the sign of every 2 x 2 minor's second
+    term flipped (the real routine recurses through the patched name)."""
+
+    def minor(entries, rows, cols, memo):
+        if len(rows) != 2:
+            return real(entries, rows, cols, memo)
+        (a, b), (c, d) = ([entries[rk][k] for k in cols] for rk in rows)
+        return a * d + b * c
+
+    return minor
+
+
+def square_minor_case(draw, entry):
+    """A square matrix of up to 7 x 7 ``entry`` draws and a row and a
+    column selection of one size, in any order."""
+    size = draw(st.integers(0, 7))
+    mat = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    k = draw(st.integers(0, size))
+    pick = st.lists(
+        st.integers(0, max(size - 1, 0)), min_size=k, max_size=k, unique=True
+    )
+    return mat, draw(pick), draw(pick)
+
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+class TestLaplaceMinor:
+    """The memoized Laplace routine against the Leibniz oracle: the same
+    cutoff and the same terms on every Wronskian minor, and the same
+    value on integer and rational matrices."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
+    def test_every_wronskian_minor_matches_leibniz(self, name, depth):
+        rs = RootSystem.from_name(name)
+        ev = QEvaluator(rs, depth=depth)
+        compared = 0
+        for r in range(-4, 5):
+            n, bad = series_mismatches(build_wronskian(rs, r, depth, ev))
+            assert bad == [], (r, bad)
+            compared += n
+        # all nonempty minors of an (n+1) x (n+1) matrix at nine bases
+        size = rs.n + 1
+        assert compared == 9 * sum(
+            math.comb(size, k) ** 2 for k in range(1, size + 1)
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_minors_match_leibniz(self, data):
+        mat, rows, cols = square_minor_case(data.draw, st.integers(-9, 9))
+        want = leibniz([[mat[rk][c] for c in cols] for rk in rows])
+        assert wronskian._int_minor(mat, rows, cols) == want
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rational_minors_match_leibniz(self, data):
+        mat, rows, cols = square_minor_case(data.draw, FRACTIONS)
+        got = rational_minor(mat, rows, cols)
+        assert type(got) is Fraction and got == oracle_minor(mat, rows, cols)
+
+    def test_empty_and_single_entry(self):
+        assert wronskian._minor([], (), (), {}) == 1
+        assert wronskian._minor([[5, 6], [7, 8]], (1,), (0,), {}) == 7
+
+    def test_memo_holds_each_sub_minor_once(self):
+        m = build_wronskian(A3, 0, 2)
+        assert m.det() is m.det()
+        # expanding along the first row: the minors on the row suffixes
+        # {k..3} and every column set of that size, 2 x 2 and larger
+        assert sorted(len(rows) for rows, _ in m._memo) == sorted(
+            size for size in range(2, 5) for _ in range(math.comb(4, size))
+        )
+
+    def test_failing_twin_series(self, monkeypatch):
+        assert series_mismatches(build_wronskian(A2, 0, 3))[1] == []
+        monkeypatch.setattr(wronskian, "_minor", sign_flipped(wronskian._minor))
+        _, bad = series_mismatches(build_wronskian(A2, 0, 3))
+        assert ((0, 1), (0, 1)) in bad
+
+    def test_failing_twin_integer_and_rational(self, monkeypatch):
+        mat = [[2, 3, 1], [1, 4, 2], [5, 1, 3]]
+        rows = cols = (0, 1, 2)
+        assert wronskian._int_minor(mat, rows, cols) == leibniz(mat)
+        assert rational_minor(mat, rows, cols) == leibniz(mat)
+        monkeypatch.setattr(wronskian, "_minor", sign_flipped(wronskian._minor))
+        assert wronskian._int_minor(mat, rows, cols) != leibniz(mat)
+        assert rational_minor(mat, rows, cols) != leibniz(mat)
+
+
 class TestBruhatCertificates:
     # sha256 of json.dumps(bruhat_check(n, trials, seed), sort_keys=True),
     # recorded from the Fraction implementation
@@ -433,13 +546,13 @@ class TestBruhatCertificates:
         """Per sample: the 2n corner minors, then north, south, inner and
         det; a rejected draw stops within its 2n corner minors."""
         calls = []
-        leibniz = wronskian._leibniz
+        int_minor = wronskian._int_minor
 
-        def counting(rows):
+        def counting(m, rows, cols):
             calls.append(len(rows))
-            return leibniz(rows)
+            return int_minor(m, rows, cols)
 
-        monkeypatch.setattr(wronskian, "_leibniz", counting)
+        monkeypatch.setattr(wronskian, "_int_minor", counting)
         n, trials = 3, 50
         cert = bruhat_check(n, trials, seed)
         assert cert["ok"]
