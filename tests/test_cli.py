@@ -369,8 +369,9 @@ class TestGoldenSeries:
 
 
 class TestGoldenCombinatorics:
-    """Whole ``--json`` outputs of the g-vector, sweep, seed-mutation and
-    Bruhat commands, and whole quiver JSON, pinned by their sha256."""
+    """Whole ``--json`` outputs of the g-vector, sweep, seed-mutation,
+    Wronskian and Bruhat commands, and whole quiver JSON, pinned by their
+    sha256."""
 
     @pytest.mark.parametrize(
         "args, sha256",
@@ -390,6 +391,10 @@ class TestGoldenCombinatorics:
             (
                 ["bruhat", "verify", "--n", "3", "--trials", "4", "--seed", "11"],
                 "c74b33d4ea60d07859f7df4ae4a8131a697e8d366593f4aec0fc91cc926f6901",
+            ),
+            (
+                ["wronskian", "check", "--type", "A3", "--r", "-4..4", "--depth", "4"],
+                "9f401351f96b772ecc35ef77666e3ca33cf1a1a52037037eaa99ffb55f20fa92",
             ),
         ],
     )
