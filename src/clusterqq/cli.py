@@ -580,7 +580,7 @@ def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
     rs = _root_system(type_)
     r_values = list(_parse_range(r_))
     # the shift system is defined for a Coxeter element only
-    word = _coxeter_word(rs, system_word, "--system-word") if system_word else None
+    word = _coxeter_word(rs, system_word, "--system-word")
     try:  # a non-A type, or another precondition of the system
         cert = wronskian.check_wronskian(
             rs, r_values, depth, word, deadline=rep.check_budget

@@ -25,9 +25,8 @@ of slice matrices.  ``T_j`` is the identity outside the green band
 ``h_c ≤ j ≤ -1`` (``CoxeterDatum.h_c`` is the lowest slice with a green
 vertex), so a range is first clamped to the band; the clamped products
 are memoized per ``(datum, top, bottom)`` in a bounded LRU cache.  Each
-entry is built from the one a slice shorter by column operations: the
-generator ``t_i`` differs from the identity only in column ``i``, so
-``M·t_i`` replaces column ``i`` of ``M`` by ``-M[:,i] + Σ_{k~i} M[:,k]``.
+entry is built from the one a slice shorter by the column operations of
+``rootsys._times_word``, one per generator ``t_i`` of the slice.
 Repeated green sweeps and limit blocks then share their prefixes instead
 of rebuilding them.
 """
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quiver import CoxeterWindow, Vertex, WindowedQuiver
-from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity
+from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity, _times_word
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,8 @@ def _band_product(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
 def _band_memo(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
     rs = datum.rs
     shorter = _band_memo(datum, top, bottom + 1) if top > bottom else _identity(rs.n)
-    rows = [list(row) for row in shorter]
-    # right-multiply by the slice's t_i in order, one column operation each
-    for i in green_slice_nodes(datum, bottom):
-        nbrs = [k - 1 for k in rs.neighbors(i)]
-        for row in rows:
-            row[i - 1] = sum(row[k] for k in nbrs) - row[i - 1]
-    return tuple(tuple(row) for row in rows)
+    # right-multiply by the slice's t_i in order
+    return _times_word(rs, shorter, green_slice_nodes(datum, bottom))
 
 
 def _block_to_gvecs(

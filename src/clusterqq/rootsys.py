@@ -19,6 +19,11 @@ fundamental-weight basis.  Conventions:
 * Lengths, reduced words, w_0 and Coxeter exponents need no roots.  With
   u = w⁻¹(ρ), ρ = (1, ..., 1), one has w(α_i) > 0 iff u_i > 0, so
   ℓ(w s_i) = ℓ(w) ± 1 by the sign of u_i, and w s_i has u = s_i(u).
+* The exact matrix kernels live here and nowhere else: ``_minor``, one
+  memoized Laplace determinant over any commutative ring; ``_adjugate``,
+  adj A and det A from cofactors sharing one minor memo (the Cartan
+  adjugate gives C⁻¹ = adj C / det C); and ``_times_word``, M·t_{w1}⋯t_{wk}
+  by one column operation per letter.
 """
 
 from __future__ import annotations
@@ -144,26 +149,20 @@ class RootSystem:
         return 2 * self.num_positive_roots // self.n
 
     @property
-    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _gauss_jordan(self.cartan)[0]
-
-    @property
     def height_functional(self) -> tuple[int, tuple[int, ...]]:
-        """``(den, w)`` with den = det C and w_j = den·(column sum j of C⁻¹).
+        """``(den, w)`` with den = det C and w_j the column sum j of adj C.
 
         Both are integers, and the doubled height of the weight with
         ``coords2`` λ (twice its simple-root coordinate sum) is
         Σ_j w_j·λ_j / den.
         """
-        return _height_functional(self)
+        adj, det = _cartan_adjugate(self)
+        return det, tuple(map(sum, zip(*adj)))
 
     def root_coords2(self, coords2: Sequence[int]) -> tuple[Fraction, ...]:
         """Coordinates of the (doubled) weight in the simple-root basis."""
-        inv = self.cartan_inverse
-        return tuple(
-            sum((inv[i][j] * coords2[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        )
+        adj, det = _cartan_adjugate(self)
+        return tuple(Fraction(x, det) for x in _mat_vec(adj, coords2))
 
     # -- reflection matrices ----------------------------------------------
 
@@ -177,39 +176,65 @@ class RootSystem:
         )
 
 
-# bounded, since callers may invert arbitrarily many distinct matrices
-@lru_cache(maxsize=1 << 10)
-def _gauss_jordan(mat: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-    """A⁻¹ and det A of an invertible integer matrix, by exact Gauss–Jordan
-    elimination."""
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv_piv = 1 / aug[col][col]
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug), det
+# ---------------------------------------------------------------------------
+# Exact matrix kernels
+# ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _height_functional(rs: RootSystem) -> tuple[int, tuple[int, ...]]:
-    inv, det = _gauss_jordan(rs.cartan)
-    # det·C⁻¹ is the adjugate of C, an integer matrix
-    w = (det * sum(inv[i][j] for i in range(rs.n)) for j in range(rs.n))
-    return int(det), tuple(int(x) for x in w)
+def _minor(entries, rows, cols, memo):
+    """Laplace determinant of the rows x cols submatrix of ``entries``,
+    over any commutative ring, expanded along the first row.
+
+    Each sub-minor is kept in ``memo`` under ``(rows, cols)``.  The first
+    term enters with its sign and every later one is added or subtracted,
+    so a truncated-series minor always runs the same operations.  No rows
+    give 1 and one row gives the entry.
+    """
+    if len(rows) < 2:
+        return entries[rows[0]][cols[0]] if rows else 1
+    if (rows, cols) in memo:
+        return memo[rows, cols]
+    head, rest = entries[rows[0]], rows[1:]
+    acc = head[cols[0]] * _minor(entries, rest, cols[1:], memo)
+    for j in range(1, len(cols)):
+        term = head[cols[j]] * _minor(entries, rest, cols[:j] + cols[j + 1 :], memo)
+        acc = acc - term if j % 2 else acc + term
+    memo[rows, cols] = acc
+    return acc
+
+
+def _adjugate(mat: Matrix) -> tuple[Matrix, int]:
+    """``(adj A, det A)`` of a square integer matrix, singular or not.
+
+    Entry (i, j) of adj A is (−1)^(i+j) times the minor of A without row j
+    and column i.  All n² cofactors and the determinant share one
+    ``_minor`` memo.
+    """
+    full = tuple(range(len(mat)))
+    drop = [full[:k] + full[k + 1 :] for k in full]
+    memo: dict = {}
+    adj = tuple(
+        tuple((-1) ** (i + j) * _minor(mat, drop[j], drop[i], memo) for j in full)
+        for i in full
+    )
+    return adj, _minor(mat, full, full, memo)
+
+
+@lru_cache(maxsize=None)  # one per root system
+def _cartan_adjugate(rs: RootSystem) -> tuple[Matrix, int]:
+    return _adjugate(rs.cartan)
+
+
+def _times_word(rs: RootSystem, mat: Matrix, word: Iterable[int]) -> Matrix:
+    """mat·t_{w1}⋯t_{wk}: t_i differs from the identity only in column i,
+    so right multiplication by it replaces column i by the sum of the
+    neighbouring columns less column i."""
+    rows = [list(row) for row in mat]
+    for i in word:
+        nbrs = [k - 1 for k in rs.neighbors(i)]
+        for row in rows:
+            row[i - 1] = sum(row[k] for k in nbrs) - row[i - 1]
+    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +351,7 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 @lru_cache(maxsize=1 << 14)
 def _weyl_from_tuple(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
     length, reduced = _length_and_word(rs, word)
-    rows = [list(row) for row in _identity(rs.n)]
-    for i in word:
-        # right multiplication by t_i rewrites column i only
-        nbrs = rs.neighbors(i)
-        for row in rows:
-            row[i - 1] = sum(row[j - 1] for j in nbrs) - row[i - 1]
-    return WeylElement(rs, tuple(tuple(row) for row in rows), reduced, length)
+    return WeylElement(rs, _times_word(rs, _identity(rs.n), word), reduced, length)
 
 
 def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:

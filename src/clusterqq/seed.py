@@ -37,7 +37,7 @@ from .quiver import (
     basic_quiver,
     mutate_quiver,
 )
-from .rootsys import _gauss_jordan
+from .rootsys import _adjugate
 
 
 class SignError(ValueError):
@@ -173,21 +173,21 @@ def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     """Initial c-vectors predicted by per-slice duality.
 
     In each slice the c-matrix is the inverse transpose of the stabilized
-    g-matrix block (an integer matrix, since the blocks lie in the Weyl
-    group up to sign).
+    g-matrix block.  The blocks lie in the Weyl group, so det = ±1 and the
+    inverse is the integer matrix det·adj.
     """
     out: dict[Vertex, GVec] = {}
     n = cw.datum.rs.n
     for m in cw.slice_range():
-        inv, _ = _gauss_jordan(stable_block(cw.datum, m))
-        assert all(x.denominator == 1 for row in inv for x in row)
+        adj, det = _adjugate(stable_block(cw.datum, m))
+        assert det in (1, -1)
         for i in range(1, n + 1):
             v = (i, cw.datum.l_of(i) + 2 * m)
             if v in cw.quiver.vertices:
                 # column i of the inverse transpose is row i of the inverse
                 out[v] = GVec.from_dict(
                     {
-                        (j, cw.datum.l_of(j) + 2 * m): int(inv[i - 1][j - 1])
+                        (j, cw.datum.l_of(j) + 2 * m): det * adj[i - 1][j - 1]
                         for j in range(1, n + 1)
                     }
                 )

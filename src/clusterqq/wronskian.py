@@ -26,8 +26,8 @@ and column; west: the first row and last column), ``inner`` its central
 minor and ``det`` its determinant, the two identities are the integer
 equations ``N·S - W·E == inner·D**(n+1)`` (the exchange identity, which
 uses det = 1) and ``N·S - W·E == det·inner`` (Desnanot-Jacobi).  Both
-halves take their determinants from one Laplace routine, ``_minor``,
-which works over any commutative ring.
+halves take their determinants from the one Laplace routine,
+``rootsys._minor``, which works over any commutative ring.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .qseries import KSeries, QEvaluator
 from .rootsys import (
     RootSystem,
     _greedy,
+    _minor,
     coxeter_exponent,
     fundamental_weight,
     weyl_from_word,
@@ -115,28 +116,6 @@ class SeriesMatrix:
 # range of `wronskian check` and `bruhat verify` (exit 2 above it); no
 # run above rank 8 has been measured or given a budget.
 MAX_RANK = 8
-
-
-def _minor(entries, rows, cols, memo):
-    """Laplace determinant of the rows x cols submatrix of ``entries``,
-    over any commutative ring, expanded along the first row.
-
-    Each sub-minor is kept in ``memo`` under ``(rows, cols)``.  The first
-    term enters with its sign and every later one is added or subtracted,
-    so a truncated-series minor always runs the same operations.  No rows
-    give 1 and one row gives the entry.
-    """
-    if len(rows) < 2:
-        return entries[rows[0]][cols[0]] if rows else 1
-    if (rows, cols) in memo:
-        return memo[rows, cols]
-    head, rest = entries[rows[0]], rows[1:]
-    acc = head[cols[0]] * _minor(entries, rest, cols[1:], memo)
-    for j in range(1, len(cols)):
-        term = head[cols[j]] * _minor(entries, rest, cols[:j] + cols[j + 1 :], memo)
-        acc = acc - term if j % 2 else acc + term
-    memo[rows, cols] = acc
-    return acc
 
 
 def _require_type_a(rs: RootSystem) -> None:
@@ -220,7 +199,7 @@ def check_wronskian(
     r_values = list(r_values)
     if not r_values:
         raise ValueError("need at least one base r")
-    word = tuple(system_word) if system_word else standard_coxeter_word(rs)
+    word = standard_coxeter_word(rs) if system_word is None else tuple(system_word)
     if not all(1 <= j <= rs.n for j in word):
         raise ValueError(f"system word {word} has a letter outside 1..{rs.n}")
     orbits = [
@@ -230,12 +209,16 @@ def check_wronskian(
     standard = word == standard_coxeter_word(rs)
     tick = deadline or (lambda: None)
     ev = QEvaluator(rs, depth=depth)
+    # base r + 2 of one pass is base r of the next: build each matrix once
+    mats: dict[int, SeriesMatrix] = {}
     equations = []
     dets = []
     minors = []
     for r in r_values:
-        m0 = build_wronskian(rs, r, depth, ev)
-        m2 = build_wronskian(rs, r + 2, depth, ev)
+        for base in (r, r + 2):
+            if base not in mats:
+                mats[base] = build_wronskian(rs, base, depth, ev)
+        m0, m2 = mats[r], mats[r + 2]
         for i, orbit in enumerate(orbits, 1):
             m_i = len(orbit) - 1
             for k in range(1, m_i + 1):

@@ -105,8 +105,8 @@ class TestUsage:
             ["bruhat", "verify", "--n", "3", "--trials", "0"],
             ["bruhat", "verify", "--n", "3", "--trials", "-2"],
             ["bruhat", "verify", "--n", "1"],
-            # the (n+1)! Leibniz terms would not fit in memory: refused
-            # before any series or permutation work
+            # above MAX_RANK, the documented input range: refused before
+            # any series or minor work
             ["bruhat", "verify", "--n", "9"],
             ["bruhat", "verify", "--n", "10"],
             ["wronskian", "check", "--type", "A9"],
@@ -140,6 +140,8 @@ class TestUsage:
              "--r", "2000000000"],
             ["qqstar", "verify", "--type", "A2", "--depth", "1",
              "--r", "1000000000"],
+            # the empty word lists no node, so it is no Coxeter word either
+            ["wronskian", "check", "--type", "A2", "--system-word", ""],
         ],
     )
     def test_series_precondition_is_usage_error(self, runner, args):

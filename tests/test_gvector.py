@@ -35,6 +35,7 @@ from clusterqq.rootsys import (
     coxeter_data,
     coxeter_data_from_word,
 )
+from test_rootsys import assert_adjugate_is_det_times_inverse
 
 
 def rs(name):
@@ -420,6 +421,15 @@ class TestBandMemo:
                 assert stable_block(d, m) == oracle_stable(d, m, T), m
                 for k, block in enumerate(oracle_blocks(d, m, K, T)):
                     assert block_matrix(d, k, m) == block, (k, m)
+
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_adjugate_of_every_stable_block(self, name):
+        windows = coxeter_windows(name) + [
+            window(key) for key in ORIENTATIONS if key.rstrip("r") == name
+        ]
+        for cw in windows:
+            for m in cw.slice_range():
+                assert_adjugate_is_det_times_inverse(stable_block(cw.datum, m))
 
     def test_negative_sweep_count_rejected(self):
         with pytest.raises(ValueError):

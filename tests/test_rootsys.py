@@ -20,8 +20,10 @@ from clusterqq.rootsys import (
     simple_root,
     weyl_from_word,
 )
-from clusterqq.rootsys import _gauss_jordan
+from clusterqq import rootsys
+from clusterqq.rootsys import _adjugate
 from test_weyl_walk import nakayama
+from test_wronskian import sign_flipped
 
 ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
     "E6",
@@ -347,27 +349,97 @@ class TestHeightFunctional:
                 weyl_from_word(r, (1, 3))
 
 
+def gauss_jordan(mat):
+    """A⁻¹ and det A of an invertible integer matrix, by exact Gauss–Jordan
+    elimination: the oracle that ``_adjugate`` replaced."""
+    n = len(mat)
+    aug = [
+        [Fraction(mat[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv_piv = 1 / aug[col][col]
+        aug[col] = [x * inv_piv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug), det
+
+
+def assert_adjugate_is_det_times_inverse(mat):
+    """``_adjugate`` against the oracle: the same det, adj = det·A⁻¹."""
+    adj, det = _adjugate(mat)
+    inv, want = gauss_jordan(mat)
+    assert type(det) is int and det == want
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == tuple(tuple(det * x for x in row) for row in inv)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 6 x 6; one in two has two equal rows,
+    so singular ones come up often."""
+    size = draw(st.integers(0, 6))
+    mat = [
+        draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+        for _ in range(size)
+    ]
+    if size >= 2 and draw(st.booleans()):
+        mat[draw(st.integers(1, size - 1))] = mat[0]
+    return tuple(map(tuple, mat))
+
+
 class TestGaussJordan:
-    """The one exact elimination, on Cartan matrices and on Weyl matrices."""
+    """The cofactor adjugate against the Gauss–Jordan oracle, on Cartan
+    matrices and on Weyl matrices, and A·adj A = det A·I on any integer
+    matrix."""
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_cartan_inverse_and_det(self, name):
         r = rs(name)
-        inv, det = _gauss_jordan(r.cartan)
-        assert det == DET_C[name]
-        assert inv == r.cartan_inverse
-        assert all(
-            sum(r.cartan[i][k] * inv[k][j] for k in range(r.n)) == (i == j)
-            for i in range(r.n)
-            for j in range(r.n)
-        )
+        assert_adjugate_is_det_times_inverse(r.cartan)
+        assert _adjugate(r.cartan)[1] == DET_C[name]
+        # α_i has doubled root coordinates 2·e_i
+        for i in range(1, r.n + 1):
+            assert r.root_coords2(simple_root(r, i).coords2) == tuple(
+                2 * (j == i) for j in range(1, r.n + 1)
+            )
 
     @pytest.mark.parametrize("name", ["A3", "D5", "E6"])
     def test_weyl_matrix_has_integer_inverse(self, name):
-        r = rs(name)
-        w0 = longest_element(r)
-        inv, det = _gauss_jordan(w0.mat_t)
+        w0 = longest_element(rs(name))
+        assert_adjugate_is_det_times_inverse(w0.mat_t)
+        adj, det = _adjugate(w0.mat_t)
         assert det in (1, -1)
-        assert all(x.denominator == 1 for row in inv for x in row)
         # w0 is an involution
-        assert inv == w0.mat_t
+        assert tuple(tuple(det * x for x in row) for row in adj) == w0.mat_t
+
+    @given(integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_times_matrix_is_det_times_identity(self, mat):
+        adj, det = _adjugate(mat)
+        n = len(mat)
+        for a, b in ((mat, adj), (adj, mat)):
+            assert all(
+                sum(a[i][k] * b[k][j] for k in range(n)) == det * (i == j)
+                for i in range(n)
+                for j in range(n)
+            )
+        if det:
+            assert_adjugate_is_det_times_inverse(mat)
+
+    def test_failing_twin(self, monkeypatch):
+        cartan = rs("A3").cartan
+        assert_adjugate_is_det_times_inverse(cartan)
+        monkeypatch.setattr(rootsys, "_minor", sign_flipped(rootsys._minor))
+        adj, _ = _adjugate(cartan)
+        inv, det = gauss_jordan(cartan)
+        assert adj != tuple(tuple(det * x for x in row) for row in inv)

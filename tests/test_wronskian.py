@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterqq import wronskian
+from clusterqq import rootsys, wronskian
 from clusterqq.qseries import QEvaluator
 from clusterqq.rootsys import (
     RootSystem,
@@ -231,11 +231,25 @@ class TestWronskianProperty:
             (A2, [0], (5,)),
             (A2, [0], (0, 1)),
             (A2, [0], (1,)),  # its orbits never reach the lowest weights
+            (A2, [0], ()),  # nor do those of the empty word
         ],
     )
     def test_preconditions_raise_before_series_work(self, rs, r_values, word):
         with pytest.raises(ValueError):
             check_wronskian(rs, r_values, depth=2, system_word=word)
+
+    def test_each_base_matrix_built_once(self, monkeypatch):
+        # base r + 2 of one pass is base r of the next
+        bases = []
+        real = wronskian.build_wronskian
+
+        def counting(rs, r, *args):
+            bases.append(r)
+            return real(rs, r, *args)
+
+        monkeypatch.setattr(wronskian, "build_wronskian", counting)
+        assert check_wronskian(A3, range(-4, 5), depth=4)["ok"]
+        assert sorted(bases) == list(range(-4, 7))
 
     def test_reversed_coxeter_is_not_a_wronskian(self):
         cert = check_wronskian(A2, [0], depth=4, system_word=(2, 1))
@@ -430,7 +444,7 @@ def series_mismatches(m) -> tuple[int, list]:
 
 
 def sign_flipped(real):
-    """``wronskian._minor`` with the sign of every 2 x 2 minor's second
+    """``rootsys._minor`` with the sign of every 2 x 2 minor's second
     term flipped (the real routine recurses through the patched name)."""
 
     def minor(entries, rows, cols, memo):
@@ -505,9 +519,16 @@ class TestLaplaceMinor:
             size for size in range(2, 5) for _ in range(math.comb(4, size))
         )
 
+    @staticmethod
+    def flip_minor(monkeypatch):
+        # patched where it is called and where its recursion resolves
+        flipped = sign_flipped(rootsys._minor)
+        monkeypatch.setattr(wronskian, "_minor", flipped)
+        monkeypatch.setattr(rootsys, "_minor", flipped)
+
     def test_failing_twin_series(self, monkeypatch):
         assert series_mismatches(build_wronskian(A2, 0, 3))[1] == []
-        monkeypatch.setattr(wronskian, "_minor", sign_flipped(wronskian._minor))
+        self.flip_minor(monkeypatch)
         _, bad = series_mismatches(build_wronskian(A2, 0, 3))
         assert ((0, 1), (0, 1)) in bad
 
@@ -516,7 +537,7 @@ class TestLaplaceMinor:
         rows = cols = (0, 1, 2)
         assert wronskian._int_minor(mat, rows, cols) == leibniz(mat)
         assert rational_minor(mat, rows, cols) == leibniz(mat)
-        monkeypatch.setattr(wronskian, "_minor", sign_flipped(wronskian._minor))
+        self.flip_minor(monkeypatch)
         assert wronskian._int_minor(mat, rows, cols) != leibniz(mat)
         assert rational_minor(mat, rows, cols) != leibniz(mat)
 
