@@ -8,8 +8,10 @@ up-arrows ``(i, r) -> (i, r+2)``).
 
 ``insert_reflection`` performs the four-step local surgery that creates a
 red/green pair: split the vertical arrow below the chosen vertex, reroute
-the oblique arrows leaving it to the new vertex, and relabel the rest of
-the column downward by 2 so vertex ids stay in the fixed parity component.
+the oblique arrows leaving it to the new vertex, and move the rest of the
+column down by 2 so vertex ids stay in the fixed parity component.  The
+move runs in place, one vertex at a time from the window bottom up, so each
+vertex lands on an id that its lower neighbour has just vacated.
 Iterating it along a reduced word builds the initial-seed quivers; doing it
 at every vertex of the finite starting pattern of a Coxeter element builds
 the Coxeter quiver, normalized so its highest red vertex has height 0.
@@ -210,29 +212,25 @@ class _WorkingQuiver:
             raise MarginError(f"insertion at {v} too close to window bottom")
 
         below = (i, r - 2)
-        # (iv) relabel the column below v down by 2 (dropping out-of-window
-        # ids): lift the column out with its arrows and colors, put it back
-        moved = {
-            u: (i, u[1] - 2) for u in self.vertices if u[0] == i and u[1] <= r - 2
-        }
-        arrows = {}
-        for u in moved:
-            arrows.update(((u, b), m) for b, m in self.out[u].items())
-            arrows.update(((a, u), m) for a, m in self.inn[u].items())
-        colors = {moved[u]: self.colors[u] for u in moved if u in self.colors}
-        for u in moved:
+        # (iv) move the column below v down by 2, bottom up so each target id
+        # is already free; a vertex whose new id leaves the window is dropped
+        for h in range(q.rmin + (r - q.rmin) % 2, r - 1, 2):
+            u = (i, h)
+            if u not in self.vertices:
+                continue
+            w = (i, h - 2)
+            if h - 2 >= q.rmin:
+                self._add_vertex(w)
+                for b, m in self.out[u].items():
+                    self._set(w, b, m)
+                for a, m in self.inn[u].items():
+                    self._set(a, w, m)
+                if u in self.colors:
+                    self.colors[w] = self.colors[u]
             self._drop_vertex(u)
-        for u in moved.values():
-            if u[1] >= q.rmin:
-                self._add_vertex(u)
-        for (a, b), m in arrows.items():
-            a, b = moved.get(a, a), moved.get(b, b)
-            if a in self.vertices and b in self.vertices:
-                self._set(a, b, m)
-        self.colors.update((u, c) for u, c in colors.items() if u in self.vertices)
 
         # (i)+(ii) split the vertical arrow into red -> green <- lower column
-        old_below = (i, r - 4)  # relabeled id of the former (i, r-2)
+        old_below = (i, r - 4)  # the former (i, r-2), moved down by 2
         self._add_vertex(below)
         if old_below in self.vertices:
             self._set(old_below, v, 0)
@@ -440,11 +438,12 @@ def build_coxeter_quiver(
 ) -> CoxeterWindow:
     """Coxeter quiver with highest red vertex at height 0.
 
-    The reflection pattern is inserted at the vertices ``(i, -l(i) - 2k)``
-    for ``k < m_i``, processed top-down; cumulative same-column relabeling
-    places the k-th red of column i at height ``-l(i) - 4k``.
-    ``depth_below`` is how far the window extends below the band; its top
-    is at height 2.
+    The reflection pattern is processed top-down by the heights
+    ``-l(i) - 2k`` for ``k < m_i``.  Each insertion moves the column below it
+    down by 2, so the k-th red of column i is inserted directly at its final
+    height ``-l(i) - 4k``.  ``depth_below`` is how far the window extends
+    below the band; its top is at height 2.  The finite core is the
+    restriction of the quiver to the band and the rim above it.
     """
     if isinstance(orientation, CoxeterDatum):
         datum = orientation
@@ -457,51 +456,26 @@ def build_coxeter_quiver(
     work = _WorkingQuiver(
         basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin)
     )
-    points = [
-        (i, -datum.l_of(i) - 2 * k)
-        for i in range(1, rs.n + 1)
-        for k in range(datum.m_of(i))
-    ]
-    points.sort(key=lambda v: (-v[1], v[0]))
-    count = {i: 0 for i in range(1, rs.n + 1)}
-    for i, r0 in points:
-        work.insert_reflection((i, r0 - 2 * count[i]))
-        count[i] += 1
+    # top-down by the pattern heights -l(i) - 2k; the k insertions above
+    # the k-th pattern vertex of column i have moved it down to -l(i) - 4k
+    points = sorted(
+        ((i, k) for i in range(1, rs.n + 1) for k in range(datum.m_of(i))),
+        key=lambda p: (datum.l_of(p[0]) + 2 * p[1], p[0]),
+    )
+    for i, k in points:
+        work.insert_reflection((i, -datum.l_of(i) - 4 * k))
     q = work.freeze()
 
-    # finite core: band plus the vertex immediately above each highest red;
-    # frozen boundary = that top rim and the lowest green in each column.
-    core_vertices: set[Vertex] = set()
+    # finite core: the band plus the vertex immediately above each highest
+    # red; frozen boundary = that top rim and the lowest green of each column
+    core: set[Vertex] = set()
     frozen: set[Vertex] = set()
     for i in range(1, rs.n + 1):
-        top = (i, -datum.l_of(i) + 2)
-        core_vertices.add(top)
-        frozen.add(top)
-        for h in self_heights(datum, i):
-            core_vertices.add((i, h))
-        frozen.add((i, min(self_heights(datum, i))))
-    core_arrows = {
-        (a, b): m
-        for (a, b), m in q.arrows
-        if a in core_vertices and b in core_vertices
-    }
-    gamma = _make(
-        replace(q, margin=0),
-        vertices=core_vertices,
-        arrows=core_arrows,
-        colors=dict(q.colors),
-        frozen=frozen,
-    )
+        top, bottom = -datum.l_of(i) + 2, -datum.l_of(i) - 4 * datum.m_of(i) + 2
+        core.update((i, h) for h in range(bottom, top + 1, 2))
+        frozen |= {(i, top), (i, bottom)}
+    gamma = _make(replace(q, margin=0), vertices=core, frozen=frozen)
     return CoxeterWindow(q, datum, gamma)
-
-
-def self_heights(datum: CoxeterDatum, i: int) -> list[int]:
-    """All band heights (reds and greens) of column i."""
-    out = []
-    for k in range(datum.m_of(i)):
-        out.append(-datum.l_of(i) - 4 * k)
-        out.append(-datum.l_of(i) - 4 * k - 2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from each basis vertex to the stored vertices whose g-vector involves it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -211,7 +212,8 @@ def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
 
     Returns the mutated seed and the sign of the c-vector at k, which
     picked the branch of the exchange recursion.  Raises ``ValueError``
-    for a vertex outside the window.
+    for a vertex outside the window, and, when the seed carries values,
+    for one without both in- and out-arrows.
     """
     if k not in seed.quiver.vertices:
         raise ValueError(f"vertex {k} not in window")
@@ -225,17 +227,15 @@ def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
     values = None
     if seed.values is not None:
         vals = seed.value_map()
-        num_in = None
-        for v, m in seed.quiver.arrows_in(k):
-            for _ in range(m):
-                num_in = vals[v] if num_in is None else num_in * vals[v]
-        num_out = None
-        for v, m in seed.quiver.arrows_out(k):
-            for _ in range(m):
-                num_out = vals[v] if num_out is None else num_out * vals[v]
-        if num_in is None or num_out is None:
-            raise ValueError(f"vertex {k} must have both in- and out-arrows")
-        vals[k] = _divide(num_in + num_out, vals[k])
+        # each side is a left fold in arrow order from its first factor:
+        # a series value cannot be multiplied into the int 1
+        sides = []
+        for arrows in (seed.quiver.arrows_in(k), seed.quiver.arrows_out(k)):
+            factors = [vals[v] for v, m in arrows for _ in range(m)]
+            if not factors:
+                raise ValueError(f"vertex {k} must have both in- and out-arrows")
+            sides.append(math.prod(factors[1:], start=factors[0]))
+        vals[k] = _divide(sides[0] + sides[1], vals[k])
         values = tuple(sorted(vals.items()))
     mutated = replace(
         seed, quiver=mutate_quiver(seed.quiver, k), g=_pack(g), values=values

@@ -82,7 +82,6 @@ class SeriesMatrix:
 
     rs: RootSystem
     r: int
-    depth: int
     entries: tuple[tuple[KSeries, ...], ...]
     ev: QEvaluator
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -141,7 +140,7 @@ def build_wronskian(
         tuple(ev.q_bar(words[l], 1, r + 2 * k) for l in range(n + 1))
         for k in range(n + 1)
     )
-    return SeriesMatrix(rs, r, depth, rows, ev)
+    return SeriesMatrix(rs, r, rows, ev)
 
 
 def block_qvariable(m: SeriesMatrix, i: int, k: int, l: int) -> KSeries:

@@ -405,6 +405,29 @@ class TestGoldenCombinatorics:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
+    # the failing Wronskian controls: the system words (2,1) and (2,1,3)
+    # break the shift system, and the certificate says where
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                ["--type", "A2", "--system-word", "2,1"],
+                "a8969db2d83315e59f3d1c695e9192c58929b3e09955bf6ebd86a0cd81d257b2",
+            ),
+            (
+                ["--type", "A3", "--system-word", "2,1,3"],
+                "bc85623b36f97de7d14d05f13c7de221be3875c5f4ad2118836ebaa0fd3bf7df",
+            ),
+        ],
+    )
+    def test_failing_wronskian_control_stdout(self, runner, args, sha256):
+        result = runner.invoke(
+            main,
+            ["wronskian", "check", *args, "--r", "0..0", "--depth", "4", "--json"],
+        )
+        assert result.exit_code == 1
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
     def test_seed_mutate_at_every_e6_green(self, runner):
         # the 36 greens of the E6 window, row by row down the band
         columns = ((1, -2, 8), (2, -3, 6), (3, -3, 7), (4, -4, 6), (5, -5, 5),

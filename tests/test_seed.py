@@ -391,3 +391,29 @@ class TestValues:
         assert once.value_map()[(1, -2)] != vals[(1, -2)]
         back, _ = mutate_seed(once, (1, -2))
         assert back.value_map() == vals
+
+    def test_walk_stops_at_an_empty_exchange_side(self):
+        # a seeded walk with unit values on the default A2 window (word 1,2)
+        # reaches a vertex whose exchange relation has an empty side
+        A2 = rs("A2")
+        cw = build_coxeter_quiver(A2, coxeter_data_from_word(A2, (1, 2)))
+        seed = initial_seed(cw)
+        seed = seed.with_values(dict.fromkeys(seed.quiver.vertices, Fraction(1)))
+        q = seed.quiver
+        pool = sorted(
+            v for v in q.vertices - q.frozen
+            if q.rmin + q.margin < v[1] < q.rmax - q.margin
+        )
+        rng = random.Random(0)
+        for step in range(40):
+            v = rng.choice(pool)
+            try:
+                seed, _ = mutate_seed(seed, v)
+            except ValueError as exc:  # any other error skips the step
+                if "in- and out-arrows" in str(exc):
+                    break
+        else:
+            pytest.fail("the walk never reached an empty exchange side")
+        assert (step, v) == (13, (1, -6))
+        with pytest.raises(ValueError, match=r"^vertex \(1, -6\) must have both"):
+            mutate_seed(seed, v)
