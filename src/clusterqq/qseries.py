@@ -44,7 +44,9 @@ Q-variables are evaluated by a bootstrap: for an ascent ``w′ s_i > w′``
 the two-term QQ relation is solved for the variable at w′s_i upward in
 the spectral parameter, one q²-step at a time, from those at w′.  Every
 solved value is certified against the QQ relation itself before it is
-cached, so a cached value is always a machine-checked one.
+cached, so a cached value is always a machine-checked one.  Each level
+of a solve divides by a cached lower value; its inverse is cached too,
+beside it, so a certified value is inverted at most once per evaluator.
 """
 
 from __future__ import annotations
@@ -469,13 +471,23 @@ class QEvaluator:
 
     ``depth`` is the guaranteed truncation depth in root-height units:
     every returned series is exact on all terms less than ``depth`` simple
-    roots below its leading monomial.
+    roots below its leading monomial.  A depth below 1 raises
+    ``ValueError``: the unit would keep no term, so nothing could be
+    compared.
+
+    ``_memo`` maps (w(ϖ_i), r) to the certified value of ``q_raw``, and
+    ``_inverses`` maps the same keys to those values' inverses.  An
+    inverse is taken only of a value ``q_raw`` has returned, so the keys
+    of ``_inverses`` are always a subset of those of ``_memo``.
     """
 
     def __init__(self, rs: RootSystem, depth: int = 6):
+        if depth < 1:
+            raise ValueError(f"depth must be at least 1, got {depth}")
         self.rs = rs
         self.depth = depth
         self._memo: dict = {}
+        self._inverses: dict = {}
         self._labels: dict = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -535,6 +547,14 @@ class QEvaluator:
             self._memo[memo_key] = value
         return self._memo[memo_key]
 
+    def _q_inverse(self, word, i: int, r: int) -> KSeries:
+        """1 / q_raw(word, i, r), inverted once per certified value."""
+        value = self.q_raw(word, i, r)
+        memo_key = (self._label(word, i)[1], r)
+        if memo_key not in self._inverses:
+            self._inverses[memo_key] = value.inverse()
+        return self._inverses[memo_key]
+
     def _solve(self, word, i: int, r: int) -> KSeries:
         """Q(b) = (∏_{j~i} Q′_j(b−1) + Q′_i(b)·[−w′(α_i)]·Q(b−2)) / Q′_i(b−2)
         for b = r − 2(levels − 1), …, r from Q = 0: each level sits the
@@ -553,12 +573,14 @@ class QEvaluator:
             prev = value.mul_monomial(br).clamped(cutoff)
             num = self._neighbors(w_prime, i, b - 1)
             num = num + self.q_raw(w_prime, i, b) * prev
-            value = (num * self.q_raw(w_prime, i, b - 2).inverse()).clamped(cutoff)
+            value = (num * self._q_inverse(w_prime, i, b - 2)).clamped(cutoff)
         return value
 
     def _certify(self, word, i: int, r: int, value: KSeries) -> None:
         """Check the defining two-term relation before trusting a value;
-        the lower value is solved afresh, so the check is no tautology."""
+        the lower value is solved afresh and every product is recomputed,
+        so the check is no tautology.  Only the inverses of certified
+        inputs are shared with the solve."""
         ascent = self._label(word, i)[2]
         if ascent is None:
             return

@@ -187,10 +187,11 @@ def check_wronskian(
     independently computed q-variable.
 
     Raises ``ValueError``, before any series work, for a type other than
-    A, a rank above ``MAX_RANK``, an empty ``r_values``, a letter of
-    ``system_word`` outside 1..n, or a word whose orbits never reach the
-    lowest weights.  ``deadline``, if given, is called with no arguments
-    before each minor comparison; it may raise to abandon the run.
+    A, a rank above ``MAX_RANK``, a depth below 1 (``QEvaluator`` refuses
+    it), an empty ``r_values``, a letter of ``system_word`` outside 1..n,
+    or a word whose orbits never reach the lowest weights.  ``deadline``,
+    if given, is called with no arguments before each minor comparison;
+    it may raise to abandon the run.
     """
     _require_type_a(rs)
     if rs.n > MAX_RANK:
@@ -273,8 +274,10 @@ def _clear_denominators(mat) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in mat], d
 
 
-def _int_minor(m, rows, cols) -> int:
-    return _minor(m, tuple(rows), tuple(cols), {})
+def _int_minor(m, rows, cols, memo=None) -> int:
+    """Minor of the integer matrix ``m``; sub-minors go to ``memo``, a
+    fresh dict unless one is shared by all the minors of one point."""
+    return _minor(m, tuple(rows), tuple(cols), {} if memo is None else memo)
 
 
 def rational_minor(mat, rows, cols) -> Fraction:
@@ -289,11 +292,15 @@ def rational_minor(mat, rows, cols) -> Fraction:
 def _random_scaled_sl(size: int, rng: random.Random):
     """A product of elementary transvections as ``(M, D)``: the matrix M / D.
 
-    The step ``row_a += (p/q)·row_b`` becomes ``row_a ← q·row_a + p·row_b``
-    with every other row and ``D`` multiplied by ``q``; at the end ``M``
+    The step ``row_a += (p/q)·row_b`` multiplies the common denominator D
+    by q.  Row r is held as ``m[r]`` times ``D // at[r]``, where ``at[r]``
+    is D at the row's last write, so a step rewrites row a alone:
+    ``m[a] ← q·(D // at[a])·m[a] + p·(D // at[b])·m[b]``, then ``D ← q·D``
+    and ``at[a] ← D``.  At the end each row is scaled out to D, and ``M``
     and ``D`` are divided by their common gcd.
     """
     m = [[int(a == b) for b in range(size)] for a in range(size)]
+    at = [1] * size
     d = 1
     for _ in range(3 * size * size):
         a = rng.randrange(size)
@@ -302,11 +309,11 @@ def _random_scaled_sl(size: int, rng: random.Random):
             continue
         p = rng.randint(-3, 3)
         q = rng.randint(1, 3)
-        row_a = [q * x + p * y for x, y in zip(m[a], m[b])]
-        if q != 1:
-            m = [[q * x for x in row] for row in m]
-            d *= q
-        m[a] = row_a
+        sa, sb = q * (d // at[a]), p * (d // at[b])
+        m[a] = [sa * x + sb * y for x, y in zip(m[a], m[b])]
+        d *= q
+        at[a] = d
+    m = [[x * (d // at[r]) for x in row] for r, row in enumerate(m)]
     g = math.gcd(d, *(x for row in m for x in row))
     return [[x // g for x in row] for row in m], d // g
 
@@ -315,32 +322,36 @@ def _to_fractions(m, d: int):
     return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
-def _corner_minors(m):
+def _corner_minors(m, memo=None):
     """The pairs (lower, upper) of i x i corner minors, i = 1..size-1.
 
     ``None`` at the first pair with a zero: the point is outside the open
     cell.  Scaling ``m`` by a positive constant changes no zero.
     """
     size = len(m)
+    memo = {} if memo is None else memo
     pairs = []
     for i in range(1, size):
-        lower = _int_minor(m, range(size - i, size), range(i))
-        upper = _int_minor(m, range(i), range(size - i, size))
+        lower = _int_minor(m, range(size - i, size), range(i), memo)
+        upper = _int_minor(m, range(i), range(size - i, size), memo)
         if lower == 0 or upper == 0:
             return None
         pairs.append((lower, upper))
     return pairs
 
 
-def _carroll_minors(m) -> tuple[int, int, int, int]:
+def _carroll_minors(m, memo=None) -> tuple[int, int, int, int]:
     """North, south, inner and det: the minors of the Desnanot-Jacobi
-    identity besides west and east, which are the last corner pair."""
+    identity besides west and east, which are the last corner pair.
+    North's expansion holds inner, and det's holds south and the lower
+    corner minors, so with the point's memo each is computed once."""
     size = len(m)
+    memo = {} if memo is None else memo
     return (
-        _int_minor(m, range(size - 1), range(size - 1)),
-        _int_minor(m, range(1, size), range(1, size)),
-        _int_minor(m, range(1, size - 1), range(1, size - 1)),
-        _int_minor(m, range(size), range(size)),
+        _int_minor(m, range(size - 1), range(size - 1), memo),
+        _int_minor(m, range(1, size), range(1, size), memo),
+        _int_minor(m, range(1, size - 1), range(1, size - 1), memo),
+        _int_minor(m, range(size), range(size), memo),
     )
 
 
@@ -385,10 +396,12 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> d
 
     Each sample is drawn as ``(M, D)``, the integer matrix ``M`` over one
     positive denominator ``D``, and every minor is taken of ``M``: an
-    ``i x i`` minor of the point is the one of ``M`` over ``D**i``.  The
-    corner minors of the open-cell test are computed once, and its
-    ``i = n`` pair is west and east.  Two identities are checked as
-    integer equations, with N, S, W, E, inner and det the minors of ``M``:
+    ``i x i`` minor of the point is the one of ``M`` over ``D**i``.  All
+    minors of one point share one ``_minor`` memo, so each sub-minor is
+    computed once per point; the corner minors of the open-cell test
+    are computed once, and its ``i = n`` pair is west and east.  Two
+    identities are checked as integer equations, with N, S, W, E, inner
+    and det the minors of ``M``:
 
     * the corner exchange identity (Desnanot-Jacobi with det = 1),
       ``N·S - W·E == inner·D**(n+1)``;
@@ -412,7 +425,8 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> d
         while True:
             tick()
             m, d = _random_scaled_sl(size, rng)
-            corners = _corner_minors(m)
+            memo: dict = {}  # one per point, shared by all its minors
+            corners = _corner_minors(m, memo)
             if corners is None:
                 rejected += 1
                 continue
@@ -424,7 +438,7 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> d
                     continue
             break
         west, east = corners[-1]
-        north, south, inner, det = _carroll_minors(m)
+        north, south, inner, det = _carroll_minors(m, memo)
         lhs = north * south - west * east
         ok = lhs == inner * d**size and lhs == det * inner
         if n == 2:

@@ -565,6 +565,12 @@ class TestRationalCellPoints:
         assert c4["ok"] and c4["trials"] == 100
         budget.check()
 
+    def test_hundred_points_at_the_largest_rank(self):
+        budget = Budget(6.0)
+        cert = bruhat_check(wronskian.MAX_RANK, trials=100, seed=7)
+        assert cert["ok"] and cert["trials"] == 100
+        budget.check()
+
 
 # ---------------------------------------------------------------------------
 # 12. quiver laws as randomized property tests

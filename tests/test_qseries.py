@@ -462,6 +462,26 @@ A3_SEED_LABELS = {
 }
 
 
+class TestDepthBelowOne:
+    """Below depth 1 the unit keeps no term: the evaluator refuses the
+    depth, where a solve would otherwise report a failed QQ relation
+    (depth -1) or a truncation (depth 0)."""
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda ev: qq_check(ev, (), 1, 0),
+            lambda ev: ev.q_bar((1,), 1, 0),
+        ],
+        ids=["qq_check", "q_bar"],
+    )
+    def test_refused(self, depth, use):
+        with pytest.raises(ValueError, match="depth must be at least 1") as exc:
+            use(QEvaluator(A2, depth=depth))
+        assert exc.type is ValueError  # not a TruncationError
+
+
 class TestEmbedding:
     def test_rank_three_labels(self):
         cw = build_coxeter_quiver(A3, ["2->1", "3->2"], depth_below=10)
@@ -489,6 +509,7 @@ class TestEmbedding:
         with pytest.raises(CertificationError):
             ev._certify((1,), 1, 0, wrong)
         assert (ev.weight_of((1,), 1), 0) not in ev._memo
+        assert ev._inverses.keys() <= ev._memo.keys()
 
     def test_failed_certification_is_not_memoized(self, monkeypatch):
         ev = QEvaluator(A2, depth=4)
@@ -499,6 +520,8 @@ class TestEmbedding:
                 with pytest.raises(CertificationError):
                     ev.q_raw((1,), 1, 0)
             assert key not in ev._memo
+            assert ev._inverses.keys() <= ev._memo.keys()
         value = ev.q_raw((1,), 1, 0)
         assert key in ev._memo
+        assert ev._inverses.keys() <= ev._memo.keys()
         assert value.matches(QEvaluator(A2, depth=4).q_raw((1,), 1, 0))

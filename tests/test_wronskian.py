@@ -81,6 +81,28 @@ def oracle_random_sl_matrix(size, rng):
     return tuple(tuple(row) for row in mat)
 
 
+def oracle_random_scaled_sl(size, rng):
+    """The module's integer draw before the one-row write: each step
+    ``row_a ← q·row_a + p·row_b`` multiplies every other row and ``D``
+    by ``q``; at the end ``M`` and ``D`` are divided by their gcd."""
+    m = [[int(a == b) for b in range(size)] for a in range(size)]
+    d = 1
+    for _ in range(3 * size * size):
+        a = rng.randrange(size)
+        b = rng.randrange(size)
+        if a == b:
+            continue
+        p = rng.randint(-3, 3)
+        q = rng.randint(1, 3)
+        row_a = [q * x + p * y for x, y in zip(m[a], m[b])]
+        if q != 1:
+            m = [[q * x for x in row] for row in m]
+            d *= q
+        m[a] = row_a
+    g = math.gcd(d, *(x for row in m for x in row))
+    return [[x // g for x in row] for row in m], d // g
+
+
 # Rational-point helpers of the tests, over the module's integer routines.
 
 
@@ -238,6 +260,18 @@ class TestWronskianProperty:
         with pytest.raises(ValueError):
             check_wronskian(rs, r_values, depth=2, system_word=word)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_raises_before_series_work(self, monkeypatch, depth):
+        class Reached(Exception):
+            pass
+
+        def refuse(*args):
+            raise Reached
+
+        monkeypatch.setattr(wronskian, "build_wronskian", refuse)
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            check_wronskian(A2, [0], depth=depth)
+
     def test_each_base_matrix_built_once(self, monkeypatch):
         # base r + 2 of one pass is base r of the next
         bases = []
@@ -386,6 +420,17 @@ class TestIntegerScale:
                 )
             # same draws in the same order: rejection counts stay put
             assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", range(3, 10))
+    def test_scaled_draw_matches_rescaling_oracle(self, size):
+        # (M, D) with gcd 1 is canonical, so equal matrices are equal pairs
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert wronskian._random_scaled_sl(
+                    size, rng
+                ) == oracle_random_scaled_sl(size, ref)
+                assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("entries", ["int", "fraction", "mixed"])
     def test_rational_minor_matches_oracle_on_every_subset(self, entries):
@@ -554,6 +599,15 @@ class TestBruhatCertificates:
              "e0dccec29d7abe8eadd791a49cbc4e181fbb81192539379ea99c7641348b51e2"),
             (4, 30, 5,
              "3938b165016d1f6ee0d3d54be34772223c4a3ee812e54d9b7c40acf3052509d0"),
+            # recorded from the draw that rescaled every row per step
+            (2, 100, 7,
+             "3ed22cecb10f0acce6314947243b072aca9c4e79e39f8093920d97d7a957f2fc"),
+            (3, 100, 7,
+             "2012e68994d0443d9dc8a908aee513af1aa9729814e7cd3df4e939cee9d9d042"),
+            (5, 100, 7,
+             "d835d3830f8a1690e9db8f8edf9889fcb5999447d3606b85b3ece7bc40179c28"),
+            (8, 100, 7,
+             "f1fd18bc1a0c24a170f9bb9a940403aaa98f2e343289d9984910e964bf931cdb"),
         ],
     )
     def test_pinned(self, n, trials, seed, sha256):
@@ -565,13 +619,14 @@ class TestBruhatCertificates:
     @pytest.mark.parametrize("seed", [0, 4, 11])
     def test_each_minor_once(self, monkeypatch, seed):
         """Per sample: the 2n corner minors, then north, south, inner and
-        det; a rejected draw stops within its 2n corner minors."""
+        det, all on one memo; a rejected draw stops within its 2n corner
+        minors, and no two draws share a memo."""
         calls = []
         int_minor = wronskian._int_minor
 
-        def counting(m, rows, cols):
-            calls.append(len(rows))
-            return int_minor(m, rows, cols)
+        def counting(m, rows, cols, memo=None):
+            calls.append((len(rows), memo))
+            return int_minor(m, rows, cols, memo)
 
         monkeypatch.setattr(wronskian, "_int_minor", counting)
         n, trials = 3, 50
@@ -579,6 +634,18 @@ class TestBruhatCertificates:
         assert cert["ok"]
         assert calls
         assert len(calls) <= (2 * n + 4) * trials + 2 * n * cert["rejected"]
+        # consecutive calls on one memo object are one draw; ``calls``
+        # keeps every memo alive, so distinct draws have distinct ids
+        draws = [
+            [k for k, _ in group]
+            for _, group in itertools.groupby(calls, key=lambda c: id(c[1]))
+        ]
+        assert all(memo is not None for _, memo in calls)
+        assert len(draws) == trials + cert["rejected"]
+        assert len({id(memo) for _, memo in calls}) == len(draws)
+        accepted = [d for d in draws if len(d) == 2 * n + 4]
+        assert len(accepted) == trials
+        assert all(len(d) <= 2 * n for d in draws if len(d) != 2 * n + 4)
 
 
 class TestDeadline:
