@@ -329,7 +329,6 @@ def _corner_minors(m, memo=None):
     cell.  Scaling ``m`` by a positive constant changes no zero.
     """
     size = len(m)
-    memo = {} if memo is None else memo
     pairs = []
     for i in range(1, size):
         lower = _int_minor(m, range(size - i, size), range(i), memo)
@@ -346,7 +345,6 @@ def _carroll_minors(m, memo=None) -> tuple[int, int, int, int]:
     North's expansion holds inner, and det's holds south and the lower
     corner minors, so with the point's memo each is computed once."""
     size = len(m)
-    memo = {} if memo is None else memo
     return (
         _int_minor(m, range(size - 1), range(size - 1), memo),
         _int_minor(m, range(1, size), range(1, size), memo),
