@@ -134,17 +134,19 @@ def _band_memo(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
 def _block_to_gvecs(
     datum: CoxeterDatum, m: int, block: Matrix
 ) -> dict[Vertex, GVec]:
-    out = {}
-    n = datum.rs.n
-    for i in range(1, n + 1):
-        v = (i, datum.l_of(i) + 2 * m)
-        out[v] = GVec.from_dict(
-            {
-                (j, datum.l_of(j) + 2 * m): block[j - 1][i - 1]
-                for j in range(1, n + 1)
-            }
-        )
-    return out
+    """Vertex (i, l(i) + 2m) of slice m gets column i of ``block``.
+
+    A column is read in node order, which is the sorted order of the
+    slice's vertices; an identity block, as from a range clamped to
+    empty, gives the unit vectors.
+    """
+    row = [(j, l + 2 * m) for j, l in enumerate(datum.l, 1)]
+    if block == _identity(datum.rs.n):
+        return {v: GVec.unit(v) for v in row}
+    return {
+        v: GVec(tuple((u, c) for u, c in zip(row, column) if c))
+        for v, column in zip(row, zip(*block))
+    }
 
 
 def blocks_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:

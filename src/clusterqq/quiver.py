@@ -10,19 +10,22 @@ up-arrows ``(i, r) -> (i, r+2)``).
 red/green pair: split the vertical arrow below the chosen vertex, reroute
 the oblique arrows leaving it to the new vertex, and move the rest of the
 column down by 2 so vertex ids stay in the fixed parity component.  The
-move runs in place, one vertex at a time from the window bottom up, so each
-vertex lands on an id that its lower neighbour has just vacated.
-Iterating it along a reduced word builds the initial-seed quivers; doing it
-at every vertex of the finite starting pattern of a Coxeter element builds
-the Coxeter quiver, normalized so its highest red vertex has height 0.
+move only relabels, so a run of insertions works on stable vertex ids held
+in one top-down list per column and reads the heights off the lists once
+at the end: an insertion costs what its own arrows cost, however long the
+column below it.  Iterating it along a reduced word builds the
+initial-seed quivers; doing it at every vertex of the finite starting
+pattern of a Coxeter element builds the Coxeter quiver, normalized so its
+highest red vertex has height 0.
 
 A :class:`WindowedQuiver` is frozen: sorted arrow and color tuples, hashable
 and comparable.  Every surgery (insertion, mutation, recoloring) runs in
 place on one private working form, :class:`_WorkingQuiver`, which keeps the
 arrows as adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the
 vertex set and the colors.  A run of surgeries thaws a quiver once,
-edits the maps and freezes once at the end, instead of re-sorting the whole
-quiver after every step.
+edits the maps and freezes once at the end.  Freezing reads ``out`` in
+adjacency order, sorted sources each followed by its sorted targets, which
+is the sorted order of the arrows, so no flat arrow map is built or sorted.
 
 No frozen quiver has a loop or a 2-cycle: :func:`_make`, which every frozen
 quiver goes through, raises :class:`ValueError` on one.  Mutation at v can
@@ -119,24 +122,45 @@ def _make(
     *,
     vertices: Iterable[Vertex] | None = None,
     arrows: Mapping[Arrow, int] | None = None,
+    out: Mapping[Vertex, Mapping[Vertex, int]] | None = None,
     colors: Mapping[Vertex, str] | None = None,
     frozen: Iterable[Vertex] | None = None,
 ) -> WindowedQuiver:
+    """The one constructor of a frozen quiver.
+
+    The arrows come as a flat map ``arrows`` or grouped by source as
+    ``out[a][b]``; with neither, ``base``'s arrows are kept.  Arrows of
+    multiplicity at most 0 and arrows leaving the vertex set are dropped.
+    """
     verts = frozenset(vertices) if vertices is not None else base.vertices
-    arr = dict(base.arrows) if arrows is None else dict(arrows)
-    col = dict(base.colors) if colors is None else dict(colors)
-    frz = frozenset(frozen) if frozen is not None else base.frozen
-    arr = {k: m for k, m in arr.items() if m > 0 and k[0] in verts and k[1] in verts}
-    for a, b in arr:
-        if a == b:
-            raise ValueError(f"loop at {a}")
-        if (b, a) in arr:
-            raise ValueError(f"2-cycle between {a} and {b}")
+    if out is None:
+        out = {}
+        for (a, b), m in base.arrows if arrows is None else arrows.items():
+            out.setdefault(a, {})[b] = m
+    # sorted sources, each followed by its sorted targets: arrow keys are
+    # unique, so this is the sorted order of the (source, target) pairs,
+    # and the first loop or 2-cycle in that order is the one named
+    arr = []
+    for a in sorted(out):
+        if a not in verts:
+            continue
+        outs = out[a]
+        for b in sorted(outs):
+            m = outs[b]
+            if m <= 0 or b not in verts:
+                continue
+            if a == b:
+                raise ValueError(f"loop at {a}")
+            if a in out.get(b, ()) and out[b][a] > 0:
+                raise ValueError(f"2-cycle between {a} and {b}")
+            arr.append(((a, b), m))
+    col = dict(base.colors) if colors is None else colors
     col = {v: c for v, c in col.items() if v in verts and c != BLACK}
+    frz = frozenset(frozen) if frozen is not None else base.frozen
     return replace(
         base,
         vertices=verts,
-        arrows=tuple(sorted(arr.items())),
+        arrows=tuple(arr),
         colors=tuple(sorted(col.items())),
         frozen=frz & verts,
     )
@@ -149,9 +173,9 @@ class _WorkingQuiver:
     a -> b, and every vertex has an entry, possibly empty, in both maps.
     ``colors`` holds the non-black colors.  The root system, window,
     parity, margin and frozen set come from ``base`` and no surgery
-    changes them.  :meth:`freeze` builds the frozen quiver through
-    :func:`_make`, which sorts, drops what left the window and checks the
-    no-2-cycle invariant.
+    changes them.  :meth:`freeze` hands ``out`` as it is to :func:`_make`,
+    which reads it in adjacency order, drops what left the window and
+    checks the no-2-cycle invariant.
     """
 
     def __init__(self, q: WindowedQuiver):
@@ -165,9 +189,8 @@ class _WorkingQuiver:
         self.colors = dict(q.colors)
 
     def freeze(self) -> WindowedQuiver:
-        arrows = {(a, b): m for a, outs in self.out.items() for b, m in outs.items()}
         return _make(
-            self.base, vertices=self.vertices, arrows=arrows, colors=self.colors
+            self.base, vertices=self.vertices, out=self.out, colors=self.colors
         )
 
     # -- elementary edits ---------------------------------------------------
@@ -189,62 +212,7 @@ class _WorkingQuiver:
         self.out.setdefault(v, {})
         self.inn.setdefault(v, {})
 
-    def _drop_vertex(self, v: Vertex) -> None:
-        for b in self.out.pop(v):
-            del self.inn[b][v]
-        for a in self.inn.pop(v):
-            del self.out[a][v]
-        self.vertices.discard(v)
-        self.colors.pop(v, None)
-
     # -- surgeries ----------------------------------------------------------
-
-    def insert_reflection(self, v: Vertex) -> None:
-        """Create a red/green pair at ``v`` by the four-step vertical surgery."""
-        q = self.base
-        i, r = v
-        if v not in self.vertices:
-            raise ValueError(f"vertex {v} not in window")
-        color = self.colors.get(v, BLACK)
-        if color != BLACK:
-            raise ValueError(f"vertex {v} already colored {color}")
-        if r - q.rmin <= q.margin:
-            raise MarginError(f"insertion at {v} too close to window bottom")
-
-        below = (i, r - 2)
-        # (iv) move the column below v down by 2, bottom up so each target id
-        # is already free; a vertex whose new id leaves the window is dropped
-        for h in range(q.rmin + (r - q.rmin) % 2, r - 1, 2):
-            u = (i, h)
-            if u not in self.vertices:
-                continue
-            w = (i, h - 2)
-            if h - 2 >= q.rmin:
-                self._add_vertex(w)
-                for b, m in self.out[u].items():
-                    self._set(w, b, m)
-                for a, m in self.inn[u].items():
-                    self._set(a, w, m)
-                if u in self.colors:
-                    self.colors[w] = self.colors[u]
-            self._drop_vertex(u)
-
-        # (i)+(ii) split the vertical arrow into red -> green <- lower column
-        old_below = (i, r - 4)  # the former (i, r-2), moved down by 2
-        self._add_vertex(below)
-        if old_below in self.vertices:
-            self._set(old_below, v, 0)
-            self._set(old_below, below, 1)
-        self._set(v, below, 1)
-
-        # (iii) reroute oblique arrows leaving v so they leave the new vertex
-        for b, m in list(self.out[v].items()):
-            if b[0] != i:
-                self._set(v, b, 0)
-                self._add(below, b, m)
-
-        self.colors[v] = RED
-        self.colors[below] = GREEN
 
     def mutate(self, v: Vertex) -> None:
         """Standard quiver mutation at a non-frozen vertex inside the margin."""
@@ -331,11 +299,84 @@ def basic_quiver(
     return _make(proto, vertices=vertices, arrows=arrows, colors={})
 
 
+def _insert_reflections(q: WindowedQuiver, points: Iterable[Vertex]) -> WindowedQuiver:
+    """Create a red/green pair at each point in turn, then freeze once.
+
+    Each point is read in the coordinates that the insertions before it
+    left.  The surgery at v = (i, r): (i)+(ii) split the vertical arrow into
+    the lower column -> green <- v, (iii) reroute the oblique arrows leaving
+    v so they leave the green, and (iv) move the column below v down by 2.
+    Step (iv) only relabels, and steps (i)-(iii) read only v, the vertex
+    below it and v's out-arrows, so the surgery runs on stable ids: every
+    vertex keeps its own and each green gets a fresh one.  A column (node i
+    and one parity of heights) is a top-down list of ids, None where the
+    quiver has no vertex; v sits at index (top - r) / 2, and (iv) is the
+    green's insertion right after it.  Heights are read off the lists once
+    at the end, where what was pushed below the window is dropped with its
+    arrows.
+    """
+    work = _WorkingQuiver(q)
+    columns: dict[tuple[int, int], list] = {}  # (i, top) -> ids, top-down
+    for t, v in enumerate(points):
+        i, r = v
+        top = q.rmax - (q.rmax - r) % 2
+        col = columns.get((i, top))
+        if col is None:
+            col = columns[(i, top)] = [
+                (i, h) if (i, h) in q.vertices else None
+                for h in range(top, q.rmin - 1, -2)
+            ]
+        k = (top - r) // 2
+        u = col[k] if q.rmin <= r <= top else None
+        if u is None:
+            raise ValueError(f"vertex {v} not in window")
+        color = work.colors.get(u, BLACK)
+        if color != BLACK:
+            raise ValueError(f"vertex {v} already colored {color}")
+        if r - q.rmin <= q.margin:
+            raise MarginError(f"insertion at {v} too close to window bottom")
+
+        # (i)+(ii) split the vertical arrow into red -> green <- lower column
+        green = (i, r, t)  # a fresh id: the others are all pairs
+        work._add_vertex(green)
+        lower = col[k + 1] if k + 1 < len(col) else None
+        if lower is not None:
+            work._set(lower, u, 0)
+            work._set(lower, green, 1)
+        work._set(u, green, 1)
+        # (iii) reroute oblique arrows leaving v so they leave the green
+        for b, m in list(work.out[u].items()):
+            if b[0] != i:
+                work._set(u, b, 0)
+                work._add(green, b, m)
+        work.colors[u] = RED
+        work.colors[green] = GREEN
+        # (iv) the green takes v's lower neighbour's place, and the rest of
+        # the column moves down one place
+        col.insert(k + 1, green)
+
+    # the height of an id is its place in its column, None below the window;
+    # ids of columns without an insertion keep their own
+    height: dict = {}
+    for (i, top), col in columns.items():
+        for k, u in enumerate(col):
+            if u is not None:
+                height[u] = (i, top - 2 * k) if top - 2 * k >= q.rmin else None
+    out = {}
+    for a, outs in work.out.items():
+        if (ha := height.get(a, a)) is not None:
+            out[ha] = {
+                hb: m for b, m in outs.items() if (hb := height.get(b, b)) is not None
+            }
+    colors = {
+        hv: c for v, c in work.colors.items() if (hv := height.get(v, v)) is not None
+    }
+    return _make(q, vertices=out.keys(), out=out, colors=colors)
+
+
 def insert_reflection(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
     """Create a red/green pair at ``v`` by the four-step vertical surgery."""
-    work = _WorkingQuiver(q)
-    work.insert_reflection(v)
-    return work.freeze()
+    return _insert_reflections(q, [v])
 
 
 def build_seed_quiver(
@@ -367,10 +408,10 @@ def build_seed_quiver(
         rmax = (max(heights) if heights else 0) + 4
     if rmin is None:
         rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
-    work = _WorkingQuiver(basic_quiver(rs, rmin, rmax, parity=parity, margin=margin))
-    for i, r in zip(word, heights):
-        work.insert_reflection((i, r))
-    return work.freeze()
+    return _insert_reflections(
+        basic_quiver(rs, rmin, rmax, parity=parity, margin=margin),
+        zip(word, heights),
+    )
 
 
 def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
@@ -453,18 +494,16 @@ def build_coxeter_quiver(
         -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, rs.n + 1)
     )
     rmin = band_bottom - depth_below
-    work = _WorkingQuiver(
-        basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin)
-    )
     # top-down by the pattern heights -l(i) - 2k; the k insertions above
     # the k-th pattern vertex of column i have moved it down to -l(i) - 4k
     points = sorted(
         ((i, k) for i in range(1, rs.n + 1) for k in range(datum.m_of(i))),
         key=lambda p: (datum.l_of(p[0]) + 2 * p[1], p[0]),
     )
-    for i, k in points:
-        work.insert_reflection((i, -datum.l_of(i) - 4 * k))
-    q = work.freeze()
+    q = _insert_reflections(
+        basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin),
+        [(i, -datum.l_of(i) - 4 * k) for i, k in points],
+    )
 
     # finite core: the band plus the vertex immediately above each highest
     # red; frozen boundary = that top rim and the lowest green of each column

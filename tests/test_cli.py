@@ -455,12 +455,41 @@ class TestGoldenCombinatorics:
                 ["quiver", "mutate", "--type", "D4", "--vertex", "1,-6"],
                 "1bc19d78a46f8222b9ee8225f53e2b814984abfb555dc835cc33b66aac0d5255",
             ),
+            (
+                ["quiver", "build", "--type", "E8", "--coxeter", "3,1,4,8,2,6,5,7"],
+                "56c27fc6f250a2a502660ab8660b1d08fac9e11b066552b09a934631a7388488",
+            ),
+            (
+                ["quiver", "build", "--type", "D5", "--depth-below", "2"],
+                "4de3d3e7ddbfb8ddabf5456e64c8318ceaa19e57e9bd067d5341270e4da509dc",
+            ),
+            (
+                ["quiver", "mutate", "--type", "E6", "--vertex", "1,-2"],
+                "a6a87065e07e5d9ce8e14e8d4d3a62e74305110d2977afef01128bd4377e599d",
+            ),
         ],
     )
     def test_quiver_stdout(self, runner, args, sha256):
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
+    # a window too shallow for the band: the insertion that hits the margin
+    # first, or the empty window, is named
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            ("0", "bad window: insertion at (1, -8) too close to window bottom"),
+            ("-3", "bad window: insertion at (2, -5) too close to window bottom"),
+            ("-50", "bad window: empty window: need rmin < rmax"),
+        ],
+    )
+    def test_quiver_build_bad_window(self, runner, depth, message):
+        result = runner.invoke(
+            main, ["quiver", "build", "--type", "A3", "--depth-below", depth]
+        )
+        assert result.exit_code == 2
+        assert f"Error: {message}\n" in result.output
 
 
 # The directory the suite imported ``clusterqq`` from (``src`` in a checkout).

@@ -26,7 +26,7 @@ from clusterqq.gvector import (
     theta,
     theta_word,
 )
-from clusterqq.gvector import _band_memo
+from clusterqq.gvector import _band_memo, _block_to_gvecs
 from clusterqq.quiver import build_coxeter_quiver
 from clusterqq.rootsys import (
     RootSystem,
@@ -457,6 +457,43 @@ class TestBandMemo:
         bound = -d.h_c * 20
         assert 0 < _band_memo.cache_info().misses <= bound
         assert len(calls) <= bound
+
+
+def oracle_block_to_gvecs(d, m, block):
+    """Column i of ``block`` as the g-vector of (i, l(i) + 2m), sorted."""
+    n = d.rs.n
+    return {
+        (i, d.l_of(i) + 2 * m): GVec.from_dict(
+            {(j, d.l_of(j) + 2 * m): block[j - 1][i - 1] for j in range(1, n + 1)}
+        )
+        for i in range(1, n + 1)
+    }
+
+
+class TestBlockColumns:
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_every_slice_after_every_sweep_count(self, name):
+        for cw in coxeter_windows(name):
+            d = cw.datum
+            for k in range(d.rs.coxeter_number + 3):
+                expected = {}
+                for m in cw.slice_range():
+                    block = block_matrix(d, k, m)
+                    columns = oracle_block_to_gvecs(d, m, block)
+                    assert _block_to_gvecs(d, m, block) == columns, (k, m)
+                    expected.update(
+                        (v, g) for v, g in columns.items() if v in cw.quiver.vertices
+                    )
+                assert sweep_gvectors(cw, k) == expected, k
+
+    def test_identity_blocks_give_unit_vectors(self):
+        # k = 0, and every slice above the band, clamp to an empty range
+        cw = window("D4")
+        for m in cw.slice_range():
+            block = block_matrix(cw.datum, 0, m)
+            for v, g in _block_to_gvecs(cw.datum, m, block).items():
+                assert g == GVec.unit(v)
+        assert all(g.coeffs == ((v, 1),) for v, g in sweep_gvectors(cw, 0).items())
 
 
 # ---------------------------------------------------------------------------

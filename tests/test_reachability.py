@@ -26,6 +26,7 @@ KEPT = {
     "qseries.QEvaluator.weight_of": _PUBLIC,
     "seed.Seed.with_values": _PUBLIC,
     "quiver.build_seed_quiver": _PUBLIC,
+    "quiver.insert_reflection": _PUBLIC,
     "sl2.quadrilateral_check": _PUBLIC,
     "seed.dual_cvectors": _ORACLE + ": the c-matrix as inverse transpose "
     "of the g-block (its certificate would add --json fields)",

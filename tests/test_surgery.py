@@ -3,12 +3,14 @@
 The oracles below are the ``_make``-based surgeries that re-filter and
 re-sort the whole quiver after every step.  The working-form surgeries of
 ``clusterqq.quiver`` and ``clusterqq.seed`` must give equal quivers,
-g-vectors and tags, and the same exceptions, on every input here.  The
-last class checks that a run of surgeries freezes once and that
-``seed mutate`` computes each c-vector once.
+g-vectors and tags, and the same exceptions, on every input here.
+``_make`` itself must emit the sorted filtered arrows and name the first
+loop or 2-cycle.  The last class checks that a run of surgeries freezes
+once and that ``seed mutate`` computes each c-vector once.
 """
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -32,9 +34,11 @@ from clusterqq.quiver import (
     build_seed_quiver,
     insert_reflection,
     mutate_quiver,
+    quiver_from_json,
+    quiver_to_json,
     recolor_from_arrows,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data_from_word
+from clusterqq.rootsys import RootSystem, coxeter_data_from_word, is_reduced
 from clusterqq.seed import green_sweep, initial_seed, mutate_reference
 
 
@@ -259,6 +263,115 @@ class TestBuildAgainstOracle:
                 assert insert_reflection(q, v) == oracle_insert_reflection(q, v), v
 
 
+# a window for random insertion sequences; heights are drawn a little beyond it
+RMIN, RMAX = -16, 4
+
+
+def random_insertions(name, seed):
+    """A reduced word, heights, and the outcome of the oracle chain.
+
+    Most heights are those of a black vertex above the margin in the
+    letter's column of the oracle's current quiver, some those of a red or
+    green one, and the rest any height near the window, so that colored
+    vertices, wrong parities and the margin are all reached.  The draw
+    stops at the oracle's first error.
+    """
+    root_system = rs(name)
+    rng = random.Random(f"{name}:{seed}")
+    q = basic_quiver(root_system, RMIN, RMAX)
+    word, heights = [], []
+    for _ in range(rng.randint(1, 8)):
+        letters = [
+            i for i in range(1, root_system.n + 1)
+            if is_reduced(root_system, word + [i])
+        ]
+        if not letters:
+            break
+        repeats = [i for i in letters if i in word]  # columns with colors
+        i = rng.choice(repeats if repeats and rng.random() < 0.5 else letters)
+        column = sorted(h for j, h in q.vertices if j == i)
+        free = [h for h in column if q.color((i, h)) == BLACK and h - RMIN > 2]
+        colored = [h for h in column if q.color((i, h)) != BLACK]
+        draw = rng.random()
+        if free and draw < 0.7:
+            h = rng.choice(free)
+        elif colored and draw < 0.85:
+            h = rng.choice(colored)
+        else:
+            h = rng.randint(RMIN - 2, RMAX + 2)
+        word.append(i)
+        heights.append(h)
+        q = outcome(oracle_insert_reflection, q, (i, h))
+        if isinstance(q, tuple):
+            break
+    return word, heights, q
+
+
+def holed(q, v):
+    """q with the vertex v removed through its JSON."""
+    payload = json.loads(quiver_to_json(q))
+    payload["vertices"].remove(list(v))
+    return quiver_from_json(json.dumps(payload))
+
+
+def oracle_chain(q, points):
+    for v in points:
+        q = oracle_insert_reflection(q, v)
+    return q
+
+
+class TestInsertionSequences:
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+    def test_random_sequences_through_build_seed_quiver(self, name):
+        kinds = set()
+        for seed in range(60):
+            word, heights, expected = random_insertions(name, seed)
+            if len(set(zip(word, heights))) != len(word):
+                continue  # refused before any insertion: a height collision
+            got = outcome(build_seed_quiver, rs(name), word, heights, RMIN, RMAX)
+            assert got == expected, (word, heights)
+            built = not isinstance(expected, tuple)
+            kinds.add("built" if built else expected[1].split()[-1])
+        # built windows, and insertions at a missing, a colored and a
+        # too-low vertex ("window", "red"/"green", "bottom")
+        assert {"built", "window", "bottom"} <= kinds, kinds
+        assert kinds & {"red", "green"}, kinds
+
+    def test_green_below_the_window_is_dropped(self):
+        # at margin 0 an insertion one above rmin puts its green below the
+        # window; it goes with its arrows, as a column vertex pushed out does
+        q = basic_quiver(rs("A2"), -7, 4, margin=0)
+        got = insert_reflection(q, (1, -6))
+        oracle = oracle_insert_reflection(q, (1, -6))
+        assert (1, -8) in oracle.vertices
+        inside = {v for v in oracle.vertices if v[1] >= q.rmin}
+        assert got == _make(oracle, vertices=inside)
+        assert got.color((1, -6)) == RED and not got.greens()
+
+    def test_heights_around_a_gap(self):
+        # column 2 of the A3 window without (2, -13): black at 1, -9, -11,
+        # the gap, then -15, and -17 within the margin
+        gap = (2, -13)
+        q = holed(window("A3").quiver, gap)
+        assert gap not in q.vertices and (2, -11) in q.vertices
+        for h in range(q.rmax + 2, q.rmin - 3, -1):
+            v = (2, h)
+            expected = outcome(oracle_insert_reflection, q, v)
+            assert outcome(insert_reflection, q, v) == expected, v
+
+    def test_runs_across_a_gap(self):
+        # one insertion above, at or below the gap moves it, or not; the
+        # second then lands above, on or below where it went
+        q = holed(window("A3").quiver, (2, -13))
+        firsts = [(2, 1), (2, -9), (2, -11), (2, -13), (2, -15), (1, -12), (3, -6)]
+        for first in firsts:
+            for h in range(q.rmax, q.rmin - 3, -1):
+                points = [first, (2, h)]
+                expected = outcome(oracle_chain, q, points)
+                got = outcome(quiver_mod._insert_reflections, q, points)
+                assert got == expected, points
+
+
 # ---------------------------------------------------------------------------
 # mutation sequences
 # ---------------------------------------------------------------------------
@@ -374,6 +487,88 @@ class TestSweepAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
+# the frozen form
+# ---------------------------------------------------------------------------
+
+
+def random_arrows(seed):
+    """Vertices and a flat arrow map over a pool that reaches outside them,
+    with multiplicities down to -1; no loop, and no pair both ways."""
+    rng = random.Random(seed)
+    pool = [(i, r) for i in range(1, 5) for r in range(-8, 7)]
+    vertices = set(rng.sample(pool, 30))
+    arrows = {}
+    for _ in range(rng.randint(0, 90)):
+        a, b = rng.sample(pool, 2)
+        arrows[(a, b)] = rng.choice([0, -1]) if (b, a) in arrows else rng.choice(
+            [-1, 0, 1, 1, 2, 3]
+        )
+    return rng, vertices, arrows
+
+
+def kept(vertices, arrows):
+    return {
+        (a, b): m
+        for (a, b), m in arrows.items()
+        if m > 0 and a in vertices and b in vertices
+    }
+
+
+def grouped(arrows):
+    out = {}
+    for (a, b), m in arrows.items():
+        out.setdefault(a, {})[b] = m
+    return out
+
+
+class TestMakeAndFreeze:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_adjacency_order_is_sorted_order(self, seed):
+        base = basic_quiver(rs("A3"), -6, 4)
+        _, vertices, arrows = random_arrows(seed)
+        expected = tuple(sorted(kept(vertices, arrows).items()))
+        assert _make(base, vertices=vertices, arrows=arrows).arrows == expected
+        assert _make(base, vertices=vertices, out=grouped(arrows)).arrows == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_first_loop_or_2_cycle_is_named(self, seed):
+        base = basic_quiver(rs("A3"), -6, 4)
+        rng, vertices, arrows = random_arrows(seed)
+        inside = sorted(vertices)
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(inside, 2)
+            if rng.random() < 0.5:
+                arrows[(a, a)] = 1
+            else:
+                arrows[(a, b)], arrows[(b, a)] = 1, rng.randint(1, 2)
+        filtered = kept(vertices, arrows)
+        a, b = next((a, b) for a, b in sorted(filtered) if a == b or (b, a) in filtered)
+        message = f"loop at {a}" if a == b else f"2-cycle between {a} and {b}"
+        with pytest.raises(ValueError) as exc:
+            _make(base, vertices=vertices, arrows=arrows)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            _make(base, vertices=vertices, out=grouped(arrows))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "arrow, message",
+        [
+            (((2, -9), (2, -9)), "loop at (2, -9)"),
+            # against the vertical up-arrow (2, -11) -> (2, -9)
+            (((2, -9), (2, -11)), "2-cycle between (2, -11) and (2, -9)"),
+        ],
+    )
+    def test_freeze_refuses_a_loop_or_a_2_cycle(self, arrow, message):
+        work = quiver_mod._WorkingQuiver(window("A3").quiver)
+        assert work.freeze() == window("A3").quiver
+        work._set(*arrow, 1)
+        with pytest.raises(ValueError) as exc:
+            work.freeze()
+        assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
 # compute once
 # ---------------------------------------------------------------------------
 
@@ -398,6 +593,14 @@ class TestComputeOnce:
         assert len(cw.quiver.reds()) == 12
         # the basic quiver, the inserted quiver, and its core
         assert len(freezes) == 3
+
+    def test_seed_quiver_freezes_once_after_the_basic_quiver(self, freezes):
+        q = build_seed_quiver(rs("A3"), (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8))
+        assert len(q.reds()) == 6
+        assert len(freezes) == 2
+        del freezes[:]
+        insert_reflection(q, (3, -8))
+        assert len(freezes) == 1
 
     def test_green_sweep_freezes_once(self, freezes):
         seed = initial_seed(window("E6"), stabilized=False)

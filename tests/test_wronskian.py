@@ -229,6 +229,14 @@ class TestSeriesMatrix:
         assert got.cut == want.cut
 
 
+class SeriesWorkReached(Exception):
+    """Not a ValueError, so no precondition test can mistake it for one."""
+
+
+def refuse_series_work(*args):
+    raise SeriesWorkReached
+
+
 class TestWronskianProperty:
     def test_rank_one(self):
         cert = check_wronskian(A1, [0, 2], depth=5)
@@ -256,19 +264,18 @@ class TestWronskianProperty:
             (A2, [0], ()),  # nor do those of the empty word
         ],
     )
-    def test_preconditions_raise_before_series_work(self, rs, r_values, word):
+    def test_preconditions_raise_before_series_work(
+        self, monkeypatch, rs, r_values, word
+    ):
+        # a TruncationError is a ValueError: series work that fails must not
+        # pass for a precondition, so reaching it raises something else
+        monkeypatch.setattr(wronskian, "build_wronskian", refuse_series_work)
         with pytest.raises(ValueError):
             check_wronskian(rs, r_values, depth=2, system_word=word)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_raises_before_series_work(self, monkeypatch, depth):
-        class Reached(Exception):
-            pass
-
-        def refuse(*args):
-            raise Reached
-
-        monkeypatch.setattr(wronskian, "build_wronskian", refuse)
+        monkeypatch.setattr(wronskian, "build_wronskian", refuse_series_work)
         with pytest.raises(ValueError, match="depth must be at least 1"):
             check_wronskian(A2, [0], depth=depth)
 
