@@ -137,12 +137,9 @@ def _block_to_gvecs(
     """Vertex (i, l(i) + 2m) of slice m gets column i of ``block``.
 
     A column is read in node order, which is the sorted order of the
-    slice's vertices; an identity block, as from a range clamped to
-    empty, gives the unit vectors.
+    slice's vertices, and its zero entries are skipped.
     """
     row = [(j, l + 2 * m) for j, l in enumerate(datum.l, 1)]
-    if block == _identity(datum.rs.n):
-        return {v: GVec.unit(v) for v in row}
     return {
         v: GVec(tuple((u, c) for u, c in zip(row, column) if c))
         for v, column in zip(row, zip(*block))

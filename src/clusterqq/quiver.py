@@ -108,7 +108,7 @@ class WindowedQuiver:
         return _make(
             self,
             vertices={f(v) for v in self.vertices},
-            arrows={(f(a), f(b)): m for (a, b), m in self.arrows},
+            out=_grouped(((f(a), f(b)), m) for (a, b), m in self.arrows),
             colors={f(v): c for v, c in self.colors},
             frozen={f(v) for v in self.frozen},
         )
@@ -117,26 +117,31 @@ class WindowedQuiver:
         return self.vertices == other.vertices and self.arrows == other.arrows
 
 
+def _grouped(arrows: Iterable[tuple[Arrow, int]]) -> dict[Vertex, dict[Vertex, int]]:
+    """Arrows grouped by source, ``out[a][b] = m``; a later arrow wins."""
+    out: dict[Vertex, dict[Vertex, int]] = {}
+    for (a, b), m in arrows:
+        out.setdefault(a, {})[b] = m
+    return out
+
+
 def _make(
     base: WindowedQuiver,
     *,
     vertices: Iterable[Vertex] | None = None,
-    arrows: Mapping[Arrow, int] | None = None,
     out: Mapping[Vertex, Mapping[Vertex, int]] | None = None,
     colors: Mapping[Vertex, str] | None = None,
     frozen: Iterable[Vertex] | None = None,
 ) -> WindowedQuiver:
     """The one constructor of a frozen quiver.
 
-    The arrows come as a flat map ``arrows`` or grouped by source as
-    ``out[a][b]``; with neither, ``base``'s arrows are kept.  Arrows of
-    multiplicity at most 0 and arrows leaving the vertex set are dropped.
+    The arrows come grouped by source as ``out[a][b]``; without them,
+    ``base``'s arrows are kept.  Arrows of multiplicity at most 0 and
+    arrows leaving the vertex set are dropped.
     """
     verts = frozenset(vertices) if vertices is not None else base.vertices
     if out is None:
-        out = {}
-        for (a, b), m in base.arrows if arrows is None else arrows.items():
-            out.setdefault(a, {})[b] = m
+        out = _grouped(base.arrows)
     # sorted sources, each followed by its sorted targets: arrow keys are
     # unique, so this is the sorted order of the (source, target) pairs,
     # and the first loop or 2-cycle in that order is the one named
@@ -284,7 +289,7 @@ def basic_quiver(
         for r in range(rmin, rmax + 1)
         if (r - par[i - 1]) % 2 == 0
     }
-    arrows: dict[Arrow, int] = {}
+    out: dict[Vertex, dict[Vertex, int]] = {v: {} for v in vertices}
     for i, r in vertices:
         for j in range(1, rs.n + 1):
             cij = rs.cartan[i - 1][j - 1]
@@ -292,11 +297,11 @@ def basic_quiver(
                 continue
             s = r + cij
             if (j, s) in vertices:
-                arrows[((i, r), (j, s))] = 1
+                out[(i, r)][(j, s)] = 1
     proto = WindowedQuiver(
         rs, rmin, rmax, par, frozenset(), (), (), frozenset(), margin
     )
-    return _make(proto, vertices=vertices, arrows=arrows, colors={})
+    return _make(proto, vertices=vertices, out=out, colors={})
 
 
 def _insert_reflections(q: WindowedQuiver, points: Iterable[Vertex]) -> WindowedQuiver:
@@ -552,9 +557,7 @@ def quiver_from_json(text: str) -> WindowedQuiver:
         data.get("margin", 2),
     )
     vertices = {tuple(v) for v in data["vertices"]}
-    arrows = {
-        ((a[0], a[1]), (a[2], a[3])): a[4] for a in (tuple(x) for x in data["arrows"])
-    }
+    out = _grouped((((a[0], a[1]), (a[2], a[3])), a[4]) for a in data["arrows"])
     colors = {}
     for key, c in data["colors"].items():
         i, r = key.split(",")
@@ -562,7 +565,7 @@ def quiver_from_json(text: str) -> WindowedQuiver:
     return _make(
         proto,
         vertices=vertices,
-        arrows=arrows,
+        out=out,
         colors=colors,
         frozen={tuple(v) for v in data["frozen"]},
     )

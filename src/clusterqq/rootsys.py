@@ -56,7 +56,6 @@ def _dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
     raise ValueError(f"unsupported family {family!r}")
 
 
-@lru_cache(maxsize=None)  # one per rank
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
