@@ -6,10 +6,16 @@ certificates stream as JSON lines (deterministic for fixed parameters
 and seed; wall time goes to stderr only); otherwise a human-readable
 table is printed.  Exit codes: 0 all certificates pass, 1 some fail,
 2 usage error, 3 time budget exceeded.
+
+Every certifying command runs one lifecycle, :func:`_certifies`: its
+``--budget`` and ``--json`` options, one :class:`Reporter` passed to the
+body as ``rep``, and ``rep.finish()`` after it.  Every Coxeter window
+comes from one :func:`_window` call on the raw option values.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -17,7 +23,15 @@ import time
 import click
 
 from . import gvector, sl2, wronskian
-from .qseries import KSeries, QEvaluator, qq_check, qqstar_check, f_label
+from .qseries import (
+    KSeries,
+    QEvaluator,
+    f_label,
+    key_mul,
+    key_one,
+    qq_check,
+    qqstar_check,
+)
 from .quiver import (
     build_coxeter_quiver,
     mutate_quiver,
@@ -101,12 +115,12 @@ def _parse_end(tok: str) -> float:
         raise click.UsageError(f"bad segment end {tok!r}")
 
 
-def _window(rs: RootSystem, word, depth_below: int = 8, margin: int = 2):
-    datum = coxeter_data_from_word(rs, word)
+def _window(type_: str, coxeter: str | None, depth_below: int = 8, margin: int = 2):
+    """The Coxeter window of the raw ``--type`` and ``--coxeter`` values."""
+    rs = _root_system(type_)
+    datum = coxeter_data_from_word(rs, _coxeter_word(rs, coxeter))
     try:
-        return build_coxeter_quiver(
-            rs, datum, depth_below=depth_below, margin=margin
-        )
+        return build_coxeter_quiver(rs, datum, depth_below=depth_below, margin=margin)
     except ValueError as exc:  # MarginError, or an empty window
         raise click.UsageError(f"bad window: {exc}")
 
@@ -145,8 +159,9 @@ class Reporter:
         self.failed = 0
 
     def emit(self, cert: dict) -> None:
+        """Stream one certificate; one without ``ok`` or ``relation`` raises."""
+        ok, relation = cert["ok"], cert["relation"]
         self.total += 1
-        ok = cert.get("ok", True)
         if not ok:
             self.failed += 1
         if self.as_json:
@@ -155,7 +170,7 @@ class Reporter:
             status = "pass" if ok else "FAIL"
             rest = {k: v for k, v in cert.items() if k not in ("ok", "relation")}
             detail = " ".join(f"{k}={_short(v)}" for k, v in rest.items())
-            click.echo(f"{status:4}  {cert.get('relation', '-'):<14} {detail}")
+            click.echo(f"{status:4}  {relation:<14} {detail}")
         self.check_budget()
 
     def check_budget(self) -> None:
@@ -179,10 +194,18 @@ def _short(v) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _common(fn):
-    fn = click.option("--json", "as_json", is_flag=True, help="JSON-lines output")(fn)
-    fn = click.option("--budget", type=float, default=None, help="time budget (s)")(fn)
-    return fn
+def _certifies(body):
+    """Give ``body`` the run lifecycle; apply it below the command's options."""
+
+    @functools.wraps(body)
+    def run(as_json, budget, **params):
+        rep = Reporter(as_json, budget)
+        body(rep, **params)
+        rep.finish()
+
+    run = click.option("--json", "as_json", is_flag=True, help="JSON-lines output")(run)
+    run = click.option("--budget", type=float, default=None, help="time budget (s)")(run)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +243,7 @@ def quiver_group() -> None:
 @click.option("--margin", type=click.IntRange(min=0), default=2)
 def quiver_build(type_, coxeter, depth_below, margin):
     """Print the Coxeter window quiver as JSON."""
-    rs = _root_system(type_)
-    cw = _window(rs, _coxeter_word(rs, coxeter), depth_below, margin)
+    cw = _window(type_, coxeter, depth_below, margin)
     click.echo(quiver_to_json(cw.quiver))
 
 
@@ -232,8 +254,7 @@ def quiver_build(type_, coxeter, depth_below, margin):
 @click.option("--depth-below", type=int, default=8)
 def quiver_mutate(type_, coxeter, vertex, depth_below):
     """Mutate the window quiver at a vertex and print the result."""
-    rs = _root_system(type_)
-    cw = _window(rs, _coxeter_word(rs, coxeter), depth_below)
+    cw = _window(type_, coxeter, depth_below)
     try:
         click.echo(quiver_to_json(mutate_quiver(cw.quiver, _parse_vertex(vertex))))
     except (KeyError, ValueError) as exc:
@@ -250,14 +271,12 @@ def seed_group() -> None:
 @click.option("--coxeter", default=None)
 @click.option("--sweeps", type=click.IntRange(min=1), default=4)
 @click.option("--depth-below", type=click.IntRange(min=1), default=10)
-@_common
-def seed_sweep(type_, coxeter, sweeps, depth_below, as_json, budget):
+@_certifies
+def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     """Run green sweeps and certify them against the block matrices."""
-    rep = Reporter(as_json, budget)
-    rs = _root_system(type_)
     # each sweep pushes the green band one slice deeper, so the window
     # must grow with the number of sweeps
-    cw = _window(rs, _coxeter_word(rs, coxeter), depth_below + 2 * sweeps)
+    cw = _window(type_, coxeter, depth_below + 2 * sweeps)
     seed = initial_seed(cw, stabilized=False)
     for m in range(1, sweeps + 1):
         seed = green_sweep(seed)
@@ -272,19 +291,16 @@ def seed_sweep(type_, coxeter, sweeps, depth_below, as_json, budget):
                 "ok": not mismatch,
             }
         )
-    rep.finish()
 
 
 @seed_group.command("mutate")
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
 @click.option("--vertex", "vertices", required=True, multiple=True)
-@_common
-def seed_mutate(type_, coxeter, vertices, as_json, budget):
+@_certifies
+def seed_mutate(rep, type_, coxeter, vertices):
     """Mutate the tracked seed and report the new g-vectors."""
-    rep = Reporter(as_json, budget)
-    rs = _root_system(type_)
-    cw = _window(rs, _coxeter_word(rs, coxeter))
+    cw = _window(type_, coxeter)
     seed = initial_seed(cw)
     for spec in vertices:
         v = _parse_vertex(spec)
@@ -301,7 +317,6 @@ def seed_mutate(type_, coxeter, vertices, as_json, budget):
                 "ok": True,
             }
         )
-    rep.finish()
 
 
 @main.group("gvec")
@@ -313,11 +328,9 @@ def _gvec_listing(method):
     @click.option("--type", "type_", required=True)
     @click.option("--coxeter", default=None)
     @click.option("--depth-below", type=int, default=8)
-    @_common
-    def cmd(type_, coxeter, depth_below, as_json, budget):
-        rep = Reporter(as_json, budget)
-        rs = _root_system(type_)
-        cw = _window(rs, _coxeter_word(rs, coxeter), depth_below)
+    @_certifies
+    def cmd(rep, type_, coxeter, depth_below):
+        cw = _window(type_, coxeter, depth_below)
         table = method(cw)
         for v in sorted(table):
             rep.emit(
@@ -328,7 +341,6 @@ def _gvec_listing(method):
                     "ok": True,
                 }
             )
-        rep.finish()
 
     return cmd
 
@@ -342,12 +354,10 @@ gvec_group.command("blocks")(_gvec_listing(gvector.blocks_gvectors))
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
 @click.option("--depth-below", type=int, default=8)
-@_common
-def gvec_compare(type_, coxeter, depth_below, as_json, budget):
+@_certifies
+def gvec_compare(rep, type_, coxeter, depth_below):
     """Certify the three-way agreement of knit, braid and block g-vectors."""
-    rep = Reporter(as_json, budget)
-    rs = _root_system(type_)
-    cw = _window(rs, _coxeter_word(rs, coxeter), depth_below)
+    cw = _window(type_, coxeter, depth_below)
     knit = gvector.knit_gvectors(cw.quiver)
     braid = gvector.braid_gvectors(cw)
     blocks = gvector.blocks_gvectors(cw)
@@ -359,14 +369,13 @@ def gvec_compare(type_, coxeter, depth_below, as_json, budget):
     rep.emit(
         {
             "relation": "gvec-compare",
-            "type": rs.dynkin_type,
+            "type": cw.datum.rs.dynkin_type,
             "vertices": len(knit),
             "band_vertices": len(braid),
             "mismatches": [list(v) for v in mismatch],
             "ok": bool(knit) and bool(braid) and not mismatch,
         }
     )
-    rep.finish()
 
 
 @main.group("qq")
@@ -378,10 +387,9 @@ def qq_group() -> None:
 @click.option("--type", "type_", required=True)
 @click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--window", "window_", default="-4..2")
-@_common
-def qq_verify(type_, depth, window_, as_json, budget):
+@_certifies
+def qq_verify(rep, type_, depth, window_):
     """Certify the relation for every prefix of the longest word."""
-    rep = Reporter(as_json, budget)
     rs = _root_system(type_)
     window = _parse_range(window_)
     ev = QEvaluator(rs, depth=depth)
@@ -399,7 +407,6 @@ def qq_verify(type_, depth, window_, as_json, budget):
                     "ok": qq_check(ev, prefix, i, r),
                 }
             )
-    rep.finish()
 
 
 @main.group("qqstar")
@@ -411,10 +418,9 @@ def qqstar_group() -> None:
 @click.option("--type", "type_", required=True)
 @click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--r", "r_", type=int, default=-2)
-@_common
-def qqstar_verify(type_, depth, r_, as_json, budget):
+@_certifies
+def qqstar_verify(rep, type_, depth, r_):
     """Certify the three-term relation for all adjacent node pairs."""
-    rep = Reporter(as_json, budget)
     rs = _root_system(type_)
     if rs.n < 2:
         raise click.UsageError("needs rank >= 2")
@@ -431,7 +437,6 @@ def qqstar_verify(type_, depth, r_, as_json, budget):
                     "ok": qqstar_check(ev, (), a, b, r_),
                 }
             )
-    rep.finish()
 
 
 @main.group("qvar")
@@ -468,12 +473,10 @@ def qvar_eval(type_, word, i_, r_, depth, raw):
 @click.option("--type", "type_", required=True)
 @click.option("--coxeter", default=None)
 @click.option("--depth-below", type=int, default=8)
-@_common
-def f_eval(type_, coxeter, depth_below, as_json, budget):
+@_certifies
+def f_eval(rep, type_, coxeter, depth_below):
     """Label every window vertex with the series its variable maps to."""
-    rep = Reporter(as_json, budget)
-    rs = _root_system(type_)
-    cw = _window(rs, _coxeter_word(rs, coxeter), depth_below)
+    cw = _window(type_, coxeter, depth_below)
     g = gvector.knit_gvectors(cw.quiver)
     for v in sorted(cw.quiver.vertices):
         try:
@@ -494,7 +497,6 @@ def f_eval(type_, coxeter, depth_below, as_json, budget):
                 "ok": False,
             }
         rep.emit(cert)
-    rep.finish()
 
 
 @main.group("sl2")
@@ -504,14 +506,13 @@ def sl2_group() -> None:
 
 @sl2_group.command("factor")
 @click.argument("monomial")
-@_common
-def sl2_factor(monomial, as_json, budget):
+@_certifies
+def sl2_factor(rep, monomial):
     """Factor an ell-weight monomial into prime segments.
 
     MONOMIAL is whitespace-separated tokens "r:e", each denoting the
     factor with spectral exponent 2r raised to the integer power e.
     """
-    rep = Reporter(as_json, budget)
     try:
         key = sl2.parse_monomial(monomial)
         segments, _ = sl2.factorize(key)
@@ -519,8 +520,6 @@ def sl2_factor(monomial, as_json, budget):
         raise click.UsageError(str(exc))
     if not key[1]:  # the unit has no segments: nothing would be compared
         raise click.UsageError(f"monomial {monomial!r} is the unit")
-    from .qseries import key_mul, key_one
-
     rebuilt = key_one(1)
     for seg in segments:
         rebuilt = key_mul(rebuilt, seg.ell_weight())
@@ -538,7 +537,6 @@ def sl2_factor(monomial, as_json, budget):
             "ok": compatible and rebuilt[1] == key[1],
         }
     )
-    rep.finish()
 
 
 @sl2_group.command(
@@ -549,10 +547,9 @@ def sl2_factor(monomial, as_json, budget):
 @click.argument("rp")
 @click.argument("sp")
 @click.option("--depth", type=click.IntRange(min=1), default=6)
-@_common
-def sl2_ptolemy(r, s, rp, sp, depth, as_json, budget):
+@_certifies
+def sl2_ptolemy(rep, r, s, rp, sp, depth):
     """Certify one quadrilateral exchange relation."""
-    rep = Reporter(as_json, budget)
     try:
         cert = sl2.ptolemy_check(
             _parse_end(r), _parse_end(s), _parse_end(rp), _parse_end(sp), depth
@@ -560,7 +557,6 @@ def sl2_ptolemy(r, s, rp, sp, depth, as_json, budget):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rep.emit(cert)
-    rep.finish()
 
 
 @main.group("wronskian")
@@ -573,10 +569,9 @@ def wronskian_group() -> None:
 @click.option("--r", "r_", default="-4..4")
 @click.option("--depth", type=click.IntRange(min=1), default=4)
 @click.option("--system-word", default=None)
-@_common
-def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
+@_certifies
+def wronskian_check_cmd(rep, type_, r_, depth, system_word):
     """Certify the minor shift system and det = 1 over a base range."""
-    rep = Reporter(as_json, budget)
     rs = _root_system(type_)
     r_values = list(_parse_range(r_))
     # the shift system is defined for a Coxeter element only
@@ -588,7 +583,6 @@ def wronskian_check_cmd(type_, r_, depth, system_word, as_json, budget):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rep.emit(cert)
-    rep.finish()
 
 
 @main.group("bruhat")
@@ -602,12 +596,10 @@ def bruhat_group() -> None:
 )
 @click.option("--trials", type=click.IntRange(min=1), default=20)
 @click.option("--seed", type=int, default=0)
-@_common
-def bruhat_verify(n_, trials, seed, as_json, budget):
+@_certifies
+def bruhat_verify(rep, n_, trials, seed):
     """Sample cell points and certify the exchange and reconstruction laws."""
-    rep = Reporter(as_json, budget)
     rep.emit(wronskian.bruhat_check(n_, trials, seed, deadline=rep.check_budget))
-    rep.finish()
 
 
 if __name__ == "__main__":

@@ -557,6 +557,9 @@ def quiver_from_json(text: str) -> WindowedQuiver:
         data.get("margin", 2),
     )
     vertices = {tuple(v) for v in data["vertices"]}
+    for i, r in vertices:  # a node, inside [rmin, rmax], of its parity
+        if not (1 <= i <= rs.n and rmin <= r <= rmax) or (r - proto.parity[i - 1]) % 2:
+            raise ValueError(f"vertex {(i, r)} not in window")
     out = _grouped((((a[0], a[1]), (a[2], a[3])), a[4]) for a in data["arrows"])
     colors = {}
     for key, c in data["colors"].items():

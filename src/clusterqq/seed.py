@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from numbers import Rational
 from typing import Any, Mapping
 
 from .gvector import GVec, knit_gvectors, stable_block
@@ -201,10 +203,10 @@ def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
 
 
 def _divide(num, den):
-    try:
-        return num / den
-    except TypeError:
-        return num * den.inverse()
+    """num / den, exactly: a Fraction for numbers, den's inverse for series."""
+    if isinstance(den, Rational):
+        return Fraction(num, den)
+    return num * den.inverse()
 
 
 def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:

@@ -366,5 +366,9 @@ def parse_monomial(text: str) -> Key:
     psi = ()
     for tok in text.split():
         h, _, e = tok.partition(":")
-        psi = psi_mul(psi, psi_var(1, 2 * int(h), int(e or "1")))
+        try:
+            h, e = int(h), int(e or "1")
+        except ValueError:
+            raise ValueError(f"bad token {tok!r}: expected r:e") from None
+        psi = psi_mul(psi, psi_var(1, 2 * h, e))
     return ((0,), psi)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import clusterqq
-from clusterqq.cli import main
+from clusterqq.cli import Reporter, main
 from clusterqq.quiver import quiver_from_json
 
 
@@ -174,6 +174,59 @@ class TestBudget:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "time budget exceeded" in result.stderr
+
+
+# one short run of each of the 13 certifying commands
+CERTIFYING = [
+    ["seed", "sweep", "--type", "A2", "--sweeps", "1"],
+    ["seed", "mutate", "--type", "A2", "--vertex", "1,-2"],
+    ["gvec", "knit", "--type", "A2"],
+    ["gvec", "braid", "--type", "A2"],
+    ["gvec", "blocks", "--type", "A2"],
+    ["gvec", "compare", "--type", "A2"],
+    ["qq", "verify", "--type", "A1", "--depth", "1", "--window", "0..0"],
+    ["qqstar", "verify", "--type", "A2", "--depth", "1"],
+    ["f-eval", "--type", "A2"],
+    ["sl2", "factor", "1:1"],
+    ["sl2", "ptolemy", "-inf", "0", "1", "+inf"],
+    ["wronskian", "check", "--type", "A2", "--r", "0..0"],
+    ["bruhat", "verify", "--n", "2", "--trials", "1"],
+]
+
+
+class TestEveryCertifyingCommand:
+    @pytest.mark.parametrize("args", CERTIFYING, ids=" ".join)
+    def test_zero_budget_exits_three(self, runner, args):
+        result = runner.invoke(main, args + ["--json", "--budget", "0"])
+        assert result.exit_code == 3
+        assert "time budget exceeded" in result.stderr
+        assert "certificates passed" not in result.output
+
+    @pytest.mark.parametrize("args", CERTIFYING, ids=" ".join)
+    def test_help_lists_json_and_budget(self, runner, args):
+        command = args[:1] if args[0] == "f-eval" else args[:2]
+        result = runner.invoke(main, command + ["--help"])
+        assert result.exit_code == 0
+        assert "--json" in result.output
+        assert "--budget" in result.output
+
+
+class TestReporter:
+    @pytest.mark.parametrize("cert", [{"relation": "x"}, {"ok": True}])
+    def test_certificate_without_ok_or_relation_raises(self, cert):
+        rep = Reporter(as_json=True, budget=None)
+        with pytest.raises(KeyError):
+            rep.emit(cert)
+        assert rep.total == 0
+
+
+class TestMonomialTokens:
+    @pytest.mark.parametrize("token", ["1:x", "y:2", "1.5"])
+    def test_bad_token_is_named_usage_error(self, runner, token):
+        result = runner.invoke(main, ["sl2", "factor", f"2:1 {token}", "--json"])
+        assert result.exit_code == 2
+        assert f"bad token {token!r}: expected r:e" in result.output
+        assert "invalid literal" not in result.output
 
 
 class TestQuiverCommands:

@@ -1,6 +1,7 @@
 """Windowed quivers: construction, insertion surgery, mutation, slices."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -427,6 +428,21 @@ class TestJson:
             bad = dict(payload, arrows=payload["arrows"] + [extra])
             with pytest.raises(ValueError, match="2-cycle|loop"):
                 quiver_from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            (1, 6),  # above rmax
+            (1, -8),  # below rmin
+            (1, -3),  # node 1 has even heights
+            (3, 0),  # A2 has no node 3
+        ],
+    )
+    def test_vertex_outside_window_rejected(self, extra):
+        payload = json.loads(quiver_to_json(basic_quiver(rs("A2"), -6, 4)))
+        bad = dict(payload, vertices=payload["vertices"] + [list(extra)])
+        with pytest.raises(ValueError, match=re.escape(f"vertex {extra} not in window")):
+            quiver_from_json(json.dumps(bad))
 
 
 # ---------------------------------------------------------------------------

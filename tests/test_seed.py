@@ -417,3 +417,12 @@ class TestValues:
         assert (step, v) == (13, (1, -6))
         with pytest.raises(ValueError, match=r"^vertex \(1, -6\) must have both"):
             mutate_seed(seed, v)
+
+    def test_integer_values_divide_to_fractions(self):
+        # an exchange on integer values stays exact: Fraction(2), not 2.0
+        A2 = rs("A2")
+        cw = build_coxeter_quiver(A2, coxeter_data_from_word(A2, (1, 2)))
+        seed = initial_seed(cw).with_values(dict.fromkeys(cw.quiver.vertices, 1))
+        once, _ = mutate_seed(seed, (1, -2))
+        value = once.value_map()[(1, -2)]
+        assert type(value) is Fraction and value == 2
