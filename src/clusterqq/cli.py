@@ -277,11 +277,12 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     # each sweep pushes the green band one slice deeper, so the window
     # must grow with the number of sweeps
     cw = _window(type_, coxeter, depth_below + 2 * sweeps)
-    seed = initial_seed(cw, stabilized=False)
+    # one working seed through every sweep, frozen (and so checked) once
+    seed = initial_seed(cw, stabilized=False).thaw()
     for m in range(1, sweeps + 1):
-        seed = green_sweep(seed)
+        green_sweep(seed)
         expected = gvector.sweep_gvectors(cw, m)
-        mismatch = [v for v, g in seed.g if g != expected[v]]
+        mismatch = sorted(v for v, g in seed.g.items() if g != expected[v])
         rep.emit(
             {
                 "relation": "green-sweep",
@@ -291,6 +292,7 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
                 "ok": not mismatch,
             }
         )
+    seed.freeze()
 
 
 @seed_group.command("mutate")
@@ -301,7 +303,8 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
 def seed_mutate(rep, type_, coxeter, vertices):
     """Mutate the tracked seed and report the new g-vectors."""
     cw = _window(type_, coxeter)
-    seed = initial_seed(cw)
+    # one working seed through every mutation, frozen (and so checked) once
+    seed = initial_seed(cw).thaw()
     for spec in vertices:
         v = _parse_vertex(spec)
         try:
@@ -313,10 +316,11 @@ def seed_mutate(rep, type_, coxeter, vertices):
                 "relation": "seed-mutation",
                 "vertex": list(v),
                 "cvector_sign": sign,
-                "gvector": _ser_gvec(seed.g_of(v)),
+                "gvector": _ser_gvec(seed.g[v]),
                 "ok": True,
             }
         )
+    seed.freeze()
 
 
 @main.group("gvec")

@@ -85,13 +85,10 @@ class WindowedQuiver:
     def mult(self, src: Vertex, dst: Vertex) -> int:
         return self._arrow_map.get((src, dst), 0)
 
-    # plain scans: a per-quiver adjacency index costs more to build than
+    # a plain scan: a per-quiver adjacency index costs more to build than
     # it saves, since most quivers are asked only a few times
     def arrows_out(self, v: Vertex) -> list[tuple[Vertex, int]]:
         return [(b, m) for (a, b), m in self.arrows if a == v]
-
-    def arrows_in(self, v: Vertex) -> list[tuple[Vertex, int]]:
-        return [(a, m) for (a, b), m in self.arrows if b == v]
 
     def reds(self) -> list[Vertex]:
         return sorted(v for v, c in self.colors if c == RED)
@@ -564,11 +561,14 @@ def quiver_from_json(text: str) -> WindowedQuiver:
     colors = {}
     for key, c in data["colors"].items():
         i, r = key.split(",")
-        colors[(int(i), int(r))] = c
-    return _make(
-        proto,
-        vertices=vertices,
-        out=out,
-        colors=colors,
-        frozen={tuple(v) for v in data["frozen"]},
-    )
+        v = (int(i), int(r))
+        if v not in vertices:
+            raise ValueError(f"color entry {key!r} names no vertex")
+        if c not in (RED, GREEN, BLACK):
+            raise ValueError(f"color entry {key!r} has unknown color {c!r}")
+        colors[v] = c
+    frozen = {tuple(v) for v in data["frozen"]}
+    stray = sorted(frozen - vertices)
+    if stray:
+        raise ValueError(f"frozen entry {list(stray[0])} names no vertex")
+    return _make(proto, vertices=vertices, out=out, colors=colors, frozen=frozen)

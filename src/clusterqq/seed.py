@@ -2,24 +2,37 @@
 
 A :class:`Seed` stores its own quiver, the quiver of the reference seed,
 and for every vertex the g-vector of its cluster variable with respect to
-that reference.  Two mutation operations are provided:
+that reference.  Three operations are provided:
 
 * :func:`mutate_seed` — mutate the seed itself at a vertex; it returns
   the new seed and the sign of the c-vector of the mutated variable.  The
   new g-vector follows the standard exchange recursion, whose two branches
-  are selected by that sign.  With a stabilized reference (the plain
-  translation-invariant quiver) that c-vector is computed exactly by a
-  top-down substitution: the defining linear relation expresses, column
-  by column, each coefficient two steps below a vertex in terms of
-  already-known coefficients above it.
+  are selected by that sign, and a value follows the exchange relation,
+  each side a product of powers taken by square-and-multiply.
 * :func:`mutate_reference` — mutate the reference seed at a vertex and
   transport every stored g-vector accordingly; :func:`green_sweep` does
   this at every green vertex, translating the reference one step down.
 
-Both run one private transport step on the working form of the reference
-quiver (see :mod:`clusterqq.quiver`).  It moves only the stored g-vectors
-whose coordinate at the mutated vertex is non-zero, found through an index
-from each basis vertex to the stored vertices whose g-vector involves it.
+A :class:`Seed` is frozen: sorted tuples, hashable and comparable.  Every
+operation runs in place on one private working form, :class:`_WorkingSeed`,
+which holds the g-vectors and values as dicts and each quiver as a
+working quiver (see :mod:`clusterqq.quiver`), thawed only when an
+operation first needs it, together with the reference's column table and
+an index from each basis vertex to the stored vertices whose g-vector
+involves it, each built once.  The operations take either form: a frozen
+seed is thawed on entry and frozen on return, a working seed is edited in
+place and returned.  A run of operations thaws once and freezes once.  A
+reference mutation moves only the stored g-vectors whose coordinate at
+the mutated vertex is non-zero, found through that index.
+
+With a stabilized reference (the plain translation-invariant quiver) the
+c-vector is computed exactly by a top-down substitution: the defining
+linear relation expresses, column by column, each coefficient two steps
+below a vertex in terms of already-known coefficients above it.  It runs
+only over the c-vector's support.  Every row above the highest row of the
+exchange combination is 0, so it starts there; once it is below the
+combination's lowest row and the four rows the relation reads are all 0,
+every row below is 0 too, so it stops.
 """
 
 from __future__ import annotations
@@ -27,18 +40,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Any, Mapping
 
 from .gvector import GVec, knit_gvectors, stable_block
 from .quiver import (
+    GREEN,
     CoxeterWindow,
     MarginError,
     Vertex,
     WindowedQuiver,
     _WorkingQuiver,
     basic_quiver,
-    mutate_quiver,
 )
 from .rootsys import _adjugate
 
@@ -58,18 +72,95 @@ class Seed:
     def gmap(self) -> dict[Vertex, GVec]:
         return dict(self.g)
 
-    def g_of(self, v: Vertex) -> GVec:
-        return dict(self.g)[v]
-
     def value_map(self) -> dict[Vertex, Any]:
         return dict(self.values) if self.values is not None else {}
 
     def with_values(self, values: Mapping[Vertex, Any]) -> "Seed":
-        return replace(self, values=tuple(sorted(values.items())))
+        return replace(self, values=_pack(values))
+
+    def thaw(self) -> "_WorkingSeed":
+        """The working form, for a run of operations that freezes once."""
+        return _WorkingSeed(self)
 
 
-def _pack(g: Mapping[Vertex, GVec]) -> tuple[tuple[Vertex, GVec], ...]:
-    return tuple(sorted(g.items()))
+def _pack(d: Mapping[Vertex, Any]) -> tuple[tuple[Vertex, Any], ...]:
+    return tuple(sorted(d.items()))
+
+
+class _WorkingSeed:
+    """The mutable form of a seed that every seed operation edits in place.
+
+    ``g`` and ``values`` are dicts (``values`` is None for a seed without
+    values) and ``ref_tag`` a string.  ``quiver`` and ``ref`` are working
+    quivers, each thawed from ``base`` on first use; mutation never
+    changes a vertex set, so ``columns`` is read off the base reference.
+    :meth:`freeze` freezes only the quivers that were thawed.
+    """
+
+    def __init__(self, seed: Seed):
+        self.base = seed
+        self.g = seed.gmap()
+        self.values = seed.value_map() if seed.values is not None else None
+        self.ref_tag = seed.ref_tag
+
+    @cached_property
+    def quiver(self) -> _WorkingQuiver:
+        return _WorkingQuiver(self.base.quiver)
+
+    @cached_property
+    def ref(self) -> _WorkingQuiver:
+        return _WorkingQuiver(self.base.ref_quiver)
+
+    @cached_property
+    def columns(self) -> tuple[dict[int, tuple[int, int, list[int]]], int, int]:
+        """Per reference column, in node order, its top, its bottom and its
+        neighbours; then the top and the bottom of the whole reference."""
+        ref = self.base.ref_quiver
+        heights: dict[int, list[int]] = {}
+        for i, r in ref.vertices:
+            heights.setdefault(i, []).append(r)
+        cols = {
+            i: (max(h), min(h), ref.rs.neighbors(i)) for i, h in sorted(heights.items())
+        }
+        top = max(hi for hi, _, _ in cols.values())
+        bot = min(lo for _, lo, _ in cols.values())
+        return cols, top, bot
+
+    @cached_property
+    def holders(self) -> dict[Vertex, set[Vertex]]:
+        """Basis vertex v -> the stored vertices whose g-vector has v in it.
+
+        Only reference mutations read it, and after one the reference is no
+        longer the stabilized one, so no seed mutation (which needs that
+        reference) ever changes ``g`` while it exists.
+        """
+        out: dict[Vertex, set[Vertex]] = {}
+        for x, gvec in self.g.items():
+            for v, _ in gvec.coeffs:
+                out.setdefault(v, set()).add(x)
+        return out
+
+    def freeze(self) -> Seed:
+        thawed = vars(self)  # the cached quivers live in the instance dict
+        return Seed(
+            thawed["quiver"].freeze() if "quiver" in thawed else self.base.quiver,
+            thawed["ref"].freeze() if "ref" in thawed else self.base.ref_quiver,
+            _pack(self.g),
+            self.ref_tag,
+            _pack(self.values) if self.values is not None else None,
+        )
+
+
+AnySeed = Seed | _WorkingSeed
+
+
+def _working(seed: AnySeed) -> _WorkingSeed:
+    return seed if isinstance(seed, _WorkingSeed) else _WorkingSeed(seed)
+
+
+def _returned(seed: AnySeed, work: _WorkingSeed) -> AnySeed:
+    """A working seed as it came in, or the frozen form of one thawed for it."""
+    return work if work is seed else work.freeze()
 
 
 def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
@@ -93,23 +184,18 @@ def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_lhs(seed: Seed, k: Vertex) -> dict[Vertex, int]:
-    """Net in-degree combination of g-vectors at k in the seed quiver."""
-    g = seed.gmap()
+def _exchange_lhs(work: _WorkingSeed, k: Vertex) -> dict[Vertex, int]:
+    """Net in-degree combination of g-vectors at k, its non-zero entries."""
+    q, g = work.quiver, work.g
     acc: dict[Vertex, int] = {}
-    for (a, b), m in seed.quiver.arrows:
-        if b == k:
-            v = a
-        elif a == k:
-            v, m = b, -m
-        else:
-            continue
-        for u, x in g[v].coeffs:
-            acc[u] = acc.get(u, 0) + m * x
-    return acc
+    for arrows, sign in ((q.inn.get(k, {}), 1), (q.out.get(k, {}), -1)):
+        for v, m in arrows.items():
+            for u, x in g[v].coeffs:
+                acc[u] = acc.get(u, 0) + sign * m * x
+    return {u: x for u, x in acc.items() if x}
 
 
-def cvector(seed: Seed, k: Vertex) -> GVec:
+def cvector(seed: AnySeed, k: Vertex) -> GVec:
     """Exact c-vector of the variable at k, from the defining relation.
 
     Requires the stabilized reference: there the relation reads, at each
@@ -119,26 +205,25 @@ def cvector(seed: Seed, k: Vertex) -> GVec:
             = lhs(i,r),
 
     which determines c(i,r-2) from coefficients strictly above.  The
-    substitution starts from virtual rows above the window top (where both
-    c and the exchange data vanish) and raises :class:`MarginError` if a
-    nonzero coefficient is pushed outside the window at either end.
+    substitution runs down from the highest row of lhs, but from no higher
+    than 5 rows above the window top (where both c and the exchange data
+    vanish), and raises :class:`MarginError` if a nonzero coefficient is
+    pushed outside the window at either end.  Row r reads rows r+2, r+1
+    and r-1, so once it is at or below the lowest row of lhs with rows
+    r+1 down to r-2 all 0, every row below is 0 and it stops.
     """
-    if seed.ref_tag != "stabilized":
+    work = _working(seed)
+    if work.ref_tag != "stabilized":
         raise ValueError("c-vectors are computed against the stabilized reference")
-    ref = seed.ref_quiver
-    lhs = _exchange_lhs(seed, k)
-    heights: dict[int, list[int]] = {}
-    for (i, r) in ref.vertices:
-        heights.setdefault(i, []).append(r)
-    # per column, in node order: its top, its bottom and its neighbours
-    cols = {
-        i: (max(h), min(h), ref.rs.neighbors(i)) for i, h in sorted(heights.items())
-    }
-    top = max(hi for hi, _, _ in cols.values())
-    bot = min(lo for _, lo, _ in cols.values())
-    c: dict[Vertex, int] = {}
+    lhs = _exchange_lhs(work, k)
+    cols, top, bot = work.columns
+    rows = [r for _, r in lhs]
+    start = min(top + 5, max(rows, default=bot - 1))
+    low = min(rows, default=start)
+    c: dict[Vertex, int] = {}  # the non-zero coefficients
+    lowest = None  # the lowest row with one
     above: Vertex | None = None  # first nonzero coefficient above its column
-    for r in range(top + 5, bot - 1, -1):
+    for r in range(start, bot - 1, -1):
         for i, (hi, lo, nbrs) in cols.items():
             if (r - hi) % 2:
                 continue
@@ -146,20 +231,24 @@ def cvector(seed: Seed, k: Vertex) -> GVec:
             for j in nbrs:
                 val += c.get((j, r - 1), 0) - c.get((j, r + 1), 0)
             val -= lhs.get((i, r), 0)
-            if r - 2 >= lo:
-                c[(i, r - 2)] = val
-                if val and above is None and r - 2 > hi:
-                    above = (i, r - 2)
-            elif val:
+            if not val:
+                continue
+            if r - 2 < lo:
                 raise MarginError(
                     f"c-vector support reaches the window bottom in column {i}"
                 )
+            c[(i, r - 2)] = val
+            lowest = r - 2
+            if above is None and r - 2 > hi:
+                above = (i, r - 2)
+        if r <= low and (lowest is None or lowest > r + 1):
+            break
     if above is not None:
         raise MarginError(f"c-vector support reaches the window top at {above}")
-    return GVec.from_dict({v: x for v, x in c.items() if v[1] <= cols[v[0]][0]})
+    return GVec.from_dict(c)
 
 
-def cvector_sign(seed: Seed, k: Vertex) -> int:
+def cvector_sign(seed: AnySeed, k: Vertex) -> int:
     """+1 if the c-vector at k is nonnegative, -1 if nonpositive."""
     c = cvector(seed, k)
     coeffs = [x for _, x in c.coeffs]
@@ -209,116 +298,114 @@ def _divide(num, den):
     return num * den.inverse()
 
 
-def mutate_seed(seed: Seed, k: Vertex) -> tuple[Seed, int]:
+def _power(x, m: int):
+    """x**m for m >= 1 by square-and-multiply: O(log m) products."""
+    out = None
+    while True:
+        if m & 1:
+            out = x if out is None else out * x
+        m >>= 1
+        if not m:
+            return out
+        x = x * x
+
+
+def _side(vals: Mapping[Vertex, Any], arrows: list[tuple[Vertex, int]]):
+    """One side of an exchange relation, the product of vals[v]**m.
+
+    A left fold in arrow order from its first factor: a series value
+    cannot be multiplied into the int 1.
+    """
+    powers = [_power(vals[v], m) for v, m in arrows]
+    return math.prod(powers[1:], start=powers[0])
+
+
+def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
     """Mutate the seed at k, updating quiver, g-vector and optional value.
 
     Returns the mutated seed and the sign of the c-vector at k, which
     picked the branch of the exchange recursion.  Raises ``ValueError``
     for a vertex outside the window, and, when the seed carries values,
-    for one without both in- and out-arrows.
+    for one without both in- and out-arrows.  Every check runs before
+    anything changes, so a working seed is left as it was.
     """
-    if k not in seed.quiver.vertices:
+    work = _working(seed)
+    q = work.quiver
+    if k not in q.vertices:
         raise ValueError(f"vertex {k} not in window")
-    sign = cvector_sign(seed, k)
-    g = seed.gmap()
-    acc = -g[k]
-    arrows = seed.quiver.arrows_in(k) if sign > 0 else seed.quiver.arrows_out(k)
-    for v, m in arrows:
-        acc = acc + g[v].scale(m)
-    g[k] = acc
-    values = None
-    if seed.values is not None:
-        vals = seed.value_map()
-        # each side is a left fold in arrow order from its first factor:
-        # a series value cannot be multiplied into the int 1
+    sign = cvector_sign(work, k)
+    ins, outs = sorted(q.inn[k].items()), sorted(q.out[k].items())
+    g = work.g
+    new = {u: -x for u, x in g[k].coeffs}
+    for v, m in ins if sign > 0 else outs:
+        for u, x in g[v].coeffs:
+            new[u] = new.get(u, 0) + m * x
+    if work.values is not None:
         sides = []
-        for arrows in (seed.quiver.arrows_in(k), seed.quiver.arrows_out(k)):
-            factors = [vals[v] for v, m in arrows for _ in range(m)]
-            if not factors:
+        for arrows in (ins, outs):
+            if not arrows:
                 raise ValueError(f"vertex {k} must have both in- and out-arrows")
-            sides.append(math.prod(factors[1:], start=factors[0]))
-        vals[k] = _divide(sides[0] + sides[1], vals[k])
-        values = tuple(sorted(vals.items()))
-    mutated = replace(
-        seed, quiver=mutate_quiver(seed.quiver, k), g=_pack(g), values=values
-    )
-    return mutated, sign
+            sides.append(_side(work.values, arrows))
+        value = _divide(sides[0] + sides[1], work.values[k])
+    q.mutate(k)
+    g[k] = GVec.from_dict(new)
+    if work.values is not None:
+        work.values[k] = value
+    return _returned(seed, work), sign
 
 
-def _holders(g: Mapping[Vertex, GVec]) -> dict[Vertex, set[Vertex]]:
-    """Basis vertex v -> the stored vertices whose g-vector has v in it."""
-    out: dict[Vertex, set[Vertex]] = {}
-    for x, gvec in g.items():
-        for v, _ in gvec.coeffs:
-            out.setdefault(v, set()).add(x)
-    return out
-
-
-def _transport(
-    ref: _WorkingQuiver,
-    g: dict[Vertex, GVec],
-    holders: dict[Vertex, set[Vertex]],
-    l: Vertex,
-) -> None:
+def _transport(work: _WorkingSeed, l: Vertex) -> None:
     """Mutate the working reference at l and transport g, both in place.
 
-    Only the holders of l move; ``holders`` is kept up to date.  Every
-    check runs before anything changes.
+    Only the holders of l move, and the holders index is kept up to date.
+    Every check runs before anything changes.
     """
+    ref, g, holders = work.ref, work.g, work.holders
     if l not in ref.vertices:
         raise ValueError(f"vertex {l} not in reference window")
     out_arrows = dict(ref.out[l])
     in_arrows = dict(ref.inn[l])
     ref.mutate(l)
-    for x in list(holders.get(l, ())):
-        old = g[x]
-        comp = old.as_dict()
+    # l stays in every holder's g-vector, so only the coordinates at l's
+    # neighbours can enter or leave one, and holders[l] never changes
+    for x in holders.get(l, ()):
+        comp = g[x].as_dict()
         gl = comp[l]
         comp[l] = -gl
         for v, m in (out_arrows if gl >= 0 else in_arrows).items():
-            comp[v] = comp.get(v, 0) + m * gl
+            was = comp.get(v, 0)
+            comp[v] = now = was + m * gl
+            if not now:
+                holders[v].discard(x)
+            elif not was:
+                holders.setdefault(v, set()).add(x)
         g[x] = GVec.from_dict(comp)
-        for v, _ in old.coeffs:
-            holders[v].discard(x)
-        for v, _ in g[x].coeffs:
-            holders.setdefault(v, set()).add(x)
 
 
-def mutate_reference(seed: Seed, l: Vertex) -> Seed:
+def mutate_reference(seed: AnySeed, l: Vertex) -> AnySeed:
     """Mutate the reference at l and transport all stored g-vectors."""
-    ref = _WorkingQuiver(seed.ref_quiver)
-    g = seed.gmap()
-    _transport(ref, g, _holders(g), l)
-    return replace(
-        seed,
-        ref_quiver=ref.freeze(),
-        g=_pack(g),
-        ref_tag=seed.ref_tag + f"*mu{l}",
-    )
+    work = _working(seed)
+    _transport(work, l)
+    work.ref_tag += f"*mu{l}"
+    return _returned(seed, work)
 
 
-def green_sweep(seed: Seed) -> Seed:
+def green_sweep(seed: AnySeed) -> AnySeed:
     """Mutate the reference at every green vertex, then recolor.
 
     The reference quiver comes back as its own one-step downward
     translation; the mutations pairwise commute so the order is free.
-    The sweep thaws the reference once, mutates it in place at every
-    green and freezes it once, recolored from its vertical down-arrows.
+    The reference is mutated in place at every green and recolored from
+    its vertical down-arrows.  A sweep that fails part way leaves a
+    working seed with the greens before the failing one mutated.
     """
-    tag = seed.ref_tag
-    greens = seed.ref_quiver.greens()
+    work = _working(seed)
+    greens = sorted(v for v, c in work.ref.colors.items() if c == GREEN)
     if not greens:
         raise ValueError("reference quiver has no green vertices")
-    ref = _WorkingQuiver(seed.ref_quiver)
-    g = seed.gmap()
-    holders = _holders(g)
     for l in greens:
-        _transport(ref, g, holders, l)
-    ref.recolor()
+        _transport(work, l)
+    work.ref.recolor()
     # the part before the first '*' already carries the earlier sweeps
-    return replace(
-        seed,
-        ref_quiver=ref.freeze(),
-        g=_pack(g),
-        ref_tag=tag.split("*")[0] + "+sweep",
-    )
+    work.ref_tag = work.ref_tag.split("*")[0] + "+sweep"
+    return _returned(seed, work)

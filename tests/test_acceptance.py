@@ -445,8 +445,8 @@ class TestEmbedding:
                 for _ in range(m):
                     rhs = seed.value_map()[w] if rhs is None else rhs * seed.value_map()[w]
             other = None
-            for w, m in seed.quiver.arrows_in(v):
-                for _ in range(m):
+            for (w, b), m in seed.quiver.arrows:
+                for _ in range(m if b == v else 0):
                     other = seed.value_map()[w] if other is None else other * seed.value_map()[w]
             assert rhs is not None and other is not None
             assert lhs.matches(rhs + other), v

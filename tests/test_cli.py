@@ -497,6 +497,55 @@ class TestGoldenCombinatorics:
             "7f74266fa61db1d5524888df8510e2951cc9c955fa3d0b6679e30db606110516"
         )
 
+    # the same 36 greens in a shuffled order, as the benchmark mutates them
+    E6_GREENS_SHUFFLED = (
+        "4,-8 6,-6 5,-21 3,-15 4,-16 3,-19 4,-24 2,-7 3,-7 2,-19 5,-13 1,-26 "
+        "4,-4 2,-15 1,-2 1,-6 1,-18 2,-3 3,-27 4,-20 2,-11 6,-18 2,-23 1,-22 "
+        "5,-5 3,-3 5,-17 3,-23 6,-14 1,-30 1,-14 6,-10 3,-11 5,-9 1,-10 4,-12"
+    ).split()
+
+    def test_seed_mutate_at_every_e6_green_shuffled(self, runner):
+        args = ["seed", "mutate", "--type", "E6", "--json"]
+        for v in self.E6_GREENS_SHUFFLED:
+            args += ["--vertex", v]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 36
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "9d5838bdf1e35346c9f545e7b87aed3da495c9e24b93f0c1b2b2da198d317bb3"
+        )
+
+    def test_seed_sweep_d4_twenty_sweeps(self, runner):
+        result = runner.invoke(
+            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
+        )
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 20
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "0851e5d80c928b13f5ed070fc021a5f7f011964b7f9aee9a9d8236cc7d2db306"
+        )
+
+    # a zero c-vector below the band, the window margin at the top, and a
+    # vertex below the window: each a usage error that names the vertex
+    @pytest.mark.parametrize(
+        "vertex, message",
+        [
+            ("6,-38", "cannot mutate at (6, -38): zero c-vector at (6, -38)"),
+            (
+                "1,0",
+                "cannot mutate at (1, 0): mutation at (1, 0) violates the window margin",
+            ),
+            ("1,-40", "cannot mutate at (1, -40): vertex (1, -40) not in window"),
+        ],
+    )
+    def test_seed_mutate_e6_errors(self, runner, vertex, message):
+        result = runner.invoke(
+            main, ["seed", "mutate", "--type", "E6", "--vertex", vertex, "--json"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.output.endswith(f"\n\nError: {message}\n")
+
     @pytest.mark.parametrize(
         "args, sha256",
         [

@@ -444,6 +444,28 @@ class TestJson:
         with pytest.raises(ValueError, match=re.escape(f"vertex {extra} not in window")):
             quiver_from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "colors",
+                {"2,-1": "purple"},
+                "color entry '2,-1' has unknown color 'purple'",
+            ),
+            ("colors", {"1,8": "red"}, "color entry '1,8' names no vertex"),
+            ("frozen", [[1, 6]], "frozen entry [1, 6] names no vertex"),
+        ],
+    )
+    def test_color_and_frozen_entries_checked(self, field, value, message):
+        payload = json.loads(quiver_to_json(basic_quiver(rs("A2"), -6, 4)))
+        bad = dict(payload, **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quiver_from_json(json.dumps(bad))
+        # the same entries naming a vertex, in a known color, load
+        good = dict(payload, colors={"2,-1": "green", "2,1": "black"}, frozen=[[1, 2]])
+        q = quiver_from_json(json.dumps(good))
+        assert q.colors == (((2, -1), "green"),) and q.frozen == {(1, 2)}
+
 
 # ---------------------------------------------------------------------------
 # properties

@@ -1,18 +1,28 @@
 """Seed mutation, reference mutation, green sweeps, c-vector signs."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
-from clusterqq.quiver import MarginError, basic_quiver, build_coxeter_quiver
+from clusterqq.qseries import KSeries, y_monomial
+from clusterqq.quiver import (
+    MarginError,
+    _WorkingQuiver,
+    basic_quiver,
+    build_coxeter_quiver,
+    mutate_quiver,
+)
 from clusterqq.rootsys import RootSystem, coxeter_data_from_word
 from clusterqq.seed import (
     SignError,
+    _power,
     cvector,
     cvector_sign,
     dual_cvectors,
@@ -216,13 +226,17 @@ class TestCVectors:
         assert cvector(seed, (2, -5)) == e((-1, (1, -6)))
 
 
+def arrows_in(q, v):
+    return [(a, m) for (a, b), m in q.arrows if b == v]
+
+
 def oracle_exchange_lhs(seed, k):
     """The exchange combination at k, one g-vector lookup per arrow."""
     acc = GVec.zero()
-    for v, m in seed.quiver.arrows_in(k):
-        acc = acc + seed.g_of(v).scale(m)
+    for v, m in arrows_in(seed.quiver, k):
+        acc = acc + seed.gmap()[v].scale(m)
     for v, m in seed.quiver.arrows_out(k):
-        acc = acc - seed.g_of(v).scale(m)
+        acc = acc - seed.gmap()[v].scale(m)
     return acc.as_dict()
 
 
@@ -322,15 +336,15 @@ class TestSeedMutation:
         seed = initial_seed(cw)
         seed, sign = mutate_seed(seed, (1, -2))
         assert sign == -1
-        assert seed.g_of((1, -2)) == e((1, (1, -2)))
+        assert seed.gmap()[(1, -2)] == e((1, (1, -2)))
 
         seed, sign = mutate_seed(seed, (1, -4))
         assert sign == 1
-        assert seed.g_of((1, -4)) == e((-1, (2, -3)), (1, (1, -2)))
+        assert seed.gmap()[(1, -4)] == e((-1, (2, -3)), (1, (1, -2)))
 
         seed, sign = mutate_seed(seed, (2, -3))
         assert sign == -1
-        assert seed.g_of((2, -3)) == e((-1, (2, -5)), (1, (1, -4)))
+        assert seed.gmap()[(2, -3)] == e((-1, (2, -5)), (1, (1, -4)))
 
         # unmutated variables keep their stabilized g-vectors
         stable = knit_gvectors(cw.quiver)
@@ -426,3 +440,307 @@ class TestValues:
         once, _ = mutate_seed(seed, (1, -2))
         value = once.value_map()[(1, -2)]
         assert type(value) is Fraction and value == 2
+
+
+# ---------------------------------------------------------------------------
+# the working seed against the frozen-seed bodies it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_cvector_sign(seed, k):
+    if seed.ref_tag != "stabilized":
+        raise ValueError("c-vectors are computed against the stabilized reference")
+    c = oracle_cvector(seed, k)
+    coeffs = [x for _, x in c.coeffs]
+    if not coeffs:
+        raise SignError(f"zero c-vector at {k}")
+    if all(x > 0 for x in coeffs):
+        return 1
+    if all(x < 0 for x in coeffs):
+        return -1
+    raise SignError(f"c-vector at {k} is not sign-coherent: {c}")
+
+
+def oracle_divide(num, den):
+    if isinstance(den, Rational):
+        return Fraction(num, den)
+    return num * den.inverse()
+
+
+def oracle_mutate_seed(seed, k):
+    """One mutation of a frozen seed, each side of the exchange relation
+    folded from m repeated factors per arrow of multiplicity m."""
+    if k not in seed.quiver.vertices:
+        raise ValueError(f"vertex {k} not in window")
+    sign = oracle_cvector_sign(seed, k)
+    g = seed.gmap()
+    acc = -g[k]
+    arrows = arrows_in(seed.quiver, k) if sign > 0 else seed.quiver.arrows_out(k)
+    for v, m in arrows:
+        acc = acc + g[v].scale(m)
+    g[k] = acc
+    values = None
+    if seed.values is not None:
+        vals = seed.value_map()
+        sides = []
+        for arrows in (arrows_in(seed.quiver, k), seed.quiver.arrows_out(k)):
+            factors = [vals[v] for v, m in arrows for _ in range(m)]
+            if not factors:
+                raise ValueError(f"vertex {k} must have both in- and out-arrows")
+            sides.append(math.prod(factors[1:], start=factors[0]))
+        vals[k] = oracle_divide(sides[0] + sides[1], vals[k])
+        values = tuple(sorted(vals.items()))
+    mutated = replace(
+        seed,
+        quiver=mutate_quiver(seed.quiver, k),
+        g=tuple(sorted(g.items())),
+        values=values,
+    )
+    return mutated, sign
+
+
+def oracle_holders(g):
+    out = {}
+    for x, gvec in g.items():
+        for v, _ in gvec.coeffs:
+            out.setdefault(v, set()).add(x)
+    return out
+
+
+def oracle_transport(ref, g, holders, l):
+    """One reference mutation on a working quiver, every holder re-indexed."""
+    if l not in ref.vertices:
+        raise ValueError(f"vertex {l} not in reference window")
+    out_arrows = dict(ref.out[l])
+    in_arrows = dict(ref.inn[l])
+    ref.mutate(l)
+    for x in list(holders.get(l, ())):
+        old = g[x]
+        comp = old.as_dict()
+        gl = comp[l]
+        comp[l] = -gl
+        for v, m in (out_arrows if gl >= 0 else in_arrows).items():
+            comp[v] = comp.get(v, 0) + m * gl
+        g[x] = GVec.from_dict(comp)
+        for v, _ in old.coeffs:
+            holders[v].discard(x)
+        for v, _ in g[x].coeffs:
+            holders.setdefault(v, set()).add(x)
+
+
+def oracle_mutate_reference(seed, l):
+    ref = _WorkingQuiver(seed.ref_quiver)
+    g = seed.gmap()
+    oracle_transport(ref, g, oracle_holders(g), l)
+    return replace(
+        seed,
+        ref_quiver=ref.freeze(),
+        g=tuple(sorted(g.items())),
+        ref_tag=seed.ref_tag + f"*mu{l}",
+    )
+
+
+def oracle_green_sweep(seed):
+    tag = seed.ref_tag
+    greens = seed.ref_quiver.greens()
+    if not greens:
+        raise ValueError("reference quiver has no green vertices")
+    ref = _WorkingQuiver(seed.ref_quiver)
+    g = seed.gmap()
+    holders = oracle_holders(g)
+    for l in greens:
+        oracle_transport(ref, g, holders, l)
+    ref.recolor()
+    return replace(
+        seed,
+        ref_quiver=ref.freeze(),
+        g=tuple(sorted(g.items())),
+        ref_tag=tag.split("*")[0] + "+sweep",
+    )
+
+
+OPERATIONS = {
+    "seed": (mutate_seed, oracle_mutate_seed),
+    "reference": (mutate_reference, oracle_mutate_reference),
+    "sweep": (green_sweep, oracle_green_sweep),
+}
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of its error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def raised(result):
+    return isinstance(result, tuple) and result[0] == "raised"
+
+
+def default_window(name):
+    r = rs(name)
+    return build_coxeter_quiver(r, coxeter_data_from_word(r, tuple(range(1, r.n + 1))))
+
+
+def check_walk(seed, steps):
+    """Run the steps three ways and compare them after each one: the
+    oracles on frozen seeds, the operations on frozen seeds, and the
+    operations on one working seed edited in place all along.
+
+    A step that raises must raise the same error all three ways and leave
+    the working seed as it was; a green sweep that raises may have moved
+    part of the reference, so the walk ends there.  Returns the numbers
+    of steps that completed and that raised.
+    """
+    work = seed.thaw()
+    done = errors = 0
+    for op, v in steps:
+        new, old = OPERATIONS[op]
+        args = () if v is None else (v,)
+        expected = outcome(old, seed, *args)
+        assert outcome(new, seed, *args) == expected, (op, v)
+        in_place = outcome(new, work, *args)
+        if raised(expected):
+            errors += 1
+            assert in_place == expected, (op, v)
+            if op == "sweep":
+                break
+            assert work.freeze() == seed, (op, v)
+            continue
+        if op == "seed":
+            (in_place, sign), (expected, expected_sign) = in_place, expected
+            assert sign == expected_sign, v
+        assert in_place is work
+        assert work.freeze() == expected, (op, v)
+        seed = expected
+        done += 1
+    return done, errors
+
+
+def seed_steps(rng, seed, count):
+    """Seed mutations at any vertex of the window, or one outside it."""
+    pool = sorted(seed.quiver.vertices) + [(9, 9)]
+    return [("seed", rng.choice(pool)) for _ in range(count)]
+
+
+def reference_steps(rng, seed, count):
+    """Green sweeps and reference mutations at any vertex, or outside."""
+    pool = sorted(seed.ref_quiver.vertices) + [(9, 9)]
+    return [
+        ("sweep", None) if rng.random() < 0.3 else ("reference", rng.choice(pool))
+        for _ in range(count)
+    ]
+
+
+class TestWorkingSeedAgainstOracle:
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+    def test_seeded_walks(self, name):
+        cw = default_window(name)
+        stabilized, plain = initial_seed(cw), initial_seed(cw, stabilized=False)
+        done = errors = 0
+        for s in range(60):
+            rng = random.Random(f"{name}:{s}")
+            if s % 2 == 0:
+                # seed mutations; then the reference moves, after which a
+                # c-vector is refused
+                steps = seed_steps(rng, stabilized, 12)
+                steps += reference_steps(rng, stabilized, 1)
+                steps += seed_steps(rng, stabilized, 1)
+                outcomes = check_walk(stabilized, steps)
+            else:
+                steps = reference_steps(rng, plain, 12) + seed_steps(rng, plain, 1)
+                outcomes = check_walk(plain, steps)
+            done, errors = done + outcomes[0], errors + outcomes[1]
+        assert done > 400 and errors > 100
+
+    @pytest.mark.parametrize("name", ["A2", "A3"])
+    def test_fraction_valued_walks(self, name):
+        cw = default_window(name)
+        for s in range(20):
+            rng = random.Random(f"{name}:values:{s}")
+            seed = initial_seed(cw).with_values(
+                {
+                    v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    for v in sorted(cw.quiver.vertices)
+                }
+            )
+            check_walk(seed, seed_steps(rng, seed, 15))
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+    )
+    def test_cvector_at_every_vertex_of_the_default_window(self, name):
+        seed = initial_seed(default_window(name))
+        work = seed.thaw()
+        for v in sorted(seed.quiver.vertices):
+            expected = cvector_outcome(oracle_cvector, seed, v)
+            assert cvector_outcome(cvector, seed, v) == expected, v
+            assert cvector_outcome(cvector, work, v) == expected, v
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
+    def test_cvector_of_perturbed_exchange_data(self, name):
+        # g-vectors with a few far-apart entries give exchange data whose
+        # c-vector has gaps of zero rows or runs off the window; the
+        # seed's own g-vectors with a few unit entries added mostly give a
+        # vector: the substitution must neither start nor stop early
+        seed = initial_seed(default_window(name))
+        own = seed.gmap()
+        basis = sorted(seed.ref_quiver.vertices)
+        rng = random.Random(name)
+
+        def unit():
+            return GVec.from_dict({rng.choice(basis): rng.choice((-1, 1))})
+
+        kinds = set()
+        for draw in range(300):
+            if draw % 2:
+                g = {v: unit() + unit() + unit() for v in own}
+            else:
+                g = {v: x + unit() if rng.random() < 0.1 else x for v, x in own.items()}
+            perturbed = replace(seed, g=tuple(sorted(g.items())))
+            k = rng.choice(basis)
+            expected = cvector_outcome(oracle_cvector, perturbed, k)
+            assert cvector_outcome(cvector, perturbed, k) == expected, (draw, k)
+            kinds.add(expected[1].split(" in ")[0] if isinstance(expected, tuple) else 0)
+        assert kinds == {0, "c-vector support reaches the window bottom"}
+
+
+class TestPowers:
+    def test_square_and_multiply(self):
+        for m in range(1, 70):
+            assert _power(Fraction(-3, 2), m) == Fraction(-3, 2) ** m
+
+    def test_multiple_arrows_along_a_walk(self):
+        # a seeded walk on the mutable vertices of the default A3 window
+        # meets exchange relations with arrows of multiplicity 2 up to 82;
+        # at each one, Fraction values give the same number and series
+        # values a matching series as the fold of repeated factors
+        A3 = rs("A3")
+        seed = initial_seed(default_window("A3"))
+        q = seed.quiver
+        pool = sorted(
+            v for v in q.vertices - q.frozen
+            if q.rmin + q.margin < v[1] < q.rmax - q.margin
+        )
+        fractions = {v: Fraction(2 + (3 * v[0] - v[1]) % 5, 3) for v in q.vertices}
+        series = {
+            (i, r): KSeries.one(A3, -4) + KSeries.monomial(A3, y_monomial(A3, i, r), -4)
+            for i, r in q.vertices
+        }
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(60):
+            k = rng.choice(pool)
+            q = seed.quiver
+            most = max(m for _, m in arrows_in(q, k) + q.arrows_out(k))
+            if most >= 2:
+                seen.add(most)
+                got, _ = mutate_seed(seed.with_values(fractions), k)
+                want, _ = oracle_mutate_seed(seed.with_values(fractions), k)
+                assert got == want
+                got, _ = mutate_seed(seed.with_values(series), k)
+                want, _ = oracle_mutate_seed(seed.with_values(series), k)
+                assert got.value_map()[k].matches(want.value_map()[k])
+            seed, _ = mutate_seed(seed, k)
+        assert seen == {2, 4, 7, 8, 15, 16, 24, 25, 82}

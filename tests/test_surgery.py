@@ -143,7 +143,7 @@ def oracle_mutate_reference(seed, l):
     if l not in ref.vertices:
         raise ValueError(f"vertex {l} not in reference window")
     out_arrows = ref.arrows_out(l)
-    in_arrows = ref.arrows_in(l)
+    in_arrows = [(a, m) for (a, b), m in ref.arrows if b == l]
     new_g = {}
     for x, gvec in seed.g:
         comp = dict(gvec.coeffs)
@@ -622,3 +622,33 @@ class TestComputeOnce:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0
         assert calls == [tuple(map(int, v.split(","))) for v in vertices]
+
+    def test_seed_sweep_thaws_the_reference_once(self, monkeypatch):
+        thawed = []
+        real = quiver_mod._WorkingQuiver.__init__
+
+        def counting(self, q):
+            thawed.append(q)
+            real(self, q)
+
+        monkeypatch.setattr(quiver_mod._WorkingQuiver, "__init__", counting)
+        args = ["seed", "sweep", "--type", "D4", "--sweeps", "5", "--json"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 5
+        # the window build thaws its basic quiver; all five sweeps share
+        # one thaw of the reference, the window's own quiver
+        assert len(thawed) == 2
+        assert not thawed[0].greens() and thawed[1].greens()
+
+    def test_seed_mutate_freezes_once(self, freezes):
+        args = ["seed", "mutate", "--type", "E6", "--json"]
+        for i, top, count in ((1, -2, 8), (2, -3, 6), (3, -3, 7)):
+            for k in range(count):
+                args += ["--vertex", f"{i},{top - 4 * k}"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 21
+        # the window (basic, inserted, core), the stabilized reference, and
+        # the one freeze of the seed quiver after all 21 mutations
+        assert len(freezes) == 5
