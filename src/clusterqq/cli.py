@@ -7,10 +7,16 @@ and seed; wall time goes to stderr only); otherwise a human-readable
 table is printed.  Exit codes: 0 all certificates pass, 1 some fail,
 2 usage error, 3 time budget exceeded.
 
-Every certifying command runs one lifecycle, :func:`_certifies`: its
-``--budget`` and ``--json`` options, one :class:`Reporter` passed to the
-body as ``rep``, and ``rep.finish()`` after it.  Every Coxeter window
-comes from one :func:`_window` call on the raw option values.
+The ten certifying commands are ``seed sweep``, ``seed mutate``, ``gvec
+compare``, ``qq verify``, ``qqstar verify``, ``f-eval``, ``sl2 factor``,
+``sl2 ptolemy``, ``wronskian check`` and ``bruhat verify``.  Each runs
+one lifecycle, :func:`_certifies`: its ``--budget`` and ``--json``
+options, one :class:`Reporter` passed to the body as ``rep``, and
+``rep.finish()`` after it.  The printers compare nothing and exit 0:
+``quiver build`` and ``quiver mutate`` print quiver JSON, ``qvar eval``
+one series, and ``gvec knit``, ``gvec braid`` and ``gvec blocks`` one
+JSON line per vertex.  Every Coxeter window comes from one
+:func:`_window` call on the raw option values.
 """
 
 from __future__ import annotations
@@ -329,29 +335,30 @@ def gvec_group() -> None:
 
 
 def _gvec_listing(method):
+    """A printer of one method's g-vectors: it compares nothing, so it
+    certifies nothing; ``gvec compare`` is the certificate."""
+
     @click.option("--type", "type_", required=True)
     @click.option("--coxeter", default=None)
     @click.option("--depth-below", type=int, default=8)
-    @_certifies
-    def cmd(rep, type_, coxeter, depth_below):
-        cw = _window(type_, coxeter, depth_below)
-        table = method(cw)
+    def cmd(type_, coxeter, depth_below):
+        table = method(_window(type_, coxeter, depth_below))
         for v in sorted(table):
-            rep.emit(
-                {
-                    "relation": "gvector",
-                    "vertex": list(v),
-                    "gvector": _ser_gvec(table[v]),
-                    "ok": True,
-                }
-            )
+            line = {"gvector": _ser_gvec(table[v]), "vertex": list(v)}
+            click.echo(json.dumps(line, sort_keys=True))
 
     return cmd
 
 
-gvec_group.command("knit")(_gvec_listing(lambda cw: gvector.knit_gvectors(cw.quiver)))
-gvec_group.command("braid")(_gvec_listing(gvector.braid_gvectors))
-gvec_group.command("blocks")(_gvec_listing(gvector.blocks_gvectors))
+gvec_group.command(
+    "knit", help="Print the knitted g-vectors, one JSON line per vertex."
+)(_gvec_listing(lambda cw: gvector.knit_gvectors(cw.quiver)))
+gvec_group.command(
+    "braid", help="Print the braid-action g-vectors, one JSON line per green."
+)(_gvec_listing(gvector.braid_gvectors))
+gvec_group.command(
+    "blocks", help="Print the block-limit g-vectors, one JSON line per vertex."
+)(_gvec_listing(gvector.blocks_gvectors))
 
 
 @gvec_group.command("compare")

@@ -96,11 +96,6 @@ def green_slice_nodes(datum: CoxeterDatum, m: int) -> list[int]:
     return out
 
 
-def slice_matrix(datum: CoxeterDatum, m: int) -> Matrix:
-    """T_m: product of the reflection generators of the slice-m greens."""
-    return _band_product(datum, m, m)
-
-
 def block_matrix(datum: CoxeterDatum, k: int, m: int) -> Matrix:
     """Slice-m block after k green sweeps: T_{m+k-1} ... T_m."""
     if k < 0:

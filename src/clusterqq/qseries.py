@@ -37,8 +37,9 @@ right factor is sorted by height once, and each left term's inner loop
 stops at the first pair at or below the cutoff.  Keys are
 decoded back to (λ, Ψ) tuples only at the edges: the constructor,
 :meth:`KSeries.monomial`, :meth:`KSeries.mul_monomial`,
-:meth:`KSeries.top` and the ``terms`` mapping.  The tuple functions
-``key_mul``, ``psi_mul`` and the like stay the public key API.
+:meth:`KSeries.top` and the ``terms`` mapping.  The tuple key API is
+``psi_var``, ``psi_mul``, ``key_mul``, ``key_one``, ``bracket`` and
+``omega_lam2``.
 
 Q-variables are evaluated by a bootstrap: for an ascent ``w′ s_i > w′``
 the two-term QQ relation is solved for the variable at w′s_i upward in
@@ -81,23 +82,19 @@ def psi_mul(p1: Psi, p2: Psi) -> Psi:
     return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
-def psi_inv(p: Psi) -> Psi:
-    return tuple((v, -e) for v, e in p)
-
-
 def key_mul(k1: Key, k2: Key) -> Key:
     l1, p1 = k1
     l2, p2 = k2
     return (tuple(a + b for a, b in zip(l1, l2)), psi_mul(p1, p2))
 
 
-def key_inv(k: Key) -> Key:
-    lam, p = k
-    return (tuple(-a for a in lam), psi_inv(p))
-
-
 def key_one(n: int) -> Key:
     return ((0,) * n, ())
+
+
+def bracket(rs: RootSystem, lam2: Lam2) -> Key:
+    """The monomial [λ] of the doubled weight ``lam2``, with no Ψ part."""
+    return (tuple(lam2), ())
 
 
 def omega_lam2(rs: RootSystem, psi: Psi) -> Lam2:
@@ -106,29 +103,6 @@ def omega_lam2(rs: RootSystem, psi: Psi) -> Lam2:
     for (i, r), e in psi:
         out[i - 1] += e * r
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# distinguished monomials
-# ---------------------------------------------------------------------------
-
-
-def bracket(rs: RootSystem, lam2: Lam2) -> Key:
-    return (tuple(lam2), ())
-
-
-def y_monomial(rs: RootSystem, i: int, r: int) -> Key:
-    """[ϖ_i]·Ψ_{i,q^{r-1}}/Ψ_{i,q^{r+1}}."""
-    lam2 = fundamental_weight(rs, i).coords2
-    return (lam2, psi_mul(psi_var(i, r - 1), psi_var(i, r + 1, -1)))
-
-
-def a_monomial(rs: RootSystem, i: int, r: int) -> Key:
-    """Y_{i,q^{r-1}}·Y_{i,q^{r+1}}·∏_{j~i} Y_{j,q^r}^{-1}."""
-    k = key_mul(y_monomial(rs, i, r - 1), y_monomial(rs, i, r + 1))
-    for j in rs.neighbors(i):
-        k = key_mul(k, key_inv(y_monomial(rs, j, r)))
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +238,10 @@ class KSeries:
     rs.height_functional``, a term whose bracket has ``coords2`` λ sits at
     the integer height Σ w_j·λ_j, which is den times its doubled height.
     The cutoff is stored in that scale as ``cut``, so pruning, products
-    and comparisons use plain integers.  The public units stay doubled
-    heights as ``Fraction``: the constructor's ``cutoff2``, the
-    ``cutoff2`` attribute, :meth:`max_ht` and :meth:`_ht`.  A cutoff that
-    is not a multiple of 1/den raises ``ValueError``.
+    and comparisons use plain integers.  The public unit stays the doubled
+    height as ``Fraction``: the constructor's ``cutoff2`` and the
+    ``cutoff2`` attribute.  A cutoff that is not a multiple of 1/den
+    raises ``ValueError``.
 
     The terms are held as ``_t``, a dict from packed keys (see
     :class:`KeyCodec`) to coefficients; ``terms`` is a read-only mapping
@@ -319,9 +293,6 @@ class KSeries:
     def cutoff2(self) -> Fraction:
         return Fraction(self.cut, self._cx.den)
 
-    def _ht(self, key: Key) -> Fraction:
-        return Fraction(sum(map(mul, self._cx.w, key[0])), self._cx.den)
-
     def _prune(self) -> None:
         lo = self.cut + _HALF
         self._t = {
@@ -332,9 +303,6 @@ class KSeries:
         if not self._t:
             return self.cut
         return max((k + _HALF) & _MASK for k in self._t) - _HALF
-
-    def max_ht(self) -> Fraction:
-        return Fraction(self._max_h(), self._cx.den)
 
     def _top(self) -> tuple[int, int]:
         if not self._t:
@@ -447,14 +415,6 @@ def _scaled(den: int, cutoff2) -> int:
     if den % cutoff2.denominator:
         raise ValueError(f"cutoff {cutoff2} is not a multiple of 1/{den}")
     return cutoff2.numerator * (den // cutoff2.denominator)
-
-
-def product(factors) -> KSeries:
-    it = iter(factors)
-    out = next(it)
-    for f in it:
-        out = out * f
-    return out
 
 
 # ---------------------------------------------------------------------------

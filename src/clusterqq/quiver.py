@@ -68,19 +68,12 @@ class WindowedQuiver:
 
     # -- convenience accessors --------------------------------------------
 
-    # Lookup dicts built once per instance.  They live in the instance
-    # __dict__, outside the fields, so == and hash ignore them; replace()
-    # and _make() build new instances, so they are never stale.
+    # A lookup dict built once per instance.  It lives in the instance
+    # __dict__, outside the fields, so == and hash ignore it; replace()
+    # and _make() build new instances, so it is never stale.
     @cached_property
     def _arrow_map(self) -> dict[Arrow, int]:
         return dict(self.arrows)
-
-    @cached_property
-    def _color_map(self) -> dict[Vertex, str]:
-        return dict(self.colors)
-
-    def color(self, v: Vertex) -> str:
-        return self._color_map.get(v, BLACK)
 
     def mult(self, src: Vertex, dst: Vertex) -> int:
         return self._arrow_map.get((src, dst), 0)
@@ -90,28 +83,8 @@ class WindowedQuiver:
     def arrows_out(self, v: Vertex) -> list[tuple[Vertex, int]]:
         return [(b, m) for (a, b), m in self.arrows if a == v]
 
-    def reds(self) -> list[Vertex]:
-        return sorted(v for v, c in self.colors if c == RED)
-
     def greens(self) -> list[Vertex]:
         return sorted(v for v, c in self.colors if c == GREEN)
-
-    def relabeled(self, mapping: Mapping[Vertex, Vertex]) -> "WindowedQuiver":
-        """Apply a vertex relabeling (identity outside the mapping)."""
-
-        def f(v: Vertex) -> Vertex:
-            return mapping.get(v, v)
-
-        return _make(
-            self,
-            vertices={f(v) for v in self.vertices},
-            out=_grouped(((f(a), f(b)), m) for (a, b), m in self.arrows),
-            colors={f(v): c for v, c in self.colors},
-            frozen={f(v) for v in self.frozen},
-        )
-
-    def same_arrows(self, other: "WindowedQuiver") -> bool:
-        return self.vertices == other.vertices and self.arrows == other.arrows
 
 
 def _grouped(arrows: Iterable[tuple[Arrow, int]]) -> dict[Vertex, dict[Vertex, int]]:
@@ -423,13 +396,6 @@ def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
     return work.freeze()
 
 
-def recolor_from_arrows(q: WindowedQuiver) -> WindowedQuiver:
-    """Recompute red/green from vertical down-arrows (i,r) -> (i,r-2)."""
-    work = _WorkingQuiver(q)
-    work.recolor()
-    return work.freeze()
-
-
 # ---------------------------------------------------------------------------
 # Coxeter quivers
 # ---------------------------------------------------------------------------
@@ -520,11 +486,13 @@ def build_coxeter_quiver(
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
+# JSON output
 # ---------------------------------------------------------------------------
 
 
 def quiver_to_json(q: WindowedQuiver) -> str:
+    """The quiver as one JSON object with sorted keys, as ``quiver build``
+    and ``quiver mutate`` print it.  The package writes this form only."""
     payload = {
         "type": q.rs.dynkin_type,
         "window": [q.rmin, q.rmax],
@@ -536,39 +504,3 @@ def quiver_to_json(q: WindowedQuiver) -> str:
         "margin": q.margin,
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def quiver_from_json(text: str) -> WindowedQuiver:
-    data = json.loads(text)
-    rs = RootSystem.from_name(data["type"])
-    rmin, rmax = data["window"]
-    proto = WindowedQuiver(
-        rs,
-        rmin,
-        rmax,
-        tuple(data["parity"]),
-        frozenset(),
-        (),
-        (),
-        frozenset(),
-        data.get("margin", 2),
-    )
-    vertices = {tuple(v) for v in data["vertices"]}
-    for i, r in vertices:  # a node, inside [rmin, rmax], of its parity
-        if not (1 <= i <= rs.n and rmin <= r <= rmax) or (r - proto.parity[i - 1]) % 2:
-            raise ValueError(f"vertex {(i, r)} not in window")
-    out = _grouped((((a[0], a[1]), (a[2], a[3])), a[4]) for a in data["arrows"])
-    colors = {}
-    for key, c in data["colors"].items():
-        i, r = key.split(",")
-        v = (int(i), int(r))
-        if v not in vertices:
-            raise ValueError(f"color entry {key!r} names no vertex")
-        if c not in (RED, GREEN, BLACK):
-            raise ValueError(f"color entry {key!r} has unknown color {c!r}")
-        colors[v] = c
-    frozen = {tuple(v) for v in data["frozen"]}
-    stray = sorted(frozen - vertices)
-    if stray:
-        raise ValueError(f"frozen entry {list(stray[0])} names no vertex")
-    return _make(proto, vertices=vertices, out=out, colors=colors, frozen=frozen)

@@ -164,17 +164,6 @@ class RootSystem:
         adj, det = _cartan_adjugate(self)
         return tuple(Fraction(x, det) for x in _mat_vec(adj, coords2))
 
-    # -- reflection matrices ----------------------------------------------
-
-    def reflection_matrix_t(self, i: int) -> Matrix:
-        """Generator matrix t_i (simple reflection on fw coordinates)."""
-        self._check_index(i)
-        # entry (j, k) is δ_jk, less c_jk in column k = i - 1
-        return tuple(
-            tuple(int(j == k) - (k == i - 1) * self.cartan[j][k] for k in range(self.n))
-            for j in range(self.n)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Exact matrix kernels
@@ -332,14 +321,6 @@ def _length_and_word(
     if length == len(word):
         return length, word
     return length, tuple(reversed(_greedy(rs, u, -1)))
-
-
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity(rs.n), (), 0)
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return WeylElement(rs, rs.reflection_matrix_t(i), (i,), 1)
 
 
 def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:

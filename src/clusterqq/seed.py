@@ -2,16 +2,16 @@
 
 A :class:`Seed` stores its own quiver, the quiver of the reference seed,
 and for every vertex the g-vector of its cluster variable with respect to
-that reference.  Three operations are provided:
+that reference.  Two operations are provided:
 
 * :func:`mutate_seed` — mutate the seed itself at a vertex; it returns
   the new seed and the sign of the c-vector of the mutated variable.  The
   new g-vector follows the standard exchange recursion, whose two branches
   are selected by that sign, and a value follows the exchange relation,
   each side a product of powers taken by square-and-multiply.
-* :func:`mutate_reference` — mutate the reference seed at a vertex and
-  transport every stored g-vector accordingly; :func:`green_sweep` does
-  this at every green vertex, translating the reference one step down.
+* :func:`green_sweep` — mutate the reference seed at every green vertex,
+  transporting every stored g-vector at each step; this translates the
+  reference one step down.
 
 A :class:`Seed` is frozen: sorted tuples, hashable and comparable.  Every
 operation runs in place on one private working form, :class:`_WorkingSeed`,
@@ -210,9 +210,14 @@ def cvector(seed: AnySeed, k: Vertex) -> GVec:
     vanish), and raises :class:`MarginError` if a nonzero coefficient is
     pushed outside the window at either end.  Row r reads rows r+2, r+1
     and r-1, so once it is at or below the lowest row of lhs with rows
-    r+1 down to r-2 all 0, every row below is 0 and it stops.
+    r+1 down to r-2 all 0, every row below is 0 and it stops.  A vertex
+    outside the window raises ``ValueError``.
     """
     work = _working(seed)
+    # mutation never changes the vertex set, so the base quiver's serves
+    # and nothing thaws
+    if k not in work.base.quiver.vertices:
+        raise ValueError(f"vertex {k} not in window")
     if work.ref_tag != "stabilized":
         raise ValueError("c-vectors are computed against the stabilized reference")
     lhs = _exchange_lhs(work, k)
@@ -380,14 +385,6 @@ def _transport(work: _WorkingSeed, l: Vertex) -> None:
             elif not was:
                 holders.setdefault(v, set()).add(x)
         g[x] = GVec.from_dict(comp)
-
-
-def mutate_reference(seed: AnySeed, l: Vertex) -> AnySeed:
-    """Mutate the reference at l and transport all stored g-vectors."""
-    work = _working(seed)
-    _transport(work, l)
-    work.ref_tag += f"*mu{l}"
-    return _returned(seed, work)
 
 
 def green_sweep(seed: AnySeed) -> AnySeed:

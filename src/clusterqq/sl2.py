@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qseries import KSeries, Key, bracket, key_one, psi_mul, psi_var
+from .qseries import FIELD_BITS, KSeries, Key, bracket, key_one, psi_mul, psi_var
 from .rootsys import RootSystem, fundamental_weight, simple_root
 
 INF = math.inf
@@ -72,11 +72,6 @@ class Segment:
             p = p + psi_var(1, 2 * (int(self.s) + 1), -1)
         return ((0,), tuple(sorted(p)))
 
-    def diagonal(self) -> "Diagonal":
-        if self.is_unit:
-            raise ValueError("unit class has no diagonal")
-        return Diagonal(self.r, self.s + 2)
-
     def __str__(self) -> str:
         def fmt(x):
             if x == INF:
@@ -106,11 +101,6 @@ class Diagonal:
 
     def segment(self) -> Segment:
         return Segment(self.a, self.b - 2)
-
-    def crosses(self, other: "Diagonal") -> bool:
-        """True iff the two diagonals intersect in their interiors."""
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return a < c < b < d or c < a < d < b
 
 
 def compatible(s1: Segment, s2: Segment) -> bool:
@@ -362,7 +352,12 @@ def factorize(key: Key) -> tuple[tuple[Segment, ...], tuple[int, ...]]:
 
 
 def parse_monomial(text: str) -> Key:
-    """Parse "2:1 -4:-1 ..." pairs "height:exponent" into a Ψ monomial key."""
+    """Parse "2:1 -4:-1 ..." pairs "height:exponent" into a Ψ monomial key.
+
+    An exponent that would not fit a field of a packed series key, at
+    least 2^(FIELD_BITS-2) in absolute value, raises ``OverflowError``
+    before :func:`factorize` would build that many segments.
+    """
     psi = ()
     for tok in text.split():
         h, _, e = tok.partition(":")
@@ -371,4 +366,9 @@ def parse_monomial(text: str) -> Key:
         except ValueError:
             raise ValueError(f"bad token {tok!r}: expected r:e") from None
         psi = psi_mul(psi, psi_var(1, 2 * h, e))
+    for (_, h), e in psi:
+        if abs(e) >= 1 << (FIELD_BITS - 2):
+            raise OverflowError(
+                f"exponent {e} at r = {h // 2} does not fit a {FIELD_BITS}-bit key"
+            )
     return ((0,), psi)

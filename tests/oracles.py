@@ -1,0 +1,157 @@
+"""Reference implementations that only the tests use.
+
+Each one is a plain function of the object it reads: the package's
+commands never call them, so they live here rather than in
+``src/clusterqq``.  They build on the package's own constructors and
+private helpers, and the tests compare the package against them.
+"""
+
+from fractions import Fraction
+from operator import mul
+
+from clusterqq.gvector import _band_product
+from clusterqq.qseries import Key, Psi, key_mul, psi_mul, psi_var
+from clusterqq.quiver import BLACK, RED, _grouped, _make, _WorkingQuiver
+from clusterqq.rootsys import (
+    Matrix,
+    WeylElement,
+    _identity,
+    fundamental_weight,
+)
+from clusterqq.seed import _returned, _transport, _working
+from clusterqq.sl2 import Diagonal
+
+
+# ---------------------------------------------------------------------------
+# rootsys
+# ---------------------------------------------------------------------------
+
+
+def reflection_matrix_t(rs, i: int) -> Matrix:
+    """Generator matrix t_i (simple reflection on fw coordinates)."""
+    rs._check_index(i)
+    # entry (j, k) is δ_jk, less c_jk in column k = i - 1
+    return tuple(
+        tuple(int(j == k) - (k == i - 1) * rs.cartan[j][k] for k in range(rs.n))
+        for j in range(rs.n)
+    )
+
+
+def identity_element(rs) -> WeylElement:
+    return WeylElement(rs, _identity(rs.n), (), 0)
+
+
+def simple_reflection(rs, i: int) -> WeylElement:
+    return WeylElement(rs, reflection_matrix_t(rs, i), (i,), 1)
+
+
+# ---------------------------------------------------------------------------
+# quiver
+# ---------------------------------------------------------------------------
+
+
+def color(q, v) -> str:
+    return dict(q.colors).get(v, BLACK)
+
+
+def reds(q) -> list:
+    return sorted(v for v, c in q.colors if c == RED)
+
+
+def relabeled(q, mapping):
+    """Apply a vertex relabeling (identity outside the mapping)."""
+
+    def f(v):
+        return mapping.get(v, v)
+
+    return _make(
+        q,
+        vertices={f(v) for v in q.vertices},
+        out=_grouped(((f(a), f(b)), m) for (a, b), m in q.arrows),
+        colors={f(v): c for v, c in q.colors},
+        frozen={f(v) for v in q.frozen},
+    )
+
+
+def same_arrows(q, other) -> bool:
+    return q.vertices == other.vertices and q.arrows == other.arrows
+
+
+def recolor_from_arrows(q):
+    """Recompute red/green from vertical down-arrows (i,r) -> (i,r-2)."""
+    work = _WorkingQuiver(q)
+    work.recolor()
+    return work.freeze()
+
+
+# ---------------------------------------------------------------------------
+# gvector and seed
+# ---------------------------------------------------------------------------
+
+
+def slice_matrix(datum, m: int) -> Matrix:
+    """T_m: product of the reflection generators of the slice-m greens."""
+    return _band_product(datum, m, m)
+
+
+def mutate_reference(seed, l):
+    """Mutate the reference at l and transport all stored g-vectors."""
+    work = _working(seed)
+    _transport(work, l)
+    work.ref_tag += f"*mu{l}"
+    return _returned(seed, work)
+
+
+# ---------------------------------------------------------------------------
+# qseries
+# ---------------------------------------------------------------------------
+
+
+def psi_inv(p: Psi) -> Psi:
+    return tuple((v, -e) for v, e in p)
+
+
+def key_inv(k: Key) -> Key:
+    lam, p = k
+    return (tuple(-a for a in lam), psi_inv(p))
+
+
+def y_monomial(rs, i: int, r: int) -> Key:
+    """[ϖ_i]·Ψ_{i,q^{r-1}}/Ψ_{i,q^{r+1}}."""
+    lam2 = fundamental_weight(rs, i).coords2
+    return (lam2, psi_mul(psi_var(i, r - 1), psi_var(i, r + 1, -1)))
+
+
+def a_monomial(rs, i: int, r: int) -> Key:
+    """Y_{i,q^{r-1}}·Y_{i,q^{r+1}}·∏_{j~i} Y_{j,q^r}^{-1}."""
+    k = key_mul(y_monomial(rs, i, r - 1), y_monomial(rs, i, r + 1))
+    for j in rs.neighbors(i):
+        k = key_mul(k, key_inv(y_monomial(rs, j, r)))
+    return k
+
+
+def ht(s, key: Key) -> Fraction:
+    """The doubled height of one key of the series ``s``."""
+    return Fraction(sum(map(mul, s._cx.w, key[0])), s._cx.den)
+
+
+def max_ht(s) -> Fraction:
+    """The doubled height of the top term of ``s`` (its cutoff if empty)."""
+    return Fraction(s._max_h(), s._cx.den)
+
+
+# ---------------------------------------------------------------------------
+# sl2
+# ---------------------------------------------------------------------------
+
+
+def diagonal(seg) -> Diagonal:
+    if seg.is_unit:
+        raise ValueError("unit class has no diagonal")
+    return Diagonal(seg.r, seg.s + 2)
+
+
+def crosses(d1, d2) -> bool:
+    """True iff the two diagonals intersect in their interiors."""
+    a, b, c, d = d1.a, d1.b, d2.a, d2.b
+    return a < c < b < d or c < a < d < b

@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,10 @@ from click.testing import CliRunner
 
 import clusterqq
 from clusterqq.cli import Reporter, main
-from clusterqq.quiver import quiver_from_json
+from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
+from clusterqq.qseries import FIELD_BITS
+from clusterqq.quiver import build_coxeter_quiver, quiver_to_json
+from clusterqq.rootsys import RootSystem, coxeter_data_from_word
 
 
 @pytest.fixture()
@@ -25,6 +29,12 @@ def runner():
 
 def json_lines(output):
     return [json.loads(line) for line in output.strip().splitlines()]
+
+
+def default_window(name, word=None):
+    rs = RootSystem.from_name(name)
+    word = tuple(range(1, rs.n + 1)) if word is None else word
+    return build_coxeter_quiver(rs, coxeter_data_from_word(rs, word))
 
 
 class TestUsage:
@@ -176,13 +186,10 @@ class TestBudget:
         assert "time budget exceeded" in result.stderr
 
 
-# one short run of each of the 13 certifying commands
+# one short run of each of the 10 certifying commands
 CERTIFYING = [
     ["seed", "sweep", "--type", "A2", "--sweeps", "1"],
     ["seed", "mutate", "--type", "A2", "--vertex", "1,-2"],
-    ["gvec", "knit", "--type", "A2"],
-    ["gvec", "braid", "--type", "A2"],
-    ["gvec", "blocks", "--type", "A2"],
     ["gvec", "compare", "--type", "A2"],
     ["qq", "verify", "--type", "A1", "--depth", "1", "--window", "0..0"],
     ["qqstar", "verify", "--type", "A2", "--depth", "1"],
@@ -228,6 +235,30 @@ class TestMonomialTokens:
         assert f"bad token {token!r}: expected r:e" in result.output
         assert "invalid literal" not in result.output
 
+    # an exponent whose key field would not fit is refused before the
+    # factorization builds one segment per unit of it; two tokens at one
+    # height add up first
+    BIG = 1 << (FIELD_BITS - 2)
+
+    @pytest.mark.parametrize(
+        "monomial, exponent",
+        [
+            (f"1:{BIG}", BIG),
+            (f"1:{-BIG}", -BIG),
+            (f"1:{BIG // 2} 1:{BIG // 2}", BIG),
+        ],
+    )
+    def test_exponent_too_large_is_out_of_range(self, runner, monomial, exponent):
+        result = runner.invoke(main, ["sl2", "factor", monomial, "--json"])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert result.output == (
+            f"Error: out of range: exponent {exponent} at r = 1 "
+            f"does not fit a {FIELD_BITS}-bit key\n"
+        )
+
 
 class TestQuiverCommands:
     def test_build_roundtrips_through_json(self, runner):
@@ -235,8 +266,9 @@ class TestQuiverCommands:
             main, ["quiver", "build", "--type", "A2", "--coxeter", "1,2"]
         )
         assert result.exit_code == 0
-        q = quiver_from_json(result.output)
+        q = default_window("A2", (1, 2)).quiver
         assert (1, 0) in q.vertices
+        assert result.output == quiver_to_json(q) + "\n"
 
     def test_mutate_changes_arrows(self, runner):
         base = runner.invoke(main, ["quiver", "build", "--type", "A2"])
@@ -279,11 +311,12 @@ class TestCertificates:
         assert cert["band_vertices"] == 6
 
     def test_gvec_knit_lists_every_vertex(self, runner):
-        result = runner.invoke(main, ["gvec", "knit", "--type", "A1", "--json"])
+        result = runner.invoke(main, ["gvec", "knit", "--type", "A1"])
         assert result.exit_code == 0
-        certs = json_lines(result.stdout)
-        assert {tuple(c["vertex"]) for c in certs} >= {(1, 0), (1, -2)}
-        unit = next(c for c in certs if c["vertex"] == [1, 0])
+        lines = json_lines(result.stdout)
+        assert all(set(line) == {"gvector", "vertex"} for line in lines)
+        assert {tuple(line["vertex"]) for line in lines} >= {(1, 0), (1, -2)}
+        unit = next(line for line in lines if line["vertex"] == [1, 0])
         assert unit["gvector"] == [[1, 0, 1]]
 
     def test_seed_sweep_certified_against_blocks(self, runner):
@@ -385,7 +418,7 @@ class TestDeterminism:
         [
             ["bruhat", "verify", "--n", "3", "--trials", "4", "--seed", "11", "--json"],
             ["qq", "verify", "--type", "A2", "--depth", "3", "--window", "-2..0", "--json"],
-            ["gvec", "braid", "--type", "A2", "--json"],
+            ["gvec", "braid", "--type", "A2"],
         ],
     )
     def test_byte_identical_reruns(self, runner, args):
@@ -425,36 +458,38 @@ class TestGoldenSeries:
 
 class TestGoldenCombinatorics:
     """Whole ``--json`` outputs of the g-vector, sweep, seed-mutation,
-    Wronskian and Bruhat commands, and whole quiver JSON, pinned by their
-    sha256."""
+    Wronskian and Bruhat commands, the whole ``gvec blocks`` listing, and
+    whole quiver JSON, pinned by their sha256."""
 
     @pytest.mark.parametrize(
         "args, sha256",
         [
             (
-                ["seed", "sweep", "--type", "E6", "--sweeps", "3"],
+                ["seed", "sweep", "--type", "E6", "--sweeps", "3", "--json"],
                 "836190fc4e01de3a1908757e706ca5c92877d093b4a5b68e0fb7759c9941e9a0",
             ),
             (
-                ["gvec", "compare", "--type", "E8"],
+                ["gvec", "compare", "--type", "E8", "--json"],
                 "b67c76c523a798fb2db6271dd0dda6974df9485a2c8d98dbd1743b33697929a2",
             ),
             (
                 ["gvec", "blocks", "--type", "D4"],
-                "2ed7fb06ce2a5dcf0014d96ef4590ebd563122171b64f1f0e258dcdeb611f276",
+                "bd54eb4ef9ea8d635e247c3427d1d03d83fca06891dec256917d04049a5a4a09",
             ),
             (
-                ["bruhat", "verify", "--n", "3", "--trials", "4", "--seed", "11"],
+                ["bruhat", "verify", "--n", "3", "--trials", "4", "--seed", "11",
+                 "--json"],
                 "c74b33d4ea60d07859f7df4ae4a8131a697e8d366593f4aec0fc91cc926f6901",
             ),
             (
-                ["wronskian", "check", "--type", "A3", "--r", "-4..4", "--depth", "4"],
+                ["wronskian", "check", "--type", "A3", "--r", "-4..4", "--depth", "4",
+                 "--json"],
                 "9f401351f96b772ecc35ef77666e3ca33cf1a1a52037037eaa99ffb55f20fa92",
             ),
         ],
     )
     def test_stdout(self, runner, args, sha256):
-        result = runner.invoke(main, [*args, "--json"])
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
@@ -592,6 +627,66 @@ class TestGoldenCombinatorics:
         )
         assert result.exit_code == 2
         assert f"Error: {message}\n" in result.output
+
+
+LISTINGS = {
+    "knit": lambda cw: knit_gvectors(cw.quiver),
+    "braid": braid_gvectors,
+    "blocks": blocks_gvectors,
+}
+
+
+class TestGvecListings:
+    """``gvec knit|braid|blocks`` print, and certify nothing: one sorted
+    JSON line per vertex, no summary, no ``--json`` or ``--budget``."""
+
+    @pytest.mark.parametrize("name", ["D4", "E6"])
+    @pytest.mark.parametrize("method", sorted(LISTINGS))
+    def test_prints_each_vertex_gvector(self, runner, method, name):
+        table = LISTINGS[method](default_window(name))
+        expected = "".join(
+            json.dumps(
+                {"gvector": [[i, r, c] for (i, r), c in table[v].coeffs],
+                 "vertex": list(v)},
+                sort_keys=True,
+            ) + "\n"
+            for v in sorted(table)
+        )
+        result = runner.invoke(main, ["gvec", method, "--type", name])
+        assert result.exit_code == 0
+        assert result.output == expected
+
+    @pytest.mark.parametrize("method", sorted(LISTINGS))
+    @pytest.mark.parametrize("option", [["--json"], ["--budget", "0"]])
+    def test_certificate_options_are_gone(self, runner, method, option):
+        result = runner.invoke(main, ["gvec", method, "--type", "A2", *option])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and option[0] in result.output
+
+
+def readme_commands():
+    """Every ``clusterqq ...`` line in a code block of the README."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    return [
+        line.strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.strip().startswith("clusterqq ")
+    ]
+
+
+class TestReadme:
+    def test_readme_has_commands(self):
+        assert len(readme_commands()) >= 12
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_command_runs(self, runner, line):
+        result = runner.invoke(main, shlex.split(line)[1:])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
 
 # The directory the suite imported ``clusterqq`` from (``src`` in a checkout).

@@ -20,7 +20,6 @@ from clusterqq.gvector import (
     knit_gvectors,
     mesh_check,
     mesh_pairs,
-    slice_matrix,
     stable_block,
     sweep_gvectors,
     theta,
@@ -35,6 +34,7 @@ from clusterqq.rootsys import (
     coxeter_data,
     coxeter_data_from_word,
 )
+from oracles import reflection_matrix_t, slice_matrix
 from test_rootsys import assert_adjugate_is_det_times_inverse
 
 
@@ -355,7 +355,7 @@ class TestTheta:
 
 
 def oracle_slice(d, m):
-    mats = [d.rs.reflection_matrix_t(i) for i in green_slice_nodes(d, m)]
+    mats = [reflection_matrix_t(d.rs, i) for i in green_slice_nodes(d, m)]
     return reduce(_mat_mul, mats, _identity(d.rs.n))
 
 

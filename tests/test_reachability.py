@@ -1,13 +1,19 @@
 """Every function in the package is reached by the program, or says why not.
 
-The scan reads ``src/clusterqq`` with ``ast``.  A function or method is
-reached when its name is used anywhere in ``src/clusterqq`` or
+The scan reads ``src/clusterqq`` with ``ast``.  A module-level function
+is reached when its name is used anywhere in ``src/clusterqq`` or
 ``perfbench`` outside its own body: as a name, an attribute, an imported
 name, or a dotted string (the benchmark tracer names what it wraps that
-way).  Recursion alone does not reach a function.  Dunder methods, which
-Python calls, and CLI commands, which click calls, are not scanned.
-Anything else that nothing reaches must be deleted, or listed in
-``KEPT`` with the reason it stays.
+way).  A method is reached only by an attribute use (``x.name``) or a
+dotted string, so a local variable that happens to share its name does
+not count.  One limit remains: the scan does not know types, so an
+attribute use reaches every method of that name, in any class.
+``WeylElement.inverse``, for one, counts as reached through the calls of
+``KSeries.inverse``.  Recursion alone does not reach a function.  Dunder
+methods, which Python calls, and CLI commands, which click calls, are not
+scanned.  Anything else that nothing reaches must be deleted (or, if only
+tests use it, moved to ``tests/oracles.py``), or listed in ``KEPT`` with
+the reason it stays.
 """
 
 import ast
@@ -33,20 +39,6 @@ KEPT = {
     "gvector.mesh_check": _ORACLE + ": the translated mesh relation (its "
     "certificate would add --json fields)",
     "gvector.mesh_pairs": _ORACLE + ": the vertices mesh_check applies to",
-    "gvector.slice_matrix": _ORACLE + ": one slice T_m of the band product",
-    "qseries.a_monomial": _ORACLE + ": the A-variable monomial",
-    "qseries.product": _ORACLE + ": product of a list of series",
-    "quiver.quiver_from_json": _ORACLE + ": the inverse of quiver_to_json",
-    "quiver.WindowedQuiver.relabeled": _ORACLE,
-    "quiver.WindowedQuiver.same_arrows": _ORACLE,
-    "rootsys.identity_element": _ORACLE,
-    "rootsys.simple_reflection": _ORACLE,
-    "seed.mutate_reference": _ORACLE + ": one step of a green sweep",
-    "quiver.recolor_from_arrows": _ORACLE + ": the recoloring of a sweep",
-    "sl2.Diagonal.crosses": _ORACLE,
-    "sl2.Segment.diagonal": _ORACLE,
-    "qseries.KSeries._ht": _ORACLE + ": the height of one key",
-    "qseries.KSeries.max_ht": _ORACLE + ": the top height of a series",
     "cli._Main.invoke": "click calls it: the one place that turns an "
     "OverflowError of any command into exit 2",
 }
@@ -54,19 +46,22 @@ KEPT = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
 
 
-def names_used(tree) -> Counter:
-    out = Counter()
+def names_used(tree) -> tuple[Counter, Counter]:
+    """(bare uses, attribute uses) of every name in ``tree``: a bare use
+    is a name or an imported name, an attribute use is ``x.name`` or a
+    part of a dotted string."""
+    bare, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            bare[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
+            bare[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED.match(node.value):
-                out.update(node.value.split("."))
-    return out
+                attrs.update(node.value.split("."))
+    return bare, attrs
 
 
 def is_cli_command(node) -> bool:
@@ -78,29 +73,37 @@ def is_cli_command(node) -> bool:
     )
 
 
-def definitions(tree, prefix):
-    """(qualified name, def node) of every function and method."""
+def definitions(tree, prefix, in_class=False):
+    """(qualified name, def node, is a method) of every function and method."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{prefix}.{node.name}", node
+            yield f"{prefix}.{node.name}", node, in_class
             yield from definitions(node, f"{prefix}.{node.name}")
         elif isinstance(node, ast.ClassDef):
-            yield from definitions(node, f"{prefix}.{node.name}")
+            yield from definitions(node, f"{prefix}.{node.name}", True)
 
 
 def unreached(package: dict, scanned: list) -> dict:
     """{qualified name: line} of every function of the ``package`` trees
     (keyed by module name) that no tree in ``scanned`` reaches."""
-    used = sum((names_used(tree) for tree in scanned), Counter())
+    bare, attrs = Counter(), Counter()
+    for tree in scanned:
+        b, a = names_used(tree)
+        bare += b
+        attrs += a
     out = {}
     for module, tree in package.items():
-        for qualname, node in definitions(tree, module):
+        for qualname, node, is_method in definitions(tree, module):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             if is_cli_command(node):
                 continue
-            if used[name] - names_used(node)[name] == 0:
+            own_bare, own_attrs = names_used(node)
+            uses = attrs[name] - own_attrs[name]
+            if not is_method:
+                uses += bare[name] - own_bare[name]
+            if uses <= 0:
                 out[qualname] = node.lineno
     return out
 
@@ -128,13 +131,20 @@ def test_kept_entries_are_live():
 
 
 def test_scan_reports_what_nothing_else_uses():
-    # the scan itself: a module-level function, a method and a
-    # self-recursive function that nothing else uses are all reported
+    # the scan itself: a module-level function, a method, a method whose
+    # name only a local variable shares and a self-recursive function that
+    # nothing else uses are all reported; a method called as an attribute
+    # is not
     tree = ast.parse(
-        "def used():\n    return helper()\n"
-        "def helper():\n    return 1\n"
+        "def used():\n    shadow = C().called()\n    return helper(shadow)\n"
+        "def helper(x):\n    return x\n"
         "def lonely():\n    return 2\n"
         "def loop(n):\n    return loop(n - 1) if n else 0\n"
-        "class C:\n    def method(self):\n        return used()\n"
+        "class C:\n"
+        "    def method(self):\n        return used()\n"
+        "    def shadow(self):\n        return 3\n"
+        "    def called(self):\n        return 4\n"
     )
-    assert list(unreached({"m": tree}, [tree])) == ["m.lonely", "m.loop", "m.C.method"]
+    assert list(unreached({"m": tree}, [tree])) == [
+        "m.lonely", "m.loop", "m.C.method", "m.C.shadow"
+    ]

@@ -13,15 +13,14 @@ from clusterqq.rootsys import (
     coxeter_data,
     coxeter_data_from_word,
     fundamental_weight,
-    identity_element,
     is_reduced,
     longest_element,
-    simple_reflection,
     simple_root,
     weyl_from_word,
 )
 from clusterqq import rootsys
 from clusterqq.rootsys import _adjugate
+from oracles import identity_element, reflection_matrix_t, simple_reflection
 from test_weyl_walk import nakayama
 from test_wronskian import sign_flipped
 
@@ -76,15 +75,15 @@ class TestCartan:
 class TestReflectionMatrices:
     def test_a2_generators(self):
         a2 = rs("A2")
-        assert a2.reflection_matrix_t(1) == ((-1, 0), (1, 1))
-        assert a2.reflection_matrix_t(2) == ((1, 1), (0, -1))
+        assert reflection_matrix_t(a2, 1) == ((-1, 0), (1, 1))
+        assert reflection_matrix_t(a2, 2) == ((1, 1), (0, -1))
 
     def test_a1_generator(self):
-        assert rs("A1").reflection_matrix_t(1) == ((-1,),)
+        assert reflection_matrix_t(rs("A1"), 1) == ((-1,),)
 
     def test_index_errors(self):
         with pytest.raises(IndexError):
-            rs("A2").reflection_matrix_t(3)
+            reflection_matrix_t(rs("A2"), 3)
 
     @pytest.mark.parametrize("name", SMALL_TYPES)
     def test_braid_relations(self, name):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
-from clusterqq.qseries import KSeries, y_monomial
+from clusterqq.qseries import KSeries
 from clusterqq.quiver import (
     MarginError,
     _WorkingQuiver,
@@ -28,9 +29,9 @@ from clusterqq.seed import (
     dual_cvectors,
     green_sweep,
     initial_seed,
-    mutate_reference,
     mutate_seed,
 )
+from oracles import mutate_reference, reds, relabeled, same_arrows, y_monomial
 
 
 def rs(name):
@@ -82,7 +83,7 @@ class TestRankOneSweeps:
     def test_sweep_recolors_one_step_down(self):
         cw = window("A1", depth=14)
         seed = green_sweep(initial_seed(cw, stabilized=False))
-        assert seed.ref_quiver.reds() == [(1, -2)]
+        assert reds(seed.ref_quiver) == [(1, -2)]
         assert seed.ref_quiver.greens() == [(1, -4)]
 
 
@@ -159,12 +160,12 @@ class TestRankTwoSweeps:
         cw, seeds = sweeps
         q0 = cw.quiver
         q1 = seeds[1].ref_quiver
-        moved = q0.relabeled({v: (v[0], v[1] - 2) for v in q0.vertices})
+        moved = relabeled(q0, {v: (v[0], v[1] - 2) for v in q0.vertices})
         inner = {v for v in q1.vertices if q1.rmin + 2 <= v[1] <= q1.rmax - 2}
         a = {ab for ab, _ in moved.arrows if set(ab) <= inner}
         b = {ab for ab, _ in q1.arrows if set(ab) <= inner}
         assert a == b
-        assert set(q1.reds()) == {(v[0], v[1] - 2) for v in q0.reds()}
+        assert set(reds(q1)) == {(v[0], v[1] - 2) for v in reds(q0)}
 
     def test_sweep_order_irrelevant(self):
         cw = window("A2")
@@ -224,6 +225,21 @@ class TestCVectors:
         assert cvector(seed, (2, -3)) == e((-1, (1, -4)), (-1, (2, -3)))
         assert cvector(seed, (1, -6)) == e((-1, (2, -5)))
         assert cvector(seed, (2, -5)) == e((-1, (1, -6)))
+
+    # no node 9, node 1 at an odd height, and a height below the window
+    @pytest.mark.parametrize("v", [(9, 9), (1, 1), (1, -40)])
+    def test_vertex_outside_the_window_raises(self, v):
+        seed = initial_seed(default_window("A3"))
+        work = seed.thaw()
+        message = re.escape(f"vertex {v} not in window")
+        for s in (seed, work):
+            with pytest.raises(ValueError, match=message):
+                cvector(s, v)
+            with pytest.raises(ValueError, match=message):
+                cvector_sign(s, v)
+        # refused before the exchange data is read: nothing thawed
+        assert not {"quiver", "ref", "columns"} & set(vars(work))
+        assert work.freeze() == seed
 
 
 def arrows_in(q, v):
@@ -358,7 +374,7 @@ class TestSeedMutation:
         for v in [(1, -2), (2, -3), (1, -4), (3, -4)]:
             back, _ = mutate_seed(mutate_seed(seed, v)[0], v)
             assert back.g == seed.g
-            assert back.quiver.same_arrows(seed.quiver)
+            assert same_arrows(back.quiver, seed.quiver)
 
     @pytest.mark.parametrize("v", [(9, 9), (1, 1), (1, -400)])
     def test_vertex_outside_window_is_not_a_sign_failure(self, v):

@@ -10,7 +10,6 @@ once and that ``seed mutate`` computes each c-vector once.
 """
 
 import itertools
-import json
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -34,12 +33,10 @@ from clusterqq.quiver import (
     build_seed_quiver,
     insert_reflection,
     mutate_quiver,
-    quiver_from_json,
-    quiver_to_json,
-    recolor_from_arrows,
 )
 from clusterqq.rootsys import RootSystem, coxeter_data_from_word, is_reduced
-from clusterqq.seed import green_sweep, initial_seed, mutate_reference
+from clusterqq.seed import green_sweep, initial_seed
+from oracles import color, mutate_reference, recolor_from_arrows, reds
 
 
 def rs(name):
@@ -63,8 +60,8 @@ def oracle_insert_reflection(q, v):
     i, r = v
     if v not in q.vertices:
         raise ValueError(f"vertex {v} not in window")
-    if q.color(v) != BLACK:
-        raise ValueError(f"vertex {v} already colored {q.color(v)}")
+    if color(q, v) != BLACK:
+        raise ValueError(f"vertex {v} already colored {color(q, v)}")
     if r - q.rmin <= q.margin:
         raise MarginError(f"insertion at {v} too close to window bottom")
 
@@ -255,7 +252,7 @@ class TestBuildAgainstOracle:
     def test_insertion_errors(self):
         cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
         q = cw.quiver
-        red, green = q.reds()[0], q.greens()[0]
+        red, green = reds(q)[0], q.greens()[0]
         bottom = min(q.vertices, key=lambda v: v[1])
         for v in (red, green, bottom, (1, 1), (9, 0)):
             expected = outcome(oracle_insert_reflection, q, v)
@@ -267,7 +264,7 @@ class TestBuildAgainstOracle:
         # above the band the relabeled column carries reds and greens along
         q = build_coxeter_quiver(rs(name), ORIENTATIONS[name]).quiver
         for v in sorted(q.vertices):
-            if q.color(v) == BLACK and v[1] - q.rmin > q.margin:
+            if color(q, v) == BLACK and v[1] - q.rmin > q.margin:
                 assert insert_reflection(q, v) == oracle_insert_reflection(q, v), v
 
 
@@ -298,8 +295,8 @@ def random_insertions(name, seed):
         repeats = [i for i in letters if i in word]  # columns with colors
         i = rng.choice(repeats if repeats and rng.random() < 0.5 else letters)
         column = sorted(h for j, h in q.vertices if j == i)
-        free = [h for h in column if q.color((i, h)) == BLACK and h - RMIN > 2]
-        colored = [h for h in column if q.color((i, h)) != BLACK]
+        free = [h for h in column if color(q, (i, h)) == BLACK and h - RMIN > 2]
+        colored = [h for h in column if color(q, (i, h)) != BLACK]
         draw = rng.random()
         if free and draw < 0.7:
             h = rng.choice(free)
@@ -316,10 +313,8 @@ def random_insertions(name, seed):
 
 
 def holed(q, v):
-    """q with the vertex v removed through its JSON."""
-    payload = json.loads(quiver_to_json(q))
-    payload["vertices"].remove(list(v))
-    return quiver_from_json(json.dumps(payload))
+    """q with the vertex v removed, and its arrows with it."""
+    return _make(q, vertices=q.vertices - {v})
 
 
 def oracle_chain(q, points):
@@ -354,7 +349,7 @@ class TestInsertionSequences:
         assert (1, -8) in oracle.vertices
         inside = {v for v in oracle.vertices if v[1] >= q.rmin}
         assert got == _make(oracle, vertices=inside)
-        assert got.color((1, -6)) == RED and not got.greens()
+        assert color(got, (1, -6)) == RED and not got.greens()
 
     def test_heights_around_a_gap(self):
         # column 2 of the A3 window without (2, -13): black at 1, -9, -11,
@@ -587,13 +582,13 @@ def freezes(monkeypatch):
 class TestComputeOnce:
     def test_build_freezes_once_after_the_basic_quiver(self, freezes):
         cw = build_coxeter_quiver(rs("D4"), ORIENTATIONS["D4"])
-        assert len(cw.quiver.reds()) == 12
+        assert len(reds(cw.quiver)) == 12
         # the basic quiver, the inserted quiver, and its core
         assert len(freezes) == 3
 
     def test_seed_quiver_freezes_once_after_the_basic_quiver(self, freezes):
         q = build_seed_quiver(rs("A3"), (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8))
-        assert len(q.reds()) == 6
+        assert len(reds(q)) == 6
         assert len(freezes) == 2
         del freezes[:]
         insert_reflection(q, (3, -8))

@@ -28,6 +28,7 @@ from clusterqq.rootsys import (
     longest_element,
     weyl_from_word,
 )
+from oracles import reflection_matrix_t
 
 ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
     "E6",
@@ -47,7 +48,7 @@ def rs(name):
 
 def reflection_matrix_root(r, i):
     """Simple reflection on simple-root coordinates (transpose of t_i)."""
-    t = r.reflection_matrix_t(i)
+    t = reflection_matrix_t(r, i)
     return tuple(tuple(t[j][k] for j in range(r.n)) for k in range(r.n))
 
 
@@ -86,7 +87,7 @@ def canonical_word(r, mat_t, mat_root):
             if all(x <= 0 for x in _mat_vec(mat_root, unit(r, i)))
         )
         letters.append(i)
-        mat_t = _mat_mul(mat_t, r.reflection_matrix_t(i))
+        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
         mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
     return tuple(reversed(letters))
 
@@ -102,7 +103,7 @@ def finalize(r, mat_t, mat_root, word):
 def oracle_from_word(r, word):
     mat_t = mat_root = _identity(r.n)
     for i in word:
-        mat_t = _mat_mul(mat_t, r.reflection_matrix_t(i))
+        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
         mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
     return finalize(r, mat_t, mat_root, tuple(word))
 
@@ -121,7 +122,7 @@ def oracle_longest(r):
         i = next(
             i for i in range(1, r.n + 1) if all(row[i - 1] >= 0 for row in mat_root)
         )
-        mat_t = _mat_mul(mat_t, r.reflection_matrix_t(i))
+        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
         mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
         word.append(i)
     return finalize(r, mat_t, mat_root, tuple(word))
