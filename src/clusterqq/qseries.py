@@ -45,9 +45,14 @@ Q-variables are evaluated by a bootstrap: for an ascent ``w′ s_i > w′``
 the two-term QQ relation is solved for the variable at w′s_i upward in
 the spectral parameter, one q²-step at a time, from those at w′.  Every
 solved value is certified against the QQ relation itself before it is
-cached, so a cached value is always a machine-checked one.  Each level
-of a solve divides by a cached lower value; its inverse is cached too,
-beside it, so a certified value is inverted at most once per evaluator.
+cached, so a cached value is always a machine-checked one.  A label
+w(ϖ_i) is solved and certified once, at the first parameter asked for;
+every other parameter is served by the spectral shift τ_s, which moves
+each Ψ_{j,q^b} to Ψ_{j,q^{b+s}} and leaves the bracket part alone.  The
+solve commutes with τ_s, so the shifted value is the solved one term for
+term, truncation included, and carries its certificate.  Each level of a
+solve divides by a cached lower value; its inverse is cached too, beside
+it, so a cached value is inverted at most once per evaluator.
 """
 
 from __future__ import annotations
@@ -184,6 +189,47 @@ class KeyCodec:
             (self.vertices[j], e) for j, e in enumerate(fields[1 + self.n:]) if e
         )
         return tuple(fields[1:1 + self.n]), tuple(psi)
+
+    def tau(self, t: dict, s: int) -> dict:
+        """The terms ``t`` with each Ψ field (j, b) moved to (j, b + s).
+
+        Adding ``guard`` biases every field into [0, 2^FIELD_BITS), so the
+        bytes of a biased key hold its fields one after another, and XOR
+        with ``guard`` leaves a field nonzero exactly where the key's is.
+        The Ψ fields that are nonzero in some key are found once; each key
+        is then rebuilt from the bytes of an all-zero key, with its height
+        and λ bytes copied and each of those fields' bytes moved to the
+        field of the shifted vertex.  Every field keeps its value, so no
+        key can leave the field range.
+        """
+        used = 0
+        for k in t:
+            used |= (k + self.guard) ^ self.guard
+        width = FIELD_BITS // 8
+        moves = []
+        f = 1 + self.n  # the field at the lowest bit of ``used``
+        used >>= FIELD_BITS * f
+        while used:
+            gap = ((used & -used).bit_length() - 1) // FIELD_BITS
+            used >>= FIELD_BITS * (gap + 1)
+            f += gap
+            i, b = self.vertices[f - 1 - self.n]
+            at = self.shift.get((i, b + s)) or self._new_vertex((i, b + s))
+            moves.append((width * f, at // 8))
+            f += 1
+        guard = self.guard  # with the fields just opened
+        size = width * (1 + self.n + len(self.vertices))
+        zero = guard.to_bytes(size, "little")
+        lo = width * (1 + self.n)
+        out = {}
+        for k, c in t.items():
+            old = (k + guard).to_bytes(size, "little")
+            new = bytearray(zero)
+            new[:lo] = old[:lo]
+            for src, dst in moves:
+                new[dst:dst + width] = old[src:src + width]
+            out[int.from_bytes(new, "little") - guard] = c
+        return out
 
     def check(self, keys) -> None:
         """Raise ``OverflowError`` if a created key left the field range."""
@@ -363,6 +409,13 @@ class KSeries:
         self._cx.check(out)
         return self._new(out, self.cut + _height(k))
 
+    def tau(self, s: int) -> "KSeries":
+        """The spectral shift τ_s: Ψ_{j,q^b} ↦ Ψ_{j,q^{b+s}} in every term.
+
+        A ring automorphism that keeps every height, so the cutoff stays.
+        """
+        return self._new(self._cx.tau(self._t, s), self.cut)
+
     def clamped(self, cutoff2) -> "KSeries":
         """Copy truncated at a coarser (higher) cutoff."""
         return self._clamp(_scaled(self._cx.den, cutoff2))
@@ -435,10 +488,22 @@ class QEvaluator:
     ``ValueError``: the unit would keep no term, so nothing could be
     compared.
 
-    ``_memo`` maps (w(ϖ_i), r) to the certified value of ``q_raw``, and
+    ``_bases`` maps a label w(ϖ_i) to (r₀, value): the value solved at
+    the first parameter r₀ it was asked for, which ``_certify`` checked
+    before it was stored.  ``_memo`` maps (w(ϖ_i), r) to the value
+    ``q_raw`` returns, the base at r₀ and τ_{r−r₀} of it elsewhere, and
     ``_inverses`` maps the same keys to those values' inverses.  An
     inverse is taken only of a value ``q_raw`` has returned, so the keys
     of ``_inverses`` are always a subset of those of ``_memo``.
+
+    A shifted value counts as certified.  The solve is equivariant under
+    τ_s: its base case is the monomial Ψ_{i,q^r}, and its levels, its
+    cutoff −2·depth and its brackets [−w′(α_i)] do not depend on r.  τ_s
+    is a ring automorphism that keeps every height, so it keeps every
+    cutoff and commutes with every product, inverse and truncation of
+    the solve: τ_s of the certified base is the value a solve at r₀ + s
+    would give, term for term, and it satisfies the relation that
+    ``_certify`` checked, shifted by s.
     """
 
     def __init__(self, rs: RootSystem, depth: int = 6):
@@ -446,6 +511,7 @@ class QEvaluator:
             raise ValueError(f"depth must be at least 1, got {depth}")
         self.rs = rs
         self.depth = depth
+        self._bases: dict = {}
         self._memo: dict = {}
         self._inverses: dict = {}
         self._labels: dict = {}
@@ -498,12 +564,19 @@ class QEvaluator:
     # -- raw Q-variables --------------------------------------------------
 
     def q_raw(self, word, i: int, r: int) -> KSeries:
-        """Projection of the Q-variable of weight w(ϖ_i) at parameter q^r."""
+        """Projection of the Q-variable of weight w(ϖ_i) at parameter q^r:
+        solved and certified at the first r asked for, and the shift of
+        that base value at every other r."""
         w, lam2, _ = self._label(word, i)
         memo_key = (lam2, r)
         if memo_key not in self._memo:
-            value = self._solve(w, i, r)
-            self._certify(w, i, r, value)
+            if lam2 in self._bases:
+                r0, base = self._bases[lam2]
+                value = base.tau(r - r0)
+            else:
+                value = self._solve(w, i, r)
+                self._certify(w, i, r, value)
+                self._bases[lam2] = (r, value)
             self._memo[memo_key] = value
         return self._memo[memo_key]
 
@@ -540,7 +613,9 @@ class QEvaluator:
         """Check the defining two-term relation before trusting a value;
         the lower value is solved afresh and every product is recomputed,
         so the check is no tautology.  Only the inverses of certified
-        inputs are shared with the solve."""
+        inputs are shared with the solve.  It runs once per label, on the
+        base value, and τ carries it to every other r (see
+        :class:`QEvaluator`)."""
         ascent = self._label(word, i)[2]
         if ascent is None:
             return

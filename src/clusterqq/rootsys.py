@@ -281,9 +281,6 @@ class WeylElement:
         length, word = _length_and_word(self.rs, self.word + other.word)
         return WeylElement(self.rs, _mat_mul(self.mat_t, other.mat_t), word, length)
 
-    def inverse(self) -> "WeylElement":
-        return weyl_from_word(self.rs, tuple(reversed(self.word)))
-
 
 def _reflect(rs: RootSystem, u: list[int], i: int) -> None:
     """u ← s_i(u) in place, on fundamental-weight coordinates."""

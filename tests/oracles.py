@@ -2,21 +2,32 @@
 
 Each one is a plain function of the object it reads: the package's
 commands never call them, so they live here rather than in
-``src/clusterqq``.  They build on the package's own constructors and
-private helpers, and the tests compare the package against them.
+``src/clusterqq``.  The one class, :class:`EveryREvaluator`, only makes
+an evaluator read its values through such a function.  They build on
+the package's own constructors and private helpers, and the tests
+compare the package against them.
 """
 
 from fractions import Fraction
 from operator import mul
 
 from clusterqq.gvector import _band_product
-from clusterqq.qseries import Key, Psi, key_mul, psi_mul, psi_var
+from clusterqq.qseries import (
+    Key,
+    KSeries,
+    Psi,
+    QEvaluator,
+    key_mul,
+    psi_mul,
+    psi_var,
+)
 from clusterqq.quiver import BLACK, RED, _grouped, _make, _WorkingQuiver
 from clusterqq.rootsys import (
     Matrix,
     WeylElement,
     _identity,
     fundamental_weight,
+    weyl_from_word,
 )
 from clusterqq.seed import _returned, _transport, _working
 from clusterqq.sl2 import Diagonal
@@ -43,6 +54,11 @@ def identity_element(rs) -> WeylElement:
 
 def simple_reflection(rs, i: int) -> WeylElement:
     return WeylElement(rs, reflection_matrix_t(rs, i), (i,), 1)
+
+
+def weyl_inverse(w) -> WeylElement:
+    """w⁻¹, from the reversed reduced word of w."""
+    return weyl_from_word(w.rs, tuple(reversed(w.word)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +154,38 @@ def ht(s, key: Key) -> Fraction:
 def max_ht(s) -> Fraction:
     """The doubled height of the top term of ``s`` (its cutoff if empty)."""
     return Fraction(s._max_h(), s._cx.den)
+
+
+def tau(s, shift: int):
+    """τ_shift by decoding: unpack each key, move Ψ_{j,q^b} to
+    Ψ_{j,q^{b+shift}}, pack again.  The reference for ``KSeries.tau``."""
+    return KSeries(
+        s.rs,
+        {
+            (lam, tuple(((j, b + shift), e) for (j, b), e in psi)): c
+            for (lam, psi), c in s.terms.items()
+        },
+        s.cutoff2,
+    )
+
+
+def q_raw_every_r(ev, word, i: int, r: int):
+    """``QEvaluator.q_raw`` without the spectral shift: each (w(ϖ_i), r)
+    is solved and certified afresh."""
+    w, lam2, _ = ev._label(word, i)
+    memo_key = (lam2, r)
+    if memo_key not in ev._memo:
+        value = ev._solve(w, i, r)
+        ev._certify(w, i, r, value)
+        ev._memo[memo_key] = value
+    return ev._memo[memo_key]
+
+
+class EveryREvaluator(QEvaluator):
+    """An evaluator whose solves, certificates and checks all read their
+    values through :func:`q_raw_every_r`."""
+
+    q_raw = q_raw_every_r
 
 
 # ---------------------------------------------------------------------------

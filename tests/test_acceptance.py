@@ -316,6 +316,33 @@ class TestTwoTermBattery:
         budget.check()
 
 
+class TestETypeBatteries:
+    """QQ at every prefix of w₀ and its next letter, and QQ* at every
+    triple ascent of every prefix, in E6–E8: one solve per label makes
+    them cheap enough for tier-1."""
+
+    @pytest.mark.parametrize(
+        "name,depth,count,seconds",
+        [("E7", 2, 63, 2.0), ("E7", 3, 63, 3.0), ("E8", 2, 120, 4.0),
+         ("E8", 3, 120, 6.0)],
+    )
+    def test_qq_longest_word_prefixes(self, name, depth, count, seconds):
+        budget = Budget(seconds)
+        assert qq_battery(QEvaluator(rs(name), depth=depth), [0]) == count
+        budget.check()
+
+    @pytest.mark.parametrize(
+        "name,count,seconds", [("E6", 52, 2.0), ("E7", 100, 4.0), ("E8", 188, 12.0)]
+    )
+    def test_qqstar_longest_word_prefixes(self, name, count, seconds):
+        budget = Budget(seconds)
+        r = rs(name)
+        word = longest_element(r).word
+        prefixes = [word[:t] for t in range(len(word) + 1)]
+        assert qqstar_battery(r, 3, prefixes, [0]) == count
+        budget.check()
+
+
 def qq_battery(ev, r_values):
     """qq_check over every prefix of w_0 on the evaluator; the count."""
     word = longest_element(ev.rs).word
@@ -664,6 +691,27 @@ class TestFailingTwins:
         A3 = rs("A3")
         assert qq_check(QEvaluator(A3, depth=3), (1, 2), 3, 0)
         assert not qq_check(ShiftedEvaluator(A3, 3, *shifted), (1, 2), 3, 0)
+
+    @pytest.mark.parametrize("r", [2, -2])
+    def test_qq_with_a_misshifted_tau(self, monkeypatch, r):
+        # at r = ±2 the check meets values memoized by the check at 0 and
+        # values served by τ from the bases solved there; a τ that shifts
+        # two steps too far must not pass.  (Where every value of a check
+        # comes by τ, the error is the same on all of them, the check is
+        # the relation at r + 2 and holds; the values are still wrong.)
+        A3 = rs("A3")
+        ev = QEvaluator(A3, depth=3)
+        assert qq_check(ev, (1, 2), 3, 0)
+        bases = dict(ev._bases)
+        real = KSeries.tau
+        monkeypatch.setattr(KSeries, "tau", lambda s, t: real(s, t + 2))
+        assert not qq_check(ev, (1, 2), 3, r)
+        assert ev._bases == bases  # nothing was solved at r
+        wrong = ev.q_raw((1, 2, 3), 3, r + 1)
+        monkeypatch.undo()
+        fresh = QEvaluator(A3, depth=3)
+        assert qq_check(fresh, (1, 2), 3, r)
+        assert not wrong.matches(fresh.q_raw((1, 2, 3), 3, r + 1))
 
     @pytest.mark.parametrize("shifted", [((1,), 1), ((2, 1), 1), ((), 2)])
     def test_qqstar_with_a_shifted_variable(self, shifted):

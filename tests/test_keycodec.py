@@ -64,6 +64,19 @@ class TestCodec:
         cx = key_codec(rs)
         assert len({cx.pack(k) for k in ks}) == len(set(ks))
 
+    @given(typed_keys(4), st.integers(-40, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_tau_moves_psi_fields_only(self, case, s):
+        # fields of either sign, so a borrow between fields would show
+        rs, ks = case
+        cx = key_codec(rs)
+        t = {cx.pack(k): c for c, k in enumerate(ks, 1)}
+        expected = {
+            cx.pack((lam, tuple(((j, b + s), e) for (j, b), e in psi))): c
+            for c, (lam, psi) in enumerate(ks, 1)
+        }
+        assert cx.tau(t, s) == expected
+
     def test_height_is_field_zero(self):
         D4 = RootSystem.from_name("D4")
         s = KSeries.monomial(D4, ((2, -1, 0, 1), psi_var(3, -4, 7)), Fraction(-20))

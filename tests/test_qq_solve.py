@@ -6,9 +6,12 @@ shifts, with two inverses per level, one of them of a neighbour product.
 ``clusterqq.qseries`` solves the QQ relation upward, one level per step,
 from the same certified lower values; both must give the same terms and
 the same cutoff on every input here.  The label records are checked
-against the per-call derivation they replaced.  The last class checks
-that an evaluator inverts only memoized values, each at most once, and
-derives a label once.
+against the per-call derivation they replaced.  An evaluator solves a
+label once and serves its other spectral parameters by the shift τ; the
+evaluator that solves and certifies at every parameter
+(``oracles.EveryREvaluator``) must hold the same values at every key.
+The last class checks that an evaluator solves a label once, inverts
+only memoized values, each at most once, and derives a label once.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 
+from oracles import EveryREvaluator
 from test_acceptance import qq_battery
 
 
@@ -141,18 +145,70 @@ class TestSolveAgainstRatioForm:
             ), (t, r)
 
     def test_d4_battery_memo_digest(self):
-        # every memoized value after the D4 depth-3 battery, recorded
-        # with the ratio-series solve
+        # every value the D4 depth-3 battery solves at some parameter,
+        # recorded with the ratio-series solve at every parameter
+        oracle = EveryREvaluator(rs("D4"), depth=3)
+        qq_battery(oracle, range(-2, 1))
+        assert len(oracle._memo) == D4_BATTERY_MEMO_SIZE
+        assert memo_digest(oracle) == D4_BATTERY_MEMO_SHA256
+        # the shifted evaluator holds the same value at each of those keys
         ev = QEvaluator(rs("D4"), depth=3)
         qq_battery(ev, range(-2, 1))
-        assert len(ev._memo) == D4_BATTERY_MEMO_SIZE
-        assert memo_digest(ev) == D4_BATTERY_MEMO_SHA256
+        assert same_values(oracle, ev) == D4_BATTERY_MEMO_SIZE
 
 
 D4_BATTERY_MEMO_SIZE = 597
 D4_BATTERY_MEMO_SHA256 = (
     "150cbf95c78eecd467cb2f0790a59a6c7801b4b76ed83d39492a68840f156a66"
 )
+
+
+def same_values(oracle, ev):
+    """Assert that ``ev`` returns the oracle's value at every key of the
+    oracle's memo, each key reached by a word the oracle labelled; the
+    number of keys."""
+    words = {lam2: (w, i) for (_, i), (w, lam2, _) in oracle._labels.items()}
+    for (lam2, r), value in oracle._memo.items():
+        w, i = words[lam2]
+        assert decoded(ev.q_raw(w, i, r)) == decoded(value), (w, i, r)
+    return len(oracle._memo)
+
+
+# ---------------------------------------------------------------------------
+# one solve per label, against a solve at every parameter
+# ---------------------------------------------------------------------------
+
+
+class TestShiftAgainstEveryR:
+    @pytest.mark.parametrize(
+        "name,depth,r_values",
+        [
+            ("A1", 4, range(-4, 3)),
+            ("A2", 3, range(-2, 2)),
+            ("A3", 3, range(-2, 1)),
+            ("A4", 3, range(-2, 1)),
+            ("D4", 2, range(-1, 2)),
+            ("E6", 2, [0]),
+        ],
+    )
+    def test_battery_values_agree_key_by_key(self, name, depth, r_values):
+        oracle = EveryREvaluator(rs(name), depth=depth)
+        ev = QEvaluator(rs(name), depth=depth)
+        assert qq_battery(oracle, r_values) == qq_battery(ev, r_values)
+        # the shifted evaluator solved less, and holds no value the
+        # oracle lacks
+        assert len(ev._memo) < len(oracle._memo)
+        assert ev._memo.keys() <= oracle._memo.keys()
+        assert same_values(oracle, ev) == len(oracle._memo)
+
+    def test_every_memo_value_is_tau_of_its_base(self):
+        ev = QEvaluator(rs("A3"), depth=3)
+        qq_battery(ev, range(-2, 1))
+        for lam2, (r0, base) in ev._bases.items():
+            assert ev._memo[lam2, r0] is base
+            for (lam, r), value in ev._memo.items():
+                if lam == lam2:
+                    assert decoded(value) == decoded(base.tau(r - r0))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +303,35 @@ class TestComputeOnce:
         before = len(inverted)
         ev._solve(word, i, 0)
         assert len(inverted) == before
+
+    @pytest.mark.parametrize(
+        "name,depth,r_values",
+        [("A3", 3, range(-2, 1)), ("D4", 3, range(-2, 1)), ("E6", 2, [0, 2])],
+    )
+    def test_one_solve_per_label(self, monkeypatch, name, depth, r_values):
+        # q_raw solves each w(ϖ_i) once, at its base parameter, and
+        # _certify solves it once more, one q²-step lower
+        solves = []
+        real = QEvaluator._solve
+
+        def solve(self, word, i, r):
+            solves.append((self.weight_of(word, i), r))
+            return real(self, word, i, r)
+
+        monkeypatch.setattr(QEvaluator, "_solve", solve)
+        ev = QEvaluator(rs(name), depth=depth)
+        qq_battery(ev, r_values)
+        ascent = {lam2: a for _, lam2, a in ev._labels.values()}
+        expected = []
+        for lam2, (r0, _) in ev._bases.items():
+            expected.append((lam2, r0))
+            if ascent[lam2]:
+                expected.append((lam2, r0 - 2))
+        assert sorted(solves) == sorted(expected)
+        assert len(ev._memo) > len(ev._bases)  # the rest came by τ
+        # a second battery at the same parameters solves nothing
+        qq_battery(ev, r_values)
+        assert len(solves) == len(expected)
 
     @pytest.mark.parametrize("name", ["A3", "D4"])
     def test_ascent_check_once_per_word_and_node(self, monkeypatch, name):

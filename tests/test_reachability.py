@@ -7,11 +7,10 @@ name, or a dotted string (the benchmark tracer names what it wraps that
 way).  A method is reached only by an attribute use (``x.name``) or a
 dotted string, so a local variable that happens to share its name does
 not count.  One limit remains: the scan does not know types, so an
-attribute use reaches every method of that name, in any class.
-``WeylElement.inverse``, for one, counts as reached through the calls of
-``KSeries.inverse``.  Recursion alone does not reach a function.  Dunder
-methods, which Python calls, and CLI commands, which click calls, are not
-scanned.  Anything else that nothing reaches must be deleted (or, if only
+attribute use reaches every method of that name, in any class (a
+``.tau`` call reaches both ``KSeries.tau`` and ``KeyCodec.tau``).
+Recursion alone does not reach a function.  Dunder methods, which Python
+calls, and CLI commands, which click calls, are not scanned.  Anything else that nothing reaches must be deleted (or, if only
 tests use it, moved to ``tests/oracles.py``), or listed in ``KEPT`` with
 the reason it stays.
 """
