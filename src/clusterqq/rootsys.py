@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -113,13 +113,22 @@ class RootSystem:
             if self.cartan[i - 1][j - 1] == -1
         ]
 
-    def neighbors(self, i: int) -> list[int]:
+    def neighbors(self, i: int) -> tuple[int, ...]:
         self._check_index(i)
-        return [
-            j
-            for j in range(1, self.n + 1)
-            if j != i and self.cartan[i - 1][j - 1] == -1
-        ]
+        return self._neighbor_table[i - 1]
+
+    @cached_property
+    def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of node i, in increasing order, at index i - 1;
+        built on first use, since the Weyl walks ask for them per letter."""
+        return tuple(
+            tuple(
+                j
+                for j in range(1, self.n + 1)
+                if j != i and self.cartan[i - 1][j - 1] == -1
+            )
+            for i in range(1, self.n + 1)
+        )
 
     def bipartition_class(self) -> tuple[int, ...]:
         """Two-coloring of the Dynkin tree with node 1 in class 0."""
@@ -333,8 +342,10 @@ def _weyl_from_tuple(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
 
 
 def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:
+    """Whether ℓ(s_{word[0]} ⋯ s_{word[-1]}) is the word's length; reads
+    the length off the ρ-walk and builds no Weyl matrix."""
     word = tuple(word)
-    return weyl_from_word(rs, word).length == len(word)
+    return _length_and_word(rs, word)[0] == len(word)
 
 
 @lru_cache(maxsize=None)

@@ -127,19 +127,31 @@ def standard_coxeter_word(rs: RootSystem) -> tuple[int, ...]:
 
 
 def build_wronskian(
-    rs: RootSystem, r: int, depth: int = 4, ev: QEvaluator | None = None
+    rs: RootSystem,
+    r: int,
+    depth: int = 4,
+    ev: QEvaluator | None = None,
+    *,
+    deadline=None,
 ) -> SeriesMatrix:
-    """The (n+1)x(n+1) series matrix with entry(k,l) = Q̲_{c^l(ϖ_1), q^{r+2k}}."""
+    """The (n+1)x(n+1) series matrix with entry(k,l) = Q̲_{c^l(ϖ_1), q^{r+2k}}.
+
+    ``deadline``, if given, is called with no arguments before each
+    entry; it may raise to abandon the build.
+    """
     _require_type_a(rs)
     if ev is None:
         ev = QEvaluator(rs, depth=depth)
+    tick = deadline or (lambda: None)
     n = rs.n
     weights = coxeter_orbit_weights(rs, standard_coxeter_word(rs), 1, n)
     words = [weight_word(rs, lam2)[0] for lam2 in weights]
-    rows = tuple(
-        tuple(ev.q_bar(words[l], 1, r + 2 * k) for l in range(n + 1))
-        for k in range(n + 1)
-    )
+
+    def entry(k: int, l: int) -> KSeries:
+        tick()
+        return ev.q_bar(words[l], 1, r + 2 * k)
+
+    rows = tuple(tuple(entry(k, l) for l in range(n + 1)) for k in range(n + 1))
     return SeriesMatrix(rs, r, rows, ev)
 
 
@@ -190,8 +202,9 @@ def check_wronskian(
     A, a rank above ``MAX_RANK``, a depth below 1 (``QEvaluator`` refuses
     it), an empty ``r_values``, a letter of ``system_word`` outside 1..n,
     or a word whose orbits never reach the lowest weights.  ``deadline``,
-    if given, is called with no arguments before each minor comparison;
-    it may raise to abandon the run.
+    if given, is called with no arguments before each matrix build, each
+    matrix entry and each minor comparison; it may raise to abandon the
+    run.
     """
     _require_type_a(rs)
     if rs.n > MAX_RANK:
@@ -217,7 +230,8 @@ def check_wronskian(
     for r in r_values:
         for base in (r, r + 2):
             if base not in mats:
-                mats[base] = build_wronskian(rs, base, depth, ev)
+                tick()
+                mats[base] = build_wronskian(rs, base, depth, ev, deadline=tick)
         m0, m2 = mats[r], mats[r + 2]
         for i, orbit in enumerate(orbits, 1):
             m_i = len(orbit) - 1
@@ -292,30 +306,63 @@ def rational_minor(mat, rows, cols) -> Fraction:
 def _random_scaled_sl(size: int, rng: random.Random):
     """A product of elementary transvections as ``(M, D)``: the matrix M / D.
 
-    The step ``row_a += (p/q)·row_b`` multiplies the common denominator D
-    by q.  Row r is held as ``m[r]`` times ``D // at[r]``, where ``at[r]``
-    is D at the row's last write, so a step rewrites row a alone:
+    Each of the ``3·size²`` steps draws rows a and b and, unless a = b,
+    p in -3..3 and q in 1..3, and adds ``(p/q)·row_b`` to row a.  The
+    draw reads the generator through ``getrandbits`` only, by rejection:
+
+    * a row index is ``getrandbits(size.bit_length())``, drawn again
+      while it is ``>= size``;
+    * p is ``getrandbits(3)``, drawn again while it is ``>= 7``, minus 3;
+    * q is ``getrandbits(2)``, drawn again while it is ``>= 3``, plus 1.
+
+    This is what ``Random.randrange(n)`` does through
+    ``_randbelow_with_getrandbits`` with k = ``n.bit_length()``, and
+    ``randint(lo, hi)`` is ``lo + randrange(hi - lo + 1)``; so the values,
+    the rejection counts and the generator state after every draw are
+    those of ``randrange(size)``, ``randint(-3, 3)`` and ``randint(1, 3)``,
+    without their call chain.
+
+    The step multiplies the common denominator D by q.  Row r is held as
+    ``m[r]`` times ``D // at[r]``, where ``at[r]`` is D at the row's last
+    write, so a step rewrites row a alone:
     ``m[a] ← q·(D // at[a])·m[a] + p·(D // at[b])·m[b]``, then ``D ← q·D``
     and ``at[a] ← D``.  At the end each row is scaled out to D, and ``M``
-    and ``D`` are divided by their common gcd.
+    and ``D`` are divided by their common gcd, which leaves the matrix in
+    lowest terms whatever common denominator D was.  So a step with
+    p = 0, which adds nothing, is skipped once its draws are made: the
+    rewrite would keep every row's ratio ``m[r] / at[r]`` and only grow D.
     """
+    g = rng.getrandbits
+    k = size.bit_length()
     m = [[int(a == b) for b in range(size)] for a in range(size)]
     at = [1] * size
     d = 1
     for _ in range(3 * size * size):
-        a = rng.randrange(size)
-        b = rng.randrange(size)
+        a = g(k)
+        while a >= size:
+            a = g(k)
+        b = g(k)
+        while b >= size:
+            b = g(k)
         if a == b:
             continue
-        p = rng.randint(-3, 3)
-        q = rng.randint(1, 3)
+        p = g(3)
+        while p >= 7:
+            p = g(3)
+        q = g(2)
+        while q >= 3:
+            q = g(2)
+        p -= 3
+        if not p:
+            continue
+        q += 1
         sa, sb = q * (d // at[a]), p * (d // at[b])
         m[a] = [sa * x + sb * y for x, y in zip(m[a], m[b])]
         d *= q
         at[a] = d
     m = [[x * (d // at[r]) for x in row] for r, row in enumerate(m)]
-    g = math.gcd(d, *(x for row in m for x in row))
-    return [[x // g for x in row] for row in m], d // g
+    c = math.gcd(d, *(x for row in m for x in row))
+    return [[x // c for x in row] for row in m], d // c
 
 
 def _to_fractions(m, d: int):

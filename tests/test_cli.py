@@ -17,7 +17,7 @@ from click.testing import CliRunner
 import clusterqq
 from clusterqq.cli import Reporter, main
 from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
-from clusterqq.qseries import FIELD_BITS
+from clusterqq.qseries import FIELD_BITS, QEvaluator
 from clusterqq.quiver import build_coxeter_quiver, quiver_to_json
 from clusterqq.rootsys import RootSystem, coxeter_data_from_word
 
@@ -184,6 +184,27 @@ class TestBudget:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "time budget exceeded" in result.stderr
+
+    def test_wronskian_budget_holds_while_the_matrices_are_built(
+        self, runner, monkeypatch
+    ):
+        # the budget is checked before each build and each entry, so a
+        # spent budget stops the run before its first Q-variable
+        calls = []
+        q_bar = QEvaluator.q_bar
+
+        def counting(self, *args):
+            calls.append(args)
+            return q_bar(self, *args)
+
+        monkeypatch.setattr(QEvaluator, "q_bar", counting)
+        result = runner.invoke(
+            main,
+            ["wronskian", "check", "--type", "A3", "--r", "0..0", "--budget", "0"],
+        )
+        assert result.exit_code == 3
+        assert "time budget exceeded" in result.stderr
+        assert calls == []
 
 
 # one short run of each of the 10 certifying commands

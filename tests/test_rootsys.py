@@ -146,6 +146,39 @@ class TestWords:
         assert weyl_from_word(a2, (1, 2, 1)).length == 3
         assert not is_reduced(a2, (1, 1))
 
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6", "E8"])
+    def test_is_reduced_agrees_with_the_weyl_element(self, name):
+        r = rs(name)
+        words = [
+            tuple((7 * t + 3 * k * k) % r.n + 1 for k in range(length))
+            for t in range(20)
+            for length in range(6)
+        ]
+        w0 = longest_element(r).word
+        for word in words + [w0, w0[:-1] * 2]:
+            assert is_reduced(r, word) == (
+                weyl_from_word(r, word).length == len(word)
+            ), word
+
+    def test_is_reduced_bad_letter_raises(self):
+        with pytest.raises(IndexError):
+            is_reduced(rs("A2"), (1, 3))
+
+    @pytest.mark.parametrize("name", ["A1", "A3", "D4", "E8"])
+    def test_neighbors_one_tuple_per_node(self, name):
+        r = rs(name)
+        for i in range(1, r.n + 1):
+            expect = tuple(
+                j
+                for j in range(1, r.n + 1)
+                if j != i and r.cartan[i - 1][j - 1] == -1
+            )
+            assert r.neighbors(i) == expect
+            assert r.neighbors(i) is r.neighbors(i)
+        for i in (0, r.n + 1):
+            with pytest.raises(IndexError):
+                r.neighbors(i)
+
     def test_a3_longest_word(self):
         a3 = rs("A3")
         w = weyl_from_word(a3, (1, 2, 1, 3, 2, 1))

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,18 @@ def oracle_random_scaled_sl(size, rng):
         m[a] = row_a
     g = math.gcd(d, *(x for row in m for x in row))
     return [[x // g for x in row] for row in m], d // g
+
+
+def oracle_steps(size, rng):
+    """The (a, b, p, q) of each step with a != b, drawn as the oracles
+    draw them."""
+    steps = []
+    for _ in range(3 * size * size):
+        a = rng.randrange(size)
+        b = rng.randrange(size)
+        if a != b:
+            steps.append((a, b, rng.randint(-3, 3), rng.randint(1, 3)))
+    return steps
 
 
 # Rational-point helpers of the tests, over the module's integer routines.
@@ -284,9 +297,9 @@ class TestWronskianProperty:
         bases = []
         real = wronskian.build_wronskian
 
-        def counting(rs, r, *args):
+        def counting(rs, r, *args, **kwargs):
             bases.append(r)
-            return real(rs, r, *args)
+            return real(rs, r, *args, **kwargs)
 
         monkeypatch.setattr(wronskian, "build_wronskian", counting)
         assert check_wronskian(A3, range(-4, 5), depth=4)["ok"]
@@ -387,7 +400,7 @@ class TestSizeBound:
 
     @pytest.fixture
     def no_minors(self, monkeypatch):
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise self.Reached
 
         for name in ("_minor", "build_wronskian", "_random_scaled_sl"):
@@ -438,6 +451,45 @@ class TestIntegerScale:
                     size, rng
                 ) == oracle_random_scaled_sl(size, ref)
                 assert rng.getstate() == ref.getstate()
+
+    class GetrandbitsOnly(random.Random):
+        """A generator whose every draw but ``getrandbits`` raises."""
+
+        def _refuse(self, *args, **kwargs):
+            raise AssertionError("the draw must read getrandbits only")
+
+        randrange = randint = random = choice = _refuse
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 9])
+    def test_draw_reads_getrandbits_only(self, size):
+        for seed in range(10):
+            rng, ref = self.GetrandbitsOnly(seed), random.Random(seed)
+            for _ in range(3):
+                assert wronskian._random_scaled_sl(
+                    size, rng
+                ) == oracle_random_scaled_sl(size, ref)
+                assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n, trials, seed", [(2, 30, 101), (3, 50, 11)])
+    def test_bruhat_check_reads_getrandbits_only(self, monkeypatch, n, trials, seed):
+        expected = bruhat_check(n, trials, seed)
+        monkeypatch.setattr(
+            wronskian, "random", types.SimpleNamespace(Random=self.GetrandbitsOnly)
+        )
+        assert bruhat_check(n, trials, seed) == expected
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_zero_steps_match_the_oracle(self, size):
+        # the draw skips a p = 0 step once q is drawn, where the oracle
+        # still scales every row and D by q > 1
+        rng, ref = random.Random(2024), random.Random(2024)
+        steps = oracle_steps(size, random.Random(2024))
+        assert any(p == 0 and q > 1 for _, _, p, q in steps)
+        assert any(p != 0 for _, _, p, _ in steps)
+        assert wronskian._random_scaled_sl(size, rng) == oracle_random_scaled_sl(
+            size, ref
+        )
+        assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("entries", ["int", "fraction", "mixed"])
     def test_rational_minor_matches_oracle_on_every_subset(self, entries):
@@ -681,7 +733,33 @@ class TestDeadline:
             + len(cert["determinants"])
             + len(cert["minor_identifications"])
         )
-        assert len(calls) == compared
+        # and before each of the three builds (r = -2, 0, 2) and each of
+        # their 3 x 3 entries
+        assert len(calls) == compared + 3 * (1 + 3 * 3)
+
+    def test_build_checks_before_every_entry(self, monkeypatch):
+        solved = []
+        q_bar = QEvaluator.q_bar
+
+        def counting(self, *args):
+            solved.append(args)
+            return q_bar(self, *args)
+
+        monkeypatch.setattr(QEvaluator, "q_bar", counting)
+        calls, deadline = self.counter()
+        m = build_wronskian(A2, 0, depth=4, deadline=deadline)
+        plain = build_wronskian(A2, 0, depth=4)
+        assert all(
+            a.matches(b)
+            for row, ref in zip(m.entries, plain.entries)
+            for a, b in zip(row, ref)
+        )
+        assert len(calls) == 9
+        solved.clear()
+        calls, deadline = self.counter(stop_at=4)
+        with pytest.raises(self.Stop):
+            build_wronskian(A2, 0, depth=4, deadline=deadline)
+        assert len(solved) == 3
 
     def test_bruhat_checks_before_every_draw(self):
         calls, deadline = self.counter()
