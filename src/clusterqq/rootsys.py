@@ -16,7 +16,7 @@ fundamental-weight basis.  Conventions:
   column i has entry δ_ji − c_ji in row j) *is* the matrix of the simple
   reflection s_i on fundamental-weight coordinates: s_i negates
   coordinate i and adds its old value to each neighbouring coordinate.
-* Lengths, reduced words, w_0 and Coxeter exponents need no roots.  With
+* Lengths, reduced words, w_0 and Coxeter orbits need no roots.  With
   u = w⁻¹(ρ), ρ = (1, ..., 1), one has w(α_i) > 0 iff u_i > 0, so
   ℓ(w s_i) = ℓ(w) ± 1 by the sign of u_i, and w s_i has u = s_i(u).
 * The exact matrix kernels live here and nowhere else: ``_minor``, one
@@ -58,14 +58,6 @@ def _dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
 
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -284,12 +276,6 @@ class WeylElement:
     def apply(self, lam: Weight) -> Weight:
         return Weight(self.rs, _mat_vec(self.mat_t, lam.coords2))
 
-    # -- group structure ---------------------------------------------------
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        length, word = _length_and_word(self.rs, self.word + other.word)
-        return WeylElement(self.rs, _mat_mul(self.mat_t, other.mat_t), word, length)
-
 
 def _reflect(rs: RootSystem, u: list[int], i: int) -> None:
     """u ← s_i(u) in place, on fundamental-weight coordinates."""
@@ -356,20 +342,21 @@ def longest_element(rs: RootSystem) -> WeylElement:
     return weyl_from_word(rs, _greedy(rs, [1] * rs.n, 1))
 
 
-def coxeter_exponent(c: WeylElement, i: int) -> int:
-    """The least k with c^k(ϖ_i) = w_0(ϖ_i).
+def coxeter_orbit(c: WeylElement, i: int) -> tuple[tuple[int, ...], ...]:
+    """Doubled coordinates of ϖ_i, c(ϖ_i), ..., c^m(ϖ_i) = w_0(ϖ_i).
 
     w_0(ϖ_i) = −ϖ_ν(i) is the one antidominant weight in the orbit of ϖ_i,
-    so k is the first step at which no coordinate is positive.  Raises
-    ``ValueError`` if no such k comes within 2h steps, as happens for
-    words that are not Coxeter elements.
+    so the walk stops at the first weight with no positive coordinate, and
+    m is the Coxeter exponent m_i.  Raises ``ValueError`` if no such
+    weight comes within 2h steps, as happens for words that are not
+    Coxeter elements.
     """
-    lam = fundamental_weight(c.rs, i)
-    for k in range(2 * c.rs.coxeter_number + 1):
-        if all(x <= 0 for x in lam.coords2):
-            return k
-        lam = c.apply(lam)
-    raise ValueError(f"weight orbit of ϖ_{i} does not reach its lowest weight")
+    orbit = [fundamental_weight(c.rs, i).coords2]
+    while any(x > 0 for x in orbit[-1]):
+        if len(orbit) > 2 * c.rs.coxeter_number:
+            raise ValueError(f"weight orbit of ϖ_{i} does not reach its lowest weight")
+        orbit.append(_mat_vec(c.mat_t, orbit[-1]))
+    return tuple(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +460,7 @@ def coxeter_data(rs: RootSystem, orientation: Sequence) -> CoxeterDatum:
     low = min(l)
     l = tuple(x - low for x in l)
 
-    m = tuple(coxeter_exponent(c, i) for i in range(1, rs.n + 1))
+    m = tuple(len(coxeter_orbit(c, i)) - 1 for i in range(1, rs.n + 1))
     assert sum(m) == rs.num_positive_roots
 
     h_c = -max(l[i - 1] + 2 * m[i - 1] - 1 for i in range(1, rs.n + 1))

@@ -403,6 +403,5 @@ def green_sweep(seed: AnySeed) -> AnySeed:
     for l in greens:
         _transport(work, l)
     work.ref.recolor()
-    # the part before the first '*' already carries the earlier sweeps
-    work.ref_tag = work.ref_tag.split("*")[0] + "+sweep"
+    work.ref_tag += "+sweep"
     return _returned(seed, work)

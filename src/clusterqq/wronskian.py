@@ -8,6 +8,8 @@ renormalized q-variables assemble into an ``(n+1) x (n+1)`` matrix
 whose ``i x i`` minor on consecutive row block ``{k..k+i-1}`` and column
 block ``{l..l+i-1}`` is the generalized minor ``Δ_{c^k(ϖ_i), c^l(ϖ_i)}``
 and evaluates to the single q-variable ``Q̲_{c^l(ϖ_i), q^{r+2k+i-1}}``.
+``block_labels`` is the one table of this block ↔ label map: per node i,
+each orbit weight c^l(ϖ_i) with a reduced word for it.
 The defining system of the quantum Wronskian property — each minor at
 spectral base ``q^r`` equals the row-shifted minor at ``q^{r+2}`` — and
 the determinant-1 property are verified by exact truncated-series
@@ -36,16 +38,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .qseries import KSeries, QEvaluator
-from .rootsys import (
-    RootSystem,
-    _greedy,
-    _minor,
-    coxeter_exponent,
-    fundamental_weight,
-    weyl_from_word,
-)
+from .rootsys import RootSystem, _greedy, _minor, coxeter_orbit, weyl_from_word
 
 
 def weight_word(rs: RootSystem, lam2) -> tuple[tuple[int, ...], int]:
@@ -62,28 +58,11 @@ def weight_word(rs: RootSystem, lam2) -> tuple[tuple[int, ...], int]:
     return tuple(word), units[0]
 
 
-def coxeter_orbit_weights(rs: RootSystem, word, i: int, count: int):
-    """Doubled coordinates of ϖ_i, c(ϖ_i), ..., c^count(ϖ_i)."""
-    c = weyl_from_word(rs, word)
-    out = [fundamental_weight(rs, i)]
-    for _ in range(count):
-        out.append(c.apply(out[-1]))
-    return [w.coords2 for w in out]
-
-
-def orbit_exponent(rs: RootSystem, word, i: int) -> int:
-    """Smallest m with c^m(ϖ_i) equal to the lowest weight of the orbit."""
-    return coxeter_exponent(weyl_from_word(rs, word), i)
-
-
 @dataclass(frozen=True)
 class SeriesMatrix:
-    """Square array of truncated series with its spectral base and engine."""
+    """Square array of truncated series with one memo for its minors."""
 
-    rs: RootSystem
-    r: int
     entries: tuple[tuple[KSeries, ...], ...]
-    ev: QEvaluator
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -117,13 +96,31 @@ class SeriesMatrix:
 MAX_RANK = 8
 
 
-def _require_type_a(rs: RootSystem) -> None:
+@lru_cache(maxsize=None)  # one per root system
+def block_labels(rs: RootSystem):
+    """The labels of the consecutive-block minors, for c = s_1 s_2 ... s_n.
+
+    Entry i - 1 holds the pairs ``(c^l(ϖ_i), word)`` for l = 0..m_i, the
+    doubled weight and its reduced word from ``weight_word``: block
+    (i, k, l) of the matrix at base r is ``Q̲_{c^l(ϖ_i), q^{r+2k+i-1}}``.
+    Node i has n + 2 - i weights, all distinct, so a weight names its
+    block.  Raises ``ValueError`` for a type other than A.
+    """
     if not rs.dynkin_type.startswith("A"):
         raise ValueError("Wronskian matrices require type A")
+    c = weyl_from_word(rs, range(1, rs.n + 1))
+    return tuple(
+        tuple((lam2, weight_word(rs, lam2)[0]) for lam2 in coxeter_orbit(c, i))
+        for i in range(1, rs.n + 1)
+    )
 
 
-def standard_coxeter_word(rs: RootSystem) -> tuple[int, ...]:
-    return tuple(range(1, rs.n + 1))
+def _blocks_of(at: dict, u, v) -> tuple[int, int]:
+    """The block indices of the weight pair (u, v) in the table ``at`` of
+    one node; a ``KeyError`` naming the pair if either weight is missing."""
+    if u in at and v in at:
+        return at[u], at[v]
+    raise KeyError(f"weights {(u, v)} are not consecutive-block weights")
 
 
 def build_wronskian(
@@ -139,44 +136,17 @@ def build_wronskian(
     ``deadline``, if given, is called with no arguments before each
     entry; it may raise to abandon the build.
     """
-    _require_type_a(rs)
+    words = [word for _, word in block_labels(rs)[0]]
     if ev is None:
         ev = QEvaluator(rs, depth=depth)
     tick = deadline or (lambda: None)
-    n = rs.n
-    weights = coxeter_orbit_weights(rs, standard_coxeter_word(rs), 1, n)
-    words = [weight_word(rs, lam2)[0] for lam2 in weights]
 
     def entry(k: int, l: int) -> KSeries:
         tick()
         return ev.q_bar(words[l], 1, r + 2 * k)
 
-    rows = tuple(tuple(entry(k, l) for l in range(n + 1)) for k in range(n + 1))
-    return SeriesMatrix(rs, r, rows, ev)
-
-
-def block_qvariable(m: SeriesMatrix, i: int, k: int, l: int) -> KSeries:
-    """Independent value of the (i,k,l) block minor: one q-variable."""
-    weights = coxeter_orbit_weights(
-        m.rs, standard_coxeter_word(m.rs), i, m.rs.n + 1 - i
-    )
-    word = weight_word(m.rs, weights[l])[0]
-    return m.ev.q_bar(word, i, m.r + 2 * k + i - 1)
-
-
-def generalized_minor(m: SeriesMatrix, i: int, u_lam2, v_lam2) -> KSeries:
-    """Minor for the weight pair (u(ϖ_i), v(ϖ_i)) on consecutive blocks."""
-    weights = coxeter_orbit_weights(
-        m.rs, standard_coxeter_word(m.rs), i, m.rs.n + 1 - i
-    )
-    try:
-        k = weights.index(tuple(u_lam2))
-        l = weights.index(tuple(v_lam2))
-    except ValueError:
-        raise KeyError(
-            f"weights {(u_lam2, v_lam2)} are not consecutive-block weights"
-        )
-    return m.block_minor(i, k, l)
+    idx = range(len(words))
+    return SeriesMatrix(tuple(tuple(entry(k, l) for l in idx) for k in idx))
 
 
 def check_wronskian(
@@ -206,20 +176,21 @@ def check_wronskian(
     matrix entry and each minor comparison; it may raise to abandon the
     run.
     """
-    _require_type_a(rs)
-    if rs.n > MAX_RANK:
+    # before the table is built; block_labels refuses the other types
+    if rs.dynkin_type.startswith("A") and rs.n > MAX_RANK:
         raise ValueError(f"need rank at most {MAX_RANK}, got {rs.n}")
+    labels = block_labels(rs)
     r_values = list(r_values)
     if not r_values:
         raise ValueError("need at least one base r")
-    word = standard_coxeter_word(rs) if system_word is None else tuple(system_word)
+    standard = tuple(range(1, rs.n + 1))
+    word = standard if system_word is None else tuple(system_word)
     if not all(1 <= j <= rs.n for j in word):
         raise ValueError(f"system word {word} has a letter outside 1..{rs.n}")
-    orbits = [
-        coxeter_orbit_weights(rs, word, i, orbit_exponent(rs, word, i))
-        for i in range(1, rs.n + 1)
-    ]
-    standard = word == standard_coxeter_word(rs)
+    c = weyl_from_word(rs, word)
+    orbits = [coxeter_orbit(c, i) for i in range(1, rs.n + 1)]
+    # the block index of each weight of node i's standard orbit
+    blocks = [{lam2: l for l, (lam2, _) in enumerate(node)} for node in labels]
     tick = deadline or (lambda: None)
     ev = QEvaluator(rs, depth=depth)
     # base r + 2 of one pass is base r of the next: build each matrix once
@@ -233,16 +204,14 @@ def check_wronskian(
                 tick()
                 mats[base] = build_wronskian(rs, base, depth, ev, deadline=tick)
         m0, m2 = mats[r], mats[r + 2]
-        for i, orbit in enumerate(orbits, 1):
-            m_i = len(orbit) - 1
-            for k in range(1, m_i + 1):
-                for l in range(m_i + 1):
+        for i, (orbit, at) in enumerate(zip(orbits, blocks), 1):
+            for k in range(1, len(orbit)):
+                for l, v in enumerate(orbit):
                     tick()
                     try:
-                        lhs = generalized_minor(m0, i, orbit[k], orbit[l])
-                        rhs = generalized_minor(m2, i, orbit[k - 1], orbit[l])
-                        ok = lhs.matches(rhs)
-                        note = ""
+                        lhs = m0.block_minor(i, *_blocks_of(at, orbit[k], v))
+                        rhs = m2.block_minor(i, *_blocks_of(at, orbit[k - 1], v))
+                        ok, note = lhs.matches(rhs), ""
                     except KeyError as exc:
                         ok, note = False, str(exc)
                     equations.append(
@@ -251,13 +220,13 @@ def check_wronskian(
         tick()
         det = m0.det()
         dets.append({"r": r, "ok": det.matches(KSeries.one(rs, det.cutoff2))})
-        if standard:
-            for i in range(1, rs.n + 1):
-                for k in range(rs.n + 2 - i):
-                    for l in range(rs.n + 2 - i):
+        if word == standard:
+            for i, node in enumerate(labels, 1):
+                for k in range(len(node)):
+                    for l, (_, w) in enumerate(node):
                         tick()
                         ok = m0.block_minor(i, k, l).matches(
-                            block_qvariable(m0, i, k, l)
+                            ev.q_bar(w, i, r + 2 * k + i - 1)
                         )
                         minors.append(
                             {"r": r, "i": i, "k": k, "l": l, "ok": ok}

@@ -26,6 +26,7 @@ from clusterqq.rootsys import (
     Matrix,
     WeylElement,
     _identity,
+    _length_and_word,
     fundamental_weight,
     weyl_from_word,
 )
@@ -59,6 +60,21 @@ def simple_reflection(rs, i: int) -> WeylElement:
 def weyl_inverse(w) -> WeylElement:
     """w⁻¹, from the reversed reduced word of w."""
     return weyl_from_word(w.rs, tuple(reversed(w.word)))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def weyl_product(a, b) -> WeylElement:
+    """a·b: the product of the matrices, and a reduced word for the
+    concatenated words."""
+    length, word = _length_and_word(a.rs, a.word + b.word)
+    return WeylElement(a.rs, mat_mul(a.mat_t, b.mat_t), word, length)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""One benchmark pass, in-process, against its recorded digest.
+"""Benchmark passes, in-process, against their recorded digests.
 
 The ``gvec_cli`` workload of ``perfbench/`` runs the g-vector, sweep and
 seed-mutation commands through the CLI; its digest covers every byte they
-print.  Running one pass here makes a byte drift in those commands fail
-the test suite, not only the benchmark.  ``perfbench/digests.json`` is
-only read.
+print.  The ``minor_systems`` workload runs ``check_wronskian`` (with its
+failing control, whose notes are part of the digest) and
+``bruhat_check``.  Running one pass of each here makes a byte drift in
+those certificates fail the test suite, not only the benchmark.
+``perfbench/digests.json`` is only read.
 """
 
 import json
@@ -18,12 +20,25 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
+def recorded(workload: str) -> str:
+    return json.loads((PERFBENCH / "digests.json").read_text())[workload]["0"]
+
+
 def test_gvec_cli_variant_0_matches_its_digest():
-    recorded = json.loads((PERFBENCH / "digests.json").read_text())["gvec_cli"]["0"]
     done = workloads.gvec_cli(workloads.inputs("gvec_cli", 0))
     relations = [c["relation"] for c in done.certs]
     assert relations == (
         ["gvec-compare"] * 2 + ["green-sweep"] * 30 + ["seed-mutation"] * 36
     )
     assert [c for c in done.certs if not workloads.expected(c)] == []
-    assert worker.digest(done.certs, done.extra()) == recorded
+    assert worker.digest(done.certs, done.extra()) == recorded("gvec_cli")
+
+
+def test_minor_systems_variant_0_matches_its_digest():
+    done = workloads.minor_systems(workloads.inputs("minor_systems", 0))
+    assert [c["relation"] for c in done.certs] == ["wronskian"] * 2 + ["bruhat"]
+    assert [c for c in done.certs if not workloads.expected(c)] == []
+    control = done.certs[1]
+    assert not control["ok"]
+    assert any(e["note"] for e in control["equations"])
+    assert worker.digest(done.certs, done.extra()) == recorded("minor_systems")

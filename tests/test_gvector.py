@@ -30,11 +30,10 @@ from clusterqq.quiver import build_coxeter_quiver
 from clusterqq.rootsys import (
     RootSystem,
     _identity,
-    _mat_mul,
     coxeter_data,
     coxeter_data_from_word,
 )
-from oracles import reflection_matrix_t, slice_matrix
+from oracles import mat_mul, reflection_matrix_t, slice_matrix
 from test_rootsys import assert_adjugate_is_det_times_inverse
 
 
@@ -356,7 +355,7 @@ class TestTheta:
 
 def oracle_slice(d, m):
     mats = [reflection_matrix_t(d.rs, i) for i in green_slice_nodes(d, m)]
-    return reduce(_mat_mul, mats, _identity(d.rs.n))
+    return reduce(mat_mul, mats, _identity(d.rs.n))
 
 
 def oracle_stable(d, m, T):
@@ -365,13 +364,13 @@ def oracle_stable(d, m, T):
         return _identity(d.rs.n)
     m = max(m, d.h_c)
     mats = [T[j] for j in range(-1, m - 1, -1)]
-    return reduce(_mat_mul, mats, _identity(d.rs.n))
+    return reduce(mat_mul, mats, _identity(d.rs.n))
 
 
 def oracle_blocks(d, m, K, T):
     """[T_{m+k-1} ... T_m for k = 0..K], each grown at the top."""
     slices = [T[j] for j in range(m, m + K)]
-    grow = lambda acc, t: _mat_mul(t, acc)  # noqa: E731
+    grow = lambda acc, t: mat_mul(t, acc)  # noqa: E731
     return list(accumulate(slices, grow, initial=_identity(d.rs.n)))
 
 

@@ -25,6 +25,7 @@ from oracles import (
     reflection_matrix_t,
     simple_reflection,
     weyl_inverse,
+    weyl_product,
 )
 from test_weyl_walk import nakayama
 from test_wronskian import sign_flipped
@@ -326,7 +327,7 @@ class TestProperties:
     def test_inverse(self, data):
         r, word = data
         w = weyl_from_word(r, word)
-        assert w * weyl_inverse(w) == identity_element(r)
+        assert weyl_product(w, weyl_inverse(w)) == identity_element(r)
 
 
 # det C in each family: A_n has n + 1, D_n has 4, E_n has 9 - n
@@ -371,7 +372,7 @@ class TestHeightFunctional:
         r, word = data
         expected = identity_element(r)
         for i in word:
-            expected = expected * simple_reflection(r, i)
+            expected = weyl_product(expected, simple_reflection(r, i))
         for given_word in (list(word), tuple(word), (i for i in word)):
             w = weyl_from_word(r, given_word)
             assert w == expected

@@ -571,7 +571,7 @@ def oracle_green_sweep(seed):
         seed,
         ref_quiver=ref.freeze(),
         g=tuple(sorted(g.items())),
-        ref_tag=tag.split("*")[0] + "+sweep",
+        ref_tag=tag + "+sweep",
     )
 
 

@@ -169,7 +169,7 @@ def oracle_green_sweep(seed):
     for l in greens:
         seed = oracle_mutate_reference(seed, l)
     ref = oracle_recolor(seed.ref_quiver)
-    return replace(seed, ref_quiver=ref, ref_tag=tag.split("*")[0] + "+sweep")
+    return replace(seed, ref_quiver=ref, ref_tag=tag + "+sweep")
 
 
 def oracle_coxeter_quiver(root_system, datum, depth_below=8, rmax=2, margin=2):

@@ -5,9 +5,9 @@ coordinates, and read everything off roots: the length counts the
 positive roots sent negative, a non-reduced word is replaced by stripping
 descents found by applying the root matrix to each α_i, w_0 is built by
 matrix products and ν is read off w_0(α_i) = −α_ν(i).  ``clusterqq.rootsys``
-keeps one matrix per element and gets lengths, words, w_0 and the Coxeter
-exponents from u = w⁻¹(ρ) alone; it must agree with the oracles on every
-input here.
+keeps one matrix per element and gets lengths, words and w_0 from
+u = w⁻¹(ρ) alone, and the Coxeter exponents from the weight orbits; it
+must agree with the oracles on every input here.
 """
 
 import itertools
@@ -19,16 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 from clusterqq.rootsys import (
     RootSystem,
+    Weight,
     _identity,
-    _mat_mul,
     _mat_vec,
     coxeter_data_from_word,
-    coxeter_exponent,
+    coxeter_orbit,
     fundamental_weight,
     longest_element,
     weyl_from_word,
 )
-from oracles import reflection_matrix_t, weyl_inverse
+from oracles import mat_mul, reflection_matrix_t, weyl_inverse, weyl_product
 
 ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
     "E6",
@@ -87,8 +87,8 @@ def canonical_word(r, mat_t, mat_root):
             if all(x <= 0 for x in _mat_vec(mat_root, unit(r, i)))
         )
         letters.append(i)
-        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
-        mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
     return tuple(reversed(letters))
 
 
@@ -103,13 +103,13 @@ def finalize(r, mat_t, mat_root, word):
 def oracle_from_word(r, word):
     mat_t = mat_root = _identity(r.n)
     for i in word:
-        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
-        mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
     return finalize(r, mat_t, mat_root, tuple(word))
 
 
 def oracle_mul(r, a, b):
-    return finalize(r, _mat_mul(a[0], b[0]), _mat_mul(a[1], b[1]), a[2] + b[2])
+    return finalize(r, mat_mul(a[0], b[0]), mat_mul(a[1], b[1]), a[2] + b[2])
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +122,8 @@ def oracle_longest(r):
         i = next(
             i for i in range(1, r.n + 1) if all(row[i - 1] >= 0 for row in mat_root)
         )
-        mat_t = _mat_mul(mat_t, reflection_matrix_t(r, i))
-        mat_root = _mat_mul(mat_root, reflection_matrix_root(r, i))
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
         word.append(i)
     return finalize(r, mat_t, mat_root, tuple(word))
 
@@ -185,7 +185,9 @@ class TestElements:
         oa, ob = oracle_from_word(r, a), oracle_from_word(r, b)
         assert element_fields(wa) == oracle_fields(oa)
         assert element_fields(wb) == oracle_fields(ob)
-        assert element_fields(wa * wb) == oracle_fields(oracle_mul(r, oa, ob))
+        assert element_fields(weyl_product(wa, wb)) == oracle_fields(
+            oracle_mul(r, oa, ob)
+        )
         assert element_fields(weyl_inverse(wa)) == oracle_fields(
             oracle_from_word(r, tuple(reversed(oa[2])))
         )
@@ -227,9 +229,52 @@ class TestCoxeterData:
             assert d.m == m, (name, word)
             assert d.h_c == -max(d.l[i] + 2 * m[i] - 1 for i in range(r.n))
 
+
+ORBIT_TYPES = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "D6", "E6", "E7", "E8"]
+
+
+def standard_and_shuffled(name):
+    """The word 1, 2, ..., n and one shuffled Coxeter word of the type."""
+    n = rs(name).n
+    shuffled = random.Random(f"orbit:{name}").sample(range(1, n + 1), n)
+    return [tuple(range(1, n + 1)), tuple(shuffled)]
+
+
+class TestCoxeterOrbit:
+    @pytest.mark.parametrize("name", ORBIT_TYPES)
+    def test_walk_ends_at_the_lowest_weight(self, name):
+        r = rs(name)
+        w0 = longest_element(r)
+        for word in standard_and_shuffled(name):
+            d = coxeter_data_from_word(r, word)
+            assert d.c == weyl_from_word(r, word)
+            oracle_m = oracle_exponents(r, d.c.mat_t)
+            total = 0
+            for i in range(1, r.n + 1):
+                orbit = coxeter_orbit(d.c, i)
+                fw = fundamental_weight(r, i)
+                assert orbit[0] == fw.coords2
+                assert orbit[-1] == w0.apply(fw).coords2
+                assert all(any(x > 0 for x in lam) for lam in orbit[:-1])
+                assert all(
+                    d.c.apply(Weight(r, a)).coords2 == b
+                    for a, b in zip(orbit, orbit[1:])
+                )
+                assert len(orbit) - 1 == d.m_of(i) == oracle_m[i - 1]
+                total += len(orbit) - 1
+            assert total == r.num_positive_roots == len(positive_roots(r))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_standard_type_a_exponents(self, n):
+        r = rs(f"A{n}")
+        c = weyl_from_word(r, range(1, n + 1))
+        assert [len(coxeter_orbit(c, i)) - 1 for i in range(1, n + 1)] == [
+            n + 1 - i for i in range(1, n + 1)
+        ]
+
     @pytest.mark.parametrize("i", [1, 2])
-    def test_exponent_raises_off_the_coxeter_elements(self, i):
+    def test_raises_off_the_coxeter_elements(self, i):
         # s_1 alone never takes ϖ_1 or ϖ_2 to an antidominant weight
         a2 = rs("A2")
-        with pytest.raises(ValueError):
-            coxeter_exponent(weyl_from_word(a2, (1,)), i)
+        with pytest.raises(ValueError, match="does not reach its lowest weight"):
+            coxeter_orbit(weyl_from_word(a2, (1,)), i)

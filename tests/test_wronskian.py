@@ -20,7 +20,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 from clusterqq.wronskian import (
-    block_qvariable,
+    block_labels,
     bruhat_check,
     build_wronskian,
     check_wronskian,
@@ -219,12 +219,14 @@ class TestSeriesMatrix:
         assert det.top() == (((0, 0), ()), 1)
         assert len(det.terms) == 1
 
-    def test_all_block_minors_match_q_variables(self, m_a2):
+    def test_all_block_minors_match_q_variables(self, m_a2, ev_a2):
+        labels = block_labels(A2)
         for i in (1, 2):
             for k in range(4 - i):
                 for l in range(4 - i):
+                    word = labels[i - 1][l][1]
                     assert m_a2.block_minor(i, k, l).matches(
-                        block_qvariable(m_a2, i, k, l)
+                        ev_a2.q_bar(word, i, 2 * k + i - 1)
                     ), (i, k, l)
 
     def test_rejects_non_type_a(self):
@@ -240,6 +242,69 @@ class TestSeriesMatrix:
         want = leibniz([[m_a2.entries[rk][c] for c in cols] for rk in rows])
         assert got.terms == want.terms
         assert got.cut == want.cut
+
+
+class TestBlockLabels:
+    """The one block ↔ label table of the standard Wronskian matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_words_are_reduced_and_give_back_their_weights(self, n):
+        rs = RootSystem.from_name(f"A{n}")
+        ev = QEvaluator(rs, depth=1)
+        labels = block_labels(rs)
+        assert len(labels) == n
+        for i, node in enumerate(labels, 1):
+            assert len(node) == n + 2 - i
+            weights = [lam2 for lam2, _ in node]
+            assert len(set(weights)) == len(weights)
+            # so a dict lookup gives the index list.index gives
+            at = {lam2: l for l, lam2 in enumerate(weights)}
+            assert all(at[lam2] == weights.index(lam2) for lam2 in weights)
+            assert weights[0] == fundamental_weight(rs, i).coords2
+            for lam2, word in node:
+                assert is_reduced(rs, word)
+                assert ev.weight_of(word, i) == lam2
+                assert weight_word(rs, lam2) == (word, i)
+
+    def test_one_table_per_root_system(self):
+        a8 = RootSystem.from_name("A8")
+        assert block_labels(a8) is block_labels(a8)
+        assert sum(map(len, block_labels(a8))) == 44
+        assert type(block_labels(a8)) is tuple
+        assert all(type(node) is tuple for node in block_labels(a8))
+
+    @pytest.mark.parametrize("name, r", [("A1", -3), ("A2", 0), ("A3", 2)])
+    def test_build_reads_node_one(self, name, r):
+        rs = RootSystem.from_name(name)
+        ev = QEvaluator(rs, depth=3)
+        m = build_wronskian(rs, r, 3, ev)
+        node = block_labels(rs)[0]
+        assert m.size == len(node) == rs.n + 1
+        for k, row in enumerate(m.entries):
+            for (_, word), entry in zip(node, row, strict=True):
+                assert entry.matches(ev.q_bar(word, 1, r + 2 * k))
+
+    def test_rejects_non_type_a(self):
+        with pytest.raises(ValueError, match="^Wronskian matrices require type A$"):
+            block_labels(RootSystem.from_name("D4"))
+
+    def test_failing_twin_swapped_words(self, monkeypatch):
+        assert check_wronskian(A3, [0], depth=3)["ok"]
+        real = block_labels(A3)
+        (w0, a), (w1, b) = real[1][:2]
+        swapped = (real[0], ((w0, b), (w1, a)) + real[1][2:], real[2])
+        monkeypatch.setattr(wronskian, "block_labels", lambda rs: swapped)
+        cert = check_wronskian(A3, [0], depth=3)
+        assert not cert["ok"]
+        failed = {
+            (x["i"], x["k"], x["l"])
+            for x in cert["minor_identifications"]
+            if not x["ok"]
+        }
+        assert failed and {i for i, _, _ in failed} == {2}
+        assert {l for _, _, l in failed} == {0, 1}
+        # the weights, and so the shift system, are untouched
+        assert all(e["ok"] for e in cert["equations"])
 
 
 class SeriesWorkReached(Exception):
