@@ -285,10 +285,10 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     cw = _window(type_, coxeter, depth_below + 2 * sweeps)
     # one working seed through every sweep, frozen (and so checked) once
     seed = initial_seed(cw, stabilized=False).thaw()
+    expected = gvector.sweep_gvectors(cw, sweeps)
     for m in range(1, sweeps + 1):
         green_sweep(seed)
-        expected = gvector.sweep_gvectors(cw, m)
-        mismatch = sorted(v for v, g in seed.g.items() if g != expected[v])
+        mismatch = sorted(v for v, g in seed.g.items() if g != expected[m][v])
         rep.emit(
             {
                 "relation": "green-sweep",

@@ -29,6 +29,13 @@ entry is built from the one a slice shorter by the column operations of
 ``rootsys._times_word``, one per generator ``t_i`` of the slice.
 Repeated green sweeps and limit blocks then share their prefixes instead
 of rebuilding them.
+
+:func:`sweep_gvectors` gives the g-vectors after k green sweeps for every
+k up to a bound in one walk over k.  Slice m after k sweeps reads the
+block ``T_{m+k-1} ⋯ T_m``; once clamped, that range is the same for most
+consecutive k (the identity above and below the band, the limit block
+once m + k > 0), so each slice keeps its last clamped range with its
+g-vectors and rebuilds them only when the range changes.
 """
 
 from __future__ import annotations
@@ -87,13 +94,17 @@ class GVec:
 
 
 def green_slice_nodes(datum: CoxeterDatum, m: int) -> list[int]:
-    """Nodes whose column has a green vertex in slice m."""
-    out = []
-    for i in range(1, datum.rs.n + 1):
-        for k in range(datum.m_of(i)):
-            if m == -datum.l_of(i) - 1 - 2 * k:
-                out.append(i)
-    return out
+    """Nodes whose column has a green vertex in slice m.
+
+    Column i has its greens at slices −l_i − 1 − 2k for 0 ≤ k < m_i, so
+    node i is green in slice m iff d = −m − 1 − l_i is even with
+    0 ≤ d < 2·m_i.
+    """
+    return [
+        i
+        for i, (l, mi) in enumerate(zip(datum.l, datum.m), 1)
+        if (d := -m - 1 - l) % 2 == 0 and 0 <= d < 2 * mi
+    ]
 
 
 def block_matrix(datum: CoxeterDatum, k: int, m: int) -> Matrix:
@@ -108,12 +119,16 @@ def stable_block(datum: CoxeterDatum, m: int) -> Matrix:
     return _band_product(datum, -1, m)
 
 
+def _band_range(datum: CoxeterDatum, top: int, bottom: int) -> tuple[int, int] | None:
+    """The range top..bottom clamped to the band, None when it is empty."""
+    top, bottom = min(top, -1), max(bottom, datum.h_c)
+    return None if top < bottom else (top, bottom)
+
+
 def _band_product(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
     """T_top ... T_bottom, the identity for an empty range."""
-    top, bottom = min(top, -1), max(bottom, datum.h_c)
-    if top < bottom:
-        return _identity(datum.rs.n)
-    return _band_memo(datum, top, bottom)
+    band = _band_range(datum, top, bottom)
+    return _identity(datum.rs.n) if band is None else _band_memo(datum, *band)
 
 
 # bounded, since every Coxeter datum adds its own entries; the band is at
@@ -152,14 +167,30 @@ def blocks_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     return out
 
 
-def sweep_gvectors(cw: CoxeterWindow, k: int) -> dict[Vertex, GVec]:
-    """g-vectors of every window vertex after k green sweeps."""
-    out: dict[Vertex, GVec] = {}
-    for m in cw.slice_range():
-        block = block_matrix(cw.datum, k, m)
-        for v, g in _block_to_gvecs(cw.datum, m, block).items():
-            if v in cw.quiver.vertices:
-                out[v] = g
+def sweep_gvectors(cw: CoxeterWindow, sweeps: int) -> list[dict[Vertex, GVec]]:
+    """g-vectors of every window vertex after k green sweeps, k = 0..sweeps.
+
+    Entry k gives slice m the columns of ``block_matrix(datum, k, m)``.
+    One walk over k keeps, per slice, the clamped range of its last block
+    (None for the identity) and the window's g-vectors of that block; they
+    are rebuilt only when the range changes, so consecutive entries share
+    their ``GVec`` objects.
+    """
+    if sweeps < 0:
+        raise ValueError("sweep count must be nonnegative")
+    datum, vertices, slices = cw.datum, cw.quiver.vertices, cw.slice_range()
+    held: dict[int, tuple[tuple[int, int] | None, dict[Vertex, GVec]]] = {}
+    out: list[dict[Vertex, GVec]] = []
+    for k in range(sweeps + 1):
+        table: dict[Vertex, GVec] = {}
+        for m in slices:
+            band = _band_range(datum, m + k - 1, m)
+            if m not in held or held[m][0] != band:
+                block = block_matrix(datum, k, m)
+                columns = _block_to_gvecs(datum, m, block).items()
+                held[m] = band, {v: g for v, g in columns if v in vertices}
+            table.update(held[m][1])
+        out.append(table)
     return out
 
 

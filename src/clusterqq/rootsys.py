@@ -328,10 +328,23 @@ def _weyl_from_tuple(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
 
 
 def is_reduced(rs: RootSystem, word: Iterable[int]) -> bool:
-    """Whether ℓ(s_{word[0]} ⋯ s_{word[-1]}) is the word's length; reads
-    the length off the ρ-walk and builds no Weyl matrix."""
+    """Whether ℓ(s_{word[0]} ⋯ s_{word[-1]}) is the word's length.
+
+    Walks u = w⁻¹(ρ) as :func:`_length_and_word` does and builds no Weyl
+    matrix.  The walk stops at the first descent (u_i < 0); the letters
+    after it are still index-checked, so a bad letter raises wherever it
+    stands.
+    """
     word = tuple(word)
-    return _length_and_word(rs, word)[0] == len(word)
+    u = [1] * rs.n
+    for t, i in enumerate(word):
+        rs._check_index(i)
+        if u[i - 1] < 0:
+            for j in word[t + 1 :]:
+                rs._check_index(j)
+            return False
+        _reflect(rs, u, i)
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ compare the package against them.
 from fractions import Fraction
 from operator import mul
 
-from clusterqq.gvector import _band_product
+from clusterqq.gvector import _band_product, _block_to_gvecs, block_matrix
 from clusterqq.qseries import (
     Key,
     KSeries,
@@ -124,6 +124,29 @@ def recolor_from_arrows(q):
 def slice_matrix(datum, m: int) -> Matrix:
     """T_m: product of the reflection generators of the slice-m greens."""
     return _band_product(datum, m, m)
+
+
+def green_slice_nodes_scan(datum, m: int) -> list[int]:
+    """Nodes with a green vertex in slice m, by scanning every green of
+    every column: column i has them at slices −l_i − 1 − 2k, k < m_i."""
+    out = []
+    for i in range(1, datum.rs.n + 1):
+        for k in range(datum.m_of(i)):
+            if m == -datum.l_of(i) - 1 - 2 * k:
+                out.append(i)
+    return out
+
+
+def sweep_table(cw, k: int) -> dict:
+    """g-vectors of every window vertex after k green sweeps, each slice's
+    block built afresh for this k alone."""
+    out = {}
+    for m in cw.slice_range():
+        block = block_matrix(cw.datum, k, m)
+        for v, g in _block_to_gvecs(cw.datum, m, block).items():
+            if v in cw.quiver.vertices:
+                out[v] = g
+    return out
 
 
 def mutate_reference(seed, l):

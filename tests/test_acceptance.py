@@ -207,6 +207,7 @@ class TestSweepConvergence:
         # the green band descends one slice per sweep: leave room for 20
         cw = window(name, 50)
         seed = initial_seed(cw, stabilized=False)
+        tables = sweep_gvectors(cw, 20)
         for k in range(1, 21):
             # green rows of the tracked G-matrix must be sign-coherent
             # before each sweep (this is what makes the sweep a row
@@ -218,7 +219,7 @@ class TestSweepConvergence:
                     x < 0 for x in signs
                 ), (k, l)
             seed = green_sweep(seed)
-            expected = sweep_gvectors(cw, k)
+            expected = tables[k]
             for v, g in seed.g:
                 assert g == expected[v], (k, v)
         # all slices that stabilize within 20 sweeps agree with the limit
@@ -774,10 +775,9 @@ class TestFailingTwins:
         real = gvector.sweep_gvectors
         v = (1, -4)
 
-        def sweep(cw, k):
-            out = real(cw, k)
-            if k == 2:
-                out[v] = out[v] + GVec.unit((3, -2))
+        def sweep(cw, sweeps):
+            out = real(cw, sweeps)
+            out[2][v] = out[2][v] + GVec.unit((3, -2))
             return out
 
         monkeypatch.setattr(gvector, "sweep_gvectors", sweep)

@@ -4,9 +4,12 @@ The ``gvec_cli`` workload of ``perfbench/`` runs the g-vector, sweep and
 seed-mutation commands through the CLI; its digest covers every byte they
 print.  The ``minor_systems`` workload runs ``check_wronskian`` (with its
 failing control, whose notes are part of the digest) and
-``bruhat_check``.  Running one pass of each here makes a byte drift in
-those certificates fail the test suite, not only the benchmark.
-``perfbench/digests.json`` is only read.
+``bruhat_check``.  The ``qq_battery`` workload runs the A3 QQ and QQ*
+checks with a failing shift control, and its digest covers the series it
+certified; the ``rank_one`` workload runs the Ptolemy grid, the exchange
+relations and the factorizations.  Running one pass of each here makes a
+byte drift in those certificates fail the test suite, not only the
+benchmark.  ``perfbench/digests.json`` is only read.
 """
 
 import json
@@ -42,3 +45,21 @@ def test_minor_systems_variant_0_matches_its_digest():
     assert not control["ok"]
     assert any(e["note"] for e in control["equations"])
     assert worker.digest(done.certs, done.extra()) == recorded("minor_systems")
+
+
+def test_qq_battery_variant_0_matches_its_digest():
+    done = workloads.qq_battery(workloads.inputs("qq_battery", 0))
+    relations = [c["relation"] for c in done.certs]
+    assert relations == ["qq"] * 6 + ["qq-shift-control"] + ["qqstar"] * 4
+    assert [c for c in done.certs if not workloads.expected(c)] == []
+    assert not done.certs[6]["ok"]
+    assert worker.digest(done.certs, done.extra()) == recorded("qq_battery")
+
+
+def test_rank_one_variant_0_matches_its_digest():
+    done = workloads.rank_one(workloads.inputs("rank_one", 0))
+    relations = [c["relation"] for c in done.certs]
+    assert relations[:715] == ["ptolemy"] * 715
+    assert relations[-1000:] == ["factorization"] * 1000
+    assert [c for c in done.certs if not workloads.expected(c)] == []
+    assert worker.digest(done.certs, done.extra()) == recorded("rank_one")

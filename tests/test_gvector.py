@@ -33,7 +33,13 @@ from clusterqq.rootsys import (
     coxeter_data,
     coxeter_data_from_word,
 )
-from oracles import mat_mul, reflection_matrix_t, slice_matrix
+from oracles import (
+    green_slice_nodes_scan,
+    mat_mul,
+    reflection_matrix_t,
+    slice_matrix,
+    sweep_table,
+)
 from test_rootsys import assert_adjugate_is_det_times_inverse
 
 
@@ -254,9 +260,10 @@ class TestAgreement:
         # slice m stabilizes once the sweep count k satisfies m + k > 0,
         # so the deepest window slice controls the convergence time
         k = -min(cw.slice_range()) + 1
-        assert sweep_gvectors(cw, k) == blocks_gvectors(cw)
-        assert sweep_gvectors(cw, k + 3) == blocks_gvectors(cw)
-        assert sweep_gvectors(cw, 1) != blocks_gvectors(cw)
+        tables = sweep_gvectors(cw, k + 3)
+        assert tables[k] == blocks_gvectors(cw)
+        assert tables[k + 3] == blocks_gvectors(cw)
+        assert tables[1] != blocks_gvectors(cw)
 
     def test_green_word_reduced_longest_everywhere(self):
         from clusterqq.rootsys import longest_element, weyl_from_word
@@ -354,7 +361,7 @@ class TestTheta:
 
 
 def oracle_slice(d, m):
-    mats = [reflection_matrix_t(d.rs, i) for i in green_slice_nodes(d, m)]
+    mats = [reflection_matrix_t(d.rs, i) for i in green_slice_nodes_scan(d, m)]
     return reduce(mat_mul, mats, _identity(d.rs.n))
 
 
@@ -406,6 +413,14 @@ class TestBandMemo:
             lowest = min(cw.slice_index(v) for v in cw.quiver.greens())
             assert cw.datum.h_c == lowest, w
 
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_green_slice_nodes_equal_the_scan(self, name):
+        r = rs(name)
+        for w in coxeter_words(r):
+            d = coxeter_data_from_word(r, w)
+            for m in range(d.h_c - 2, 2):
+                assert green_slice_nodes(d, m) == green_slice_nodes_scan(d, m), (w, m)
+
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     @pytest.mark.parametrize("name", MEMO_TYPES)
     def test_products_equal_the_plain_products(self, name, order):
@@ -433,6 +448,8 @@ class TestBandMemo:
     def test_negative_sweep_count_rejected(self):
         with pytest.raises(ValueError):
             block_matrix(A2, -1, -1)
+        with pytest.raises(ValueError):
+            sweep_gvectors(window("A2"), -1)
 
     def test_sweeps_reuse_products(self, monkeypatch):
         # each sweep count k adds at most one product per band slice, so
@@ -474,7 +491,10 @@ class TestBlockColumns:
     def test_every_slice_after_every_sweep_count(self, name):
         for cw in coxeter_windows(name):
             d = cw.datum
-            for k in range(d.rs.coxeter_number + 3):
+            h = d.rs.coxeter_number
+            tables = sweep_gvectors(cw, h + 3)
+            assert len(tables) == h + 4
+            for k, table in enumerate(tables):
                 expected = {}
                 for m in cw.slice_range():
                     block = block_matrix(d, k, m)
@@ -483,7 +503,7 @@ class TestBlockColumns:
                     expected.update(
                         (v, g) for v, g in columns.items() if v in cw.quiver.vertices
                     )
-                assert sweep_gvectors(cw, k) == expected, k
+                assert table == expected, k
 
     def test_identity_blocks_give_unit_vectors(self):
         # k = 0, and every slice above the band, clamp to an empty range
@@ -492,7 +512,59 @@ class TestBlockColumns:
             block = block_matrix(cw.datum, 0, m)
             for v, g in _block_to_gvecs(cw.datum, m, block).items():
                 assert g == GVec.unit(v)
-        assert all(g.coeffs == ((v, 1),) for v, g in sweep_gvectors(cw, 0).items())
+        (table,) = sweep_gvectors(cw, 0)
+        assert all(g.coeffs == ((v, 1),) for v, g in table.items())
+
+
+def range_changes(cw, sweeps):
+    """Per slice, the k in 0..sweeps at which the clamped range of
+    T_{m+k-1} ⋯ T_m differs from the one at k - 1 (k = 0 always counts)."""
+    d = cw.datum
+    changes = {}
+    for m in cw.slice_range():
+        ranges = []
+        for k in range(sweeps + 1):
+            top, bottom = min(m + k - 1, -1), max(m, d.h_c)
+            ranges.append((top, bottom) if top >= bottom else "identity")
+        changes[m] = [
+            k for k in range(sweeps + 1) if k == 0 or ranges[k] != ranges[k - 1]
+        ]
+    return changes
+
+
+class TestSweepWalk:
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_a_walk_frozen_after_one_sweep_fails(self, name):
+        # a slice's block changes again after k = 1 as the band reaches
+        # it, so a walk that kept its k = 1 tables would fail the
+        # comparison with the oracle
+        cw = coxeter_windows(name)[0]
+        h = cw.datum.rs.coxeter_number
+        tables = sweep_gvectors(cw, h + 3)
+        assert any(max(ks) >= 2 for ks in range_changes(cw, h + 3).values())
+        frozen = tables[:2] + [tables[1]] * (h + 2)
+        assert any(frozen[k] != sweep_table(cw, k) for k in range(h + 4))
+
+    def test_twenty_d4_sweeps_rebuild_only_changed_ranges(self, monkeypatch):
+        calls = []
+
+        def counted(datum, m, block):
+            calls.append(m)
+            return _block_to_gvecs(datum, m, block)
+
+        monkeypatch.setattr("clusterqq.gvector._block_to_gvecs", counted)
+        result = CliRunner().invoke(
+            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
+        )
+        assert result.exit_code == 0
+        # the window of `seed sweep`: depth below 10 + 2 per sweep
+        cw = build_coxeter_quiver(
+            rs("D4"), coxeter_data_from_word(rs("D4"), (1, 2, 3, 4)), depth_below=50
+        )
+        changes = range_changes(cw, 20)
+        assert sorted(calls) == sorted(m for m, ks in changes.items() for _ in ks)
+        # 174 of them; one per slice and sweep count would be 680
+        assert len(calls) * 3 < 20 * len(changes)
 
 
 # ---------------------------------------------------------------------------

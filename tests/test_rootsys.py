@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,39 @@ class TestWords:
     def test_is_reduced_bad_letter_raises(self):
         with pytest.raises(IndexError):
             is_reduced(rs("A2"), (1, 3))
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+    )
+    def test_is_reduced_on_random_words(self, name):
+        r = rs(name)
+        rng = random.Random(name)
+        w0 = longest_element(r).word
+        words = [
+            tuple(rng.randint(1, r.n) for _ in range(rng.randint(0, 2 * r.n)))
+            for _ in range(100)
+        ]
+        # w0 prefixes are reduced, w0 and one more letter never is, and a
+        # prefix and one more letter may or may not be
+        for t in range(0, len(w0), max(1, len(w0) // 10)):
+            words += [w0[:t], w0[:t] + (rng.randint(1, r.n),)]
+        words += [w0, w0 + (rng.randint(1, r.n),)]
+        assert is_reduced(r, words[-2]) and not is_reduced(r, words[-1])
+        for word in words:
+            assert is_reduced(r, word) == (
+                weyl_from_word(r, word).length == len(word)
+            ), word
+
+    @pytest.mark.parametrize("word", [(1, 1, 3), (1, 2, 2, 1, 0), (3, 1, 1)])
+    def test_bad_letter_raises_the_walks_error_after_a_descent(self, word):
+        # the walk stops at the descent (1, 1) but still checks the rest
+        r = rs("A2")
+        with pytest.raises(IndexError) as walked:
+            rootsys._length_and_word(r, word)
+        with pytest.raises(IndexError) as stopped:
+            is_reduced(r, word)
+        assert str(stopped.value) == str(walked.value)
+        assert "out of range 1..2" in str(stopped.value)
 
     @pytest.mark.parametrize("name", ["A1", "A3", "D4", "E8"])
     def test_neighbors_one_tuple_per_node(self, name):
