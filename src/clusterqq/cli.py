@@ -32,7 +32,6 @@ from . import gvector, sl2, wronskian
 from .qseries import (
     KSeries,
     QEvaluator,
-    f_label,
     key_mul,
     key_one,
     qq_check,
@@ -488,10 +487,10 @@ def qvar_eval(type_, word, i_, r_, depth, raw):
 def f_eval(rep, type_, coxeter, depth_below):
     """Label every window vertex with the series its variable maps to."""
     cw = _window(type_, coxeter, depth_below)
-    g = gvector.knit_gvectors(cw.quiver)
+    labels = gvector.f_labels(cw, gvector.knit_gvectors(cw.quiver))
     for v in sorted(cw.quiver.vertices):
-        try:
-            word, i, r = f_label(cw, v, g)
+        if v in labels:
+            word, i, r = labels[v]
             cert = {
                 "relation": "f-label",
                 "vertex": list(v),
@@ -500,11 +499,11 @@ def f_eval(rep, type_, coxeter, depth_below):
                 "r": r,
                 "ok": True,
             }
-        except ValueError as exc:
+        else:
             cert = {
                 "relation": "f-label",
                 "vertex": list(v),
-                "note": str(exc),
+                "note": f"braid expression does not match g-vector at {v}",
                 "ok": False,
             }
         rep.emit(cert)

@@ -36,15 +36,22 @@ block ``T_{m+k-1} ⋯ T_m``; once clamped, that range is the same for most
 consecutive k (the identity above and below the band, the limit block
 once m + k > 0), so each slice keeps its last clamped range with its
 g-vectors and rebuilds them only when the range changes.
+
+:func:`f_labels` names the Q-variable (word, i, r) of every window
+vertex from one :func:`braid_gvectors` table.  The word of a vertex in
+slice m is the green word down to slice m; since its letters after node
+i's last green fix e_(i, ·), the composite's image of e_(i, red_top(i))
+is that green's braid column, read before its own degree shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .quiver import CoxeterWindow, Vertex, WindowedQuiver
-from .rootsys import CoxeterDatum, Matrix, RootSystem, _identity, _times_word
+from .rootsys import CoxeterDatum, Matrix, _identity, _times_word
 
 
 @dataclass(frozen=True)
@@ -264,28 +271,6 @@ def mesh_check(
 # ---------------------------------------------------------------------------
 
 
-def theta(rs: RootSystem, i: int, g: GVec) -> GVec:
-    out: dict[Vertex, int] = {}
-
-    def bump(v: Vertex, c: int) -> None:
-        out[v] = out.get(v, 0) + c
-
-    for (j, a), c in g.coeffs:
-        if j != i:
-            bump((j, a), c)
-        else:
-            bump((i, a - 2), -c)
-            for k in rs.neighbors(i):
-                bump((k, a - 1), c)
-    return GVec.from_dict(out)
-
-
-def theta_word(rs: RootSystem, word, g: GVec) -> GVec:
-    for i in reversed(tuple(word)):
-        g = theta(rs, i, g)
-    return g
-
-
 def braid_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     """Stabilized g-vectors of the green vertices via the braid action."""
     rs = cw.datum.rs
@@ -305,4 +290,39 @@ def braid_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
         s_t = seen.get(i, 0)
         out[(i, a)] = col[i].shift(-s_t)
         seen[i] = s_t + 1
+    return out
+
+
+def f_labels(
+    cw: CoxeterWindow, gvectors: dict[Vertex, GVec]
+) -> dict[Vertex, tuple[tuple[int, ...], int, int]]:
+    """Word, node and spectral exponent of the Q-variable of each window
+    vertex, read off one braid table.
+
+    Vertex (i, r) of slice m gets the word of the greens in slices ≥ m and
+    the image of e_(i, red_top(i)) under that word's composite: the braid
+    entry of node i's last such green, its k-th, shifted back by k − 1, or
+    the unit itself when node i has none.  Its exponent is red_top(i) + 2s
+    for the shift s that takes this column onto ``gvectors[v]``; a vertex
+    whose column shifts onto no g-vector of its own is left out.
+    """
+    braid = braid_gvectors(cw)
+    greens = cw.green_sequence()
+    col = {i: GVec.unit((i, cw.red_top(i))) for i in range(1, cw.datum.rs.n + 1)}
+    seen: dict[int, int] = {}
+    t = 0
+    out: dict[Vertex, tuple[tuple[int, ...], int, int]] = {}
+    by_slice = sorted(cw.quiver.vertices, key=cw.slice_index, reverse=True)
+    for m, vertices in groupby(by_slice, key=cw.slice_index):
+        while t < len(greens) and cw.slice_index(greens[t]) >= m:
+            j = greens[t][0]
+            col[j] = braid[greens[t]].shift(seen.get(j, 0))
+            seen[j] = seen.get(j, 0) + 1
+            t += 1
+        word = tuple(j for j, _ in greens[:t])
+        for v in vertices:
+            i, target = v[0], gvectors[v]
+            s = (target.coeffs[0][0][1] - col[i].coeffs[0][0][1]) // 2
+            if col[i].shift(s) == target:
+                out[v] = word, i, cw.red_top(i) + 2 * s
     return out

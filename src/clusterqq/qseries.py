@@ -53,6 +53,10 @@ solve commutes with τ_s, so the shifted value is the solved one term for
 term, truncation included, and carries its certificate.  Each level of a
 solve divides by a cached lower value; its inverse is cached too, beside
 it, so a cached value is inverted at most once per evaluator.
+
+This module evaluates Q-variables and knows nothing of quivers: the
+label (word, i, r) of each window vertex's Q-variable comes from
+``gvector.f_labels``.
 """
 
 from __future__ import annotations
@@ -668,28 +672,3 @@ def qqstar_check(ev: QEvaluator, word, i: int, j: int, r: int) -> bool:
         word + (j, i), i, r
     ) * ev.q_bar(word, j, r + 1)
     return lhs.matches(rhs)
-
-
-# ---------------------------------------------------------------------------
-# the embedding of initial cluster variables
-# ---------------------------------------------------------------------------
-
-
-def f_label(cw, v, gvectors=None):
-    """Word, node and spectral exponent of the Q-variable attached to a
-    window vertex, determined by its stabilized g-vector."""
-    from .gvector import GVec, knit_gvectors, theta_word
-
-    if gvectors is None:
-        gvectors = knit_gvectors(cw.quiver)
-    i = v[0]
-    m = cw.slice_index(v)
-    prefix = [g for g in cw.green_sequence() if cw.slice_index(g) >= m]
-    word = tuple(g[0] for g in prefix)
-    x = theta_word(cw.datum.rs, word, GVec.unit((i, cw.red_top(i))))
-    target = gvectors[v]
-    s = (target.coeffs[0][0][1] - x.coeffs[0][0][1]) // 2
-    if x.shift(s) != target:
-        raise ValueError(f"braid expression does not match g-vector at {v}")
-    return word, i, cw.red_top(i) + 2 * s
-

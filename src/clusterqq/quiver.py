@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rootsys import CoxeterDatum, RootSystem, coxeter_data
+from .rootsys import CoxeterDatum, RootSystem, coxeter_data, is_reduced
 
 Vertex = tuple[int, int]
 Arrow = tuple[Vertex, Vertex]
@@ -369,8 +369,6 @@ def build_seed_quiver(
     quiver; since the construction descends, it is also the literal
     insertion coordinate at step t.
     """
-    from .rootsys import is_reduced
-
     word = tuple(word)
     heights = tuple(heights)
     if len(word) != len(heights):

@@ -11,7 +11,12 @@ compare the package against them.
 from fractions import Fraction
 from operator import mul
 
-from clusterqq.gvector import _band_product, _block_to_gvecs, block_matrix
+from clusterqq.gvector import (
+    GVec,
+    _band_product,
+    _block_to_gvecs,
+    block_matrix,
+)
 from clusterqq.qseries import (
     Key,
     KSeries,
@@ -147,6 +152,48 @@ def sweep_table(cw, k: int) -> dict:
             if v in cw.quiver.vertices:
                 out[v] = g
     return out
+
+
+def theta(rs, i: int, g: GVec) -> GVec:
+    """The braid operator θ_i, coefficient by coefficient: e_(i,a) goes to
+    −e_(i,a−2) + Σ_{k~i} e_(k,a−1), every other basis vector is fixed."""
+    out = {}
+
+    def bump(v, c: int) -> None:
+        out[v] = out.get(v, 0) + c
+
+    for (j, a), c in g.coeffs:
+        if j != i:
+            bump((j, a), c)
+        else:
+            bump((i, a - 2), -c)
+            for k in rs.neighbors(i):
+                bump((k, a - 1), c)
+    return GVec.from_dict(out)
+
+
+def theta_word(rs, word, g: GVec) -> GVec:
+    """θ_{w_0} ∘ ⋯ ∘ θ_{w_last} applied to g."""
+    for i in reversed(tuple(word)):
+        g = theta(rs, i, g)
+    return g
+
+
+def f_label(cw, v, gvectors):
+    """Word, node and spectral exponent of the Q-variable of one window
+    vertex: the whole green word down to its slice, applied to the red-top
+    unit of its node, must shift onto its g-vector.  The reference for
+    ``gvector.f_labels``."""
+    i = v[0]
+    m = cw.slice_index(v)
+    prefix = [g for g in cw.green_sequence() if cw.slice_index(g) >= m]
+    word = tuple(g[0] for g in prefix)
+    x = theta_word(cw.datum.rs, word, GVec.unit((i, cw.red_top(i))))
+    target = gvectors[v]
+    s = (target.coeffs[0][0][1] - x.coeffs[0][0][1]) // 2
+    if x.shift(s) != target:
+        raise ValueError(f"braid expression does not match g-vector at {v}")
+    return word, i, cw.red_top(i) + 2 * s
 
 
 def mutate_reference(seed, l):

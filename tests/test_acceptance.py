@@ -21,15 +21,14 @@ from clusterqq.gvector import (
     blocks_gvectors,
     block_matrix,
     braid_gvectors,
+    f_labels,
     knit_gvectors,
     stable_block,
     sweep_gvectors,
-    theta,
 )
 from clusterqq.qseries import (
     KSeries,
     QEvaluator,
-    f_label,
     key_mul,
     psi_var,
     qq_check,
@@ -44,7 +43,13 @@ from clusterqq.rootsys import (
     longest_element,
     weyl_from_word,
 )
-from clusterqq.seed import green_sweep, initial_seed, mutate_seed
+from clusterqq.seed import (
+    SignError,
+    cvector_sign,
+    green_sweep,
+    initial_seed,
+    mutate_seed,
+)
 from clusterqq import sl2
 from clusterqq.sl2 import (
     Segment,
@@ -60,7 +65,14 @@ from clusterqq.wronskian import (
     _to_fractions,
 )
 
-from oracles import a_monomial, key_inv, relabeled, same_arrows, slice_matrix
+from oracles import (
+    a_monomial,
+    key_inv,
+    relabeled,
+    same_arrows,
+    slice_matrix,
+    theta,
+)
 from test_gvector import A3_STABILIZED, a2_expected
 from test_qseries import A3_SEED_LABELS
 from test_wronskian import desnanot_jacobi_check
@@ -435,8 +447,9 @@ class TestEmbedding:
     def test_rank_three_label_table(self):
         cw = window("A3", 10)
         ev = QEvaluator(rs("A3"), depth=2)
+        labels = f_labels(cw, knit_gvectors(cw.quiver))
         for v, (xword, xi, xr) in A3_SEED_LABELS.items():
-            word, i, r = f_label(cw, v)
+            word, i, r = labels[v]
             assert (i, r) == (xi, xr), v
             assert ev.weight_of(word, i) == ev.weight_of(xword, xi), v
 
@@ -447,11 +460,11 @@ class TestEmbedding:
         # renormalized variable
         cw = window("A2", 8)
         ev = QEvaluator(rs("A2"), depth=3)
-        g = knit_gvectors(cw.quiver)
-        values = {}
-        for v in cw.quiver.vertices:
-            word, i, r = f_label(cw, v, g)
-            values[v] = ev.q_bar(word, i, r)
+        values = {
+            v: ev.q_bar(*label)
+            for v, label in f_labels(cw, knit_gvectors(cw.quiver)).items()
+        }
+        assert values.keys() == cw.quiver.vertices
         seed = initial_seed(cw).with_values(values)
 
         predictions = [
@@ -785,6 +798,77 @@ class TestFailingTwins:
         assert result.exit_code == 1
         certs = [json.loads(line) for line in result.stdout.splitlines()]
         assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
+
+    def test_f_eval_with_one_knit_gvector_changed(self, monkeypatch):
+        args = ["f-eval", "--type", "A3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        real = gvector.knit_gvectors
+        v = (2, -3)
+
+        def knit(q):
+            out = real(q)
+            out[v] = out[v].scale(2)  # no shift of a braid column doubles it
+            return out
+
+        monkeypatch.setattr(gvector, "knit_gvectors", knit)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        failed = [c for c in certs if not c["ok"]]
+        assert failed == [
+            {
+                "relation": "f-label",
+                "vertex": list(v),
+                "note": f"braid expression does not match g-vector at {v}",
+                "ok": False,
+            }
+        ]
+
+    def test_wronskian_with_a_determinant_off_one(self, monkeypatch):
+        A2 = rs("A2")
+        assert check_wronskian(A2, [0], depth=4)["ok"]
+        real = wronskian.SeriesMatrix.det
+        monkeypatch.setattr(
+            wronskian.SeriesMatrix, "det", lambda m: real(m) + real(m)
+        )
+        cert = check_wronskian(A2, [0], depth=4)
+        assert not cert["ok"]
+        # the shift equations and minor identifications still hold: it is
+        # the det = 1 entry alone that fails
+        assert all(e["ok"] for e in cert["equations"])
+        assert all(x["ok"] for x in cert["minor_identifications"])
+        assert [d["ok"] for d in cert["determinants"]] == [False]
+
+    def test_sl2_factor_with_crossing_segments(self, monkeypatch):
+        monomial = "0:1 1:1 2:-1 3:-1"
+        args = ["sl2", "factor", monomial, "--json"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert cert["segments"] == ["[0,2]", "[1,1]"]
+        # [0,1][1,2] has the same top monomial as [0,2][1,1], but crosses
+        crossing = (Segment(0, 1), Segment(1, 2))
+        key = sl2.parse_monomial(monomial)
+        assert key_mul(*(s.ell_weight() for s in crossing))[1] == key[1]
+        assert not compatible(*crossing)
+        monkeypatch.setattr(sl2, "factorize", lambda key: (crossing, key[0]))
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert cert["segments"] == ["[0,1]", "[1,2]"]
+        assert not cert["pairwise_compatible"] and not cert["ok"]
+
+    def test_cvector_sign_of_a_mixed_vector_that_starts_positive(
+        self, monkeypatch
+    ):
+        seed = initial_seed(window("A2", 8))
+        v = (1, -2)
+        assert cvector_sign(seed, v) == -1
+        mixed = GVec.from_dict({(1, -4): 1, (2, -3): -1})
+        assert mixed.coeffs[0][1] > 0
+        monkeypatch.setattr("clusterqq.seed.cvector", lambda seed, k: mixed)
+        with pytest.raises(SignError, match="not sign-coherent"):
+            cvector_sign(seed, v)
 
     def test_bruhat_with_one_entry_of_m_changed(self, monkeypatch):
         assert bruhat_check(3, trials=10, seed=5)["ok"]

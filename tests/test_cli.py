@@ -161,6 +161,25 @@ class TestUsage:
         assert "certificates passed" not in result.output
         assert '"relation"' not in result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["seed", "mutate", "--type", "A2", "--vertex", "x"], "bad vertex"),
+            (["sl2", "ptolemy", "foo", "0", "1", "2"], "bad segment end"),
+            (["qqstar", "verify", "--type", "A1"], "needs rank >= 2"),
+            (
+                ["qvar", "eval", "--type", "A2", "--word", "1,1", "--i", "1",
+                 "--r", "0"],
+                "is not reduced",
+            ),
+        ],
+    )
+    def test_usage_error_names_its_cause(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
+
 
 class TestBudget:
     def test_exceeded_budget_exits_three(self, runner):

@@ -16,14 +16,13 @@ from clusterqq.gvector import (
     blocks_gvectors,
     block_matrix,
     braid_gvectors,
+    f_labels,
     green_slice_nodes,
     knit_gvectors,
     mesh_check,
     mesh_pairs,
     stable_block,
     sweep_gvectors,
-    theta,
-    theta_word,
 )
 from clusterqq.gvector import _band_memo, _block_to_gvecs
 from clusterqq.quiver import build_coxeter_quiver
@@ -34,11 +33,14 @@ from clusterqq.rootsys import (
     coxeter_data_from_word,
 )
 from oracles import (
+    f_label,
     green_slice_nodes_scan,
     mat_mul,
     reflection_matrix_t,
     slice_matrix,
     sweep_table,
+    theta,
+    theta_word,
 )
 from test_rootsys import assert_adjugate_is_det_times_inverse
 
@@ -595,3 +597,41 @@ class TestBraidColumns:
         for w in words:
             cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
             assert braid_gvectors(cw) == oracle_braid(cw), w
+
+
+# ---------------------------------------------------------------------------
+# the Q-variable labels against the whole prefix words
+# ---------------------------------------------------------------------------
+
+
+def oracle_labels(cw, g):
+    """The label of every vertex whose prefix word shifts onto g."""
+    out = {}
+    for v in cw.quiver.vertices:
+        try:
+            out[v] = f_label(cw, v, g)
+        except ValueError:
+            pass
+    return out
+
+
+class TestLabels:
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_labels_equal_the_prefix_words(self, name):
+        for cw in coxeter_windows(name)[:2]:
+            g = knit_gvectors(cw.quiver)
+            labels = f_labels(cw, g)
+            assert labels.keys() == cw.quiver.vertices
+            assert labels == oracle_labels(cw, g)
+
+    @pytest.mark.parametrize("name", MEMO_TYPES)
+    def test_a_corrupted_gvector_drops_exactly_its_vertex(self, name):
+        cw = coxeter_windows(name)[-1]
+        g = knit_gvectors(cw.quiver)
+        labels = f_labels(cw, g)
+        # the lowest green: its word is the whole green word
+        v = min(cw.quiver.greens(), key=cw.slice_index)
+        bad = {**g, v: g[v].scale(2)}  # no shift of a column doubles it
+        dropped = f_labels(cw, bad)
+        assert dropped == {u: x for u, x in labels.items() if u != v}
+        assert dropped == oracle_labels(cw, bad)

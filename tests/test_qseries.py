@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clusterqq.gvector import f_labels, knit_gvectors
 from clusterqq.qseries import (
     FIELD_BITS,
     CertificationError,
@@ -12,7 +13,6 @@ from clusterqq.qseries import (
     QEvaluator,
     TruncationError,
     bracket,
-    f_label,
     key_mul,
     key_one,
     omega_lam2,
@@ -554,19 +554,20 @@ class TestEmbedding:
     def test_rank_three_labels(self):
         cw = build_coxeter_quiver(A3, ["2->1", "3->2"], depth_below=10)
         ev = QEvaluator(A3, depth=2)
+        labels = f_labels(cw, knit_gvectors(cw.quiver))
         for v, (xword, xi, xr) in A3_SEED_LABELS.items():
-            word, i, r = f_label(cw, v)
+            word, i, r = labels[v]
             assert i == xi and r == xr, v
             assert ev.weight_of(word, i) == ev.weight_of(xword, xi), v
 
     def test_leading_monomials_are_gvectors(self):
-        from clusterqq.gvector import knit_gvectors
-
         cw = build_coxeter_quiver(A2, ["2->1"], depth_below=8)
         ev = QEvaluator(A2, depth=3)
         g = knit_gvectors(cw.quiver)
+        labels = f_labels(cw, g)
+        assert labels.keys() == cw.quiver.vertices
         for v in sorted(cw.quiver.vertices):
-            word, i, r = f_label(cw, v, g)
+            word, i, r = labels[v]
             (lam2, psi), coeff = ev.q_raw(word, i, r).top()
             assert coeff == 1 and lam2 == (0, 0), v
             assert dict(psi) == g[v].as_dict(), v
