@@ -32,9 +32,10 @@ key stays below 2^(FIELD_BITS-2) in absolute value: packing rejects a
 larger one, and every key that a product or a monomial shift creates is
 checked with one add and one mask, so an overflow raises
 ``OverflowError`` and never wraps into a neighbouring field.  A product
-forms only the term pairs whose heights sum to above its cutoff: the
-right factor is sorted by height once, and each left term's inner loop
-stops at the first pair at or below the cutoff.  Keys are
+forms only the term pairs whose heights sum to above its cutoff: it
+walks the right factor's terms highest first (each series sorts its
+terms by height once and keeps the order), and each left term's inner
+loop stops at the first pair at or below the cutoff.  Keys are
 decoded back to (λ, Ψ) tuples only at the edges: the constructor,
 :meth:`KSeries.monomial`, :meth:`KSeries.mul_monomial`,
 :meth:`KSeries.top` and the ``terms`` mapping.  The tuple key API is
@@ -65,7 +66,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from operator import lshift, mul
+from operator import add, lshift, mul
 
 from .rootsys import (
     RootSystem,
@@ -94,7 +95,7 @@ def psi_mul(p1: Psi, p2: Psi) -> Psi:
 def key_mul(k1: Key, k2: Key) -> Key:
     l1, p1 = k1
     l2, p2 = k2
-    return (tuple(a + b for a, b in zip(l1, l2)), psi_mul(p1, p2))
+    return (tuple(map(add, l1, l2)), psi_mul(p1, p2))
 
 
 def key_one(n: int) -> Key:
@@ -297,12 +298,20 @@ class KSeries:
     :class:`KeyCodec`) to coefficients; ``terms`` is a read-only mapping
     over it keyed by (λ, Ψ) tuples.  ``_t`` holds only nonzero terms
     strictly above ``cut``: the constructor drops the rest, and no method
-    changes a series in place.  A product takes its cutoff from its
-    factors' top heights and forms only the pairs above it, highest
-    right term first.
+    changes a series in place.
+
+    A series keeps its terms in height order too: ``_order()`` is the
+    list of (height, key, coefficient), highest first, sorted on first
+    use and then kept, so a series that is a factor of many products
+    (a memoized segment class) is sorted once.  A product takes its
+    cutoff from the top heights of that order and forms only the pairs
+    above it, walking the right factor's order.  ``+`` and ``matches``
+    prune one side only: both sides hold only terms above their own
+    cutoffs, so only the side with the lower cutoff can have terms at
+    or below the common one.
     """
 
-    __slots__ = ("rs", "_t", "cut", "_cx")
+    __slots__ = ("rs", "_t", "cut", "_cx", "_ordered")
 
     def __init__(self, rs: RootSystem, terms: dict, cutoff2) -> None:
         self.rs = rs
@@ -312,12 +321,13 @@ class KSeries:
             k = self._cx.pack(k)
             self._t[k] = self._t.get(k, 0) + c
         self.cut = _scaled(self._cx.den, cutoff2)
+        self._ordered = None
         self._prune()
 
     def _new(self, t: dict, cut: int) -> "KSeries":
         """A series over the same root system, cutoff given in the scale."""
         s = KSeries.__new__(KSeries)
-        s.rs, s._t, s.cut, s._cx = self.rs, t, cut, self._cx
+        s.rs, s._t, s.cut, s._cx, s._ordered = self.rs, t, cut, self._cx, None
         return s
 
     @property
@@ -349,10 +359,22 @@ class KSeries:
             k: c for k, c in self._t.items() if c and (k + _HALF) & _MASK > lo
         }
 
+    def _order(self) -> list:
+        """The terms as (height, key, coefficient), highest first.
+
+        Sorted on first use and kept; ``_t`` never changes after
+        ``_prune``, so the kept list is never stale.
+        """
+        if self._ordered is None:
+            self._ordered = sorted(
+                [(((k + _HALF) & _MASK) - _HALF, k, c) for k, c in self._t.items()],
+                reverse=True,
+            )
+        return self._ordered
+
     def _max_h(self) -> int:
-        if not self._t:
-            return self.cut
-        return max((k + _HALF) & _MASK for k in self._t) - _HALF
+        order = self._order()
+        return order[0][0] if order else self.cut
 
     def _top(self) -> tuple[int, int]:
         if not self._t:
@@ -369,13 +391,26 @@ class KSeries:
         k, c = self._top()
         return self._cx.unpack(k), c
 
+    def _above(self, cut: int) -> dict:
+        """The terms above ``cut``: ``_t`` itself unless ``cut`` is higher
+        than the series' own cutoff, and only then a pruned copy."""
+        if cut <= self.cut:
+            return self._t
+        lo = cut + _HALF
+        return {k: c for k, c in self._t.items() if (k + _HALF) & _MASK > lo}
+
     def __add__(self, other: "KSeries") -> "KSeries":
-        out = dict(self._t)
-        for k, c in other._t.items():
-            out[k] = out.get(k, 0) + c
-        s = self._new(out, max(self.cut, other.cut))
-        s._prune()
-        return s
+        # self's keys first, then other's new ones
+        cut = max(self.cut, other.cut)
+        out = dict(self._above(cut))
+        get = out.get
+        for k, c in other._above(cut).items():
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._new(out, cut)
 
     def __neg__(self) -> "KSeries":
         return self._new({k: -c for k, c in self._t.items()}, self.cut)
@@ -388,10 +423,7 @@ class KSeries:
         # the right factor highest first: for each left term the pairs
         # above the cutoff are a prefix, and the first one at or below
         # it ends the inner loop
-        right = sorted(
-            [(((k + _HALF) & _MASK) - _HALF, k, c) for k, c in other._t.items()],
-            reverse=True,
-        )
+        right = other._order()
         out: dict = {}
         get = out.get
         for k1, c1 in self._t.items():
@@ -402,7 +434,9 @@ class KSeries:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         self._cx.check(out)
-        return self._new({k: c for k, c in out.items() if c}, cut)
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return self._new(out, cut)
 
     def mul_monomial(self, key: Key) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
@@ -427,9 +461,7 @@ class KSeries:
     def _clamp(self, cut: int) -> "KSeries":
         if cut <= self.cut:
             return self
-        s = self._new(self._t, cut)
-        s._prune()
-        return s
+        return self._new(self._above(cut), cut)
 
     def inverse(self) -> "KSeries":
         t, c0 = self._top()
@@ -437,6 +469,9 @@ class KSeries:
             raise TruncationError(f"cannot invert leading coefficient {c0}")
         cut = self.cut - _height(t)
         eps = self._shift(-t, c0) - self._one(cut)
+        # with a term at height 0 or above the powers of eps never vanish
+        if eps._t and eps._max_h() >= 0:
+            raise TruncationError("the leading term is not the only one at its height")
         acc = self._one(cut)
         power = acc
         while power._t:
@@ -450,10 +485,9 @@ class KSeries:
         False when neither side has a term there: such a comparison
         compared nothing.
         """
-        lo = max(self.cut, other.cut) + _HALF
-        a = {k: c for k, c in self._t.items() if (k + _HALF) & _MASK > lo}
-        b = {k: c for k, c in other._t.items() if (k + _HALF) & _MASK > lo}
-        return bool(a) and a == b
+        cut = max(self.cut, other.cut)
+        a = self._above(cut)
+        return bool(a) and a == other._above(cut)
 
     def is_zero(self) -> bool:
         return not self._t

@@ -15,6 +15,10 @@ roots below the top (:func:`segment_qchar`).  A Ptolemy grid asks for
 the same few classes many times, so each (segment, depth) class is
 built once and memoized.
 
+A :class:`Segment` is a ``tuple`` (r, s), validated when it is made, so
+hashing it, comparing it and sorting segments cost no Python call; its
+top monomial (``ell_weight``) is memoized too.
+
 Segments correspond to diagonals ``(r, s+2)`` of an ∞-gon with vertex set
 ``ℤ∪{±∞}``; two classes are compatible (their product is again such a
 class) exactly when the diagonals do not cross in their interior.  The
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .qseries import FIELD_BITS, KSeries, Key, bracket, key_one, psi_mul, psi_var
 from .rootsys import RootSystem, fundamental_weight, simple_root
@@ -42,34 +47,47 @@ _A1 = RootSystem.from_name("A1")
 (_VARPI2,) = fundamental_weight(_A1, 1).coords2
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """Prime-class label [r, s]; r > s denotes the unit class."""
+class Segment(tuple):
+    """Prime-class label [r, s]; r > s denotes the unit class.
 
-    r: float
-    s: float
+    The pair (r, s) itself, validated once when it is made: hashing,
+    equality and ordering are those of the tuple.
+    """
 
-    def __post_init__(self):
-        for x in (self.r, self.s):
+    __slots__ = ()
+
+    def __new__(cls, r: float, s: float) -> "Segment":
+        for x in (r, s):
             if not (isinstance(x, int) or x in (INF, -INF)):
                 raise ValueError(f"bad segment endpoint {x!r}")
-        if self.r == INF or self.s == -INF:
-            if not self.is_unit:
-                raise ValueError(f"bad segment [{self.r}, {self.s}]")
+        if (r == INF or s == -INF) and not r > s:
+            raise ValueError(f"bad segment [{r}, {s}]")
+        return tuple.__new__(cls, (r, s))
+
+    r = property(itemgetter(0))
+    s = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Segment(r={self[0]!r}, s={self[1]!r})"
 
     @property
     def is_unit(self) -> bool:
-        return self.r > self.s
+        return self[0] > self[1]
 
+    @lru_cache(maxsize=1 << 12)
     def ell_weight(self) -> Key:
         """Top monomial of the class (the unit key for [-∞,+∞] or r>s)."""
+        r, s = self
         p = ()
-        if self.is_unit or (self.r == -INF and self.s == INF):
+        if r > s or (r == -INF and s == INF):
             return key_one(1)
-        if self.r != -INF:
-            p = psi_var(1, 2 * int(self.r))
-        if self.s != INF:
-            p = p + psi_var(1, 2 * (int(self.s) + 1), -1)
+        if r != -INF:
+            p = psi_var(1, 2 * int(r))
+        if s != INF:
+            p = p + psi_var(1, 2 * (int(s) + 1), -1)
         return ((0,), tuple(sorted(p)))
 
     def __str__(self) -> str:
@@ -80,7 +98,7 @@ class Segment:
                 return "-inf"
             return str(int(x))
 
-        return f"[{fmt(self.r)},{fmt(self.s)}]"
+        return f"[{fmt(self[0])},{fmt(self[1])}]"
 
 
 @dataclass(frozen=True, order=True)
@@ -110,12 +128,13 @@ def compatible(s1: Segment, s2: Segment) -> bool:
     properly containing both — and equivalently the associated diagonals
     do not cross in their interiors.
     """
-    if s1.is_unit or s2.is_unit:
+    r1, e1 = s1
+    r2, e2 = s2
+    if r1 > e1 or r2 > e2:
         return True
-    for a, b in ((s1, s2), (s2, s1)):
-        if a.r < b.r and a.s < b.s and b.r <= a.s + 1:
-            return False
-    return True
+    if r1 < r2:
+        return not (e1 < e2 and r2 <= e1 + 1)
+    return not (r2 < r1 and e2 < e1 and r1 <= e2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +211,8 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
         raise ValueError(f"need r<r', s<s', r'<=s+1; got {(r, s, rp, sp)}")
     if rp in (INF, -INF) or s in (INF, -INF):
         raise ValueError("r' and s must be finite")
-    lhs = segment_qchar(Segment(r, s), d) * segment_qchar(Segment(rp, sp), d)
+    a, b = Segment(r, s), Segment(rp, sp)
+    lhs = segment_qchar(a, d) * segment_qchar(b, d)
     rhs = segment_qchar(Segment(r, sp), d) * segment_qchar(Segment(rp, s), d)
     m = int(rp - s - 2)
     corr = segment_qchar(Segment(r, rp - 2), d) * segment_qchar(
@@ -202,7 +222,7 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
     ok = lhs.matches(rhs)
     return {
         "relation": "ptolemy",
-        "segments": [str(Segment(r, s)), str(Segment(rp, sp))],
+        "segments": [str(a), str(b)],
         "depth": d,
         "ok": ok,
     }

@@ -8,6 +8,7 @@ the package's own constructors and private helpers, and the tests
 compare the package against them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -18,11 +19,14 @@ from clusterqq.gvector import (
     block_matrix,
 )
 from clusterqq.qseries import (
+    _HALF,
+    _MASK,
     Key,
     KSeries,
     Psi,
     QEvaluator,
     key_mul,
+    key_one,
     psi_mul,
     psi_var,
 )
@@ -36,7 +40,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 from clusterqq.seed import _returned, _transport, _working
-from clusterqq.sl2 import Diagonal
+from clusterqq.sl2 import INF, Diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,27 @@ def tau(s, shift: int):
     )
 
 
+def add_two_sided(a, b):
+    """``a + b`` summed over every key of both sides, a's keys first,
+    then pruned at the higher cutoff: the reference for
+    ``KSeries.__add__``, which prunes only the side with the lower one."""
+    out = dict(a._t)
+    for k, c in b._t.items():
+        out[k] = out.get(k, 0) + c
+    s = a._new(out, max(a.cut, b.cut))
+    s._prune()
+    return s
+
+
+def matches_two_sided(a, b) -> bool:
+    """Both sides pruned at the common cutoff, then compared: the
+    reference for ``KSeries.matches``."""
+    lo = max(a.cut, b.cut) + _HALF
+    x = {k: c for k, c in a._t.items() if (k + _HALF) & _MASK > lo}
+    y = {k: c for k, c in b._t.items() if (k + _HALF) & _MASK > lo}
+    return bool(x) and x == y
+
+
 def q_raw_every_r(ev, word, i: int, r: int):
     """``QEvaluator.q_raw`` without the spectral shift: each (w(ϖ_i), r)
     is solved and certified afresh."""
@@ -277,6 +302,58 @@ class EveryREvaluator(QEvaluator):
 # ---------------------------------------------------------------------------
 # sl2
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class DataclassSegment:
+    """The segment label as a frozen, ordered dataclass: the reference
+    for ``sl2.Segment``, a validating tuple."""
+
+    r: float
+    s: float
+
+    def __post_init__(self):
+        for x in (self.r, self.s):
+            if not (isinstance(x, int) or x in (INF, -INF)):
+                raise ValueError(f"bad segment endpoint {x!r}")
+        if self.r == INF or self.s == -INF:
+            if not self.is_unit:
+                raise ValueError(f"bad segment [{self.r}, {self.s}]")
+
+    @property
+    def is_unit(self) -> bool:
+        return self.r > self.s
+
+    def ell_weight(self) -> Key:
+        p = ()
+        if self.is_unit or (self.r == -INF and self.s == INF):
+            return key_one(1)
+        if self.r != -INF:
+            p = psi_var(1, 2 * int(self.r))
+        if self.s != INF:
+            p = p + psi_var(1, 2 * (int(self.s) + 1), -1)
+        return ((0,), tuple(sorted(p)))
+
+    def __str__(self) -> str:
+        def fmt(x):
+            if x == INF:
+                return "+inf"
+            if x == -INF:
+                return "-inf"
+            return str(int(x))
+
+        return f"[{fmt(self.r)},{fmt(self.s)}]"
+
+
+def compatible_each_way(s1, s2) -> bool:
+    """The crossing test read off ``r``, ``s`` and ``is_unit``, once in
+    each order: the reference for ``sl2.compatible``."""
+    if s1.is_unit or s2.is_unit:
+        return True
+    for a, b in ((s1, s2), (s2, s1)):
+        if a.r < b.r and a.s < b.s and b.r <= a.s + 1:
+            return False
+    return True
 
 
 def diagonal(seg) -> Diagonal:

@@ -7,14 +7,17 @@ failing control, whose notes are part of the digest) and
 ``bruhat_check``.  The ``qq_battery`` workload runs the A3 QQ and QQ*
 checks with a failing shift control, and its digest covers the series it
 certified; the ``rank_one`` workload runs the Ptolemy grid, the exchange
-relations and the factorizations.  Running one pass of each here makes a
-byte drift in those certificates fail the test suite, not only the
-benchmark.  ``perfbench/digests.json`` is only read.
+relations and the factorizations.  Running passes here makes a byte
+drift in those certificates fail the test suite, not only the benchmark:
+variant 0 of ``gvec_cli`` and ``minor_systems``, and all the variants of
+``qq_battery`` and ``rank_one``, the two that run the series ring.  ``perfbench/digests.json`` is only read.
 """
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -23,8 +26,10 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
-def recorded(workload: str) -> str:
-    return json.loads((PERFBENCH / "digests.json").read_text())[workload]["0"]
+def recorded(workload: str, variant: int = 0) -> str:
+    return json.loads((PERFBENCH / "digests.json").read_text())[workload][
+        str(variant)
+    ]
 
 
 def test_gvec_cli_variant_0_matches_its_digest():
@@ -47,19 +52,21 @@ def test_minor_systems_variant_0_matches_its_digest():
     assert worker.digest(done.certs, done.extra()) == recorded("minor_systems")
 
 
-def test_qq_battery_variant_0_matches_its_digest():
-    done = workloads.qq_battery(workloads.inputs("qq_battery", 0))
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_qq_battery_matches_its_digest(variant):
+    done = workloads.qq_battery(workloads.inputs("qq_battery", variant))
     relations = [c["relation"] for c in done.certs]
     assert relations == ["qq"] * 6 + ["qq-shift-control"] + ["qqstar"] * 4
     assert [c for c in done.certs if not workloads.expected(c)] == []
     assert not done.certs[6]["ok"]
-    assert worker.digest(done.certs, done.extra()) == recorded("qq_battery")
+    assert worker.digest(done.certs, done.extra()) == recorded("qq_battery", variant)
 
 
-def test_rank_one_variant_0_matches_its_digest():
-    done = workloads.rank_one(workloads.inputs("rank_one", 0))
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_rank_one_matches_its_digest(variant):
+    done = workloads.rank_one(workloads.inputs("rank_one", variant))
     relations = [c["relation"] for c in done.certs]
     assert relations[:715] == ["ptolemy"] * 715
     assert relations[-1000:] == ["factorization"] * 1000
     assert [c for c in done.certs if not workloads.expected(c)] == []
-    assert worker.digest(done.certs, done.extra()) == recorded("rank_one")
+    assert worker.digest(done.certs, done.extra()) == recorded("rank_one", variant)

@@ -422,6 +422,38 @@ class TestCertificates:
         (cert,) = json_lines(result.stdout)
         assert cert["ok"] and cert["relation"] == "ptolemy"
 
+    @pytest.mark.parametrize(
+        "args, stdout",
+        [
+            (
+                ["sl2", "factor", "2:1 4:1 -3:-1 -5:-1"],
+                '{"input": "2:1 4:1 -3:-1 -5:-1", "ok": true, '
+                '"pairwise_compatible": true, "relation": "factorization", '
+                '"segments": ["[-inf,-6]", "[-inf,-4]", "[2,+inf]", "[4,+inf]"]}\n',
+            ),
+            (
+                ["sl2", "factor", "0:2 3:-1 1:-2 5:1"],
+                '{"input": "0:2 3:-1 1:-2 5:1", "ok": true, '
+                '"pairwise_compatible": true, "relation": "factorization", '
+                '"segments": ["[-inf,2]", "[0,0]", "[0,0]", "[5,+inf]"]}\n',
+            ),
+            (
+                ["sl2", "ptolemy", "-inf", "2", "0", "5"],
+                '{"depth": 6, "ok": true, "relation": "ptolemy", '
+                '"segments": ["[-inf,2]", "[0,5]"]}\n',
+            ),
+            (
+                ["sl2", "ptolemy", "-3", "0", "1", "inf", "--depth", "3"],
+                '{"depth": 3, "ok": true, "relation": "ptolemy", '
+                '"segments": ["[-3,0]", "[1,+inf]"]}\n',
+            ),
+        ],
+    )
+    def test_sl2_json_stdout_with_infinite_ends(self, runner, args, stdout):
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 0
+        assert result.stdout == stdout
+
     def test_wronskian_check(self, runner):
         result = runner.invoke(
             main,

@@ -27,7 +27,16 @@ from clusterqq.rootsys import (
     fundamental_weight,
     simple_root,
 )
-from oracles import a_monomial, ht, key_inv, max_ht, tau, y_monomial
+from oracles import (
+    a_monomial,
+    add_two_sided,
+    ht,
+    key_inv,
+    matches_two_sided,
+    max_ht,
+    tau,
+    y_monomial,
+)
 
 
 def rs(name):
@@ -130,6 +139,25 @@ class TestSeries:
         # common cutoff -2: neither side has a term above it
         assert not low.matches(empty) and not empty.matches(low)
         assert low.matches(low.clamped(Fraction(-4)))
+
+    def test_inverse_of_a_non_unique_top_raises(self, monkeypatch):
+        # two terms at height 0; a _top that returns one of them leaves
+        # the other in eps at height 0, where its powers never vanish
+        x = one(A1) + mono(A1, ((0,), psi_var(1, 0)))
+        first = next(iter(x._t.items()))
+        monkeypatch.setattr(KSeries, "_top", lambda self: first)
+        products = []
+        real_mul = KSeries.__mul__
+
+        def bounded_mul(a, b):
+            products.append(1)
+            assert len(products) < 50, "inverse kept multiplying"
+            return real_mul(a, b)
+
+        monkeypatch.setattr(KSeries, "__mul__", bounded_mul)
+        with pytest.raises(TruncationError, match="not the only one"):
+            x.inverse()
+        assert products == []
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_cutoff_off_the_height_lattice_is_rejected(self, name):
@@ -337,6 +365,7 @@ class TestPrunedInvariant:
         r = rs(name)
         a, b = data.draw(small_series(r)), data.draw(small_series(r))
         cut = Fraction(data.draw(st.integers(-12, 2)), r.height_functional[0])
+        # a * b builds the kept orders of a and b before the rest run
         results = [a, a * b, a + b, a - b, -a, a.clamped(cut)]
         results.append(a.mul_monomial(a_inv(r, 1, 0)))
         try:  # a unique leading term with coefficient ±1
@@ -347,6 +376,78 @@ class TestPrunedInvariant:
             assert all(
                 c and ht(s, k) > s.cutoff2 for k, c in s.terms.items()
             ), s
+            assert s._order() == fresh_order(s), s
+
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_product_does_not_depend_on_a_kept_order(self, name, data):
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        first = a * b  # sorts b
+        for p in (a * b, a * copy_of(b), copy_of(a) * copy_of(b)):
+            assert decoded(p) == decoded(first)
+            assert list(p._t.items()) == list(first._t.items())
+
+
+def fresh_order(s):
+    """The terms of ``s`` as (height, key, coefficient), sorted now; the
+    height in the integer scale, from the decoded key."""
+    den = s._cx.den
+    return sorted(
+        ((int(ht(s, s._cx.unpack(k)) * den), k, c) for k, c in s._t.items()),
+        reverse=True,
+    )
+
+
+def copy_of(s):
+    """A new series with the terms and cutoff of ``s`` and no kept order."""
+    return KSeries(s.rs, dict(s.terms.items()), s.cutoff2)
+
+
+class TestOneSidedPruning:
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_equals_the_two_sided_sum(self, name, data):
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        assume(a.cut != b.cut)
+        for x, y in ((a, b), (b, a), (a, -a.clamped(b.cutoff2))):
+            got, want = x + y, add_two_sided(x, y)
+            assert got.cut == want.cut
+            # x's keys first, then y's new ones
+            assert list(got._t.items()) == list(want._t.items())
+
+    @pytest.mark.parametrize("name", ["A1", "A3"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_equals_the_two_sided_comparison(self, name, data):
+        r = rs(name)
+        a, b = data.draw(small_series(r)), data.draw(small_series(r))
+        assume(a.cut != b.cut)
+        zero = KSeries.zero(r, data.draw(st.sampled_from([b.cutoff2, a.cutoff2])))
+        pairs = [(a, b), (a, a.clamped(b.cutoff2)), (a, a + b - b), (a, zero)]
+        for x, y in pairs + [(y, x) for x, y in pairs]:
+            assert x.matches(y) == matches_two_sided(x, y), (x, y)
+
+    @pytest.mark.parametrize(
+        "x, y, same",
+        [
+            # both empty, at unequal cutoffs
+            (KSeries.zero(A1, Fraction(-2)), KSeries.zero(A1, Fraction(-6)), False),
+            # one side empty
+            (KSeries.zero(A3, Fraction(-6)), one(A3, depth=2), False),
+            # one side's terms all at or below the other's cutoff
+            (mono(A3, a_inv(A3, 2, 0), depth=3), KSeries.zero(A3, Fraction(-2)), False),
+            (mono(A3, a_inv(A3, 2, 0), depth=3), one(A3, depth=1), False),
+            # equal above the higher cutoff, different below it
+            (one(A1) + mono(A1, a_inv(A1, 1, 0)), one(A1, depth=1), True),
+        ],
+    )
+    def test_named_matches(self, x, y, same):
+        for p, q in ((x, y), (y, x)):
+            assert p.matches(q) == matches_two_sided(p, q) == same
 
 
 # ---------------------------------------------------------------------------

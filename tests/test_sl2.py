@@ -1,7 +1,10 @@
 """Rank-one segments, Ptolemy exchange, and unique compatible factorization."""
 
+import copy
 import hashlib
 import itertools
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from clusterqq.qseries import (
     psi_var,
 )
 from clusterqq.rootsys import RootSystem, fundamental_weight
+from clusterqq import sl2
 from clusterqq.sl2 import (
     INF,
     Diagonal,
@@ -33,7 +37,16 @@ from clusterqq.sl2 import (
     x_minus,
     x_plus,
 )
-from oracles import a_monomial, crosses, diagonal, ht, key_inv, max_ht
+from oracles import (
+    DataclassSegment,
+    a_monomial,
+    compatible_each_way,
+    crosses,
+    diagonal,
+    ht,
+    key_inv,
+    max_ht,
+)
 
 A1 = RootSystem.from_name("A1")
 
@@ -210,6 +223,91 @@ class TestSegmentSeries:
             key, coeff = segment_qchar(seg, 5).top()
             assert coeff == 1
             assert key == seg.ell_weight()
+
+
+# every segment label with ends in -5..5 and ±∞, bad pairs included
+ENDS = [-INF, *range(-5, 6), INF]
+END_PAIRS = list(itertools.product(ENDS, ENDS))
+
+
+def labels(cls):
+    out = []
+    for r, s in END_PAIRS:
+        try:
+            out.append(cls(r, s))
+        except ValueError:
+            pass
+    return out
+
+
+class TestSegmentFace:
+    def test_repr_str_and_keywords(self):
+        seg = Segment(r=0, s=3)
+        assert seg == Segment(0, 3) and (seg.r, seg.s) == (0, 3)
+        assert repr(seg) == "Segment(r=0, s=3)" and str(seg) == "[0,3]"
+        assert repr(Segment(-INF, 2)) == "Segment(r=-inf, s=2)"
+        assert str(Segment(-INF, INF)) == "[-inf,+inf]"
+
+    def test_is_a_tuple_that_survives_copies(self):
+        seg = Segment(-INF, 4)
+        assert isinstance(seg, tuple) and tuple(seg) == (-INF, 4)
+        for back in (pickle.loads(pickle.dumps(seg)), copy.deepcopy(seg)):
+            assert type(back) is Segment and back == seg
+
+    @pytest.mark.parametrize(
+        "ends, message",
+        [
+            ((0.5, 1), "bad segment endpoint 0.5"),
+            ((1, 2.0), "bad segment endpoint 2.0"),
+            ((None, 1), "bad segment endpoint None"),
+            ((0, "3"), "bad segment endpoint '3'"),
+            ((INF, INF), "bad segment [inf, inf]"),
+            ((-INF, -INF), "bad segment [-inf, -inf]"),
+        ],
+    )
+    def test_every_error_message(self, ends, message):
+        for cls in (Segment, DataclassSegment):
+            with pytest.raises(ValueError) as err:
+                cls(*ends)
+            assert str(err.value) == message
+
+    def test_face_equals_the_dataclass_oracle(self):
+        # the same labels are valid, with the same repr, str, hash,
+        # unit flag and top monomial
+        segs, refs = labels(Segment), labels(DataclassSegment)
+        assert len(segs) == len(refs) == 13 * 13 - 2  # not [∞, ∞], [-∞, -∞]
+        for seg, ref in zip(segs, refs):
+            assert (seg.r, seg.s) == (ref.r, ref.s)
+            assert repr(seg) == repr(ref).replace("DataclassSegment", "Segment")
+            assert str(seg) == str(ref)
+            assert hash(seg) == hash(ref)
+            assert seg.is_unit == ref.is_unit
+            assert seg.ell_weight() == ref.ell_weight()
+
+    def test_sorted_and_compatible_equal_the_oracles(self):
+        segs, refs = labels(Segment), labels(DataclassSegment)
+        order = list(range(len(segs)))
+        random.Random(0).shuffle(order)
+        assert [tuple(x) for x in sorted(segs[k] for k in order)] == [
+            (x.r, x.s) for x in sorted(refs[k] for k in order)
+        ]
+        for (s1, r1), (s2, r2) in itertools.product(zip(segs, refs), repeat=2):
+            assert compatible(s1, s2) == compatible_each_way(r1, r2), (s1, s2)
+
+    def test_checks_look_up_the_class_memo_by_name(self, monkeypatch):
+        # the tracer and the failing twins replace sl2.segment_qchar
+        asked = []
+        real = sl2.segment_qchar
+
+        def recording(seg, d=6):
+            asked.append(seg)
+            return real(seg, d)
+
+        monkeypatch.setattr(sl2, "segment_qchar", recording)
+        assert ptolemy_check(-INF, 1, 0, 3, 4)["ok"]
+        assert len(asked) == 6
+        diagonal_variable(Diagonal(-1, 3), 4)
+        assert asked[-1] == Segment(-1, 1)
 
 
 class TestCompatibility:
