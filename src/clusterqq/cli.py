@@ -44,7 +44,7 @@ from .quiver import (
 )
 from .rootsys import (
     RootSystem,
-    coxeter_data_from_word,
+    coxeter_data,
     is_reduced,
     longest_element,
 )
@@ -123,9 +123,9 @@ def _parse_end(tok: str) -> float:
 def _window(type_: str, coxeter: str | None, depth_below: int = 8, margin: int = 2):
     """The Coxeter window of the raw ``--type`` and ``--coxeter`` values."""
     rs = _root_system(type_)
-    datum = coxeter_data_from_word(rs, _coxeter_word(rs, coxeter))
+    datum = coxeter_data(rs, _coxeter_word(rs, coxeter))
     try:
-        return build_coxeter_quiver(rs, datum, depth_below=depth_below, margin=margin)
+        return build_coxeter_quiver(datum, depth_below=depth_below, margin=margin)
     except ValueError as exc:  # MarginError, or an empty window
         raise click.UsageError(f"bad window: {exc}")
 

@@ -62,6 +62,7 @@ label (word, i, r) of each window vertex's Q-variable comes from
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -184,16 +185,19 @@ class KeyCodec:
         return k
 
     def unpack(self, k: int) -> Key:
-        fields = []
-        while k:
-            f = ((k + _HALF) & _MASK) - _HALF
-            fields.append(f)
-            k = (k - f) >> FIELD_BITS
-        fields += [0] * (1 + self.n - len(fields))
+        """The key (λ, Ψ) of ``k``, read in one pass from its biased bytes,
+        the layout :meth:`tau` reads: field f is the unsigned 32-bit
+        (FIELD_BITS) word f of ``k + guard``, less 2^31."""
+        count = 1 + self.n + len(self.vertices)
+        biased = (k + self.guard).to_bytes(4 * count, "little")
+        fields = struct.unpack(f"<{count}I", biased)
+        lam = tuple(f - _HALF for f in fields[1:1 + self.n])
         psi = sorted(
-            (self.vertices[j], e) for j, e in enumerate(fields[1 + self.n:]) if e
+            (self.vertices[j], f - _HALF)
+            for j, f in enumerate(fields[1 + self.n:])
+            if f != _HALF
         )
-        return tuple(fields[1:1 + self.n]), tuple(psi)
+        return lam, tuple(psi)
 
     def tau(self, t: dict, s: int) -> dict:
         """The terms ``t`` with each Ψ field (j, b) moved to (j, b + s).
@@ -377,14 +381,14 @@ class KSeries:
         return order[0][0] if order else self.cut
 
     def _top(self) -> tuple[int, int]:
-        if not self._t:
+        order = self._order()
+        if not order:
             raise TruncationError("series has no terms above its cutoff")
-        h = self._max_h()
-        tops = [k for k in self._t if _height(k) == h]
-        if len(tops) != 1:
-            keys = [self._cx.unpack(k) for k in tops]
+        h, top, c = order[0]
+        if len(order) > 1 and order[1][0] == h:
+            keys = [self._cx.unpack(k) for k in self._t if _height(k) == h]
             raise TruncationError(f"leading term is not unique: {keys}")
-        return tops[0], self._t[tops[0]]
+        return top, c
 
     def top(self) -> tuple[Key, int]:
         """The unique term of maximal height, as (key, coefficient)."""

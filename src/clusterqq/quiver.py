@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rootsys import CoxeterDatum, RootSystem, coxeter_data, is_reduced
+from .rootsys import CoxeterDatum, RootSystem, is_reduced
 
 Vertex = tuple[int, int]
 Arrow = tuple[Vertex, Vertex]
@@ -438,12 +438,9 @@ class CoxeterWindow:
 
 
 def build_coxeter_quiver(
-    rs: RootSystem,
-    orientation: Sequence | CoxeterDatum,
-    depth_below: int = 8,
-    margin: int = 2,
+    datum: CoxeterDatum, depth_below: int = 8, margin: int = 2
 ) -> CoxeterWindow:
-    """Coxeter quiver with highest red vertex at height 0.
+    """The Coxeter quiver of the datum, with highest red vertex at height 0.
 
     The reflection pattern is processed top-down by the heights
     ``-l(i) - 2k`` for ``k < m_i``.  Each insertion moves the column below it
@@ -452,10 +449,7 @@ def build_coxeter_quiver(
     below the band; its top is at height 2.  The finite core is the
     restriction of the quiver to the band and the rim above it.
     """
-    if isinstance(orientation, CoxeterDatum):
-        datum = orientation
-    else:
-        datum = coxeter_data(rs, orientation)
+    rs = datum.rs
     band_bottom = min(
         -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, rs.n + 1)
     )

@@ -19,6 +19,9 @@ fundamental-weight basis.  Conventions:
 * Lengths, reduced words, w_0 and Coxeter orbits need no roots.  With
   u = w⁻¹(ρ), ρ = (1, ..., 1), one has w(α_i) > 0 iff u_i > 0, so
   ℓ(w s_i) = ℓ(w) ± 1 by the sign of u_i, and w s_i has u = s_i(u).
+* A Coxeter element is named by a word listing each node once, and
+  ``coxeter_data`` is its one constructor.  The height function l that
+  it derives is all the orientation data a Coxeter window reads.
 * The exact matrix kernels live here and nowhere else: ``_minor``, one
   memoized Laplace determinant over any commutative ring; ``_adjugate``,
   adj A and det A from cofactors sharing one minor memo (the Cartan
@@ -379,12 +382,18 @@ def coxeter_orbit(c: WeylElement, i: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CoxeterDatum:
-    """A Coxeter element adapted to an orientation of the Dynkin graph."""
+    """A Coxeter element c = s_{w1}⋯s_{wn} with its height function.
+
+    On each Dynkin edge l rises by 1 towards the letter that comes later
+    in the word, and its least value is 0.  Every order of the nodes by
+    increasing l is a word of c, so the word is kept as given but plays
+    no role in equality: two words of one Coxeter element give equal data
+    with one hash.
+    """
 
     rs: RootSystem
-    orientation: tuple[tuple[int, int], ...]  # directed edges i -> j
     c: WeylElement
-    word: tuple[int, ...]  # adapted reduced word for c
+    word: tuple[int, ...] = field(compare=False)
     l: tuple[int, ...]  # height function, min value 0
     m: tuple[int, ...]  # per-node exponents m_i
     h_c: int
@@ -399,86 +408,27 @@ class CoxeterDatum:
         return tuple(x % 2 for x in self.l)
 
 
-def parse_orientation(rs: RootSystem, spec: Sequence) -> tuple[tuple[int, int], ...]:
-    """Normalize an orientation given as (i, j) pairs or "i->j" strings."""
-    out = []
-    for e in spec:
-        if isinstance(e, str):
-            a, b = e.split("->")
-            out.append((int(a), int(b)))
-        else:
-            i, j = e
-            out.append((int(i), int(j)))
-    undirected = {frozenset(p) for p in out}
-    expected = {frozenset(e) for e in rs.edges()}
-    if undirected != expected or len(out) != len(rs.edges()):
-        raise ValueError("orientation must direct every Dynkin edge exactly once")
-    return tuple(out)
-
-
-def orientation_from_word(rs: RootSystem, word: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The orientation to which the Coxeter word s_{w1}...s_{wn} is adapted.
-
-    The last letter must be a source; reflecting at it exposes the next
-    letter as a source, and so on.  Each edge {i, j} is oriented j -> i if i
-    occurs after j in the word read right-to-left... concretely: the letter
-    occurring *later* in the word is the source of its incident edges among
-    earlier letters.
-    """
+def coxeter_data(rs: RootSystem, word: Sequence[int]) -> CoxeterDatum:
+    """The Coxeter datum of a word that lists each node exactly once."""
     word = tuple(word)
     if sorted(word) != list(range(1, rs.n + 1)):
         raise ValueError("a Coxeter word lists each node exactly once")
     pos = {i: k for k, i in enumerate(word)}
-    # i_n (last) is a source of Q: arrows point away from later letters
-    return tuple(
-        (i, j) if pos[i] > pos[j] else (j, i) for i, j in rs.edges()
-    )
-
-
-def coxeter_data(rs: RootSystem, orientation: Sequence) -> CoxeterDatum:
-    orientation = parse_orientation(rs, orientation)
-
-    # adapted word, built from the right: the last letter is a source of Q,
-    # the previous one a source of the reflected quiver, etc.
-    arrows = set(orientation)
-    letters_rev: list[int] = []
-    remaining = set(range(1, rs.n + 1))
-    while remaining:
-        sources = sorted(
-            i for i in remaining if not any(a[1] == i and a[0] in remaining for a in arrows)
-        )
-        i = sources[0]
-        letters_rev.append(i)
-        remaining.discard(i)
-        arrows = {(b, a) if i in (a, b) else (a, b) for a, b in arrows}
-    word = tuple(reversed(letters_rev))
-    c = weyl_from_word(rs, word)
-    if c.length != rs.n:
-        raise AssertionError("adapted word is not reduced")
-
-    # height function: l(i) = l(j) + 1 along each arrow i -> j, min value 0
-    l = [None] * rs.n
-    l[0] = 0
-    pending = [1]
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, rs.n + 1)}
-    for a, b in orientation:
-        adj[a].append((b, -1))  # l(b) = l(a) - 1
-        adj[b].append((a, +1))
-    while pending:
-        i = pending.pop()
-        for j, delta in adj[i]:
+    # one walk of the Dynkin tree from node 1
+    l: list = [0] + [None] * (rs.n - 1)
+    stack = [1]
+    while stack:
+        i = stack.pop()
+        for j in rs.neighbors(i):
             if l[j - 1] is None:
-                l[j - 1] = l[i - 1] + delta
-                pending.append(j)
+                l[j - 1] = l[i - 1] + (1 if pos[j] > pos[i] else -1)
+                stack.append(j)
     low = min(l)
     l = tuple(x - low for x in l)
 
+    c = weyl_from_word(rs, word)
     m = tuple(len(coxeter_orbit(c, i)) - 1 for i in range(1, rs.n + 1))
     assert sum(m) == rs.num_positive_roots
 
     h_c = -max(l[i - 1] + 2 * m[i - 1] - 1 for i in range(1, rs.n + 1))
-    return CoxeterDatum(rs, orientation, c, word, l, m, h_c)
-
-
-def coxeter_data_from_word(rs: RootSystem, word: Sequence[int]) -> CoxeterDatum:
-    return coxeter_data(rs, orientation_from_word(rs, word))
+    return CoxeterDatum(rs, c, word, l, m, h_c)

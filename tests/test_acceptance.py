@@ -82,18 +82,16 @@ def rs(name):
     return RootSystem.from_name(name)
 
 
-ORIENTATIONS = {
-    "A1": [],
-    "A2": ["2->1"],
-    "A3": ["2->1", "3->2"],
-    "D4": ["2->1", "2->3", "2->4"],
+WORDS = {
+    "A1": (1,),
+    "A2": (1, 2),
+    "A3": (1, 2, 3),
+    "D4": (1, 3, 4, 2),
 }
 
 
 def window(name, depth):
-    return build_coxeter_quiver(
-        rs(name), ORIENTATIONS[name], depth_below=depth
-    )
+    return build_coxeter_quiver(coxeter_data(rs(name), WORDS[name]), depth_below=depth)
 
 
 class Budget:
@@ -127,7 +125,7 @@ def reduced_words(r, w):
 class TestBlockTables:
     def test_rank_two_tables_verbatim(self):
         budget = Budget(1.0)
-        d = coxeter_data(rs("A2"), ["2->1"])
+        d = coxeter_data(rs("A2"), (1, 2))
         t1 = ((-1, 0), (1, 1))
         t2 = ((1, 1), (0, -1))
         assert slice_matrix(d, -1) == t1
@@ -620,7 +618,7 @@ class TestQuiverLaws:
     def test_thousand_randomized_cases(self):
         rng = random.Random(12)
         windows = {
-            name: build_coxeter_quiver(rs(name), ORIENTATIONS[name]).quiver
+            name: build_coxeter_quiver(coxeter_data(rs(name), WORDS[name])).quiver
             for name in ("A2", "A3", "D4")
         }
         cases = 0

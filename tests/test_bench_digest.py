@@ -2,15 +2,17 @@
 
 The ``gvec_cli`` workload of ``perfbench/`` runs the g-vector, sweep and
 seed-mutation commands through the CLI; its digest covers every byte they
-print.  The ``minor_systems`` workload runs ``check_wronskian`` (with its
-failing control, whose notes are part of the digest) and
-``bruhat_check``.  The ``qq_battery`` workload runs the A3 QQ and QQ*
-checks with a failing shift control, and its digest covers the series it
-certified; the ``rank_one`` workload runs the Ptolemy grid, the exchange
-relations and the factorizations.  Running passes here makes a byte
-drift in those certificates fail the test suite, not only the benchmark:
-variant 0 of ``gvec_cli`` and ``minor_systems``, and all the variants of
-``qq_battery`` and ``rank_one``, the two that run the series ring.  ``perfbench/digests.json`` is only read.
+print.  Each of its variants shuffles the E7, E8, D4 and E6 Coxeter words,
+so its variants pin the windows of 128 words.  The ``minor_systems``
+workload runs ``check_wronskian`` (with its failing control, whose notes
+are part of the digest) and ``bruhat_check``.  The ``qq_battery`` workload
+runs the A3 QQ and QQ* checks with a failing shift control, and its
+digest covers the series it certified; the ``rank_one`` workload runs the
+Ptolemy grid, the exchange relations and the factorizations.  Running
+passes here makes a byte drift in those certificates fail the test suite,
+not only the benchmark: variant 0 of ``minor_systems``, and all the
+variants of ``gvec_cli``, ``qq_battery`` and ``rank_one``.
+``perfbench/digests.json`` is only read.
 """
 
 import json
@@ -32,14 +34,15 @@ def recorded(workload: str, variant: int = 0) -> str:
     ]
 
 
-def test_gvec_cli_variant_0_matches_its_digest():
-    done = workloads.gvec_cli(workloads.inputs("gvec_cli", 0))
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_gvec_cli_matches_its_digest(variant):
+    done = workloads.gvec_cli(workloads.inputs("gvec_cli", variant))
     relations = [c["relation"] for c in done.certs]
     assert relations == (
         ["gvec-compare"] * 2 + ["green-sweep"] * 30 + ["seed-mutation"] * 36
     )
     assert [c for c in done.certs if not workloads.expected(c)] == []
-    assert worker.digest(done.certs, done.extra()) == recorded("gvec_cli")
+    assert worker.digest(done.certs, done.extra()) == recorded("gvec_cli", variant)
 
 
 def test_minor_systems_variant_0_matches_its_digest():

@@ -19,7 +19,7 @@ from clusterqq.cli import Reporter, main
 from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
 from clusterqq.qseries import FIELD_BITS, QEvaluator
 from clusterqq.quiver import build_coxeter_quiver, quiver_to_json
-from clusterqq.rootsys import RootSystem, coxeter_data_from_word
+from clusterqq.rootsys import RootSystem, coxeter_data
 
 
 @pytest.fixture()
@@ -34,7 +34,7 @@ def json_lines(output):
 def default_window(name, word=None):
     rs = RootSystem.from_name(name)
     word = tuple(range(1, rs.n + 1)) if word is None else word
-    return build_coxeter_quiver(rs, coxeter_data_from_word(rs, word))
+    return build_coxeter_quiver(coxeter_data(rs, word))
 
 
 class TestUsage:
@@ -699,6 +699,47 @@ class TestGoldenCombinatorics:
         )
         assert result.exit_code == 2
         assert f"Error: {message}\n" in result.output
+
+
+# two words of one Coxeter element each: they differ by commuting letters
+COMMUTATION_PAIRS = {
+    "A3": ("1,3,2", "3,1,2"),
+    "D4": ("1,3,4,2", "4,1,3,2"),
+    "E6": ("6,5,4,3,2,1", "6,5,4,2,3,1"),
+}
+
+
+class TestCommutationClass:
+    """A window is named by its Coxeter element, not by the word: both
+    words of a pair give equal data and byte-identical output."""
+
+    @pytest.mark.parametrize("name", sorted(COMMUTATION_PAIRS))
+    def test_both_words_print_the_same_bytes(self, runner, name):
+        one, two = COMMUTATION_PAIRS[name]
+        rs = RootSystem.from_name(name)
+        words = [tuple(map(int, w.split(","))) for w in (one, two)]
+        assert coxeter_data(rs, words[0]) == coxeter_data(rs, words[1])
+        greens = [
+            f"{i},{r}" for i, r in default_window(name, words[0]).green_sequence()
+        ]
+        commands = [
+            ["quiver", "build"],
+            ["quiver", "mutate", "--vertex", greens[0]],
+            ["gvec", "knit"],
+            ["gvec", "braid"],
+            ["gvec", "blocks"],
+            ["gvec", "compare", "--json"],
+            ["seed", "sweep", "--sweeps", "2", "--json"],
+            ["seed", "mutate", "--vertex", greens[0], "--vertex", greens[1], "--json"],
+            ["f-eval", "--json"],
+        ]
+        for args in commands:
+            a, b = (
+                runner.invoke(main, [*args, "--type", name, "--coxeter", word])
+                for word in (one, two)
+            )
+            assert a.exit_code == b.exit_code == 0, args
+            assert a.stdout and a.stdout == b.stdout, args
 
 
 LISTINGS = {

@@ -30,7 +30,6 @@ from clusterqq.rootsys import (
     RootSystem,
     _identity,
     coxeter_data,
-    coxeter_data_from_word,
 )
 from oracles import (
     f_label,
@@ -56,23 +55,21 @@ def e(*vs):
     return g
 
 
-A2 = coxeter_data(rs("A2"), ["2->1"])
-A3 = coxeter_data(rs("A3"), ["2->1", "3->2"])
+A2 = coxeter_data(rs("A2"), (1, 2))
+A3 = coxeter_data(rs("A3"), (1, 2, 3))
 
-ORIENTATIONS = {
-    "A2": ["2->1"],
-    "A3": ["2->1", "3->2"],
-    "A3r": ["1->2", "2->3"],
-    "D4": ["2->1", "2->3", "2->4"],
-    "D5": ["2->1", "3->2", "4->3", "5->3"],
+WORDS = {
+    "A2": (1, 2),
+    "A3": (1, 2, 3),
+    "A3r": (3, 2, 1),
+    "D4": (1, 3, 4, 2),
+    "D5": (1, 2, 3, 4, 5),
 }
 
 
 def window(key, depth=8):
     name = key.rstrip("r")
-    return build_coxeter_quiver(
-        rs(name), ORIENTATIONS[key], depth_below=depth
-    )
+    return build_coxeter_quiver(coxeter_data(rs(name), WORDS[key]), depth_below=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,7 @@ class TestRankThree:
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("key", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("key", sorted(WORDS))
     def test_knit_equals_blocks(self, key):
         cw = window(key)
         knit = knit_gvectors(cw.quiver)
@@ -248,7 +245,7 @@ class TestAgreement:
         for v in knit:
             assert knit[v] == blocks[v], v
 
-    @pytest.mark.parametrize("key", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("key", sorted(WORDS))
     def test_braid_equals_knit_on_greens(self, key):
         cw = window(key)
         knit = knit_gvectors(cw.quiver)
@@ -270,7 +267,7 @@ class TestAgreement:
     def test_green_word_reduced_longest_everywhere(self):
         from clusterqq.rootsys import longest_element, weyl_from_word
 
-        for key in sorted(ORIENTATIONS):
+        for key in sorted(WORDS):
             cw = window(key)
             word = tuple(v[0] for v in cw.green_sequence())
             w = weyl_from_word(cw.datum.rs, word)
@@ -284,7 +281,7 @@ class TestAgreement:
 
 
 class TestMesh:
-    @pytest.mark.parametrize("key", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("key", sorted(WORDS))
     def test_mesh_on_all_eligible_greens(self, key):
         cw = window(key)
         g = knit_gvectors(cw.quiver)
@@ -399,7 +396,7 @@ def coxeter_windows(name):
     """The Coxeter windows of the words of :func:`coxeter_words`."""
     r = rs(name)
     return [
-        build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=4)
+        build_coxeter_quiver(coxeter_data(r, w), depth_below=4)
         for w in coxeter_words(r)
     ]
 
@@ -411,7 +408,7 @@ class TestBandMemo:
         # a green vertex in the built window, for every Coxeter word
         r = rs(name)
         for w in coxeter_words(r, 6):
-            cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
+            cw = build_coxeter_quiver(coxeter_data(r, w), depth_below=2)
             lowest = min(cw.slice_index(v) for v in cw.quiver.greens())
             assert cw.datum.h_c == lowest, w
 
@@ -419,7 +416,7 @@ class TestBandMemo:
     def test_green_slice_nodes_equal_the_scan(self, name):
         r = rs(name)
         for w in coxeter_words(r):
-            d = coxeter_data_from_word(r, w)
+            d = coxeter_data(r, w)
             for m in range(d.h_c - 2, 2):
                 assert green_slice_nodes(d, m) == green_slice_nodes_scan(d, m), (w, m)
 
@@ -441,7 +438,7 @@ class TestBandMemo:
     @pytest.mark.parametrize("name", MEMO_TYPES)
     def test_adjugate_of_every_stable_block(self, name):
         windows = coxeter_windows(name) + [
-            window(key) for key in ORIENTATIONS if key.rstrip("r") == name
+            window(key) for key in WORDS if key.rstrip("r") == name
         ]
         for cw in windows:
             for m in cw.slice_range():
@@ -459,7 +456,7 @@ class TestBandMemo:
         # one slice's column operations; rebuilding every block per sweep
         # would be quadratic in K
         r = rs("D4")
-        d = coxeter_data_from_word(r, (1, 2, 3, 4))
+        d = coxeter_data(r, (1, 2, 3, 4))
         calls = []
 
         def counted(datum, m):
@@ -560,9 +557,7 @@ class TestSweepWalk:
         )
         assert result.exit_code == 0
         # the window of `seed sweep`: depth below 10 + 2 per sweep
-        cw = build_coxeter_quiver(
-            rs("D4"), coxeter_data_from_word(rs("D4"), (1, 2, 3, 4)), depth_below=50
-        )
+        cw = build_coxeter_quiver(coxeter_data(rs("D4"), (1, 2, 3, 4)), depth_below=50)
         changes = range_changes(cw, 20)
         assert sorted(calls) == sorted(m for m, ks in changes.items() for _ in ks)
         # 174 of them; one per slice and sweep count would be 680
@@ -595,7 +590,7 @@ class TestBraidColumns:
         words = coxeter_words(r)
         assert len(words) >= min(3, math.factorial(r.n))
         for w in words:
-            cw = build_coxeter_quiver(r, coxeter_data_from_word(r, w), depth_below=2)
+            cw = build_coxeter_quiver(coxeter_data(r, w), depth_below=2)
             assert braid_gvectors(cw) == oracle_braid(cw), w
 
 

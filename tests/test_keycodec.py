@@ -1,5 +1,6 @@
 """Packed series keys: the codec against the tuple key API as oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,33 @@ class TestCodec:
             cx.pack(((0, 0, 0), psi_var(1 + r % 3, r, 5)))
         assert [cx.unpack(k) for k in packed] == old
         assert [cx.pack(k) for k in old] == packed
+
+
+class TestWideCodec:
+    def test_roundtrip_past_300_psi_fields(self):
+        # as many Ψ fields as an E8 depth-3 QQ battery opens, with every
+        # key packed before the later fields were opened decoded again
+        e8 = RootSystem.from_name("E8")
+        cx = KeyCodec(e8)
+        vertices = [(i, r) for r in range(-40, 0) for i in range(1, 9)]
+        rng = random.Random(318)
+        extremes = [LIMIT - 1, -(LIMIT - 1), 1, -1]
+        keys = [key_one(8), ((0,) * 8, ((vertices[-1], -(LIMIT - 1)),))]
+        for _ in range(200):
+            lam = tuple(rng.randint(-1000, 1000) for _ in range(8))
+            chosen = rng.sample(vertices, rng.randint(0, 12))
+            psi = tuple(
+                sorted((v, rng.choice(extremes + [rng.randint(-999, 999) or 7]))
+                       for v in chosen)
+            )
+            keys.append((lam, psi))
+        packed = [cx.pack(k) for k in keys]
+        for v in vertices:
+            cx.pack(((0,) * 8, ((v, 1),)))
+        assert len(cx.vertices) > 300
+        assert [cx.unpack(k) for k in packed] == keys
+        for a, b, ka, kb in zip(keys, keys[1:], packed, packed[1:]):
+            assert cx.unpack(ka + kb) == key_mul(a, b)
 
 
 class TestOverflow:

@@ -24,6 +24,7 @@ from clusterqq.qseries import (
 from clusterqq.quiver import build_coxeter_quiver
 from clusterqq.rootsys import (
     RootSystem,
+    coxeter_data,
     fundamental_weight,
     simple_root,
 )
@@ -139,6 +140,18 @@ class TestSeries:
         # common cutoff -2: neither side has a term above it
         assert not low.matches(empty) and not empty.matches(low)
         assert low.matches(low.clamped(Fraction(-4)))
+
+    def test_top_reads_the_kept_order(self):
+        low = mono(A1, ((-2,), psi_var(1, 4, 3)))
+        x = one(A1) + low
+        assert x.top() == (key_one(1), 1)
+        assert x._ordered is not None
+        assert (x * low).top() == (((-2,), psi_var(1, 4, 3)), 1)
+        with pytest.raises(TruncationError, match="no terms above its cutoff"):
+            KSeries.zero(A1, Fraction(-4)).top()
+        tied = x + mono(A1, ((0,), psi_var(1, 0)), coeff=2)
+        with pytest.raises(TruncationError, match="leading term is not unique"):
+            tied.top()
 
     def test_inverse_of_a_non_unique_top_raises(self, monkeypatch):
         # two terms at height 0; a _top that returns one of them leaves
@@ -653,7 +666,7 @@ class TestDepthBelowOne:
 
 class TestEmbedding:
     def test_rank_three_labels(self):
-        cw = build_coxeter_quiver(A3, ["2->1", "3->2"], depth_below=10)
+        cw = build_coxeter_quiver(coxeter_data(A3, (1, 2, 3)), depth_below=10)
         ev = QEvaluator(A3, depth=2)
         labels = f_labels(cw, knit_gvectors(cw.quiver))
         for v, (xword, xi, xr) in A3_SEED_LABELS.items():
@@ -662,7 +675,7 @@ class TestEmbedding:
             assert ev.weight_of(word, i) == ev.weight_of(xword, xi), v
 
     def test_leading_monomials_are_gvectors(self):
-        cw = build_coxeter_quiver(A2, ["2->1"], depth_below=8)
+        cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)), depth_below=8)
         ev = QEvaluator(A2, depth=3)
         g = knit_gvectors(cw.quiver)
         labels = f_labels(cw, g)

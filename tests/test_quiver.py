@@ -15,7 +15,7 @@ from clusterqq.quiver import (
     mutate_quiver,
     quiver_to_json,
 )
-from clusterqq.rootsys import RootSystem
+from clusterqq.rootsys import RootSystem, coxeter_data
 from oracles import recolor_from_arrows, reds, relabeled, same_arrows
 
 
@@ -198,7 +198,7 @@ class TestRankTwoOracles:
         assert q.greens() == [(1, -2), (2, -5)]
 
     def test_coxeter_quiver_arrows(self):
-        cw = build_coxeter_quiver(rs("A2"), ["2->1"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A2"), (1, 2)))
         assert arrows_within(cw.quiver, A2_WINDOW_VERTS) == A2_COXETER_ARROWS
         assert reds(cw.quiver) == [(1, -4), (1, 0), (2, -1)]
         assert cw.quiver.greens() == [(1, -6), (1, -2), (2, -3)]
@@ -246,7 +246,7 @@ class TestRankThree:
             rs("A3"), (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8),
             rmin=-16, rmax=4,
         )
-        cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"], depth_below=6)
+        cw = build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3)), depth_below=6)
         vset = q.vertices & cw.quiver.vertices
         vset = {v for v in vset if v[1] >= -12}
         assert arrows_within(q, vset) == arrows_within(cw.quiver, vset)
@@ -261,7 +261,7 @@ class TestRankThree:
 
 class TestMutation:
     def test_frozen_vertex_rejected(self):
-        cw = build_coxeter_quiver(rs("A2"), ["2->1"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A2"), (1, 2)))
         with pytest.raises(ValueError):
             mutate_quiver(cw.gamma, (1, 2))
 
@@ -302,7 +302,7 @@ class TestMutation:
 
 class TestCoxeterWindow:
     def test_a2_slice_data(self):
-        cw = build_coxeter_quiver(rs("A2"), ["2->1"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A2"), (1, 2)))
         assert cw.datum.word == (1, 2)
         q = cw.quiver
         assert reds(q) == [(1, -4), (1, 0), (2, -1)]
@@ -314,7 +314,7 @@ class TestCoxeterWindow:
         assert [cw.slice_index(v) for v in greens] == [-1, -2, -3]
 
     def test_a2_core(self):
-        cw = build_coxeter_quiver(rs("A2"), ["2->1"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A2"), (1, 2)))
         g = cw.gamma
         assert g.vertices == {
             (1, 2), (1, 0), (1, -2), (1, -4), (1, -6),
@@ -323,13 +323,13 @@ class TestCoxeterWindow:
         assert g.frozen == {(1, 2), (2, 1), (1, -6), (2, -3)}
 
     def test_a3_green_word(self):
-        cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3)))
         # greens sit in slices -1:{1}, -2:{2}, -3:{1,3}, -4:{2}, -5:{1}
         word = tuple(v[0] for v in cw.green_sequence())
         assert word == (1, 2, 1, 3, 2, 1)
 
     def test_slice_orientation_flips(self):
-        cw = build_coxeter_quiver(rs("A2"), ["2->1"], depth_below=10)
+        cw = build_coxeter_quiver(coxeter_data(rs("A2"), (1, 2)), depth_below=10)
         q = cw.quiver
 
         def slice_edge(m):
@@ -344,9 +344,7 @@ class TestCoxeterWindow:
         assert slice_edge(-6) == (1, 2)
 
     def test_d4_exponent_bookkeeping(self):
-        cw = build_coxeter_quiver(
-            rs("D4"), ["2->1", "2->3", "2->4"], depth_below=4
-        )
+        cw = build_coxeter_quiver(coxeter_data(rs("D4"), (1, 3, 4, 2)), depth_below=4)
         assert len(reds(cw.quiver)) == rs("D4").num_positive_roots
         assert len(cw.gamma.frozen) == 8
 
@@ -371,7 +369,7 @@ def fill_cache(q):
 class TestLookupCache:
     @pytest.fixture()
     def q(self):
-        return build_coxeter_quiver(rs("A3"), ["2->1", "3->2"]).quiver
+        return build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3))).quiver
 
     def test_derived_quivers_use_their_own_arrows(self, q):
         fill_cache(q)
@@ -428,7 +426,7 @@ def assert_payload_is(q):
 
 class TestJson:
     def test_roundtrip_coxeter(self):
-        cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3)))
         assert cw.gamma.frozen and cw.quiver.colors
         for q in (cw.quiver, cw.gamma):
             assert_payload_is(q)
@@ -441,17 +439,17 @@ class TestJson:
 # properties
 # ---------------------------------------------------------------------------
 
-ORIENTATIONS = {
-    "A2": ["2->1"],
-    "A3": ["2->1", "3->2"],
-    "D4": ["2->1", "2->3", "2->4"],
+WORDS = {
+    "A2": (1, 2),
+    "A3": (1, 2, 3),
+    "D4": (1, 3, 4, 2),
 }
 
 
 @st.composite
 def coxeter_windows(draw):
-    name = draw(st.sampled_from(sorted(ORIENTATIONS)))
-    return build_coxeter_quiver(RootSystem.from_name(name), ORIENTATIONS[name])
+    name = draw(st.sampled_from(sorted(WORDS)))
+    return build_coxeter_quiver(coxeter_data(RootSystem.from_name(name), WORDS[name]))
 
 
 class TestProperties:

@@ -12,7 +12,6 @@ from clusterqq.rootsys import (
     RootSystem,
     Weight,
     coxeter_data,
-    coxeter_data_from_word,
     fundamental_weight,
     is_reduced,
     longest_element,
@@ -283,57 +282,75 @@ class TestNakayama:
 
 class TestCoxeterData:
     def test_a3_linear(self):
-        # orientation 1 <- 2 <- 3, adapted word (1,2,3)
-        d = coxeter_data(rs("A3"), [(2, 1), (3, 2)])
+        # l rises along 1 - 2 - 3 towards the later letters
+        d = coxeter_data(rs("A3"), (1, 2, 3))
         assert d.word == (1, 2, 3)
         assert d.l == (0, 1, 2)
         assert d.m == (3, 2, 1)
         assert d.rs.coxeter_number == 4
 
     def test_a2_values(self):
-        d = coxeter_data(rs("A2"), [(2, 1)])
+        d = coxeter_data(rs("A2"), (1, 2))
         assert d.word == (1, 2)
         assert d.l == (0, 1)
         assert d.m == (2, 1)
         assert d.h_c == -3
 
     def test_a4_zigzag_heights(self):
-        # orientation 1 <- 2 <- 3 -> 4
-        d = coxeter_data(rs("A4"), [(2, 1), (3, 2), (3, 4)])
+        # node 3 is the latest letter of both its edges
+        d = coxeter_data(rs("A4"), (1, 2, 4, 3))
         assert d.l == (0, 1, 2, 1)
 
     def test_a3_bipartite(self):
-        d = coxeter_data(rs("A3"), [(1, 2), (3, 2)])
+        d = coxeter_data(rs("A3"), (2, 1, 3))
         assert d.c == weyl_from_word(rs("A3"), (2, 1, 3))
         assert d.l == (1, 0, 1)
 
     def test_from_word_roundtrip(self):
         a3 = rs("A3")
         for word in [(1, 2, 3), (3, 2, 1), (2, 1, 3), (1, 3, 2)]:
-            d = coxeter_data_from_word(a3, word)
+            d = coxeter_data(a3, word)
             assert d.c == weyl_from_word(a3, word)
+            assert d.word == word
 
-    def test_malformed_orientation(self):
-        with pytest.raises(ValueError):
-            coxeter_data(rs("A3"), [(2, 1)])
-        with pytest.raises(ValueError):
-            coxeter_data(rs("A3"), [(2, 1), (3, 2), (1, 3)])
+    def test_malformed_word(self):
+        for word in [(1, 2), (1, 1, 2), (1, 2, 3, 4), (0, 1, 2), (2, 3, 4)]:
+            with pytest.raises(ValueError, match="exactly once"):
+                coxeter_data(rs("A3"), word)
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])
     def test_exponent_sum(self, name):
         r = rs(name)
-        # alternating orientation via bipartition: class-0 nodes are sinks
+        # bipartite word: class-0 nodes first, so they are the sinks
         cls = r.bipartition_class()
-        orient = [
-            (i, j) if cls[j - 1] == 0 else (j, i) for i, j in r.edges()
-        ]
-        d = coxeter_data(r, orient)
+        d = coxeter_data(r, sorted(range(1, r.n + 1), key=lambda i: cls[i - 1]))
         assert sum(d.m) == r.num_positive_roots
-        assert 0 in d.l
+        assert d.l == cls
 
-    def test_string_edges(self):
-        d = coxeter_data(rs("A2"), ["2->1"])
-        assert d.word == (1, 2)
+    def test_commuting_letters_give_equal_data(self):
+        for name, one, two in [
+            ("A3", (1, 3, 2), (3, 1, 2)),
+            ("D4", (1, 3, 4, 2), (4, 1, 3, 2)),
+            ("E6", (6, 5, 4, 3, 2, 1), (6, 5, 4, 2, 3, 1)),
+        ]:
+            a, b = coxeter_data(rs(name), one), coxeter_data(rs(name), two)
+            assert a == b and hash(a) == hash(b)
+            assert (a.word, b.word) == (one, two)
+        assert coxeter_data(rs("A3"), (1, 2, 3)) != coxeter_data(rs("A3"), (3, 2, 1))
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5"]
+    )
+    def test_every_word_is_named_by_its_height_function(self, name):
+        # l changes by 1 on each Dynkin edge and has least value 0, and one
+        # adapted word sorted(nodes, key=l) gives back the same datum
+        r = rs(name)
+        nodes = range(1, r.n + 1)
+        for word in itertools.permutations(nodes):
+            d = coxeter_data(r, word)
+            assert min(d.l) == 0
+            assert all(abs(d.l_of(i) - d.l_of(j)) == 1 for i, j in r.edges())
+            assert coxeter_data(r, sorted(nodes, key=d.l_of)) == d, word
 
 
 @st.composite

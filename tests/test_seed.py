@@ -20,7 +20,7 @@ from clusterqq.quiver import (
     build_coxeter_quiver,
     mutate_quiver,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data_from_word
+from clusterqq.rootsys import RootSystem, coxeter_data
 from clusterqq.seed import (
     SignError,
     _power,
@@ -45,16 +45,16 @@ def e(*vs):
     return g
 
 
-ORIENTATIONS = {
-    "A1": [],
-    "A2": ["2->1"],
-    "A3": ["2->1", "3->2"],
-    "D4": ["2->1", "2->3", "2->4"],
+WORDS = {
+    "A1": (1,),
+    "A2": (1, 2),
+    "A3": (1, 2, 3),
+    "D4": (1, 3, 4, 2),
 }
 
 
 def window(name, depth=10):
-    return build_coxeter_quiver(rs(name), ORIENTATIONS[name], depth_below=depth)
+    return build_coxeter_quiver(coxeter_data(rs(name), WORDS[name]), depth_below=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ E6_GREENS = ((1, -2, 8), (2, -3, 6), (3, -3, 7), (4, -4, 6), (5, -5, 5), (6, -6,
 class TestCVectorOracle:
     def test_e6_green_walk(self):
         r = rs("E6")
-        cw = build_coxeter_quiver(r, coxeter_data_from_word(r, tuple(range(1, 7))))
+        cw = build_coxeter_quiver(coxeter_data(r, tuple(range(1, 7))))
         greens = [(i, top - 4 * k) for i, top, n in E6_GREENS for k in range(n)]
         random.Random(6).shuffle(greens)
         seed = initial_seed(cw)
@@ -427,7 +427,7 @@ class TestValues:
         # a seeded walk with unit values on the default A2 window (word 1,2)
         # reaches a vertex whose exchange relation has an empty side
         A2 = rs("A2")
-        cw = build_coxeter_quiver(A2, coxeter_data_from_word(A2, (1, 2)))
+        cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)))
         seed = initial_seed(cw)
         seed = seed.with_values(dict.fromkeys(seed.quiver.vertices, Fraction(1)))
         q = seed.quiver
@@ -452,7 +452,7 @@ class TestValues:
     def test_integer_values_divide_to_fractions(self):
         # an exchange on integer values stays exact: Fraction(2), not 2.0
         A2 = rs("A2")
-        cw = build_coxeter_quiver(A2, coxeter_data_from_word(A2, (1, 2)))
+        cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)))
         seed = initial_seed(cw).with_values(dict.fromkeys(cw.quiver.vertices, 1))
         once, _ = mutate_seed(seed, (1, -2))
         value = once.value_map()[(1, -2)]
@@ -597,7 +597,7 @@ def raised(result):
 
 def default_window(name):
     r = rs(name)
-    return build_coxeter_quiver(r, coxeter_data_from_word(r, tuple(range(1, r.n + 1))))
+    return build_coxeter_quiver(coxeter_data(r, tuple(range(1, r.n + 1))))
 
 
 def check_walk(seed, steps):

@@ -34,7 +34,7 @@ from clusterqq.quiver import (
     insert_reflection,
     mutate_quiver,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data_from_word, is_reduced
+from clusterqq.rootsys import RootSystem, coxeter_data, is_reduced
 from clusterqq.seed import green_sweep, initial_seed
 from oracles import color, mutate_reference, recolor_from_arrows, reds
 
@@ -227,9 +227,9 @@ class TestBuildAgainstOracle:
         # at depth 2 the lowest insertions sit 4 above the window bottom, so
         # the column they move down is the part that drops out of the window
         for name, word in words:
-            datum = coxeter_data_from_word(rs(name), word)
+            datum = coxeter_data(rs(name), word)
             for depth in (8, 2):
-                cw = build_coxeter_quiver(rs(name), datum, depth_below=depth)
+                cw = build_coxeter_quiver(datum, depth_below=depth)
                 oracle = oracle_coxeter_quiver(rs(name), datum, depth_below=depth)
                 assert cw.quiver == oracle, (name, word, depth)
 
@@ -250,7 +250,7 @@ class TestBuildAgainstOracle:
         assert q == oracle
 
     def test_insertion_errors(self):
-        cw = build_coxeter_quiver(rs("A3"), ["2->1", "3->2"])
+        cw = build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3)))
         q = cw.quiver
         red, green = reds(q)[0], q.greens()[0]
         bottom = min(q.vertices, key=lambda v: v[1])
@@ -262,7 +262,7 @@ class TestBuildAgainstOracle:
     @pytest.mark.parametrize("name", ["A3", "D4"])
     def test_insertion_at_every_black_vertex(self, name):
         # above the band the relabeled column carries reds and greens along
-        q = build_coxeter_quiver(rs(name), ORIENTATIONS[name]).quiver
+        q = build_coxeter_quiver(coxeter_data(rs(name), WORDS[name])).quiver
         for v in sorted(q.vertices):
             if color(q, v) == BLACK and v[1] - q.rmin > q.margin:
                 assert insert_reflection(q, v) == oracle_insert_reflection(q, v), v
@@ -379,20 +379,20 @@ class TestInsertionSequences:
 # mutation sequences
 # ---------------------------------------------------------------------------
 
-ORIENTATIONS = {
-    "A3": ["2->1", "3->2"],
-    "D4": ["2->1", "2->3", "2->4"],
-    "E6": ["1->3", "3->4", "2->4", "4->5", "5->6"],
+WORDS = {
+    "A3": (1, 2, 3),
+    "D4": (1, 3, 4, 2),
+    "E6": (6, 5, 4, 2, 3, 1),
 }
 
 
 @lru_cache(maxsize=None)
 def window(name):
-    return build_coxeter_quiver(rs(name), ORIENTATIONS[name])
+    return build_coxeter_quiver(coxeter_data(rs(name), WORDS[name]))
 
 
 class TestMutationAgainstOracle:
-    @given(st.sampled_from(sorted(ORIENTATIONS)), st.data())
+    @given(st.sampled_from(sorted(WORDS)), st.data())
     @settings(max_examples=30, deadline=None)
     def test_quiver_sequences(self, name, data):
         q = oracle = window(name).quiver
@@ -403,7 +403,7 @@ class TestMutationAgainstOracle:
             q, oracle = mutate_quiver(q, v), oracle_mutate_quiver(oracle, v)
             assert q == oracle
 
-    @given(st.sampled_from(sorted(ORIENTATIONS)), st.booleans(), st.data())
+    @given(st.sampled_from(sorted(WORDS)), st.booleans(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_reference_sequences(self, name, stabilized, data):
         """Any vertex, margin violations included: equal seeds or equal errors."""
@@ -444,7 +444,7 @@ class TestMutationAgainstOracle:
 
 def sweep_seeds(name, sweeps, stabilized):
     cw = build_coxeter_quiver(
-        rs(name), ORIENTATIONS.get(name, ["2->1"]), depth_below=10 + 2 * sweeps
+        coxeter_data(rs(name), WORDS.get(name, (1, 2))), depth_below=10 + 2 * sweeps
     )
     seed = initial_seed(cw, stabilized=stabilized)
     if stabilized:
@@ -476,7 +476,7 @@ class TestSweepAgainstOracle:
         cw = window("A3")
         frozen_ref = replace(initial_seed(cw, stabilized=False), ref_quiver=cw.gamma)
         shallow = initial_seed(
-            build_coxeter_quiver(rs("A3"), ORIENTATIONS["A3"], depth_below=2),
+            build_coxeter_quiver(coxeter_data(rs("A3"), WORDS["A3"]), depth_below=2),
             stabilized=False,
         )
         for seed, kind in ((frozen_ref, ValueError), (shallow, MarginError)):
@@ -581,7 +581,7 @@ def freezes(monkeypatch):
 
 class TestComputeOnce:
     def test_build_freezes_once_after_the_basic_quiver(self, freezes):
-        cw = build_coxeter_quiver(rs("D4"), ORIENTATIONS["D4"])
+        cw = build_coxeter_quiver(coxeter_data(rs("D4"), WORDS["D4"]))
         assert len(reds(cw.quiver)) == 12
         # the basic quiver, the inserted quiver, and its core
         assert len(freezes) == 3

@@ -22,7 +22,7 @@ from clusterqq.rootsys import (
     Weight,
     _identity,
     _mat_vec,
-    coxeter_data_from_word,
+    coxeter_data,
     coxeter_orbit,
     fundamental_weight,
     longest_element,
@@ -217,12 +217,12 @@ def coxeter_words():
 
 class TestCoxeterData:
     def test_fields_match_the_nakayama_route(self):
-        # the orientation, adapted word and height function come from
-        # unchanged graph code; c, h, m and h_c are recomputed here
+        # the height function comes from a walk of the Dynkin tree; c, h,
+        # m and h_c are recomputed here
         for name, word in coxeter_words():
             r = rs(name)
-            d = coxeter_data_from_word(r, word)
-            c = oracle_from_word(r, d.word)
+            d = coxeter_data(r, word)
+            c = oracle_from_word(r, word)
             m = oracle_exponents(r, c[0])
             assert element_fields(d.c) == oracle_fields(c), (name, word)
             assert r.coxeter_number == 2 * len(positive_roots(r)) // r.n
@@ -246,7 +246,7 @@ class TestCoxeterOrbit:
         r = rs(name)
         w0 = longest_element(r)
         for word in standard_and_shuffled(name):
-            d = coxeter_data_from_word(r, word)
+            d = coxeter_data(r, word)
             assert d.c == weyl_from_word(r, word)
             oracle_m = oracle_exponents(r, d.c.mat_t)
             total = 0

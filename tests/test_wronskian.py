@@ -370,6 +370,32 @@ class TestWronskianProperty:
         assert check_wronskian(A3, range(-4, 5), depth=4)["ok"]
         assert sorted(bases) == list(range(-4, 7))
 
+    def test_failing_twin_doubled_entry(self, monkeypatch):
+        # doubling Q̲ at word (1), node 1, doubles column 1 of every
+        # matrix: det and the node-2 minors over it fail.  Each shift
+        # equation of the standard word compares one block of the same
+        # Q-variables at two bases, so all of them still pass.
+        class Doubled(QEvaluator):
+            def q_bar(self, word, i, r):
+                s = super().q_bar(word, i, r)
+                return s + s if (tuple(word), i) == ((1,), 1) else s
+
+        monkeypatch.setattr(wronskian, "QEvaluator", Doubled)
+        cert = check_wronskian(A2, [0, 2], depth=3)
+        assert not cert["ok"]
+        assert [d["ok"] for d in cert["determinants"]] == [False, False]
+        failed = {
+            (x["r"], x["i"], x["k"], x["l"])
+            for x in cert["minor_identifications"]
+            if not x["ok"]
+        }
+        assert len(cert["minor_identifications"]) == 26
+        assert failed == {
+            (r, 2, k, l) for r in (0, 2) for k in (0, 1) for l in (0, 1)
+        }
+        assert len(cert["equations"]) == 16
+        assert all(e["ok"] for e in cert["equations"])
+
     def test_reversed_coxeter_is_not_a_wronskian(self):
         cert = check_wronskian(A2, [0], depth=4, system_word=(2, 1))
         assert not cert["ok"]
