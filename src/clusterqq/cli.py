@@ -308,10 +308,10 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
 def seed_mutate(rep, type_, coxeter, vertices):
     """Mutate the tracked seed and report the new g-vectors."""
     cw = _window(type_, coxeter)
+    points = [_parse_vertex(spec) for spec in vertices]
     # one working seed through every mutation, frozen (and so checked) once
     seed = initial_seed(cw).thaw()
-    for spec in vertices:
-        v = _parse_vertex(spec)
+    for v in points:
         try:
             seed, sign = mutate_seed(seed, v)
         except ValueError as exc:

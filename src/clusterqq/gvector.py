@@ -212,10 +212,6 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
     Vertices whose column has no vertex above them get unit vectors; the
     window top must lie above every red vertex for this to be exact.
     """
-    # out-arrows grouped by source once, each list in arrows_out order
-    arrows_out: dict[Vertex, list[tuple[Vertex, int]]] = {}
-    for (a, b), m in q.arrows:
-        arrows_out.setdefault(a, []).append((b, m))
     out: dict[Vertex, GVec] = {}
     pending = sorted(q.vertices, key=lambda u: -u[1])
     while pending:
@@ -231,12 +227,12 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
                     continue
                 out[v] = out[above].shift(-1)
             elif q.mult(above, v):
-                outs = arrows_out.get(v, [])
-                if above not in out or any(w not in out for w, _ in outs):
+                outs = q.out.get(v, {})
+                if above not in out or any(w not in out for w in outs):
                     deferred.append(v)
                     continue
                 acc = -out[above].shift(-1)
-                for (w, mlt) in outs:
+                for w, mlt in outs.items():
                     acc = acc + out[w].scale(mlt)
                 out[v] = acc
             else:

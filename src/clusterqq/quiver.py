@@ -19,10 +19,12 @@ pattern of a Coxeter element builds the Coxeter quiver, normalized so its
 highest red vertex has height 0.
 
 A :class:`WindowedQuiver` is frozen: sorted arrow and color tuples, hashable
-and comparable.  Every surgery (insertion, mutation, recoloring) runs in
-place on one private working form, :class:`_WorkingQuiver`, which keeps the
-arrows as adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the
-vertex set and the colors.  A run of surgeries thaws a quiver once,
+and comparable.  Its one derived view, the adjacency map ``out[a][b] = m``,
+is built from the arrows on first use and answers every arrow lookup.
+Every surgery (insertion, mutation, recoloring) runs in place on one
+private working form, :class:`_WorkingQuiver`, which keeps the arrows as
+adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the vertex
+set and the colors.  A run of surgeries thaws a quiver once,
 edits the maps and freezes once at the end.  Freezing reads ``out`` in
 adjacency order, sorted sources each followed by its sorted targets, which
 is the sorted order of the arrows, so no flat arrow map is built or sorted.
@@ -68,31 +70,24 @@ class WindowedQuiver:
 
     # -- convenience accessors --------------------------------------------
 
-    # A lookup dict built once per instance.  It lives in the instance
-    # __dict__, outside the fields, so == and hash ignore it; replace()
-    # and _make() build new instances, so it is never stale.
+    # The arrows by source, out[a][b] = m in sorted order, built once and
+    # only read.  It lives in the instance __dict__, outside the fields, so
+    # == and hash ignore it, and replace() builds a new instance without it.
     @cached_property
-    def _arrow_map(self) -> dict[Arrow, int]:
-        return dict(self.arrows)
+    def out(self) -> dict[Vertex, dict[Vertex, int]]:
+        out: dict[Vertex, dict[Vertex, int]] = {}
+        for (a, b), m in self.arrows:
+            out.setdefault(a, {})[b] = m
+        return out
 
     def mult(self, src: Vertex, dst: Vertex) -> int:
-        return self._arrow_map.get((src, dst), 0)
+        return self.out.get(src, {}).get(dst, 0)
 
-    # a plain scan: a per-quiver adjacency index costs more to build than
-    # it saves, since most quivers are asked only a few times
     def arrows_out(self, v: Vertex) -> list[tuple[Vertex, int]]:
-        return [(b, m) for (a, b), m in self.arrows if a == v]
+        return list(self.out.get(v, {}).items())
 
     def greens(self) -> list[Vertex]:
         return sorted(v for v, c in self.colors if c == GREEN)
-
-
-def _grouped(arrows: Iterable[tuple[Arrow, int]]) -> dict[Vertex, dict[Vertex, int]]:
-    """Arrows grouped by source, ``out[a][b] = m``; a later arrow wins."""
-    out: dict[Vertex, dict[Vertex, int]] = {}
-    for (a, b), m in arrows:
-        out.setdefault(a, {})[b] = m
-    return out
 
 
 def _make(
@@ -111,7 +106,7 @@ def _make(
     """
     verts = frozenset(vertices) if vertices is not None else base.vertices
     if out is None:
-        out = _grouped(base.arrows)
+        out = base.out
     # sorted sources, each followed by its sorted targets: arrow keys are
     # unique, so this is the sorted order of the (source, target) pairs,
     # and the first loop or 2-cycle in that order is the one named

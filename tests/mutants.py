@@ -1,0 +1,95 @@
+"""Committed mutants of the certificate paths, run by ``test_mutants.py``.
+
+Each mutant names a file under the repository root, a text that occurs
+in it exactly once, the text that replaces it, and the tests that must
+fail on the mutated copy.  A certificate that no test can make fail is
+unchecked, so every certificate brings a mutant of its failing path with
+the test that kills it; a mutant leaves this list only with the code it
+mutates.
+"""
+
+MUTANTS = {
+    # the failing branch of ``f-eval`` passes
+    "f-eval-failing-label-passes": {
+        "file": "src/clusterqq/cli.py",
+        "old": '''                "note": f"braid expression does not match g-vector at {v}",
+                "ok": False,''',
+        "new": '''                "note": f"braid expression does not match g-vector at {v}",
+                "ok": True,''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_f_eval_with_one_knit_gvector_changed",
+        ],
+    },
+    # the Wronskian det = 1 entry compares nothing
+    "wronskian-determinant-passes": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''dets.append({"r": r, "ok": det.matches(KSeries.one(rs, det.cutoff2))})''',
+        "new": '''dets.append({"r": r, "ok": True})''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_wronskian_with_a_determinant_off_one",
+        ],
+    },
+    # ``sl2 factor`` forgets pairwise compatibility
+    "sl2-factor-ignores-compatibility": {
+        "file": "src/clusterqq/cli.py",
+        "old": '''"ok": compatible and rebuilt[1] == key[1],''',
+        "new": '''"ok": rebuilt[1] == key[1],''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_sl2_factor_with_crossing_segments",
+        ],
+    },
+    # a c-vector's sign read off its first coefficient alone
+    "cvector-sign-reads-one-coefficient": {
+        "file": "src/clusterqq/seed.py",
+        "old": '''    if all(x > 0 for x in coeffs):
+        return 1''',
+        "new": '''    if coeffs[0] > 0:
+        return 1''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_cvector_sign_of_a_mixed_vector_that_starts_positive",
+        ],
+    },
+    # a tied top term is taken as the leading one
+    "top-accepts-a-tie": {
+        "file": "src/clusterqq/qseries.py",
+        "old": '''if len(order) > 1 and order[1][0] == h:''',
+        "new": '''if len(order) > 1 and order[1][0] > h:''',
+        "kills": [
+            "tests/test_qseries.py::TestSeries::test_top_reads_the_kept_order",
+        ],
+    },
+    # a leading coefficient ±2 is inverted; the eps guard still stops the
+    # loop, so only the message tells the two refusals apart
+    "inverse-accepts-leading-two": {
+        "file": "src/clusterqq/qseries.py",
+        "old": '''if c0 not in (1, -1):''',
+        "new": '''if c0 not in (1, -1, 2, -2):''',
+        "kills": [
+            "tests/test_qseries.py::TestSeries"
+            "::test_inverse_needs_a_unit_leading_coefficient",
+        ],
+    },
+    # an arrow looked up backwards
+    "mult-reads-the-reversed-arrow": {
+        "file": "src/clusterqq/quiver.py",
+        "old": '''return self.out.get(src, {}).get(dst, 0)''',
+        "new": '''return self.out.get(dst, {}).get(src, 0)''',
+        "kills": [
+            "tests/test_quiver.py::TestBasicQuiver::test_a3_local_arrows",
+            "tests/test_bench_digest.py::test_gvec_cli_matches_its_digest[0]",
+        ],
+    },
+    # knitting sums over the out-arrows of the red above, not the green's
+    "knit-reads-the-arrows-above": {
+        "file": "src/clusterqq/gvector.py",
+        "old": '''outs = q.out.get(v, {})''',
+        "new": '''outs = q.out.get(above, {})''',
+        "kills": [
+            "tests/test_gvector.py::TestRankThree::test_knit_values",
+        ],
+    },
+}

@@ -30,7 +30,7 @@ from clusterqq.qseries import (
     psi_mul,
     psi_var,
 )
-from clusterqq.quiver import BLACK, RED, _grouped, _make, _WorkingQuiver
+from clusterqq.quiver import BLACK, RED, _make, _WorkingQuiver
 from clusterqq.rootsys import (
     Matrix,
     WeylElement,
@@ -105,10 +105,13 @@ def relabeled(q, mapping):
     def f(v):
         return mapping.get(v, v)
 
+    out: dict = {}
+    for (a, b), m in q.arrows:
+        out.setdefault(f(a), {})[f(b)] = m
     return _make(
         q,
         vertices={f(v) for v in q.vertices},
-        out=_grouped(((f(a), f(b)), m) for (a, b), m in q.arrows),
+        out=out,
         colors={f(v): c for v, c in q.colors},
         frozen={f(v) for v in q.frozen},
     )

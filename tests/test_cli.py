@@ -180,6 +180,15 @@ class TestUsage:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    def test_seed_mutate_parses_every_vertex_before_mutating(self, runner):
+        # a malformed vertex after a good one: nothing is mutated or printed
+        args = ["seed", "mutate", "--type", "A2", "--vertex", "2,-1",
+                "--vertex", "x", "--json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.output.endswith("\n\nError: bad vertex 'x': expected i,r\n")
+
 
 class TestBudget:
     def test_exceeded_budget_exits_three(self, runner):

@@ -25,7 +25,7 @@ from clusterqq.gvector import (
     sweep_gvectors,
 )
 from clusterqq.gvector import _band_memo, _block_to_gvecs
-from clusterqq.quiver import build_coxeter_quiver
+from clusterqq.quiver import _make, basic_quiver, build_coxeter_quiver
 from clusterqq.rootsys import (
     RootSystem,
     _identity,
@@ -228,6 +228,32 @@ class TestRankThree:
         w = weyl_from_word(rs("A3"), word)
         assert w == longest_element(rs("A3"))
         assert w.length == len(word)
+
+
+class TestKnitErrors:
+    @pytest.fixture()
+    def base(self):
+        return basic_quiver(rs("A3"), -4, 0, parity=(0, 1, 0))
+
+    def test_missing_vertical_arrow(self, base):
+        q = _make(base, vertices={(1, 0), (1, -2)}, out={})
+        with pytest.raises(
+            ValueError, match=r"no vertical arrow between \(1, -2\) and \(1, 0\)"
+        ):
+            knit_gvectors(q)
+
+    def test_cyclic_dependencies(self, base):
+        # each red over its green, the greens in a 3-cycle: every green
+        # waits for the one it points to
+        reds, greens = [(1, 0), (2, -1), (3, 0)], [(1, -2), (2, -3), (3, -2)]
+        out = {r: {g: 1} for r, g in zip(reds, greens)}
+        for a, b in zip(greens, greens[1:] + greens[:1]):
+            out[a] = {b: 1}
+        q = _make(base, vertices=reds + greens, out=out)
+        with pytest.raises(ValueError, match=r"cyclic dependencies at") as err:
+            knit_gvectors(q)
+        assert all(str(g) in str(err.value) for g in greens)
+        assert not any(str(r) in str(err.value) for r in reds)
 
 
 # ---------------------------------------------------------------------------

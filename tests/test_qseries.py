@@ -153,6 +153,14 @@ class TestSeries:
         with pytest.raises(TruncationError, match="leading term is not unique"):
             tied.top()
 
+    @pytest.mark.parametrize("c0", [2, -2, 3])
+    def test_inverse_needs_a_unit_leading_coefficient(self, c0):
+        x = mono(A2, key_one(2), coeff=c0) + mono(A2, a_inv(A2, 1, 0))
+        with pytest.raises(
+            TruncationError, match=f"^cannot invert leading coefficient {c0}$"
+        ):
+            x.inverse()
+
     def test_inverse_of_a_non_unique_top_raises(self, monkeypatch):
         # two terms at height 0; a _top that returns one of them leaves
         # the other in eps at height 0, where its powers never vanish
