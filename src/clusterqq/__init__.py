@@ -12,8 +12,8 @@ Subsystems:
   knitting recursion, and the braid-operator action.
 * :mod:`clusterqq.qseries` — the truncated series ring of Ψ-monomials,
   Q-variables, renormalization, and QQ/QQ* certification.
-* :mod:`clusterqq.sl2` — the rank-1 model: segments, ∞-gon diagonals,
-  Ptolemy exchange, and unique factorization.
+* :mod:`clusterqq.sl2` — the rank-1 model: segments, the one Ptolemy
+  relation of an ∞-gon quadrilateral, and unique factorization.
 * :mod:`clusterqq.wronskian` — type-A quantum Wronskians over truncated
   series and double-Bruhat minor identities in exact integer arithmetic.
 * :mod:`clusterqq.cli` — batch front-end emitting machine-readable

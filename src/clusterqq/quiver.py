@@ -400,7 +400,21 @@ class CoxeterWindow:
 
     quiver: WindowedQuiver
     datum: CoxeterDatum
-    gamma: WindowedQuiver  # finite core with 2n frozen vertices
+
+    # The finite core with 2n frozen vertices, built on first use and kept
+    # outside the fields like WindowedQuiver.out: the band plus the vertex
+    # immediately above each highest red; frozen boundary = that top rim
+    # and the lowest green of each column.
+    @cached_property
+    def gamma(self) -> WindowedQuiver:
+        datum, q = self.datum, self.quiver
+        core: set[Vertex] = set()
+        frozen: set[Vertex] = set()
+        for i in range(1, datum.rs.n + 1):
+            top, bottom = -datum.l_of(i) + 2, -datum.l_of(i) - 4 * datum.m_of(i) + 2
+            core.update((i, h) for h in range(bottom, top + 1, 2))
+            frozen |= {(i, top), (i, bottom)}
+        return _make(replace(q, margin=0), vertices=core, out=q.out, frozen=frozen)
 
     # -- band geometry ----------------------------------------------------
 
@@ -441,8 +455,9 @@ def build_coxeter_quiver(
     ``-l(i) - 2k`` for ``k < m_i``.  Each insertion moves the column below it
     down by 2, so the k-th red of column i is inserted directly at its final
     height ``-l(i) - 4k``.  ``depth_below`` is how far the window extends
-    below the band; its top is at height 2.  The finite core is the
-    restriction of the quiver to the band and the rim above it.
+    below the band; its top is at height 2.  The finite core, the
+    restriction of the quiver to the band and the rim above it, is built
+    on first use (:attr:`CoxeterWindow.gamma`).
     """
     rs = datum.rs
     band_bottom = min(
@@ -459,17 +474,7 @@ def build_coxeter_quiver(
         basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin),
         [(i, -datum.l_of(i) - 4 * k) for i, k in points],
     )
-
-    # finite core: the band plus the vertex immediately above each highest
-    # red; frozen boundary = that top rim and the lowest green of each column
-    core: set[Vertex] = set()
-    frozen: set[Vertex] = set()
-    for i in range(1, rs.n + 1):
-        top, bottom = -datum.l_of(i) + 2, -datum.l_of(i) - 4 * datum.m_of(i) + 2
-        core.update((i, h) for h in range(bottom, top + 1, 2))
-        frozen |= {(i, top), (i, bottom)}
-    gamma = _make(replace(q, margin=0), vertices=core, frozen=frozen)
-    return CoxeterWindow(q, datum, gamma)
+    return CoxeterWindow(q, datum)
 
 
 # ---------------------------------------------------------------------------

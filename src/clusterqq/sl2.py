@@ -23,16 +23,17 @@ Segments correspond to diagonals ``(r, s+2)`` of an ∞-gon with vertex set
 ``ℤ∪{±∞}``; two classes are compatible (their product is again such a
 class) exactly when the diagonals do not cross in their interior.  The
 exchange relations of the cluster structure are Ptolemy relations in the
-quadrilateral spanned by two crossing diagonals, and every Laurent
-monomial in the ``Ψ`` variables factors uniquely into pairwise-compatible
-segments.  Everything here is certified by direct multiplication in
+quadrilateral spanned by two crossing diagonals: :func:`_ptolemy` checks
+one, which :func:`ptolemy_check` names by its crossing segments and
+:func:`exchange_relations_at` by a seed.  Every Laurent monomial in the
+``Ψ`` variables factors uniquely into pairwise-compatible segments.
+Everything here is certified by direct multiplication in
 :class:`~clusterqq.qseries.KSeries`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -101,26 +102,6 @@ class Segment(tuple):
         return f"[{fmt(self[0])},{fmt(self[1])}]"
 
 
-@dataclass(frozen=True, order=True)
-class Diagonal:
-    """Diagonal (a, b), a < b, of the ∞-gon with vertices ℤ∪{±∞}."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got ({self.a}, {self.b})")
-
-    @property
-    def is_edge(self) -> bool:
-        """Boundary edges of the ∞-gon carry the unit class."""
-        return self.b == self.a + 1 or (self.a, self.b) == (-INF, INF)
-
-    def segment(self) -> Segment:
-        return Segment(self.a, self.b - 2)
-
-
 def compatible(s1: Segment, s2: Segment) -> bool:
     """True iff the product of the two classes is again a single class.
 
@@ -146,11 +127,6 @@ def _check_depth(d: int) -> None:
     # below depth 1 the unit keeps no term, so nothing could be compared
     if d < 1:
         raise ValueError(f"depth must be at least 1, got {d}")
-
-
-def _one(d: int) -> KSeries:
-    _check_depth(d)
-    return KSeries.one(_A1, -2 * d)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -198,9 +174,31 @@ def segment_qchar(seg: Segment, d: int = 6) -> KSeries:
 # ---------------------------------------------------------------------------
 
 
+def _ptolemy(a, b, c, e, d: int) -> bool:
+    """The Ptolemy relation of the quadrilateral a < b < c < e at depth d.
+
+    With (x, y) the class of the segment [x, y-2], a unit for an edge
+    (x, x+1) and for (-∞, +∞), it reads
+
+        (a,c)(b,e) = (a,e)(b,c) + [2(b-c)ϖ]·(a,b)(c,e),
+
+    compared exactly above the common cutoff.  b and c are finite; a may
+    be -∞ and e may be +∞.
+    """
+    def cls(x, y):
+        return segment_qchar(Segment(x, y - 2), d)
+
+    lhs = cls(a, c) * cls(b, e)
+    rhs = cls(a, e) * cls(b, c)
+    corr = cls(a, b) * cls(c, e)
+    rhs = rhs + corr.mul_monomial(bracket(_A1, (2 * (b - c) * _VARPI2,)))
+    return lhs.matches(rhs)
+
+
 def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
     """Certify [r,s][r',s'] = [r,s'][r',s] + [2(r'-s-2)ϖ][r,r'-2][s+2,s'].
 
+    The Ptolemy relation of the quadrilateral (r, r', s+2, s'+2).
     Preconditions: r < r', s < s', r' ≤ s+1, with r' and s finite (r may
     be -∞ and s' may be +∞).  Both sides are expanded to depth ``d`` and
     compared exactly above the common cutoff; at d < 1 both sides are
@@ -211,129 +209,37 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
         raise ValueError(f"need r<r', s<s', r'<=s+1; got {(r, s, rp, sp)}")
     if rp in (INF, -INF) or s in (INF, -INF):
         raise ValueError("r' and s must be finite")
-    a, b = Segment(r, s), Segment(rp, sp)
-    lhs = segment_qchar(a, d) * segment_qchar(b, d)
-    rhs = segment_qchar(Segment(r, sp), d) * segment_qchar(Segment(rp, s), d)
-    m = int(rp - s - 2)
-    corr = segment_qchar(Segment(r, rp - 2), d) * segment_qchar(
-        Segment(s + 2, sp), d
-    )
-    rhs = rhs + corr.mul_monomial(bracket(_A1, (2 * m * _VARPI2,)))
-    ok = lhs.matches(rhs)
     return {
         "relation": "ptolemy",
-        "segments": [str(a), str(b)],
+        "segments": [str(Segment(r, s)), str(Segment(rp, sp))],
         "depth": d,
-        "ok": ok,
+        "ok": _ptolemy(r, rp, s + 2, sp + 2, d),
     }
-
-
-# ---------------------------------------------------------------------------
-# cluster variables of the ∞-gon model
-# ---------------------------------------------------------------------------
-
-
-def diagonal_variable(diag: Diagonal, d: int = 6) -> KSeries:
-    """Series of the cluster variable attached to a diagonal (edges → 1).
-
-    The diagonal (a, b) carries [kϖ]·(class of [a, b-2]) with
-    k = (b - 1) - a, where an infinite end counts as 0.  A depth below 1
-    raises ``ValueError``.
-    """
-    if diag.is_edge:
-        return _one(d)
-    hi = 0 if diag.b == INF else int(diag.b) - 1
-    lo = 0 if diag.a == -INF else int(diag.a)
-    return segment_qchar(diag.segment(), d).mul_monomial(
-        bracket(_A1, ((hi - lo) * _VARPI2,))
-    )
-
-
-def x_plus(v: int, d: int = 6) -> KSeries:
-    """Variable of the diagonal (v, +∞): [-vϖ]·Ψ_{q^{2v}}."""
-    return diagonal_variable(Diagonal(v, INF), d)
-
-
-def x_minus(v: int, d: int = 6) -> KSeries:
-    """Variable of the diagonal (-∞, v+1): [vϖ]·(class of [-∞, v-1])."""
-    return diagonal_variable(Diagonal(-INF, v + 1), d)
-
-
-def x_finite(r: int, s: int, d: int = 6) -> KSeries:
-    """Variable of the diagonal (r, s+1), r < s: [(s-r)ϖ]·[r, s-1]."""
-    if not r < s:
-        raise ValueError(f"need r < s, got ({r}, {s})")
-    return diagonal_variable(Diagonal(r, s + 1), d)
 
 
 def exchange_relations_at(r: int, d: int = 6, span: int = 3) -> list[dict]:
     """Certify the exchange relations of the seed whose fan switches at r.
 
-    Away from the switch the relations are three-term flips
-
-        x⁺_v·x_{v-1,v} = x⁺_{v+1} + x⁺_{v-1}          (v > r),
-        x⁻_v·x_{v,v+1} = x⁻_{v+1} + x⁻_{v-1}          (v < r-1),
-
-    while the two relations at the switch pair the half-infinite
-    diagonals through the quadrilaterals (-∞, r, r+1, +∞) and
-    (-∞, r-1, r, +∞), whose fourth side is the unit edge (-∞, +∞):
-
-        x⁺_r·x⁻_r     = x⁺_{r+1}·x⁻_{r-1} + 1,
-        x⁻_{r-1}·x⁺_{r-1} = x⁺_r·x⁻_{r-2} + 1.
-
-    Each is verified in KSeries at depth d ≥ 1; ``span`` controls how many
+    Each is the Ptolemy relation (:func:`_ptolemy`) of one quadrilateral:
+    the flips (v-1, v, v+1, +∞) for v > r and (-∞, v, v+1, v+2) for
+    v < r-1, and at the switch (-∞, r, r+1, +∞) and (-∞, r-1, r, +∞),
+    whose fourth side is the unit edge (-∞, +∞).  In the cluster
+    variable [((b-1)-a)ϖ]·(a, b) of each diagonal (an infinite end
+    counting as 0) the brackets cancel to the relation's one bracket.
+    Each is verified at depth d ≥ 1; ``span`` controls how many
     instances of the two translation-invariant families are checked.
     """
-    certs = []
-
-    def cert(name, v, lhs, rhs):
-        certs.append(
-            {"relation": name, "at": v, "depth": d, "ok": lhs.matches(rhs)}
-        )
-
-    one = _one(d)
-    for v in range(r + 1, r + 1 + span):
-        cert(
-            "flip-upper", v,
-            x_plus(v, d) * x_finite(v - 1, v, d),
-            x_plus(v + 1, d) + x_plus(v - 1, d),
-        )
-    cert(
-        "flip-switch-red", r,
-        x_plus(r, d) * x_minus(r, d),
-        x_plus(r + 1, d) * x_minus(r - 1, d) + one,
-    )
-    cert(
-        "flip-switch-green", r - 1,
-        x_minus(r - 1, d) * x_plus(r - 1, d),
-        x_plus(r, d) * x_minus(r - 2, d) + one,
-    )
-    for v in range(r - 1 - span, r - 1):
-        cert(
-            "flip-lower", v,
-            x_minus(v, d) * x_finite(v, v + 1, d),
-            x_minus(v + 1, d) + x_minus(v - 1, d),
-        )
-    return certs
-
-
-def quadrilateral_check(a, b, c, e, d: int = 6) -> dict:
-    """Ptolemy relation for the quadrilateral a < b < c < e in variables.
-
-    (a,c)(b,e) = (a,e)(b,c) + (a,b)(c,e), each diagonal/edge replaced by
-    its cluster-variable series.
-    """
-    if not a < b < c < e:
-        raise ValueError("need a < b < c < e")
-    var = lambda x, y: diagonal_variable(Diagonal(x, y), d)
-    lhs = var(a, c) * var(b, e)
-    rhs = var(a, e) * var(b, c) + var(a, b) * var(c, e)
-    return {
-        "relation": "quadrilateral",
-        "vertices": [a, b, c, e],
-        "depth": d,
-        "ok": lhs.matches(rhs),
-    }
+    _check_depth(d)
+    quads = [("flip-upper", v, (v - 1, v, v + 1, INF))
+             for v in range(r + 1, r + 1 + span)]
+    quads += [("flip-switch-red", r, (-INF, r, r + 1, INF)),
+              ("flip-switch-green", r - 1, (-INF, r - 1, r, INF))]
+    quads += [("flip-lower", v, (-INF, v, v + 1, v + 2))
+              for v in range(r - 1 - span, r - 1)]
+    return [
+        {"relation": name, "at": v, "depth": d, "ok": _ptolemy(*quad, d)}
+        for name, v, quad in quads
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -92,4 +92,33 @@ MUTANTS = {
             "tests/test_gvector.py::TestRankThree::test_knit_values",
         ],
     },
+    # the Ptolemy correction bracket with its sign flipped
+    "ptolemy-bracket-sign": {
+        "file": "src/clusterqq/sl2.py",
+        "old": '''2 * (b - c) * _VARPI2''',
+        "new": '''2 * (c - b) * _VARPI2''',
+        "kills": [
+            "tests/test_sl2.py::TestPtolemy::test_t_system_instance",
+        ],
+    },
+    # a flip-lower relation on the wrong quadrilateral: a true relation
+    # still, so only the pin of the quadrilaterals tells
+    "flip-lower-reads-another-quadrilateral": {
+        "file": "src/clusterqq/sl2.py",
+        "old": '''(-INF, v, v + 1, v + 2)''',
+        "new": '''(-INF, v, v + 1, v + 3)''',
+        "kills": [
+            "tests/test_sl2.py::TestOneRelation"
+            "::test_exchange_relations_pass_their_quadrilaterals",
+        ],
+    },
+    # the finite core frozen one step below its top rim
+    "core-rim-moved": {
+        "file": "src/clusterqq/quiver.py",
+        "old": '''frozen |= {(i, top), (i, bottom)}''',
+        "new": '''frozen |= {(i, top - 2), (i, bottom)}''',
+        "kills": [
+            "tests/test_quiver.py::TestCoxeterWindow::test_a2_core",
+        ],
+    },
 }

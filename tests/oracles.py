@@ -25,6 +25,7 @@ from clusterqq.qseries import (
     KSeries,
     Psi,
     QEvaluator,
+    bracket,
     key_mul,
     key_one,
     psi_mul,
@@ -33,6 +34,7 @@ from clusterqq.qseries import (
 from clusterqq.quiver import BLACK, RED, _make, _WorkingQuiver
 from clusterqq.rootsys import (
     Matrix,
+    RootSystem,
     WeylElement,
     _identity,
     _length_and_word,
@@ -40,7 +42,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 from clusterqq.seed import _returned, _transport, _working
-from clusterqq.sl2 import INF, Diagonal
+from clusterqq.sl2 import INF, Segment, segment_qchar
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,70 @@ def compatible_each_way(s1, s2) -> bool:
         if a.r < b.r and a.s < b.s and b.r <= a.s + 1:
             return False
     return True
+
+
+A1 = RootSystem.from_name("A1")
+(VARPI2,) = fundamental_weight(A1, 1).coords2
+
+
+@dataclass(frozen=True, order=True)
+class Diagonal:
+    """Diagonal (a, b), a < b, of the ∞-gon with vertices ℤ∪{±∞}."""
+
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if not self.a < self.b:
+            raise ValueError(f"need a < b, got ({self.a}, {self.b})")
+
+    @property
+    def is_edge(self) -> bool:
+        """Boundary edges of the ∞-gon carry the unit class."""
+        return self.b == self.a + 1 or (self.a, self.b) == (-INF, INF)
+
+
+def diagonal_variable(diag: Diagonal, d: int = 6) -> KSeries:
+    """Series of the cluster variable attached to a diagonal (edges → 1).
+
+    The diagonal (a, b) carries [kϖ]·(class of [a, b-2]) with
+    k = (b - 1) - a, where an infinite end counts as 0; an edge's class
+    is the unit and its k is 0.  A depth below 1 raises ``ValueError``.
+    """
+    hi = 0 if diag.b == INF else int(diag.b) - 1
+    lo = 0 if diag.a == -INF else int(diag.a)
+    return segment_qchar(Segment(diag.a, diag.b - 2), d).mul_monomial(
+        bracket(A1, ((hi - lo) * VARPI2,))
+    )
+
+
+def x_plus(v: int, d: int = 6) -> KSeries:
+    """Variable of the diagonal (v, +∞): [-vϖ]·Ψ_{q^{2v}}."""
+    return diagonal_variable(Diagonal(v, INF), d)
+
+
+def x_minus(v: int, d: int = 6) -> KSeries:
+    """Variable of the diagonal (-∞, v+1): [vϖ]·(class of [-∞, v-1])."""
+    return diagonal_variable(Diagonal(-INF, v + 1), d)
+
+
+def x_finite(r: int, s: int, d: int = 6) -> KSeries:
+    """Variable of the diagonal (r, s+1), r < s: [(s-r)ϖ]·[r, s-1]."""
+    if not r < s:
+        raise ValueError(f"need r < s, got ({r}, {s})")
+    return diagonal_variable(Diagonal(r, s + 1), d)
+
+
+def quadrilateral_identity(a, b, c, e, d: int = 6) -> bool:
+    """The Ptolemy relation of the quadrilateral a < b < c < e in
+    diagonal variables, with no correction bracket:
+    (a,c)(b,e) = (a,e)(b,c) + (a,b)(c,e).  The reference for
+    ``sl2._ptolemy``, which carries the brackets as one."""
+    if not a < b < c < e:
+        raise ValueError("need a < b < c < e")
+    var = lambda x, y: diagonal_variable(Diagonal(x, y), d)
+    lhs = var(a, c) * var(b, e)
+    return lhs.matches(var(a, e) * var(b, c) + var(a, b) * var(c, e))
 
 
 def diagonal(seg) -> Diagonal:

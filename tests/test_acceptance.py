@@ -354,6 +354,38 @@ class TestETypeBatteries:
         budget.check()
 
 
+class TestDATypeBatteries:
+    """The same two batteries in D5–D8 and A5–A8: QQ at every prefix of
+    w₀ (one certificate per positive root) and QQ* at every triple
+    ascent, each edge in both orders, on a fresh evaluator."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize(
+        "name,count",
+        [("D5", 20), ("D6", 30), ("D7", 42), ("D8", 56),
+         ("A5", 15), ("A6", 21), ("A7", 28), ("A8", 36)],
+    )
+    def test_qq_longest_word_prefixes(self, name, count, depth):
+        budget = Budget(2.0)
+        r = rs(name)
+        assert count == r.num_positive_roots
+        assert qq_battery(QEvaluator(r, depth=depth), [0]) == count
+        budget.check()
+
+    @pytest.mark.parametrize(
+        "name,count",
+        [("D5", 24), ("D6", 44), ("D7", 74), ("D8", 116),
+         ("A5", 28), ("A6", 50), ("A7", 82), ("A8", 126)],
+    )
+    def test_qqstar_longest_word_prefixes(self, name, count):
+        budget = Budget(2.0)
+        r = rs(name)
+        word = longest_element(r).word
+        prefixes = [word[:t] for t in range(len(word) + 1)]
+        assert qqstar_battery(r, 3, prefixes, [0]) == count
+        budget.check()
+
+
 def qq_battery(ev, r_values):
     """qq_check over every prefix of w_0 on the evaluator; the count."""
     word = longest_element(ev.rs).word

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 import clusterqq
 from clusterqq.cli import Reporter, main
 from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
-from clusterqq.qseries import FIELD_BITS, QEvaluator
+from clusterqq.qseries import FIELD_BITS, QEvaluator, bracket, omega_lam2
 from clusterqq.quiver import build_coxeter_quiver, quiver_to_json
 from clusterqq.rootsys import RootSystem, coxeter_data
 
@@ -535,6 +536,46 @@ class TestGoldenSeries:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["series"]["cutoff2"] == cutoff2
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
+
+def serialized(series):
+    """A series as ``qvar eval`` prints it, built here from its terms."""
+    terms = [
+        {"bracket": list(lam2), "psi": [[list(ih), e] for ih, e in psi], "coeff": c}
+        for (lam2, psi), c in sorted(series.terms.items())
+    ]
+    cut = series.cutoff2
+    return {"cutoff2": [cut.numerator, cut.denominator], "terms": terms}
+
+
+class TestRawSeries:
+    @pytest.mark.parametrize(
+        "name, word, i, r",
+        [("A3", (2, 1, 3, 2), 2, -4), ("A3", (1,), 1, 0), ("D4", (2, 1), 2, -1)],
+    )
+    def test_qvar_eval_raw_prints_q_raw(self, runner, name, word, i, r):
+        args = ["qvar", "eval", "--type", name, "--word", ",".join(map(str, word)),
+                "--i", str(i), "--r", str(r), "--depth", "3"]
+        raw = runner.invoke(main, [*args, "--raw"])
+        bar = runner.invoke(main, args)
+        assert raw.exit_code == bar.exit_code == 0
+        raw, bar = json.loads(raw.stdout)["series"], json.loads(bar.stdout)["series"]
+        ev = QEvaluator(RootSystem.from_name(name), depth=3)
+        series = ev.q_raw(word, i, r)
+        assert raw == serialized(series)
+        # the default output is the raw one times [-Ω(top Ψ)], term by term
+        (_, psi), _ = series.top()
+        shift = [-x for x in omega_lam2(ev.rs, psi)]
+        assert any(shift)
+        moved = sorted(
+            (tuple(map(add, t["bracket"], shift)), json.dumps(t["psi"]), t["coeff"])
+            for t in raw["terms"]
+        )
+        assert moved == sorted(
+            (tuple(t["bracket"]), json.dumps(t["psi"]), t["coeff"])
+            for t in bar["terms"]
+        )
+        assert bar == serialized(series.mul_monomial(bracket(ev.rs, tuple(shift))))
 
 
 class TestGoldenCombinatorics:

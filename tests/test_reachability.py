@@ -32,7 +32,8 @@ KEPT = {
     "seed.Seed.with_values": _PUBLIC,
     "quiver.build_seed_quiver": _PUBLIC,
     "quiver.insert_reflection": _PUBLIC,
-    "sl2.quadrilateral_check": _PUBLIC,
+    "quiver.CoxeterWindow.gamma": _PUBLIC + " (the finite core, built on "
+    "first use; no command prints it)",
     "seed.dual_cvectors": _ORACLE + ": the c-matrix as inverse transpose "
     "of the g-block (its certificate would add --json fields)",
     "gvector.mesh_check": _ORACLE + ": the translated mesh relation (its "

@@ -23,29 +23,29 @@ from clusterqq.rootsys import RootSystem, fundamental_weight
 from clusterqq import sl2
 from clusterqq.sl2 import (
     INF,
-    Diagonal,
     Segment,
     compatible,
-    diagonal_variable,
     exchange_relations_at,
     factorize,
     parse_monomial,
     ptolemy_check,
-    quadrilateral_check,
     segment_qchar,
-    x_finite,
-    x_minus,
-    x_plus,
 )
 from oracles import (
     DataclassSegment,
+    Diagonal,
     a_monomial,
     compatible_each_way,
     crosses,
     diagonal,
+    diagonal_variable,
     ht,
     key_inv,
     max_ht,
+    quadrilateral_identity,
+    x_finite,
+    x_minus,
+    x_plus,
 )
 
 A1 = RootSystem.from_name("A1")
@@ -306,8 +306,11 @@ class TestSegmentFace:
         monkeypatch.setattr(sl2, "segment_qchar", recording)
         assert ptolemy_check(-INF, 1, 0, 3, 4)["ok"]
         assert len(asked) == 6
-        diagonal_variable(Diagonal(-1, 3), 4)
-        assert asked[-1] == Segment(-1, 1)
+        # the last quadrilateral, (-∞, -2, -1, 0), asks for its edge
+        # (-1, 0) last
+        assert all(c["ok"] for c in exchange_relations_at(0, 4, 1))
+        assert len(asked) == 6 + 4 * 6
+        assert asked[-1] == Segment(-1, -2)
 
 
 class TestCompatibility:
@@ -407,6 +410,7 @@ class TestExchangeRelations:
         assert x_finite(r, s, 6).matches(lhs - rhs)
 
     def test_quadrilateral_relations(self):
+        # the quadrilateral (a, b, c, e) is the check of [a, c-2] and [b, e-2]
         quads = [
             (-INF, 0, 3, INF),
             (-INF, -1, 2, 5),
@@ -414,12 +418,59 @@ class TestExchangeRelations:
             (-3, -1, 0, INF),
             (-INF, 0, 1, INF),
         ]
-        for q in quads:
-            assert quadrilateral_check(*q, d=6)["ok"], q
+        for a, b, c, e in quads:
+            assert ptolemy_check(a, c - 2, b, e - 2, 6)["ok"], (a, b, c, e)
 
     def test_edge_diagonals_are_unit(self):
         assert diagonal_variable(Diagonal(-INF, INF), 4).terms == {key_one(1): 1}
         assert diagonal_variable(Diagonal(3, 4), 4).terms == {key_one(1): 1}
+
+
+class TestOneRelation:
+    """Both certificates read the one relation ``sl2._ptolemy``."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        real = sl2._ptolemy
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sl2, "_ptolemy", recording)
+        return calls
+
+    def test_exchange_relations_pass_their_quadrilaterals(self, calls):
+        certs = exchange_relations_at(0, 6, 3)
+        assert all(c["ok"] for c in certs)
+        assert [(c["relation"], c["at"]) for c in certs] == [
+            ("flip-upper", 1), ("flip-upper", 2), ("flip-upper", 3),
+            ("flip-switch-red", 0), ("flip-switch-green", -1),
+            ("flip-lower", -4), ("flip-lower", -3), ("flip-lower", -2),
+        ]
+        assert calls == [
+            (0, 1, 2, INF, 6), (1, 2, 3, INF, 6), (2, 3, 4, INF, 6),
+            (-INF, 0, 1, INF, 6), (-INF, -1, 0, INF, 6),
+            (-INF, -4, -3, -2, 6), (-INF, -3, -2, -1, 6), (-INF, -2, -1, 0, 6),
+        ]
+
+    def test_ptolemy_check_passes_its_quadrilateral(self, calls):
+        grid = ptolemy_grid(-3, 3) + [
+            (-INF, 0, 1, INF), (-INF, 0, -2, 3), (-1, 0, 1, INF),
+        ]
+        for quad in grid:
+            assert ptolemy_check(*quad, 4)["ok"], quad
+        assert calls == [(r, rp, s + 2, sp + 2, 4) for r, s, rp, sp in grid]
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_diagonal_identity_agrees_with_ptolemy_check(self, d):
+        # every quadrilateral on -∞, -5..5, +∞: the middle two are finite
+        quads = list(itertools.combinations([-INF, *range(-5, 6), INF], 4))
+        assert len(quads) == 715
+        for a, b, c, e in quads:
+            assert quadrilateral_identity(a, b, c, e, d), (a, b, c, e)
+            assert ptolemy_check(a, c - 2, b, e - 2, d)["ok"], (a, b, c, e)
 
 
 VARPI2 = fundamental_weight(A1, 1).coords2
@@ -496,9 +547,9 @@ class TestOneVariableFormula:
         # on some quadrilaterals only
         with pytest.raises(ValueError):
             exchange_relations_at(0, d=d)
-        for quad in [(-INF, 0, 1, INF), (-2, 0, 3, 7)]:
+        for a, b, c, e in [(-INF, 0, 1, INF), (-2, 0, 3, 7)]:
             with pytest.raises(ValueError):
-                quadrilateral_check(*quad, d=d)
+                ptolemy_check(a, c - 2, b, e - 2, d)
 
 
 def brute_force_factorizations(pos, neg):
