@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from clusterqq import gvector, wronskian
+from clusterqq import gvector, qseries, wronskian
 from clusterqq.cli import main
 from clusterqq.gvector import (
     GVec,
@@ -353,6 +353,16 @@ class TestETypeBatteries:
         assert qqstar_battery(r, 3, prefixes, [0]) == count
         budget.check()
 
+    @pytest.mark.parametrize(
+        "name,depth,count,seconds", [("E6", 2, 83, 2.0), ("E7", 3, 156, 4.0)]
+    )
+    def test_qq_every_ascent_of_longest_word_prefixes(
+        self, name, depth, count, seconds
+    ):
+        budget = Budget(seconds)
+        assert qq_ascent_battery(QEvaluator(rs(name), depth=depth)) == count
+        budget.check()
+
 
 class TestDATypeBatteries:
     """The same two batteries in D5–D8 and A5–A8: QQ at every prefix of
@@ -394,6 +404,20 @@ def qq_battery(ev, r_values):
         for rr in r_values:
             assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
             count += 1
+    return count
+
+
+def qq_ascent_battery(ev):
+    """qq_check at r = 0 for every ascent i of every prefix w of w_0
+    (every i with w s_i reduced, not only the next letter); the count."""
+    word = longest_element(ev.rs).word
+    count = 0
+    for t in range(len(word) + 1):
+        prefix = word[:t]
+        for i in range(1, ev.rs.n + 1):
+            if is_reduced(ev.rs, prefix + (i,)):
+                assert qq_check(ev, prefix, i, 0), (prefix, i)
+                count += 1
     return count
 
 
@@ -762,6 +786,36 @@ class TestFailingTwins:
         A3 = rs("A3")
         assert qqstar_check(QEvaluator(A3, depth=3), (), 1, 2, -2)
         assert not qqstar_check(ShiftedEvaluator(A3, 3, *shifted), (), 1, 2, -2)
+
+    def test_qq_verify_on_a_shifted_variable(self, monkeypatch):
+        # the CLI loads the evaluator when it runs, so the patch reaches it
+        args = ["qq", "verify", "--type", "A3", "--depth", "3", "--window",
+                "0..0", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        monkeypatch.setattr(
+            qseries, "QEvaluator",
+            lambda r, depth: ShiftedEvaluator(r, depth, (1, 2), 2),
+        )
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert '"ok": false' in result.stdout
+        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        failed = [(c["word"], c["i"]) for c in certs if not c["ok"]]
+        assert failed == [([1], 2), ([1, 2], 1)]
+
+    def test_qqstar_verify_on_a_shifted_variable(self, monkeypatch):
+        args = ["qqstar", "verify", "--type", "A3", "--depth", "3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        monkeypatch.setattr(
+            qseries, "QEvaluator",
+            lambda r, depth: ShiftedEvaluator(r, depth, (1,), 1),
+        )
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert '"ok": false' in result.stdout
+        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        failed = [(c["i"], c["j"]) for c in certs if not c["ok"]]
+        assert failed == [(1, 2), (2, 1)]
 
     def test_ptolemy_with_a_neighbouring_segment(self, monkeypatch):
         assert ptolemy_check(0, 2, 1, 4, 6)["ok"]

@@ -919,3 +919,77 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "certification" in proc.stdout
+
+
+# the in-process runner of the import-boundary test: it imports the CLI,
+# runs each command of argv[1] and prints the clusterqq modules loaded
+# after the import and after each command
+BOUNDARY_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("clusterqq"))
+
+from clusterqq.cli import main
+
+out = {"import": loaded(), "runs": []}
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(args, prog_name="clusterqq")
+        except SystemExit as exc:
+            code = exc.code
+    out["runs"].append({"args": args, "code": code, "loaded": loaded()})
+print(json.dumps(out))
+"""
+
+SERIES_MODULES = {"clusterqq.qseries", "clusterqq.sl2", "clusterqq.wronskian"}
+
+COMBINATORIAL = [
+    ["gvec", "compare", "--type", "A3"],
+    ["gvec", "knit", "--type", "A2"],
+    ["seed", "sweep", "--type", "A2", "--sweeps", "2"],
+    ["seed", "mutate", "--type", "A2", "--vertex", "1,-2"],
+    ["quiver", "build", "--type", "A2"],
+    ["f-eval", "--type", "A2"],
+]
+
+
+class TestImportBoundary:
+    """The series ring loads only in the commands that evaluate series.
+
+    Each run is a fresh interpreter whose PYTHONPATH starts with the
+    directory the suite imported ``clusterqq`` from.
+    """
+
+    @pytest.fixture(scope="class")
+    def probe(self, tmp_path_factory):
+        commands = COMBINATORIAL + [
+            ["qq", "verify", "--type", "A1", "--window", "0..0", "--depth", "1"]
+        ]
+        pythonpath = [str(IMPORT_ROOT), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+        proc = subprocess.run(
+            [sys.executable, "-c", BOUNDARY_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=env,
+            cwd=tmp_path_factory.mktemp("boundary"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_series_module(self, probe):
+        assert "clusterqq.cli" in probe["import"]
+        assert not SERIES_MODULES & set(probe["import"])
+
+    def test_combinatorial_commands_load_nothing_more(self, probe):
+        # so a gvec_cli benchmark pass imports nothing that set-up did not
+        runs = probe["runs"][: len(COMBINATORIAL)]
+        assert [r["args"] for r in runs] == COMBINATORIAL
+        for run in runs:
+            assert run["code"] == 0, run["args"]
+            assert run["loaded"] == probe["import"], run["args"]
+
+    def test_qq_verify_loads_the_series_ring(self, probe):
+        run = probe["runs"][-1]
+        assert run["args"][:2] == ["qq", "verify"] and run["code"] == 0
+        assert "clusterqq.qseries" in run["loaded"]
