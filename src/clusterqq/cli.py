@@ -624,7 +624,7 @@ def bruhat_group() -> None:
 @click.option("--seed", type=int, default=0)
 @_certifies
 def bruhat_verify(rep, n_, trials, seed):
-    """Sample cell points and certify the exchange and reconstruction laws."""
+    """Sample cell points and certify the exchange and Desnanot-Jacobi laws."""
     from . import wronskian
 
     try:  # n outside the documented range

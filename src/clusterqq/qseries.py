@@ -592,10 +592,6 @@ class QEvaluator:
         self._labels[word, i] = self._labels[w, i]
         return self._labels[word, i]
 
-    def weight_of(self, word, i: int) -> Lam2:
-        """w(ϖ_i) for a reduced word of w."""
-        return self._label(word, i)[1]
-
     def _neighbors(self, w_prime, i: int, b: int) -> KSeries:
         """∏_{j~i} Q′_j(b), with Q′ the Q-variables at w′."""
         out = KSeries.one(self.rs, -2 * self.depth)

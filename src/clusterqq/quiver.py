@@ -6,17 +6,17 @@ congruent mod 2 to the parity class of ``i``.  The basic quiver has arrows
 ``(i, r) -> (j, r + c_ij)`` for ``c_ij != 0`` (including the vertical
 up-arrows ``(i, r) -> (i, r+2)``).
 
-``insert_reflection`` performs the four-step local surgery that creates a
-red/green pair: split the vertical arrow below the chosen vertex, reroute
-the oblique arrows leaving it to the new vertex, and move the rest of the
-column down by 2 so vertex ids stay in the fixed parity component.  The
-move only relabels, so a run of insertions works on stable vertex ids held
-in one top-down list per column and reads the heights off the lists once
-at the end: an insertion costs what its own arrows cost, however long the
-column below it.  Iterating it along a reduced word builds the
-initial-seed quivers; doing it at every vertex of the finite starting
-pattern of a Coxeter element builds the Coxeter quiver, normalized so its
-highest red vertex has height 0.
+``_insert_reflections`` performs, at each point in turn, the four-step
+local surgery that creates a red/green pair: split the vertical arrow
+below the chosen vertex, reroute the oblique arrows leaving it to the new
+vertex, and move the rest of the column down by 2 so vertex ids stay in
+the fixed parity component.  The move only relabels, so a run of
+insertions works on stable vertex ids held in one top-down list per
+column and reads the heights off the lists once at the end: an insertion
+costs what its own arrows cost, however long the column below it.  Doing
+it at every vertex of the finite starting pattern of a Coxeter element
+builds the Coxeter quiver, normalized so its highest red vertex has
+height 0.
 
 A :class:`WindowedQuiver` is frozen: sorted arrow and color tuples, hashable
 and comparable.  Its one derived view, the adjacency map ``out[a][b] = m``,
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rootsys import CoxeterDatum, RootSystem, is_reduced
+from .rootsys import CoxeterDatum, RootSystem
 
 Vertex = tuple[int, int]
 Arrow = tuple[Vertex, Vertex]
@@ -342,44 +342,6 @@ def _insert_reflections(q: WindowedQuiver, points: Iterable[Vertex]) -> Windowed
         hv: c for v, c in work.colors.items() if (hv := height.get(v, v)) is not None
     }
     return _make(q, vertices=out.keys(), out=out, colors=colors)
-
-
-def insert_reflection(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
-    """Create a red/green pair at ``v`` by the four-step vertical surgery."""
-    return _insert_reflections(q, [v])
-
-
-def build_seed_quiver(
-    rs: RootSystem,
-    word: Sequence[int],
-    heights: Sequence[int],
-    rmin: int | None = None,
-    rmax: int | None = None,
-    parity: Sequence[int] | None = None,
-    margin: int = 2,
-) -> WindowedQuiver:
-    """Initial-seed quiver for a reduced word, inserting top-down.
-
-    ``heights[t]`` is the label of the t-th red vertex in the finished
-    quiver; since the construction descends, it is also the literal
-    insertion coordinate at step t.
-    """
-    word = tuple(word)
-    heights = tuple(heights)
-    if len(word) != len(heights):
-        raise ValueError("word and heights must have equal length")
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {word} is not reduced")
-    if len(set(zip(word, heights))) != len(word):
-        raise ValueError("height collision")
-    if rmax is None:
-        rmax = (max(heights) if heights else 0) + 4
-    if rmin is None:
-        rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
-    return _insert_reflections(
-        basic_quiver(rs, rmin, rmax, parity=parity, margin=margin),
-        zip(word, heights),
-    )
 
 
 def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:

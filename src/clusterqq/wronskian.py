@@ -17,10 +17,9 @@ arithmetic; every minor doubles as an independent cross-check of the
 series engine.
 
 The second half of the module works over exact rationals: random
-``SL(n+1)`` points of the open double Bruhat cell, the corner exchange
-identity (a Desnanot-Jacobi / Lewis Carroll instance), and the
-reconstruction of a 3x3 matrix from its eight initial cluster minors.
-It computes in integers: a point is an integer matrix ``M`` over one
+``SL(n+1)`` points of the open double Bruhat cell and the corner
+exchange identity (a Desnanot-Jacobi / Lewis Carroll instance).  It
+computes in integers: a point is an integer matrix ``M`` over one
 positive denominator ``D``, so an ``i x i`` minor of the point is that
 of ``M`` over ``D**i``.  With N, S, W and E the four ``n x n`` minors of
 ``M`` that drop one outer row and one outer column (north: the last row
@@ -30,6 +29,10 @@ equations ``N·S - W·E == inner·D**(n+1)`` (the exchange identity, which
 uses det = 1) and ``N·S - W·E == det·inner`` (Desnanot-Jacobi).  Both
 halves take their determinants from the one Laplace routine,
 ``rootsys._minor``, which works over any commutative ring.
+
+At n = 2 a point must also keep the other initial cluster minors of
+SL(3) nonzero.  The rule only selects points: it keeps the points, and
+so the certificates, of ``bruhat verify --n 2`` as they have been.
 """
 
 from __future__ import annotations
@@ -334,10 +337,6 @@ def _random_scaled_sl(size: int, rng: random.Random):
     return [[x // c for x in row] for row in m], d // c
 
 
-def _to_fractions(m, d: int):
-    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
-
-
 def _corner_minors(m, memo=None):
     """The pairs (lower, upper) of i x i corner minors, i = 1..size-1.
 
@@ -369,42 +368,6 @@ def _carroll_minors(m, memo=None) -> tuple[int, int, int, int]:
     )
 
 
-_SL3_CLUSTER = {
-    "d31": ((2,), (0,)),
-    "d21": ((1,), (0,)),
-    "d22": ((1,), (1,)),
-    "d12": ((0,), (1,)),
-    "d13": ((0,), (2,)),
-    "d23_12": ((1, 2), (0, 1)),
-    "d12_12": ((0, 1), (0, 1)),
-    "d12_23": ((0, 1), (1, 2)),
-}
-
-
-def sl3_cluster_values(mat) -> dict[str, Fraction]:
-    return {
-        name: rational_minor(mat, rows, cols)
-        for name, (rows, cols) in _SL3_CLUSTER.items()
-    }
-
-
-def sl3_reconstruct(vals: dict[str, Fraction]):
-    """Rebuild the SL(3) matrix from the eight initial cluster minors.
-
-    Entries named  [[a, b, c], [d, e, f], [h, i, j]]; the five single
-    entries of the cluster are read off directly, the remaining four are
-    Laurent expressions in the cluster (using det = 1 for the last one).
-    """
-    h, d, e = vals["d31"], vals["d21"], vals["d22"]
-    b, c = vals["d12"], vals["d13"]
-    a = (vals["d12_12"] + vals["d12"] * vals["d21"]) / vals["d22"]
-    f = (vals["d12_23"] + vals["d22"] * vals["d13"]) / vals["d12"]
-    i = (vals["d23_12"] + vals["d31"] * vals["d22"]) / vals["d21"]
-    ej_fi = (vals["d22"] + vals["d12_23"] * vals["d23_12"]) / vals["d12_12"]
-    j = (ej_fi + f * i) / e
-    return ((a, b, c), (d, e, f), (h, i, j))
-
-
 def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> dict:
     """Sample SL(n+1) points of the open cell and certify minor identities.
 
@@ -421,8 +384,11 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> d
       ``N·S - W·E == inner·D**(n+1)``;
     * Desnanot-Jacobi itself, ``N·S - W·E == det·inner``.
 
-    For n = 2 each sample is additionally rebuilt from its eight initial
-    cluster minors.  Raises ``ValueError`` for n outside 2..``MAX_RANK``.
+    At n = 2 a draw is also rejected when one of the other four initial
+    cluster minors of SL(3) is zero: entries (1, 2), (2, 1), (2, 2) and
+    north (the other four are corner minors).  The rule certifies
+    nothing; it keeps the points, and so the certificates, that n = 2
+    has always drawn.  Raises ``ValueError`` for n outside 2..``MAX_RANK``.
     ``deadline``, if given, is called with no arguments before each draw;
     it may raise to abandon the run.
     """
@@ -441,22 +407,16 @@ def bruhat_check(n: int, trials: int = 20, seed: int = 0, *, deadline=None) -> d
             m, d = _random_scaled_sl(size, rng)
             memo: dict = {}  # one per point, shared by all its minors
             corners = _corner_minors(m, memo)
-            if corners is None:
+            if corners is None or n == 2 and 0 in (
+                m[0][1], m[1][0], m[1][1], _int_minor(m, range(2), range(2), memo)
+            ):
                 rejected += 1
                 continue
-            if n == 2:
-                mat = _to_fractions(m, d)
-                cluster = sl3_cluster_values(mat)
-                if any(v == 0 for v in cluster.values()):
-                    rejected += 1
-                    continue
             break
         west, east = corners[-1]
         north, south, inner, det = _carroll_minors(m, memo)
         lhs = north * south - west * east
         ok = lhs == inner * d**size and lhs == det * inner
-        if n == 2:
-            ok = ok and sl3_reconstruct(cluster) == mat
         results.append({"trial": t, "ok": ok})
     return {
         "relation": "bruhat",

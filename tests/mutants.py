@@ -51,6 +51,36 @@ MUTANTS = {
             "::test_wronskian_with_a_determinant_off_one",
         ],
     },
+    # the Bruhat certificate without its exchange half: det = 1 unchecked
+    "bruhat-ok-drops-exchange": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''ok = lhs == inner * d**size and lhs == det * inner''',
+        "new": '''ok = lhs == det * inner''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_bruhat_with_one_entry_of_m_changed",
+        ],
+    },
+    # the Bruhat certificate without its Desnanot-Jacobi half
+    "bruhat-ok-drops-desnanot-jacobi": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''ok = lhs == inner * d**size and lhs == det * inner''',
+        "new": '''ok = lhs == inner * d**size''',
+        "kills": [
+            "tests/test_wronskian.py::TestBruhatCertificates"
+            "::test_failing_twin_desnanot_jacobi",
+        ],
+    },
+    # the n = 2 sampling rule forgets the north minor: other points drawn
+    "bruhat-n2-rule-drops-north": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''m[0][1], m[1][0], m[1][1], _int_minor(m, range(2), range(2), memo)''',
+        "new": '''m[0][1], m[1][0], m[1][1]''',
+        "kills": [
+            "tests/test_wronskian.py::TestBruhatCertificates"
+            "::test_n2_command_stdout",
+        ],
+    },
     # ``sl2 factor`` forgets pairwise compatibility
     "sl2-factor-ignores-compatibility": {
         "file": "src/clusterqq/cli.py",

@@ -31,7 +31,14 @@ from clusterqq.qseries import (
     psi_mul,
     psi_var,
 )
-from clusterqq.quiver import BLACK, RED, _make, _WorkingQuiver
+from clusterqq.quiver import (
+    BLACK,
+    RED,
+    _insert_reflections,
+    _make,
+    _WorkingQuiver,
+    basic_quiver,
+)
 from clusterqq.rootsys import (
     Matrix,
     RootSystem,
@@ -39,10 +46,12 @@ from clusterqq.rootsys import (
     _identity,
     _length_and_word,
     fundamental_weight,
+    is_reduced,
     weyl_from_word,
 )
 from clusterqq.seed import _returned, _transport, _working
 from clusterqq.sl2 import INF, Segment, segment_qchar
+from clusterqq.wronskian import rational_minor
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +137,38 @@ def recolor_from_arrows(q):
     work = _WorkingQuiver(q)
     work.recolor()
     return work.freeze()
+
+
+def insert_reflection(q, v):
+    """Create a red/green pair at ``v`` by the four-step vertical surgery."""
+    return _insert_reflections(q, [v])
+
+
+def build_seed_quiver(
+    rs, word, heights, rmin=None, rmax=None, parity=None, margin: int = 2
+):
+    """Initial-seed quiver for a reduced word, inserting top-down.
+
+    ``heights[t]`` is the label of the t-th red vertex in the finished
+    quiver; since the construction descends, it is also the literal
+    insertion coordinate at step t.
+    """
+    word = tuple(word)
+    heights = tuple(heights)
+    if len(word) != len(heights):
+        raise ValueError("word and heights must have equal length")
+    if not is_reduced(rs, word):
+        raise ValueError(f"word {word} is not reduced")
+    if len(set(zip(word, heights))) != len(word):
+        raise ValueError("height collision")
+    if rmax is None:
+        rmax = (max(heights) if heights else 0) + 4
+    if rmin is None:
+        rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
+    return _insert_reflections(
+        basic_quiver(rs, rmin, rmax, parity=parity, margin=margin),
+        zip(word, heights),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +326,11 @@ def matches_two_sided(a, b) -> bool:
     return bool(x) and x == y
 
 
+def weight_of(ev, word, i: int):
+    """w(ϖ_i) for a reduced word of w, from the evaluator's label record."""
+    return ev._label(word, i)[1]
+
+
 def q_raw_every_r(ev, word, i: int, r: int):
     """``QEvaluator.q_raw`` without the spectral shift: each (w(ϖ_i), r)
     is solved and certified afresh."""
@@ -435,3 +481,53 @@ def crosses(d1, d2) -> bool:
     """True iff the two diagonals intersect in their interiors."""
     a, b, c, d = d1.a, d1.b, d2.a, d2.b
     return a < c < b < d or c < a < d < b
+
+
+# ---------------------------------------------------------------------------
+# wronskian
+# ---------------------------------------------------------------------------
+
+
+def to_fractions(m, d: int):
+    """The point ``m / d`` of an integer matrix over a denominator."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
+SL3_CLUSTER = {
+    "d31": ((2,), (0,)),
+    "d21": ((1,), (0,)),
+    "d22": ((1,), (1,)),
+    "d12": ((0,), (1,)),
+    "d13": ((0,), (2,)),
+    "d23_12": ((1, 2), (0, 1)),
+    "d12_12": ((0, 1), (0, 1)),
+    "d12_23": ((0, 1), (1, 2)),
+}
+
+
+def sl3_cluster_values(mat) -> dict:
+    """The eight initial cluster minors of a 3 x 3 matrix, as Fractions."""
+    return {
+        name: rational_minor(mat, rows, cols)
+        for name, (rows, cols) in SL3_CLUSTER.items()
+    }
+
+
+def sl3_reconstruct(vals: dict):
+    """Rebuild the SL(3) matrix from the eight initial cluster minors.
+
+    Entries named  [[a, b, c], [d, e, f], [h, i, j]]; the five single
+    entries of the cluster are read off directly, the remaining four are
+    Laurent expressions in the cluster (using det = 1 for the last one).
+    The reference for the exchange identity at n = 2: a, f and i are
+    rebuilt by identities of every matrix, and j by
+    ``N·S - W·E == inner``.
+    """
+    h, d, e = vals["d31"], vals["d21"], vals["d22"]
+    b, c = vals["d12"], vals["d13"]
+    a = (vals["d12_12"] + vals["d12"] * vals["d21"]) / vals["d22"]
+    f = (vals["d12_23"] + vals["d22"] * vals["d13"]) / vals["d12"]
+    i = (vals["d23_12"] + vals["d31"] * vals["d22"]) / vals["d21"]
+    ej_fi = (vals["d22"] + vals["d12_23"] * vals["d23_12"]) / vals["d12_12"]
+    j = (ej_fi + f * i) / e
+    return ((a, b, c), (d, e, f), (h, i, j))

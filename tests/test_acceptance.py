@@ -34,7 +34,7 @@ from clusterqq.qseries import (
     qq_check,
     qqstar_check,
 )
-from clusterqq.quiver import build_coxeter_quiver, build_seed_quiver, mutate_quiver
+from clusterqq.quiver import build_coxeter_quiver, mutate_quiver
 from clusterqq.rootsys import (
     RootSystem,
     coxeter_data,
@@ -62,16 +62,18 @@ from clusterqq.wronskian import (
     _carroll_minors,
     bruhat_check,
     check_wronskian,
-    _to_fractions,
 )
 
 from oracles import (
     a_monomial,
+    build_seed_quiver,
     key_inv,
     relabeled,
     same_arrows,
     slice_matrix,
     theta,
+    to_fractions,
+    weight_of,
 )
 from test_gvector import A3_STABILIZED, a2_expected
 from test_qseries import A3_SEED_LABELS
@@ -505,7 +507,7 @@ class TestEmbedding:
         for v, (xword, xi, xr) in A3_SEED_LABELS.items():
             word, i, r = labels[v]
             assert (i, r) == (xi, xr), v
-            assert ev.weight_of(word, i) == ev.weight_of(xword, xi), v
+            assert weight_of(ev, word, i) == weight_of(ev, xword, xi), v
 
     def test_rank_two_mutation_sequence_in_series(self):
         # the three-step mutation sequence executed on series values: each
@@ -971,5 +973,5 @@ class TestFailingTwins:
         # the point left SL(4) while Desnanot-Jacobi still holds: it is
         # the det = 1 half of the certificate that fails
         for m, d in points:
-            assert desnanot_jacobi_check(_to_fractions(m, d))
+            assert desnanot_jacobi_check(to_fractions(m, d))
             assert _carroll_minors(m)[3] != d**4

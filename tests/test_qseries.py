@@ -36,6 +36,7 @@ from oracles import (
     matches_two_sided,
     max_ht,
     tau,
+    weight_of,
     y_monomial,
 )
 
@@ -680,7 +681,7 @@ class TestEmbedding:
         for v, (xword, xi, xr) in A3_SEED_LABELS.items():
             word, i, r = labels[v]
             assert i == xi and r == xr, v
-            assert ev.weight_of(word, i) == ev.weight_of(xword, xi), v
+            assert weight_of(ev, word, i) == weight_of(ev, xword, xi), v
 
     def test_leading_monomials_are_gvectors(self):
         cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)), depth_below=8)
@@ -699,12 +700,12 @@ class TestEmbedding:
         wrong = KSeries.one(A2, Fraction(-8))
         with pytest.raises(CertificationError):
             ev._certify((1,), 1, 0, wrong)
-        assert (ev.weight_of((1,), 1), 0) not in ev._memo
+        assert (weight_of(ev, (1,), 1), 0) not in ev._memo
         assert ev._inverses.keys() <= ev._memo.keys()
 
     def test_failed_certification_is_not_memoized(self, monkeypatch):
         ev = QEvaluator(A2, depth=4)
-        key = (ev.weight_of((1,), 1), 0)
+        key = (weight_of(ev, (1,), 1), 0)
         with monkeypatch.context() as m:
             m.setattr(KSeries, "matches", lambda self, other: False)
             for _ in range(2):  # a retry checks again
@@ -722,7 +723,7 @@ class TestEmbedding:
         # the base solve of (1, 2) at node 2 gains a term; the lower solve
         # in _certify stays right, so the relation check must fail
         ev = QEvaluator(A2, depth=4)
-        lam2 = ev.weight_of((1, 2), 2)
+        lam2 = weight_of(ev, (1, 2), 2)
         real = QEvaluator._solve
 
         def solve(self, word, i, r):

@@ -10,13 +10,18 @@ from clusterqq.quiver import (
     MarginError,
     basic_quiver,
     build_coxeter_quiver,
-    build_seed_quiver,
-    insert_reflection,
     mutate_quiver,
     quiver_to_json,
 )
 from clusterqq.rootsys import RootSystem, coxeter_data
-from oracles import recolor_from_arrows, reds, relabeled, same_arrows
+from oracles import (
+    build_seed_quiver,
+    insert_reflection,
+    recolor_from_arrows,
+    reds,
+    relabeled,
+    same_arrows,
+)
 
 
 def rs(name):

@@ -28,10 +28,7 @@ _PUBLIC = "public API: tests use it as a library entry point"
 _ORACLE = "oracle or cross-check that tests use"
 
 KEPT = {
-    "qseries.QEvaluator.weight_of": _PUBLIC,
     "seed.Seed.with_values": _PUBLIC,
-    "quiver.build_seed_quiver": _PUBLIC,
-    "quiver.insert_reflection": _PUBLIC,
     "quiver.CoxeterWindow.gamma": _PUBLIC + " (the finite core, built on "
     "first use; no command prints it)",
     "seed.dual_cvectors": _ORACLE + ": the c-matrix as inverse transpose "

@@ -30,13 +30,18 @@ from clusterqq.quiver import (
     _make,
     basic_quiver,
     build_coxeter_quiver,
-    build_seed_quiver,
-    insert_reflection,
     mutate_quiver,
 )
 from clusterqq.rootsys import RootSystem, coxeter_data, is_reduced
 from clusterqq.seed import green_sweep, initial_seed
-from oracles import color, mutate_reference, recolor_from_arrows, reds
+from oracles import (
+    build_seed_quiver,
+    color,
+    insert_reflection,
+    mutate_reference,
+    recolor_from_arrows,
+    reds,
+)
 
 
 def rs(name):

@@ -9,9 +9,11 @@ import types
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterqq import rootsys, wronskian
+from clusterqq.cli import main
 from clusterqq.qseries import QEvaluator
 from clusterqq.rootsys import (
     RootSystem,
@@ -25,10 +27,9 @@ from clusterqq.wronskian import (
     build_wronskian,
     check_wronskian,
     rational_minor,
-    sl3_cluster_values,
-    sl3_reconstruct,
     weight_word,
 )
+from oracles import sl3_cluster_values, sl3_reconstruct, to_fractions, weight_of
 
 # Oracles: the Leibniz determinant and the Fraction arithmetic that the
 # Laplace and integer-scaled routines replaced, kept as the reference
@@ -121,7 +122,7 @@ def oracle_steps(size, rng):
 
 def random_sl_matrix(size, rng):
     """A random SL(size) matrix: product of elementary transvections."""
-    return wronskian._to_fractions(*wronskian._random_scaled_sl(size, rng))
+    return to_fractions(*wronskian._random_scaled_sl(size, rng))
 
 
 def in_open_cell(mat) -> bool:
@@ -263,7 +264,7 @@ class TestBlockLabels:
             assert weights[0] == fundamental_weight(rs, i).coords2
             for lam2, word in node:
                 assert is_reduced(rs, word)
-                assert ev.weight_of(word, i) == lam2
+                assert weight_of(ev, word, i) == lam2
                 assert weight_word(rs, lam2) == (word, i)
 
     def test_one_table_per_root_system(self):
@@ -464,6 +465,37 @@ class TestRationalMinors:
                 continue
             found += 1
             assert sl3_reconstruct(vals) == g
+
+    def test_reconstruction_is_the_exchange_identity(self):
+        """On 3 x 3 rational matrices with nonzero cluster minors, SL(3)
+        points or not, the rebuilt matrix is the matrix exactly when
+        ``N·S - W·E == inner``: the reconstruction checks nothing that
+        the exchange identity does not."""
+        rng = random.Random(20)
+        outcomes = {True: 0, False: 0}
+        for t in itertools.count():
+            if sum(outcomes.values()) == 2000:
+                break
+            if t % 3 == 2:  # any rational matrix
+                mat = [
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in "abc"]
+                    for _ in "abc"
+                ]
+            else:  # an SL(3) point, or one with one entry moved
+                mat = [list(row) for row in random_sl_matrix(3, rng)]
+                if t % 3 == 1:
+                    mat[rng.randrange(3)][rng.randrange(3)] += rng.randint(-2, 2)
+            vals = sl3_cluster_values(mat)
+            if 0 in vals.values():
+                continue
+            north, inner = vals["d12_12"], vals["d22"]
+            west, east = vals["d23_12"], vals["d12_23"]
+            south = rational_minor(mat, (1, 2), (1, 2))
+            exchange = north * south - west * east == inner
+            rebuilt = sl3_reconstruct(vals) == tuple(map(tuple, mat))
+            assert rebuilt == exchange, mat
+            outcomes[exchange] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
     def test_bruhat_certificates(self):
         cert = bruhat_check(2, trials=15, seed=1)
@@ -766,6 +798,19 @@ class TestBruhatCertificates:
         digest = hashlib.sha256(json.dumps(cert, sort_keys=True).encode())
         assert digest.hexdigest() == sha256
 
+    def test_n2_command_stdout(self):
+        # the n = 2 sampling rule decides which points are drawn: leaving
+        # out any one of its four minors changes the rejections and points
+        result = CliRunner().invoke(
+            main,
+            ["bruhat", "verify", "--n", "2", "--trials", "200", "--seed", "3",
+             "--json"],
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "714e472fecea87185313ac6636624a99ce65af400d026345477f2c8899453bc5"
+        )
+
     @pytest.mark.parametrize("seed", [0, 4, 11])
     def test_each_minor_once(self, monkeypatch, seed):
         """Per sample: the 2n corner minors, then north, south, inner and
@@ -796,6 +841,21 @@ class TestBruhatCertificates:
         accepted = [d for d in draws if len(d) == 2 * n + 4]
         assert len(accepted) == trials
         assert all(len(d) <= 2 * n for d in draws if len(d) != 2 * n + 4)
+
+    @pytest.mark.parametrize("n, trials, seed", [(2, 30, 5), (3, 30, 5)])
+    def test_failing_twin_desnanot_jacobi(self, monkeypatch, n, trials, seed):
+        # det off by one leaves the exchange identity true: only the
+        # Desnanot-Jacobi half of the certificate can fail
+        assert bruhat_check(n, trials, seed)["ok"]
+        real = wronskian._carroll_minors
+
+        def det_plus_one(m, memo=None):
+            north, south, inner, det = real(m, memo)
+            return north, south, inner, det + 1
+
+        monkeypatch.setattr(wronskian, "_carroll_minors", det_plus_one)
+        cert = bruhat_check(n, trials, seed)
+        assert not any(x["ok"] for x in cert["results"])
 
 
 class TestDeadline:
