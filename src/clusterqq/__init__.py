@@ -4,8 +4,8 @@ Subsystems:
 
 * :mod:`clusterqq.rootsys` — simply-laced root systems, Weyl groups,
   Coxeter elements with height functions and exponents.
-* :mod:`clusterqq.quiver` — finite windows of the infinite quivers with
-  reflection insertion, mutation and slice bookkeeping.
+* :mod:`clusterqq.quiver` — finite windows of the infinite quivers: the
+  Coxeter window in closed form, mutation and slice bookkeeping.
 * :mod:`clusterqq.seed` — seeds carrying g-vectors, c-vectors and optional
   series values; seed and reference mutation; green sweeps.
 * :mod:`clusterqq.gvector` — stabilized g-vectors via slice blocks, the

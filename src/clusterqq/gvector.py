@@ -207,7 +207,7 @@ def sweep_gvectors(cw: CoxeterWindow, sweeps: int) -> list[dict[Vertex, GVec]]:
 
 
 def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
-    """Top-down knitting recursion on an inserted quiver window.
+    """Top-down knitting recursion on a Coxeter quiver window.
 
     Vertices whose column has no vertex above them get unit vectors; the
     window top must lie above every red vertex for this to be exact.

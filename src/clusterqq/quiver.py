@@ -6,22 +6,19 @@ congruent mod 2 to the parity class of ``i``.  The basic quiver has arrows
 ``(i, r) -> (j, r + c_ij)`` for ``c_ij != 0`` (including the vertical
 up-arrows ``(i, r) -> (i, r+2)``).
 
-``_insert_reflections`` performs, at each point in turn, the four-step
-local surgery that creates a red/green pair: split the vertical arrow
-below the chosen vertex, reroute the oblique arrows leaving it to the new
-vertex, and move the rest of the column down by 2 so vertex ids stay in
-the fixed parity component.  The move only relabels, so a run of
-insertions works on stable vertex ids held in one top-down list per
-column and reads the heights off the lists once at the end: an insertion
-costs what its own arrows cost, however long the column below it.  Doing
-it at every vertex of the finite starting pattern of a Coxeter element
-builds the Coxeter quiver, normalized so its highest red vertex has
-height 0.
+The Coxeter quiver of a Coxeter datum (l, m) is the basic quiver with a
+band of red/green pairs, written down in closed form by
+:func:`build_coxeter_quiver`.  It is the quiver that the four-step
+insertion surgery builds at every vertex of the finite starting pattern
+of the Coxeter element: split the vertical arrow below the chosen vertex,
+reroute the oblique arrows leaving it to the new green vertex, and move
+the rest of the column down by 2.  That surgery is the test reference in
+``tests/oracles.py``.
 
 A :class:`WindowedQuiver` is frozen: sorted arrow and color tuples, hashable
 and comparable.  Its one derived view, the adjacency map ``out[a][b] = m``,
 is built from the arrows on first use and answers every arrow lookup.
-Every surgery (insertion, mutation, recoloring) runs in place on one
+Every surgery (mutation, recoloring) runs in place on one
 private working form, :class:`_WorkingQuiver`, which keeps the arrows as
 adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the vertex
 set and the colors.  A run of surgeries thaws a quiver once,
@@ -177,11 +174,6 @@ class _WorkingQuiver:
     def _add(self, a: Vertex, b: Vertex, m: int) -> None:
         self._set(a, b, self.out[a].get(b, 0) + m)
 
-    def _add_vertex(self, v: Vertex) -> None:
-        self.vertices.add(v)
-        self.out.setdefault(v, {})
-        self.inn.setdefault(v, {})
-
     # -- surgeries ----------------------------------------------------------
 
     def mutate(self, v: Vertex) -> None:
@@ -269,81 +261,6 @@ def basic_quiver(
     return _make(proto, vertices=vertices, out=out, colors={})
 
 
-def _insert_reflections(q: WindowedQuiver, points: Iterable[Vertex]) -> WindowedQuiver:
-    """Create a red/green pair at each point in turn, then freeze once.
-
-    Each point is read in the coordinates that the insertions before it
-    left.  The surgery at v = (i, r): (i)+(ii) split the vertical arrow into
-    the lower column -> green <- v, (iii) reroute the oblique arrows leaving
-    v so they leave the green, and (iv) move the column below v down by 2.
-    Step (iv) only relabels, and steps (i)-(iii) read only v, the vertex
-    below it and v's out-arrows, so the surgery runs on stable ids: every
-    vertex keeps its own and each green gets a fresh one.  A column (node i
-    and one parity of heights) is a top-down list of ids, None where the
-    quiver has no vertex; v sits at index (top - r) / 2, and (iv) is the
-    green's insertion right after it.  Heights are read off the lists once
-    at the end, where what was pushed below the window is dropped with its
-    arrows.
-    """
-    work = _WorkingQuiver(q)
-    columns: dict[tuple[int, int], list] = {}  # (i, top) -> ids, top-down
-    for t, v in enumerate(points):
-        i, r = v
-        top = q.rmax - (q.rmax - r) % 2
-        col = columns.get((i, top))
-        if col is None:
-            col = columns[(i, top)] = [
-                (i, h) if (i, h) in q.vertices else None
-                for h in range(top, q.rmin - 1, -2)
-            ]
-        k = (top - r) // 2
-        u = col[k] if q.rmin <= r <= top else None
-        if u is None:
-            raise ValueError(f"vertex {v} not in window")
-        color = work.colors.get(u, BLACK)
-        if color != BLACK:
-            raise ValueError(f"vertex {v} already colored {color}")
-        if r - q.rmin <= q.margin:
-            raise MarginError(f"insertion at {v} too close to window bottom")
-
-        # (i)+(ii) split the vertical arrow into red -> green <- lower column
-        green = (i, r, t)  # a fresh id: the others are all pairs
-        work._add_vertex(green)
-        lower = col[k + 1] if k + 1 < len(col) else None
-        if lower is not None:
-            work._set(lower, u, 0)
-            work._set(lower, green, 1)
-        work._set(u, green, 1)
-        # (iii) reroute oblique arrows leaving v so they leave the green
-        for b, m in list(work.out[u].items()):
-            if b[0] != i:
-                work._set(u, b, 0)
-                work._add(green, b, m)
-        work.colors[u] = RED
-        work.colors[green] = GREEN
-        # (iv) the green takes v's lower neighbour's place, and the rest of
-        # the column moves down one place
-        col.insert(k + 1, green)
-
-    # the height of an id is its place in its column, None below the window;
-    # ids of columns without an insertion keep their own
-    height: dict = {}
-    for (i, top), col in columns.items():
-        for k, u in enumerate(col):
-            if u is not None:
-                height[u] = (i, top - 2 * k) if top - 2 * k >= q.rmin else None
-    out = {}
-    for a, outs in work.out.items():
-        if (ha := height.get(a, a)) is not None:
-            out[ha] = {
-                hb: m for b, m in outs.items() if (hb := height.get(b, b)) is not None
-            }
-    colors = {
-        hv: c for v, c in work.colors.items() if (hv := height.get(v, v)) is not None
-    }
-    return _make(q, vertices=out.keys(), out=out, colors=colors)
-
-
 def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
     """Standard quiver mutation at a non-frozen vertex inside the margin."""
     work = _WorkingQuiver(q)
@@ -413,30 +330,65 @@ def build_coxeter_quiver(
 ) -> CoxeterWindow:
     """The Coxeter quiver of the datum, with highest red vertex at height 0.
 
-    The reflection pattern is processed top-down by the heights
-    ``-l(i) - 2k`` for ``k < m_i``.  Each insertion moves the column below it
-    down by 2, so the k-th red of column i is inserted directly at its final
-    height ``-l(i) - 4k``.  ``depth_below`` is how far the window extends
-    below the band; its top is at height 2.  The finite core, the
-    restriction of the quiver to the band and the rim above it, is built
-    on first use (:attr:`CoxeterWindow.gamma`).
+    The window runs from ``depth_below`` under the band up to height 2,
+    with the vertices of the basic quiver there.  For k < m_i the red
+    (i, -l(i) - 4k) sits over its green (i, -l(i) - 4k - 2); every other
+    vertex is black.  A vertex that is not green stands for the basic
+    vertex 2·(greens above it) higher and has one arrow up, to the vertex
+    above it, and that basic vertex's oblique arrows, to the vertices that
+    stand for their targets.  A red's oblique arrows leave its green
+    instead, and the red has an arrow down to it; a green has no other
+    arrow.  At margin 0 a green can fall below the window, and its red
+    keeps only its up-arrow.  A red that the insertion surgery could not
+    create, below the window or within the margin, raises that surgery's
+    error.  The finite core, the restriction of the quiver to the band and
+    the rim above it, is built on first use (:attr:`CoxeterWindow.gamma`).
     """
-    rs = datum.rs
-    band_bottom = min(
-        -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, rs.n + 1)
-    )
-    rmin = band_bottom - depth_below
-    # top-down by the pattern heights -l(i) - 2k; the k insertions above
-    # the k-th pattern vertex of column i have moved it down to -l(i) - 4k
-    points = sorted(
-        ((i, k) for i in range(1, rs.n + 1) for k in range(datum.m_of(i))),
-        key=lambda p: (datum.l_of(p[0]) + 2 * p[1], p[0]),
-    )
-    q = _insert_reflections(
-        basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin),
-        [(i, -datum.l_of(i) - 4 * k) for i, k in points],
-    )
-    return CoxeterWindow(q, datum)
+    rs, l, m = datum.rs, datum.l, datum.m
+    nodes = range(1, rs.n + 1)
+    rmin = min(-l[i - 1] - 4 * m[i - 1] + 2 for i in nodes) - depth_below
+    q = basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin)
+    # the reds in the surgery's order, top-down by the pattern heights
+    band: dict[Vertex, Vertex] = {}
+    for i, k in sorted(
+        ((i, k) for i in nodes for k in range(m[i - 1])),
+        key=lambda p: (l[p[0] - 1] + 2 * p[1], p[0]),
+    ):
+        v = (i, -l[i - 1] - 4 * k)
+        if v[1] < rmin:
+            raise ValueError(f"vertex {v} not in window")
+        if v[1] - rmin <= margin:
+            raise MarginError(f"insertion at {v} too close to window bottom")
+        band[v] = (i, v[1] - 2)
+    greens = set(band.values())
+
+    def lifted(j: int, s: int) -> Vertex:
+        """The vertex that stands for the basic vertex (j, s)."""
+        return (j, s - 2 * min(max((-l[j - 1] - s + 1) // 2, 0), m[j - 1]))
+
+    out: dict[Vertex, dict[Vertex, int]] = {}
+    colors: dict[Vertex, str] = {}
+    for v in q.vertices:
+        if v in greens:
+            continue
+        i, r = v
+        src = out.setdefault(v, {})
+        if (i, r + 2) in q.vertices:
+            src[(i, r + 2)] = 1
+        if v in band:
+            colors[v] = RED
+            green = band[v]
+            if green not in q.vertices:
+                continue
+            colors[green] = GREEN
+            src[green] = 1
+            src = out.setdefault(green, {})
+        # the basic height of v: 2 higher for each green above it
+        lam = r + 2 * min(max((-l[i - 1] - r + 1) // 4, 0), m[i - 1])
+        for j in rs.neighbors(i):
+            if (t := lifted(j, lam - 1)) in q.vertices:
+                src[t] = 1
+    return CoxeterWindow(_make(q, out=out, colors=colors), datum)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,18 @@ MUTANTS = {
             "::test_exchange_relations_pass_their_quadrilaterals",
         ],
     },
+    # a red's oblique arrows leave the red, not its green
+    "coxeter-red-keeps-its-oblique-arrows": {
+        "file": "src/clusterqq/quiver.py",
+        "old": '''            src[green] = 1
+            src = out.setdefault(green, {})''',
+        "new": '''            src[green] = 1''',
+        "kills": [
+            # quiver build --type D5 --depth-below 2
+            "tests/test_cli.py::TestGoldenCombinatorics::test_quiver_stdout"
+            "[args3-4de3d3e7ddbfb8ddabf5456e64c8318ceaa19e57e9bd067d5341270e4da509dc]",
+        ],
+    },
     # the finite core frozen one step below its top rim
     "core-rim-moved": {
         "file": "src/clusterqq/quiver.py",

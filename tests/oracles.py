@@ -33,8 +33,9 @@ from clusterqq.qseries import (
 )
 from clusterqq.quiver import (
     BLACK,
+    GREEN,
     RED,
-    _insert_reflections,
+    MarginError,
     _make,
     _WorkingQuiver,
     basic_quiver,
@@ -139,9 +140,61 @@ def recolor_from_arrows(q):
     return work.freeze()
 
 
+def grouped(arrows):
+    """A flat arrow map grouped by source, as ``_make`` takes it."""
+    out = {}
+    for (a, b), m in arrows.items():
+        out.setdefault(a, {})[b] = m
+    return out
+
+
 def insert_reflection(q, v):
-    """Create a red/green pair at ``v`` by the four-step vertical surgery."""
-    return _insert_reflections(q, [v])
+    """Create a red/green pair at ``v`` by the four-step vertical surgery,
+    rebuilding the whole quiver.
+
+    (i)+(ii) split the vertical arrow below v into the lower column ->
+    green <- v, (iii) reroute the oblique arrows leaving v so they leave
+    the green, and (iv) move the column below v down by 2, dropping what
+    leaves the window.  The green itself is kept even below the window
+    (margin 0); ``quiver.build_coxeter_quiver`` drops it with its arrows.
+    """
+    i, r = v
+    if v not in q.vertices:
+        raise ValueError(f"vertex {v} not in window")
+    if color(q, v) != BLACK:
+        raise ValueError(f"vertex {v} already colored {color(q, v)}")
+    if r - q.rmin <= q.margin:
+        raise MarginError(f"insertion at {v} too close to window bottom")
+
+    below = (i, r - 2)
+    mapping = {
+        (i, s): (i, s - 2) for (ii, s) in q.vertices if ii == i and s <= r - 2
+    }
+    vertices = {mapping.get(u, u) for u in q.vertices}
+    vertices = {u for u in vertices if u[1] >= q.rmin}
+    arrows = {
+        (mapping.get(a, a), mapping.get(b, b)): m for (a, b), m in q.arrows
+    }
+    arrows = {
+        (a, b): m for (a, b), m in arrows.items() if a in vertices and b in vertices
+    }
+    colors = {mapping.get(u, u): c for u, c in q.colors}
+
+    old_below = (i, r - 4)
+    arrows.pop((old_below, v), None)
+    if old_below in vertices:
+        arrows[(old_below, below)] = 1
+    arrows[(v, below)] = 1
+    vertices.add(below)
+
+    for (a, b), m in list(arrows.items()):
+        if a == v and b[0] != i:
+            del arrows[(a, b)]
+            arrows[(below, b)] = arrows.get((below, b), 0) + m
+
+    colors[v] = RED
+    colors[below] = GREEN
+    return _make(q, vertices=vertices, out=grouped(arrows), colors=colors)
 
 
 def build_seed_quiver(
@@ -165,10 +218,10 @@ def build_seed_quiver(
         rmax = (max(heights) if heights else 0) + 4
     if rmin is None:
         rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
-    return _insert_reflections(
-        basic_quiver(rs, rmin, rmax, parity=parity, margin=margin),
-        zip(word, heights),
-    )
+    q = basic_quiver(rs, rmin, rmax, parity=parity, margin=margin)
+    for v in zip(word, heights):
+        q = insert_reflection(q, v)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The mutation gate: every mutant of ``mutants.py`` is killed by its tests.
 
 Each mutant is applied to a copy of ``src``, ``tests``, ``perfbench``
-(without its ``out/``) and ``pyproject.toml``, so that every path the
+(without its ``out/``), ``pyproject.toml`` and ``README.md`` (whose
+commands ``tests/test_cli.py`` reads at collection), so that every path the
 tests derive from their own location (``perfbench/worker.py`` puts its
 sibling ``src`` first on ``sys.path``) leads to the mutated code.  Its
 named tests then run there in a fresh ``pytest -x`` under a wall limit.
@@ -32,7 +33,8 @@ def copy_tree(dest: Path) -> Path:
             dest / name,
             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", *skip),
         )
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
     return dest
 
 

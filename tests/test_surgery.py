@@ -1,9 +1,12 @@
-"""In-place quiver surgery against the rebuild-every-step implementations.
+"""Quiver surgery and the Coxeter window against the rebuild-every-step
+implementations.
 
 The oracles below are the ``_make``-based surgeries that re-filter and
 re-sort the whole quiver after every step.  The working-form surgeries of
 ``clusterqq.quiver`` and ``clusterqq.seed`` must give equal quivers,
-g-vectors and tags, and the same exceptions, on every input here.
+g-vectors and tags, and the same exceptions, on every input here, and the
+closed-form Coxeter window must be the quiver that the insertion surgery
+of ``oracles.insert_reflection`` builds, or raise what it raises.
 ``_make`` itself must emit the sorted filtered arrows and name the first
 loop or 2-cycle.  The last class checks that a run of surgeries freezes
 once and that ``seed mutate`` computes each c-vector once.
@@ -11,6 +14,7 @@ once and that ``seed mutate`` computes each c-vector once.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -23,7 +27,6 @@ from clusterqq import seed as seed_mod
 from clusterqq.cli import main
 from clusterqq.gvector import GVec
 from clusterqq.quiver import (
-    BLACK,
     GREEN,
     RED,
     MarginError,
@@ -32,11 +35,10 @@ from clusterqq.quiver import (
     build_coxeter_quiver,
     mutate_quiver,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data, is_reduced
+from clusterqq.rootsys import RootSystem, coxeter_data
 from clusterqq.seed import green_sweep, initial_seed
 from oracles import (
-    build_seed_quiver,
-    color,
+    grouped,
     insert_reflection,
     mutate_reference,
     recolor_from_arrows,
@@ -51,54 +53,6 @@ def rs(name):
 # ---------------------------------------------------------------------------
 # oracles: one whole-quiver rebuild per surgery
 # ---------------------------------------------------------------------------
-
-
-def grouped(arrows):
-    """A flat arrow map grouped by source, as ``_make`` takes it."""
-    out = {}
-    for (a, b), m in arrows.items():
-        out.setdefault(a, {})[b] = m
-    return out
-
-
-def oracle_insert_reflection(q, v):
-    i, r = v
-    if v not in q.vertices:
-        raise ValueError(f"vertex {v} not in window")
-    if color(q, v) != BLACK:
-        raise ValueError(f"vertex {v} already colored {color(q, v)}")
-    if r - q.rmin <= q.margin:
-        raise MarginError(f"insertion at {v} too close to window bottom")
-
-    below = (i, r - 2)
-    mapping = {
-        (i, s): (i, s - 2) for (ii, s) in q.vertices if ii == i and s <= r - 2
-    }
-    vertices = {mapping.get(u, u) for u in q.vertices}
-    vertices = {u for u in vertices if u[1] >= q.rmin}
-    arrows = {
-        (mapping.get(a, a), mapping.get(b, b)): m for (a, b), m in q.arrows
-    }
-    arrows = {
-        (a, b): m for (a, b), m in arrows.items() if a in vertices and b in vertices
-    }
-    colors = {mapping.get(u, u): c for u, c in q.colors}
-
-    old_below = (i, r - 4)
-    arrows.pop((old_below, v), None)
-    if old_below in vertices:
-        arrows[(old_below, below)] = 1
-    arrows[(v, below)] = 1
-    vertices.add(below)
-
-    for (a, b), m in list(arrows.items()):
-        if a == v and b[0] != i:
-            del arrows[(a, b)]
-            arrows[(below, b)] = arrows.get((below, b), 0) + m
-
-    colors[v] = RED
-    colors[below] = GREEN
-    return _make(q, vertices=vertices, out=grouped(arrows), colors=colors)
 
 
 def oracle_mutate_quiver(q, v):
@@ -177,14 +131,15 @@ def oracle_green_sweep(seed):
     return replace(seed, ref_quiver=ref, ref_tag=tag + "+sweep")
 
 
-def oracle_coxeter_quiver(root_system, datum, depth_below=8, rmax=2, margin=2):
-    """The Coxeter quiver (without its core), one rebuild per insertion."""
+def oracle_coxeter_quiver(root_system, datum, depth_below=8, margin=2):
+    """The Coxeter quiver (without its core), one rebuild per insertion,
+    restricted to its window: at margin 0 a green can fall below it."""
     n = root_system.n
     band_bottom = min(
         -datum.l_of(i) - 4 * (datum.m_of(i) - 1) - 2 for i in range(1, n + 1)
     )
     q = basic_quiver(
-        root_system, band_bottom - depth_below, rmax,
+        root_system, band_bottom - depth_below, 2,
         parity=datum.parity(), margin=margin,
     )
     points = sorted(
@@ -194,9 +149,9 @@ def oracle_coxeter_quiver(root_system, datum, depth_below=8, rmax=2, margin=2):
     )
     count = dict.fromkeys(range(1, n + 1), 0)
     for i, r0 in points:
-        q = oracle_insert_reflection(q, (i, r0 - 2 * count[i]))
+        q = insert_reflection(q, (i, r0 - 2 * count[i]))
         count[i] += 1
-    return q
+    return _make(q, vertices={v for v in q.vertices if v[1] >= q.rmin})
 
 
 def outcome(fn, *args):
@@ -225,159 +180,53 @@ def coxeter_words():
             yield name, tuple(word)
 
 
+# Every word is built at depths 8 and 2, margin 2.  The whole grid of
+# depths and margins is run on every k-th word of the A and D types (k as
+# below), and one word of each E type is also built at depth -1, margin 0,
+# where the lowest red's green falls below the window.  The rebuilds of the
+# other words would add seconds and reach no new case.
+GRID = tuple(itertools.product((-3, -1, 0, 1, 2, 8), (0, 2, 5)))
+OLD = ((8, 2), (2, 2))
+GRID_EVERY = {"A1": 1, "A2": 1, "A3": 1, "A4": 3, "D4": 3, "A5": 10}
+
+
+def window_cases(name, index):
+    if name in GRID_EVERY:
+        return GRID if index % GRID_EVERY[name] == 0 else OLD
+    return OLD + ((-1, 0),) if index == 0 else OLD
+
+
+def kind(result):
+    """What an outcome is: a quiver (with a red whose green fell below the
+    window, or not), or the last word of an error message."""
+    if isinstance(result, tuple):
+        return result[1].split()[-1]
+    dropped = len(reds(result)) > len(result.greens())
+    return "green dropped" if dropped else "quiver"
+
+
 class TestBuildAgainstOracle:
     def test_every_coxeter_word(self):
         words = list(coxeter_words())
         assert len(words) == 1 + 2 + 6 + 24 + 120 + 24 + 6
         # at depth 2 the lowest insertions sit 4 above the window bottom, so
-        # the column they move down is the part that drops out of the window
+        # the column they move down is the part that drops out of the window;
+        # below that the margin, the window bottom and the green of the
+        # lowest red are reached
+        kinds, seen = Counter(), Counter()
         for name, word in words:
             datum = coxeter_data(rs(name), word)
-            for depth in (8, 2):
-                cw = build_coxeter_quiver(datum, depth_below=depth)
-                oracle = oracle_coxeter_quiver(rs(name), datum, depth_below=depth)
-                assert cw.quiver == oracle, (name, word, depth)
-
-    @pytest.mark.parametrize(
-        "name, word, heights",
-        [
-            ("A2", (1, 2), (0, -3)),
-            ("A2", (1, 2, 1), (0, -1, -4)),
-            ("A3", (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8)),
-            ("A3", (2, 1, 3, 2, 1, 3), (-1, -2, -2, -5, -6, -6)),
-        ],
-    )
-    def test_seed_quivers(self, name, word, heights):
-        q = build_seed_quiver(rs(name), word, heights)
-        oracle = basic_quiver(rs(name), q.rmin, q.rmax)
-        for v in zip(word, heights):
-            oracle = oracle_insert_reflection(oracle, v)
-        assert q == oracle
-
-    def test_insertion_errors(self):
-        cw = build_coxeter_quiver(coxeter_data(rs("A3"), (1, 2, 3)))
-        q = cw.quiver
-        red, green = reds(q)[0], q.greens()[0]
-        bottom = min(q.vertices, key=lambda v: v[1])
-        for v in (red, green, bottom, (1, 1), (9, 0)):
-            expected = outcome(oracle_insert_reflection, q, v)
-            assert isinstance(expected, tuple), v
-            assert outcome(insert_reflection, q, v) == expected
-
-    @pytest.mark.parametrize("name", ["A3", "D4"])
-    def test_insertion_at_every_black_vertex(self, name):
-        # above the band the relabeled column carries reds and greens along
-        q = build_coxeter_quiver(coxeter_data(rs(name), WORDS[name])).quiver
-        for v in sorted(q.vertices):
-            if color(q, v) == BLACK and v[1] - q.rmin > q.margin:
-                assert insert_reflection(q, v) == oracle_insert_reflection(q, v), v
-
-
-# a window for random insertion sequences; heights are drawn a little beyond it
-RMIN, RMAX = -16, 4
-
-
-def random_insertions(name, seed):
-    """A reduced word, heights, and the outcome of the oracle chain.
-
-    Most heights are those of a black vertex above the margin in the
-    letter's column of the oracle's current quiver, some those of a red or
-    green one, and the rest any height near the window, so that colored
-    vertices, wrong parities and the margin are all reached.  The draw
-    stops at the oracle's first error.
-    """
-    root_system = rs(name)
-    rng = random.Random(f"{name}:{seed}")
-    q = basic_quiver(root_system, RMIN, RMAX)
-    word, heights = [], []
-    for _ in range(rng.randint(1, 8)):
-        letters = [
-            i for i in range(1, root_system.n + 1)
-            if is_reduced(root_system, word + [i])
-        ]
-        if not letters:
-            break
-        repeats = [i for i in letters if i in word]  # columns with colors
-        i = rng.choice(repeats if repeats and rng.random() < 0.5 else letters)
-        column = sorted(h for j, h in q.vertices if j == i)
-        free = [h for h in column if color(q, (i, h)) == BLACK and h - RMIN > 2]
-        colored = [h for h in column if color(q, (i, h)) != BLACK]
-        draw = rng.random()
-        if free and draw < 0.7:
-            h = rng.choice(free)
-        elif colored and draw < 0.85:
-            h = rng.choice(colored)
-        else:
-            h = rng.randint(RMIN - 2, RMAX + 2)
-        word.append(i)
-        heights.append(h)
-        q = outcome(oracle_insert_reflection, q, (i, h))
-        if isinstance(q, tuple):
-            break
-    return word, heights, q
-
-
-def holed(q, v):
-    """q with the vertex v removed, and its arrows with it."""
-    return _make(q, vertices=q.vertices - {v})
-
-
-def oracle_chain(q, points):
-    for v in points:
-        q = oracle_insert_reflection(q, v)
-    return q
-
-
-class TestInsertionSequences:
-    @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
-    def test_random_sequences_through_build_seed_quiver(self, name):
-        kinds = set()
-        for seed in range(60):
-            word, heights, expected = random_insertions(name, seed)
-            if len(set(zip(word, heights))) != len(word):
-                continue  # refused before any insertion: a height collision
-            got = outcome(build_seed_quiver, rs(name), word, heights, RMIN, RMAX)
-            assert got == expected, (word, heights)
-            built = not isinstance(expected, tuple)
-            kinds.add("built" if built else expected[1].split()[-1])
-        # built windows, and insertions at a missing, a colored and a
-        # too-low vertex ("window", "red"/"green", "bottom")
-        assert {"built", "window", "bottom"} <= kinds, kinds
-        assert kinds & {"red", "green"}, kinds
-
-    def test_green_below_the_window_is_dropped(self):
-        # at margin 0 an insertion one above rmin puts its green below the
-        # window; it goes with its arrows, as a column vertex pushed out does
-        q = basic_quiver(rs("A2"), -7, 4, margin=0)
-        got = insert_reflection(q, (1, -6))
-        oracle = oracle_insert_reflection(q, (1, -6))
-        assert (1, -8) in oracle.vertices
-        inside = {v for v in oracle.vertices if v[1] >= q.rmin}
-        assert got == _make(oracle, vertices=inside)
-        assert color(got, (1, -6)) == RED and not got.greens()
-
-    def test_heights_around_a_gap(self):
-        # column 2 of the A3 window without (2, -13): black at 1, -9, -11,
-        # the gap, then -15, and -17 within the margin
-        gap = (2, -13)
-        q = holed(window("A3").quiver, gap)
-        assert gap not in q.vertices and (2, -11) in q.vertices
-        for h in range(q.rmax + 2, q.rmin - 3, -1):
-            v = (2, h)
-            expected = outcome(oracle_insert_reflection, q, v)
-            assert outcome(insert_reflection, q, v) == expected, v
-
-    def test_runs_across_a_gap(self):
-        # one insertion above, at or below the gap moves it, or not; the
-        # second then lands above, on or below where it went
-        q = holed(window("A3").quiver, (2, -13))
-        firsts = [(2, 1), (2, -9), (2, -11), (2, -13), (2, -15), (1, -12), (3, -6)]
-        for first in firsts:
-            for h in range(q.rmax, q.rmin - 3, -1):
-                points = [first, (2, h)]
-                expected = outcome(oracle_chain, q, points)
-                got = outcome(quiver_mod._insert_reflections, q, points)
-                assert got == expected, points
+            for depth, margin in window_cases(name, seen[name]):
+                got = outcome(
+                    lambda: build_coxeter_quiver(datum, depth, margin).quiver
+                )
+                expected = outcome(
+                    oracle_coxeter_quiver, rs(name), datum, depth, margin
+                )
+                assert got == expected, (name, word, depth, margin)
+                kinds[kind(expected)] += 1
+            seen[name] += 1
+        assert set(kinds) == {"quiver", "green dropped", "window", "bottom"}, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +443,6 @@ class TestComputeOnce:
         assert cw.gamma is cw.gamma
         assert len(freezes) == 3
 
-    def test_seed_quiver_freezes_once_after_the_basic_quiver(self, freezes):
-        q = build_seed_quiver(rs("A3"), (1, 2, 1, 3, 2, 1), (0, -1, -4, -2, -5, -8))
-        assert len(reds(q)) == 6
-        assert len(freezes) == 2
-        del freezes[:]
-        insert_reflection(q, (3, -8))
-        assert len(freezes) == 1
-
     def test_green_sweep_freezes_once(self, freezes):
         seed = initial_seed(window("E6"), stabilized=False)
         assert len(seed.ref_quiver.greens()) == 36
@@ -639,10 +480,10 @@ class TestComputeOnce:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == 5
-        # the window build thaws its basic quiver; all five sweeps share
-        # one thaw of the reference, the window's own quiver
-        assert len(thawed) == 2
-        assert not thawed[0].greens() and thawed[1].greens()
+        # the window build thaws nothing; all five sweeps share one thaw of
+        # the reference, the window's own quiver
+        assert len(thawed) == 1
+        assert thawed[0].greens()
 
     def test_seed_mutate_freezes_once(self, freezes):
         args = ["seed", "mutate", "--type", "E6", "--json"]
