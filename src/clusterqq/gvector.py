@@ -210,36 +210,53 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
     """Top-down knitting recursion on a Coxeter quiver window.
 
     Vertices whose column has no vertex above them get unit vectors; the
-    window top must lie above every red vertex for this to be exact.
+    window top must lie above every red vertex for this to be exact.  One
+    scan, height descending, reads what each vertex depends on; each value
+    is then computed once, in dependency order.
     """
+    vertices = q.vertices
+    order = sorted(vertices, key=lambda u: -u[1])
+    # what a vertex reads: nothing (a unit vector), the vertex above (a
+    # shift), or the vertex above and its own out-arrows (an alternating sum)
+    reads: dict[Vertex, tuple[Vertex | None, dict[Vertex, int] | None]] = {}
+    waiting: dict[Vertex, int] = {}
+    users: dict[Vertex, list[Vertex]] = {}
+    for v in order:
+        i, r = v
+        above = (i, r + 2)
+        if above not in vertices:
+            reads[v] = None, None
+        elif q.mult(v, above):
+            reads[v] = above, None
+        elif q.mult(above, v):
+            reads[v] = above, q.out.get(v, {})
+        else:
+            raise ValueError(f"no vertical arrow between {v} and {above}")
+        src, outs = reads[v]
+        needs = [] if src is None else [src, *(outs or ())]
+        waiting[v] = len(needs)
+        for w in needs:
+            users.setdefault(w, []).append(v)
     out: dict[Vertex, GVec] = {}
-    pending = sorted(q.vertices, key=lambda u: -u[1])
-    while pending:
-        deferred = []
-        for v in pending:
-            i, r = v
-            above = (i, r + 2)
-            if above not in q.vertices:
-                out[v] = GVec.unit(v)
-            elif q.mult(v, above):
-                if above not in out:
-                    deferred.append(v)
-                    continue
-                out[v] = out[above].shift(-1)
-            elif q.mult(above, v):
-                outs = q.out.get(v, {})
-                if above not in out or any(w not in out for w in outs):
-                    deferred.append(v)
-                    continue
-                acc = -out[above].shift(-1)
-                for w, mlt in outs.items():
-                    acc = acc + out[w].scale(mlt)
-                out[v] = acc
-            else:
-                raise ValueError(f"no vertical arrow between {v} and {above}")
-        if len(deferred) == len(pending):
-            raise ValueError(f"cyclic dependencies at {deferred}")
-        pending = deferred
+    ready = [v for v in order if not waiting[v]]
+    for v in ready:  # grows as vertices become computable
+        above, outs = reads[v]
+        if above is None:
+            out[v] = GVec.unit(v)
+        elif outs is None:
+            out[v] = out[above].shift(-1)
+        else:
+            acc = -out[above].shift(-1)
+            for w, mlt in outs.items():
+                acc = acc + out[w].scale(mlt)
+            out[v] = acc
+        for u in users.get(v, ()):
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    if len(out) < len(order):
+        cyclic = [v for v in order if v not in out]
+        raise ValueError(f"cyclic dependencies at {cyclic}")
     return out
 
 

@@ -177,7 +177,9 @@ class _WorkingQuiver:
     # -- surgeries ----------------------------------------------------------
 
     def mutate(self, v: Vertex) -> None:
-        """Standard quiver mutation at a non-frozen vertex inside the margin."""
+        """Standard quiver mutation at a non-frozen vertex inside the margin,
+        written straight into ``out`` and ``inn`` in the order of
+        :meth:`_set` and :meth:`_add` edits, so key orders match them."""
         q = self.base
         if v not in self.vertices:
             raise ValueError(f"vertex {v} not in window")
@@ -186,24 +188,28 @@ class _WorkingQuiver:
         if not (q.rmin + q.margin < v[1] < q.rmax - q.margin):
             raise MarginError(f"mutation at {v} violates the window margin")
 
-        ins = list(self.inn[v].items())
-        outs = list(self.out[v].items())
-        # compose paths through v
+        out, inn = self.out, self.inn
+        ins = list(inn[v].items())
+        outs = list(out[v].items())
+        # compose paths through v; multiplicities are positive, so no
+        # sum is 0 and no arrow is removed
         for a, ma in ins:
+            row = out[a]
             for b, mb in outs:
-                self._add(a, b, ma * mb)
-        # reverse arrows at v
+                row[b] = inn[b][a] = row.get(b, 0) + ma * mb
+        # reverse arrows at v; with no 2-cycle, each reversed arrow is new
         for a, m in ins:
-            self._set(a, v, 0)
-            self._add(v, a, m)
+            del out[a][v]
+            inn[a][v] = m
         for b, m in outs:
-            self._set(v, b, 0)
-            self._add(b, v, m)
+            del inn[b][v]
+            out[b][v] = m
+        out[v], inn[v] = dict(ins), dict(outs)
         # cancel 2-cycles: the input had none, so only a composed pair
         # a -> b can now face an arrow b -> a
         for a, _ in ins:
             for b, _ in outs:
-                k = min(self.out[a].get(b, 0), self.out[b].get(a, 0))
+                k = min(out[a].get(b, 0), out[b].get(a, 0))
                 if k:
                     self._add(a, b, -k)
                     self._add(b, a, -k)
@@ -229,6 +235,34 @@ class _WorkingQuiver:
 # ---------------------------------------------------------------------------
 
 
+# The most vertices a window may have: far above the largest windows of
+# the tests, the README and the benchmark (E8 at depth 80 has 580), far
+# below a window sized by an unchecked --depth-below or --sweeps.
+MAX_WINDOW_VERTICES = 20_000
+
+
+def _bare_window(
+    rs: RootSystem, rmin: int, rmax: int, parity: Sequence[int], margin: int
+) -> tuple[WindowedQuiver, set[Vertex]]:
+    """An arrowless window and its vertices, the (i, r) with rmin <= r <=
+    rmax and r = parity_i mod 2.  An empty window, or one of more than
+    ``MAX_WINDOW_VERTICES`` vertices, raises ``ValueError`` first."""
+    if rmin >= rmax:
+        raise ValueError("empty window: need rmin < rmax")
+    starts = [rmin + (rmin - parity[i]) % 2 for i in range(rs.n)]
+    size = sum((rmax - r) // 2 + 1 for r in starts)
+    if size > MAX_WINDOW_VERTICES:
+        raise ValueError(
+            f"window of {size} vertices, more than the {MAX_WINDOW_VERTICES} allowed"
+        )
+    bare = WindowedQuiver(
+        rs, rmin, rmax, tuple(parity), frozenset(), (), (), frozenset(), margin
+    )
+    return bare, {
+        (i, r) for i, r0 in enumerate(starts, 1) for r in range(r0, rmax + 1, 2)
+    }
+
+
 def basic_quiver(
     rs: RootSystem,
     rmin: int,
@@ -237,15 +271,8 @@ def basic_quiver(
     margin: int = 2,
 ) -> WindowedQuiver:
     """Window of the basic quiver: arrows (i,r) -> (j, r + c_ij)."""
-    if rmin >= rmax:
-        raise ValueError("empty window: need rmin < rmax")
-    par = tuple(parity) if parity is not None else rs.bipartition_class()
-    vertices = {
-        (i, r)
-        for i in range(1, rs.n + 1)
-        for r in range(rmin, rmax + 1)
-        if (r - par[i - 1]) % 2 == 0
-    }
+    par = parity if parity is not None else rs.bipartition_class()
+    bare, vertices = _bare_window(rs, rmin, rmax, par, margin)
     out: dict[Vertex, dict[Vertex, int]] = {v: {} for v in vertices}
     for i, r in vertices:
         for j in range(1, rs.n + 1):
@@ -255,10 +282,7 @@ def basic_quiver(
             s = r + cij
             if (j, s) in vertices:
                 out[(i, r)][(j, s)] = 1
-    proto = WindowedQuiver(
-        rs, rmin, rmax, par, frozenset(), (), (), frozenset(), margin
-    )
-    return _make(proto, vertices=vertices, out=out, colors={})
+    return _make(bare, vertices=vertices, out=out, colors={})
 
 
 def mutate_quiver(q: WindowedQuiver, v: Vertex) -> WindowedQuiver:
@@ -330,24 +354,24 @@ def build_coxeter_quiver(
 ) -> CoxeterWindow:
     """The Coxeter quiver of the datum, with highest red vertex at height 0.
 
-    The window runs from ``depth_below`` under the band up to height 2,
-    with the vertices of the basic quiver there.  For k < m_i the red
-    (i, -l(i) - 4k) sits over its green (i, -l(i) - 4k - 2); every other
-    vertex is black.  A vertex that is not green stands for the basic
-    vertex 2·(greens above it) higher and has one arrow up, to the vertex
-    above it, and that basic vertex's oblique arrows, to the vertices that
-    stand for their targets.  A red's oblique arrows leave its green
-    instead, and the red has an arrow down to it; a green has no other
-    arrow.  At margin 0 a green can fall below the window, and its red
-    keeps only its up-arrow.  A red that the insertion surgery could not
+    The window runs from ``depth_below`` under the band up to height 2, with
+    the vertices of the basic quiver there (the vertex set only: no basic
+    arrow is built).  For k < m_i the red (i, -l(i) - 4k) sits over its green
+    (i, -l(i) - 4k - 2); every other vertex is black.  A vertex that is not
+    green stands for the basic vertex 2·(greens above it) higher and has one
+    arrow up, to the vertex above it, and that basic vertex's oblique arrows,
+    to the vertices that stand for their targets.  A red's oblique arrows
+    leave its green instead, and the red has an arrow down to it; a green has
+    no other arrow.  At margin 0 a green can fall below the window, and its
+    red keeps only its up-arrow.  A red that the insertion surgery could not
     create, below the window or within the margin, raises that surgery's
-    error.  The finite core, the restriction of the quiver to the band and
-    the rim above it, is built on first use (:attr:`CoxeterWindow.gamma`).
+    error.  The finite core, the restriction of the quiver to the band and the
+    rim above it, is built on first use (:attr:`CoxeterWindow.gamma`).
     """
     rs, l, m = datum.rs, datum.l, datum.m
     nodes = range(1, rs.n + 1)
     rmin = min(-l[i - 1] - 4 * m[i - 1] + 2 for i in nodes) - depth_below
-    q = basic_quiver(rs, rmin, 2, parity=datum.parity(), margin=margin)
+    bare, vertices = _bare_window(rs, rmin, 2, datum.parity(), margin)
     # the reds in the surgery's order, top-down by the pattern heights
     band: dict[Vertex, Vertex] = {}
     for i, k in sorted(
@@ -368,17 +392,17 @@ def build_coxeter_quiver(
 
     out: dict[Vertex, dict[Vertex, int]] = {}
     colors: dict[Vertex, str] = {}
-    for v in q.vertices:
+    for v in vertices:
         if v in greens:
             continue
         i, r = v
         src = out.setdefault(v, {})
-        if (i, r + 2) in q.vertices:
+        if (i, r + 2) in vertices:
             src[(i, r + 2)] = 1
         if v in band:
             colors[v] = RED
             green = band[v]
-            if green not in q.vertices:
+            if green not in vertices:
                 continue
             colors[green] = GREEN
             src[green] = 1
@@ -386,9 +410,9 @@ def build_coxeter_quiver(
         # the basic height of v: 2 higher for each green above it
         lam = r + 2 * min(max((-l[i - 1] - r + 1) // 4, 0), m[i - 1])
         for j in rs.neighbors(i):
-            if (t := lifted(j, lam - 1)) in q.vertices:
+            if (t := lifted(j, lam - 1)) in vertices:
                 src[t] = 1
-    return CoxeterWindow(_make(q, out=out, colors=colors), datum)
+    return CoxeterWindow(_make(bare, vertices=vertices, out=out, colors=colors), datum)
 
 
 # ---------------------------------------------------------------------------

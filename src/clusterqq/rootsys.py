@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -64,7 +65,7 @@ def _identity(n: int) -> Matrix:
 
 
 def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 @dataclass(frozen=True)
@@ -368,8 +369,9 @@ def coxeter_orbit(c: WeylElement, i: int) -> tuple[tuple[int, ...], ...]:
     Coxeter elements.
     """
     orbit = [fundamental_weight(c.rs, i).coords2]
+    bound = 2 * c.rs.coxeter_number
     while any(x > 0 for x in orbit[-1]):
-        if len(orbit) > 2 * c.rs.coxeter_number:
+        if len(orbit) > bound:
             raise ValueError(f"weight orbit of ϖ_{i} does not reach its lowest weight")
         orbit.append(_mat_vec(c.mat_t, orbit[-1]))
     return tuple(orbit)

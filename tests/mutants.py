@@ -136,10 +136,20 @@ MUTANTS = {
     # knitting sums over the out-arrows of the red above, not the green's
     "knit-reads-the-arrows-above": {
         "file": "src/clusterqq/gvector.py",
-        "old": '''outs = q.out.get(v, {})''',
-        "new": '''outs = q.out.get(above, {})''',
+        "old": '''reads[v] = above, q.out.get(v, {})''',
+        "new": '''reads[v] = above, q.out.get(above, {})''',
         "kills": [
             "tests/test_gvector.py::TestRankThree::test_knit_values",
+        ],
+    },
+    # in-place mutation leaves the 2-cycles it creates
+    "mutate-keeps-2-cycles": {
+        "file": "src/clusterqq/quiver.py",
+        "old": '''k = min(out[a].get(b, 0), out[b].get(a, 0))''',
+        "new": '''k = 0''',
+        "kills": [
+            "tests/test_surgery.py::TestMutationAgainstOracle"
+            "::test_walks_against_matrix_mutation",
         ],
     },
     # the Ptolemy correction bracket with its sign flipped

@@ -197,6 +197,31 @@ def insert_reflection(q, v):
     return _make(q, vertices=vertices, out=grouped(arrows), colors=colors)
 
 
+def exchange_matrix(q) -> dict:
+    """The skew-symmetric matrix of a quiver's arrows, its nonzero entries:
+    b[a, b] = #(a -> b) - #(b -> a)."""
+    b: dict = {}
+    for (s, t), m in q.arrows:
+        b[s, t] = b.get((s, t), 0) + m
+        b[t, s] = b.get((t, s), 0) - m
+    return {e: x for e, x in b.items() if x}
+
+
+def matrix_mutate(b: dict, k) -> dict:
+    """Fomin–Zelevinsky matrix mutation at k of a skew-symmetric matrix
+    given by its nonzero entries (*Cluster algebras I*):
+    b'_ij = -b_ij if k in {i, j}, else b_ij + sgn(b_ik)·max(b_ik·b_kj, 0).
+    A term of the sum is nonzero only where b_ik and b_kj are."""
+    col = {i: x for (i, j), x in b.items() if j == k}
+    row = {j: x for (i, j), x in b.items() if i == k}
+    new = {(i, j): -x if k in (i, j) else x for (i, j), x in b.items()}
+    for i, bik in col.items():
+        for j, bkj in row.items():
+            sgn = 1 if bik > 0 else -1
+            new[i, j] = new.get((i, j), 0) + sgn * max(bik * bkj, 0)
+    return {e: x for e, x in new.items() if x}
+
+
 def build_seed_quiver(
     rs, word, heights, rmin=None, rmax=None, parity=None, margin: int = 2
 ):
@@ -227,6 +252,41 @@ def build_seed_quiver(
 # ---------------------------------------------------------------------------
 # gvector and seed
 # ---------------------------------------------------------------------------
+
+
+def knit_by_rounds(q) -> dict:
+    """The knitting recursion by rounds: every round visits the vertices
+    not yet known, height descending, and knits those whose dependencies
+    are known, until a round knits none."""
+    out: dict = {}
+    pending = sorted(q.vertices, key=lambda u: -u[1])
+    while pending:
+        deferred = []
+        for v in pending:
+            i, r = v
+            above = (i, r + 2)
+            if above not in q.vertices:
+                out[v] = GVec.unit(v)
+            elif q.mult(v, above):
+                if above not in out:
+                    deferred.append(v)
+                    continue
+                out[v] = out[above].shift(-1)
+            elif q.mult(above, v):
+                outs = q.out.get(v, {})
+                if above not in out or any(w not in out for w in outs):
+                    deferred.append(v)
+                    continue
+                acc = -out[above].shift(-1)
+                for w, mlt in outs.items():
+                    acc = acc + out[w].scale(mlt)
+                out[v] = acc
+            else:
+                raise ValueError(f"no vertical arrow between {v} and {above}")
+        if len(deferred) == len(pending):
+            raise ValueError(f"cyclic dependencies at {deferred}")
+        pending = deferred
+    return out
 
 
 def slice_matrix(datum, m: int) -> Matrix:

@@ -19,7 +19,11 @@ import clusterqq
 from clusterqq.cli import Reporter, main
 from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
 from clusterqq.qseries import FIELD_BITS, QEvaluator, bracket, omega_lam2
-from clusterqq.quiver import build_coxeter_quiver, quiver_to_json
+from clusterqq.quiver import (
+    MAX_WINDOW_VERTICES,
+    build_coxeter_quiver,
+    quiver_to_json,
+)
 from clusterqq.rootsys import RootSystem, coxeter_data
 
 
@@ -749,6 +753,20 @@ class TestGoldenCombinatorics:
         )
         assert result.exit_code == 2
         assert f"Error: {message}\n" in result.output
+
+    # a window that would fill memory is refused before any vertex is built
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["quiver", "build", "--type", "A3", "--depth-below", "9" * 20],
+            ["seed", "sweep", "--type", "E8", "--sweeps", "9" * 20],
+        ],
+    )
+    def test_oversized_window(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Error: bad window: window of " in result.output
+        assert f"more than the {MAX_WINDOW_VERTICES} allowed\n" in result.output
 
 
 # two words of one Coxeter element each: they differ by commuting letters

@@ -1,5 +1,6 @@
 """Stabilized g-vectors: block limits, knitting, braid action."""
 
+import itertools
 import math
 import random
 from functools import reduce
@@ -34,6 +35,7 @@ from clusterqq.rootsys import (
 from oracles import (
     f_label,
     green_slice_nodes_scan,
+    knit_by_rounds,
     mat_mul,
     reflection_matrix_t,
     slice_matrix,
@@ -230,30 +232,83 @@ class TestRankThree:
         assert w.length == len(word)
 
 
-class TestKnitErrors:
-    @pytest.fixture()
-    def base(self):
-        return basic_quiver(rs("A3"), -4, 0, parity=(0, 1, 0))
+def missing_vertical_arrow():
+    base = basic_quiver(rs("A3"), -4, 0, parity=(0, 1, 0))
+    return _make(base, vertices={(1, 0), (1, -2)}, out={})
 
-    def test_missing_vertical_arrow(self, base):
-        q = _make(base, vertices={(1, 0), (1, -2)}, out={})
+
+def cyclic_greens():
+    """Each red over its green, the greens in a 3-cycle: every green
+    waits for the one it points to."""
+    base = basic_quiver(rs("A3"), -4, 0, parity=(0, 1, 0))
+    reds, greens = [(1, 0), (2, -1), (3, 0)], [(1, -2), (2, -3), (3, -2)]
+    out = {r: {g: 1} for r, g in zip(reds, greens)}
+    for a, b in zip(greens, greens[1:] + greens[:1]):
+        out[a] = {b: 1}
+    return _make(base, vertices=reds + greens, out=out), reds, greens
+
+
+class TestKnitErrors:
+    def test_missing_vertical_arrow(self):
         with pytest.raises(
             ValueError, match=r"no vertical arrow between \(1, -2\) and \(1, 0\)"
         ):
-            knit_gvectors(q)
+            knit_gvectors(missing_vertical_arrow())
 
-    def test_cyclic_dependencies(self, base):
-        # each red over its green, the greens in a 3-cycle: every green
-        # waits for the one it points to
-        reds, greens = [(1, 0), (2, -1), (3, 0)], [(1, -2), (2, -3), (3, -2)]
-        out = {r: {g: 1} for r, g in zip(reds, greens)}
-        for a, b in zip(greens, greens[1:] + greens[:1]):
-            out[a] = {b: 1}
-        q = _make(base, vertices=reds + greens, out=out)
+    def test_cyclic_dependencies(self):
+        q, reds, greens = cyclic_greens()
         with pytest.raises(ValueError, match=r"cyclic dependencies at") as err:
             knit_gvectors(q)
         assert all(str(g) in str(err.value) for g in greens)
         assert not any(str(r) in str(err.value) for r in reds)
+
+
+def knit_outcome(knit, q):
+    """knit(q), or its exception's type and message."""
+    try:
+        return knit(q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def knit_words():
+    """Every Coxeter word of A1-A5, D4 and D5, and 10 seeded words each of
+    E6, E7 and E8."""
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
+        for word in itertools.permutations(range(1, rs(name).n + 1)):
+            yield name, word
+    for name in ("E6", "E7", "E8"):
+        rng = random.Random(name)
+        for _ in range(10):
+            word = list(range(1, rs(name).n + 1))
+            rng.shuffle(word)
+            yield name, tuple(word)
+
+
+class TestKnitAgainstRounds:
+    """The one-pass knitting gives what the round-by-round recursion of
+    ``oracles.knit_by_rounds`` gives: the same g-vectors, or the same
+    error with the same message."""
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"]
+    )
+    def test_every_window(self, name):
+        # margin 0, so that depth -1 builds: there the lowest red's green
+        # falls below the window and the red keeps only its up-arrow
+        for _, word in (w for w in knit_words() if w[0] == name):
+            datum = coxeter_data(rs(name), word)
+            for depth in (-1, 2, 8, 30):
+                q = build_coxeter_quiver(datum, depth_below=depth, margin=0).quiver
+                got = knit_outcome(knit_gvectors, q)
+                assert isinstance(got, dict), (word, depth, got)
+                assert got == knit_outcome(knit_by_rounds, q), (word, depth)
+
+    def test_error_quivers(self):
+        for q in (missing_vertical_arrow(), cyclic_greens()[0]):
+            got = knit_outcome(knit_gvectors, q)
+            assert isinstance(got, tuple)
+            assert got == knit_outcome(knit_by_rounds, q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq.quiver import (
+    MAX_WINDOW_VERTICES,
     MarginError,
     basic_quiver,
     build_coxeter_quiver,
@@ -71,6 +72,20 @@ class TestBasicQuiver:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             basic_quiver(rs("A2"), 4, 4)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_window_size_limit(self, parity):
+        # A1 from -2·MAX_WINDOW_VERTICES + 1 to 0 has exactly the limit
+        # at either parity; one or two heights lower it has one more
+        rmin = -2 * MAX_WINDOW_VERTICES + 1
+        q = basic_quiver(rs("A1"), rmin, 0, parity=(parity,))
+        assert len(q.vertices) == MAX_WINDOW_VERTICES
+        with pytest.raises(ValueError) as exc:
+            basic_quiver(rs("A1"), rmin - 1 - parity, 0, parity=(parity,))
+        assert str(exc.value) == (
+            f"window of {MAX_WINDOW_VERTICES + 1} vertices, more than the "
+            f"{MAX_WINDOW_VERTICES} allowed"
+        )
 
     def test_custom_parity(self):
         q = basic_quiver(rs("A2"), -4, 4, parity=(0, 0))

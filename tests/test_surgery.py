@@ -8,8 +8,11 @@ g-vectors and tags, and the same exceptions, on every input here, and the
 closed-form Coxeter window must be the quiver that the insertion surgery
 of ``oracles.insert_reflection`` builds, or raise what it raises.
 ``_make`` itself must emit the sorted filtered arrows and name the first
-loop or 2-cycle.  The last class checks that a run of surgeries freezes
-once and that ``seed mutate`` computes each c-vector once.
+loop or 2-cycle.  Mutation walks are also checked against
+Fomin–Zelevinsky matrix mutation (``oracles.matrix_mutate``).  The last
+class checks that a run of surgeries freezes once, that knitting
+computes each g-vector once and that ``seed mutate`` computes each
+c-vector once.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from clusterqq import quiver as quiver_mod
 from clusterqq import seed as seed_mod
 from clusterqq.cli import main
-from clusterqq.gvector import GVec
+from clusterqq.gvector import GVec, knit_gvectors
 from clusterqq.quiver import (
     GREEN,
     RED,
@@ -38,8 +41,10 @@ from clusterqq.quiver import (
 from clusterqq.rootsys import RootSystem, coxeter_data
 from clusterqq.seed import green_sweep, initial_seed
 from oracles import (
+    exchange_matrix,
     grouped,
     insert_reflection,
+    matrix_mutate,
     mutate_reference,
     recolor_from_arrows,
     reds,
@@ -273,6 +278,40 @@ class TestMutationAgainstOracle:
             assert got == expected
             seed = got
 
+    @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
+    def test_walks_against_matrix_mutation(self, name):
+        """40 seeded steps on the mutable interior of the default window:
+        after each, ``mutate_quiver`` and one working quiver mutated in
+        place all along give the oracle's exchange matrix."""
+        q = build_coxeter_quiver(
+            coxeter_data(rs(name), tuple(range(1, rs(name).n + 1)))
+        ).quiver
+        interior = sorted(
+            v for v in q.vertices
+            if v not in q.frozen and q.rmin + q.margin < v[1] < q.rmax - q.margin
+        )
+        work = quiver_mod._WorkingQuiver(q)
+        b = exchange_matrix(q)
+        rng = random.Random(f"walk {name}")
+        cancelled = 0
+        for _ in range(40):
+            v = rng.choice(interior)
+            ins = [a for (a, c), x in b.items() if c == v and x > 0]
+            outs = [c for (a, c), x in b.items() if a == v and x > 0]
+            # some path a -> v -> c faces an arrow c -> a: a 2-cycle to cancel
+            cancelled += any(b.get((a, c), 0) < 0 for a in ins for c in outs)
+            expected = matrix_mutate(b, v)
+            q = mutate_quiver(q, v)
+            work.mutate(v)
+            assert exchange_matrix(q) == expected
+            assert exchange_matrix(work.freeze()) == expected
+            pairs = {(a, c): m for a, row in work.out.items() for c, m in row.items()}
+            assert pairs == {
+                (a, c): m for c, row in work.inn.items() for a, m in row.items()
+            }
+            b = expected
+        assert cancelled
+
     def test_error_paths(self):
         cw = window("A3")
         q = cw.quiver
@@ -434,14 +473,43 @@ def freezes(monkeypatch):
 
 
 class TestComputeOnce:
-    def test_build_freezes_once_after_the_basic_quiver(self, freezes):
+    def test_build_freezes_once(self, freezes):
         cw = build_coxeter_quiver(coxeter_data(rs("D4"), WORDS["D4"]))
         assert len(reds(cw.quiver)) == 12
-        # the basic quiver and the inserted quiver; the core waits for its
-        # first use and is then built once
-        assert len(freezes) == 2
+        # only the window is frozen, with no basic quiver before it; the
+        # core waits for its first use and is then built once
+        assert len(freezes) == 1
         assert cw.gamma is cw.gamma
-        assert len(freezes) == 3
+        assert len(freezes) == 2
+
+    def test_knit_computes_each_gvector_once(self, monkeypatch):
+        q = build_coxeter_quiver(
+            coxeter_data(rs("E8"), tuple(range(1, 9))), depth_below=8
+        ).quiver
+        computed = []
+        for name in ("unit", "shift"):
+            real = getattr(GVec, name)
+            monkeypatch.setattr(
+                GVec, name, lambda *a, real=real: computed.append(1) or real(*a)
+            )
+
+        class Reads(dict):
+            """The adjacency map, counting its lookups."""
+
+            def get(self, key, default=None):
+                reads[key] += 1
+                return super().get(key, default)
+
+        reads = Counter()
+        q.__dict__["out"] = Reads(q.out)
+        g = knit_gvectors(q)
+        assert set(g) == q.vertices
+        # each value starts from one unit vector or one shift
+        assert len(computed) == len(q.vertices)
+        # one scan, not one per round: a green reads its own arrows twice,
+        # and a red's are read for itself and for the green under it
+        assert max(reads.values()) <= 2
+        assert sum(reads.values()) < 2 * len(q.vertices)
 
     def test_green_sweep_freezes_once(self, freezes):
         seed = initial_seed(window("E6"), stabilized=False)
@@ -493,6 +561,6 @@ class TestComputeOnce:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == 21
-        # the window (basic, inserted), the stabilized reference, and the
-        # one freeze of the seed quiver after all 21 mutations
-        assert len(freezes) == 4
+        # the window, the stabilized reference, and the one freeze of the
+        # seed quiver after all 21 mutations
+        assert len(freezes) == 3
