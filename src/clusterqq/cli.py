@@ -140,8 +140,9 @@ def _window(type_: str, coxeter: str | None, depth_below: int = 8, margin: int =
 # ---------------------------------------------------------------------------
 
 
-def _ser_gvec(g: gvector.GVec) -> list:
-    return [[i, r, c] for (i, r), c in g.coeffs]
+def _ser_gvec(coeffs) -> list:
+    """A g-vector's (vertex, coefficient) pairs, in sorted order, as JSON."""
+    return [[i, r, c] for (i, r), c in coeffs]
 
 
 def _ser_series(s: KSeries) -> dict:
@@ -292,7 +293,9 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     expected = gvector.sweep_gvectors(cw, sweeps)
     for m in range(1, sweeps + 1):
         green_sweep(seed)
-        mismatch = sorted(v for v, g in seed.g.items() if g != expected[m][v])
+        mismatch = sorted(
+            v for v, g in seed.g.items() if g != expected[m][v].as_dict()
+        )
         rep.emit(
             {
                 "relation": "green-sweep",
@@ -326,7 +329,7 @@ def seed_mutate(rep, type_, coxeter, vertices):
                 "relation": "seed-mutation",
                 "vertex": list(v),
                 "cvector_sign": sign,
-                "gvector": _ser_gvec(seed.g[v]),
+                "gvector": _ser_gvec(sorted(seed.g[v].items())),
                 "ok": True,
             }
         )
@@ -348,7 +351,7 @@ def _gvec_listing(method):
     def cmd(type_, coxeter, depth_below):
         table = method(_window(type_, coxeter, depth_below))
         for v in sorted(table):
-            line = {"gvector": _ser_gvec(table[v]), "vertex": list(v)}
+            line = {"gvector": _ser_gvec(table[v].coeffs), "vertex": list(v)}
             click.echo(json.dumps(line, sort_keys=True))
 
     return cmd

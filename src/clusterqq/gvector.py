@@ -212,7 +212,8 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
     Vertices whose column has no vertex above them get unit vectors; the
     window top must lie above every red vertex for this to be exact.  One
     scan, height descending, reads what each vertex depends on; each value
-    is then computed once, in dependency order.
+    is then computed once, in dependency order: a green's −shift(above) +
+    Σ m·g(w) is summed in one dict and sorted into one ``GVec``.
     """
     vertices = q.vertices
     order = sorted(vertices, key=lambda u: -u[1])
@@ -246,10 +247,11 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
         elif outs is None:
             out[v] = out[above].shift(-1)
         else:
-            acc = -out[above].shift(-1)
+            acc = {(j, r - 2): -c for (j, r), c in out[above].coeffs}
             for w, mlt in outs.items():
-                acc = acc + out[w].scale(mlt)
-            out[v] = acc
+                for u, c in out[w].coeffs:
+                    acc[u] = acc.get(u, 0) + mlt * c
+            out[v] = GVec.from_dict(acc)
         for u in users.get(v, ()):
             waiting[u] -= 1
             if not waiting[u]:

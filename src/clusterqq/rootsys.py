@@ -430,7 +430,10 @@ def coxeter_data(rs: RootSystem, word: Sequence[int]) -> CoxeterDatum:
 
     c = weyl_from_word(rs, word)
     m = tuple(len(coxeter_orbit(c, i)) - 1 for i in range(1, rs.n + 1))
-    assert sum(m) == rs.num_positive_roots
+    if sum(m) != rs.num_positive_roots:
+        raise ValueError(
+            f"Coxeter orbits give {sum(m)} positive roots, not {rs.num_positive_roots}"
+        )
 
     h_c = -max(l[i - 1] + 2 * m[i - 1] - 1 for i in range(1, rs.n + 1))
     return CoxeterDatum(rs, c, word, l, m, h_c)

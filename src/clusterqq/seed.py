@@ -15,15 +15,18 @@ that reference.  Two operations are provided:
 
 A :class:`Seed` is frozen: sorted tuples, hashable and comparable.  Every
 operation runs in place on one private working form, :class:`_WorkingSeed`,
-which holds the g-vectors and values as dicts and each quiver as a
-working quiver (see :mod:`clusterqq.quiver`), thawed only when an
-operation first needs it, together with the reference's column table and
-an index from each basis vertex to the stored vertices whose g-vector
-involves it, each built once.  The operations take either form: a frozen
-seed is thawed on entry and frozen on return, a working seed is edited in
-place and returned.  A run of operations thaws once and freezes once.  A
-reference mutation moves only the stored g-vectors whose coordinate at
-the mutated vertex is non-zero, found through that index.
+which holds the values as a dict, each g-vector as a dict of its non-zero
+coefficients, and each quiver as a working quiver (see
+:mod:`clusterqq.quiver`), thawed only when an operation first needs it,
+together with the reference's column table and an index from each basis
+vertex to the stored vertices whose g-vector involves it, each built
+once.  The operations take either form: a frozen seed is thawed on entry
+and frozen on return, a working seed is edited in place and returned.  A
+run of operations thaws once and freezes once, and only the freeze sorts
+each g-vector back into a :class:`GVec`.  A reference mutation edits in
+place only the stored g-vectors whose coordinate at the mutated vertex is
+non-zero, found through that index, and within each only the coordinates
+at that vertex and its neighbours.
 
 With a stabilized reference (the plain translation-invariant quiver) the
 c-vector is computed exactly by a top-down substitution: the defining
@@ -69,9 +72,6 @@ class Seed:
     ref_tag: str
     values: tuple[tuple[Vertex, Any], ...] | None = None
 
-    def gmap(self) -> dict[Vertex, GVec]:
-        return dict(self.g)
-
     def value_map(self) -> dict[Vertex, Any]:
         return dict(self.values) if self.values is not None else {}
 
@@ -90,16 +90,18 @@ def _pack(d: Mapping[Vertex, Any]) -> tuple[tuple[Vertex, Any], ...]:
 class _WorkingSeed:
     """The mutable form of a seed that every seed operation edits in place.
 
-    ``g`` and ``values`` are dicts (``values`` is None for a seed without
-    values) and ``ref_tag`` a string.  ``quiver`` and ``ref`` are working
-    quivers, each thawed from ``base`` on first use; mutation never
-    changes a vertex set, so ``columns`` is read off the base reference.
-    :meth:`freeze` freezes only the quivers that were thawed.
+    ``g`` maps each vertex to its g-vector as a dict of non-zero
+    coefficients, thawed once from the seed's ``GVec``s; ``values`` is a
+    dict (None for a seed without values) and ``ref_tag`` a string.
+    ``quiver`` and ``ref`` are working quivers, each thawed from ``base``
+    on first use; mutation never changes a vertex set, so ``columns`` is
+    read off the base reference.  :meth:`freeze` packs each g-vector into
+    one sorted ``GVec`` and freezes only the quivers that were thawed.
     """
 
     def __init__(self, seed: Seed):
         self.base = seed
-        self.g = seed.gmap()
+        self.g = {v: dict(gvec.coeffs) for v, gvec in seed.g}
         self.values = seed.value_map() if seed.values is not None else None
         self.ref_tag = seed.ref_tag
 
@@ -135,8 +137,8 @@ class _WorkingSeed:
         reference) ever changes ``g`` while it exists.
         """
         out: dict[Vertex, set[Vertex]] = {}
-        for x, gvec in self.g.items():
-            for v, _ in gvec.coeffs:
+        for x, comp in self.g.items():
+            for v in comp:
                 out.setdefault(v, set()).add(x)
         return out
 
@@ -145,7 +147,7 @@ class _WorkingSeed:
         return Seed(
             thawed["quiver"].freeze() if "quiver" in thawed else self.base.quiver,
             thawed["ref"].freeze() if "ref" in thawed else self.base.ref_quiver,
-            _pack(self.g),
+            _pack({v: GVec.from_dict(comp) for v, comp in self.g.items()}),
             self.ref_tag,
             _pack(self.values) if self.values is not None else None,
         )
@@ -190,7 +192,7 @@ def _exchange_lhs(work: _WorkingSeed, k: Vertex) -> dict[Vertex, int]:
     acc: dict[Vertex, int] = {}
     for arrows, sign in ((q.inn.get(k, {}), 1), (q.out.get(k, {}), -1)):
         for v, m in arrows.items():
-            for u, x in g[v].coeffs:
+            for u, x in g[v].items():
                 acc[u] = acc.get(u, 0) + sign * m * x
     return {u: x for u, x in acc.items() if x}
 
@@ -277,7 +279,8 @@ def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     n = cw.datum.rs.n
     for m in cw.slice_range():
         adj, det = _adjugate(stable_block(cw.datum, m))
-        assert det in (1, -1)
+        if det not in (1, -1):
+            raise ValueError(f"slice-{m} g-block has determinant {det}, not ±1")
         for i in range(1, n + 1):
             v = (i, cw.datum.l_of(i) + 2 * m)
             if v in cw.quiver.vertices:
@@ -341,9 +344,9 @@ def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
     sign = cvector_sign(work, k)
     ins, outs = sorted(q.inn[k].items()), sorted(q.out[k].items())
     g = work.g
-    new = {u: -x for u, x in g[k].coeffs}
+    new = {u: -x for u, x in g[k].items()}
     for v, m in ins if sign > 0 else outs:
-        for u, x in g[v].coeffs:
+        for u, x in g[v].items():
             new[u] = new.get(u, 0) + m * x
     if work.values is not None:
         sides = []
@@ -353,7 +356,7 @@ def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
             sides.append(_side(work.values, arrows))
         value = _divide(sides[0] + sides[1], work.values[k])
     q.mutate(k)
-    g[k] = GVec.from_dict(new)
+    g[k] = {u: x for u, x in new.items() if x}
     if work.values is not None:
         work.values[k] = value
     return _returned(seed, work), sign
@@ -362,29 +365,35 @@ def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
 def _transport(work: _WorkingSeed, l: Vertex) -> None:
     """Mutate the working reference at l and transport g, both in place.
 
-    Only the holders of l move, and the holders index is kept up to date.
-    Every check runs before anything changes.
+    Only the holders of l move, each g-vector dict edited in place at l and
+    at l's neighbours, a coordinate that reaches 0 deleted; the holders
+    index is kept up to date.  Every check runs before anything changes.
     """
-    ref, g, holders = work.ref, work.g, work.holders
+    ref, g = work.ref, work.g
     if l not in ref.vertices:
         raise ValueError(f"vertex {l} not in reference window")
     out_arrows = dict(ref.out[l])
     in_arrows = dict(ref.inn[l])
     ref.mutate(l)
+    # built only once the mutation is done: a refused one leaves no index
+    # for a later seed mutation to make stale
+    holders = work.holders
     # l stays in every holder's g-vector, so only the coordinates at l's
     # neighbours can enter or leave one, and holders[l] never changes
     for x in holders.get(l, ()):
-        comp = g[x].as_dict()
+        comp = g[x]
         gl = comp[l]
         comp[l] = -gl
         for v, m in (out_arrows if gl >= 0 else in_arrows).items():
-            was = comp.get(v, 0)
-            comp[v] = now = was + m * gl
-            if not now:
-                holders[v].discard(x)
-            elif not was:
+            was = comp.get(v)
+            if was is None:
+                comp[v] = m * gl
                 holders.setdefault(v, set()).add(x)
-        g[x] = GVec.from_dict(comp)
+            elif was + m * gl:
+                comp[v] += m * gl
+            else:
+                del comp[v]
+                holders[v].discard(x)
 
 
 def green_sweep(seed: AnySeed) -> AnySeed:

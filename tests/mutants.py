@@ -142,6 +142,26 @@ MUTANTS = {
             "tests/test_gvector.py::TestRankThree::test_knit_values",
         ],
     },
+    # the in-place transport keeps a coordinate that reaches 0
+    "transport-keeps-zero-coordinates": {
+        "file": "src/clusterqq/seed.py",
+        "old": '''                del comp[v]''',
+        "new": '''                comp[v] = 0''',
+        "kills": [
+            "tests/test_seed.py::TestWorkingSeedAgainstOracle"
+            "::test_seeded_walks[A3]",
+        ],
+    },
+    # ``seed sweep`` compares the supports of the g-vectors only
+    "seed-sweep-compares-supports": {
+        "file": "src/clusterqq/cli.py",
+        "old": '''if g != expected[m][v].as_dict()''',
+        "new": '''if g.keys() != expected[m][v].as_dict().keys()''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_seed_sweep_with_one_sweep_coefficient_doubled",
+        ],
+    },
     # in-place mutation leaves the 2-cycles it creates
     "mutate-keeps-2-cycles": {
         "file": "src/clusterqq/quiver.py",

@@ -885,6 +885,25 @@ class TestFailingTwins:
         certs = [json.loads(line) for line in result.stdout.splitlines()]
         assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
 
+    def test_seed_sweep_with_one_sweep_coefficient_doubled(self, monkeypatch):
+        # the doubled vector keeps its support: only a comparison of the
+        # coefficients tells it from the transported one
+        args = ["seed", "sweep", "--type", "A3", "--sweeps", "3", "--json"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        real = gvector.sweep_gvectors
+        v = (1, -4)
+
+        def sweep(cw, sweeps):
+            out = real(cw, sweeps)
+            out[2][v] = out[2][v].scale(2)
+            return out
+
+        monkeypatch.setattr(gvector, "sweep_gvectors", sweep)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
+
     def test_f_eval_with_one_knit_gvector_changed(self, monkeypatch):
         args = ["f-eval", "--type", "A3", "--json"]
         assert CliRunner().invoke(main, args).exit_code == 0

@@ -1011,3 +1011,34 @@ class TestImportBoundary:
         run = probe["runs"][-1]
         assert run["args"][:2] == ["qq", "verify"] and run["code"] == 0
         assert "clusterqq.qseries" in run["loaded"]
+
+
+class TestOptimizedInterpreter:
+    """No certificate rests on an ``assert``: ``python -O``, which strips
+    them, prints the same certificates with the same exit code.
+
+    Each run is a fresh interpreter whose PYTHONPATH starts with the
+    directory the suite imported ``clusterqq`` from.
+    """
+
+    def test_same_stdout_and_exit_code_under_dash_o(self, tmp_path):
+        pythonpath = [str(IMPORT_ROOT), os.environ.get("PYTHONPATH", "")]
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        for args in (
+            ["seed", "sweep", "--type", "A2", "--sweeps", "3", "--json"],
+            ["gvec", "compare", "--type", "D4", "--json"],
+        ):
+            plain, optimized = (
+                subprocess.run(
+                    [sys.executable, *flags, "-m", "clusterqq.cli", *args],
+                    capture_output=True, text=True, env=env, cwd=tmp_path,
+                )
+                for flags in ([], ["-O"])
+            )
+            assert plain.returncode == 0 and plain.stdout, (args, plain.stderr)
+            assert optimized.returncode == plain.returncode, (args, optimized.stderr)
+            assert optimized.stdout == plain.stdout, args

@@ -318,6 +318,14 @@ class TestCoxeterData:
             with pytest.raises(ValueError, match="exactly once"):
                 coxeter_data(rs("A3"), word)
 
+    def test_orbits_that_miss_a_root_raise(self, monkeypatch):
+        # every orbit one weight short: the exponents count 3 of the 6
+        # positive roots, refused by a check that python -O keeps
+        real = rootsys.coxeter_orbit
+        monkeypatch.setattr(rootsys, "coxeter_orbit", lambda c, i: real(c, i)[:-1])
+        with pytest.raises(ValueError, match="give 3 positive roots, not 6"):
+            coxeter_data(rs("A3"), (1, 2, 3))
+
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])
     def test_exponent_sum(self, name):
         r = rs(name)

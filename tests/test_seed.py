@@ -11,6 +11,7 @@ from numbers import Rational
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterqq import seed as seed_mod
 from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
 from clusterqq.qseries import KSeries
 from clusterqq.quiver import (
@@ -141,7 +142,7 @@ class TestRankTwoSweeps:
     def test_panels(self, sweeps):
         _, seeds = sweeps
         for m, panel in A2_PANELS.items():
-            gmap = seeds[m].gmap()
+            gmap = dict(seeds[m].g)
             for v, terms in panel.items():
                 assert gmap[v] == e(*terms), (m, v)
             # everything above the band keeps its unit vector
@@ -217,6 +218,14 @@ class TestCVectors:
         for v in safe_vertices(cw):
             assert cvector_sign(seed, v) in (-1, 1)
 
+    def test_block_of_determinant_two_raises(self, monkeypatch):
+        # outside the Weyl group det·adj is no inverse; the refusal is a
+        # check that python -O keeps
+        block = lambda datum, m: ((2, 0), (0, 1))
+        monkeypatch.setattr(seed_mod, "stable_block", block)
+        with pytest.raises(ValueError, match="g-block has determinant 2, not ±1"):
+            dual_cvectors(window("A2"))
+
     def test_a2_explicit_cvectors(self):
         cw = window("A2")
         seed = initial_seed(cw)
@@ -249,11 +258,12 @@ def arrows_in(q, v):
 
 def oracle_exchange_lhs(seed, k):
     """The exchange combination at k, one g-vector lookup per arrow."""
+    g = dict(seed.g)
     acc = GVec.zero()
     for v, m in arrows_in(seed.quiver, k):
-        acc = acc + seed.gmap()[v].scale(m)
+        acc = acc + g[v].scale(m)
     for v, m in seed.quiver.arrows_out(k):
-        acc = acc - seed.gmap()[v].scale(m)
+        acc = acc - g[v].scale(m)
     return acc.as_dict()
 
 
@@ -353,15 +363,15 @@ class TestSeedMutation:
         seed = initial_seed(cw)
         seed, sign = mutate_seed(seed, (1, -2))
         assert sign == -1
-        assert seed.gmap()[(1, -2)] == e((1, (1, -2)))
+        assert dict(seed.g)[(1, -2)] == e((1, (1, -2)))
 
         seed, sign = mutate_seed(seed, (1, -4))
         assert sign == 1
-        assert seed.gmap()[(1, -4)] == e((-1, (2, -3)), (1, (1, -2)))
+        assert dict(seed.g)[(1, -4)] == e((-1, (2, -3)), (1, (1, -2)))
 
         seed, sign = mutate_seed(seed, (2, -3))
         assert sign == -1
-        assert seed.gmap()[(2, -3)] == e((-1, (2, -5)), (1, (1, -4)))
+        assert dict(seed.g)[(2, -3)] == e((-1, (2, -5)), (1, (1, -4)))
 
         # unmutated variables keep their stabilized g-vectors
         stable = knit_gvectors(cw.quiver)
@@ -490,7 +500,7 @@ def oracle_mutate_seed(seed, k):
     if k not in seed.quiver.vertices:
         raise ValueError(f"vertex {k} not in window")
     sign = oracle_cvector_sign(seed, k)
-    g = seed.gmap()
+    g = dict(seed.g)
     acc = -g[k]
     arrows = arrows_in(seed.quiver, k) if sign > 0 else seed.quiver.arrows_out(k)
     for v, m in arrows:
@@ -547,7 +557,7 @@ def oracle_transport(ref, g, holders, l):
 
 def oracle_mutate_reference(seed, l):
     ref = _WorkingQuiver(seed.ref_quiver)
-    g = seed.gmap()
+    g = dict(seed.g)
     oracle_transport(ref, g, oracle_holders(g), l)
     return replace(
         seed,
@@ -563,7 +573,7 @@ def oracle_green_sweep(seed):
     if not greens:
         raise ValueError("reference quiver has no green vertices")
     ref = _WorkingQuiver(seed.ref_quiver)
-    g = seed.gmap()
+    g = dict(seed.g)
     holders = oracle_holders(g)
     for l in greens:
         oracle_transport(ref, g, holders, l)
@@ -600,6 +610,17 @@ def default_window(name):
     return build_coxeter_quiver(coxeter_data(r, tuple(range(1, r.n + 1))))
 
 
+def check_working_form(work):
+    """Each working g-vector is a dict of non-zero coefficients, and the
+    holders index, once built, is the one the frozen g-vectors give (a
+    basis vertex that no g-vector involves any more keeps an empty set)."""
+    for v, comp in work.g.items():
+        assert all(comp.values()), (v, comp)
+    if "holders" in vars(work):
+        built = {u: xs for u, xs in work.holders.items() if xs}
+        assert built == oracle_holders(dict(work.freeze().g))
+
+
 def check_walk(seed, steps):
     """Run the steps three ways and compare them after each one: the
     oracles on frozen seeds, the operations on frozen seeds, and the
@@ -607,8 +628,9 @@ def check_walk(seed, steps):
 
     A step that raises must raise the same error all three ways and leave
     the working seed as it was; a green sweep that raises may have moved
-    part of the reference, so the walk ends there.  Returns the numbers
-    of steps that completed and that raised.
+    part of the reference, so the walk ends there.  After every step the
+    working form is checked by :func:`check_working_form`.  Returns the
+    numbers of steps that completed and that raised.
     """
     work = seed.thaw()
     done = errors = 0
@@ -618,6 +640,7 @@ def check_walk(seed, steps):
         expected = outcome(old, seed, *args)
         assert outcome(new, seed, *args) == expected, (op, v)
         in_place = outcome(new, work, *args)
+        check_working_form(work)
         if raised(expected):
             errors += 1
             assert in_place == expected, (op, v)
@@ -702,7 +725,7 @@ class TestWorkingSeedAgainstOracle:
         # seed's own g-vectors with a few unit entries added mostly give a
         # vector: the substitution must neither start nor stop early
         seed = initial_seed(default_window(name))
-        own = seed.gmap()
+        own = dict(seed.g)
         basis = sorted(seed.ref_quiver.vertices)
         rng = random.Random(name)
 

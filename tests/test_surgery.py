@@ -472,6 +472,21 @@ def freezes(monkeypatch):
     return calls
 
 
+def gvec_calls(monkeypatch, names):
+    """A Counter of the calls of the named ``GVec`` methods from now on."""
+    calls = Counter()
+    for name in names:
+        real = getattr(GVec, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        static = isinstance(vars(GVec)[name], staticmethod)
+        monkeypatch.setattr(GVec, name, staticmethod(counting) if static else counting)
+    return calls
+
+
 class TestComputeOnce:
     def test_build_freezes_once(self, freezes):
         cw = build_coxeter_quiver(coxeter_data(rs("D4"), WORDS["D4"]))
@@ -486,12 +501,9 @@ class TestComputeOnce:
         q = build_coxeter_quiver(
             coxeter_data(rs("E8"), tuple(range(1, 9))), depth_below=8
         ).quiver
-        computed = []
-        for name in ("unit", "shift"):
-            real = getattr(GVec, name)
-            monkeypatch.setattr(
-                GVec, name, lambda *a, real=real: computed.append(1) or real(*a)
-            )
+        # every way a GVec is built: a unit vector, a shift, or one sum
+        # sorted out of a dict (``scale`` and ``+`` go through it too)
+        computed = gvec_calls(monkeypatch, ("unit", "shift", "from_dict"))
 
         class Reads(dict):
             """The adjacency map, counting its lookups."""
@@ -504,8 +516,9 @@ class TestComputeOnce:
         q.__dict__["out"] = Reads(q.out)
         g = knit_gvectors(q)
         assert set(g) == q.vertices
-        # each value starts from one unit vector or one shift
-        assert len(computed) == len(q.vertices)
+        # one GVec per vertex: a unit vector, a shift, or a green's
+        # -shift(above) + sum of m * g(w) added up in one dict
+        assert sum(computed.values()) == len(q.vertices)
         # one scan, not one per round: a green reads its own arrows twice,
         # and a red's are read for itself and for the green under it
         assert max(reads.values()) <= 2
@@ -517,6 +530,17 @@ class TestComputeOnce:
         del freezes[:]
         green_sweep(seed)
         assert len(freezes) == 1
+
+    def test_green_sweep_builds_no_gvec(self, monkeypatch):
+        work = initial_seed(window("E6"), stabilized=False).thaw()
+        calls = gvec_calls(monkeypatch, ("from_dict", "as_dict"))
+        green_sweep(work)
+        # the 36 greens moved their holders' g-vector dicts in place
+        assert sum(len(comp) > 1 for comp in work.g.values()) == 36
+        assert not calls
+        frozen = work.freeze()
+        assert calls == {"from_dict": len(work.g)}
+        assert len(frozen.g) == len(work.g)
 
     def test_seed_mutate_computes_each_cvector_once(self, monkeypatch):
         calls = []
