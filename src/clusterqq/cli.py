@@ -210,6 +210,8 @@ def _certifies(body):
 
     @functools.wraps(body)
     def run(as_json, budget, **params):
+        if budget is not None and not budget >= 0:  # NaN compares false
+            raise click.UsageError(f"bad budget {budget}: need a number >= 0")
         rep = Reporter(as_json, budget)
         body(rep, **params)
         rep.finish()
@@ -505,22 +507,12 @@ def f_eval(rep, type_, coxeter, depth_below):
     for v in sorted(cw.quiver.vertices):
         if v in labels:
             word, i, r = labels[v]
-            cert = {
-                "relation": "f-label",
-                "vertex": list(v),
-                "word": list(word),
-                "i": i,
-                "r": r,
-                "ok": True,
-            }
+            detail = {"word": list(word), "i": i, "r": r}
         else:
-            cert = {
-                "relation": "f-label",
-                "vertex": list(v),
-                "note": f"braid expression does not match g-vector at {v}",
-                "ok": False,
-            }
-        rep.emit(cert)
+            detail = {"note": f"braid expression does not match g-vector at {v}"}
+        rep.emit(
+            {"relation": "f-label", "vertex": list(v), **detail, "ok": v in labels}
+        )
 
 
 @main.group("sl2")
@@ -604,7 +596,7 @@ def wronskian_check_cmd(rep, type_, r_, depth, system_word):
     from . import wronskian
 
     rs = _root_system(type_)
-    r_values = list(_parse_range(r_))
+    r_values = _parse_range(r_)
     # the shift system is defined for a Coxeter element only
     word = _coxeter_word(rs, system_word, "--system-word")
     try:  # a non-A type, or another precondition of the system

@@ -103,7 +103,7 @@ def key_one(n: int) -> Key:
     return ((0,) * n, ())
 
 
-def bracket(rs: RootSystem, lam2: Lam2) -> Key:
+def bracket(lam2: Lam2) -> Key:
     """The monomial [λ] of the doubled weight ``lam2``, with no Ψ part."""
     return (tuple(lam2), ())
 
@@ -339,8 +339,8 @@ class KSeries:
         return _Terms(self._t, self._cx)
 
     @staticmethod
-    def monomial(rs: RootSystem, key: Key, cutoff2, coeff: int = 1) -> "KSeries":
-        return KSeries(rs, {key: coeff}, cutoff2)
+    def monomial(rs: RootSystem, key: Key, cutoff2) -> "KSeries":
+        return KSeries(rs, {key: 1}, cutoff2)
 
     @staticmethod
     def one(rs: RootSystem, cutoff2) -> "KSeries":
@@ -584,7 +584,7 @@ class QEvaluator:
                 if any(c < 0 for c in self.rs.root_coords2(alpha2)):
                     raise ValueError(f"{w} is not an ascent at {i}")
                 h = sum(map(mul, self.rs.height_functional[1], alpha2))
-                br = bracket(self.rs, tuple(-a for a in alpha2))
+                br = bracket(tuple(-a for a in alpha2))
                 ascent = (w[:-1], h, br)
             # the letters after the last i fix ϖ_i
             lam2 = element.apply(fundamental_weight(self.rs, i)).coords2
@@ -674,7 +674,7 @@ class QEvaluator:
         raw = self.q_raw(word, i, r)
         (lam2, psi), _ = raw.top()
         shift = tuple(-a for a in omega_lam2(self.rs, psi))
-        return raw.mul_monomial(bracket(self.rs, shift))
+        return raw.mul_monomial(bracket(shift))
 
 
 def qq_check(ev: QEvaluator, word, i: int, r: int) -> bool:

@@ -90,20 +90,18 @@ class WindowedQuiver:
 def _make(
     base: WindowedQuiver,
     *,
-    vertices: Iterable[Vertex] | None = None,
-    out: Mapping[Vertex, Mapping[Vertex, int]] | None = None,
+    vertices: Iterable[Vertex],
+    out: Mapping[Vertex, Mapping[Vertex, int]],
     colors: Mapping[Vertex, str] | None = None,
     frozen: Iterable[Vertex] | None = None,
 ) -> WindowedQuiver:
     """The one constructor of a frozen quiver.
 
-    The arrows come grouped by source as ``out[a][b]``; without them,
-    ``base``'s arrows are kept.  Arrows of multiplicity at most 0 and
-    arrows leaving the vertex set are dropped.
+    The arrows come grouped by source as ``out[a][b]``.  Arrows of
+    multiplicity at most 0 and arrows leaving the vertex set are dropped;
+    without ``colors`` or ``frozen``, ``base``'s are kept.
     """
-    verts = frozenset(vertices) if vertices is not None else base.vertices
-    if out is None:
-        out = base.out
+    verts = frozenset(vertices)
     # sorted sources, each followed by its sorted targets: arrow keys are
     # unique, so this is the sorted order of the (source, target) pairs,
     # and the first loop or 2-cycle in that order is the one named
@@ -267,12 +265,11 @@ def basic_quiver(
     rs: RootSystem,
     rmin: int,
     rmax: int,
-    parity: Sequence[int] | None = None,
+    parity: Sequence[int],
     margin: int = 2,
 ) -> WindowedQuiver:
     """Window of the basic quiver: arrows (i,r) -> (j, r + c_ij)."""
-    par = parity if parity is not None else rs.bipartition_class()
-    bare, vertices = _bare_window(rs, rmin, rmax, par, margin)
+    bare, vertices = _bare_window(rs, rmin, rmax, parity, margin)
     out: dict[Vertex, dict[Vertex, int]] = {v: {} for v in vertices}
     for i, r in vertices:
         for j in range(1, rs.n + 1):

@@ -126,19 +126,6 @@ class RootSystem:
             for i in range(1, self.n + 1)
         )
 
-    def bipartition_class(self) -> tuple[int, ...]:
-        """Two-coloring of the Dynkin tree with node 1 in class 0."""
-        cls = [-1] * self.n
-        cls[0] = 0
-        stack = [1]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if cls[j - 1] == -1:
-                    cls[j - 1] = 1 - cls[i - 1]
-                    stack.append(j)
-        return tuple(cls)
-
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"node index {i} out of range 1..{self.n}")

@@ -191,7 +191,7 @@ def _ptolemy(a, b, c, e, d: int) -> bool:
     lhs = cls(a, c) * cls(b, e)
     rhs = cls(a, e) * cls(b, c)
     corr = cls(a, b) * cls(c, e)
-    rhs = rhs + corr.mul_monomial(bracket(_A1, (2 * (b - c) * _VARPI2,)))
+    rhs = rhs + corr.mul_monomial(bracket((2 * (b - c) * _VARPI2,)))
     return lhs.matches(rhs)
 
 

@@ -126,22 +126,14 @@ def _blocks_of(at: dict, u, v) -> tuple[int, int]:
     raise KeyError(f"weights {(u, v)} are not consecutive-block weights")
 
 
-def build_wronskian(
-    rs: RootSystem,
-    r: int,
-    depth: int = 4,
-    ev: QEvaluator | None = None,
-    *,
-    deadline=None,
-) -> SeriesMatrix:
+def build_wronskian(ev: QEvaluator, r: int, *, deadline=None) -> SeriesMatrix:
     """The (n+1)x(n+1) series matrix with entry(k,l) = Q̲_{c^l(ϖ_1), q^{r+2k}}.
 
-    ``deadline``, if given, is called with no arguments before each
-    entry; it may raise to abandon the build.
+    The root system and the depth are those of ``ev``, which solves every
+    entry.  ``deadline``, if given, is called with no arguments before
+    each entry; it may raise to abandon the build.
     """
-    words = [word for _, word in block_labels(rs)[0]]
-    if ev is None:
-        ev = QEvaluator(rs, depth=depth)
+    words = [word for _, word in block_labels(ev.rs)[0]]
     tick = deadline or (lambda: None)
 
     def entry(k: int, l: int) -> KSeries:
@@ -171,6 +163,8 @@ def check_wronskian(
     det = 1 and the identification of every block minor with its
     independently computed q-variable.
 
+    ``r_values`` is any iterable of bases, read one base at a time, so a
+    huge range costs nothing until its bases are checked.
     Raises ``ValueError``, before any series work, for a type other than
     A, a rank above ``MAX_RANK``, a depth below 1 (``QEvaluator`` refuses
     it), an empty ``r_values``, a letter of ``system_word`` outside 1..n,
@@ -183,9 +177,6 @@ def check_wronskian(
     if rs.dynkin_type.startswith("A") and rs.n > MAX_RANK:
         raise ValueError(f"need rank at most {MAX_RANK}, got {rs.n}")
     labels = block_labels(rs)
-    r_values = list(r_values)
-    if not r_values:
-        raise ValueError("need at least one base r")
     standard = tuple(range(1, rs.n + 1))
     word = standard if system_word is None else tuple(system_word)
     if not all(1 <= j <= rs.n for j in word):
@@ -205,7 +196,7 @@ def check_wronskian(
         for base in (r, r + 2):
             if base not in mats:
                 tick()
-                mats[base] = build_wronskian(rs, base, depth, ev, deadline=tick)
+                mats[base] = build_wronskian(ev, base, deadline=tick)
         m0, m2 = mats[r], mats[r + 2]
         for i, (orbit, at) in enumerate(zip(orbits, blocks), 1):
             for k in range(1, len(orbit)):
@@ -234,6 +225,8 @@ def check_wronskian(
                         minors.append(
                             {"r": r, "i": i, "k": k, "l": l, "ok": ok}
                         )
+    if not dets:  # no base: nothing was built or compared
+        raise ValueError("need at least one base r")
     all_ok = all(
         e["ok"] for e in equations
     ) and all(d["ok"] for d in dets) and all(x["ok"] for x in minors)
@@ -260,10 +253,10 @@ def _clear_denominators(mat) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in mat], d
 
 
-def _int_minor(m, rows, cols, memo=None) -> int:
-    """Minor of the integer matrix ``m``; sub-minors go to ``memo``, a
-    fresh dict unless one is shared by all the minors of one point."""
-    return _minor(m, tuple(rows), tuple(cols), {} if memo is None else memo)
+def _int_minor(m, rows, cols, memo: dict) -> int:
+    """Minor of the integer matrix ``m``; sub-minors go to ``memo``, which
+    all the minors of one point share."""
+    return _minor(m, tuple(rows), tuple(cols), memo)
 
 
 def rational_minor(mat, rows, cols) -> Fraction:
@@ -337,7 +330,7 @@ def _random_scaled_sl(size: int, rng: random.Random):
     return [[x // c for x in row] for row in m], d // c
 
 
-def _corner_minors(m, memo=None):
+def _corner_minors(m, memo: dict):
     """The pairs (lower, upper) of i x i corner minors, i = 1..size-1.
 
     ``None`` at the first pair with a zero: the point is outside the open
@@ -354,7 +347,7 @@ def _corner_minors(m, memo=None):
     return pairs
 
 
-def _carroll_minors(m, memo=None) -> tuple[int, int, int, int]:
+def _carroll_minors(m, memo: dict) -> tuple[int, int, int, int]:
     """North, south, inner and det: the minors of the Desnanot-Jacobi
     identity besides west and east, which are the last corner pair.
     North's expansion holds inner, and det's holds south and the lower

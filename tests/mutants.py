@@ -12,10 +12,8 @@ MUTANTS = {
     # the failing branch of ``f-eval`` passes
     "f-eval-failing-label-passes": {
         "file": "src/clusterqq/cli.py",
-        "old": '''                "note": f"braid expression does not match g-vector at {v}",
-                "ok": False,''',
-        "new": '''                "note": f"braid expression does not match g-vector at {v}",
-                "ok": True,''',
+        "old": '''"ok": v in labels}''',
+        "new": '''"ok": v in labels or True}''',
         "kills": [
             "tests/test_acceptance.py::TestFailingTwins"
             "::test_f_eval_with_one_knit_gvector_changed",
@@ -211,6 +209,94 @@ MUTANTS = {
         "new": '''frozen |= {(i, top - 2), (i, bottom)}''',
         "kills": [
             "tests/test_quiver.py::TestCoxeterWindow::test_a2_core",
+        ],
+    },
+    # ``seed sweep`` passes whatever the sweeps give
+    "seed-sweep-passes": {
+        "file": "src/clusterqq/cli.py",
+        "old": '''"ok": not mismatch,''',
+        "new": '''"ok": True,''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_seed_sweep_with_one_sweep_coordinate_changed",
+        ],
+    },
+    # ``gvec compare`` passes whatever the three methods give
+    "gvec-compare-passes": {
+        "file": "src/clusterqq/cli.py",
+        "old": '''"ok": bool(knit) and bool(braid) and not mismatch,''',
+        "new": '''"ok": True,''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_gvec_compare_with_one_block_coordinate_changed",
+        ],
+    },
+    # ``sl2 ptolemy`` passes; its classes are still computed
+    "ptolemy-check-passes": {
+        "file": "src/clusterqq/sl2.py",
+        "old": '''"ok": _ptolemy(r, rp, s + 2, sp + 2, d),''',
+        "new": '''"ok": _ptolemy(r, rp, s + 2, sp + 2, d) or True,''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_ptolemy_with_a_neighbouring_segment",
+        ],
+    },
+    # every exchange relation of a seed passes
+    "exchange-relations-pass": {
+        "file": "src/clusterqq/sl2.py",
+        "old": '''"ok": _ptolemy(*quad, d)}''',
+        "new": '''"ok": _ptolemy(*quad, d) or True}''',
+        "kills": [
+            "tests/test_acceptance.py::TestFailingTwins"
+            "::test_exchange_with_a_neighbouring_segment",
+        ],
+    },
+    # a Wronskian shift equation passes once both minors are built
+    "wronskian-shift-equation-passes": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''ok, note = lhs.matches(rhs), ""''',
+        "new": '''ok, note = lhs.matches(rhs) or True, ""''',
+        "kills": [
+            "tests/test_acceptance.py::TestMinorSystems"
+            "::test_three_types_and_negative_control",
+        ],
+    },
+    # a shift equation between weights with no block passes
+    "wronskian-missing-block-passes": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''ok, note = False, str(exc)''',
+        "new": '''ok, note = True, str(exc)''',
+        "kills": [
+            # wronskian check --type A2 --system-word 2,1 --r 0..0 --depth 4
+            "tests/test_cli.py::TestGoldenCombinatorics"
+            "::test_failing_wronskian_control_stdout"
+            "[args0-a8969db2d83315e59f3d1c695e9192c58929b3e09955bf6ebd86a0cd81d257b2]",
+        ],
+    },
+    # a block minor passes for its Q-variable once both are computed
+    "wronskian-minor-identification-passes": {
+        "file": "src/clusterqq/wronskian.py",
+        "old": '''                        ok = m0.block_minor(i, k, l).matches(
+                            ev.q_bar(w, i, r + 2 * k + i - 1)
+                        )''',
+        "new": '''                        ok = m0.block_minor(i, k, l).matches(
+                            ev.q_bar(w, i, r + 2 * k + i - 1)
+                        ) or True''',
+        "kills": [
+            "tests/test_wronskian.py::TestBlockLabels"
+            "::test_failing_twin_swapped_words",
+        ],
+    },
+    # the window swaps the roles of nodes 1 and 2 in the band: each type
+    # stays a consistent quiver, but no longer commutes with its diagram
+    # automorphisms
+    "coxeter-window-swaps-nodes-one-and-two": {
+        "file": "src/clusterqq/quiver.py",
+        "old": '''rs, l, m = datum.rs, datum.l, datum.m''',
+        "new": '''rs, l, m = datum.rs, datum.l, (datum.m[1], datum.m[0], *datum.m[2:])''',
+        "kills": [
+            "tests/test_automorphisms.py::TestWindows"
+            "::test_window_commutes[A3-reversal]",
         ],
     },
 }

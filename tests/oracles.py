@@ -60,6 +60,20 @@ from clusterqq.wronskian import rational_minor
 # ---------------------------------------------------------------------------
 
 
+def bipartition_class(rs) -> tuple[int, ...]:
+    """Two-coloring of the Dynkin tree with node 1 in class 0."""
+    cls = [-1] * rs.n
+    cls[0] = 0
+    stack = [1]
+    while stack:
+        i = stack.pop()
+        for j in rs.neighbors(i):
+            if cls[j - 1] == -1:
+                cls[j - 1] = 1 - cls[i - 1]
+                stack.append(j)
+    return tuple(cls)
+
+
 def reflection_matrix_t(rs, i: int) -> Matrix:
     """Generator matrix t_i (simple reflection on fw coordinates)."""
     rs._check_index(i)
@@ -243,6 +257,8 @@ def build_seed_quiver(
         rmax = (max(heights) if heights else 0) + 4
     if rmin is None:
         rmin = (min(heights) if heights else 0) - 2 * len(word) - 6 - margin
+    if parity is None:
+        parity = bipartition_class(rs)
     q = basic_quiver(rs, rmin, rmax, parity=parity, margin=margin)
     for v in zip(word, heights):
         q = insert_reflection(q, v)
@@ -551,7 +567,7 @@ def diagonal_variable(diag: Diagonal, d: int = 6) -> KSeries:
     hi = 0 if diag.b == INF else int(diag.b) - 1
     lo = 0 if diag.a == -INF else int(diag.a)
     return segment_qchar(Segment(diag.a, diag.b - 2), d).mul_monomial(
-        bracket(A1, ((hi - lo) * VARPI2,))
+        bracket(((hi - lo) * VARPI2,))
     )
 
 

@@ -993,4 +993,4 @@ class TestFailingTwins:
         # the det = 1 half of the certificate that fails
         for m, d in points:
             assert desnanot_jacobi_check(to_fractions(m, d))
-            assert _carroll_minors(m)[3] != d**4
+            assert _carroll_minors(m, {})[3] != d**4

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from operator import add
 from pathlib import Path
 
@@ -238,6 +239,42 @@ class TestBudget:
         assert result.exit_code == 3
         assert "time budget exceeded" in result.stderr
         assert calls == []
+
+    def test_huge_r_range_stops_within_its_budget(self, runner):
+        # the range is read lazily: a trillion bases cost nothing before
+        # the first budget check, where a list of them would not fit
+        from clusterqq import wronskian  # imported before the measurement
+
+        assert wronskian.check_wronskian
+        tracemalloc.start()
+        try:
+            result = runner.invoke(
+                main,
+                ["wronskian", "check", "--type", "A2", "--r", "0..1000000000000",
+                 "--budget", "0", "--json"],
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "time budget exceeded" in result.stderr
+        assert peak < 4 << 20  # a list of one million bases alone is 8 MB
+
+    @pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+    def test_nan_or_negative_budget_is_a_usage_error(self, runner, budget):
+        result = runner.invoke(
+            main, ["qq", "verify", "--type", "A2", "--budget", budget, "--json"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"bad budget {float(budget)}: need a number >= 0" in result.stderr
+
+    def test_infinite_budget_never_fires(self, runner):
+        result = runner.invoke(
+            main, ["bruhat", "verify", "--n", "2", "--trials", "1", "--budget", "inf"]
+        )
+        assert result.exit_code == 0
 
 
 # one short run of each of the 10 certifying commands
@@ -579,7 +616,7 @@ class TestRawSeries:
             (tuple(t["bracket"]), json.dumps(t["psi"]), t["coeff"])
             for t in bar["terms"]
         )
-        assert bar == serialized(series.mul_monomial(bracket(ev.rs, tuple(shift))))
+        assert bar == serialized(series.mul_monomial(bracket(tuple(shift))))
 
 
 class TestGoldenCombinatorics:

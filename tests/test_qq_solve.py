@@ -55,7 +55,7 @@ def oracle_solve(ev, word, i, r):
     assert all(c >= 0 for c in ev.rs.root_coords2(alpha2))
     den, w = ev.rs.height_functional
     h = sum(map(mul, w, alpha2))
-    br = bracket(ev.rs, tuple(-a for a in alpha2))
+    br = bracket(tuple(-a for a in alpha2))
 
     def qp(j, b):
         return ev.q_raw(w_prime, j, b)
@@ -235,7 +235,7 @@ def oracle_ascent(rs, word, i):
     if any(c < 0 for c in rs.root_coords2(alpha2)):
         raise ValueError(f"{word} is not an ascent at {i}")
     h = sum(map(mul, rs.height_functional[1], alpha2))
-    return w_prime, h, bracket(rs, tuple(-a for a in alpha2))
+    return w_prime, h, bracket(tuple(-a for a in alpha2))
 
 
 @st.composite

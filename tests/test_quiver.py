@@ -16,6 +16,7 @@ from clusterqq.quiver import (
 )
 from clusterqq.rootsys import RootSystem, coxeter_data
 from oracles import (
+    bipartition_class,
     build_seed_quiver,
     insert_reflection,
     recolor_from_arrows,
@@ -27,6 +28,12 @@ from oracles import (
 
 def rs(name):
     return RootSystem.from_name(name)
+
+
+def basic(name, rmin, rmax):
+    """The basic quiver on a window, with the Dynkin bipartition as parity."""
+    r = rs(name)
+    return basic_quiver(r, rmin, rmax, bipartition_class(r))
 
 
 def arrows_within(q, vset):
@@ -46,14 +53,14 @@ def arrows_within(q, vset):
 
 class TestBasicQuiver:
     def test_a1_all_vertical(self):
-        q = basic_quiver(rs("A1"), -6, 6)
+        q = basic("A1", -6, 6)
         assert q.vertices == {(1, r) for r in range(-6, 7, 2)}
         assert set(dict(q.arrows)) == {
             ((1, r), (1, r + 2)) for r in range(-6, 6, 2)
         }
 
     def test_a3_local_arrows(self):
-        q = basic_quiver(rs("A3"), -8, 8)
+        q = basic("A3", -8, 8)
         # columns 1,3 even; column 2 odd (bipartition parity)
         assert (2, 0) not in q.vertices and (2, -1) in q.vertices
         assert q.mult((1, 0), (2, -1)) == 1
@@ -64,14 +71,14 @@ class TestBasicQuiver:
         assert q.mult((1, 0), (1, -2)) == 0
 
     def test_shift_invariance(self):
-        q = basic_quiver(rs("A2"), -6, 6)
+        q = basic("A2", -6, 6)
         shifted = relabeled(q, {v: (v[0], v[1] + 2) for v in q.vertices})
         inner = {v for v in q.vertices if -4 <= v[1] <= 6}
         assert arrows_within(shifted, inner) == arrows_within(q, inner)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            basic_quiver(rs("A2"), 4, 4)
+            basic("A2", 4, 4)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_window_size_limit(self, parity):
@@ -141,12 +148,12 @@ class TestInsertionErrors:
             insert_reflection(q, (1, 0))
 
     def test_missing_vertex_rejected(self):
-        q = basic_quiver(rs("A2"), -6, 4)
+        q = basic("A2", -6, 4)
         with pytest.raises(ValueError):
             insert_reflection(q, (2, 0))  # wrong parity
 
     def test_margin_enforced(self):
-        q = basic_quiver(rs("A2"), -6, 4)
+        q = basic("A2", -6, 4)
         with pytest.raises(MarginError):
             insert_reflection(q, (1, -4))
 
@@ -286,7 +293,7 @@ class TestMutation:
             mutate_quiver(cw.gamma, (1, 2))
 
     def test_margin_enforced(self):
-        q = basic_quiver(rs("A2"), -6, 6)
+        q = basic("A2", -6, 6)
         with pytest.raises(MarginError):
             mutate_quiver(q, (1, 6))
 

@@ -159,7 +159,7 @@ class TestClassMemo:
         before = decoded(c)
         for _ in (
             c * other, other * c, c * c, c + other, c - other, other - c,
-            c.mul_monomial(bracket(A1, (-4,))), c.clamped(Fraction(-4)),
+            c.mul_monomial(bracket((-4,))), c.clamped(Fraction(-4)),
             c.clamped(Fraction(-20)), c.inverse(), c.inverse() * c,
         ):
             assert decoded(c) == before
@@ -478,20 +478,20 @@ VARPI2 = fundamental_weight(A1, 1).coords2
 
 def oracle_x_plus(v, d):
     key = key_mul(
-        bracket(A1, tuple(-v * c for c in VARPI2)), ((0,), psi_var(1, 2 * v))
+        bracket(tuple(-v * c for c in VARPI2)), ((0,), psi_var(1, 2 * v))
     )
     return KSeries.one(A1, Fraction(-2 * d)).mul_monomial(key)
 
 
 def oracle_x_minus(v, d):
     return nested_neg_half_oracle(v - 1, d).mul_monomial(
-        bracket(A1, tuple(v * c for c in VARPI2))
+        bracket(tuple(v * c for c in VARPI2))
     )
 
 
 def oracle_x_finite(r, s, d):
     return nested_finite_oracle(r, s - 1, d).mul_monomial(
-        bracket(A1, tuple((s - r) * c for c in VARPI2))
+        bracket(tuple((s - r) * c for c in VARPI2))
     )
 
 

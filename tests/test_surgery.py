@@ -41,6 +41,7 @@ from clusterqq.quiver import (
 from clusterqq.rootsys import RootSystem, coxeter_data
 from clusterqq.seed import green_sweep, initial_seed
 from oracles import (
+    bipartition_class,
     exchange_matrix,
     grouped,
     insert_reflection,
@@ -87,7 +88,7 @@ def oracle_mutate_quiver(q, v):
             k = min(arrows[(a, b)], arrows[(b, a)])
             arrows[(a, b)] -= k
             arrows[(b, a)] -= k
-    return _make(q, out=grouped(arrows))
+    return _make(q, vertices=q.vertices, out=grouped(arrows))
 
 
 def oracle_recolor(q):
@@ -96,7 +97,7 @@ def oracle_recolor(q):
         if a[0] == b[0] and a[1] == b[1] + 2:
             colors[a] = RED
             colors[b] = GREEN
-    return _make(q, colors=colors)
+    return _make(q, vertices=q.vertices, out=q.out, colors=colors)
 
 
 def oracle_mutate_reference(seed, l):
@@ -156,7 +157,9 @@ def oracle_coxeter_quiver(root_system, datum, depth_below=8, margin=2):
     for i, r0 in points:
         q = insert_reflection(q, (i, r0 - 2 * count[i]))
         count[i] += 1
-    return _make(q, vertices={v for v in q.vertices if v[1] >= q.rmin})
+    return _make(
+        q, vertices={v for v in q.vertices if v[1] >= q.rmin}, out=q.out
+    )
 
 
 def outcome(fn, *args):
@@ -413,14 +416,16 @@ def kept(vertices, arrows):
 class TestMakeAndFreeze:
     @pytest.mark.parametrize("seed", range(30))
     def test_adjacency_order_is_sorted_order(self, seed):
-        base = basic_quiver(rs("A3"), -6, 4)
+        a3 = rs("A3")
+        base = basic_quiver(a3, -6, 4, bipartition_class(a3))
         _, vertices, arrows = random_arrows(seed)
         expected = tuple(sorted(kept(vertices, arrows).items()))
         assert _make(base, vertices=vertices, out=grouped(arrows)).arrows == expected
 
     @pytest.mark.parametrize("seed", range(30))
     def test_first_loop_or_2_cycle_is_named(self, seed):
-        base = basic_quiver(rs("A3"), -6, 4)
+        a3 = rs("A3")
+        base = basic_quiver(a3, -6, 4, bipartition_class(a3))
         rng, vertices, arrows = random_arrows(seed)
         inside = sorted(vertices)
         for _ in range(rng.randint(1, 3)):

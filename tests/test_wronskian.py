@@ -128,16 +128,17 @@ def random_sl_matrix(size, rng):
 def in_open_cell(mat) -> bool:
     """Both families of corner minors are nonzero."""
     m, _ = wronskian._clear_denominators(mat)
-    return wronskian._corner_minors(m) is not None
+    return wronskian._corner_minors(m, {}) is not None
 
 
 def desnanot_jacobi_check(mat) -> bool:
     """det·(central minor) = product difference of the four corner minors."""
     m, _ = wronskian._clear_denominators(mat)
     size = len(m)
-    north, south, inner, det = wronskian._carroll_minors(m)
-    west = wronskian._int_minor(m, range(1, size), range(size - 1))
-    east = wronskian._int_minor(m, range(size - 1), range(1, size))
+    memo = {}
+    north, south, inner, det = wronskian._carroll_minors(m, memo)
+    west = wronskian._int_minor(m, range(1, size), range(size - 1), memo)
+    east = wronskian._int_minor(m, range(size - 1), range(1, size), memo)
     # both sides carry D**(2·size - 2), so the scaled equation is the same
     return north * south - west * east == det * inner
 
@@ -176,12 +177,12 @@ def ev_a2():
 
 @pytest.fixture(scope="module")
 def m_a2(ev_a2):
-    return build_wronskian(A2, 0, 4, ev_a2)
+    return build_wronskian(ev_a2, 0)
 
 
 class TestSeriesMatrix:
     def test_rank_one_two_by_two_determinant_is_one(self):
-        m = build_wronskian(A1, 0, 5)
+        m = build_wronskian(QEvaluator(A1, depth=5), 0)
         assert m.size == 2
         det = m.det()
         key, coeff = det.top()
@@ -232,7 +233,7 @@ class TestSeriesMatrix:
 
     def test_rejects_non_type_a(self):
         with pytest.raises(ValueError):
-            build_wronskian(RootSystem.from_name("D4"), 0, 3)
+            build_wronskian(QEvaluator(RootSystem.from_name("D4"), depth=3), 0)
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -278,7 +279,7 @@ class TestBlockLabels:
     def test_build_reads_node_one(self, name, r):
         rs = RootSystem.from_name(name)
         ev = QEvaluator(rs, depth=3)
-        m = build_wronskian(rs, r, 3, ev)
+        m = build_wronskian(ev, r)
         node = block_labels(rs)[0]
         assert m.size == len(node) == rs.n + 1
         for k, row in enumerate(m.entries):
@@ -352,6 +353,22 @@ class TestWronskianProperty:
         with pytest.raises(ValueError):
             check_wronskian(rs, r_values, depth=2, system_word=word)
 
+    def test_bases_are_read_one_at_a_time(self, monkeypatch):
+        # an empty iterator compares nothing, so it is refused like []; a
+        # trillion bases are not listed before the first build
+        monkeypatch.setattr(wronskian, "build_wronskian", refuse_series_work)
+        with pytest.raises(ValueError, match="^need at least one base r$"):
+            check_wronskian(A2, iter(()), depth=2)
+
+        class Stop(Exception):
+            pass
+
+        def deadline():
+            raise Stop
+
+        with pytest.raises(Stop):
+            check_wronskian(A2, range(0, 2 * 10**12, 2), depth=2, deadline=deadline)
+
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_raises_before_series_work(self, monkeypatch, depth):
         monkeypatch.setattr(wronskian, "build_wronskian", refuse_series_work)
@@ -363,9 +380,9 @@ class TestWronskianProperty:
         bases = []
         real = wronskian.build_wronskian
 
-        def counting(rs, r, *args, **kwargs):
+        def counting(ev, r, **kwargs):
             bases.append(r)
-            return real(rs, r, *args, **kwargs)
+            return real(ev, r, **kwargs)
 
         monkeypatch.setattr(wronskian, "build_wronskian", counting)
         assert check_wronskian(A3, range(-4, 5), depth=4)["ok"]
@@ -710,7 +727,7 @@ class TestLaplaceMinor:
         ev = QEvaluator(rs, depth=depth)
         compared = 0
         for r in range(-4, 5):
-            n, bad = series_mismatches(build_wronskian(rs, r, depth, ev))
+            n, bad = series_mismatches(build_wronskian(ev, r))
             assert bad == [], (r, bad)
             compared += n
         # all nonempty minors of an (n+1) x (n+1) matrix at nine bases
@@ -724,7 +741,7 @@ class TestLaplaceMinor:
     def test_integer_minors_match_leibniz(self, data):
         mat, rows, cols = square_minor_case(data.draw, st.integers(-9, 9))
         want = leibniz([[mat[rk][c] for c in cols] for rk in rows])
-        assert wronskian._int_minor(mat, rows, cols) == want
+        assert wronskian._int_minor(mat, rows, cols, {}) == want
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -738,7 +755,7 @@ class TestLaplaceMinor:
         assert wronskian._minor([[5, 6], [7, 8]], (1,), (0,), {}) == 7
 
     def test_memo_holds_each_sub_minor_once(self):
-        m = build_wronskian(A3, 0, 2)
+        m = build_wronskian(QEvaluator(A3, depth=2), 0)
         assert m.det() is m.det()
         # expanding along the first row: the minors on the row suffixes
         # {k..3} and every column set of that size, 2 x 2 and larger
@@ -754,18 +771,19 @@ class TestLaplaceMinor:
         monkeypatch.setattr(rootsys, "_minor", flipped)
 
     def test_failing_twin_series(self, monkeypatch):
-        assert series_mismatches(build_wronskian(A2, 0, 3))[1] == []
+        ev = QEvaluator(A2, depth=3)
+        assert series_mismatches(build_wronskian(ev, 0))[1] == []
         self.flip_minor(monkeypatch)
-        _, bad = series_mismatches(build_wronskian(A2, 0, 3))
+        _, bad = series_mismatches(build_wronskian(ev, 0))
         assert ((0, 1), (0, 1)) in bad
 
     def test_failing_twin_integer_and_rational(self, monkeypatch):
         mat = [[2, 3, 1], [1, 4, 2], [5, 1, 3]]
         rows = cols = (0, 1, 2)
-        assert wronskian._int_minor(mat, rows, cols) == leibniz(mat)
+        assert wronskian._int_minor(mat, rows, cols, {}) == leibniz(mat)
         assert rational_minor(mat, rows, cols) == leibniz(mat)
         self.flip_minor(monkeypatch)
-        assert wronskian._int_minor(mat, rows, cols) != leibniz(mat)
+        assert wronskian._int_minor(mat, rows, cols, {}) != leibniz(mat)
         assert rational_minor(mat, rows, cols) != leibniz(mat)
 
 
@@ -819,7 +837,7 @@ class TestBruhatCertificates:
         calls = []
         int_minor = wronskian._int_minor
 
-        def counting(m, rows, cols, memo=None):
+        def counting(m, rows, cols, memo):
             calls.append((len(rows), memo))
             return int_minor(m, rows, cols, memo)
 
@@ -849,7 +867,7 @@ class TestBruhatCertificates:
         assert bruhat_check(n, trials, seed)["ok"]
         real = wronskian._carroll_minors
 
-        def det_plus_one(m, memo=None):
+        def det_plus_one(m, memo):
             north, south, inner, det = real(m, memo)
             return north, south, inner, det + 1
 
@@ -898,8 +916,8 @@ class TestDeadline:
 
         monkeypatch.setattr(QEvaluator, "q_bar", counting)
         calls, deadline = self.counter()
-        m = build_wronskian(A2, 0, depth=4, deadline=deadline)
-        plain = build_wronskian(A2, 0, depth=4)
+        m = build_wronskian(QEvaluator(A2, depth=4), 0, deadline=deadline)
+        plain = build_wronskian(QEvaluator(A2, depth=4), 0)
         assert all(
             a.matches(b)
             for row, ref in zip(m.entries, plain.entries)
@@ -909,7 +927,7 @@ class TestDeadline:
         solved.clear()
         calls, deadline = self.counter(stop_at=4)
         with pytest.raises(self.Stop):
-            build_wronskian(A2, 0, depth=4, deadline=deadline)
+            build_wronskian(QEvaluator(A2, depth=4), 0, deadline=deadline)
         assert len(solved) == 3
 
     def test_bruhat_checks_before_every_draw(self):
