@@ -164,7 +164,11 @@ def check_wronskian(
     independently computed q-variable.
 
     ``r_values`` is any iterable of bases, read one base at a time, so a
-    huge range costs nothing until its bases are checked.
+    huge range costs nothing until its bases are checked.  The matrices
+    at bases <= r are dropped once the pass at r is done: an ascending
+    range builds each matrix once and holds at most three at a time, and
+    any other order gives the same certificate with some matrices built
+    again.
     Raises ``ValueError``, before any series work, for a type other than
     A, a rank above ``MAX_RANK``, a depth below 1 (``QEvaluator`` refuses
     it), an empty ``r_values``, a letter of ``system_word`` outside 1..n,
@@ -225,6 +229,7 @@ def check_wronskian(
                         minors.append(
                             {"r": r, "i": i, "k": k, "l": l, "ok": ok}
                         )
+        mats = {base: m for base, m in mats.items() if base > r}
     if not dets:  # no base: nothing was built or compared
         raise ValueError("need at least one base r")
     all_ok = all(

@@ -1,17 +1,29 @@
-"""Reference implementations that only the tests use.
+"""The one shared test library: reference implementations, and whatever
+else more than one test module uses.
 
-Each one is a plain function of the object it reads: the package's
+Each reference is a plain function of the object it reads: the package's
 commands never call them, so they live here rather than in
 ``src/clusterqq``.  The one class, :class:`EveryREvaluator`, only makes
 an evaluator read its values through such a function.  They build on
 the package's own constructors and private helpers, and the tests
-compare the package against them.
+compare the package against them.  Beside them are the frozen worked
+values, checks and small helpers (``rs``, ``e``, ``cli``, the ``ast``
+walker of the source scans) that two or more test modules share: no
+test module imports another (``tests/test_reachability.py`` checks it).
 """
 
+import ast
+import json
+import shlex
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
+from click.testing import CliRunner
+
+from clusterqq import wronskian
+from clusterqq.cli import main
 from clusterqq.gvector import (
     GVec,
     _band_product,
@@ -30,6 +42,7 @@ from clusterqq.qseries import (
     key_one,
     psi_mul,
     psi_var,
+    qq_check,
 )
 from clusterqq.quiver import (
     BLACK,
@@ -39,15 +52,20 @@ from clusterqq.quiver import (
     _make,
     _WorkingQuiver,
     basic_quiver,
+    build_coxeter_quiver,
 )
 from clusterqq.rootsys import (
     Matrix,
     RootSystem,
     WeylElement,
+    _adjugate,
     _identity,
     _length_and_word,
+    _mat_vec,
+    coxeter_data,
     fundamental_weight,
     is_reduced,
+    longest_element,
     weyl_from_word,
 )
 from clusterqq.seed import _returned, _transport, _working
@@ -58,6 +76,17 @@ from clusterqq.wronskian import rational_minor
 # ---------------------------------------------------------------------------
 # rootsys
 # ---------------------------------------------------------------------------
+
+
+ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
+    "E6",
+    "E7",
+    "E8",
+]
+
+
+def rs(name):
+    return RootSystem.from_name(name)
 
 
 def bipartition_class(rs) -> tuple[int, ...]:
@@ -112,9 +141,177 @@ def weyl_product(a, b) -> WeylElement:
     return WeylElement(a.rs, mat_mul(a.mat_t, b.mat_t), word, length)
 
 
+def gauss_jordan(mat):
+    """A⁻¹ and det A of an invertible integer matrix, by exact Gauss–Jordan
+    elimination: the oracle that ``_adjugate`` replaced."""
+    n = len(mat)
+    aug = [
+        [Fraction(mat[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv_piv = 1 / aug[col][col]
+        aug[col] = [x * inv_piv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug), det
+
+
+def assert_adjugate_is_det_times_inverse(mat):
+    """``_adjugate`` against the oracle: the same det, adj = det·A⁻¹."""
+    adj, det = _adjugate(mat)
+    inv, want = gauss_jordan(mat)
+    assert type(det) is int and det == want
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == tuple(tuple(det * x for x in row) for row in inv)
+
+
+def sign_flipped(real):
+    """``rootsys._minor`` with the sign of every 2 x 2 minor's second
+    term flipped (the real routine recurses through the patched name)."""
+
+    def minor(entries, rows, cols, memo):
+        if len(rows) != 2:
+            return real(entries, rows, cols, memo)
+        (a, b), (c, d) = ([entries[rk][k] for k in cols] for rk in rows)
+        return a * d + b * c
+
+    return minor
+
+
+# the root-matrix oracles: a second matrix per element, on simple-root
+# coordinates, from which lengths, reduced words, w_0 and ν are read
+
+
+def reflection_matrix_root(r, i):
+    """Simple reflection on simple-root coordinates (transpose of t_i)."""
+    t = reflection_matrix_t(r, i)
+    return tuple(tuple(t[j][k] for j in range(r.n)) for k in range(r.n))
+
+
+def unit(r, i):
+    return tuple(1 if j == i - 1 else 0 for j in range(r.n))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(r):
+    """All positive roots in simple-root coordinates, via reflection closure."""
+    simple = [unit(r, i) for i in range(1, r.n + 1)]
+    refl = [reflection_matrix_root(r, i) for i in range(1, r.n + 1)]
+    roots = set(simple)
+    frontier = set(simple)
+    while frontier:
+        new = {_mat_vec(m, beta) for beta in frontier for m in refl} - roots
+        roots |= new
+        frontier = new
+    return tuple(sorted(x for x in roots if all(c >= 0 for c in x)))
+
+
+def inversion_count(r, mat_root):
+    return sum(
+        all(x <= 0 for x in _mat_vec(mat_root, beta)) for beta in positive_roots(r)
+    )
+
+
+def canonical_word(r, mat_t, mat_root):
+    """A reduced word, by repeatedly stripping the least descent."""
+    letters = []
+    ident = _identity(r.n)
+    while mat_t != ident:
+        i = next(
+            i
+            for i in range(1, r.n + 1)
+            if all(x <= 0 for x in _mat_vec(mat_root, unit(r, i)))
+        )
+        letters.append(i)
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
+    return tuple(reversed(letters))
+
+
+def finalize(r, mat_t, mat_root, word):
+    """(mat_t, mat_root, word, length), the word made reduced if need be."""
+    length = inversion_count(r, mat_root)
+    if len(word) != length:
+        word = canonical_word(r, mat_t, mat_root)
+    return mat_t, mat_root, word, length
+
+
+def oracle_from_word(r, word):
+    mat_t = mat_root = _identity(r.n)
+    for i in word:
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
+    return finalize(r, mat_t, mat_root, tuple(word))
+
+
+def oracle_mul(r, a, b):
+    return finalize(r, mat_mul(a[0], b[0]), mat_mul(a[1], b[1]), a[2] + b[2])
+
+
+@lru_cache(maxsize=None)
+def oracle_longest(r):
+    """w_0 by greedy matrix products: append the least i with w(α_i) > 0."""
+    mat_t = mat_root = _identity(r.n)
+    word = []
+    for _ in range(len(positive_roots(r))):
+        # w(α_i) is column i of the root matrix
+        i = next(
+            i for i in range(1, r.n + 1) if all(row[i - 1] >= 0 for row in mat_root)
+        )
+        mat_t = mat_mul(mat_t, reflection_matrix_t(r, i))
+        mat_root = mat_mul(mat_root, reflection_matrix_root(r, i))
+        word.append(i)
+    return finalize(r, mat_t, mat_root, tuple(word))
+
+
+@lru_cache(maxsize=None)
+def nakayama(r):
+    """The involution ν with w_0(α_i) = −α_ν(i) (1-based tuple)."""
+    w0_root = oracle_longest(r)[1]
+    simple = [unit(r, j) for j in range(1, r.n + 1)]
+    return tuple(
+        simple.index(tuple(-x for x in _mat_vec(w0_root, unit(r, i)))) + 1
+        for i in range(1, r.n + 1)
+    )
+
+
+def oracle_exponents(r, c_mat_t):
+    """m_i = the least k with c^k(ϖ_i) = −ϖ_ν(i)."""
+    nu = nakayama(r)
+    h = 2 * len(positive_roots(r)) // r.n
+    m = []
+    for i in range(1, r.n + 1):
+        target = tuple(-x for x in fundamental_weight(r, nu[i - 1]).coords2)
+        lam = fundamental_weight(r, i).coords2
+        k = 0
+        while lam != target:
+            lam = _mat_vec(c_mat_t, lam)
+            k += 1
+            assert k <= 2 * h
+        m.append(k)
+    return tuple(m)
+
+
 # ---------------------------------------------------------------------------
 # quiver
 # ---------------------------------------------------------------------------
+
+
+def default_window(name, word=None):
+    """The Coxeter window of ``word``, by default 1..n, at the default depth."""
+    r = rs(name)
+    word = tuple(range(1, r.n + 1)) if word is None else word
+    return build_coxeter_quiver(coxeter_data(r, word))
 
 
 def color(q, v) -> str:
@@ -270,6 +467,78 @@ def build_seed_quiver(
 # ---------------------------------------------------------------------------
 
 
+def e(*vs):
+    """The g-vector Σ sign·e_v of (sign, vertex) pairs."""
+    g = GVec.zero()
+    for sign, v in vs:
+        g = g + GVec.unit(v).scale(sign)
+    return g
+
+
+def a2_expected(v):
+    """The stabilized g-vector at v of the A2 window of (1, 2), closed form."""
+    i, r = v
+    if i == 1:
+        k = r // 2
+        if k >= 0:
+            return GVec.unit(v)
+        if k >= -2:
+            return e((-1, (1, 2 * k)), (1, (2, 2 * k + 1)))
+        return e((-1, (2, 2 * k + 1)))
+    k = (r + 1) // 2
+    if k >= 0:
+        return GVec.unit(v)
+    return e((-1, (1, 2 * k - 2)))
+
+
+# the stabilized g-vectors of the A3 window of (1, 2, 3), as terms of e
+A3_STABILIZED = {
+    (1, 2): [(1, (1, 2))],
+    (3, 2): [(1, (3, 2))],
+    (2, 1): [(1, (2, 1))],
+    (1, 0): [(1, (1, 0))],
+    (3, 0): [(1, (3, 0))],
+    (2, -1): [(1, (2, -1))],
+    (3, -2): [(1, (3, -2))],
+    (1, -2): [(-1, (1, -2)), (1, (2, -1))],
+    (2, -3): [(-1, (1, -4)), (1, (3, -2))],
+    (1, -4): [(-1, (1, -4)), (1, (2, -3))],
+    (1, -6): [(-1, (2, -5)), (1, (3, -4))],
+    (3, -4): [(-1, (1, -6))],
+    (2, -5): [(-1, (1, -6)), (1, (3, -4))],
+    (2, -7): [(-1, (2, -7))],
+    (1, -8): [(-1, (2, -7)), (1, (3, -6))],
+    (1, -10): [(-1, (3, -8))],
+    (3, -6): [(-1, (1, -8))],
+    (2, -9): [(-1, (2, -9))],
+    (1, -12): [(-1, (3, -10))],
+    (3, -8): [(-1, (1, -10))],
+}
+
+# the f-labels of the same window: band and nearby vertices, their weight
+# word, node and spectral exponent
+A3_SEED_LABELS = {
+    (1, 2): ((), 1, 2),
+    (3, 2): ((), 3, 2),
+    (2, 1): ((), 2, 1),
+    (1, 0): ((), 1, 0),
+    (3, 0): ((), 3, 0),
+    (1, -2): ((1,), 1, 0),
+    (2, -1): ((), 2, -1),
+    (2, -3): ((1, 2), 2, -1),
+    (1, -4): ((1,), 1, -2),
+    (3, -2): ((), 3, -2),
+    (1, -6): ((1, 2, 1), 1, -2),
+    (3, -4): ((1, 2, 1, 3), 3, -2),
+    (2, -5): ((1, 2), 2, -3),
+    (2, -7): ((1, 2, 1, 3, 2), 2, -3),
+    (1, -8): ((1, 2, 1), 1, -4),
+    (1, -10): ((1, 2, 1, 3, 2, 1), 1, -4),
+    (3, -6): ((1, 2, 1, 3), 3, -4),
+    (2, -9): ((1, 2, 1, 3, 2), 2, -5),
+}
+
+
 def knit_by_rounds(q) -> dict:
     """The knitting recursion by rounds: every round visits the vertices
     not yet known, height descending, and knits those whose dependencies
@@ -416,6 +685,11 @@ def ht(s, key: Key) -> Fraction:
     return Fraction(sum(map(mul, s._cx.w, key[0])), s._cx.den)
 
 
+def decoded(s):
+    """Terms and cutoff, free of the codec's call-order field layout."""
+    return sorted(s.terms.items()), s.cutoff2
+
+
 def max_ht(s) -> Fraction:
     """The doubled height of the top term of ``s`` (its cutoff if empty)."""
     return Fraction(s._max_h(), s._cx.den)
@@ -477,6 +751,17 @@ class EveryREvaluator(QEvaluator):
     values through :func:`q_raw_every_r`."""
 
     q_raw = q_raw_every_r
+
+
+def qq_battery(ev, r_values):
+    """qq_check over every prefix of w_0 on the evaluator; the count."""
+    word = longest_element(ev.rs).word
+    count = 0
+    for t in range(len(word)):
+        for rr in r_values:
+            assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +907,18 @@ def to_fractions(m, d: int):
     return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
+def desnanot_jacobi_check(mat) -> bool:
+    """det·(central minor) = product difference of the four corner minors."""
+    m, _ = wronskian._clear_denominators(mat)
+    size = len(m)
+    memo = {}
+    north, south, inner, det = wronskian._carroll_minors(m, memo)
+    west = wronskian._int_minor(m, range(1, size), range(size - 1), memo)
+    east = wronskian._int_minor(m, range(size - 1), range(1, size), memo)
+    # both sides carry D**(2·size - 2), so the scaled equation is the same
+    return north * south - west * east == det * inner
+
+
 SL3_CLUSTER = {
     "d31": ((2,), (0,)),
     "d21": ((1,), (0,)),
@@ -660,3 +957,38 @@ def sl3_reconstruct(vals: dict):
     ej_fi = (vals["d22"] + vals["d12_23"] * vals["d23_12"]) / vals["d12_12"]
     j = (ej_fi + f * i) / e
     return ((a, b, c), (d, e, f), (h, i, j))
+
+
+# ---------------------------------------------------------------------------
+# cli
+# ---------------------------------------------------------------------------
+
+
+def cli(args, exit_code: int = 0):
+    """The in-process run of the command line ``args`` (a list, or a
+    string split as a shell would), which must exit with ``exit_code``."""
+    if isinstance(args, str):
+        args = shlex.split(args)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    return result
+
+
+def json_lines(output) -> list:
+    return [json.loads(line) for line in output.strip().splitlines()]
+
+
+# ---------------------------------------------------------------------------
+# source scans
+# ---------------------------------------------------------------------------
+
+
+def functions(tree, prefix, in_class=False):
+    """(qualified name, def node, is a method) of every function in
+    ``tree``: module-level ones, methods and nested ones."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{node.name}", node, in_class
+            yield from functions(node, f"{prefix}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}.{node.name}", True)

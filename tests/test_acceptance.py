@@ -6,16 +6,13 @@ independent cross-checks.
 """
 
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from clusterqq import gvector, qseries, wronskian
-from clusterqq.cli import main
 from clusterqq.gvector import (
     GVec,
     blocks_gvectors,
@@ -36,7 +33,6 @@ from clusterqq.qseries import (
 )
 from clusterqq.quiver import build_coxeter_quiver, mutate_quiver
 from clusterqq.rootsys import (
-    RootSystem,
     coxeter_data,
     fundamental_weight,
     is_reduced,
@@ -65,23 +61,24 @@ from clusterqq.wronskian import (
 )
 
 from oracles import (
+    A3_SEED_LABELS,
+    A3_STABILIZED,
+    a2_expected,
     a_monomial,
     build_seed_quiver,
+    cli,
+    desnanot_jacobi_check,
+    json_lines,
     key_inv,
+    qq_battery,
     relabeled,
+    rs,
     same_arrows,
     slice_matrix,
     theta,
     to_fractions,
     weight_of,
 )
-from test_gvector import A3_STABILIZED, a2_expected
-from test_qseries import A3_SEED_LABELS
-from test_wronskian import desnanot_jacobi_check
-
-
-def rs(name):
-    return RootSystem.from_name(name)
 
 
 WORDS = {
@@ -245,8 +242,7 @@ class TestSweepConvergence:
         # the reference tag names each sweep once, so it grows linearly
         budget = Budget(2.0)
         args = ["seed", "sweep", "--type", "A1", "--sweeps", "40", "--json"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 0
+        result = cli(args)
         assert len(result.stdout.splitlines()) == 40
         budget.check()
 
@@ -396,17 +392,6 @@ class TestDATypeBatteries:
         prefixes = [word[:t] for t in range(len(word) + 1)]
         assert qqstar_battery(r, 3, prefixes, [0]) == count
         budget.check()
-
-
-def qq_battery(ev, r_values):
-    """qq_check over every prefix of w_0 on the evaluator; the count."""
-    word = longest_element(ev.rs).word
-    count = 0
-    for t in range(len(word)):
-        for rr in r_values:
-            assert qq_check(ev, word[:t], word[t], rr), (word[:t], rr)
-            count += 1
-    return count
 
 
 def qq_ascent_battery(ev):
@@ -793,29 +778,27 @@ class TestFailingTwins:
         # the CLI loads the evaluator when it runs, so the patch reaches it
         args = ["qq", "verify", "--type", "A3", "--depth", "3", "--window",
                 "0..0", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         monkeypatch.setattr(
             qseries, "QEvaluator",
             lambda r, depth: ShiftedEvaluator(r, depth, (1, 2), 2),
         )
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
+        result = cli(args, 1)
         assert '"ok": false' in result.stdout
-        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        certs = json_lines(result.stdout)
         failed = [(c["word"], c["i"]) for c in certs if not c["ok"]]
         assert failed == [([1], 2), ([1, 2], 1)]
 
     def test_qqstar_verify_on_a_shifted_variable(self, monkeypatch):
         args = ["qqstar", "verify", "--type", "A3", "--depth", "3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         monkeypatch.setattr(
             qseries, "QEvaluator",
             lambda r, depth: ShiftedEvaluator(r, depth, (1,), 1),
         )
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
+        result = cli(args, 1)
         assert '"ok": false' in result.stdout
-        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        certs = json_lines(result.stdout)
         failed = [(c["i"], c["j"]) for c in certs if not c["ok"]]
         assert failed == [(1, 2), (2, 1)]
 
@@ -836,7 +819,7 @@ class TestFailingTwins:
 
     def test_gvec_compare_with_one_block_coordinate_changed(self, monkeypatch):
         args = ["gvec", "compare", "--type", "A3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         real = gvector.blocks_gvectors
         v = (2, -3)
 
@@ -846,14 +829,12 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "blocks_gvectors", blocks)
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        (cert,) = json_lines(cli(args, 1).stdout)
         assert not cert["ok"] and cert["mismatches"] == [list(v)]
 
     def test_gvec_compare_with_one_braid_coordinate_changed(self, monkeypatch):
         args = ["gvec", "compare", "--type", "A3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         real = gvector.braid_gvectors
         v = (1, -6)
 
@@ -863,14 +844,12 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "braid_gvectors", braid)
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        (cert,) = json_lines(cli(args, 1).stdout)
         assert not cert["ok"] and cert["mismatches"] == [list(v)]
 
     def test_seed_sweep_with_one_sweep_coordinate_changed(self, monkeypatch):
         args = ["seed", "sweep", "--type", "A3", "--sweeps", "3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         real = gvector.sweep_gvectors
         v = (1, -4)
 
@@ -880,16 +859,14 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "sweep_gvectors", sweep)
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        certs = json_lines(cli(args, 1).stdout)
         assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
 
     def test_seed_sweep_with_one_sweep_coefficient_doubled(self, monkeypatch):
         # the doubled vector keeps its support: only a comparison of the
         # coefficients tells it from the transported one
         args = ["seed", "sweep", "--type", "A3", "--sweeps", "3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         real = gvector.sweep_gvectors
         v = (1, -4)
 
@@ -899,14 +876,12 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "sweep_gvectors", sweep)
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        certs = json_lines(cli(args, 1).stdout)
         assert [c["mismatches"] for c in certs] == [[], [list(v)], []]
 
     def test_f_eval_with_one_knit_gvector_changed(self, monkeypatch):
         args = ["f-eval", "--type", "A3", "--json"]
-        assert CliRunner().invoke(main, args).exit_code == 0
+        cli(args)
         real = gvector.knit_gvectors
         v = (2, -3)
 
@@ -916,9 +891,7 @@ class TestFailingTwins:
             return out
 
         monkeypatch.setattr(gvector, "knit_gvectors", knit)
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        certs = [json.loads(line) for line in result.stdout.splitlines()]
+        certs = json_lines(cli(args, 1).stdout)
         failed = [c for c in certs if not c["ok"]]
         assert failed == [
             {
@@ -947,9 +920,8 @@ class TestFailingTwins:
     def test_sl2_factor_with_crossing_segments(self, monkeypatch):
         monomial = "0:1 1:1 2:-1 3:-1"
         args = ["sl2", "factor", monomial, "--json"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 0
-        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        result = cli(args)
+        (cert,) = json_lines(result.stdout)
         assert cert["segments"] == ["[0,2]", "[1,1]"]
         # [0,1][1,2] has the same top monomial as [0,2][1,1], but crosses
         crossing = (Segment(0, 1), Segment(1, 2))
@@ -957,9 +929,7 @@ class TestFailingTwins:
         assert key_mul(*(s.ell_weight() for s in crossing))[1] == key[1]
         assert not compatible(*crossing)
         monkeypatch.setattr(sl2, "factorize", lambda key: (crossing, key[0]))
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        (cert,) = [json.loads(line) for line in result.stdout.splitlines()]
+        (cert,) = json_lines(cli(args, 1).stdout)
         assert cert["segments"] == ["[0,1]", "[1,2]"]
         assert not cert["pairwise_compatible"] and not cert["ok"]
 

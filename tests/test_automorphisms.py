@@ -2,11 +2,12 @@
 
 A permutation σ of the Dynkin nodes that keeps the Cartan matrix relabels
 everything built from it.  The Coxeter window of the word σ(c) is σ of the
-window of c, arrows and colours; its knitted, braid and block g-vectors are
-σ of those of c; and the Q-variable at (σw, σi, r) is σ of the one at
-(w, i, r), with σ permuting the bracket coordinates and the Ψ nodes.  A
-node-indexing slip that keeps each type self-consistent passes the
-pinned outputs of one labelling, but not these checks.
+window of c, arrows and colours; its knitted, braid and block g-vectors,
+its f-labels, its green-sweep tables and the c-vectors of its initial
+seed are σ of those of c; and the Q-variable at (σw, σi, r) is σ of the
+one at (w, i, r), with σ permuting the bracket coordinates and the Ψ
+nodes.  A node-indexing slip that keeps each type self-consistent passes
+the pinned outputs of one labelling, but not these checks.
 
 Nodes are numbered as in ``rootsys``: A_n is the chain, D_n the chain
 1..n-1 with n on n-2, E6 the chain 1-3-4-5-6 with 2 on 4.
@@ -19,11 +20,9 @@ import pytest
 from clusterqq import gvector
 from clusterqq.qseries import KSeries, QEvaluator
 from clusterqq.quiver import build_coxeter_quiver
-from clusterqq.rootsys import RootSystem, coxeter_data, longest_element
-
-
-def rs(name):
-    return RootSystem.from_name(name)
+from clusterqq.rootsys import coxeter_data, longest_element, weyl_from_word
+from clusterqq.seed import cvector, initial_seed
+from oracles import rs
 
 
 def perm(*cycles):
@@ -164,6 +163,67 @@ class TestGVectors:
         for word in coxeter_datums(r):
             cw, image = windows(r, word, sigma)
             assert gvec_image({}, build(image)) == gvec_image(sigma, build(cw)), word
+
+
+def cvector_image(sigma, seed, v):
+    """σ of the c-vector of ``seed`` at v, or the type of the error it
+    raises there."""
+    try:
+        c = cvector(seed, v)
+    except ValueError as exc:
+        return type(exc)
+    return {vertex(sigma, u): x for u, x in c.coeffs}
+
+
+def tables_image(sigma, cw):
+    """σ of the ``f_labels`` of ``cw``, of its green-sweep tables and of
+    the c-vectors of its initial stabilized seed.  A label is read as
+    (Weyl element of its word, node, exponent): the letters of one slice
+    commute and come out in node order, so the words themselves differ."""
+    r, seed = cw.datum.rs, initial_seed(cw)
+    labels = gvector.f_labels(cw, gvector.knit_gvectors(cw.quiver))
+    return {
+        "labels": {
+            vertex(sigma, v): (
+                weyl_from_word(r, tuple(act(sigma, j) for j in w)), act(sigma, i), h
+            )
+            for v, (w, i, h) in labels.items()
+        },
+        "sweeps": [gvec_image(sigma, t) for t in gvector.sweep_gvectors(cw, 3)],
+        "cvectors": {
+            vertex(sigma, v): cvector_image(sigma, seed, v) for v in cw.quiver.vertices
+        },
+    }
+
+
+# window vertices summed over every Coxeter element, so none is skipped
+WINDOW_VERTICES = dict(zip(IDS, [94, 848, 306, 306, 968, 3198]))
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("name, what, sigma", AUTOMORPHISMS, ids=IDS)
+    def test_tables_commute(self, name, what, sigma):
+        r = rs(name)
+        vertices = 0
+        for word in coxeter_datums(r):
+            cw, image = windows(r, word, sigma)
+            assert tables_image({}, image) == tables_image(sigma, cw), word
+            vertices += len(cw.quiver.vertices)
+        assert vertices == WINDOW_VERTICES[f"{name}-{what}"]
+
+    def test_negative_control_fails(self):
+        # every window differs in every table, and 82 of the 94 c-vector
+        # outcomes differ
+        name, sigma = NOT_AN_AUTOMORPHISM
+        r = rs(name)
+        same = []
+        for word in coxeter_datums(r):
+            cw, image = windows(r, word, sigma)
+            got, want = tables_image({}, image), tables_image(sigma, cw)
+            assert all(got[t] != want[t] for t in want), word
+            cvectors = got["cvectors"]
+            same += [cvectors.get(v) == c for v, c in want["cvectors"].items()]
+        assert (len(same), same.count(False)) == (94, 82)
 
 
 def q_bar_mismatches(name, sigma, same, depth=3, length=4):

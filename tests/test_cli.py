@@ -14,74 +14,44 @@ from operator import add
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import clusterqq
-from clusterqq.cli import Reporter, main
+from clusterqq.cli import Reporter
 from clusterqq.gvector import blocks_gvectors, braid_gvectors, knit_gvectors
 from clusterqq.qseries import FIELD_BITS, QEvaluator, bracket, omega_lam2
-from clusterqq.quiver import (
-    MAX_WINDOW_VERTICES,
-    build_coxeter_quiver,
-    quiver_to_json,
-)
+from clusterqq.quiver import MAX_WINDOW_VERTICES, quiver_to_json
 from clusterqq.rootsys import RootSystem, coxeter_data
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def json_lines(output):
-    return [json.loads(line) for line in output.strip().splitlines()]
-
-
-def default_window(name, word=None):
-    rs = RootSystem.from_name(name)
-    word = tuple(range(1, rs.n + 1)) if word is None else word
-    return build_coxeter_quiver(coxeter_data(rs, word))
+from oracles import cli, default_window, json_lines
 
 
 class TestUsage:
-    def test_no_arguments_shows_usage(self, runner):
-        result = runner.invoke(main, [])
-        assert result.exit_code == 2
+    def test_no_arguments_shows_usage(self):
+        result = cli([], 2)
         assert "Usage" in result.output
 
-    def test_unknown_type_is_usage_error(self, runner):
-        result = runner.invoke(main, ["qq", "verify", "--type", "Z9"])
-        assert result.exit_code == 2
+    def test_unknown_type_is_usage_error(self):
+        cli("qq verify --type Z9", 2)
 
-    def test_bad_window_is_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["qq", "verify", "--type", "A1", "--window", "oops"]
-        )
-        assert result.exit_code == 2
+    def test_bad_window_is_usage_error(self):
+        cli("qq verify --type A1 --window oops", 2)
 
-    def test_bad_coxeter_word_is_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["gvec", "compare", "--type", "A2", "--coxeter", "1,1"]
-        )
-        assert result.exit_code == 2
+    def test_bad_coxeter_word_is_usage_error(self):
+        cli("gvec compare --type A2 --coxeter 1,1", 2)
 
-    def test_ptolemy_precondition_is_usage_error(self, runner):
-        result = runner.invoke(main, ["sl2", "ptolemy", "3", "1", "1", "2"])
-        assert result.exit_code == 2
+    def test_ptolemy_precondition_is_usage_error(self):
+        cli("sl2 ptolemy 3 1 1 2", 2)
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
-    def test_ptolemy_depth_below_one_is_usage_error(self, runner, depth):
+    def test_ptolemy_depth_below_one_is_usage_error(self, depth):
         # at depth <= 0 both sides keep no terms: a vacuous pass
         args = ["sl2", "ptolemy", "-inf", "0", "1", "+inf", "--depth", depth]
-        result = runner.invoke(main, [*args, "--json"])
-        assert result.exit_code == 2
+        result = cli([*args, "--json"], 2)
         assert '"ok"' not in result.output
 
     @pytest.mark.parametrize("monomial", ["", "   ", "2:0", "1:1 1:-1"])
-    def test_unit_monomial_is_usage_error(self, runner, monomial):
+    def test_unit_monomial_is_usage_error(self, monomial):
         # the unit factors into no segments: a vacuous pass
-        result = runner.invoke(main, ["sl2", "factor", monomial, "--json"])
-        assert result.exit_code == 2
+        result = cli(["sl2", "factor", monomial, "--json"], 2)
         assert "certificates passed" not in result.output
         assert '"relation"' not in result.output
 
@@ -103,9 +73,8 @@ class TestUsage:
             ["quiver", "build", "--type", "A2", "--margin", "-3"],
         ],
     )
-    def test_window_precondition_is_usage_error(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
+    def test_window_precondition_is_usage_error(self, args):
+        result = cli(args, 2)
         assert "Traceback" not in result.output
         assert "certificates passed" not in result.output
 
@@ -129,9 +98,8 @@ class TestUsage:
             ["wronskian", "check", "--type", "A10", "--r", "0..0"],
         ],
     )
-    def test_minor_precondition_is_usage_error(self, runner, args):
-        result = runner.invoke(main, [*args, "--json"])
-        assert result.exit_code == 2
+    def test_minor_precondition_is_usage_error(self, args):
+        result = cli([*args, "--json"], 2)
         assert "Traceback" not in result.output
         assert "certificates passed" not in result.output
         assert '"relation"' not in result.output
@@ -160,9 +128,8 @@ class TestUsage:
             ["wronskian", "check", "--type", "A2", "--system-word", ""],
         ],
     )
-    def test_series_precondition_is_usage_error(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
+    def test_series_precondition_is_usage_error(self, args):
+        result = cli(args, 2)
         assert "Traceback" not in result.output
         assert "certificates passed" not in result.output
         assert '"relation"' not in result.output
@@ -180,29 +147,23 @@ class TestUsage:
             ),
         ],
     )
-    def test_usage_error_names_its_cause(self, runner, args, message):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
+    def test_usage_error_names_its_cause(self, args, message):
+        result = cli(args, 2)
         assert message in result.output
         assert "Traceback" not in result.output
 
-    def test_seed_mutate_parses_every_vertex_before_mutating(self, runner):
+    def test_seed_mutate_parses_every_vertex_before_mutating(self):
         # a malformed vertex after a good one: nothing is mutated or printed
         args = ["seed", "mutate", "--type", "A2", "--vertex", "2,-1",
                 "--vertex", "x", "--json"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
+        result = cli(args, 2)
         assert result.stdout == ""
         assert result.output.endswith("\n\nError: bad vertex 'x': expected i,r\n")
 
 
 class TestBudget:
-    def test_exceeded_budget_exits_three(self, runner):
-        result = runner.invoke(
-            main,
-            ["qq", "verify", "--type", "A2", "--depth", "3", "--budget", "0"],
-        )
-        assert result.exit_code == 3
+    def test_exceeded_budget_exits_three(self):
+        cli("qq verify --type A2 --depth 3 --budget 0", 3)
 
     @pytest.mark.parametrize(
         "args",
@@ -211,17 +172,14 @@ class TestBudget:
             ["bruhat", "verify", "--n", "4", "--trials", "2000"],
         ],
     )
-    def test_single_certificate_command_stops_inside_its_run(self, runner, args):
+    def test_single_certificate_command_stops_inside_its_run(self, args):
         # each emits one certificate at the very end; the budget is checked
         # inside the run, so nothing partial reaches stdout
-        result = runner.invoke(main, args + ["--json", "--budget", "0"])
-        assert result.exit_code == 3
+        result = cli(args + ["--json", "--budget", "0"], 3)
         assert result.stdout == ""
         assert "time budget exceeded" in result.stderr
 
-    def test_wronskian_budget_holds_while_the_matrices_are_built(
-        self, runner, monkeypatch
-    ):
+    def test_wronskian_budget_holds_while_the_matrices_are_built(self, monkeypatch):
         # the budget is checked before each build and each entry, so a
         # spent budget stops the run before its first Q-variable
         calls = []
@@ -232,15 +190,11 @@ class TestBudget:
             return q_bar(self, *args)
 
         monkeypatch.setattr(QEvaluator, "q_bar", counting)
-        result = runner.invoke(
-            main,
-            ["wronskian", "check", "--type", "A3", "--r", "0..0", "--budget", "0"],
-        )
-        assert result.exit_code == 3
+        result = cli("wronskian check --type A3 --r 0..0 --budget 0", 3)
         assert "time budget exceeded" in result.stderr
         assert calls == []
 
-    def test_huge_r_range_stops_within_its_budget(self, runner):
+    def test_huge_r_range_stops_within_its_budget(self):
         # the range is read lazily: a trillion bases cost nothing before
         # the first budget check, where a list of them would not fit
         from clusterqq import wronskian  # imported before the measurement
@@ -248,33 +202,24 @@ class TestBudget:
         assert wronskian.check_wronskian
         tracemalloc.start()
         try:
-            result = runner.invoke(
-                main,
-                ["wronskian", "check", "--type", "A2", "--r", "0..1000000000000",
-                 "--budget", "0", "--json"],
+            result = cli(
+                "wronskian check --type A2 --r 0..1000000000000 --budget 0 --json", 3
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.exit_code == 3
         assert result.stdout == ""
         assert "time budget exceeded" in result.stderr
         assert peak < 4 << 20  # a list of one million bases alone is 8 MB
 
     @pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
-    def test_nan_or_negative_budget_is_a_usage_error(self, runner, budget):
-        result = runner.invoke(
-            main, ["qq", "verify", "--type", "A2", "--budget", budget, "--json"]
-        )
-        assert result.exit_code == 2
+    def test_nan_or_negative_budget_is_a_usage_error(self, budget):
+        result = cli(["qq", "verify", "--type", "A2", "--budget", budget, "--json"], 2)
         assert result.stdout == ""
         assert f"bad budget {float(budget)}: need a number >= 0" in result.stderr
 
-    def test_infinite_budget_never_fires(self, runner):
-        result = runner.invoke(
-            main, ["bruhat", "verify", "--n", "2", "--trials", "1", "--budget", "inf"]
-        )
-        assert result.exit_code == 0
+    def test_infinite_budget_never_fires(self):
+        cli("bruhat verify --n 2 --trials 1 --budget inf")
 
 
 # one short run of each of the 10 certifying commands
@@ -294,17 +239,15 @@ CERTIFYING = [
 
 class TestEveryCertifyingCommand:
     @pytest.mark.parametrize("args", CERTIFYING, ids=" ".join)
-    def test_zero_budget_exits_three(self, runner, args):
-        result = runner.invoke(main, args + ["--json", "--budget", "0"])
-        assert result.exit_code == 3
+    def test_zero_budget_exits_three(self, args):
+        result = cli(args + ["--json", "--budget", "0"], 3)
         assert "time budget exceeded" in result.stderr
         assert "certificates passed" not in result.output
 
     @pytest.mark.parametrize("args", CERTIFYING, ids=" ".join)
-    def test_help_lists_json_and_budget(self, runner, args):
+    def test_help_lists_json_and_budget(self, args):
         command = args[:1] if args[0] == "f-eval" else args[:2]
-        result = runner.invoke(main, command + ["--help"])
-        assert result.exit_code == 0
+        result = cli(command + ["--help"])
         assert "--json" in result.output
         assert "--budget" in result.output
 
@@ -320,9 +263,8 @@ class TestReporter:
 
 class TestMonomialTokens:
     @pytest.mark.parametrize("token", ["1:x", "y:2", "1.5"])
-    def test_bad_token_is_named_usage_error(self, runner, token):
-        result = runner.invoke(main, ["sl2", "factor", f"2:1 {token}", "--json"])
-        assert result.exit_code == 2
+    def test_bad_token_is_named_usage_error(self, token):
+        result = cli(["sl2", "factor", f"2:1 {token}", "--json"], 2)
         assert f"bad token {token!r}: expected r:e" in result.output
         assert "invalid literal" not in result.output
 
@@ -339,9 +281,8 @@ class TestMonomialTokens:
             (f"1:{BIG // 2} 1:{BIG // 2}", BIG),
         ],
     )
-    def test_exponent_too_large_is_out_of_range(self, runner, monomial, exponent):
-        result = runner.invoke(main, ["sl2", "factor", monomial, "--json"])
-        assert result.exit_code == 2
+    def test_exponent_too_large_is_out_of_range(self, monomial, exponent):
+        result = cli(["sl2", "factor", monomial, "--json"], 2)
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.stdout == ""
@@ -352,125 +293,74 @@ class TestMonomialTokens:
 
 
 class TestQuiverCommands:
-    def test_build_roundtrips_through_json(self, runner):
-        result = runner.invoke(
-            main, ["quiver", "build", "--type", "A2", "--coxeter", "1,2"]
-        )
-        assert result.exit_code == 0
+    def test_build_roundtrips_through_json(self):
+        result = cli("quiver build --type A2 --coxeter 1,2")
         q = default_window("A2", (1, 2)).quiver
         assert (1, 0) in q.vertices
         assert result.output == quiver_to_json(q) + "\n"
 
-    def test_mutate_changes_arrows(self, runner):
-        base = runner.invoke(main, ["quiver", "build", "--type", "A2"])
-        mutated = runner.invoke(
-            main, ["quiver", "mutate", "--type", "A2", "--vertex", "1,-2"]
-        )
-        assert mutated.exit_code == 0
+    def test_mutate_changes_arrows(self):
+        base = cli("quiver build --type A2")
+        mutated = cli("quiver mutate --type A2 --vertex 1,-2")
         assert mutated.output != base.output
 
 
 class TestCertificates:
-    def test_qq_verify_passes_with_json_lines(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "qq", "verify", "--type", "A1", "--depth", "5",
-                "--window", "-3..1", "--json",
-            ],
-        )
-        assert result.exit_code == 0
+    def test_qq_verify_passes_with_json_lines(self):
+        result = cli("qq verify --type A1 --depth 5 --window -3..1 --json")
         certs = json_lines(result.stdout)
         assert len(certs) == 5
         assert all(c["ok"] and c["relation"] == "qq" for c in certs)
 
-    def test_qqstar_verify_passes(self, runner):
-        result = runner.invoke(
-            main, ["qqstar", "verify", "--type", "A2", "--depth", "4", "--json"]
-        )
-        assert result.exit_code == 0
+    def test_qqstar_verify_passes(self):
+        result = cli("qqstar verify --type A2 --depth 4 --json")
         assert all(c["ok"] for c in json_lines(result.stdout))
 
-    def test_gvec_compare_three_way(self, runner):
-        result = runner.invoke(
-            main,
-            ["gvec", "compare", "--type", "A3", "--coxeter", "1,2,3", "--json"],
-        )
-        assert result.exit_code == 0
+    def test_gvec_compare_three_way(self):
+        result = cli("gvec compare --type A3 --coxeter 1,2,3 --json")
         (cert,) = json_lines(result.stdout)
         assert cert["ok"] and cert["mismatches"] == []
         assert cert["band_vertices"] == 6
 
-    def test_gvec_knit_lists_every_vertex(self, runner):
-        result = runner.invoke(main, ["gvec", "knit", "--type", "A1"])
-        assert result.exit_code == 0
-        lines = json_lines(result.stdout)
+    def test_gvec_knit_lists_every_vertex(self):
+        lines = json_lines(cli("gvec knit --type A1").stdout)
         assert all(set(line) == {"gvector", "vertex"} for line in lines)
         assert {tuple(line["vertex"]) for line in lines} >= {(1, 0), (1, -2)}
         unit = next(line for line in lines if line["vertex"] == [1, 0])
         assert unit["gvector"] == [[1, 0, 1]]
 
-    def test_seed_sweep_certified_against_blocks(self, runner):
-        result = runner.invoke(
-            main, ["seed", "sweep", "--type", "A2", "--sweeps", "3", "--json"]
-        )
-        assert result.exit_code == 0
-        certs = json_lines(result.stdout)
+    def test_seed_sweep_certified_against_blocks(self):
+        certs = json_lines(cli("seed sweep --type A2 --sweeps 3 --json").stdout)
         assert [c["sweep"] for c in certs] == [1, 2, 3]
         assert all(c["ok"] for c in certs)
 
-    def test_seed_mutate_reports_gvector(self, runner):
-        result = runner.invoke(
-            main,
-            ["seed", "mutate", "--type", "A2", "--vertex", "1,-2", "--json"],
-        )
-        assert result.exit_code == 0
-        (cert,) = json_lines(result.stdout)
+    def test_seed_mutate_reports_gvector(self):
+        (cert,) = json_lines(cli("seed mutate --type A2 --vertex 1,-2 --json").stdout)
         assert cert["cvector_sign"] == -1
         assert cert["gvector"] == [[1, -2, 1]]
 
-    def test_qvar_eval_constant_word(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "qvar", "eval", "--type", "A1", "--i", "1", "--r", "0",
-                "--depth", "2",
-            ],
-        )
-        assert result.exit_code == 0
+    def test_qvar_eval_constant_word(self):
+        result = cli("qvar eval --type A1 --i 1 --r 0 --depth 2")
         payload = json.loads(result.stdout)
         assert payload["series"]["terms"] == [
             {"bracket": [0], "coeff": 1, "psi": [[[1, 0], 1]]}
         ]
 
-    def test_f_eval_labels_top_vertex(self, runner):
-        result = runner.invoke(
-            main, ["f-eval", "--type", "A2", "--coxeter", "1,2", "--json"]
-        )
-        assert result.exit_code == 0
-        certs = json_lines(result.stdout)
+    def test_f_eval_labels_top_vertex(self):
+        certs = json_lines(cli("f-eval --type A2 --coxeter 1,2 --json").stdout)
         assert all(c["ok"] for c in certs)
         top = next(c for c in certs if c["vertex"] == [1, 2])
         assert top["word"] == [] and top["i"] == 1 and top["r"] == 2
 
-    def test_sl2_factor_prefundamental_product(self, runner):
-        result = runner.invoke(
-            main, ["sl2", "factor", "2:1 4:1 -3:-1 -5:-1", "--json"]
-        )
-        assert result.exit_code == 0
-        (cert,) = json_lines(result.stdout)
+    def test_sl2_factor_prefundamental_product(self):
+        (cert,) = json_lines(cli("sl2 factor '2:1 4:1 -3:-1 -5:-1' --json").stdout)
         assert cert["ok"]
         assert cert["segments"] == [
             "[-inf,-6]", "[-inf,-4]", "[2,+inf]", "[4,+inf]"
         ]
 
-    def test_sl2_ptolemy_with_infinite_ends(self, runner):
-        result = runner.invoke(
-            main,
-            ["sl2", "ptolemy", "-inf", "0", "1", "+inf", "--depth", "4", "--json"],
-        )
-        assert result.exit_code == 0
-        (cert,) = json_lines(result.stdout)
+    def test_sl2_ptolemy_with_infinite_ends(self):
+        (cert,) = json_lines(cli("sl2 ptolemy -inf 0 1 +inf --depth 4 --json").stdout)
         assert cert["ok"] and cert["relation"] == "ptolemy"
 
     @pytest.mark.parametrize(
@@ -500,39 +390,20 @@ class TestCertificates:
             ),
         ],
     )
-    def test_sl2_json_stdout_with_infinite_ends(self, runner, args, stdout):
-        result = runner.invoke(main, args + ["--json"])
-        assert result.exit_code == 0
+    def test_sl2_json_stdout_with_infinite_ends(self, args, stdout):
+        result = cli(args + ["--json"])
         assert result.stdout == stdout
 
-    def test_wronskian_check(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "wronskian", "check", "--type", "A2", "--r", "-2..2",
-                "--depth", "4", "--json",
-            ],
-        )
-        assert result.exit_code == 0
+    def test_wronskian_check(self):
+        result = cli("wronskian check --type A2 --r -2..2 --depth 4 --json")
         (cert,) = json_lines(result.stdout)
         assert cert["ok"]
 
-    def test_wronskian_negative_control_fails(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "wronskian", "check", "--type", "A2", "--r", "0..0",
-                "--depth", "4", "--system-word", "2,1",
-            ],
-        )
-        assert result.exit_code == 1
+    def test_wronskian_negative_control_fails(self):
+        cli("wronskian check --type A2 --r 0..0 --depth 4 --system-word 2,1", 1)
 
-    def test_bruhat_verify(self, runner):
-        result = runner.invoke(
-            main,
-            ["bruhat", "verify", "--n", "2", "--trials", "5", "--seed", "3"],
-        )
-        assert result.exit_code == 0
+    def test_bruhat_verify(self):
+        cli("bruhat verify --n 2 --trials 5 --seed 3")
 
 
 class TestDeterminism:
@@ -544,10 +415,8 @@ class TestDeterminism:
             ["gvec", "braid", "--type", "A2"],
         ],
     )
-    def test_byte_identical_reruns(self, runner, args):
-        a = runner.invoke(main, args)
-        b = runner.invoke(main, args)
-        assert a.exit_code == b.exit_code == 0
+    def test_byte_identical_reruns(self, args):
+        a, b = cli(args), cli(args)
         assert a.stdout == b.stdout
 
 
@@ -570,11 +439,8 @@ class TestGoldenSeries:
             ),
         ],
     )
-    def test_qvar_eval_a3_stdout(self, runner, args, cutoff2, sha256):
-        result = runner.invoke(
-            main, ["qvar", "eval", "--type", "A3", *args, "--depth", "3"]
-        )
-        assert result.exit_code == 0
+    def test_qvar_eval_a3_stdout(self, args, cutoff2, sha256):
+        result = cli(["qvar", "eval", "--type", "A3", *args, "--depth", "3"])
         assert json.loads(result.stdout)["series"]["cutoff2"] == cutoff2
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
@@ -594,12 +460,10 @@ class TestRawSeries:
         "name, word, i, r",
         [("A3", (2, 1, 3, 2), 2, -4), ("A3", (1,), 1, 0), ("D4", (2, 1), 2, -1)],
     )
-    def test_qvar_eval_raw_prints_q_raw(self, runner, name, word, i, r):
+    def test_qvar_eval_raw_prints_q_raw(self, name, word, i, r):
         args = ["qvar", "eval", "--type", name, "--word", ",".join(map(str, word)),
                 "--i", str(i), "--r", str(r), "--depth", "3"]
-        raw = runner.invoke(main, [*args, "--raw"])
-        bar = runner.invoke(main, args)
-        assert raw.exit_code == bar.exit_code == 0
+        raw, bar = cli([*args, "--raw"]), cli(args)
         raw, bar = json.loads(raw.stdout)["series"], json.loads(bar.stdout)["series"]
         ev = QEvaluator(RootSystem.from_name(name), depth=3)
         series = ev.q_raw(word, i, r)
@@ -651,9 +515,8 @@ class TestGoldenCombinatorics:
             ),
         ],
     )
-    def test_stdout(self, runner, args, sha256):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
+    def test_stdout(self, args, sha256):
+        result = cli(args)
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
     # the failing Wronskian controls: the system words (2,1) and (2,1,3)
@@ -671,15 +534,12 @@ class TestGoldenCombinatorics:
             ),
         ],
     )
-    def test_failing_wronskian_control_stdout(self, runner, args, sha256):
-        result = runner.invoke(
-            main,
-            ["wronskian", "check", *args, "--r", "0..0", "--depth", "4", "--json"],
-        )
-        assert result.exit_code == 1
+    def test_failing_wronskian_control_stdout(self, args, sha256):
+        result = cli(["wronskian", "check", *args, "--r", "0..0", "--depth", "4",
+                      "--json"], 1)
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
-    def test_seed_mutate_at_every_e6_green(self, runner):
+    def test_seed_mutate_at_every_e6_green(self):
         # the 36 greens of the E6 window, row by row down the band
         columns = ((1, -2, 8), (2, -3, 6), (3, -3, 7), (4, -4, 6), (5, -5, 5),
                    (6, -6, 4))
@@ -689,8 +549,7 @@ class TestGoldenCombinatorics:
                 if k < count:
                     args += ["--vertex", f"{i},{top - 4 * k}"]
         assert len(args) == 5 + 2 * 36
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
+        result = cli(args)
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "7f74266fa61db1d5524888df8510e2951cc9c955fa3d0b6679e30db606110516"
         )
@@ -702,22 +561,18 @@ class TestGoldenCombinatorics:
         "5,-5 3,-3 5,-17 3,-23 6,-14 1,-30 1,-14 6,-10 3,-11 5,-9 1,-10 4,-12"
     ).split()
 
-    def test_seed_mutate_at_every_e6_green_shuffled(self, runner):
+    def test_seed_mutate_at_every_e6_green_shuffled(self):
         args = ["seed", "mutate", "--type", "E6", "--json"]
         for v in self.E6_GREENS_SHUFFLED:
             args += ["--vertex", v]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
+        result = cli(args)
         assert len(result.stdout.splitlines()) == 36
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "9d5838bdf1e35346c9f545e7b87aed3da495c9e24b93f0c1b2b2da198d317bb3"
         )
 
-    def test_seed_sweep_d4_twenty_sweeps(self, runner):
-        result = runner.invoke(
-            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
-        )
-        assert result.exit_code == 0
+    def test_seed_sweep_d4_twenty_sweeps(self):
+        result = cli("seed sweep --type D4 --sweeps 20 --json")
         assert len(result.stdout.splitlines()) == 20
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "0851e5d80c928b13f5ed070fc021a5f7f011964b7f9aee9a9d8236cc7d2db306"
@@ -736,11 +591,9 @@ class TestGoldenCombinatorics:
             ("1,-40", "cannot mutate at (1, -40): vertex (1, -40) not in window"),
         ],
     )
-    def test_seed_mutate_e6_errors(self, runner, vertex, message):
-        result = runner.invoke(
-            main, ["seed", "mutate", "--type", "E6", "--vertex", vertex, "--json"]
-        )
-        assert result.exit_code == 2
+    def test_seed_mutate_e6_errors(self, vertex, message):
+        args = ["seed", "mutate", "--type", "E6", "--vertex", vertex, "--json"]
+        result = cli(args, 2)
         assert result.stdout == ""
         assert result.output.endswith(f"\n\nError: {message}\n")
 
@@ -769,9 +622,8 @@ class TestGoldenCombinatorics:
             ),
         ],
     )
-    def test_quiver_stdout(self, runner, args, sha256):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
+    def test_quiver_stdout(self, args, sha256):
+        result = cli(args)
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
 
     # a window too shallow for the band: the insertion that hits the margin
@@ -784,11 +636,8 @@ class TestGoldenCombinatorics:
             ("-50", "bad window: empty window: need rmin < rmax"),
         ],
     )
-    def test_quiver_build_bad_window(self, runner, depth, message):
-        result = runner.invoke(
-            main, ["quiver", "build", "--type", "A3", "--depth-below", depth]
-        )
-        assert result.exit_code == 2
+    def test_quiver_build_bad_window(self, depth, message):
+        result = cli(["quiver", "build", "--type", "A3", "--depth-below", depth], 2)
         assert f"Error: {message}\n" in result.output
 
     # a window that would fill memory is refused before any vertex is built
@@ -799,9 +648,8 @@ class TestGoldenCombinatorics:
             ["seed", "sweep", "--type", "E8", "--sweeps", "9" * 20],
         ],
     )
-    def test_oversized_window(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
+    def test_oversized_window(self, args):
+        result = cli(args, 2)
         assert "Error: bad window: window of " in result.output
         assert f"more than the {MAX_WINDOW_VERTICES} allowed\n" in result.output
 
@@ -819,7 +667,7 @@ class TestCommutationClass:
     words of a pair give equal data and byte-identical output."""
 
     @pytest.mark.parametrize("name", sorted(COMMUTATION_PAIRS))
-    def test_both_words_print_the_same_bytes(self, runner, name):
+    def test_both_words_print_the_same_bytes(self, name):
         one, two = COMMUTATION_PAIRS[name]
         rs = RootSystem.from_name(name)
         words = [tuple(map(int, w.split(","))) for w in (one, two)]
@@ -840,10 +688,8 @@ class TestCommutationClass:
         ]
         for args in commands:
             a, b = (
-                runner.invoke(main, [*args, "--type", name, "--coxeter", word])
-                for word in (one, two)
+                cli([*args, "--type", name, "--coxeter", word]) for word in (one, two)
             )
-            assert a.exit_code == b.exit_code == 0, args
             assert a.stdout and a.stdout == b.stdout, args
 
 
@@ -860,7 +706,7 @@ class TestGvecListings:
 
     @pytest.mark.parametrize("name", ["D4", "E6"])
     @pytest.mark.parametrize("method", sorted(LISTINGS))
-    def test_prints_each_vertex_gvector(self, runner, method, name):
+    def test_prints_each_vertex_gvector(self, method, name):
         table = LISTINGS[method](default_window(name))
         expected = "".join(
             json.dumps(
@@ -870,15 +716,13 @@ class TestGvecListings:
             ) + "\n"
             for v in sorted(table)
         )
-        result = runner.invoke(main, ["gvec", method, "--type", name])
-        assert result.exit_code == 0
+        result = cli(["gvec", method, "--type", name])
         assert result.output == expected
 
     @pytest.mark.parametrize("method", sorted(LISTINGS))
     @pytest.mark.parametrize("option", [["--json"], ["--budget", "0"]])
-    def test_certificate_options_are_gone(self, runner, method, option):
-        result = runner.invoke(main, ["gvec", method, "--type", "A2", *option])
-        assert result.exit_code == 2
+    def test_certificate_options_are_gone(self, method, option):
+        result = cli(["gvec", method, "--type", "A2", *option], 2)
         assert "No such option" in result.output and option[0] in result.output
 
 
@@ -900,9 +744,8 @@ class TestReadme:
         assert len(readme_commands()) >= 12
 
     @pytest.mark.parametrize("line", readme_commands())
-    def test_command_runs(self, runner, line):
-        result = runner.invoke(main, shlex.split(line)[1:])
-        assert result.exit_code == 0, result.output
+    def test_command_runs(self, line):
+        result = cli(shlex.split(line)[1:])
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 

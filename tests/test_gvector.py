@@ -7,10 +7,7 @@ from functools import reduce
 from itertools import accumulate
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
-
-from clusterqq.cli import main
 
 from clusterqq.gvector import (
     GVec,
@@ -33,28 +30,22 @@ from clusterqq.rootsys import (
     coxeter_data,
 )
 from oracles import (
+    A3_STABILIZED,
+    a2_expected,
+    assert_adjugate_is_det_times_inverse,
+    cli,
+    e,
     f_label,
     green_slice_nodes_scan,
     knit_by_rounds,
     mat_mul,
     reflection_matrix_t,
+    rs,
     slice_matrix,
     sweep_table,
     theta,
     theta_word,
 )
-from test_rootsys import assert_adjugate_is_det_times_inverse
-
-
-def rs(name):
-    return RootSystem.from_name(name)
-
-
-def e(*vs):
-    g = GVec.zero()
-    for sign, v in vs:
-        g = g + GVec.unit(v).scale(sign)
-    return g
 
 
 A2 = coxeter_data(rs("A2"), (1, 2))
@@ -124,21 +115,6 @@ class TestSliceMatrices:
 # ---------------------------------------------------------------------------
 
 
-def a2_expected(v):
-    i, r = v
-    if i == 1:
-        k = r // 2
-        if k >= 0:
-            return GVec.unit(v)
-        if k >= -2:
-            return e((-1, (1, 2 * k)), (1, (2, 2 * k + 1)))
-        return e((-1, (2, 2 * k + 1)))
-    k = (r + 1) // 2
-    if k >= 0:
-        return GVec.unit(v)
-    return e((-1, (1, 2 * k - 2)))
-
-
 @pytest.fixture(scope="module")
 def cw_a2():
     return window("A2", depth=10)
@@ -174,29 +150,6 @@ class TestRankTwo:
 # ---------------------------------------------------------------------------
 # rank-three worked values
 # ---------------------------------------------------------------------------
-
-A3_STABILIZED = {
-    (1, 2): [(1, (1, 2))],
-    (3, 2): [(1, (3, 2))],
-    (2, 1): [(1, (2, 1))],
-    (1, 0): [(1, (1, 0))],
-    (3, 0): [(1, (3, 0))],
-    (2, -1): [(1, (2, -1))],
-    (3, -2): [(1, (3, -2))],
-    (1, -2): [(-1, (1, -2)), (1, (2, -1))],
-    (2, -3): [(-1, (1, -4)), (1, (3, -2))],
-    (1, -4): [(-1, (1, -4)), (1, (2, -3))],
-    (1, -6): [(-1, (2, -5)), (1, (3, -4))],
-    (3, -4): [(-1, (1, -6))],
-    (2, -5): [(-1, (1, -6)), (1, (3, -4))],
-    (2, -7): [(-1, (2, -7))],
-    (1, -8): [(-1, (2, -7)), (1, (3, -6))],
-    (1, -10): [(-1, (3, -8))],
-    (3, -6): [(-1, (1, -8))],
-    (2, -9): [(-1, (2, -9))],
-    (1, -12): [(-1, (3, -10))],
-    (3, -8): [(-1, (1, -10))],
-}
 
 
 class TestRankThree:
@@ -546,10 +499,7 @@ class TestBandMemo:
 
         monkeypatch.setattr("clusterqq.gvector.green_slice_nodes", counted)
         _band_memo.cache_clear()
-        result = CliRunner().invoke(
-            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
-        )
-        assert result.exit_code == 0
+        cli("seed sweep --type D4 --sweeps 20 --json")
         bound = -d.h_c * 20
         assert 0 < _band_memo.cache_info().misses <= bound
         assert len(calls) <= bound
@@ -633,10 +583,7 @@ class TestSweepWalk:
             return _block_to_gvecs(datum, m, block)
 
         monkeypatch.setattr("clusterqq.gvector._block_to_gvecs", counted)
-        result = CliRunner().invoke(
-            main, ["seed", "sweep", "--type", "D4", "--sweeps", "20", "--json"]
-        )
-        assert result.exit_code == 0
+        cli("seed sweep --type D4 --sweeps 20 --json")
         # the window of `seed sweep`: depth below 10 + 2 per sweep
         cw = build_coxeter_quiver(coxeter_data(rs("D4"), (1, 2, 3, 4)), depth_below=50)
         changes = range_changes(cw, 20)

@@ -5,11 +5,15 @@ Each mutant is applied to a copy of ``src``, ``tests``, ``perfbench``
 commands ``tests/test_cli.py`` reads at collection), so that every path the
 tests derive from their own location (``perfbench/worker.py`` puts its
 sibling ``src`` first on ``sys.path``) leads to the mutated code.  Its
-named tests then run there in a fresh ``pytest -x`` under a wall limit.
-Only exit code 1, some test failed, is a kill: a survivor (exit 0), a
-collection or usage error (a mistyped id, old text that no longer
-matches) and a run past the limit all fail the gate, and none is
-skipped.  The same tests must pass on the unmutated copy.
+named tests then run there in a fresh ``pytest -x`` under a wall limit,
+with plain asserts (``--assert=plain``).  A kill is only pytest's exit
+code, which a plain ``assert`` sets as a rewritten one does; rewriting
+would recompile the test modules and every installed plugin in each
+child wherever no bytecode can be written (``PYTHONDONTWRITEBYTECODE=1``),
+most of its start-up.  Only exit code 1, some test failed, is a kill: a
+survivor (exit 0), a collection or usage error (a mistyped id, old text
+that no longer matches) and a run past the limit all fail the gate, and
+none is skipped.  The same tests must pass on the unmutated copy.
 """
 
 import os
@@ -44,7 +48,7 @@ def run_tests(tree: Path, ids: list[str]) -> tuple[int | None, str]:
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *ids],
+             "--assert=plain", *ids],
             cwd=tree,
             env={**os.environ, "PYTHONPATH": str(tree / "src")},
             capture_output=True,

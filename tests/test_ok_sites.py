@@ -21,6 +21,7 @@ import ast
 from pathlib import Path
 
 from mutants import MUTANTS
+from oracles import functions
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clusterqq"
@@ -44,23 +45,12 @@ def _binds(target, name: str) -> bool:
     return any(isinstance(t, ast.Name) and t.id == name for t in ast.walk(target))
 
 
-def _functions(tree, prefix):
-    """(qualified name, node) of every function, methods and nested ones
-    included."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{prefix}.{node.name}", node
-            yield from _functions(node, f"{prefix}.{node.name}")
-        elif isinstance(node, ast.ClassDef):
-            yield from _functions(node, f"{prefix}.{node.name}")
-
-
 def ok_sites(source: str, module: str) -> list[tuple[str, int, int, str]]:
     """(function, first line, last line, source text) of every site in
     ``source``, in line order; a site found twice is listed once."""
     tree = ast.parse(source)
     sites = {}
-    for qualname, func in _functions(tree, module):
+    for qualname, func, _ in functions(tree, module):
         for node in ast.walk(func):
             if not isinstance(node, ast.Dict):
                 continue

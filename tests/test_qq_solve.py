@@ -33,12 +33,7 @@ from clusterqq.rootsys import (
     weyl_from_word,
 )
 
-from oracles import EveryREvaluator, weight_of
-from test_acceptance import qq_battery
-
-
-def rs(name):
-    return RootSystem.from_name(name)
+from oracles import EveryREvaluator, decoded, qq_battery, rs, weight_of
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +75,6 @@ def oracle_solve(ev, word, i, r):
     return (
         qp(i, r - 2).inverse() * neighbor_product(r - 1) * series
     ).clamped(cutoff)
-
-
-def decoded(s):
-    """Terms and cutoff, free of the codec's call-order field layout."""
-    return sorted(s.terms.items()), s.cutoff2
 
 
 def memo_digest(ev):

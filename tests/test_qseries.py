@@ -23,34 +23,27 @@ from clusterqq.qseries import (
 )
 from clusterqq.quiver import build_coxeter_quiver
 from clusterqq.rootsys import (
-    RootSystem,
     coxeter_data,
     fundamental_weight,
     simple_root,
 )
 from oracles import (
+    A3_SEED_LABELS,
+    ALL_TYPES,
     a_monomial,
     add_two_sided,
     ht,
     key_inv,
     matches_two_sided,
     max_ht,
+    rs,
     tau,
     weight_of,
     y_monomial,
 )
 
 
-def rs(name):
-    return RootSystem.from_name(name)
-
-
 A1, A2, A3 = rs("A1"), rs("A2"), rs("A3")
-ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
-    "E6",
-    "E7",
-    "E8",
-]
 
 
 def mono(r, key, depth=6, coeff=1):
@@ -627,28 +620,6 @@ class TestRankThree:
 # ---------------------------------------------------------------------------
 # the embedding of initial seeds
 # ---------------------------------------------------------------------------
-
-A3_SEED_LABELS = {
-    # band and nearby vertices: weight word and spectral exponent
-    (1, 2): ((), 1, 2),
-    (3, 2): ((), 3, 2),
-    (2, 1): ((), 2, 1),
-    (1, 0): ((), 1, 0),
-    (3, 0): ((), 3, 0),
-    (1, -2): ((1,), 1, 0),
-    (2, -1): ((), 2, -1),
-    (2, -3): ((1, 2), 2, -1),
-    (1, -4): ((1,), 1, -2),
-    (3, -2): ((), 3, -2),
-    (1, -6): ((1, 2, 1), 1, -2),
-    (3, -4): ((1, 2, 1, 3), 3, -2),
-    (2, -5): ((1, 2), 2, -3),
-    (2, -7): ((1, 2, 1, 3, 2), 2, -3),
-    (1, -8): ((1, 2, 1), 1, -4),
-    (1, -10): ((1, 2, 1, 3, 2, 1), 1, -4),
-    (3, -6): ((1, 2, 1, 3), 3, -4),
-    (2, -9): ((1, 2, 1, 3, 2), 2, -5),
-}
 
 
 class TestDepthBelowOne:

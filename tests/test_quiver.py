@@ -22,12 +22,9 @@ from oracles import (
     recolor_from_arrows,
     reds,
     relabeled,
+    rs,
     same_arrows,
 )
-
-
-def rs(name):
-    return RootSystem.from_name(name)
 
 
 def basic(name, rmin, rmax):

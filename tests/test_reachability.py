@@ -13,12 +13,17 @@ Recursion alone does not reach a function.  Dunder methods, which Python
 calls, and CLI commands, which click calls, are not scanned.  Anything else that nothing reaches must be deleted (or, if only
 tests use it, moved to ``tests/oracles.py``), or listed in ``KEPT`` with
 the reason it stays.
+
+A second scan reads ``tests/test_*.py``: no test module imports another.
+What two test modules share lives in ``tests/oracles.py``.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from oracles import functions
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clusterqq"
@@ -70,16 +75,6 @@ def is_cli_command(node) -> bool:
     )
 
 
-def definitions(tree, prefix, in_class=False):
-    """(qualified name, def node, is a method) of every function and method."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{prefix}.{node.name}", node, in_class
-            yield from definitions(node, f"{prefix}.{node.name}")
-        elif isinstance(node, ast.ClassDef):
-            yield from definitions(node, f"{prefix}.{node.name}", True)
-
-
 def unreached(package: dict, scanned: list) -> dict:
     """{qualified name: line} of every function of the ``package`` trees
     (keyed by module name) that no tree in ``scanned`` reaches."""
@@ -90,7 +85,7 @@ def unreached(package: dict, scanned: list) -> dict:
         attrs += a
     out = {}
     for module, tree in package.items():
-        for qualname, node, is_method in definitions(tree, module):
+        for qualname, node, is_method in functions(tree, module):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
@@ -145,3 +140,36 @@ def test_scan_reports_what_nothing_else_uses():
     assert list(unreached({"m": tree}, [tree])) == [
         "m.lonely", "m.loop", "m.C.method", "m.C.shadow"
     ]
+
+
+def sibling_imports(tree, modules) -> list[int]:
+    """The lines of ``tree`` that import one of ``modules``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            set(name.split(".")) & modules
+            for name in [getattr(node, "module", None) or ""]
+            + [a.name for a in node.names]
+        )
+    ]
+
+
+def test_no_test_module_imports_another():
+    paths = sorted((ROOT / "tests").glob("test_*.py"))
+    modules = {p.stem for p in paths}
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        for line in sibling_imports(ast.parse(path.read_text()), modules)
+    ]
+    assert not found, f"move what they share to tests/oracles.py: {found}"
+
+
+def test_import_scan_finds_each_form():
+    tree = ast.parse(
+        "import os\nfrom oracles import rs\nimport test_a\n"
+        "from test_b import x\nfrom tests.test_a import y\nfrom tests import test_b\n"
+    )
+    assert sibling_imports(tree, {"test_a", "test_b"}) == [3, 4, 5, 6]

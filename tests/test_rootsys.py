@@ -21,26 +21,21 @@ from clusterqq.rootsys import (
 from clusterqq import rootsys
 from clusterqq.rootsys import _adjugate
 from oracles import (
+    ALL_TYPES,
+    assert_adjugate_is_det_times_inverse,
     bipartition_class,
+    gauss_jordan,
     identity_element,
+    nakayama,
     reflection_matrix_t,
+    rs,
+    sign_flipped,
     simple_reflection,
     weyl_inverse,
     weyl_product,
 )
-from test_weyl_walk import nakayama
-from test_wronskian import sign_flipped
 
-ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
-    "E6",
-    "E7",
-    "E8",
-]
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "D4", "D5"]
-
-
-def rs(name):
-    return RootSystem.from_name(name)
 
 
 class TestCartan:
@@ -445,40 +440,6 @@ class TestHeightFunctional:
         for _ in range(2):
             with pytest.raises(IndexError):
                 weyl_from_word(r, (1, 3))
-
-
-def gauss_jordan(mat):
-    """A⁻¹ and det A of an invertible integer matrix, by exact Gauss–Jordan
-    elimination: the oracle that ``_adjugate`` replaced."""
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv_piv = 1 / aug[col][col]
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug), det
-
-
-def assert_adjugate_is_det_times_inverse(mat):
-    """``_adjugate`` against the oracle: the same det, adj = det·A⁻¹."""
-    adj, det = _adjugate(mat)
-    inv, want = gauss_jordan(mat)
-    assert type(det) is int and det == want
-    assert all(type(x) is int for row in adj for x in row)
-    assert adj == tuple(tuple(det * x for x in row) for row in inv)
 
 
 @st.composite

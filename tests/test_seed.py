@@ -21,7 +21,7 @@ from clusterqq.quiver import (
     build_coxeter_quiver,
     mutate_quiver,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data
+from clusterqq.rootsys import coxeter_data
 from clusterqq.seed import (
     SignError,
     _power,
@@ -32,18 +32,16 @@ from clusterqq.seed import (
     initial_seed,
     mutate_seed,
 )
-from oracles import mutate_reference, reds, relabeled, same_arrows, y_monomial
-
-
-def rs(name):
-    return RootSystem.from_name(name)
-
-
-def e(*vs):
-    g = GVec.zero()
-    for sign, v in vs:
-        g = g + GVec.unit(v).scale(sign)
-    return g
+from oracles import (
+    default_window,
+    e,
+    mutate_reference,
+    reds,
+    relabeled,
+    rs,
+    same_arrows,
+    y_monomial,
+)
 
 
 WORDS = {
@@ -603,11 +601,6 @@ def outcome(fn, *args):
 
 def raised(result):
     return isinstance(result, tuple) and result[0] == "raised"
-
-
-def default_window(name):
-    r = rs(name)
-    return build_coxeter_quiver(coxeter_data(r, tuple(range(1, r.n + 1))))
 
 
 def check_working_form(work):

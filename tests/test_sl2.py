@@ -37,6 +37,7 @@ from oracles import (
     a_monomial,
     compatible_each_way,
     crosses,
+    decoded,
     diagonal,
     diagonal_variable,
     ht,
@@ -78,10 +79,6 @@ def nested_neg_half_oracle(s, d):
         inner = ser.mul_monomial(key_inv(a_monomial(A1, 1, top - 2 * k)))
         ser = KSeries.one(A1, cutoff) + inner.clamped(cutoff)
     return ser.mul_monomial(((0,), psi_var(1, top, -1)))
-
-
-def decoded(ser):
-    return sorted(ser.terms.items()), ser.cutoff2
 
 
 GRID_ENDS = range(-7, 8)

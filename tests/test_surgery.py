@@ -22,12 +22,10 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterqq import quiver as quiver_mod
 from clusterqq import seed as seed_mod
-from clusterqq.cli import main
 from clusterqq.gvector import GVec, knit_gvectors
 from clusterqq.quiver import (
     GREEN,
@@ -38,10 +36,11 @@ from clusterqq.quiver import (
     build_coxeter_quiver,
     mutate_quiver,
 )
-from clusterqq.rootsys import RootSystem, coxeter_data
+from clusterqq.rootsys import coxeter_data
 from clusterqq.seed import green_sweep, initial_seed
 from oracles import (
     bipartition_class,
+    cli,
     exchange_matrix,
     grouped,
     insert_reflection,
@@ -49,11 +48,8 @@ from oracles import (
     mutate_reference,
     recolor_from_arrows,
     reds,
+    rs,
 )
-
-
-def rs(name):
-    return RootSystem.from_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +556,7 @@ class TestComputeOnce:
         args = ["seed", "mutate", "--type", "A3", "--json"]
         for v in vertices:
             args += ["--vertex", v]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 0
+        cli(args)
         assert calls == [tuple(map(int, v.split(","))) for v in vertices]
 
     def test_seed_sweep_thaws_the_reference_once(self, monkeypatch):
@@ -574,8 +569,7 @@ class TestComputeOnce:
 
         monkeypatch.setattr(quiver_mod._WorkingQuiver, "__init__", counting)
         args = ["seed", "sweep", "--type", "D4", "--sweeps", "5", "--json"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 0
+        result = cli(args)
         assert len(result.stdout.splitlines()) == 5
         # the window build thaws nothing; all five sweeps share one thaw of
         # the reference, the window's own quiver
@@ -587,8 +581,7 @@ class TestComputeOnce:
         for i, top, count in ((1, -2, 8), (2, -3, 6), (3, -3, 7)):
             for k in range(count):
                 args += ["--vertex", f"{i},{top - 4 * k}"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 0
+        result = cli(args)
         assert len(result.stdout.splitlines()) == 21
         # the window, the stabilized reference, and the one freeze of the
         # seed quiver after all 21 mutations

@@ -6,14 +6,13 @@ import json
 import math
 import random
 import types
+import weakref
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterqq import rootsys, wronskian
-from clusterqq.cli import main
 from clusterqq.qseries import QEvaluator
 from clusterqq.rootsys import (
     RootSystem,
@@ -29,7 +28,15 @@ from clusterqq.wronskian import (
     rational_minor,
     weight_word,
 )
-from oracles import sl3_cluster_values, sl3_reconstruct, to_fractions, weight_of
+from oracles import (
+    cli,
+    desnanot_jacobi_check,
+    sign_flipped,
+    sl3_cluster_values,
+    sl3_reconstruct,
+    to_fractions,
+    weight_of,
+)
 
 # Oracles: the Leibniz determinant and the Fraction arithmetic that the
 # Laplace and integer-scaled routines replaced, kept as the reference
@@ -130,17 +137,6 @@ def in_open_cell(mat) -> bool:
     m, _ = wronskian._clear_denominators(mat)
     return wronskian._corner_minors(m, {}) is not None
 
-
-def desnanot_jacobi_check(mat) -> bool:
-    """det·(central minor) = product difference of the four corner minors."""
-    m, _ = wronskian._clear_denominators(mat)
-    size = len(m)
-    memo = {}
-    north, south, inner, det = wronskian._carroll_minors(m, memo)
-    west = wronskian._int_minor(m, range(1, size), range(size - 1), memo)
-    east = wronskian._int_minor(m, range(size - 1), range(1, size), memo)
-    # both sides carry D**(2·size - 2), so the scaled equation is the same
-    return north * south - west * east == det * inner
 
 A1 = RootSystem.from_name("A1")
 A2 = RootSystem.from_name("A2")
@@ -387,6 +383,24 @@ class TestWronskianProperty:
         monkeypatch.setattr(wronskian, "build_wronskian", counting)
         assert check_wronskian(A3, range(-4, 5), depth=4)["ok"]
         assert sorted(bases) == list(range(-4, 7))
+
+    def test_passes_hold_at_most_three_matrices(self, monkeypatch):
+        # once the pass at r is done no later pass of an ascending range
+        # reads a base <= r, so those matrices and their memos are dropped
+        built = []
+        real = wronskian.build_wronskian
+
+        def tracked(ev, r, **kwargs):
+            m = real(ev, r, **kwargs)
+            built.append(weakref.ref(m))
+            return m
+
+        def deadline():
+            assert sum(ref() is not None for ref in built) <= 3
+
+        monkeypatch.setattr(wronskian, "build_wronskian", tracked)
+        assert check_wronskian(A2, range(8), depth=2, deadline=deadline)["ok"]
+        assert len(built) == 10
 
     def test_failing_twin_doubled_entry(self, monkeypatch):
         # doubling Q̲ at word (1), node 1, doubles column 1 of every
@@ -687,19 +701,6 @@ def series_mismatches(m) -> tuple[int, list]:
     return compared, bad
 
 
-def sign_flipped(real):
-    """``rootsys._minor`` with the sign of every 2 x 2 minor's second
-    term flipped (the real routine recurses through the patched name)."""
-
-    def minor(entries, rows, cols, memo):
-        if len(rows) != 2:
-            return real(entries, rows, cols, memo)
-        (a, b), (c, d) = ([entries[rk][k] for k in cols] for rk in rows)
-        return a * d + b * c
-
-    return minor
-
-
 def square_minor_case(draw, entry):
     """A square matrix of up to 7 x 7 ``entry`` draws and a row and a
     column selection of one size, in any order."""
@@ -819,12 +820,7 @@ class TestBruhatCertificates:
     def test_n2_command_stdout(self):
         # the n = 2 sampling rule decides which points are drawn: leaving
         # out any one of its four minors changes the rejections and points
-        result = CliRunner().invoke(
-            main,
-            ["bruhat", "verify", "--n", "2", "--trials", "200", "--seed", "3",
-             "--json"],
-        )
-        assert result.exit_code == 0
+        result = cli("bruhat verify --n 2 --trials 200 --seed 3 --json")
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "714e472fecea87185313ac6636624a99ce65af400d026345477f2c8899453bc5"
         )
