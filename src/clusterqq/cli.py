@@ -292,11 +292,19 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     cw = _window(type_, coxeter, depth_below + 2 * sweeps)
     # one working seed through every sweep, frozen (and so checked) once
     seed = initial_seed(cw, stabilized=False).thaw()
-    expected = gvector.sweep_gvectors(cw, sweeps)
+    # the tables of sweeps n, ..., 1, popped in sweep order: each is read
+    # once and then dropped, with the GVec objects no later table shares
+    expected = gvector.sweep_gvectors(cw, sweeps)[:0:-1]
+    # consecutive tables share most of their GVec objects, so each object
+    # is converted to a dict once and found again by its id (the objects
+    # of all tables were alive at once, so no two share an id)
+    as_dict: dict[int, dict] = {}
     for m in range(1, sweeps + 1):
         green_sweep(seed)
+        want = expected.pop()
+        as_dict = {id(g): as_dict.get(id(g)) or g.as_dict() for g in want.values()}
         mismatch = sorted(
-            v for v, g in seed.g.items() if g != expected[m][v].as_dict()
+            v for v, g in seed.g.items() if g != as_dict[id(want[v])]
         )
         rep.emit(
             {

@@ -28,10 +28,13 @@ only grows, and an absent field is 0, so keys packed earlier stay valid.
 Reading the fields as balanced digits makes the encoding canonical, so
 two keys are equal iff their ints are, the key of a product is the sum
 of the keys, and a term's height is its lowest field.  Every field of a
-key stays below 2^(FIELD_BITS-2) in absolute value: packing rejects a
-larger one, and every key that a product or a monomial shift creates is
-checked with one add and one mask, so an overflow raises
-``OverflowError`` and never wraps into a neighbouring field.  A product
+key lies in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2)), and an overflow
+raises ``OverflowError`` and never wraps into a neighbouring field.
+Packing rejects a wider field.  Each series carries an upper bound on
+|field| over all its keys, the height field included, and a field of a
+sum of keys is at most the sum of their bounds: so the keys that a
+product or a monomial shift creates are checked, one add and one mask
+each, only when the two bounds sum to 2^(FIELD_BITS-2) or more.  A product
 forms only the term pairs whose heights sum to above its cutoff: it
 walks the right factor's terms highest first (each series sorts its
 terms by height once and keeps the order), and each left term's inner
@@ -67,7 +70,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from operator import add, lshift, mul
+from operator import add, itemgetter, lshift, mul
 
 from .rootsys import (
     RootSystem,
@@ -90,7 +93,7 @@ def psi_mul(p1: Psi, p2: Psi) -> Psi:
     d = dict(p1)
     for v, e in p2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
+    return tuple(sorted(filter(itemgetter(1), d.items())))
 
 
 def key_mul(k1: Key, k2: Key) -> Key:
@@ -166,6 +169,11 @@ class KeyCodec:
         return self.shift[v]
 
     def pack(self, key: Key) -> int:
+        return self.pack_wide(key)[0]
+
+    def pack_wide(self, key: Key) -> tuple[int, int]:
+        """The packed key and its widest field, max |field| over the
+        height, λ and every Ψ exponent."""
         lam, psi = key
         if len(lam) != self.n:
             raise ValueError(f"weight {lam} does not have {self.n} coordinates")
@@ -182,7 +190,7 @@ class KeyCodec:
             k += e << (shift.get(v) or self._new_vertex(v))
         if widest >= _LIMIT:
             raise OverflowError(f"a field of key {key} does not fit {FIELD_BITS} bits")
-        return k
+        return k, widest
 
     def unpack(self, k: int) -> Key:
         """The key (λ, Ψ) of ``k``, read in one pass from its biased bytes,
@@ -304,6 +312,18 @@ class KSeries:
     strictly above ``cut``: the constructor drops the rest, and no method
     changes a series in place.
 
+    ``_w`` bounds |field| over every key of ``_t``, the height field
+    included.  The constructor sets it exactly, from the widest field
+    that packing reads; ``+`` takes the larger bound, and negation,
+    ``tau`` and truncation keep it, since none of them makes a new
+    field value.  A product adds the two bounds, and a monomial shift
+    adds the monomial's widest field.  Only where that sum reaches
+    2^(FIELD_BITS-2) are the created keys checked (``KeyCodec.check``),
+    and a result that passes its check has the bound 2^(FIELD_BITS-2),
+    the widest field the check admits.  A series made with no known
+    bound (``_new`` without ``w``) has that one too, so every product
+    and shift of it is checked.
+
     A series keeps its terms in height order too: ``_order()`` is the
     list of (height, key, coefficient), highest first, sorted on first
     use and then kept, so a series that is a factor of many products
@@ -315,23 +335,29 @@ class KSeries:
     or below the common one.
     """
 
-    __slots__ = ("rs", "_t", "cut", "_cx", "_ordered")
+    __slots__ = ("rs", "_t", "cut", "_cx", "_ordered", "_w")
 
     def __init__(self, rs: RootSystem, terms: dict, cutoff2) -> None:
         self.rs = rs
         self._cx = key_codec(rs)
         self._t: dict = {}
+        widest: dict = {}
         for k, c in terms.items():
-            k = self._cx.pack(k)
+            k, w = self._cx.pack_wide(k)
+            widest[k] = w
             self._t[k] = self._t.get(k, 0) + c
         self.cut = _scaled(self._cx.den, cutoff2)
         self._ordered = None
         self._prune()
+        self._w = max(map(widest.__getitem__, self._t), default=0)
 
-    def _new(self, t: dict, cut: int) -> "KSeries":
-        """A series over the same root system, cutoff given in the scale."""
+    def _new(self, t: dict, cut: int, w: int = _LIMIT) -> "KSeries":
+        """A series over the same root system, cutoff given in the scale,
+        with ``w`` bounding its fields (unknown: every product checks)."""
         s = KSeries.__new__(KSeries)
-        s.rs, s._t, s.cut, s._cx, s._ordered = self.rs, t, cut, self._cx, None
+        s.rs, s._t, s.cut, s._cx, s._ordered, s._w = (
+            self.rs, t, cut, self._cx, None, w
+        )
         return s
 
     @property
@@ -351,7 +377,7 @@ class KSeries:
         return KSeries(rs, {}, cutoff2)
 
     def _one(self, cut: int) -> "KSeries":
-        return self._new({0: 1} if cut < 0 else {}, cut)
+        return self._new({0: 1} if cut < 0 else {}, cut, 0)
 
     @property
     def cutoff2(self) -> Fraction:
@@ -414,10 +440,10 @@ class KSeries:
                 out[k] = c
             else:
                 del out[k]
-        return self._new(out, cut)
+        return self._new(out, cut, max(self._w, other._w))
 
     def __neg__(self) -> "KSeries":
-        return self._new({k: -c for k, c in self._t.items()}, self.cut)
+        return self._new({k: -c for k, c in self._t.items()}, self.cut, self._w)
 
     def __sub__(self, other: "KSeries") -> "KSeries":
         return self + (-other)
@@ -437,26 +463,33 @@ class KSeries:
                     break
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        self._cx.check(out)
+        w = self._w + other._w
+        if w >= _LIMIT:
+            self._cx.check(out)
+            w = _LIMIT
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        return self._new(out, cut)
+        return self._new(out, cut, w)
 
     def mul_monomial(self, key: Key) -> "KSeries":
         """Exact multiplication by a single monomial (shifts the cutoff)."""
-        return self._shift(self._cx.pack(key), 1)
+        return self._shift(*self._cx.pack_wide(key), 1)
 
-    def _shift(self, k: int, coeff: int) -> "KSeries":
+    def _shift(self, k: int, wk: int, coeff: int) -> "KSeries":
+        """``coeff`` times the monomial ``k``, whose widest field is ``wk``."""
         out = {k1 + k: c * coeff for k1, c in self._t.items()}
-        self._cx.check(out)
-        return self._new(out, self.cut + _height(k))
+        w = self._w + wk
+        if w >= _LIMIT:
+            self._cx.check(out)
+            w = _LIMIT
+        return self._new(out, self.cut + _height(k), w)
 
     def tau(self, s: int) -> "KSeries":
         """The spectral shift τ_s: Ψ_{j,q^b} ↦ Ψ_{j,q^{b+s}} in every term.
 
         A ring automorphism that keeps every height, so the cutoff stays.
         """
-        return self._new(self._cx.tau(self._t, s), self.cut)
+        return self._new(self._cx.tau(self._t, s), self.cut, self._w)
 
     def clamped(self, cutoff2) -> "KSeries":
         """Copy truncated at a coarser (higher) cutoff."""
@@ -465,14 +498,15 @@ class KSeries:
     def _clamp(self, cut: int) -> "KSeries":
         if cut <= self.cut:
             return self
-        return self._new(self._above(cut), cut)
+        return self._new(self._above(cut), cut, self._w)
 
     def inverse(self) -> "KSeries":
         t, c0 = self._top()
         if c0 not in (1, -1):
             raise TruncationError(f"cannot invert leading coefficient {c0}")
         cut = self.cut - _height(t)
-        eps = self._shift(-t, c0) - self._one(cut)
+        # t is a key of this series, so its widest field is within _w
+        eps = self._shift(-t, self._w, c0) - self._one(cut)
         # with a term at height 0 or above the powers of eps never vanish
         if eps._t and eps._max_h() >= 0:
             raise TruncationError("the leading term is not the only one at its height")
@@ -481,7 +515,7 @@ class KSeries:
         while power._t:
             power = (-(power * eps))._clamp(cut)
             acc = acc + power
-        return acc._shift(-t, c0)
+        return acc._shift(-t, self._w, c0)
 
     def matches(self, other: "KSeries") -> bool:
         """Equality of all terms above the common guaranteed cutoff.

@@ -48,16 +48,25 @@ _A1 = RootSystem.from_name("A1")
 (_VARPI2,) = fundamental_weight(_A1, 1).coords2
 
 
+# how str(Segment) prints an infinite end; a finite one prints as an int
+_ENDS = {INF: "+inf", -INF: "-inf"}
+
+
 class Segment(tuple):
     """Prime-class label [r, s]; r > s denotes the unit class.
 
     The pair (r, s) itself, validated once when it is made: hashing,
-    equality and ordering are those of the tuple.
+    equality and ordering are those of the tuple.  Two plain ints make
+    a valid pair, so they are taken at once; every other pair, bools
+    included, is validated endpoint by endpoint, and an endpoint that is
+    neither an int nor ±∞ raises ``ValueError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, r: float, s: float) -> "Segment":
+        if type(r) is int and type(s) is int:
+            return tuple.__new__(cls, (r, s))
         for x in (r, s):
             if not (isinstance(x, int) or x in (INF, -INF)):
                 raise ValueError(f"bad segment endpoint {x!r}")
@@ -92,14 +101,8 @@ class Segment(tuple):
         return ((0,), tuple(sorted(p)))
 
     def __str__(self) -> str:
-        def fmt(x):
-            if x == INF:
-                return "+inf"
-            if x == -INF:
-                return "-inf"
-            return str(int(x))
-
-        return f"[{fmt(self[0])},{fmt(self[1])}]"
+        r, s = self
+        return f"[{_ENDS.get(r) or int(r)},{_ENDS.get(s) or int(s)}]"
 
 
 def compatible(s1: Segment, s2: Segment) -> bool:

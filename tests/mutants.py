@@ -110,6 +110,16 @@ MUTANTS = {
             "tests/test_qseries.py::TestSeries::test_top_reads_the_kept_order",
         ],
     },
+    # a product's field bound is the larger factor's, not their sum: a
+    # product of two wide series skips the check that would reject it
+    "series-product-bound-is-the-max": {
+        "file": "src/clusterqq/qseries.py",
+        "old": '''w = self._w + other._w''',
+        "new": '''w = max(self._w, other._w)''',
+        "kills": [
+            "tests/test_keycodec.py::TestFieldBound::test_a_product_adds_the_bounds",
+        ],
+    },
     # a leading coefficient ±2 is inverted; the eps guard still stops the
     # loop, so only the message tells the two refusals apart
     "inverse-accepts-leading-two": {
@@ -153,8 +163,8 @@ MUTANTS = {
     # ``seed sweep`` compares the supports of the g-vectors only
     "seed-sweep-compares-supports": {
         "file": "src/clusterqq/cli.py",
-        "old": '''if g != expected[m][v].as_dict()''',
-        "new": '''if g.keys() != expected[m][v].as_dict().keys()''',
+        "old": '''if g != as_dict[id(want[v])]''',
+        "new": '''if g.keys() != as_dict[id(want[v])].keys()''',
         "kills": [
             "tests/test_acceptance.py::TestFailingTwins"
             "::test_seed_sweep_with_one_sweep_coefficient_doubled",
@@ -177,6 +187,15 @@ MUTANTS = {
         "new": '''2 * (c - b) * _VARPI2''',
         "kills": [
             "tests/test_sl2.py::TestPtolemy::test_t_system_instance",
+        ],
+    },
+    # the segment fast path takes floats too, unvalidated
+    "segment-fast-path-admits-floats": {
+        "file": "src/clusterqq/sl2.py",
+        "old": '''if type(r) is int and type(s) is int:''',
+        "new": '''if type(r) in (int, float) and type(s) in (int, float):''',
+        "kills": [
+            "tests/test_sl2.py::TestSegmentFace::test_every_error_message",
         ],
     },
     # a flip-lower relation on the wrong quadrilateral: a true relation

@@ -769,6 +769,16 @@ def qq_battery(ev, r_values):
 # ---------------------------------------------------------------------------
 
 
+def fmt(x) -> str:
+    """One segment end as ``str(Segment)`` prints it: the reference for
+    its formatter."""
+    if x == INF:
+        return "+inf"
+    if x == -INF:
+        return "-inf"
+    return str(int(x))
+
+
 @dataclass(frozen=True, order=True)
 class DataclassSegment:
     """The segment label as a frozen, ordered dataclass: the reference
@@ -800,14 +810,18 @@ class DataclassSegment:
         return ((0,), tuple(sorted(p)))
 
     def __str__(self) -> str:
-        def fmt(x):
-            if x == INF:
-                return "+inf"
-            if x == -INF:
-                return "-inf"
-            return str(int(x))
-
         return f"[{fmt(self.r)},{fmt(self.s)}]"
+
+
+def ptolemy_grid(lo, hi):
+    """The quadruples (r, s, r', s') of a Ptolemy grid over lo..hi."""
+    return [
+        (r, s, rp, sp)
+        for r in range(lo, hi + 1)
+        for rp in range(r + 1, hi + 1)
+        for s in range(rp - 1, hi + 1)
+        for sp in range(s + 1, hi + 1)
+    ]
 
 
 def compatible_each_way(s1, s2) -> bool:

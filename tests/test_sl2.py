@@ -40,9 +40,11 @@ from oracles import (
     decoded,
     diagonal,
     diagonal_variable,
+    fmt,
     ht,
     key_inv,
     max_ht,
+    ptolemy_grid,
     quadrilateral_identity,
     x_finite,
     x_minus,
@@ -129,17 +131,6 @@ class TestOneSum:
         # the unit kept no term there, while a finite class kept them all
         with pytest.raises(ValueError):
             segment_qchar(seg, d)
-
-
-def ptolemy_grid(lo, hi):
-    """The quadruples (r, s, r', s') of a Ptolemy grid over lo..hi."""
-    return [
-        (r, s, rp, sp)
-        for r in range(lo, hi + 1)
-        for rp in range(r + 1, hi + 1)
-        for s in range(rp - 1, hi + 1)
-        for sp in range(s + 1, hi + 1)
-    ]
 
 
 class TestClassMemo:
@@ -260,6 +251,12 @@ class TestSegmentFace:
             ((0, "3"), "bad segment endpoint '3'"),
             ((INF, INF), "bad segment [inf, inf]"),
             ((-INF, -INF), "bad segment [-inf, -inf]"),
+            # an int-valued float is no int: only the validating path sees it
+            ((1.0, 2), "bad segment endpoint 1.0"),
+            ((0, 1.0), "bad segment endpoint 1.0"),
+            ((2.5, 2.5), "bad segment endpoint 2.5"),
+            ((float("nan"), 0), "bad segment endpoint nan"),
+            ((0, float("nan")), "bad segment endpoint nan"),
         ],
     )
     def test_every_error_message(self, ends, message):
@@ -267,6 +264,32 @@ class TestSegmentFace:
             with pytest.raises(ValueError) as err:
                 cls(*ends)
             assert str(err.value) == message
+
+    # two plain ints take the fast path; bools, ±∞ and 0 beside them
+    FAST_AND_SLOW = [
+        (0, 0), (0, 3), (-4, 7), (3, -2), (10**30, -(10**30)),
+        (True, False), (False, True), (True, True), (0, True), (False, 2),
+        (0, INF), (-INF, 0), (-INF, INF), (INF, 0), (5, -INF), (INF, -INF),
+    ]
+
+    @pytest.mark.parametrize("r, s", FAST_AND_SLOW)
+    def test_every_path_equals_the_dataclass_oracle(self, r, s):
+        seg, ref = Segment(r, s), DataclassSegment(r, s)
+        assert type(seg) is Segment
+        # each end is kept as given: a bool stays a bool
+        assert [type(x) for x in seg] == [type(r), type(s)]
+        assert tuple(seg) == (ref.r, ref.s) == (r, s)
+        assert str(seg) == f"[{fmt(r)},{fmt(s)}]" == str(ref)
+        assert repr(seg) == repr(ref).replace("DataclassSegment", "Segment")
+        assert hash(seg) == hash(ref) == hash((r, s))
+        assert seg.is_unit == ref.is_unit
+
+    def test_every_path_sorts_as_the_dataclass_oracle(self):
+        pairs = self.FAST_AND_SLOW * 2
+        random.Random(1).shuffle(pairs)
+        segs = sorted(Segment(r, s) for r, s in pairs)
+        refs = sorted(DataclassSegment(r, s) for r, s in pairs)
+        assert [tuple(x) for x in segs] == [(x.r, x.s) for x in refs]
 
     def test_face_equals_the_dataclass_oracle(self):
         # the same labels are valid, with the same repr, str, hash,
