@@ -140,9 +140,9 @@ def _window(type_: str, coxeter: str | None, depth_below: int = 8, margin: int =
 # ---------------------------------------------------------------------------
 
 
-def _ser_gvec(coeffs) -> list:
+def _ser_gvec(g: dict) -> list:
     """A g-vector's (vertex, coefficient) pairs, in sorted order, as JSON."""
-    return [[i, r, c] for (i, r), c in coeffs]
+    return [[i, r, c] for (i, r), c in sorted(g.items())]
 
 
 def _ser_series(s: KSeries) -> dict:
@@ -292,20 +292,10 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     cw = _window(type_, coxeter, depth_below + 2 * sweeps)
     # one working seed through every sweep, frozen (and so checked) once
     seed = initial_seed(cw, stabilized=False).thaw()
-    # the tables of sweeps n, ..., 1, popped in sweep order: each is read
-    # once and then dropped, with the GVec objects no later table shares
-    expected = gvector.sweep_gvectors(cw, sweeps)[:0:-1]
-    # consecutive tables share most of their GVec objects, so each object
-    # is converted to a dict once and found again by its id (the objects
-    # of all tables were alive at once, so no two share an id)
-    as_dict: dict[int, dict] = {}
+    expected = gvector.sweep_gvectors(cw, sweeps)
     for m in range(1, sweeps + 1):
         green_sweep(seed)
-        want = expected.pop()
-        as_dict = {id(g): as_dict.get(id(g)) or g.as_dict() for g in want.values()}
-        mismatch = sorted(
-            v for v, g in seed.g.items() if g != as_dict[id(want[v])]
-        )
+        mismatch = sorted(v for v, g in seed.g.items() if g != expected[m][v])
         rep.emit(
             {
                 "relation": "green-sweep",
@@ -339,7 +329,7 @@ def seed_mutate(rep, type_, coxeter, vertices):
                 "relation": "seed-mutation",
                 "vertex": list(v),
                 "cvector_sign": sign,
-                "gvector": _ser_gvec(sorted(seed.g[v].items())),
+                "gvector": _ser_gvec(seed.g[v]),
                 "ok": True,
             }
         )
@@ -361,7 +351,7 @@ def _gvec_listing(method):
     def cmd(type_, coxeter, depth_below):
         table = method(_window(type_, coxeter, depth_below))
         for v in sorted(table):
-            line = {"gvector": _ser_gvec(table[v].coeffs), "vertex": list(v)}
+            line = {"gvector": _ser_gvec(table[v]), "vertex": list(v)}
             click.echo(json.dumps(line, sort_keys=True))
 
     return cmd

@@ -42,11 +42,17 @@ vertex from one :func:`braid_gvectors` table.  The word of a vertex in
 slice m is the green word down to slice m; since its letters after node
 i's last green fix e_(i, ·), the composite's image of e_(i, red_top(i))
 is that green's braid column, read before its own degree shift.
+
+A g-vector is a plain dict of its non-zero coefficients keyed by window
+vertex; the only operation with a name is the degree shift
+:func:`shifted`.  Tables may share dicts (consecutive
+:func:`sweep_gvectors` tables do), so no dict in a table is ever edited
+in place: a change builds a new dict.  Printers sort a g-vector's items
+when they print it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -54,45 +60,10 @@ from .quiver import CoxeterWindow, Vertex, WindowedQuiver
 from .rootsys import CoxeterDatum, Matrix, _identity, _times_word
 
 
-@dataclass(frozen=True)
-class GVec:
-    """Integer vector in the free module spanned by the window vertices."""
-
-    coeffs: tuple[tuple[Vertex, int], ...]  # sorted, nonzero
-
-    @staticmethod
-    def from_dict(d: dict[Vertex, int]) -> "GVec":
-        return GVec(tuple(sorted((v, c) for v, c in d.items() if c)))
-
-    @staticmethod
-    def unit(v: Vertex) -> "GVec":
-        return GVec(((v, 1),))
-
-    @staticmethod
-    def zero() -> "GVec":
-        return GVec(())
-
-    def as_dict(self) -> dict[Vertex, int]:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "GVec") -> "GVec":
-        d = self.as_dict()
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return GVec.from_dict(d)
-
-    def __neg__(self) -> "GVec":
-        return GVec(tuple((v, -c) for v, c in self.coeffs))
-
-    def __sub__(self, other: "GVec") -> "GVec":
-        return self + (-other)
-
-    def scale(self, k: int) -> "GVec":
-        return GVec.from_dict({v: k * c for v, c in self.coeffs})
-
-    def shift(self, s: int) -> "GVec":
-        """Degree shift [s]: moves each basis vertex (i,r) to (i, r+2s)."""
-        return GVec(tuple(((i, r + 2 * s), c) for (i, r), c in self.coeffs))
+def shifted(g: dict[Vertex, int], s: int) -> dict[Vertex, int]:
+    """Degree shift [s]: a new g-vector with each basis vertex (i, r) moved
+    to (i, r + 2s)."""
+    return {(i, r + 2 * s): c for (i, r), c in g.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +121,19 @@ def _band_memo(datum: CoxeterDatum, top: int, bottom: int) -> Matrix:
 
 def _block_to_gvecs(
     datum: CoxeterDatum, m: int, block: Matrix
-) -> dict[Vertex, GVec]:
-    """Vertex (i, l(i) + 2m) of slice m gets column i of ``block``.
-
-    A column is read in node order, which is the sorted order of the
-    slice's vertices, and its zero entries are skipped.
-    """
+) -> dict[Vertex, dict[Vertex, int]]:
+    """Vertex (i, l(i) + 2m) of slice m gets column i of ``block``, its
+    zero entries skipped."""
     row = [(j, l + 2 * m) for j, l in enumerate(datum.l, 1)]
     return {
-        v: GVec(tuple((u, c) for u, c in zip(row, column) if c))
+        v: {u: c for u, c in zip(row, column) if c}
         for v, column in zip(row, zip(*block))
     }
 
 
-def blocks_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
+def blocks_gvectors(cw: CoxeterWindow) -> dict[Vertex, dict[Vertex, int]]:
     """Stabilized g-vector of every window vertex from the block limits."""
-    out: dict[Vertex, GVec] = {}
+    out: dict[Vertex, dict[Vertex, int]] = {}
     for m in cw.slice_range():
         block = stable_block(cw.datum, m)
         for v, g in _block_to_gvecs(cw.datum, m, block).items():
@@ -174,22 +142,24 @@ def blocks_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
     return out
 
 
-def sweep_gvectors(cw: CoxeterWindow, sweeps: int) -> list[dict[Vertex, GVec]]:
+def sweep_gvectors(
+    cw: CoxeterWindow, sweeps: int
+) -> list[dict[Vertex, dict[Vertex, int]]]:
     """g-vectors of every window vertex after k green sweeps, k = 0..sweeps.
 
     Entry k gives slice m the columns of ``block_matrix(datum, k, m)``.
     One walk over k keeps, per slice, the clamped range of its last block
     (None for the identity) and the window's g-vectors of that block; they
     are rebuilt only when the range changes, so consecutive entries share
-    their ``GVec`` objects.
+    their g-vector dicts.
     """
     if sweeps < 0:
         raise ValueError("sweep count must be nonnegative")
     datum, vertices, slices = cw.datum, cw.quiver.vertices, cw.slice_range()
-    held: dict[int, tuple[tuple[int, int] | None, dict[Vertex, GVec]]] = {}
-    out: list[dict[Vertex, GVec]] = []
+    held: dict[int, tuple[tuple[int, int] | None, dict]] = {}
+    out: list[dict[Vertex, dict[Vertex, int]]] = []
     for k in range(sweeps + 1):
-        table: dict[Vertex, GVec] = {}
+        table: dict[Vertex, dict[Vertex, int]] = {}
         for m in slices:
             band = _band_range(datum, m + k - 1, m)
             if m not in held or held[m][0] != band:
@@ -206,14 +176,14 @@ def sweep_gvectors(cw: CoxeterWindow, sweeps: int) -> list[dict[Vertex, GVec]]:
 # ---------------------------------------------------------------------------
 
 
-def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
+def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, dict[Vertex, int]]:
     """Top-down knitting recursion on a Coxeter quiver window.
 
     Vertices whose column has no vertex above them get unit vectors; the
     window top must lie above every red vertex for this to be exact.  One
     scan, height descending, reads what each vertex depends on; each value
-    is then computed once, in dependency order: a green's −shift(above) +
-    Σ m·g(w) is summed in one dict and sorted into one ``GVec``.
+    is then computed once, in dependency order: a green's Σ m·g(w) −
+    shift(above) is summed in one dict, its zero entries dropped.
     """
     vertices = q.vertices
     order = sorted(vertices, key=lambda u: -u[1])
@@ -238,20 +208,22 @@ def knit_gvectors(q: WindowedQuiver) -> dict[Vertex, GVec]:
         waiting[v] = len(needs)
         for w in needs:
             users.setdefault(w, []).append(v)
-    out: dict[Vertex, GVec] = {}
+    out: dict[Vertex, dict[Vertex, int]] = {}
     ready = [v for v in order if not waiting[v]]
     for v in ready:  # grows as vertices become computable
         above, outs = reads[v]
         if above is None:
-            out[v] = GVec.unit(v)
+            out[v] = {v: 1}
         elif outs is None:
-            out[v] = out[above].shift(-1)
+            out[v] = shifted(out[above], -1)
         else:
-            acc = {(j, r - 2): -c for (j, r), c in out[above].coeffs}
+            acc = {}
             for w, mlt in outs.items():
-                for u, c in out[w].coeffs:
+                for u, c in out[w].items():
                     acc[u] = acc.get(u, 0) + mlt * c
-            out[v] = GVec.from_dict(acc)
+            for u, c in shifted(out[above], -1).items():
+                acc[u] = acc.get(u, 0) - c
+            out[v] = {u: c for u, c in acc.items() if c}
         for u in users.get(v, ()):
             waiting[u] -= 1
             if not waiting[u]:
@@ -269,16 +241,18 @@ def mesh_pairs(q: WindowedQuiver) -> list[Vertex]:
 
 
 def mesh_check(
-    q: WindowedQuiver, g: dict[Vertex, GVec], v: Vertex
+    q: WindowedQuiver, g: dict[Vertex, dict[Vertex, int]], v: Vertex
 ) -> bool:
     """Translated almost-split relation at a green vertex v with a green
-    vertex one step further down the same column."""
+    vertex one step further down the same column: lhs − rhs sums to 0."""
     i, l = v
-    lhs = g[(i, l - 4)] + g[v].shift(-2)
-    rhs = GVec.zero()
+    acc = dict(g[(i, l - 4)])
+    for u, c in shifted(g[v], -2).items():
+        acc[u] = acc.get(u, 0) + c
     for (w, mlt) in q.arrows_out(v):
-        rhs = rhs + g[(w[0], w[1] - 2)].scale(mlt).shift(-1)
-    return lhs == rhs
+        for u, c in shifted(g[(w[0], w[1] - 2)], -1).items():
+            acc[u] = acc.get(u, 0) - mlt * c
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------
@@ -286,30 +260,30 @@ def mesh_check(
 # ---------------------------------------------------------------------------
 
 
-def braid_gvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
+def braid_gvectors(cw: CoxeterWindow) -> dict[Vertex, dict[Vertex, int]]:
     """Stabilized g-vectors of the green vertices via the braid action."""
     rs = cw.datum.rs
     # col[j] = Θ_t(e_(j, red_top(j))); by shift equivariance it fixes Θ_t
-    col = {j: GVec.unit((j, cw.red_top(j))) for j in range(1, rs.n + 1)}
-    out: dict[Vertex, GVec] = {}
+    col = {j: {(j, cw.red_top(j)): 1} for j in range(1, rs.n + 1)}
+    out: dict[Vertex, dict[Vertex, int]] = {}
     seen: dict[int, int] = {}
     for i, a in cw.green_sequence():
         # Θ_t(e_(i,b)) = Θ_{t-1}(θ_i e_(i,b)) = -Θ_{t-1}(e_(i,b-2))
         # + Σ_{k~i} Θ_{t-1}(e_(k,b-1)), at b = red_top(i)
         b = cw.red_top(i)
-        acc = (-col[i].shift(-1)).as_dict()
+        acc = {v: -c for v, c in shifted(col[i], -1).items()}
         for k in rs.neighbors(i):
-            for v, c in col[k].shift((b - 1 - cw.red_top(k)) // 2).coeffs:
+            for v, c in shifted(col[k], (b - 1 - cw.red_top(k)) // 2).items():
                 acc[v] = acc.get(v, 0) + c
-        col[i] = GVec.from_dict(acc)
+        col[i] = {v: c for v, c in acc.items() if c}
         s_t = seen.get(i, 0)
-        out[(i, a)] = col[i].shift(-s_t)
+        out[(i, a)] = shifted(col[i], -s_t)
         seen[i] = s_t + 1
     return out
 
 
 def f_labels(
-    cw: CoxeterWindow, gvectors: dict[Vertex, GVec]
+    cw: CoxeterWindow, gvectors: dict[Vertex, dict[Vertex, int]]
 ) -> dict[Vertex, tuple[tuple[int, ...], int, int]]:
     """Word, node and spectral exponent of the Q-variable of each window
     vertex, read off one braid table.
@@ -323,7 +297,7 @@ def f_labels(
     """
     braid = braid_gvectors(cw)
     greens = cw.green_sequence()
-    col = {i: GVec.unit((i, cw.red_top(i))) for i in range(1, cw.datum.rs.n + 1)}
+    col = {i: {(i, cw.red_top(i)): 1} for i in range(1, cw.datum.rs.n + 1)}
     seen: dict[int, int] = {}
     t = 0
     out: dict[Vertex, tuple[tuple[int, ...], int, int]] = {}
@@ -331,13 +305,14 @@ def f_labels(
     for m, vertices in groupby(by_slice, key=cw.slice_index):
         while t < len(greens) and cw.slice_index(greens[t]) >= m:
             j = greens[t][0]
-            col[j] = braid[greens[t]].shift(seen.get(j, 0))
+            col[j] = shifted(braid[greens[t]], seen.get(j, 0))
             seen[j] = seen.get(j, 0) + 1
             t += 1
         word = tuple(j for j, _ in greens[:t])
         for v in vertices:
             i, target = v[0], gvectors[v]
-            s = (target.coeffs[0][0][1] - col[i].coeffs[0][0][1]) // 2
-            if col[i].shift(s) == target:
+            # a shift keeps the order of basis vertices: least onto least
+            s = (min(target)[1] - min(col[i])[1]) // 2
+            if shifted(col[i], s) == target:
                 out[v] = word, i, cw.red_top(i) + 2 * s
     return out

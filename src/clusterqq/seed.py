@@ -13,20 +13,23 @@ that reference.  Two operations are provided:
   transporting every stored g-vector at each step; this translates the
   reference one step down.
 
-A :class:`Seed` is frozen: sorted tuples, hashable and comparable.  Every
-operation runs in place on one private working form, :class:`_WorkingSeed`,
-which holds the values as a dict, each g-vector as a dict of its non-zero
-coefficients, and each quiver as a working quiver (see
+Every g-vector and c-vector is a dict of its non-zero coefficients keyed
+by window vertex, as in :mod:`clusterqq.gvector`.  A :class:`Seed` is
+frozen: sorted tuples keyed by vertex, comparable but not hashable, since
+its g-vectors are dicts.  Every operation runs in place on one private
+working form, :class:`_WorkingSeed`, which holds the values and the
+g-vectors in dicts, and each quiver as a working quiver (see
 :mod:`clusterqq.quiver`), thawed only when an operation first needs it,
 together with the reference's column table and an index from each basis
 vertex to the stored vertices whose g-vector involves it, each built
 once.  The operations take either form: a frozen seed is thawed on entry
 and frozen on return, a working seed is edited in place and returned.  A
-run of operations thaws once and freezes once, and only the freeze sorts
-each g-vector back into a :class:`GVec`.  A reference mutation edits in
-place only the stored g-vectors whose coordinate at the mutated vertex is
-non-zero, found through that index, and within each only the coordinates
-at that vertex and its neighbours.
+run of operations thaws once and freezes once; each copies every
+g-vector dict once, so a frozen seed shares no dict with a working one
+and stays as it was while that one goes on.  A reference mutation edits
+in place only the stored g-vectors whose coordinate at the mutated
+vertex is non-zero, found through that index, and within each only the
+coordinates at that vertex and its neighbours.
 
 With a stabilized reference (the plain translation-invariant quiver) the
 c-vector is computed exactly by a top-down substitution: the defining
@@ -47,7 +50,7 @@ from functools import cached_property
 from numbers import Rational
 from typing import Any, Mapping
 
-from .gvector import GVec, knit_gvectors, stable_block
+from .gvector import knit_gvectors, stable_block
 from .quiver import (
     GREEN,
     CoxeterWindow,
@@ -68,7 +71,7 @@ class SignError(ValueError):
 class Seed:
     quiver: WindowedQuiver
     ref_quiver: WindowedQuiver
-    g: tuple[tuple[Vertex, GVec], ...]
+    g: tuple[tuple[Vertex, dict[Vertex, int]], ...]
     ref_tag: str
     values: tuple[tuple[Vertex, Any], ...] | None = None
 
@@ -90,18 +93,17 @@ def _pack(d: Mapping[Vertex, Any]) -> tuple[tuple[Vertex, Any], ...]:
 class _WorkingSeed:
     """The mutable form of a seed that every seed operation edits in place.
 
-    ``g`` maps each vertex to its g-vector as a dict of non-zero
-    coefficients, thawed once from the seed's ``GVec``s; ``values`` is a
-    dict (None for a seed without values) and ``ref_tag`` a string.
-    ``quiver`` and ``ref`` are working quivers, each thawed from ``base``
-    on first use; mutation never changes a vertex set, so ``columns`` is
-    read off the base reference.  :meth:`freeze` packs each g-vector into
-    one sorted ``GVec`` and freezes only the quivers that were thawed.
+    ``g`` maps each vertex to its g-vector, a copy of the seed's dict;
+    ``values`` is a dict (None for a seed without values) and ``ref_tag``
+    a string.  ``quiver`` and ``ref`` are working quivers, each thawed
+    from ``base`` on first use; mutation never changes a vertex set, so
+    ``columns`` is read off the base reference.  :meth:`freeze` copies
+    each g-vector dict and freezes only the quivers that were thawed.
     """
 
     def __init__(self, seed: Seed):
         self.base = seed
-        self.g = {v: dict(gvec.coeffs) for v, gvec in seed.g}
+        self.g = {v: dict(comp) for v, comp in seed.g}
         self.values = seed.value_map() if seed.values is not None else None
         self.ref_tag = seed.ref_tag
 
@@ -147,7 +149,7 @@ class _WorkingSeed:
         return Seed(
             thawed["quiver"].freeze() if "quiver" in thawed else self.base.quiver,
             thawed["ref"].freeze() if "ref" in thawed else self.base.ref_quiver,
-            _pack({v: GVec.from_dict(comp) for v, comp in self.g.items()}),
+            _pack({v: dict(comp) for v, comp in self.g.items()}),
             self.ref_tag,
             _pack(self.values) if self.values is not None else None,
         )
@@ -177,7 +179,7 @@ def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
     if stabilized:
         ref = basic_quiver(q.rs, q.rmin, q.rmax, parity=q.parity, margin=q.margin)
         return Seed(q, ref, _pack(knit_gvectors(q)), "stabilized")
-    g = {v: GVec.unit(v) for v in q.vertices}
+    g = {v: {v: 1} for v in q.vertices}
     return Seed(q, q, _pack(g), "self")
 
 
@@ -197,7 +199,7 @@ def _exchange_lhs(work: _WorkingSeed, k: Vertex) -> dict[Vertex, int]:
     return {u: x for u, x in acc.items() if x}
 
 
-def cvector(seed: AnySeed, k: Vertex) -> GVec:
+def cvector(seed: AnySeed, k: Vertex) -> dict[Vertex, int]:
     """Exact c-vector of the variable at k, from the defining relation.
 
     Requires the stabilized reference: there the relation reads, at each
@@ -252,30 +254,29 @@ def cvector(seed: AnySeed, k: Vertex) -> GVec:
             break
     if above is not None:
         raise MarginError(f"c-vector support reaches the window top at {above}")
-    return GVec.from_dict(c)
+    return c
 
 
 def cvector_sign(seed: AnySeed, k: Vertex) -> int:
     """+1 if the c-vector at k is nonnegative, -1 if nonpositive."""
     c = cvector(seed, k)
-    coeffs = [x for _, x in c.coeffs]
-    if not coeffs:
+    if not c:
         raise SignError(f"zero c-vector at {k}")
-    if all(x > 0 for x in coeffs):
+    if all(x > 0 for x in c.values()):
         return 1
-    if all(x < 0 for x in coeffs):
+    if all(x < 0 for x in c.values()):
         return -1
-    raise SignError(f"c-vector at {k} is not sign-coherent: {c}")
+    raise SignError(f"c-vector at {k} is not sign-coherent: {dict(sorted(c.items()))}")
 
 
-def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
+def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, dict[Vertex, int]]:
     """Initial c-vectors predicted by per-slice duality.
 
     In each slice the c-matrix is the inverse transpose of the stabilized
     g-matrix block.  The blocks lie in the Weyl group, so det = ±1 and the
     inverse is the integer matrix det·adj.
     """
-    out: dict[Vertex, GVec] = {}
+    out: dict[Vertex, dict[Vertex, int]] = {}
     n = cw.datum.rs.n
     for m in cw.slice_range():
         adj, det = _adjugate(stable_block(cw.datum, m))
@@ -285,12 +286,11 @@ def dual_cvectors(cw: CoxeterWindow) -> dict[Vertex, GVec]:
             v = (i, cw.datum.l_of(i) + 2 * m)
             if v in cw.quiver.vertices:
                 # column i of the inverse transpose is row i of the inverse
-                out[v] = GVec.from_dict(
-                    {
-                        (j, cw.datum.l_of(j) + 2 * m): det * adj[i - 1][j - 1]
-                        for j in range(1, n + 1)
-                    }
-                )
+                out[v] = {
+                    (j, cw.datum.l_of(j) + 2 * m): det * adj[i - 1][j - 1]
+                    for j in range(1, n + 1)
+                    if adj[i - 1][j - 1]
+                }
     return out
 
 
@@ -338,10 +338,8 @@ def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
     anything changes, so a working seed is left as it was.
     """
     work = _working(seed)
-    q = work.quiver
-    if k not in q.vertices:
-        raise ValueError(f"vertex {k} not in window")
     sign = cvector_sign(work, k)
+    q = work.quiver
     ins, outs = sorted(q.inn[k].items()), sorted(q.out[k].items())
     g = work.g
     new = {u: -x for u, x in g[k].items()}

@@ -92,9 +92,9 @@ MUTANTS = {
     # a c-vector's sign read off its first coefficient alone
     "cvector-sign-reads-one-coefficient": {
         "file": "src/clusterqq/seed.py",
-        "old": '''    if all(x > 0 for x in coeffs):
+        "old": '''    if all(x > 0 for x in c.values()):
         return 1''',
-        "new": '''    if coeffs[0] > 0:
+        "new": '''    if next(iter(c.values())) > 0:
         return 1''',
         "kills": [
             "tests/test_acceptance.py::TestFailingTwins"
@@ -163,11 +163,21 @@ MUTANTS = {
     # ``seed sweep`` compares the supports of the g-vectors only
     "seed-sweep-compares-supports": {
         "file": "src/clusterqq/cli.py",
-        "old": '''if g != as_dict[id(want[v])]''',
-        "new": '''if g.keys() != as_dict[id(want[v])].keys()''',
+        "old": '''if g != expected[m][v]''',
+        "new": '''if g.keys() != expected[m][v].keys()''',
         "kills": [
             "tests/test_acceptance.py::TestFailingTwins"
             "::test_seed_sweep_with_one_sweep_coefficient_doubled",
+        ],
+    },
+    # the freeze hands the working seed's g-vector dicts to the frozen seed
+    "freeze-shares-gvector-dicts": {
+        "file": "src/clusterqq/seed.py",
+        "old": '''_pack({v: dict(comp) for v, comp in self.g.items()}),''',
+        "new": '''_pack(self.g),''',
+        "kills": [
+            "tests/test_seed.py::TestNoSharedDicts"
+            "::test_frozen_seeds_and_the_base_stay_as_they_were",
         ],
     },
     # in-place mutation leaves the 2-cycles it creates

@@ -25,7 +25,6 @@ from click.testing import CliRunner
 from clusterqq import wronskian
 from clusterqq.cli import main
 from clusterqq.gvector import (
-    GVec,
     _band_product,
     _block_to_gvecs,
     block_matrix,
@@ -467,12 +466,19 @@ def build_seed_quiver(
 # ---------------------------------------------------------------------------
 
 
+def combo(*terms):
+    """Σ k·g over (k, g-vector) pairs, as a dict of its non-zero
+    coefficients."""
+    out = {}
+    for k, g in terms:
+        for v, c in g.items():
+            out[v] = out.get(v, 0) + k * c
+    return {v: c for v, c in out.items() if c}
+
+
 def e(*vs):
     """The g-vector Σ sign·e_v of (sign, vertex) pairs."""
-    g = GVec.zero()
-    for sign, v in vs:
-        g = g + GVec.unit(v).scale(sign)
-    return g
+    return combo(*((sign, {v: 1}) for sign, v in vs))
 
 
 def a2_expected(v):
@@ -481,13 +487,13 @@ def a2_expected(v):
     if i == 1:
         k = r // 2
         if k >= 0:
-            return GVec.unit(v)
+            return {v: 1}
         if k >= -2:
             return e((-1, (1, 2 * k)), (1, (2, 2 * k + 1)))
         return e((-1, (2, 2 * k + 1)))
     k = (r + 1) // 2
     if k >= 0:
-        return GVec.unit(v)
+        return {v: 1}
     return e((-1, (1, 2 * k - 2)))
 
 
@@ -551,21 +557,19 @@ def knit_by_rounds(q) -> dict:
             i, r = v
             above = (i, r + 2)
             if above not in q.vertices:
-                out[v] = GVec.unit(v)
+                out[v] = {v: 1}
             elif q.mult(v, above):
                 if above not in out:
                     deferred.append(v)
                     continue
-                out[v] = out[above].shift(-1)
+                out[v] = {(j, a - 2): c for (j, a), c in out[above].items()}
             elif q.mult(above, v):
                 outs = q.out.get(v, {})
                 if above not in out or any(w not in out for w in outs):
                     deferred.append(v)
                     continue
-                acc = -out[above].shift(-1)
-                for w, mlt in outs.items():
-                    acc = acc + out[w].scale(mlt)
-                out[v] = acc
+                down = {(j, a - 2): c for (j, a), c in out[above].items()}
+                out[v] = combo((-1, down), *((m, out[w]) for w, m in outs.items()))
             else:
                 raise ValueError(f"no vertical arrow between {v} and {above}")
         if len(deferred) == len(pending):
@@ -602,7 +606,7 @@ def sweep_table(cw, k: int) -> dict:
     return out
 
 
-def theta(rs, i: int, g: GVec) -> GVec:
+def theta(rs, i: int, g: dict) -> dict:
     """The braid operator θ_i, coefficient by coefficient: e_(i,a) goes to
     −e_(i,a−2) + Σ_{k~i} e_(k,a−1), every other basis vector is fixed."""
     out = {}
@@ -610,17 +614,17 @@ def theta(rs, i: int, g: GVec) -> GVec:
     def bump(v, c: int) -> None:
         out[v] = out.get(v, 0) + c
 
-    for (j, a), c in g.coeffs:
+    for (j, a), c in g.items():
         if j != i:
             bump((j, a), c)
         else:
             bump((i, a - 2), -c)
             for k in rs.neighbors(i):
                 bump((k, a - 1), c)
-    return GVec.from_dict(out)
+    return {v: c for v, c in out.items() if c}
 
 
-def theta_word(rs, word, g: GVec) -> GVec:
+def theta_word(rs, word, g: dict) -> dict:
     """θ_{w_0} ∘ ⋯ ∘ θ_{w_last} applied to g."""
     for i in reversed(tuple(word)):
         g = theta(rs, i, g)
@@ -636,10 +640,10 @@ def f_label(cw, v, gvectors):
     m = cw.slice_index(v)
     prefix = [g for g in cw.green_sequence() if cw.slice_index(g) >= m]
     word = tuple(g[0] for g in prefix)
-    x = theta_word(cw.datum.rs, word, GVec.unit((i, cw.red_top(i))))
+    x = theta_word(cw.datum.rs, word, {(i, cw.red_top(i)): 1})
     target = gvectors[v]
-    s = (target.coeffs[0][0][1] - x.coeffs[0][0][1]) // 2
-    if x.shift(s) != target:
+    s = (min(target)[1] - min(x)[1]) // 2
+    if {(j, a + 2 * s): c for (j, a), c in x.items()} != target:
         raise ValueError(f"braid expression does not match g-vector at {v}")
     return word, i, cw.red_top(i) + 2 * s
 

@@ -88,7 +88,7 @@ def window_parts(q):
 
 def gvec_image(sigma, table):
     return {
-        vertex(sigma, v): {vertex(sigma, u): c for u, c in g.coeffs}
+        vertex(sigma, v): {vertex(sigma, u): c for u, c in g.items()}
         for v, g in table.items()
     }
 
@@ -172,7 +172,7 @@ def cvector_image(sigma, seed, v):
         c = cvector(seed, v)
     except ValueError as exc:
         return type(exc)
-    return {vertex(sigma, u): x for u, x in c.coeffs}
+    return {vertex(sigma, u): x for u, x in c.items()}
 
 
 def tables_image(sigma, cw):

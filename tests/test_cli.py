@@ -485,8 +485,9 @@ class TestRawSeries:
 
 class TestGoldenCombinatorics:
     """Whole ``--json`` outputs of the g-vector, sweep, seed-mutation,
-    Wronskian and Bruhat commands, the whole ``gvec blocks`` listing, and
-    whole quiver JSON, pinned by their sha256."""
+    f-label, Wronskian and Bruhat commands, whole ``gvec knit``, ``gvec
+    braid`` and ``gvec blocks`` listings, and whole quiver JSON, pinned by
+    their sha256."""
 
     @pytest.mark.parametrize(
         "args, sha256",
@@ -512,6 +513,18 @@ class TestGoldenCombinatorics:
                 ["wronskian", "check", "--type", "A3", "--r", "-4..4", "--depth", "4",
                  "--json"],
                 "9f401351f96b772ecc35ef77666e3ca33cf1a1a52037037eaa99ffb55f20fa92",
+            ),
+            (
+                ["gvec", "knit", "--type", "E7"],
+                "dac2393bdae41d339b2123f358b956ee1a091e3d8d1fb9c57691d249278dca85",
+            ),
+            (
+                ["gvec", "braid", "--type", "E6", "--coxeter", "6,5,4,3,2,1"],
+                "e780a840cf49408a2d26f4df8329b261b3926df0014121b34a02c873db61e150",
+            ),
+            (
+                ["f-eval", "--type", "E6", "--json"],
+                "41706cc26726f083af3c55ab236921157b2f86d82fa0e26ca4df73f58bf534d9",
             ),
         ],
     )
@@ -578,12 +591,18 @@ class TestGoldenCombinatorics:
             "0851e5d80c928b13f5ed070fc021a5f7f011964b7f9aee9a9d8236cc7d2db306"
         )
 
-    # a zero c-vector below the band, the window margin at the top, and a
-    # vertex below the window: each a usage error that names the vertex
+    # a zero c-vector below the band, one that is not sign-coherent, the
+    # window margin at the top, and a vertex below the window: each a
+    # usage error that names the vertex
     @pytest.mark.parametrize(
         "vertex, message",
         [
             ("6,-38", "cannot mutate at (6, -38): zero c-vector at (6, -38)"),
+            (
+                "3,-37",
+                "cannot mutate at (3, -37): c-vector at (3, -37) is not"
+                " sign-coherent: {(5, -35): -1, (6, -38): 1}",
+            ),
             (
                 "1,0",
                 "cannot mutate at (1, 0): mutation at (1, 0) violates the window margin",
@@ -710,7 +729,7 @@ class TestGvecListings:
         table = LISTINGS[method](default_window(name))
         expected = "".join(
             json.dumps(
-                {"gvector": [[i, r, c] for (i, r), c in table[v].coeffs],
+                {"gvector": [[i, r, c] for (i, r), c in sorted(table[v].items())],
                  "vertex": list(v)},
                 sort_keys=True,
             ) + "\n"

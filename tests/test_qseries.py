@@ -662,7 +662,7 @@ class TestEmbedding:
             word, i, r = labels[v]
             (lam2, psi), coeff = ev.q_raw(word, i, r).top()
             assert coeff == 1 and lam2 == (0, 0), v
-            assert dict(psi) == g[v].as_dict(), v
+            assert dict(psi) == g[v], v
 
     def test_certification_catches_wrong_value(self):
         ev = QEvaluator(A2, depth=4)

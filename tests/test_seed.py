@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterqq import seed as seed_mod
-from clusterqq.gvector import GVec, knit_gvectors, sweep_gvectors
+from clusterqq.gvector import knit_gvectors, sweep_gvectors
 from clusterqq.qseries import KSeries
 from clusterqq.quiver import (
     MarginError,
@@ -33,6 +33,7 @@ from clusterqq.seed import (
     mutate_seed,
 )
 from oracles import (
+    combo,
     default_window,
     e,
     mutate_reference,
@@ -68,9 +69,7 @@ class TestRankOneSweeps:
         for m in range(1, 5):
             seed = green_sweep(seed)
             for v, g in seed.g:
-                expect = (
-                    -GVec.unit(v) if -2 * m <= v[1] <= -2 else GVec.unit(v)
-                )
+                expect = {v: -1 if -2 * m <= v[1] <= -2 else 1}
                 assert g == expect, (m, v)
 
     def test_each_sweep_adds_one_tag(self):
@@ -146,7 +145,7 @@ class TestRankTwoSweeps:
             # everything above the band keeps its unit vector
             for v in gmap:
                 if v[1] >= 0:
-                    assert gmap[v] == GVec.unit(v), (m, v)
+                    assert gmap[v] == {v: 1}, (m, v)
 
     def test_matches_block_sweeps(self, sweeps):
         cw, seeds = sweeps
@@ -171,13 +170,13 @@ class TestRankTwoSweeps:
         cw = window("A2")
         base = initial_seed(cw, stabilized=False)
         greens = base.ref_quiver.greens()
-        results = set()
+        results = []
         for perm in itertools.permutations(greens):
             seed = base
             for l in perm:
                 seed = mutate_reference(seed, l)
-            results.add((seed.g, seed.ref_quiver.arrows))
-        assert len(results) == 1
+            results.append((seed.g, seed.ref_quiver.arrows))
+        assert all(r == results[0] for r in results)
 
     def test_convergence_to_stabilized(self):
         cw = window("A2", depth=14)
@@ -257,12 +256,10 @@ def arrows_in(q, v):
 def oracle_exchange_lhs(seed, k):
     """The exchange combination at k, one g-vector lookup per arrow."""
     g = dict(seed.g)
-    acc = GVec.zero()
-    for v, m in arrows_in(seed.quiver, k):
-        acc = acc + g[v].scale(m)
-    for v, m in seed.quiver.arrows_out(k):
-        acc = acc - g[v].scale(m)
-    return acc.as_dict()
+    return combo(
+        *((m, g[v]) for v, m in arrows_in(seed.quiver, k)),
+        *((-m, g[v]) for v, m in seed.quiver.arrows_out(k)),
+    )
 
 
 def oracle_cvector(seed, k):
@@ -296,7 +293,7 @@ def oracle_cvector(seed, k):
                     f"c-vector support reaches the window top at {(i, r)}"
                 )
             del c[(i, r)]
-    return GVec.from_dict(c)
+    return {v: x for v, x in c.items() if x}
 
 
 def cvector_outcome(fn, seed, k):
@@ -407,8 +404,8 @@ class TestSeedMutation:
             seed, mutated_sign = mutate_seed(seed, v)
             assert sign in (-1, 1) and mutated_sign == sign
         # g-vectors of distinct variables remain distinct
-        gs = [g for _, g in seed.g]
-        assert len(set(gs)) == len(gs)
+        gs = {tuple(sorted(g.items())) for _, g in seed.g}
+        assert len(gs) == len(seed.g)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +473,13 @@ def oracle_cvector_sign(seed, k):
     if seed.ref_tag != "stabilized":
         raise ValueError("c-vectors are computed against the stabilized reference")
     c = oracle_cvector(seed, k)
-    coeffs = [x for _, x in c.coeffs]
-    if not coeffs:
+    if not c:
         raise SignError(f"zero c-vector at {k}")
-    if all(x > 0 for x in coeffs):
+    if all(x > 0 for x in c.values()):
         return 1
-    if all(x < 0 for x in coeffs):
+    if all(x < 0 for x in c.values()):
         return -1
-    raise SignError(f"c-vector at {k} is not sign-coherent: {c}")
+    raise SignError(f"c-vector at {k} is not sign-coherent: {dict(sorted(c.items()))}")
 
 
 def oracle_divide(num, den):
@@ -499,11 +495,8 @@ def oracle_mutate_seed(seed, k):
         raise ValueError(f"vertex {k} not in window")
     sign = oracle_cvector_sign(seed, k)
     g = dict(seed.g)
-    acc = -g[k]
     arrows = arrows_in(seed.quiver, k) if sign > 0 else seed.quiver.arrows_out(k)
-    for v, m in arrows:
-        acc = acc + g[v].scale(m)
-    g[k] = acc
+    g[k] = combo((-1, g[k]), *((m, g[v]) for v, m in arrows))
     values = None
     if seed.values is not None:
         vals = seed.value_map()
@@ -527,7 +520,7 @@ def oracle_mutate_seed(seed, k):
 def oracle_holders(g):
     out = {}
     for x, gvec in g.items():
-        for v, _ in gvec.coeffs:
+        for v in gvec:
             out.setdefault(v, set()).add(x)
     return out
 
@@ -541,15 +534,15 @@ def oracle_transport(ref, g, holders, l):
     ref.mutate(l)
     for x in list(holders.get(l, ())):
         old = g[x]
-        comp = old.as_dict()
+        comp = dict(old)
         gl = comp[l]
         comp[l] = -gl
         for v, m in (out_arrows if gl >= 0 else in_arrows).items():
             comp[v] = comp.get(v, 0) + m * gl
-        g[x] = GVec.from_dict(comp)
-        for v, _ in old.coeffs:
+        g[x] = {v: c for v, c in comp.items() if c}
+        for v in old:
             holders[v].discard(x)
-        for v, _ in g[x].coeffs:
+        for v in g[x]:
             holders.setdefault(v, set()).add(x)
 
 
@@ -723,20 +716,55 @@ class TestWorkingSeedAgainstOracle:
         rng = random.Random(name)
 
         def unit():
-            return GVec.from_dict({rng.choice(basis): rng.choice((-1, 1))})
+            return {rng.choice(basis): rng.choice((-1, 1))}
 
         kinds = set()
         for draw in range(300):
             if draw % 2:
-                g = {v: unit() + unit() + unit() for v in own}
+                g = {v: combo((1, unit()), (1, unit()), (1, unit())) for v in own}
             else:
-                g = {v: x + unit() if rng.random() < 0.1 else x for v, x in own.items()}
+                g = {
+                    v: combo((1, x), (1, unit())) if rng.random() < 0.1 else x
+                    for v, x in own.items()
+                }
             perturbed = replace(seed, g=tuple(sorted(g.items())))
             k = rng.choice(basis)
             expected = cvector_outcome(oracle_cvector, perturbed, k)
             assert cvector_outcome(cvector, perturbed, k) == expected, (draw, k)
             kinds.add(expected[1].split(" in ")[0] if isinstance(expected, tuple) else 0)
         assert kinds == {0, "c-vector support reaches the window bottom"}
+
+
+class TestNoSharedDicts:
+    """A working seed edits its g-vector dicts in place, so a frozen seed
+    must share none with the working seed it was thawed for or frozen
+    from."""
+
+    @staticmethod
+    def copied(seed):
+        return {v: dict(g) for v, g in seed.g}
+
+    def test_frozen_seeds_and_the_base_stay_as_they_were(self):
+        cw = window("D4")
+        frozen = []
+        # seed mutations replace a g-vector; green sweeps edit the holders'
+        for work, steps in (
+            (initial_seed(cw).thaw(), [(1, -2), (2, -3), (1, -6), (4, -4)]),
+            (initial_seed(cw, stabilized=False).thaw(), [None] * 4),
+        ):
+            base = self.copied(work.base)
+            for v in steps:
+                if v is None:
+                    green_sweep(work)
+                else:
+                    mutate_seed(work, v)
+                seed = work.freeze()
+                assert not any(g is work.g[v] for v, g in seed.g)
+                frozen.append((seed, self.copied(seed)))
+            assert self.copied(work.base) == base
+        assert all(self.copied(seed) == was for seed, was in frozen)
+        # every step moved some g-vector
+        assert all(a != b for (_, a), (_, b) in zip(frozen, frozen[1:]))
 
 
 class TestPowers:

@@ -24,9 +24,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterqq import gvector
 from clusterqq import quiver as quiver_mod
 from clusterqq import seed as seed_mod
-from clusterqq.gvector import GVec, knit_gvectors
+from clusterqq.gvector import knit_gvectors
 from clusterqq.quiver import (
     GREEN,
     RED,
@@ -104,7 +105,7 @@ def oracle_mutate_reference(seed, l):
     in_arrows = [(a, m) for (a, b), m in ref.arrows if b == l]
     new_g = {}
     for x, gvec in seed.g:
-        comp = dict(gvec.coeffs)
+        comp = dict(gvec)
         gl = comp.get(l, 0)
         if gl == 0:
             new_g[x] = gvec
@@ -113,7 +114,7 @@ def oracle_mutate_reference(seed, l):
         comp[l] = -gl
         for v, m in arrows:
             comp[v] = comp.get(v, 0) + m * gl
-        new_g[x] = GVec.from_dict(comp)
+        new_g[x] = {v: c for v, c in comp.items() if c}
     return replace(
         seed,
         ref_quiver=oracle_mutate_quiver(ref, l),
@@ -473,21 +474,6 @@ def freezes(monkeypatch):
     return calls
 
 
-def gvec_calls(monkeypatch, names):
-    """A Counter of the calls of the named ``GVec`` methods from now on."""
-    calls = Counter()
-    for name in names:
-        real = getattr(GVec, name)
-
-        def counting(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-
-        static = isinstance(vars(GVec)[name], staticmethod)
-        monkeypatch.setattr(GVec, name, staticmethod(counting) if static else counting)
-    return calls
-
-
 class TestComputeOnce:
     def test_build_freezes_once(self, freezes):
         cw = build_coxeter_quiver(coxeter_data(rs("D4"), WORDS["D4"]))
@@ -502,9 +488,14 @@ class TestComputeOnce:
         q = build_coxeter_quiver(
             coxeter_data(rs("E8"), tuple(range(1, 9))), depth_below=8
         ).quiver
-        # every way a GVec is built: a unit vector, a shift, or one sum
-        # sorted out of a dict (``scale`` and ``+`` go through it too)
-        computed = gvec_calls(monkeypatch, ("unit", "shift", "from_dict"))
+        shifts = []
+        real = gvector.shifted
+
+        def counting(g, s):
+            shifts.append(s)
+            return real(g, s)
+
+        monkeypatch.setattr(gvector, "shifted", counting)
 
         class Reads(dict):
             """The adjacency map, counting its lookups."""
@@ -517,9 +508,13 @@ class TestComputeOnce:
         q.__dict__["out"] = Reads(q.out)
         g = knit_gvectors(q)
         assert set(g) == q.vertices
-        # one GVec per vertex: a unit vector, a shift, or a green's
-        # -shift(above) + sum of m * g(w) added up in one dict
-        assert sum(computed.values()) == len(q.vertices)
+        # a vertex with one above it reads that one through one shift:
+        # its own value, or a green's sum of m * g(w) - shift(above) in
+        # one dict; a top vertex is a unit vector, and no vertex shares
+        # its dict with another
+        below = [v for v in q.vertices if (v[0], v[1] + 2) in q.vertices]
+        assert shifts == [-1] * len(below)
+        assert len({id(x) for x in g.values()}) == len(q.vertices)
         # one scan, not one per round: a green reads its own arrows twice,
         # and a red's are read for itself and for the green under it
         assert max(reads.values()) <= 2
@@ -532,16 +527,18 @@ class TestComputeOnce:
         green_sweep(seed)
         assert len(freezes) == 1
 
-    def test_green_sweep_builds_no_gvec(self, monkeypatch):
+    def test_green_sweep_builds_no_gvec(self):
         work = initial_seed(window("E6"), stabilized=False).thaw()
-        calls = gvec_calls(monkeypatch, ("from_dict", "as_dict"))
+        held = dict(work.g)
         green_sweep(work)
         # the 36 greens moved their holders' g-vector dicts in place
         assert sum(len(comp) > 1 for comp in work.g.values()) == 36
-        assert not calls
+        assert all(work.g[v] is comp for v, comp in held.items())
         frozen = work.freeze()
-        assert calls == {"from_dict": len(work.g)}
-        assert len(frozen.g) == len(work.g)
+        # one new dict per vertex, equal to the working one
+        assert dict(frozen.g) == work.g
+        ids = {id(comp) for comp in work.g.values()} | {id(g) for _, g in frozen.g}
+        assert len(ids) == 2 * len(work.g)
 
     def test_seed_mutate_computes_each_cvector_once(self, monkeypatch):
         calls = []
