@@ -30,6 +30,7 @@ never compile it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -290,8 +291,8 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
     # each sweep pushes the green band one slice deeper, so the window
     # must grow with the number of sweeps
     cw = _window(type_, coxeter, depth_below + 2 * sweeps)
-    # one working seed through every sweep, frozen (and so checked) once
-    seed = initial_seed(cw, stabilized=False).thaw()
+    # one seed edited by every sweep; freezing its reference checks it once
+    seed = initial_seed(cw, stabilized=False)
     expected = gvector.sweep_gvectors(cw, sweeps)
     for m in range(1, sweeps + 1):
         green_sweep(seed)
@@ -305,7 +306,7 @@ def seed_sweep(rep, type_, coxeter, sweeps, depth_below):
                 "ok": not mismatch,
             }
         )
-    seed.freeze()
+    seed.ref.freeze()
 
 
 @seed_group.command("mutate")
@@ -317,11 +318,11 @@ def seed_mutate(rep, type_, coxeter, vertices):
     """Mutate the tracked seed and report the new g-vectors."""
     cw = _window(type_, coxeter)
     points = [_parse_vertex(spec) for spec in vertices]
-    # one working seed through every mutation, frozen (and so checked) once
-    seed = initial_seed(cw).thaw()
+    # one seed edited by every mutation; freezing its quiver checks it once
+    seed = initial_seed(cw)
     for v in points:
         try:
-            seed, sign = mutate_seed(seed, v)
+            sign = mutate_seed(seed, v)
         except ValueError as exc:
             raise click.UsageError(f"cannot mutate at {v}: {exc}")
         rep.emit(
@@ -333,7 +334,7 @@ def seed_mutate(rep, type_, coxeter, vertices):
                 "ok": True,
             }
         )
-    seed.freeze()
+    seed.quiver.freeze()
 
 
 @main.group("gvec")
@@ -540,10 +541,10 @@ def sl2_factor(rep, monomial):
     rebuilt = key_one(1)
     for seg in segments:
         rebuilt = key_mul(rebuilt, seg.ell_weight())
+    # equal segments are compatible, so only distinct pairs are checked
     compatible = all(
         sl2.compatible(a, b)
-        for idx, a in enumerate(segments)
-        for b in segments[idx + 1 :]
+        for a, b in itertools.combinations(sorted(set(segments)), 2)
     )
     rep.emit(
         {

@@ -21,8 +21,8 @@ is built from the arrows on first use and answers every arrow lookup.
 Every surgery (mutation, recoloring) runs in place on one
 private working form, :class:`_WorkingQuiver`, which keeps the arrows as
 adjacency maps ``out[a][b]`` and ``inn[b][a]`` together with the vertex
-set and the colors.  A run of surgeries thaws a quiver once,
-edits the maps and freezes once at the end.  Freezing reads ``out`` in
+set and the colors.  A run of surgeries makes one working quiver,
+edits its maps and freezes once at the end.  Freezing reads ``out`` in
 adjacency order, sorted sources each followed by its sorted targets, which
 is the sorted order of the arrows, so no flat arrow map is built or sorted.
 
@@ -174,10 +174,10 @@ class _WorkingQuiver:
 
     # -- surgeries ----------------------------------------------------------
 
-    def mutate(self, v: Vertex) -> None:
-        """Standard quiver mutation at a non-frozen vertex inside the margin,
-        written straight into ``out`` and ``inn`` in the order of
-        :meth:`_set` and :meth:`_add` edits, so key orders match them."""
+    def check_mutable(self, v: Vertex) -> None:
+        """Raise unless v is a non-frozen window vertex inside the margin:
+        ``ValueError`` outside the window or at a frozen vertex,
+        :class:`MarginError` outside the margin."""
         q = self.base
         if v not in self.vertices:
             raise ValueError(f"vertex {v} not in window")
@@ -186,6 +186,11 @@ class _WorkingQuiver:
         if not (q.rmin + q.margin < v[1] < q.rmax - q.margin):
             raise MarginError(f"mutation at {v} violates the window margin")
 
+    def mutate(self, v: Vertex) -> None:
+        """Standard quiver mutation at a vertex that :meth:`check_mutable`
+        accepts, written straight into ``out`` and ``inn`` in the order of
+        :meth:`_set` and :meth:`_add` edits, so key orders match them."""
+        self.check_mutable(v)
         out, inn = self.out, self.inn
         ins = list(inn[v].items())
         outs = list(out[v].items())

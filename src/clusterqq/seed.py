@@ -1,35 +1,28 @@
 """Seeds carrying g-vectors (and optional ring values) over a window.
 
-A :class:`Seed` stores its own quiver, the quiver of the reference seed,
+A :class:`Seed` holds its own quiver, the quiver of the reference seed,
 and for every vertex the g-vector of its cluster variable with respect to
-that reference.  Two operations are provided:
+that reference.  It is the one form of a seed, and every operation edits
+it in place:
 
 * :func:`mutate_seed` — mutate the seed itself at a vertex; it returns
-  the new seed and the sign of the c-vector of the mutated variable.  The
-  new g-vector follows the standard exchange recursion, whose two branches
-  are selected by that sign, and a value follows the exchange relation,
-  each side a product of powers taken by square-and-multiply.
+  the sign of the c-vector of the mutated variable.  The new g-vector
+  follows the standard exchange recursion, whose two branches are
+  selected by that sign, and a value follows the exchange relation, each
+  side a product of powers taken by square-and-multiply.
 * :func:`green_sweep` — mutate the reference seed at every green vertex,
   transporting every stored g-vector at each step; this translates the
   reference one step down.
 
 Every g-vector and c-vector is a dict of its non-zero coefficients keyed
-by window vertex, as in :mod:`clusterqq.gvector`.  A :class:`Seed` is
-frozen: sorted tuples keyed by vertex, comparable but not hashable, since
-its g-vectors are dicts.  Every operation runs in place on one private
-working form, :class:`_WorkingSeed`, which holds the values and the
-g-vectors in dicts, and each quiver as a working quiver (see
-:mod:`clusterqq.quiver`), thawed only when an operation first needs it,
-together with the reference's column table and an index from each basis
-vertex to the stored vertices whose g-vector involves it, each built
-once.  The operations take either form: a frozen seed is thawed on entry
-and frozen on return, a working seed is edited in place and returned.  A
-run of operations thaws once and freezes once; each copies every
-g-vector dict once, so a frozen seed shares no dict with a working one
-and stays as it was while that one goes on.  A reference mutation edits
-in place only the stored g-vectors whose coordinate at the mutated
-vertex is non-zero, found through that index, and within each only the
-coordinates at that vertex and its neighbours.
+by window vertex, as in :mod:`clusterqq.gvector`; :func:`initial_seed`
+gives every vertex of every seed a dict of its own.  Each quiver is a
+working quiver (see :mod:`clusterqq.quiver`), made from the frozen quiver
+the seed was built with when an operation first needs it; a caller that
+wants a frozen one, say to check its invariants, freezes it.  A reference
+mutation edits in place only the stored g-vectors whose coordinate at the
+mutated vertex is non-zero, found through an index built once, and within
+each only the coordinates at that vertex and its neighbours.
 
 With a stabilized reference (the plain translation-invariant quiver) the
 c-vector is computed exactly by a top-down substitution: the defining
@@ -44,7 +37,6 @@ every row below is 0 too, so it stops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -67,59 +59,43 @@ class SignError(ValueError):
     """A c-vector turned out zero or not sign-coherent."""
 
 
-@dataclass(frozen=True)
 class Seed:
-    quiver: WindowedQuiver
-    ref_quiver: WindowedQuiver
-    g: tuple[tuple[Vertex, dict[Vertex, int]], ...]
-    ref_tag: str
-    values: tuple[tuple[Vertex, Any], ...] | None = None
+    """A seed, edited in place by every seed operation.
 
-    def value_map(self) -> dict[Vertex, Any]:
-        return dict(self.values) if self.values is not None else {}
-
-    def with_values(self, values: Mapping[Vertex, Any]) -> "Seed":
-        return replace(self, values=_pack(values))
-
-    def thaw(self) -> "_WorkingSeed":
-        """The working form, for a run of operations that freezes once."""
-        return _WorkingSeed(self)
-
-
-def _pack(d: Mapping[Vertex, Any]) -> tuple[tuple[Vertex, Any], ...]:
-    return tuple(sorted(d.items()))
-
-
-class _WorkingSeed:
-    """The mutable form of a seed that every seed operation edits in place.
-
-    ``g`` maps each vertex to its g-vector, a copy of the seed's dict;
-    ``values`` is a dict (None for a seed without values) and ``ref_tag``
-    a string.  ``quiver`` and ``ref`` are working quivers, each thawed
-    from ``base`` on first use; mutation never changes a vertex set, so
-    ``columns`` is read off the base reference.  :meth:`freeze` copies
-    each g-vector dict and freezes only the quivers that were thawed.
+    ``g`` maps each vertex to its g-vector, ``values`` to its value (None
+    without values), and ``ref_tag`` names the reference.  ``quiver`` and
+    ``ref`` are working quivers, each made on first use from the frozen
+    quiver the seed was built with; mutation never changes a vertex set,
+    so :func:`cvector`'s window check and ``columns`` read the frozen ones.
     """
 
-    def __init__(self, seed: Seed):
-        self.base = seed
-        self.g = {v: dict(comp) for v, comp in seed.g}
-        self.values = seed.value_map() if seed.values is not None else None
-        self.ref_tag = seed.ref_tag
+    def __init__(
+        self,
+        quiver: WindowedQuiver,
+        ref: WindowedQuiver,
+        g: dict[Vertex, dict[Vertex, int]],
+        ref_tag: str,
+        values: dict[Vertex, Any] | None = None,
+    ):
+        self._initial_quiver = quiver
+        self._initial_ref = ref
+        self.g = g
+        self.ref_tag = ref_tag
+        self.values = values
 
     @cached_property
     def quiver(self) -> _WorkingQuiver:
-        return _WorkingQuiver(self.base.quiver)
+        return _WorkingQuiver(self._initial_quiver)
 
     @cached_property
     def ref(self) -> _WorkingQuiver:
-        return _WorkingQuiver(self.base.ref_quiver)
+        return _WorkingQuiver(self._initial_ref)
 
     @cached_property
     def columns(self) -> tuple[dict[int, tuple[int, int, list[int]]], int, int]:
         """Per reference column, in node order, its top, its bottom and its
         neighbours; then the top and the bottom of the whole reference."""
-        ref = self.base.ref_quiver
+        ref = self._initial_ref
         heights: dict[int, list[int]] = {}
         for i, r in ref.vertices:
             heights.setdefault(i, []).append(r)
@@ -144,28 +120,6 @@ class _WorkingSeed:
                 out.setdefault(v, set()).add(x)
         return out
 
-    def freeze(self) -> Seed:
-        thawed = vars(self)  # the cached quivers live in the instance dict
-        return Seed(
-            thawed["quiver"].freeze() if "quiver" in thawed else self.base.quiver,
-            thawed["ref"].freeze() if "ref" in thawed else self.base.ref_quiver,
-            _pack({v: dict(comp) for v, comp in self.g.items()}),
-            self.ref_tag,
-            _pack(self.values) if self.values is not None else None,
-        )
-
-
-AnySeed = Seed | _WorkingSeed
-
-
-def _working(seed: AnySeed) -> _WorkingSeed:
-    return seed if isinstance(seed, _WorkingSeed) else _WorkingSeed(seed)
-
-
-def _returned(seed: AnySeed, work: _WorkingSeed) -> AnySeed:
-    """A working seed as it came in, or the frozen form of one thawed for it."""
-    return work if work is seed else work.freeze()
-
 
 def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
     """Initial seed on the Coxeter quiver.
@@ -178,9 +132,8 @@ def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
     q = cw.quiver
     if stabilized:
         ref = basic_quiver(q.rs, q.rmin, q.rmax, parity=q.parity, margin=q.margin)
-        return Seed(q, ref, _pack(knit_gvectors(q)), "stabilized")
-    g = {v: {v: 1} for v in q.vertices}
-    return Seed(q, q, _pack(g), "self")
+        return Seed(q, ref, knit_gvectors(q), "stabilized")
+    return Seed(q, q, {v: {v: 1} for v in q.vertices}, "self")
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +141,9 @@ def initial_seed(cw: CoxeterWindow, stabilized: bool = True) -> Seed:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_lhs(work: _WorkingSeed, k: Vertex) -> dict[Vertex, int]:
+def _exchange_lhs(seed: Seed, k: Vertex) -> dict[Vertex, int]:
     """Net in-degree combination of g-vectors at k, its non-zero entries."""
-    q, g = work.quiver, work.g
+    q, g = seed.quiver, seed.g
     acc: dict[Vertex, int] = {}
     for arrows, sign in ((q.inn.get(k, {}), 1), (q.out.get(k, {}), -1)):
         for v, m in arrows.items():
@@ -199,7 +152,7 @@ def _exchange_lhs(work: _WorkingSeed, k: Vertex) -> dict[Vertex, int]:
     return {u: x for u, x in acc.items() if x}
 
 
-def cvector(seed: AnySeed, k: Vertex) -> dict[Vertex, int]:
+def cvector(seed: Seed, k: Vertex) -> dict[Vertex, int]:
     """Exact c-vector of the variable at k, from the defining relation.
 
     Requires the stabilized reference: there the relation reads, at each
@@ -217,15 +170,13 @@ def cvector(seed: AnySeed, k: Vertex) -> dict[Vertex, int]:
     r+1 down to r-2 all 0, every row below is 0 and it stops.  A vertex
     outside the window raises ``ValueError``.
     """
-    work = _working(seed)
-    # mutation never changes the vertex set, so the base quiver's serves
-    # and nothing thaws
-    if k not in work.base.quiver.vertices:
+    # mutation never changes the vertex set: the initial quiver's serves
+    if k not in seed._initial_quiver.vertices:
         raise ValueError(f"vertex {k} not in window")
-    if work.ref_tag != "stabilized":
+    if seed.ref_tag != "stabilized":
         raise ValueError("c-vectors are computed against the stabilized reference")
-    lhs = _exchange_lhs(work, k)
-    cols, top, bot = work.columns
+    lhs = _exchange_lhs(seed, k)
+    cols, top, bot = seed.columns
     rows = [r for _, r in lhs]
     start = min(top + 5, max(rows, default=bot - 1))
     low = min(rows, default=start)
@@ -257,7 +208,7 @@ def cvector(seed: AnySeed, k: Vertex) -> dict[Vertex, int]:
     return c
 
 
-def cvector_sign(seed: AnySeed, k: Vertex) -> int:
+def cvector_sign(seed: Seed, k: Vertex) -> int:
     """+1 if the c-vector at k is nonnegative, -1 if nonpositive."""
     c = cvector(seed, k)
     if not c:
@@ -328,46 +279,46 @@ def _side(vals: Mapping[Vertex, Any], arrows: list[tuple[Vertex, int]]):
     return math.prod(powers[1:], start=powers[0])
 
 
-def mutate_seed(seed: AnySeed, k: Vertex) -> tuple[AnySeed, int]:
-    """Mutate the seed at k, updating quiver, g-vector and optional value.
+def mutate_seed(seed: Seed, k: Vertex) -> int:
+    """Mutate the seed at k in place: quiver, g-vector and optional value.
 
-    Returns the mutated seed and the sign of the c-vector at k, which
-    picked the branch of the exchange recursion.  Raises ``ValueError``
-    for a vertex outside the window, and, when the seed carries values,
-    for one without both in- and out-arrows.  Every check runs before
-    anything changes, so a working seed is left as it was.
+    Returns the sign of the c-vector at k, which picked the branch of the
+    exchange recursion.  The quiver's refusals (window, frozen, margin)
+    come before the c-vector's :class:`SignError`; with values, a vertex
+    without both in- and out-arrows raises ``ValueError``.  Every check
+    runs before anything changes, so a refused mutation changes nothing.
     """
-    work = _working(seed)
-    sign = cvector_sign(work, k)
-    q = work.quiver
+    q = seed.quiver
+    q.check_mutable(k)
+    sign = cvector_sign(seed, k)
     ins, outs = sorted(q.inn[k].items()), sorted(q.out[k].items())
-    g = work.g
+    g = seed.g
     new = {u: -x for u, x in g[k].items()}
     for v, m in ins if sign > 0 else outs:
         for u, x in g[v].items():
             new[u] = new.get(u, 0) + m * x
-    if work.values is not None:
+    if seed.values is not None:
         sides = []
         for arrows in (ins, outs):
             if not arrows:
                 raise ValueError(f"vertex {k} must have both in- and out-arrows")
-            sides.append(_side(work.values, arrows))
-        value = _divide(sides[0] + sides[1], work.values[k])
+            sides.append(_side(seed.values, arrows))
+        value = _divide(sides[0] + sides[1], seed.values[k])
     q.mutate(k)
     g[k] = {u: x for u, x in new.items() if x}
-    if work.values is not None:
-        work.values[k] = value
-    return _returned(seed, work), sign
+    if seed.values is not None:
+        seed.values[k] = value
+    return sign
 
 
-def _transport(work: _WorkingSeed, l: Vertex) -> None:
-    """Mutate the working reference at l and transport g, both in place.
+def _transport(seed: Seed, l: Vertex) -> None:
+    """Mutate the reference at l and transport g, both in place.
 
     Only the holders of l move, each g-vector dict edited in place at l and
     at l's neighbours, a coordinate that reaches 0 deleted; the holders
     index is kept up to date.  Every check runs before anything changes.
     """
-    ref, g = work.ref, work.g
+    ref, g = seed.ref, seed.g
     if l not in ref.vertices:
         raise ValueError(f"vertex {l} not in reference window")
     out_arrows = dict(ref.out[l])
@@ -375,7 +326,7 @@ def _transport(work: _WorkingSeed, l: Vertex) -> None:
     ref.mutate(l)
     # built only once the mutation is done: a refused one leaves no index
     # for a later seed mutation to make stale
-    holders = work.holders
+    holders = seed.holders
     # l stays in every holder's g-vector, so only the coordinates at l's
     # neighbours can enter or leave one, and holders[l] never changes
     for x in holders.get(l, ()):
@@ -394,21 +345,19 @@ def _transport(work: _WorkingSeed, l: Vertex) -> None:
                 holders[v].discard(x)
 
 
-def green_sweep(seed: AnySeed) -> AnySeed:
+def green_sweep(seed: Seed) -> None:
     """Mutate the reference at every green vertex, then recolor.
 
     The reference quiver comes back as its own one-step downward
     translation; the mutations pairwise commute so the order is free.
     The reference is mutated in place at every green and recolored from
-    its vertical down-arrows.  A sweep that fails part way leaves a
-    working seed with the greens before the failing one mutated.
+    its vertical down-arrows.  A sweep that fails part way leaves the
+    seed with the greens before the failing one mutated.
     """
-    work = _working(seed)
-    greens = sorted(v for v, c in work.ref.colors.items() if c == GREEN)
+    greens = sorted(v for v, c in seed.ref.colors.items() if c == GREEN)
     if not greens:
         raise ValueError("reference quiver has no green vertices")
     for l in greens:
-        _transport(work, l)
-    work.ref.recolor()
-    work.ref_tag += "+sweep"
-    return _returned(seed, work)
+        _transport(seed, l)
+    seed.ref.recolor()
+    seed.ref_tag += "+sweep"

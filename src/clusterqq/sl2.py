@@ -176,6 +176,11 @@ def segment_qchar(seg: Segment, d: int = 6) -> KSeries:
 # Ptolemy exchange relations
 # ---------------------------------------------------------------------------
 
+# The most terms one class of a Ptolemy check may hold, and its deepest
+# depth: far above the spans (at most 12) and depth (6) of the tests, the
+# README and the benchmark; at 256 one check takes at most a quarter second.
+MAX_TERMS = 256
+
 
 def _ptolemy(a, b, c, e, d: int) -> bool:
     """The Ptolemy relation of the quadrilateral a < b < c < e at depth d.
@@ -205,13 +210,23 @@ def ptolemy_check(r, s, rp, sp, d: int = 6) -> dict:
     Preconditions: r < r', s < s', r' ≤ s+1, with r' and s finite (r may
     be -∞ and s' may be +∞).  Both sides are expanded to depth ``d`` and
     compared exactly above the common cutoff; at d < 1 both sides are
-    empty, so a depth below 1 raises ``ValueError``.
+    empty, so a depth below 1 raises ``ValueError``, and so does a depth
+    or a finite class of more than :data:`MAX_TERMS` terms.
     """
     _check_depth(d)
     if not (r < rp and s < sp and rp <= s + 1):
         raise ValueError(f"need r<r', s<s', r'<=s+1; got {(r, s, rp, sp)}")
     if rp in (INF, -INF) or s in (INF, -INF):
         raise ValueError("r' and s must be finite")
+    if d > MAX_TERMS:
+        raise ValueError(f"depth {d}, more than the {MAX_TERMS} allowed")
+    # the longest finite class is [r, s'], with an infinite r moved in to
+    # r' and an infinite s' to s
+    terms = (s if sp == INF else sp) - (rp if r == -INF else r) + 2
+    if terms > MAX_TERMS:
+        raise ValueError(
+            f"a segment class of {terms} terms, more than the {MAX_TERMS} allowed"
+        )
     return {
         "relation": "ptolemy",
         "segments": [str(Segment(r, s)), str(Segment(rp, sp))],

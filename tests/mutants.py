@@ -170,16 +170,6 @@ MUTANTS = {
             "::test_seed_sweep_with_one_sweep_coefficient_doubled",
         ],
     },
-    # the freeze hands the working seed's g-vector dicts to the frozen seed
-    "freeze-shares-gvector-dicts": {
-        "file": "src/clusterqq/seed.py",
-        "old": '''_pack({v: dict(comp) for v, comp in self.g.items()}),''',
-        "new": '''_pack(self.g),''',
-        "kills": [
-            "tests/test_seed.py::TestNoSharedDicts"
-            "::test_frozen_seeds_and_the_base_stay_as_they_were",
-        ],
-    },
     # in-place mutation leaves the 2-cycles it creates
     "mutate-keeps-2-cycles": {
         "file": "src/clusterqq/quiver.py",

@@ -48,6 +48,7 @@ from clusterqq.quiver import (
     GREEN,
     RED,
     MarginError,
+    WindowedQuiver,
     _make,
     _WorkingQuiver,
     basic_quiver,
@@ -67,7 +68,7 @@ from clusterqq.rootsys import (
     longest_element,
     weyl_from_word,
 )
-from clusterqq.seed import _returned, _transport, _working
+from clusterqq.seed import _transport
 from clusterqq.sl2 import INF, Segment, segment_qchar
 from clusterqq.wronskian import rational_minor
 
@@ -649,11 +650,35 @@ def f_label(cw, v, gvectors):
 
 
 def mutate_reference(seed, l):
-    """Mutate the reference at l and transport all stored g-vectors."""
-    work = _working(seed)
-    _transport(work, l)
-    work.ref_tag += f"*mu{l}"
-    return _returned(seed, work)
+    """Mutate the reference at l and transport all stored g-vectors, in
+    place."""
+    _transport(seed, l)
+    seed.ref_tag += f"*mu{l}"
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A seed as it stands, for the seed oracles to read and return and
+    for tests to compare: frozen quivers, the g-vectors and the values as
+    sorted tuples of copies keyed by vertex (values None for a seed
+    without them), and the reference tag."""
+
+    quiver: WindowedQuiver
+    ref_quiver: WindowedQuiver
+    g: tuple
+    ref_tag: str
+    values: tuple | None
+
+
+def snapshot(seed) -> Snapshot:
+    """The :class:`Snapshot` of a seed; freezing its quivers checks them."""
+    return Snapshot(
+        seed.quiver.freeze(),
+        seed.ref.freeze(),
+        tuple(sorted((v, dict(comp)) for v, comp in seed.g.items())),
+        seed.ref_tag,
+        None if seed.values is None else tuple(sorted(seed.values.items())),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -219,19 +219,19 @@ class TestSweepConvergence:
             # green rows of the tracked G-matrix must be sign-coherent
             # before each sweep (this is what makes the sweep a row
             # operation)
-            for l in seed.ref_quiver.greens():
-                signs = {g.get(l, 0) for _, g in seed.g}
+            for l in seed.ref.freeze().greens():
+                signs = {g.get(l, 0) for g in seed.g.values()}
                 signs.discard(0)
                 assert all(x > 0 for x in signs) or all(
                     x < 0 for x in signs
                 ), (k, l)
-            seed = green_sweep(seed)
+            green_sweep(seed)
             expected = tables[k]
-            for v, g in seed.g:
+            for v, g in seed.g.items():
                 assert g == expected[v], (k, v)
         # all slices that stabilize within 20 sweeps agree with the limit
         limit = blocks_gvectors(cw)
-        for v, g in seed.g:
+        for v, g in seed.g.items():
             if cw.slice_index(v) >= -19:
                 assert g == limit[v], v
         budget.check()
@@ -504,7 +504,8 @@ class TestEmbedding:
             for v, label in f_labels(cw, knit_gvectors(cw.quiver)).items()
         }
         assert values.keys() == cw.quiver.vertices
-        seed = initial_seed(cw).with_values(values)
+        seed = initial_seed(cw)
+        seed.values = dict(values)
 
         predictions = [
             ((1, -2), ev.q_bar((), 1, -2)),
@@ -512,20 +513,21 @@ class TestEmbedding:
             ((2, -3), ev.q_bar((2,), 2, -3)),
         ]
         for v, predicted in predictions:
-            old = seed.value_map()[v]
-            seed, _ = mutate_seed(seed, v)
-            new = seed.value_map()[v]
+            old = seed.values[v]
+            mutate_seed(seed, v)
+            new = seed.values[v]
             assert new.matches(predicted), v
             # the exchange relation itself, re-checked multiplicatively
             lhs = old * predicted
             rhs = None
-            for w, m in seed.quiver.arrows_out(v):  # arrows flipped by now
+            q = seed.quiver
+            for w, m in sorted(q.out[v].items()):  # arrows flipped by now
                 for _ in range(m):
-                    rhs = seed.value_map()[w] if rhs is None else rhs * seed.value_map()[w]
+                    rhs = seed.values[w] if rhs is None else rhs * seed.values[w]
             other = None
-            for (w, b), m in seed.quiver.arrows:
-                for _ in range(m if b == v else 0):
-                    other = seed.value_map()[w] if other is None else other * seed.value_map()[w]
+            for w, m in sorted(q.inn[v].items()):
+                for _ in range(m):
+                    other = seed.values[w] if other is None else other * seed.values[w]
             assert rhs is not None and other is not None
             assert lhs.matches(rhs + other), v
 

@@ -137,6 +137,24 @@ class TestUsage:
     @pytest.mark.parametrize(
         "args, message",
         [
+            # a long finite segment, and one too long to expand at all
+            (["0", "1000", "1", "1005"], "a segment class of 1007 terms"),
+            (
+                ["0", "99999999999", "1", "99999999999999"],
+                "a segment class of 100000000000001 terms",
+            ),
+            # a deep expansion of the infinite ends
+            (["-inf", "0", "1", "+inf", "--depth", "100000"], "depth 100000"),
+        ],
+    )
+    def test_ptolemy_beyond_its_bound_is_usage_error(self, args, message):
+        result = cli(["sl2", "ptolemy", *args, "--json"], 2)
+        assert f"Error: {message}, more than the 256 allowed" in result.output
+        assert '"relation"' not in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
             (["seed", "mutate", "--type", "A2", "--vertex", "x"], "bad vertex"),
             (["sl2", "ptolemy", "foo", "0", "1", "2"], "bad segment end"),
             (["qqstar", "verify", "--type", "A1"], "needs rank >= 2"),
@@ -358,6 +376,26 @@ class TestCertificates:
         assert cert["segments"] == [
             "[-inf,-6]", "[-inf,-4]", "[2,+inf]", "[4,+inf]"
         ]
+
+    def test_sl2_factor_checks_distinct_pairs_only(self, monkeypatch):
+        # 1000 equal segments: checking every pair would take 499,500
+        # calls, but equal segments are compatible, so no pair is left
+        from clusterqq import sl2
+
+        calls = []
+        real = sl2.compatible
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(sl2, "compatible", counting)
+        (cert,) = json_lines(cli(["sl2", "factor", "1:1000", "--json"]).stdout)
+        assert cert["ok"] and cert["pairwise_compatible"]
+        assert len(cert["segments"]) == 1000 and calls == []
+        # two distinct segments, each twice: the one distinct pair
+        (cert,) = json_lines(cli(["sl2", "factor", "1:2 3:2", "--json"]).stdout)
+        assert calls == [(sl2.Segment(1, sl2.INF), sl2.Segment(3, sl2.INF))]
 
     def test_sl2_ptolemy_with_infinite_ends(self):
         (cert,) = json_lines(cli("sl2 ptolemy -inf 0 1 +inf --depth 4 --json").stdout)
@@ -591,17 +629,21 @@ class TestGoldenCombinatorics:
             "0851e5d80c928b13f5ed070fc021a5f7f011964b7f9aee9a9d8236cc7d2db306"
         )
 
-    # a zero c-vector below the band, one that is not sign-coherent, the
-    # window margin at the top, and a vertex below the window: each a
-    # usage error that names the vertex
+    # the window margin near the bottom, where the c-vector would be zero
+    # or not sign-coherent, and at the top, and a vertex below the window:
+    # each a usage error that names the vertex
     @pytest.mark.parametrize(
         "vertex, message",
         [
-            ("6,-38", "cannot mutate at (6, -38): zero c-vector at (6, -38)"),
+            (
+                "6,-38",
+                "cannot mutate at (6, -38): mutation at (6, -38) violates the"
+                " window margin",
+            ),
             (
                 "3,-37",
-                "cannot mutate at (3, -37): c-vector at (3, -37) is not"
-                " sign-coherent: {(5, -35): -1, (6, -38): 1}",
+                "cannot mutate at (3, -37): mutation at (3, -37) violates the"
+                " window margin",
             ),
             (
                 "1,0",

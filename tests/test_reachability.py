@@ -33,7 +33,6 @@ _PUBLIC = "public API: tests use it as a library entry point"
 _ORACLE = "oracle or cross-check that tests use"
 
 KEPT = {
-    "seed.Seed.with_values": _PUBLIC,
     "quiver.CoxeterWindow.gamma": _PUBLIC + " (the finite core, built on "
     "first use; no command prints it)",
     "seed.dual_cvectors": _ORACLE + ": the c-matrix as inverse transpose "

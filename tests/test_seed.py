@@ -23,6 +23,7 @@ from clusterqq.quiver import (
 )
 from clusterqq.rootsys import coxeter_data
 from clusterqq.seed import (
+    Seed,
     SignError,
     _power,
     cvector,
@@ -33,6 +34,7 @@ from clusterqq.seed import (
     mutate_seed,
 )
 from oracles import (
+    ALL_TYPES,
     combo,
     default_window,
     e,
@@ -41,6 +43,7 @@ from oracles import (
     relabeled,
     rs,
     same_arrows,
+    snapshot,
     y_monomial,
 )
 
@@ -67,22 +70,24 @@ class TestRankOneSweeps:
         cw = window("A1", depth=14)
         seed = initial_seed(cw, stabilized=False)
         for m in range(1, 5):
-            seed = green_sweep(seed)
-            for v, g in seed.g:
+            green_sweep(seed)
+            for v, g in seed.g.items():
                 expect = {v: -1 if -2 * m <= v[1] <= -2 else 1}
                 assert g == expect, (m, v)
 
     def test_each_sweep_adds_one_tag(self):
         seed = initial_seed(window("A1", depth=14), stabilized=False)
         for k in range(1, 7):
-            seed = green_sweep(seed)
+            green_sweep(seed)
             assert seed.ref_tag.count("+sweep") == k
 
     def test_sweep_recolors_one_step_down(self):
         cw = window("A1", depth=14)
-        seed = green_sweep(initial_seed(cw, stabilized=False))
-        assert reds(seed.ref_quiver) == [(1, -2)]
-        assert seed.ref_quiver.greens() == [(1, -4)]
+        seed = initial_seed(cw, stabilized=False)
+        green_sweep(seed)
+        ref = seed.ref.freeze()
+        assert reds(ref) == [(1, -2)]
+        assert ref.greens() == [(1, -4)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +134,8 @@ def sweeps():
     seeds = {}
     seed = initial_seed(cw, stabilized=False)
     for m in range(1, 5):
-        seed = green_sweep(seed)
-        seeds[m] = seed
+        green_sweep(seed)
+        seeds[m] = snapshot(seed)
     return cw, seeds
 
 
@@ -168,14 +173,14 @@ class TestRankTwoSweeps:
 
     def test_sweep_order_irrelevant(self):
         cw = window("A2")
-        base = initial_seed(cw, stabilized=False)
-        greens = base.ref_quiver.greens()
+        greens = cw.quiver.greens()  # the reference of the unstabilized seed
         results = []
         for perm in itertools.permutations(greens):
-            seed = base
+            seed = initial_seed(cw, stabilized=False)
             for l in perm:
-                seed = mutate_reference(seed, l)
-            results.append((seed.g, seed.ref_quiver.arrows))
+                mutate_reference(seed, l)
+            state = snapshot(seed)
+            results.append((state.g, state.ref_quiver.arrows))
         assert all(r == results[0] for r in results)
 
     def test_convergence_to_stabilized(self):
@@ -183,8 +188,8 @@ class TestRankTwoSweeps:
         stable = knit_gvectors(cw.quiver)
         seed = initial_seed(cw, stabilized=False)
         for _ in range(4):
-            seed = green_sweep(seed)
-        for v, g in seed.g:
+            green_sweep(seed)
+        for v, g in seed.g.items():
             if v[1] >= -8:  # slices that have already stabilized
                 assert g == stable[v], v
 
@@ -237,16 +242,28 @@ class TestCVectors:
     @pytest.mark.parametrize("v", [(9, 9), (1, 1), (1, -40)])
     def test_vertex_outside_the_window_raises(self, v):
         seed = initial_seed(default_window("A3"))
-        work = seed.thaw()
         message = re.escape(f"vertex {v} not in window")
-        for s in (seed, work):
-            with pytest.raises(ValueError, match=message):
-                cvector(s, v)
-            with pytest.raises(ValueError, match=message):
-                cvector_sign(s, v)
+        with pytest.raises(ValueError, match=message):
+            cvector(seed, v)
+        with pytest.raises(ValueError, match=message):
+            cvector_sign(seed, v)
         # refused before the exchange data is read: nothing thawed
-        assert not {"quiver", "ref", "columns"} & set(vars(work))
-        assert work.freeze() == seed
+        assert not {"quiver", "ref", "columns"} & set(vars(seed))
+        assert snapshot(seed) == snapshot(initial_seed(default_window("A3")))
+
+    def test_sign_errors_on_the_default_e6_window(self):
+        # two window artifacts near the bottom (deeper windows give
+        # sign-coherent c-vectors): zero at one vertex, of both signs at
+        # another; seed mutation refuses both on the margin first
+        seed = initial_seed(default_window("E6"))
+        with pytest.raises(SignError, match=re.escape("zero c-vector at (6, -38)")):
+            cvector_sign(seed, (6, -38))
+        message = (
+            "c-vector at (3, -37) is not sign-coherent:"
+            " {(5, -35): -1, (6, -38): 1}"
+        )
+        with pytest.raises(SignError, match=re.escape(message)):
+            cvector_sign(seed, (3, -37))
 
 
 def arrows_in(q, v):
@@ -254,7 +271,8 @@ def arrows_in(q, v):
 
 
 def oracle_exchange_lhs(seed, k):
-    """The exchange combination at k, one g-vector lookup per arrow."""
+    """The exchange combination at k of a snapshot, one g-vector lookup
+    per arrow."""
     g = dict(seed.g)
     return combo(
         *((m, g[v]) for v, m in arrows_in(seed.quiver, k)),
@@ -316,8 +334,8 @@ class TestCVectorOracle:
         random.Random(6).shuffle(greens)
         seed = initial_seed(cw)
         for v in greens:
-            assert cvector(seed, v) == oracle_cvector(seed, v), v
-            seed, _ = mutate_seed(seed, v)
+            assert cvector(seed, v) == oracle_cvector(snapshot(seed), v), v
+            mutate_seed(seed, v)
         assert len(greens) == 36
 
     @pytest.mark.parametrize("drop", [4, 8])
@@ -328,16 +346,12 @@ class TestCVectorOracle:
         # some vertices, and at drop 8 several coefficients lie above
         # the top at once, so the message must name the first
         q = window(name, depth=4).quiver
-        seed = initial_seed(window(name, depth=4))
-        cut = replace(
-            seed,
-            ref_quiver=basic_quiver(
-                q.rs, q.rmin, q.rmax - drop, parity=q.parity, margin=q.margin
-            ),
-        )
+        ref = basic_quiver(q.rs, q.rmin, q.rmax - drop, parity=q.parity, margin=q.margin)
+        cut = Seed(q, ref, knit_gvectors(q), "stabilized")
+        state = snapshot(cut)
         kinds = set()
         for v in sorted(q.vertices):
-            expected = cvector_outcome(oracle_cvector, cut, v)
+            expected = cvector_outcome(oracle_cvector, state, v)
             assert cvector_outcome(cvector, cut, v) == expected, v
             if isinstance(expected, tuple):
                 kinds.add(expected[1].split(" at ")[0].split(" in ")[0])
@@ -352,25 +366,39 @@ class TestCVectorOracle:
 # ---------------------------------------------------------------------------
 
 
+# The vertices inside the margin of a default window that the c-vector
+# still refuses: its support reaches the window bottom, or (A8's (8, -35))
+# it comes out zero, a window artifact (ROADMAP item 22's open half)
+INSIDE_REFUSALS = {
+    "A6": {(6, -27): "c-vector support reaches the window bottom in column 1"},
+    "A7": {
+        (6, -31): "c-vector support reaches the window bottom in column 2",
+        (7, -30): "c-vector support reaches the window bottom in column 1",
+    },
+    "A8": {
+        (7, -34): "c-vector support reaches the window bottom in column 2",
+        (8, -35): "zero c-vector at (8, -35)",
+        (8, -33): "c-vector support reaches the window bottom in column 1",
+    },
+}
+
+
 class TestSeedMutation:
     def test_three_step_example(self):
         cw = window("A2")
         seed = initial_seed(cw)
-        seed, sign = mutate_seed(seed, (1, -2))
-        assert sign == -1
-        assert dict(seed.g)[(1, -2)] == e((1, (1, -2)))
+        assert mutate_seed(seed, (1, -2)) == -1
+        assert seed.g[(1, -2)] == e((1, (1, -2)))
 
-        seed, sign = mutate_seed(seed, (1, -4))
-        assert sign == 1
-        assert dict(seed.g)[(1, -4)] == e((-1, (2, -3)), (1, (1, -2)))
+        assert mutate_seed(seed, (1, -4)) == 1
+        assert seed.g[(1, -4)] == e((-1, (2, -3)), (1, (1, -2)))
 
-        seed, sign = mutate_seed(seed, (2, -3))
-        assert sign == -1
-        assert dict(seed.g)[(2, -3)] == e((-1, (2, -5)), (1, (1, -4)))
+        assert mutate_seed(seed, (2, -3)) == -1
+        assert seed.g[(2, -3)] == e((-1, (2, -5)), (1, (1, -4)))
 
         # unmutated variables keep their stabilized g-vectors
         stable = knit_gvectors(cw.quiver)
-        for v, g in seed.g:
+        for v, g in seed.g.items():
             if v not in {(1, -2), (1, -4), (2, -3)}:
                 assert g == stable[v], v
 
@@ -378,9 +406,12 @@ class TestSeedMutation:
         cw = window("A3")
         seed = initial_seed(cw)
         for v in [(1, -2), (2, -3), (1, -4), (3, -4)]:
-            back, _ = mutate_seed(mutate_seed(seed, v)[0], v)
-            assert back.g == seed.g
-            assert same_arrows(back.quiver, seed.quiver)
+            before = snapshot(seed)
+            mutate_seed(seed, v)
+            mutate_seed(seed, v)
+            back = snapshot(seed)
+            assert back.g == before.g
+            assert same_arrows(back.quiver, before.quiver)
 
     @pytest.mark.parametrize("v", [(9, 9), (1, 1), (1, -400)])
     def test_vertex_outside_window_is_not_a_sign_failure(self, v):
@@ -390,6 +421,31 @@ class TestSeedMutation:
         with pytest.raises(ValueError, match="not in window") as exc:
             mutate_seed(seed, v)
         assert not isinstance(exc.value, SignError)
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_only_the_margin_refuses_on_the_default_window(self, name):
+        # every vertex outside the margin is refused by the margin, never
+        # as a sign failure, and every vertex inside it mutates (and back),
+        # except the few of A6-A8 pinned in INSIDE_REFUSALS
+        q = default_window(name).quiver
+        seed = initial_seed(default_window(name))
+        refused = {}
+        for v in sorted(q.vertices):
+            was = dict(seed.g[v])
+            try:
+                mutate_seed(seed, v)
+            except ValueError as exc:
+                refused[v] = str(exc)
+                continue
+            mutate_seed(seed, v)
+            assert seed.g[v] == was, v
+        outside = {
+            v: f"mutation at {v} violates the window margin"
+            for v in q.vertices
+            if not q.rmin + q.margin < v[1] < q.rmax - q.margin
+        }
+        assert not q.frozen
+        assert refused == {**outside, **INSIDE_REFUSALS.get(name, {})}
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -401,10 +457,10 @@ class TestSeedMutation:
         for _ in range(data.draw(st.integers(1, 5))):
             v = data.draw(st.sampled_from(pool))
             sign = cvector_sign(seed, v)
-            seed, mutated_sign = mutate_seed(seed, v)
+            mutated_sign = mutate_seed(seed, v)
             assert sign in (-1, 1) and mutated_sign == sign
         # g-vectors of distinct variables remain distinct
-        gs = {tuple(sorted(g.items())) for _, g in seed.g}
+        gs = {tuple(sorted(g.items())) for g in seed.g.values()}
         assert len(gs) == len(seed.g)
 
 
@@ -422,11 +478,11 @@ class TestValues:
             for (i, r) in seed.quiver.vertices
             for v in [(i, r)]
         }
-        seed = seed.with_values(vals)
-        once, _ = mutate_seed(seed, (1, -2))
-        assert once.value_map()[(1, -2)] != vals[(1, -2)]
-        back, _ = mutate_seed(once, (1, -2))
-        assert back.value_map() == vals
+        seed.values = dict(vals)
+        mutate_seed(seed, (1, -2))
+        assert seed.values[(1, -2)] != vals[(1, -2)]
+        mutate_seed(seed, (1, -2))
+        assert seed.values == vals
 
     def test_walk_stops_at_an_empty_exchange_side(self):
         # a seeded walk with unit values on the default A2 window (word 1,2)
@@ -434,8 +490,8 @@ class TestValues:
         A2 = rs("A2")
         cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)))
         seed = initial_seed(cw)
-        seed = seed.with_values(dict.fromkeys(seed.quiver.vertices, Fraction(1)))
-        q = seed.quiver
+        seed.values = dict.fromkeys(cw.quiver.vertices, Fraction(1))
+        q = cw.quiver
         pool = sorted(
             v for v in q.vertices - q.frozen
             if q.rmin + q.margin < v[1] < q.rmax - q.margin
@@ -444,7 +500,7 @@ class TestValues:
         for step in range(40):
             v = rng.choice(pool)
             try:
-                seed, _ = mutate_seed(seed, v)
+                mutate_seed(seed, v)
             except ValueError as exc:  # any other error skips the step
                 if "in- and out-arrows" in str(exc):
                     break
@@ -458,14 +514,15 @@ class TestValues:
         # an exchange on integer values stays exact: Fraction(2), not 2.0
         A2 = rs("A2")
         cw = build_coxeter_quiver(coxeter_data(A2, (1, 2)))
-        seed = initial_seed(cw).with_values(dict.fromkeys(cw.quiver.vertices, 1))
-        once, _ = mutate_seed(seed, (1, -2))
-        value = once.value_map()[(1, -2)]
+        seed = initial_seed(cw)
+        seed.values = dict.fromkeys(cw.quiver.vertices, 1)
+        mutate_seed(seed, (1, -2))
+        value = seed.values[(1, -2)]
         assert type(value) is Fraction and value == 2
 
 
 # ---------------------------------------------------------------------------
-# the working seed against the frozen-seed bodies it replaced
+# the seed operations against rebuild-every-step bodies on snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -489,17 +546,23 @@ def oracle_divide(num, den):
 
 
 def oracle_mutate_seed(seed, k):
-    """One mutation of a frozen seed, each side of the exchange relation
-    folded from m repeated factors per arrow of multiplicity m."""
-    if k not in seed.quiver.vertices:
+    """One mutation of a snapshot, each side of the exchange relation
+    folded from m repeated factors per arrow of multiplicity m.  The
+    quiver's refusals come before the c-vector."""
+    q = seed.quiver
+    if k not in q.vertices:
         raise ValueError(f"vertex {k} not in window")
+    if k in q.frozen:
+        raise ValueError(f"vertex {k} is frozen")
+    if not (q.rmin + q.margin < k[1] < q.rmax - q.margin):
+        raise MarginError(f"mutation at {k} violates the window margin")
     sign = oracle_cvector_sign(seed, k)
     g = dict(seed.g)
     arrows = arrows_in(seed.quiver, k) if sign > 0 else seed.quiver.arrows_out(k)
     g[k] = combo((-1, g[k]), *((m, g[v]) for v, m in arrows))
     values = None
     if seed.values is not None:
-        vals = seed.value_map()
+        vals = dict(seed.values)
         sides = []
         for arrows in (arrows_in(seed.quiver, k), seed.quiver.arrows_out(k)):
             factors = [vals[v] for v, m in arrows for _ in range(m)]
@@ -596,63 +659,64 @@ def raised(result):
     return isinstance(result, tuple) and result[0] == "raised"
 
 
-def check_working_form(work):
-    """Each working g-vector is a dict of non-zero coefficients, and the
-    holders index, once built, is the one the frozen g-vectors give (a
-    basis vertex that no g-vector involves any more keeps an empty set)."""
-    for v, comp in work.g.items():
+def check_seed_form(seed):
+    """Each g-vector is a dict of non-zero coefficients, and the holders
+    index, once built, is the one the g-vectors give (a basis vertex that
+    no g-vector involves any more keeps an empty set)."""
+    for v, comp in seed.g.items():
         assert all(comp.values()), (v, comp)
-    if "holders" in vars(work):
-        built = {u: xs for u, xs in work.holders.items() if xs}
-        assert built == oracle_holders(dict(work.freeze().g))
+    if "holders" in vars(seed):
+        built = {u: xs for u, xs in seed.holders.items() if xs}
+        assert built == oracle_holders(seed.g)
 
 
 def check_walk(seed, steps):
-    """Run the steps three ways and compare them after each one: the
-    oracles on frozen seeds, the operations on frozen seeds, and the
-    operations on one working seed edited in place all along.
+    """Run the steps two ways and compare them after each one: the
+    oracles on snapshots, and the operations on one seed edited in place
+    all along.
 
-    A step that raises must raise the same error all three ways and leave
-    the working seed as it was; a green sweep that raises may have moved
-    part of the reference, so the walk ends there.  After every step the
-    working form is checked by :func:`check_working_form`.  Returns the
-    numbers of steps that completed and that raised.
+    A step that raises must raise the same error both ways and leave the
+    seed as it was; a green sweep that raises may have moved part of the
+    reference, so the walk ends there.  After every step the seed is
+    checked by :func:`check_seed_form`.  Returns the numbers of steps that
+    completed and that raised.
     """
-    work = seed.thaw()
+    state = snapshot(seed)
     done = errors = 0
     for op, v in steps:
         new, old = OPERATIONS[op]
         args = () if v is None else (v,)
-        expected = outcome(old, seed, *args)
-        assert outcome(new, seed, *args) == expected, (op, v)
-        in_place = outcome(new, work, *args)
-        check_working_form(work)
+        expected = outcome(old, state, *args)
+        got = outcome(new, seed, *args)
+        check_seed_form(seed)
         if raised(expected):
             errors += 1
-            assert in_place == expected, (op, v)
+            assert got == expected, (op, v)
             if op == "sweep":
                 break
-            assert work.freeze() == seed, (op, v)
+            assert snapshot(seed) == state, (op, v)
             continue
         if op == "seed":
-            (in_place, sign), (expected, expected_sign) = in_place, expected
-            assert sign == expected_sign, v
-        assert in_place is work
-        assert work.freeze() == expected, (op, v)
-        seed = expected
+            expected, expected_sign = expected
+            assert got == expected_sign, v
+        else:
+            assert got is None
+        assert snapshot(seed) == expected, (op, v)
+        state = expected
         done += 1
     return done, errors
 
 
-def seed_steps(rng, seed, count):
+def seed_steps(rng, cw, count):
     """Seed mutations at any vertex of the window, or one outside it."""
-    pool = sorted(seed.quiver.vertices) + [(9, 9)]
+    pool = sorted(cw.quiver.vertices) + [(9, 9)]
     return [("seed", rng.choice(pool)) for _ in range(count)]
 
 
-def reference_steps(rng, seed, count):
-    """Green sweeps and reference mutations at any vertex, or outside."""
-    pool = sorted(seed.ref_quiver.vertices) + [(9, 9)]
+def reference_steps(rng, cw, count):
+    """Green sweeps and reference mutations at any vertex of the window
+    (the reference's too), or one outside it."""
+    pool = sorted(cw.quiver.vertices) + [(9, 9)]
     return [
         ("sweep", None) if rng.random() < 0.3 else ("reference", rng.choice(pool))
         for _ in range(count)
@@ -663,20 +727,19 @@ class TestWorkingSeedAgainstOracle:
     @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
     def test_seeded_walks(self, name):
         cw = default_window(name)
-        stabilized, plain = initial_seed(cw), initial_seed(cw, stabilized=False)
         done = errors = 0
         for s in range(60):
             rng = random.Random(f"{name}:{s}")
             if s % 2 == 0:
                 # seed mutations; then the reference moves, after which a
                 # c-vector is refused
-                steps = seed_steps(rng, stabilized, 12)
-                steps += reference_steps(rng, stabilized, 1)
-                steps += seed_steps(rng, stabilized, 1)
-                outcomes = check_walk(stabilized, steps)
+                steps = seed_steps(rng, cw, 12)
+                steps += reference_steps(rng, cw, 1)
+                steps += seed_steps(rng, cw, 1)
+                outcomes = check_walk(initial_seed(cw), steps)
             else:
-                steps = reference_steps(rng, plain, 12) + seed_steps(rng, plain, 1)
-                outcomes = check_walk(plain, steps)
+                steps = reference_steps(rng, cw, 12) + seed_steps(rng, cw, 1)
+                outcomes = check_walk(initial_seed(cw, stabilized=False), steps)
             done, errors = done + outcomes[0], errors + outcomes[1]
         assert done > 400 and errors > 100
 
@@ -685,24 +748,22 @@ class TestWorkingSeedAgainstOracle:
         cw = default_window(name)
         for s in range(20):
             rng = random.Random(f"{name}:values:{s}")
-            seed = initial_seed(cw).with_values(
-                {
-                    v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                    for v in sorted(cw.quiver.vertices)
-                }
-            )
-            check_walk(seed, seed_steps(rng, seed, 15))
+            seed = initial_seed(cw)
+            seed.values = {
+                v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for v in sorted(cw.quiver.vertices)
+            }
+            check_walk(seed, seed_steps(rng, cw, 15))
 
     @pytest.mark.parametrize(
         "name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
     )
     def test_cvector_at_every_vertex_of_the_default_window(self, name):
         seed = initial_seed(default_window(name))
-        work = seed.thaw()
-        for v in sorted(seed.quiver.vertices):
-            expected = cvector_outcome(oracle_cvector, seed, v)
+        state = snapshot(seed)
+        for v in sorted(state.quiver.vertices):
+            expected = cvector_outcome(oracle_cvector, state, v)
             assert cvector_outcome(cvector, seed, v) == expected, v
-            assert cvector_outcome(cvector, work, v) == expected, v
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
     def test_cvector_of_perturbed_exchange_data(self, name):
@@ -710,9 +771,9 @@ class TestWorkingSeedAgainstOracle:
         # c-vector has gaps of zero rows or runs off the window; the
         # seed's own g-vectors with a few unit entries added mostly give a
         # vector: the substitution must neither start nor stop early
-        seed = initial_seed(default_window(name))
-        own = dict(seed.g)
-        basis = sorted(seed.ref_quiver.vertices)
+        state = snapshot(initial_seed(default_window(name)))
+        own = dict(state.g)
+        basis = sorted(state.ref_quiver.vertices)
         rng = random.Random(name)
 
         def unit():
@@ -727,44 +788,44 @@ class TestWorkingSeedAgainstOracle:
                     v: combo((1, x), (1, unit())) if rng.random() < 0.1 else x
                     for v, x in own.items()
                 }
-            perturbed = replace(seed, g=tuple(sorted(g.items())))
+            perturbed = Seed(state.quiver, state.ref_quiver, g, state.ref_tag)
             k = rng.choice(basis)
-            expected = cvector_outcome(oracle_cvector, perturbed, k)
+            expected = cvector_outcome(
+                oracle_cvector, replace(state, g=tuple(sorted(g.items()))), k
+            )
             assert cvector_outcome(cvector, perturbed, k) == expected, (draw, k)
             kinds.add(expected[1].split(" in ")[0] if isinstance(expected, tuple) else 0)
         assert kinds == {0, "c-vector support reaches the window bottom"}
 
 
 class TestNoSharedDicts:
-    """A working seed edits its g-vector dicts in place, so a frozen seed
-    must share none with the working seed it was thawed for or frozen
-    from."""
+    """Every operation edits a seed's g-vector dicts in place, so no two
+    seeds, and no two vertices of one seed, may share one."""
 
-    @staticmethod
-    def copied(seed):
-        return {v: dict(g) for v, g in seed.g}
-
-    def test_frozen_seeds_and_the_base_stay_as_they_were(self):
+    def test_seeds_of_one_window_share_no_dict(self):
         cw = window("D4")
-        frozen = []
         # seed mutations replace a g-vector; green sweeps edit the holders'
-        for work, steps in (
-            (initial_seed(cw).thaw(), [(1, -2), (2, -3), (1, -6), (4, -4)]),
-            (initial_seed(cw, stabilized=False).thaw(), [None] * 4),
+        for stabilized, steps in (
+            (True, [(1, -2), (2, -3), (1, -6), (4, -4)]),
+            (False, [None] * 4),
         ):
-            base = self.copied(work.base)
+            seed, other = (initial_seed(cw, stabilized) for _ in range(2))
+            ids = [id(g) for s in (seed, other) for g in s.g.values()]
+            assert len(set(ids)) == 2 * len(cw.quiver.vertices)
+            if stabilized:
+                for s in (seed, other):
+                    s.values = dict.fromkeys(cw.quiver.vertices, Fraction(2))
+            was = snapshot(other)
+            states = [snapshot(seed)]
             for v in steps:
                 if v is None:
-                    green_sweep(work)
+                    green_sweep(seed)
                 else:
-                    mutate_seed(work, v)
-                seed = work.freeze()
-                assert not any(g is work.g[v] for v, g in seed.g)
-                frozen.append((seed, self.copied(seed)))
-            assert self.copied(work.base) == base
-        assert all(self.copied(seed) == was for seed, was in frozen)
-        # every step moved some g-vector
-        assert all(a != b for (_, a), (_, b) in zip(frozen, frozen[1:]))
+                    mutate_seed(seed, v)
+                states.append(snapshot(seed))
+            assert snapshot(other) == was
+            # every step moved some g-vector
+            assert all(a.g != b.g for a, b in zip(states, states[1:]))
 
 
 class TestPowers:
@@ -779,7 +840,7 @@ class TestPowers:
         # values a matching series as the fold of repeated factors
         A3 = rs("A3")
         seed = initial_seed(default_window("A3"))
-        q = seed.quiver
+        q = default_window("A3").quiver
         pool = sorted(
             v for v in q.vertices - q.frozen
             if q.rmin + q.margin < v[1] < q.rmax - q.margin
@@ -794,14 +855,25 @@ class TestPowers:
         for _ in range(60):
             k = rng.choice(pool)
             q = seed.quiver
-            most = max(m for _, m in arrows_in(q, k) + q.arrows_out(k))
+            most = max([*q.inn[k].values(), *q.out[k].values()])
             if most >= 2:
                 seen.add(most)
-                got, _ = mutate_seed(seed.with_values(fractions), k)
-                want, _ = oracle_mutate_seed(seed.with_values(fractions), k)
-                assert got == want
-                got, _ = mutate_seed(seed.with_values(series), k)
-                want, _ = oracle_mutate_seed(seed.with_values(series), k)
-                assert got.value_map()[k].matches(want.value_map()[k])
-            seed, _ = mutate_seed(seed, k)
+                state = snapshot(seed)
+                for values in (fractions, series):
+                    got = Seed(
+                        state.quiver,
+                        state.ref_quiver,
+                        {v: dict(comp) for v, comp in state.g},
+                        state.ref_tag,
+                        dict(values),
+                    )
+                    mutate_seed(got, k)
+                    want, _ = oracle_mutate_seed(
+                        replace(state, values=tuple(sorted(values.items()))), k
+                    )
+                    if values is fractions:
+                        assert snapshot(got) == want
+                    else:
+                        assert got.values[k].matches(dict(want.values)[k])
+            mutate_seed(seed, k)
         assert seen == {2, 4, 7, 8, 15, 16, 24, 25, 82}

@@ -409,6 +409,26 @@ class TestPtolemy:
         with pytest.raises(ValueError):
             ptolemy_check(-INF, 0, 1, INF, d)
 
+    @pytest.mark.parametrize(
+        "ends",
+        [(0, 100, 1, 254), (-INF, 100, 1, 255), (0, 254, 1, INF), (-INF, 254, 0, INF)],
+    )
+    def test_longest_class_is_bounded(self, ends):
+        # each shape of ends with its longest finite class at the bound,
+        # then one term past it
+        assert sl2.MAX_TERMS == 256
+        assert ptolemy_check(*ends, 6)["ok"]
+        r, s, rp, sp = ends
+        longer = (r, s, rp, sp + 1) if sp != INF else (r, s + 1, rp, sp)
+        message = "a segment class of 257 terms, more than the 256 allowed"
+        with pytest.raises(ValueError, match=message):
+            ptolemy_check(*longer, 6)
+
+    def test_depth_is_bounded(self):
+        assert ptolemy_check(-INF, 0, 1, INF, 256)["ok"]
+        with pytest.raises(ValueError, match="depth 257, more than the 256 allowed"):
+            ptolemy_check(-INF, 0, 1, INF, 257)
+
 
 class TestExchangeRelations:
     @pytest.mark.parametrize("r", [0, 2, -1])

@@ -2,7 +2,8 @@
 implementations.
 
 The oracles below are the ``_make``-based surgeries that re-filter and
-re-sort the whole quiver after every step.  The working-form surgeries of
+re-sort the whole quiver after every step; the seed oracles read and
+return snapshots (``oracles.snapshot``).  The in-place surgeries of
 ``clusterqq.quiver`` and ``clusterqq.seed`` must give equal quivers,
 g-vectors and tags, and the same exceptions, on every input here, and the
 closed-form Coxeter window must be the quiver that the insertion surgery
@@ -10,7 +11,7 @@ of ``oracles.insert_reflection`` builds, or raise what it raises.
 ``_make`` itself must emit the sorted filtered arrows and name the first
 loop or 2-cycle.  Mutation walks are also checked against
 Fomin–Zelevinsky matrix mutation (``oracles.matrix_mutate``).  The last
-class checks that a run of surgeries freezes once, that knitting
+class checks that a run of commands freezes once, that knitting
 computes each g-vector once and that ``seed mutate`` computes each
 c-vector once.
 """
@@ -38,7 +39,7 @@ from clusterqq.quiver import (
     mutate_quiver,
 )
 from clusterqq.rootsys import coxeter_data
-from clusterqq.seed import green_sweep, initial_seed
+from clusterqq.seed import Seed, green_sweep, initial_seed
 from oracles import (
     bipartition_class,
     cli,
@@ -50,6 +51,7 @@ from oracles import (
     recolor_from_arrows,
     reds,
     rs,
+    snapshot,
 )
 
 
@@ -267,16 +269,18 @@ class TestMutationAgainstOracle:
     def test_reference_sequences(self, name, stabilized, data):
         """Any vertex, margin violations included: equal seeds or equal errors."""
         seed = initial_seed(window(name), stabilized=stabilized)
-        everything = sorted(seed.ref_quiver.vertices)
+        state = snapshot(seed)
+        everything = sorted(state.ref_quiver.vertices)
         steps = st.lists(st.sampled_from(everything), min_size=1, max_size=6)
         for l in data.draw(steps):
             got = outcome(mutate_reference, seed, l)
-            expected = outcome(oracle_mutate_reference, seed, l)
+            expected = outcome(oracle_mutate_reference, state, l)
             if isinstance(expected, tuple):
                 assert got == expected
                 break
-            assert got == expected
-            seed = got
+            assert got is None
+            state = snapshot(seed)
+            assert state == expected
 
     @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
     def test_walks_against_matrix_mutation(self, name):
@@ -323,9 +327,10 @@ class TestMutationAgainstOracle:
             assert isinstance(expected, tuple), v
             assert outcome(mutate_quiver, quiver, v) == expected
         # on the reference: a frozen l, a margin violation, a missing l
-        seed = replace(initial_seed(cw, stabilized=False), ref_quiver=cw.gamma)
+        seed = with_reference(cw, cw.gamma, stabilized=False)
+        state = snapshot(seed)
         for l in (frozen[0], top, (9, 0)):
-            expected = outcome(oracle_mutate_reference, seed, l)
+            expected = outcome(oracle_mutate_reference, state, l)
             assert isinstance(expected, tuple), l
             assert outcome(mutate_reference, seed, l) == expected
 
@@ -335,16 +340,21 @@ class TestMutationAgainstOracle:
 # ---------------------------------------------------------------------------
 
 
+def with_reference(cw, ref, stabilized):
+    """The initial seed of the window, its g-vectors held against ref."""
+    seed = initial_seed(cw, stabilized=stabilized)
+    return Seed(cw.quiver, ref, seed.g, seed.ref_tag)
+
+
 def sweep_seeds(name, sweeps, stabilized):
     cw = build_coxeter_quiver(
         coxeter_data(rs(name), WORDS.get(name, (1, 2))), depth_below=10 + 2 * sweeps
     )
-    seed = initial_seed(cw, stabilized=stabilized)
     if stabilized:
         # the stabilized reference has no greens; carry the stabilized
         # g-vectors over the Coxeter reference, so long vectors move
-        seed = replace(seed, ref_quiver=cw.quiver)
-    return seed
+        return with_reference(cw, cw.quiver, stabilized=True)
+    return initial_seed(cw, stabilized=False)
 
 
 class TestSweepAgainstOracle:
@@ -353,27 +363,29 @@ class TestSweepAgainstOracle:
         "name, sweeps", [("A2", 6), ("A3", 6), ("D4", 6), ("E6", 3)]
     )
     def test_sweeps(self, name, sweeps, stabilized):
-        seed = oracle = sweep_seeds(name, sweeps, stabilized)
+        seed = sweep_seeds(name, sweeps, stabilized)
+        oracle = snapshot(seed)
         for m in range(1, sweeps + 1):
-            seed, oracle = green_sweep(seed), oracle_green_sweep(oracle)
-            assert seed == oracle, m
+            green_sweep(seed)
+            oracle = oracle_green_sweep(oracle)
+            assert snapshot(seed) == oracle, m
 
     def test_stabilized_reference_has_no_greens(self):
         seed = initial_seed(window("A3"))
-        expected = outcome(oracle_green_sweep, seed)
+        expected = outcome(oracle_green_sweep, snapshot(seed))
         assert expected == (ValueError, "reference quiver has no green vertices")
         assert outcome(green_sweep, seed) == expected
 
     def test_sweep_errors(self):
         # a frozen green in the core, and a green on the window margin
         cw = window("A3")
-        frozen_ref = replace(initial_seed(cw, stabilized=False), ref_quiver=cw.gamma)
+        frozen_ref = with_reference(cw, cw.gamma, stabilized=False)
         shallow = initial_seed(
             build_coxeter_quiver(coxeter_data(rs("A3"), WORDS["A3"]), depth_below=2),
             stabilized=False,
         )
         for seed, kind in ((frozen_ref, ValueError), (shallow, MarginError)):
-            expected = outcome(oracle_green_sweep, seed)
+            expected = outcome(oracle_green_sweep, snapshot(seed))
             assert isinstance(expected, tuple) and expected[0] is kind
             assert outcome(green_sweep, seed) == expected
 
@@ -521,24 +533,25 @@ class TestComputeOnce:
         assert sum(reads.values()) < 2 * len(q.vertices)
 
     def test_green_sweep_freezes_once(self, freezes):
+        # a sweep freezes nothing; a run of them, ``seed sweep``, freezes
+        # the reference once at the end
         seed = initial_seed(window("E6"), stabilized=False)
-        assert len(seed.ref_quiver.greens()) == 36
+        assert len(window("E6").quiver.greens()) == 36
         del freezes[:]
         green_sweep(seed)
-        assert len(freezes) == 1
+        assert not freezes
+        args = ["seed", "sweep", "--type", "E6", "--sweeps", "3", "--json"]
+        assert len(cli(args).stdout.splitlines()) == 3
+        # the window, and the reference after all three sweeps
+        assert len(freezes) == 2
 
     def test_green_sweep_builds_no_gvec(self):
-        work = initial_seed(window("E6"), stabilized=False).thaw()
-        held = dict(work.g)
-        green_sweep(work)
+        seed = initial_seed(window("E6"), stabilized=False)
+        held = dict(seed.g)
+        green_sweep(seed)
         # the 36 greens moved their holders' g-vector dicts in place
-        assert sum(len(comp) > 1 for comp in work.g.values()) == 36
-        assert all(work.g[v] is comp for v, comp in held.items())
-        frozen = work.freeze()
-        # one new dict per vertex, equal to the working one
-        assert dict(frozen.g) == work.g
-        ids = {id(comp) for comp in work.g.values()} | {id(g) for _, g in frozen.g}
-        assert len(ids) == 2 * len(work.g)
+        assert sum(len(comp) > 1 for comp in seed.g.values()) == 36
+        assert all(seed.g[v] is comp for v, comp in held.items())
 
     def test_seed_mutate_computes_each_cvector_once(self, monkeypatch):
         calls = []

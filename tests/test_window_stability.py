@@ -63,7 +63,7 @@ class TestWindowStability:
     def test_green_sweep_gvectors(self, name):
         # as in ``seed sweep``, the window grows by two per sweep
         seeds = [
-            initial_seed(cw, stabilized=False).thaw()
+            initial_seed(cw, stabilized=False)
             for cw in windows(name, extra=2 * SWEEPS)
         ]
         for _ in range(SWEEPS):
